@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,7 @@ from .generator_analysis import (
     check_cp_divisible,
     extract_tcl_generator,
 )
-from .information import backflow_functional, series_from_trajectory
+from .information import REFERENCE_TAGS, backflow_functional, series_from_trajectory
 from .models import MODEL_REGISTRY, build_model, model_schemas
 from .netfd import decomposed_backflow, two_state_series_from_trajectory
 from .phase_diagram import SweepSpec, run_sweep
@@ -96,8 +97,12 @@ def _validate_model_params(name: str, params: dict):
         if key not in schema:
             raise ConfigError(f"model {name} has no parameter {key!r}")
         rule = schema[key]
+        if rule["type"] in ("number", "integer") and isinstance(value, bool):
+            raise ConfigError(f"parameter {key} must be a {rule['type']}, not a boolean")
         if rule["type"] == "number" and not isinstance(value, (int, float)):
             raise ConfigError(f"parameter {key} must be a number")
+        if rule["type"] == "number" and not math.isfinite(value):
+            raise ConfigError(f"parameter {key} must be finite, got {value}")
         if rule["type"] == "integer" and not isinstance(value, int):
             raise ConfigError(f"parameter {key} must be an integer")
         if rule["type"] == "string":
@@ -149,17 +154,26 @@ COMMAND_SCHEMAS = {
 }
 
 
-def _grid_from_config(config: dict, args) -> TimeGrid:
+def _grid_params(config: dict, args) -> tuple[float, float]:
+    """(dt, t_max) from the config's grid block; ``--dt``/``--t-max`` win."""
     grid_cfg = dict(config.get("grid", {}))
     if args.dt is not None:
         grid_cfg["dt"] = args.dt
     if args.t_max is not None:
         grid_cfg["t_max"] = args.t_max
-    dt = float(grid_cfg.get("dt", DEFAULT_DT))
-    t_max = float(grid_cfg.get("t_max", DEFAULT_T_MAX))
-    if dt <= 0 or t_max <= 0:
-        raise ConfigError("grid.dt and grid.t_max must be positive")
-    return TimeGrid.uniform(dt, t_max)
+    values = []
+    for key, default in (("dt", DEFAULT_DT), ("t_max", DEFAULT_T_MAX)):
+        value = grid_cfg.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"grid.{key} must be a number")
+        if not math.isfinite(value) or value <= 0:
+            raise ConfigError(f"grid.{key} must be finite and positive, got {value}")
+        values.append(float(value))
+    return values[0], values[1]
+
+
+def _grid_from_config(config: dict, args) -> TimeGrid:
+    return TimeGrid.uniform(*_grid_params(config, args))
 
 
 def _model_from_config(config: dict):
@@ -305,7 +319,7 @@ def cmd_backflow(config: dict, args) -> int:
         "divisibility": report_dict,
     }
     for tag in measures:
-        reference = model.reference_state if tag in ("rel_entropy", "kl", "trace_distance") else None
+        reference = model.reference_state if tag in REFERENCE_TAGS else None
         series = series_from_trajectory(traj, tag, reference=reference, skip_intervals=gaps)
         payload["measures"][tag] = {
             "backflow": backflow_functional(series),
@@ -350,15 +364,15 @@ def cmd_phase_diagram(config: dict, args) -> int:
             raise ConfigError(f"axis entries need param/min/max/steps: {exc}") from exc
     fixed = dict(model_cfg.get("params", {}))
     _validate_model_params(model_cfg["name"], fixed)
-    grid_cfg = dict(config.get("grid", {}))
+    dt, t_max = _grid_params(config, args)
     threads = args.threads if args.threads is not None else int(config.get("threads", 1))
     try:
         spec = SweepSpec(
             model=model_cfg["name"],
             axes=tuple(axes),
             fixed=fixed,
-            dt=float(grid_cfg.get("dt", args.dt or DEFAULT_DT)),
-            t_max=float(grid_cfg.get("t_max", args.t_max or DEFAULT_T_MAX)),
+            dt=dt,
+            t_max=t_max,
             measures=tuple(config.get("measures", [])),
             epsilon_n=float(config.get("epsilon_n", 1e-6)),
             rate_tolerance=float(config.get("rate_tolerance", 1e-7)),

@@ -24,6 +24,7 @@ MEASURE_TAGS = (
     "s_cl",
     "s_qe",
 )
+REFERENCE_TAGS = ("rel_entropy", "kl", "trace_distance")
 
 SUPPORT_EIGENVALUE = 1e-12
 SUPPORT_WEIGHT = 1e-10
@@ -138,6 +139,58 @@ def shannon_entropy(p: np.ndarray) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
+def _sum_w_log_w(w: np.ndarray) -> np.ndarray:
+    """Row sums of w log w for a nonnegative (n, k) array, 0 log 0 = 0."""
+    pos = w > 0
+    return np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=1)
+
+
+def von_neumann_entropies(states: np.ndarray) -> np.ndarray:
+    """:func:`von_neumann_entropy` of each of the stacked (n, d, d) states."""
+    w = np.clip(np.linalg.eigvalsh(states)[:, ::-1], 0.0, None)
+    return np.maximum(-_sum_w_log_w(w), 0.0)
+
+
+def relative_entropies(states: np.ndarray, sigma: DensityMatrix) -> np.ndarray:
+    """:func:`relative_entropy` D(rho_k || sigma) of each of the stacked
+    (n, d, d) states against one reference, whose spectrum is computed
+    once."""
+    wr, vr = np.linalg.eigh(states)
+    ws, vs = np.linalg.eigh(sigma.entries)
+    wr = np.clip(wr, 0.0, None)
+    ws = np.clip(ws, 0.0, None)
+    small = ws < SUPPORT_EIGENVALUE
+    keep = ~small
+    cross = np.abs(vr.conj().transpose(0, 2, 1) @ vs) ** 2  # |<r_i|s_j>|^2
+    tr_rho_log_sigma = np.einsum("ni,nij,j->n", wr, cross[:, :, keep], np.log(ws[keep]))
+    vals = np.maximum(_sum_w_log_w(wr) - tr_rho_log_sigma, 0.0)
+    if np.any(small):
+        overlap = np.abs(vs.conj().T @ states @ vs).diagonal(axis1=1, axis2=2)
+        vals[overlap[:, small].sum(axis=1) > SUPPORT_WEIGHT] = np.inf
+    return vals
+
+
+def kl_divergences(ps: np.ndarray, q: ProbabilityVector) -> np.ndarray:
+    """:func:`kl_divergence` D(p_k || q) of each row of a stacked (n, m)
+    array against one reference."""
+    pv = np.clip(ps, 0.0, None)
+    qv = np.clip(q.entries, 0.0, None)
+    small = qv < SUPPORT_EIGENVALUE
+    keep = (pv > 0) & ~small
+    log_ratio = np.log(np.where(keep, pv, 1.0)) - np.log(np.where(small, 1.0, qv))
+    vals = np.maximum(np.sum(np.where(keep, pv * log_ratio, 0.0), axis=1), 0.0)
+    if np.any(small):
+        vals[pv[:, small].sum(axis=1) > SUPPORT_WEIGHT] = np.inf
+    return vals
+
+
+def trace_distances(states: np.ndarray, sigma: DensityMatrix) -> np.ndarray:
+    """:func:`trace_distance` of each of the stacked (n, d, d) states to one
+    reference."""
+    w = np.linalg.eigvalsh(states - sigma.entries)
+    return 0.5 * np.sum(np.abs(w), axis=1)
+
+
 def series_from_trajectory(
     traj: Trajectory,
     measure_tag: str,
@@ -146,6 +199,10 @@ def series_from_trajectory(
 ) -> InfoSeries:
     """Pointwise information series over a trajectory.
 
+    The values come from one batched pass over the stacked states (the
+    scalar measures above are the per-state reference); the states are
+    first checked as a stack by :meth:`Trajectory.check_states`.
+
     ``reference`` is required for 'rel_entropy', 'kl' and 'trace_distance'.
     Gap intervals from an upstream divisibility report should be passed as
     ``skip_intervals``; points with non-finite values (support mismatches)
@@ -153,11 +210,8 @@ def series_from_trajectory(
     """
     if measure_tag not in MEASURE_TAGS:
         raise ContractViolationError(f"unknown measure tag {measure_tag!r}")
-    needs_ref = measure_tag in ("rel_entropy", "kl", "trace_distance")
-    if needs_ref and reference is None:
+    if measure_tag in REFERENCE_TAGS and reference is None:
         raise ContractViolationError(f"measure {measure_tag!r} needs a reference state")
-    n = traj.grid.n
-    vals = np.empty(n, dtype=float)
     if measure_tag in ("vn_entropy", "rel_entropy", "trace_distance", "extended_entropy"):
         if traj.kind != "quantum":
             raise ContractViolationError(f"{measure_tag!r} needs a quantum trajectory")
@@ -171,24 +225,23 @@ def series_from_trajectory(
 
         s_cl, s_qe = two_state_series_from_trajectory(traj, skip_intervals=skip_intervals)
         return s_cl if measure_tag == "s_cl" else s_qe
-    if measure_tag == "vn_entropy":
-        for i in range(n):
-            vals[i] = von_neumann_entropy(traj.state(i))
-    elif measure_tag == "extended_entropy":
-        from .netfd import extended_entropy, thermofield_vector, extended_reduced_density
-
-        for i in range(n):
-            psi = thermofield_vector(traj.state(i))
-            vals[i] = extended_entropy(extended_reduced_density(psi))
+    if reference is not None:
+        ref_type = DensityMatrix if traj.kind == "quantum" else ProbabilityVector
+        if not isinstance(reference, ref_type) or reference.dim != traj.dim:
+            raise ContractViolationError(
+                f"reference must be a {ref_type.__name__} of dimension {traj.dim}"
+            )
+    traj.check_states()
+    if measure_tag in ("vn_entropy", "extended_entropy"):
+        # the extended entropy of the thermofield purification is the von
+        # Neumann entropy of the state itself (see netfd)
+        vals = von_neumann_entropies(traj.states)
     elif measure_tag == "rel_entropy":
-        for i in range(n):
-            vals[i] = relative_entropy(traj.state(i), reference)
+        vals = relative_entropies(traj.states, reference)
     elif measure_tag == "trace_distance":
-        for i in range(n):
-            vals[i] = trace_distance(traj.state(i), reference)
-    elif measure_tag == "kl":
-        for i in range(n):
-            vals[i] = kl_divergence(traj.state(i), reference)
+        vals = trace_distances(traj.states, reference)
+    else:
+        vals = kl_divergences(traj.states, reference)
     skips = list(skip_intervals)
     bad = ~np.isfinite(vals)
     if np.any(bad):

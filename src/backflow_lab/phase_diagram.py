@@ -3,9 +3,12 @@ time-local generator, test divisibility, accumulate backflow measures,
 split them into classical/intrinsic sectors where available, and classify
 each lattice point.
 
-Sweeps never abort on a failing point: the failure is recorded in that
-row's ``error`` column.  Rows are assembled in lattice order regardless of
-worker completion order, so repeated runs are bit-identical.
+Sweeps never abort on a failing point: a numerical or contract failure
+(any :class:`BackflowLabError`, or numpy's ``LinAlgError``) is recorded in
+that row's ``error`` column.  Any other exception is a programming error
+and propagates.  Axis and fixed parameter names are checked against the
+model schema before any row runs.  Rows are assembled in lattice order
+regardless of worker completion order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import BackflowLabError, ContractViolationError
 from .generator_analysis import (
     check_classical_divisible,
     check_cp_divisible,
     extract_tcl_generator,
 )
-from .information import InfoSeries, backflow_functional, series_from_trajectory
+from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
 from .models import MODEL_REGISTRY, ModelSpec, build_model
 from .netfd import decomposed_backflow, two_state_series_from_trajectory
 from .propagation import build_propagator, solve_tcl
@@ -103,7 +106,17 @@ class SweepSpec:
             raise ContractViolationError(f"unknown model {self.model!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ContractViolationError("sweeps support 1 or 2 axes")
+        schema = MODEL_REGISTRY[self.model][1]
+        for name in self.fixed:
+            if name not in schema:
+                raise ContractViolationError(f"model {self.model} has no parameter {name!r}")
         for name, lo, hi, steps in self.axes:
+            if name not in schema:
+                raise ContractViolationError(f"model {self.model} has no parameter {name!r} to sweep")
+            if schema[name]["type"] != "number":
+                raise ContractViolationError(f"axis {name!r} is not a number parameter")
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ContractViolationError(f"axis {name!r} needs finite bounds")
             if steps < 2:
                 raise ContractViolationError(f"axis {name!r} needs at least 2 steps")
             if not hi > lo:
@@ -206,23 +219,37 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     row["divisible"] = divisible
     row["min_rate"] = min_rate
     row["first_violation_time"] = first_violation
-    # information measures
+    # information measures; each series is built once per point and shared
+    # by the measure columns, the sector split and the revival flag
+    cache: dict[str, InfoSeries] = {}
+
+    def series(tag: str) -> InfoSeries:
+        if tag not in cache:
+            if tag in ("s_cl", "s_qe"):
+                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(
+                    traj, skip_intervals=gaps
+                )
+            else:
+                reference = model.reference_state if tag in REFERENCE_TAGS else None
+                cache[tag] = series_from_trajectory(
+                    traj, tag, reference=reference, skip_intervals=gaps
+                )
+        return cache[tag]
+
     for tag in measures:
-        reference = model.reference_state if tag in ("rel_entropy", "kl", "trace_distance") else None
-        series = series_from_trajectory(traj, tag, reference=reference, skip_intervals=gaps)
-        row[f"N_{tag}"] = backflow_functional(series)
+        row[f"N_{tag}"] = backflow_functional(series(tag))
     # sector split; a row is boundary-marginal when either sector sits
     # closer to the classification threshold than ten times its own
     # grid-refinement error estimate
     if model.kind == "quantum" and traj.dim == 2:
-        s_cl, s_qe = two_state_series_from_trajectory(traj, skip_intervals=gaps)
+        s_cl, s_qe = series("s_cl"), series("s_qe")
         decomp = decomposed_backflow(s_cl, s_qe, epsilon_n)
         n_cl, n_qe, n_total = decomp.n_cl, decomp.n_qe, decomp.n_total
         err_cl = abs(n_cl - _half_grid_backflow(s_cl))
         err_qe = abs(n_qe - _half_grid_backflow(s_qe))
         regime = decomp.regime
     else:
-        kl_series = series_from_trajectory(traj, "kl", reference=model.reference_state, skip_intervals=gaps)
+        kl_series = series("kl")
         n_cl = backflow_functional(kl_series)
         n_qe = 0.0
         n_total = n_cl
@@ -243,9 +270,7 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
         row["revival"], _ = revival_detector(b_series, epsilon_n)
     else:
         tag = measures[0] if measures else "kl" if model.kind == "classical" else "vn_entropy"
-        reference = model.reference_state if tag in ("rel_entropy", "kl", "trace_distance") else None
-        series = series_from_trajectory(traj, tag, reference=reference, skip_intervals=gaps)
-        row["revival"], _ = revival_detector(series, epsilon_n)
+        row["revival"], _ = revival_detector(series(tag), epsilon_n)
     row["error"] = ""
     return row
 
@@ -257,7 +282,7 @@ def _sweep_point(args) -> dict:
     try:
         model = build_model(model_name, params)
         row = _pipeline_one(model, grid, measures, epsilon_n, rate_tolerance)
-    except Exception as exc:  # recorded, never fatal for the sweep
+    except (BackflowLabError, np.linalg.LinAlgError) as exc:  # recorded per row
         row = {col: None for col in SWEEP_COLUMNS_TAIL}
         for m in measures:
             row[f"N_{m}"] = None

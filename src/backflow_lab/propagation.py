@@ -238,13 +238,14 @@ def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
     time (states are renormalized only within that allowance).
     """
     y0 = _initial_vector(initial, gen.kind, gen.dim)
+    h = grid.dt
     cache: dict[float, np.ndarray] = {}
 
     def apply_at(t: float, y: np.ndarray) -> np.ndarray:
         m = cache.get(t)
         if m is None:
             m = np.asarray(gen.evaluate(t))
-            on_grid = abs(t / grid.dt - round(t / grid.dt)) < 1e-9
+            on_grid = abs(t / h - round(t / h)) < 1e-9
             if on_grid:
                 gen.validate_sample(m, t)
             cache.clear()

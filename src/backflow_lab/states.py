@@ -8,7 +8,7 @@ can trust a constructed instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
@@ -20,6 +20,9 @@ PSD_FLOOR = -1e-10
 PROB_FLOOR = -1e-12
 COLUMN_SUM_TOL = 1e-10
 GENERATOR_TRACE_TOL = 1e-10
+# per-state tolerances of Trajectory.state and Trajectory.check_states
+STATE_TRACE_TOL = 1e-9
+STATE_FLOOR = -1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -168,9 +171,15 @@ def trace_annihilation_defect(superop: np.ndarray, dim: int) -> float:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times starting at 0."""
+    """Strictly increasing sample times starting at 0.
+
+    The step and the uniformity flag are computed once, at construction,
+    so :attr:`dt` and :meth:`is_uniform` cost O(1) per call.
+    """
 
     points: np.ndarray
+    _dt: float = field(init=False, repr=False, compare=False)
+    _uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.points, dtype=float)
@@ -178,12 +187,19 @@ class TimeGrid:
             raise ContractViolationError("grid needs at least two points")
         if t[0] != 0.0:
             raise ContractViolationError("grid must start at t=0")
-        if np.any(np.diff(t) <= 0):
+        steps = np.diff(t)
+        if np.any(steps <= 0):
             raise ContractViolationError("grid must be strictly increasing")
         object.__setattr__(self, "points", _freeze(t))
+        object.__setattr__(self, "_dt", float(steps[0]))
+        object.__setattr__(
+            self, "_uniform", bool(np.max(steps) - np.min(steps) <= 1e-9 * np.max(steps))
+        )
 
     @classmethod
     def uniform(cls, dt: float, t_max: float) -> "TimeGrid":
+        if not (np.isfinite(dt) and np.isfinite(t_max)):
+            raise ContractViolationError("dt and t_max must be finite")
         if dt <= 0 or t_max <= 0:
             raise ContractViolationError("dt and t_max must be positive")
         n = int(round(t_max / dt))
@@ -201,14 +217,12 @@ class TimeGrid:
 
     @property
     def dt(self) -> float:
-        steps = np.diff(self.points)
-        if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
+        if not self._uniform:
             raise ContractViolationError("grid is not uniform")
-        return float(steps[0])
+        return self._dt
 
     def is_uniform(self) -> bool:
-        steps = np.diff(self.points)
-        return bool(np.max(steps) - np.min(steps) <= 1e-9 * np.max(steps))
+        return self._uniform
 
 
 @dataclass(frozen=True)
@@ -274,8 +288,47 @@ class Trajectory:
     def state(self, i: int):
         """The i-th state as a validated value object."""
         if self.kind == "quantum":
-            return DensityMatrix(self.states[i], trace_tol=1e-9, psd_floor=-1e-9)
-        return ProbabilityVector(self.states[i], sum_tol=1e-9, floor=-1e-9)
+            return DensityMatrix(self.states[i], trace_tol=STATE_TRACE_TOL, psd_floor=STATE_FLOOR)
+        return ProbabilityVector(self.states[i], sum_tol=STATE_TRACE_TOL, floor=STATE_FLOOR)
+
+    def check_states(self):
+        """Apply the checks :meth:`state` makes on each state to the whole
+        stack at once, at the same tolerances: the dimension cap,
+        Hermiticity within ``HERMITICITY_TOL``, trace (sum) within
+        ``STATE_TRACE_TOL`` and eigenvalues (entries) above ``STATE_FLOOR``.
+        """
+        arr, ts = self.states, self.grid.points
+        if self.kind == "quantum":
+            if self.dim > linalg.MAX_QUANTUM_DIM:
+                raise ContractViolationError(
+                    f"dimension {self.dim} outside supported range 1..{linalg.MAX_QUANTUM_DIM}"
+                )
+            adj = arr.conj().transpose(0, 2, 1)
+            defect = np.max(np.abs(arr - adj), axis=(1, 2)) / 2.0
+            i = int(np.argmax(defect))
+            if defect[i] > HERMITICITY_TOL:
+                raise ContractViolationError(
+                    f"state at t={ts[i]:g} not Hermitian within {HERMITICITY_TOL:g}"
+                )
+            drift = np.abs(np.einsum("nii->n", arr) - 1.0)
+            low = np.linalg.eigvalsh((arr + adj) / 2.0)[:, 0]
+        else:
+            if self.dim > linalg.MAX_CLASSICAL_DIM:
+                raise ContractViolationError(
+                    f"dimension {self.dim} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}"
+                )
+            drift = np.abs(arr.sum(axis=1) - 1.0)
+            low = np.min(arr, axis=1)
+        i = int(np.argmax(drift))
+        if drift[i] > STATE_TRACE_TOL:
+            raise ContractViolationError(
+                f"state at t={ts[i]:g} has trace (sum) off 1 by {drift[i]:.3e}, beyond {STATE_TRACE_TOL:g}"
+            )
+        i = int(np.argmin(low))
+        if low[i] < STATE_FLOOR:
+            raise ContractViolationError(
+                f"state at t={ts[i]:g} has eigenvalue (entry) {low[i]:.3e} below {STATE_FLOOR:g}"
+            )
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from backflow_lab.cli import main
 from backflow_lab.models import exp_kernel_difference_mode
@@ -223,3 +224,93 @@ class TestEntryPoint:
         )
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+
+class TestGridFlags:
+    def test_phase_diagram_flags_override_config_grid(self, tmp_path, monkeypatch):
+        import backflow_lab.cli as cli
+
+        seen = []
+        real_run_sweep = cli.run_sweep
+
+        def capture(spec):
+            seen.append((spec.dt, spec.t_max))
+            return real_run_sweep(spec)
+
+        monkeypatch.setattr(cli, "run_sweep", capture)
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "classical_exp_kernel", "params": {"gamma": 1.0}},
+                "axes": [{"param": "tau_m", "min": 0.2, "max": 0.5, "steps": 2}],
+                "grid": {"dt": 2e-3, "t_max": 8.0},
+            },
+        )
+        out = str(tmp_path)
+        assert main(["phase-diagram", "--config", config, "--out", out]) == 0
+        first = (tmp_path / "sweep.csv").read_bytes()
+        assert main(["phase-diagram", "--config", config, "--out", out, "--dt", "0.01", "--t-max", "1"]) == 0
+        assert seen == [(2e-3, 8.0), (0.01, 1.0)]
+        assert (tmp_path / "sweep.csv").read_bytes() != first
+
+    def test_phase_diagram_defaults_without_grid(self, tmp_path, monkeypatch):
+        import backflow_lab.cli as cli
+        from backflow_lab.phase_diagram import SweepResult
+
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: seen.append(spec) or SweepResult(spec, ()))
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "classical_exp_kernel"},
+                "axes": [{"param": "tau_m", "min": 0.2, "max": 0.5, "steps": 2}],
+            },
+        )
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path), "--t-max", "3"]) == 0
+        assert (seen[0].dt, seen[0].t_max) == (cli.DEFAULT_DT, 3.0)
+
+    @pytest.mark.parametrize("command", ["simulate", "phase-diagram"])
+    @pytest.mark.parametrize("flags", [["--dt", "nan"], ["--t-max", "inf"], ["--dt", "-1"]])
+    def test_non_finite_or_negative_grid_exits_2(self, tmp_path, capsys, command, flags):
+        payload = {"model": {"name": "classical_exp_kernel"}}
+        if command == "phase-diagram":
+            payload["axes"] = [{"param": "tau_m", "min": 0.2, "max": 0.5, "steps": 2}]
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path)] + flags) == 2
+        assert "config error: grid." in capsys.readouterr().err
+
+    def test_non_numeric_grid_value_exits_2(self, tmp_path):
+        config = write_config(
+            tmp_path, {"model": {"name": "markov_two_state"}, "grid": {"dt": "fast"}}
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+
+
+class TestParameterValidation:
+    def test_unknown_sweep_axis_exits_2_before_any_row(self, tmp_path, monkeypatch):
+        import backflow_lab.phase_diagram as pd
+
+        monkeypatch.setattr(pd, "_sweep_point", lambda work: pytest.fail("a row ran"))
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "classical_exp_kernel"},
+                "axes": [{"param": "bogus", "min": 0.2, "max": 0.5, "steps": 2}],
+            },
+        )
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param, value", [("n", True), ("gamma", False)])
+    def test_json_boolean_rejected(self, tmp_path, capsys, param, value):
+        config = write_config(
+            tmp_path, {"model": {"name": "classical_exp_kernel", "params": {param: value}}}
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "boolean" in capsys.readouterr().err
+
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"model": {"name": "dephasing_qubit", "params": {"amplitude": NaN}}}')
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert "finite" in capsys.readouterr().err

@@ -228,3 +228,12 @@ class TestTrajectory:
         states = np.array([[0.5, 0.5]] * 3)
         traj = Trajectory(grid, states, "classical")
         assert traj.state(2).entries[0] == 0.5
+
+
+class TestTimeGridInputs:
+    @pytest.mark.parametrize(
+        "dt, t_max", [(float("nan"), 1.0), (0.1, float("nan")), (0.1, float("inf")), (float("inf"), 1.0)]
+    )
+    def test_non_finite_rejected(self, dt, t_max):
+        with pytest.raises(ContractViolationError):
+            TimeGrid.uniform(dt, t_max)

@@ -212,3 +212,202 @@ class TestDataProcessingRegression:
         series = series_from_trajectory(traj, "rel_entropy", reference=model.reference_state)
         assert np.max(np.diff(series.values)) <= 1e-8
         assert backflow_functional(series) <= 1e-8
+
+
+TWO_LEVEL_MODELS = (
+    "markov_two_state",
+    "fractional_two_state",
+    "dephasing_qubit",
+    "amplitude_damping_qubit",
+    "classical_exp_kernel",
+    "classical_fractional",
+)
+QUANTUM_TAGS = ("vn_entropy", "rel_entropy", "trace_distance", "extended_entropy")
+REFERENCE_TAGS = ("rel_entropy", "kl", "trace_distance")
+
+
+def _model_trajectory(name, grid):
+    from backflow_lab.models import build_model
+
+    model = build_model(name, {})
+    if model.trajectory_fn is not None:
+        return model, model.trajectory_fn(grid)
+    return model, solve_tcl(model.tcl_generator, model.initial_state, grid)
+
+
+def _scalar_series(traj, tag, reference):
+    """The per-state reference: one validated value object per grid point."""
+    from backflow_lab.netfd import extended_entropy
+
+    measure = {
+        "vn_entropy": von_neumann_entropy,
+        "extended_entropy": extended_entropy,
+        "rel_entropy": lambda s: relative_entropy(s, reference),
+        "trace_distance": lambda s: trace_distance(s, reference),
+        "kl": lambda s: kl_divergence(s, reference),
+    }[tag]
+    return np.array([measure(traj.state(i)) for i in range(traj.grid.n)])
+
+
+def _random_quantum_trajectory(dim, n, rng, null_level=False):
+    grid = TimeGrid.uniform(0.1, 0.1 * (n - 1))
+    states = np.array([random_density_matrix(dim, rng).entries for _ in range(grid.n)])
+    if null_level:  # every other state has no weight on the last level
+        for i in range(0, grid.n, 2):
+            states[i, -1, :] = 0.0
+            states[i, :, -1] = 0.0
+            states[i] /= np.trace(states[i]).real
+    return Trajectory(grid, states, "quantum")
+
+
+def _random_classical_trajectory(m, n, rng, null_entries=False):
+    grid = TimeGrid.uniform(0.1, 0.1 * (n - 1))
+    ps = rng.dirichlet(np.ones(m), size=grid.n)
+    if null_entries:
+        ps[::2, -2:] = 0.0
+        ps /= ps.sum(axis=1, keepdims=True)
+    return Trajectory(grid, ps, "classical")
+
+
+class TestBatchedSeries:
+    """series_from_trajectory computes each measure in one batched pass;
+    the scalar measures are the per-point reference it must reproduce."""
+
+    @pytest.mark.parametrize("name", TWO_LEVEL_MODELS)
+    def test_exact_on_two_level_models(self, name):
+        model, traj = _model_trajectory(name, TimeGrid.uniform(5e-3, 6.0))
+        tags = ("kl",) if traj.kind == "classical" else QUANTUM_TAGS
+        for tag in tags:
+            reference = model.reference_state if tag in REFERENCE_TAGS else None
+            series = series_from_trajectory(traj, tag, reference=reference)
+            assert np.array_equal(series.values, _scalar_series(traj, tag, reference)), tag
+
+    @pytest.mark.parametrize("name", TWO_LEVEL_MODELS[:4])
+    def test_sector_series_match_scalar_split(self, name):
+        from backflow_lab.netfd import TwoStateNetfdParams, decompose_two_state
+
+        _, traj = _model_trajectory(name, TimeGrid.uniform(5e-3, 6.0))
+        s_cl = series_from_trajectory(traj, "s_cl").values
+        s_qe = series_from_trajectory(traj, "s_qe").values
+        split = []
+        for rho in traj.states:
+            p = rho[0, 0].real
+            b = min(abs(rho[0, 1]) ** 2, p * (1.0 - p))
+            split.append(decompose_two_state(TwoStateNetfdParams(p, math.sqrt(b))))
+        split = np.array(split)
+        assert np.array_equal(s_cl, split[:, 0])
+        # the batched split takes 1/2 - r where the scalar one takes
+        # 1 - (1/2 + r), so the last bit may differ
+        np.testing.assert_allclose(s_qe, split[:, 1], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", TWO_LEVEL_MODELS[:4])
+    def test_extended_entropy_matches_thermofield_round_trip(self, name):
+        from backflow_lab.netfd import (
+            extended_entropy,
+            extended_reduced_density,
+            thermofield_vector,
+        )
+
+        _, traj = _model_trajectory(name, TimeGrid.uniform(2e-2, 6.0))
+        series = series_from_trajectory(traj, "extended_entropy")
+        round_trip = [
+            extended_entropy(extended_reduced_density(thermofield_vector(traj.state(i))))
+            for i in range(traj.grid.n)
+        ]
+        np.testing.assert_allclose(series.values, round_trip, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("null_level", [False, True])
+    def test_random_three_level_quantum(self, null_level):
+        rng = np.random.default_rng(31)
+        traj = _random_quantum_trajectory(3, 60, rng, null_level)
+        sigma = random_density_matrix(3, rng)
+        if null_level:  # support mismatch on the odd points: +inf there
+            sigma = DensityMatrix(np.diag([0.6, 0.4, 0.0]).astype(complex))
+        for tag in QUANTUM_TAGS:
+            reference = sigma if tag in ("rel_entropy", "trace_distance") else None
+            values = series_from_trajectory(traj, tag, reference=reference).values
+            expected = _scalar_series(traj, tag, reference)
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12, err_msg=tag)
+        if null_level:
+            values = series_from_trajectory(traj, "rel_entropy", reference=sigma).values
+            assert np.all(np.isinf(values[1::2])) and np.all(np.isfinite(values[::2]))
+
+    @pytest.mark.parametrize("null_entries", [False, True])
+    def test_random_four_state_classical(self, null_entries):
+        rng = np.random.default_rng(32)
+        traj = _random_classical_trajectory(4, 60, rng, null_entries)
+        q = ProbabilityVector(rng.dirichlet(np.ones(4)))
+        if null_entries:
+            q = ProbabilityVector([0.5, 0.5, 0.0, 0.0])
+        values = series_from_trajectory(traj, "kl", reference=q).values
+        np.testing.assert_allclose(values, _scalar_series(traj, "kl", q), rtol=0.0, atol=1e-12)
+        if null_entries:
+            assert np.all(np.isinf(values[1::2])) and np.all(np.isfinite(values[::2]))
+
+    def test_no_per_point_state_objects(self, monkeypatch):
+        calls = []
+        original = Trajectory.state
+
+        def counting_state(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(Trajectory, "state", counting_state)
+        rng = np.random.default_rng(33)
+        quantum = _random_quantum_trajectory(2, 40, rng)
+        sigma = random_density_matrix(2, rng)
+        for tag in QUANTUM_TAGS + ("s_cl", "s_qe"):
+            series_from_trajectory(quantum, tag, reference=sigma)
+        classical = _random_classical_trajectory(4, 40, rng)
+        series_from_trajectory(classical, "kl", reference=ProbabilityVector(np.ones(4) / 4))
+        assert calls == []
+
+    def test_reference_of_wrong_kind_rejected(self):
+        rng = np.random.default_rng(34)
+        quantum = _random_quantum_trajectory(2, 10, rng)
+        with pytest.raises(ContractViolationError):
+            series_from_trajectory(quantum, "rel_entropy", reference=ProbabilityVector([0.5, 0.5]))
+        with pytest.raises(ContractViolationError):
+            series_from_trajectory(quantum, "trace_distance", reference=random_density_matrix(3, rng))
+
+
+class TestBatchedStateChecks:
+    """The batched checks reject exactly what a per-point DensityMatrix or
+    ProbabilityVector at the Trajectory.state tolerances would reject."""
+
+    @staticmethod
+    def _quantum(defect):
+        grid = TimeGrid.uniform(0.5, 1.0)
+        states = np.array([np.diag([0.7, 0.3])] * grid.n, dtype=complex)
+        if defect == "hermiticity":
+            states[1, 0, 1] += 5e-12  # within the trajectory's 1e-9, beyond 1e-12
+        elif defect == "trace":
+            states[1] *= 1.0 + 5e-9
+        elif defect == "psd":
+            states[1] = np.diag([1.0 + 5e-9, -5e-9])
+        return Trajectory(grid, states, "quantum", trace_tol=1e-6, psd_floor=-1e-6)
+
+    @pytest.mark.parametrize("defect", ["hermiticity", "trace", "psd"])
+    def test_quantum_defects(self, defect):
+        traj = self._quantum(defect)
+        with pytest.raises(ContractViolationError):
+            traj.state(1)
+        with pytest.raises(ContractViolationError):
+            traj.check_states()
+        with pytest.raises(ContractViolationError):
+            series_from_trajectory(traj, "vn_entropy")
+
+    def test_classical_sum_defect(self):
+        grid = TimeGrid.uniform(0.5, 1.0)
+        ps = np.array([[0.5, 0.5]] * grid.n)
+        ps[1] = [0.5, 0.5 + 5e-9]
+        traj = Trajectory(grid, ps, "classical", trace_tol=1e-6)
+        with pytest.raises(ContractViolationError):
+            traj.state(1)
+        with pytest.raises(ContractViolationError):
+            traj.check_states()
+
+    def test_within_tolerance_passes(self):
+        traj = self._quantum(None)
+        traj.check_states()
+        assert traj.state(1).dim == 2

@@ -12,6 +12,7 @@ from backflow_lab import (
     revival_detector,
     run_sweep,
 )
+from backflow_lab.errors import GeneratorSingularityError
 from backflow_lab.serialize import sweep_csv
 
 
@@ -213,3 +214,66 @@ class TestRunSweep:
             )
             rows[alpha] = run_sweep(spec).rows[0]
         assert rows[0.5]["n_qe"] > rows[1.0]["n_qe"]
+
+
+class TestSweepHardening:
+    def test_unknown_or_unsweepable_names_rejected(self):
+        with pytest.raises(ContractViolationError, match="bogus"):
+            SweepSpec(model="markov_two_state", axes=(("bogus", 0.1, 1.0, 3),))
+        with pytest.raises(ContractViolationError, match="bogus"):
+            SweepSpec(model="markov_two_state", axes=(("lam", 0.1, 1.0, 3),), fixed={"bogus": 1.0})
+        with pytest.raises(ContractViolationError, match="number"):
+            SweepSpec(model="classical_exp_kernel", axes=(("n", 2, 4, 3),))
+        with pytest.raises(ContractViolationError, match="finite"):
+            SweepSpec(model="markov_two_state", axes=(("lam", 0.1, float("inf"), 3),))
+
+    def test_programming_error_surfaces(self, monkeypatch):
+        import backflow_lab.phase_diagram as pd
+
+        def broken(*args):
+            raise TypeError("a bug, not a numerical failure")
+
+        monkeypatch.setattr(pd, "_pipeline_one", broken)
+        spec = SweepSpec(model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), dt=0.1, t_max=1.0)
+        with pytest.raises(TypeError):
+            run_sweep(spec)
+
+    @pytest.mark.parametrize("exc_type", [GeneratorSingularityError, np.linalg.LinAlgError])
+    def test_numerical_failure_recorded(self, monkeypatch, exc_type):
+        import backflow_lab.phase_diagram as pd
+
+        def failing(*args):
+            raise exc_type("singular")
+
+        monkeypatch.setattr(pd, "_pipeline_one", failing)
+        spec = SweepSpec(model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), dt=0.1, t_max=1.0)
+        for row in run_sweep(spec).rows:
+            assert row["error"] == f"{exc_type.__name__}: singular"
+            assert row["regime"] is None
+
+    @pytest.mark.parametrize(
+        "model, fixed, measures",
+        [
+            ("classical_exp_kernel", {"gamma": 1.0}, ("kl",)),
+            ("classical_exp_kernel", {"gamma": 1.0}, ()),
+            ("amplitude_damping_qubit", {}, ("rel_entropy", "vn_entropy")),
+        ],
+    )
+    def test_each_series_built_once_per_point(self, monkeypatch, model, fixed, measures):
+        import backflow_lab.phase_diagram as pd
+
+        built = []
+        original = pd.series_from_trajectory
+
+        def counting(traj, tag, **kwargs):
+            built.append(tag)
+            return original(traj, tag, **kwargs)
+
+        monkeypatch.setattr(pd, "series_from_trajectory", counting)
+        axis = "tau_m" if model == "classical_exp_kernel" else "gamma"
+        spec = SweepSpec(
+            model=model, axes=((axis, 0.5, 1.0, 2),), fixed=fixed, dt=1e-2, t_max=2.0, measures=measures
+        )
+        rows = run_sweep(spec).rows
+        assert all(row["error"] == "" for row in rows)
+        assert sorted(built) == sorted(list(measures or ("kl",)) * len(rows))

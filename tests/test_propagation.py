@@ -187,3 +187,31 @@ class TestBuildPropagator:
 
     def test_family_trace_preservation_checked(self):
         assert np.max(np.abs(trace_row(2) @ np.eye(4) - trace_row(2))) == 0.0
+
+
+class TestGridCost:
+    def test_solve_tcl_grid_diffs_do_not_grow_with_n(self, monkeypatch):
+        """TimeGrid differences its points once, at construction: the number
+        of np.diff calls made inside the states module while building a grid
+        and solving on it is the same at N and 2N."""
+        import backflow_lab.states as states_module
+
+        calls = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def diff(self, *args, **kwargs):
+                calls.append(1)
+                return np.diff(*args, **kwargs)
+
+        monkeypatch.setattr(states_module, "np", CountingNumpy())
+        gen = constant_quantum_generator(dissipator_superop(SIGMA_MINUS))
+        rho0 = DensityMatrix(np.array([[0.3, 0.2], [0.2, 0.7]], dtype=complex))
+        counts = []
+        for t_max in (1.0, 2.0):
+            calls.clear()
+            solve_tcl(gen, rho0, TimeGrid.uniform(1e-2, t_max))
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
