@@ -27,10 +27,10 @@ from .generator_analysis import (
     check_cp_divisible,
     extract_tcl_generator,
 )
-from .information import REFERENCE_TAGS, backflow_functional, series_from_trajectory
+from .information import backflow_functional
 from .models import MODEL_REGISTRY, build_model, model_schemas
-from .netfd import decomposed_backflow, two_state_series_from_trajectory
-from .phase_diagram import SweepSpec, run_sweep
+from .netfd import decomposed_backflow
+from .phase_diagram import SweepSpec, classify, run_sweep, series_cache
 from .propagation import build_propagator, solve_tc, solve_tcl
 from .states import TimeGrid
 
@@ -293,8 +293,12 @@ def cmd_divisibility(config: dict, args) -> int:
 def cmd_backflow(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid_from_config(config, args)
-    traj = _trajectory(model, grid, config.get("route", "auto"))
     measures = config.get("measures")
+    if measures is not None and (
+        not isinstance(measures, list) or not all(isinstance(tag, str) for tag in measures)
+    ):
+        raise ConfigError("measures must be a list of measure tags")
+    traj = _trajectory(model, grid, config.get("route", "auto"))
     if measures is None:
         measures = ["kl"] if traj.kind == "classical" else ["rel_entropy"]
     gaps: tuple = ()
@@ -318,25 +322,19 @@ def cmd_backflow(config: dict, args) -> int:
         "measures": {},
         "divisibility": report_dict,
     }
+    series = series_cache(traj, model.reference_state, gaps)
     for tag in measures:
-        reference = model.reference_state if tag in REFERENCE_TAGS else None
-        series = series_from_trajectory(traj, tag, reference=reference, skip_intervals=gaps)
+        s = series(tag)
         payload["measures"][tag] = {
-            "backflow": backflow_functional(series),
-            "tail_residual": series.tail_residual(),
-            "has_infinite": series.has_infinite(),
+            "backflow": backflow_functional(s),
+            "tail_residual": s.tail_residual(),
+            "has_infinite": s.has_infinite(),
         }
     eps = float(config.get("epsilon_n", 1e-6))
     if traj.kind == "quantum" and traj.dim == 2:
-        s_cl, s_qe = two_state_series_from_trajectory(traj, skip_intervals=gaps)
-        payload.update(decomposed_backflow(s_cl, s_qe, eps).to_json_dict())
+        payload.update(decomposed_backflow(series("s_cl"), series("s_qe"), eps).to_json_dict())
     elif traj.kind == "classical":
-        from .phase_diagram import classify
-
-        kl_series = series_from_trajectory(
-            traj, "kl", reference=model.reference_state, skip_intervals=gaps
-        )
-        n_cl = backflow_functional(kl_series)
+        n_cl = backflow_functional(series("kl"))
         payload.update(
             {
                 "n_total": n_cl,
@@ -365,7 +363,7 @@ def cmd_phase_diagram(config: dict, args) -> int:
     fixed = dict(model_cfg.get("params", {}))
     _validate_model_params(model_cfg["name"], fixed)
     dt, t_max = _grid_params(config, args)
-    threads = args.threads if args.threads is not None else int(config.get("threads", 1))
+    threads = args.threads if args.threads is not None else config.get("threads", 1)
     try:
         spec = SweepSpec(
             model=model_cfg["name"],

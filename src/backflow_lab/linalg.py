@@ -110,11 +110,3 @@ def dissipator_superop(jump: np.ndarray) -> np.ndarray:
 def trace_row(dim: int) -> np.ndarray:
     """Row vector r with r @ vectorize(X) == trace(X)."""
     return vectorize(np.eye(dim)).astype(float)
-
-
-def condition_number(m: np.ndarray) -> float:
-    """2-norm condition number; inf for singular matrices."""
-    s = np.linalg.svd(np.asarray(m), compute_uv=False)
-    if s[-1] == 0.0:
-        return np.inf
-    return float(s[0] / s[-1])

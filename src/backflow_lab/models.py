@@ -64,7 +64,6 @@ class ModelSpec:
     reference_state: object = field(default=None, repr=False, compare=False)
     trajectory_fn: Callable | None = field(default=None, repr=False, compare=False)
     propagator_fn: Callable | None = field(default=None, repr=False, compare=False)
-    embedding_fn: Callable | None = field(default=None, repr=False, compare=False)
     b_qe_fn: Callable | None = field(default=None, repr=False, compare=False)
 
     def has(self, capability: str) -> bool:
@@ -231,7 +230,6 @@ def classical_exp_kernel(
         reference_state=stationary_distribution(w_base),
         trajectory_fn=embedded_trajectory,
         propagator_fn=embedded_propagator,
-        embedding_fn=lambda: embed.copy(),
     )
 
 

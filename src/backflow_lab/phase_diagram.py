@@ -14,8 +14,10 @@ regardless of worker completion order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series
 from .models import MODEL_REGISTRY, ModelSpec, build_model
 from .netfd import decomposed_backflow, two_state_series_from_trajectory
 from .propagation import build_propagator, solve_tcl
-from .states import TimeGrid
+from .states import TimeGrid, Trajectory
 
 EPSILON_N = 1e-6
 REGIMES = ("monotone", "classical_overshoot", "intrinsic_revival", "hybrid")
@@ -106,6 +108,8 @@ class SweepSpec:
             raise ContractViolationError(f"unknown model {self.model!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ContractViolationError("sweeps support 1 or 2 axes")
+        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+            raise ContractViolationError(f"threads must be an integer >= 1, got {self.threads!r}")
         schema = MODEL_REGISTRY[self.model][1]
         for name in self.fixed:
             if name not in schema:
@@ -176,6 +180,32 @@ class SweepResult:
         return out
 
 
+def series_cache(traj: Trajectory, reference, gaps=()) -> Callable[[str], InfoSeries]:
+    """Memoized information series of one trajectory, keyed by measure tag.
+
+    Each series is built at most once; 's_cl' and 's_qe' come from a single
+    two-state pass.  ``reference`` is passed only to the tags that need it.
+    """
+    cache: dict[str, InfoSeries] = {}
+
+    def series(tag: str) -> InfoSeries:
+        if tag not in cache:
+            if tag in ("s_cl", "s_qe"):
+                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(
+                    traj, skip_intervals=gaps
+                )
+            else:
+                cache[tag] = series_from_trajectory(
+                    traj,
+                    tag,
+                    reference=reference if tag in REFERENCE_TAGS else None,
+                    skip_intervals=gaps,
+                )
+        return cache[tag]
+
+    return series
+
+
 def _half_grid_backflow(series: InfoSeries) -> float:
     sub = InfoSeries(
         TimeGrid(series.grid.points[::2]),
@@ -221,21 +251,7 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     row["first_violation_time"] = first_violation
     # information measures; each series is built once per point and shared
     # by the measure columns, the sector split and the revival flag
-    cache: dict[str, InfoSeries] = {}
-
-    def series(tag: str) -> InfoSeries:
-        if tag not in cache:
-            if tag in ("s_cl", "s_qe"):
-                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(
-                    traj, skip_intervals=gaps
-                )
-            else:
-                reference = model.reference_state if tag in REFERENCE_TAGS else None
-                cache[tag] = series_from_trajectory(
-                    traj, tag, reference=reference, skip_intervals=gaps
-                )
-        return cache[tag]
-
+    series = series_cache(traj, model.reference_state, gaps)
     for tag in measures:
         row[f"N_{tag}"] = backflow_functional(series(tag))
     # sector split; a row is boundary-marginal when either sector sits
@@ -294,16 +310,18 @@ def _sweep_point(args) -> dict:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the full pipeline at every lattice point.
 
-    With ``threads > 1`` points are distributed over a process pool;
-    ordering of the result rows is by lattice index either way.
+    Points are distributed over a process pool of ``threads`` workers,
+    capped at the CPU count and the number of points; with one worker they
+    run in this process.  Result rows are in lattice order either way.
     """
     points = spec.lattice()
     work = [
         (spec.model, p, spec.dt, spec.t_max, tuple(spec.measures), spec.epsilon_n, spec.rate_tolerance)
         for p in points
     ]
-    if spec.threads > 1:
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+    workers = min(spec.threads, os.cpu_count() or 1, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, work, chunksize=1))
     else:
         rows = [_sweep_point(w) for w in work]

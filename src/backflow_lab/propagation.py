@@ -7,8 +7,10 @@ differences see evenly spaced samples:
 * :func:`solve_tcl` -- classical 4th-order Runge-Kutta for
   d/dt x(t) = G(t) x(t).
 * :func:`solve_tc`  -- product-trapezoidal rule (2nd order) for the
-  homogeneous Volterra equation d/dt x(t) = int_0^t K(t-s) x(s) ds,
-  with the O(N^2) history sum reusing stored states.
+  homogeneous Volterra equation d/dt x(t) = int_0^t K(t-s) x(s) ds.
+  The history sum is still O(N^2) work in total, but each step takes it
+  as one matrix product of a contiguous slice of the reversed kernel table
+  with the stored states (a BLAS GEMV, or GEMM for propagator columns).
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -27,7 +29,6 @@ from .errors import ContractViolationError, IntegrationDivergedError
 from .states import (
     DensityMatrix,
     ProbabilityVector,
-    SuperoperatorSample,
     TimeGrid,
     Trajectory,
     trace_annihilation_defect,
@@ -56,11 +57,6 @@ class TclGenerator:
     @property
     def matrix_dim(self) -> int:
         return self.dim * self.dim if self.kind == "quantum" else self.dim
-
-    def sample(self, t: float) -> np.ndarray:
-        m = np.asarray(self.evaluate(t))
-        self.validate_sample(m, t)
-        return m
 
     def validate_sample(self, m: np.ndarray, t: float):
         dd = self.matrix_dim
@@ -129,11 +125,6 @@ class PropagatorFamily:
         arr = np.ascontiguousarray(maps)
         arr.setflags(write=False)
         object.__setattr__(self, "maps", arr)
-
-    def sample(self, i: int) -> SuperoperatorSample:
-        if self.kind != "quantum":
-            raise ContractViolationError("samples as superoperators exist only for quantum families")
-        return SuperoperatorSample(self.dim, self.maps[i], time=float(self.grid.points[i]))
 
 
 def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
@@ -304,15 +295,17 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
     lhs = np.eye(dd) - (h * h / 4.0) * table[0]
     solve = np.linalg.inv(lhs)
     f_prev = np.zeros_like(ys[0])
-    vector_form = y0.ndim == 1
+    # rev[a, i, b] = K_{N-1-i}[a, b]: for every n the lags n..1 paired with
+    # y_1..y_n form one contiguous (dd, n*dd) block, so the history sum is a
+    # single matrix product over the stored states (flattened to (N*dd, ...))
+    rev = np.ascontiguousarray(table[::-1].transpose(1, 0, 2), dtype=dtype)
+    ys_flat = ys.reshape((n_pts * dd,) + y0.shape[1:])
     for n in range(n_pts - 1):
         # S = (1/2) K_{n+1} y_0 + sum_{j=1}^{n} K_{n+1-j} y_j
         s = 0.5 * (table[n + 1] @ ys[0])
         if n >= 1:
-            if vector_form:
-                s = s + np.einsum("mab,mb->a", table[1 : n + 1][::-1], ys[1 : n + 1])
-            else:
-                s = s + np.einsum("mab,mbc->ac", table[1 : n + 1][::-1], ys[1 : n + 1])
+            history = rev[:, n_pts - 1 - n : n_pts - 1, :].reshape(dd, n * dd)
+            s = s + history @ ys_flat[dd : (n + 1) * dd]
         rhs = ys[n] + 0.5 * h * f_prev + 0.5 * h * h * s
         y_next = solve @ rhs
         if not np.all(np.isfinite(y_next)):

@@ -2,7 +2,10 @@
 
 Conventions (stable across runs so outputs are byte-identical):
 
-* floats print with repr-faithful '%.17g';
+* floats print with repr-faithful '%.17g'; the trajectory, generator and
+  rate tables are formatted a chunk of rows at a time (one format string
+  per row over Python floats), byte-identical to formatting each cell
+  with :func:`fmt`;
 * complex matrices serialize to JSON as nested arrays of [re, im] pairs;
 * files are written atomically (temp file + rename);
 * trajectory CSV header is ``t`` followed by flattened state labels,
@@ -13,6 +16,7 @@ Conventions (stable across runs so outputs are byte-identical):
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 
@@ -21,6 +25,10 @@ import numpy as np
 from .information import InfoSeries
 from .phase_diagram import SweepResult
 from .states import Trajectory
+
+# rows converted to Python objects at a time when formatting CSV tables; a
+# whole-table conversion would hold every cell as a float object at once
+_CHUNK_ROWS = 256
 
 
 def fmt(x) -> str:
@@ -62,8 +70,41 @@ def json_to_complex_matrix(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def _float_rows(t: np.ndarray, values: np.ndarray, tail=None) -> list[str]:
+    """CSV lines ``t, v_1, ..., v_k[, tail]`` with every float as '%.17g'.
+
+    ``values`` has one leading axis over rows and is flattened row-major per
+    row; complex entries become (re, im) column pairs; ``tail`` is an
+    optional trailing column of strings.  Rows are gathered into one
+    reused float buffer and converted to Python floats a chunk at a time,
+    so the output equals per-cell :func:`fmt` byte for byte without holding
+    the whole table as objects or allocating per-chunk arrays.
+    """
+    n = t.shape[0]
+    flat = values.reshape(n, -1)
+    pairs = np.iscomplexobj(flat)
+    width = flat.shape[1] * (2 if pairs else 1)
+    template = ",".join(["%.17g"] * (1 + width)) + ("" if tail is None else ",%s")
+    buf = np.empty((min(n, _CHUNK_ROWS), 1 + width))
     lines = []
+    for a in range(0, n, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, n)
+        rows = buf[: b - a]
+        rows[:, 0] = t[a:b]
+        if pairs:
+            rows[:, 1::2] = flat[a:b].real
+            rows[:, 2::2] = flat[a:b].imag
+        else:
+            rows[:, 1:] = flat[a:b]
+        rows = rows.tolist()
+        if tail is None:
+            lines.extend(template % tuple(row) for row in rows)
+        else:
+            lines.extend(template % (*row, cell) for row, cell in zip(rows, tail[a:b]))
+    return lines
+
+
+def trajectory_csv(traj: Trajectory) -> str:
     if traj.kind == "quantum":
         d = traj.dim
         labels = []
@@ -71,20 +112,10 @@ def trajectory_csv(traj: Trajectory) -> str:
             for j in range(d):
                 labels.append(f"rho_{i}{j}_re")
                 labels.append(f"rho_{i}{j}_im")
-        lines.append("t," + ",".join(labels))
-        for k, t in enumerate(traj.grid.points):
-            cells = [fmt(t)]
-            for i in range(d):
-                for j in range(d):
-                    v = traj.states[k, i, j]
-                    cells.append(fmt(v.real))
-                    cells.append(fmt(v.imag))
-            lines.append(",".join(cells))
+        header = "t," + ",".join(labels)
     else:
-        n = traj.dim
-        lines.append("t," + ",".join(f"p_{i}" for i in range(n)))
-        for k, t in enumerate(traj.grid.points):
-            lines.append(",".join([fmt(t)] + [fmt(v) for v in traj.states[k]]))
+        header = "t," + ",".join(f"p_{i}" for i in range(traj.dim))
+    lines = [header] + _float_rows(traj.grid.points, traj.states)
     return "\n".join(lines) + "\n"
 
 
@@ -108,30 +139,26 @@ def sampled_generator_csv(gen) -> str:
                 labels.append(f"g_{i}_{j}_im")
             else:
                 labels.append(f"w_{i}_{j}")
-    lines = ["t," + ",".join(labels) + ",in_gap"]
-    mask = gen.gap_mask()
-    for k, t in enumerate(gen.grid.points):
-        cells = [fmt(t)]
-        for i in range(dd):
-            for j in range(dd):
-                v = gen.samples[k, i, j]
-                if quantum:
-                    cells.append(fmt(complex(v).real))
-                    cells.append(fmt(complex(v).imag))
-                else:
-                    cells.append(fmt(float(np.real(v))))
-        cells.append(fmt(bool(mask[k])))
-        lines.append(",".join(cells))
+    header = "t," + ",".join(labels) + ",in_gap"
+    values = gen.samples.astype(complex, copy=False) if quantum else np.real(gen.samples)
+    tail = [fmt(m) for m in gen.gap_mask().tolist()]
+    lines = [header] + _float_rows(gen.grid.points, values, tail)
     return "\n".join(lines) + "\n"
 
 
 def rate_traces_csv(report) -> str:
-    k = report.rate_traces.shape[1] if report.rate_traces.ndim == 2 else 0
-    lines = ["t," + ",".join(f"rate_{i}" for i in range(k))]
-    for t, rates in zip(report.grid.points, report.rate_traces):
-        cells = [fmt(t)] + [("" if np.isnan(r) else fmt(r)) for r in rates]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    ts, rates = report.grid.points, report.rate_traces
+    header = "t," + ",".join(f"rate_{i}" for i in range(rates.shape[1]))
+    # a NaN rate (no rate at that point) prints as an empty cell
+    blank = np.isnan(rates).any(axis=1)
+    lines = [None] * ts.shape[0]
+    full = np.nonzero(~blank)[0]
+    for i, line in zip(full.tolist(), _float_rows(ts[full], rates[full])):
+        lines[i] = line
+    for i in np.nonzero(blank)[0].tolist():
+        cells = ["" if math.isnan(r) else fmt(r) for r in rates[i].tolist()]
+        lines[i] = ",".join([fmt(ts[i])] + cells)
+    return "\n".join([header] + lines) + "\n"
 
 
 def sweep_csv(result: SweepResult) -> str:

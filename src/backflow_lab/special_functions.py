@@ -17,6 +17,13 @@ series must cancel):
                                representation evaluated by tanh-sinh
                                quadrature (see below), accurate to ~1e-15.
 
+The points of the last two branches are sorted by x and split once: the
+asymptotic error estimate falls monotonically in x, so a bisection with the
+scalar series finds the first accepted point.  The integral band shares its
+quadrature nodes; the asymptotic band is summed as one batch that advances
+the term index for all points together and evaluates each Gamma factor once
+per term, with per-point arithmetic identical to the scalar series.
+
 The integral form used is obtained from the spectral representation of
 E_alpha(-x) by absorbing the Lorentzian denominator into the integration
 variable:
@@ -182,6 +189,37 @@ def _asymptotic(alpha: float, x: float, max_terms: int):
     return s, estimate
 
 
+def _asymptotic_batch(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
+    # Values of _asymptotic for many x at fixed alpha: k advances for all
+    # still-active points at once, so the Gamma factors are computed once
+    # per k.  Every point sees the scalar sequence of operations (same
+    # Kahan update, same stops), hence bit-identical sums; ln x comes from
+    # math.log because np.log may differ by an ulp and move a truncation.
+    xs = np.asarray(xs, dtype=float)
+    lnx = np.array([math.log(x) for x in xs.tolist()])
+    s = np.zeros_like(xs)
+    c = np.zeros_like(xs)
+    p = np.ones_like(xs)
+    prev_env = np.full_like(xs, math.inf)
+    live = np.arange(xs.size)
+    for k in range(1, max_terms):
+        if live.size == 0:
+            break
+        ln_env = -k * lnx[live] + _lgamma_pos(alpha * k) - _LN_PI
+        go = ~(ln_env > prev_env[live])
+        live, ln_env = live[go], ln_env[go]
+        pk = p[live] * (-1.0 / xs[live])
+        term = -pk * reciprocal_gamma(1.0 - alpha * k)
+        y = term - c[live]
+        t = s[live] + y
+        c[live] = (t - s[live]) - y
+        s[live] = t
+        p[live] = pk
+        prev_env[live] = ln_env
+        live = live[~(ln_env < -45.0)]
+    return s
+
+
 def _tanh_sinh_theta(alpha: float, xs: np.ndarray, max_level: int = 10) -> np.ndarray:
     # Vectorized over xs (all > 0) at fixed alpha.
     xs = np.asarray(xs, dtype=float)
@@ -293,8 +331,7 @@ def mittag_leffler_neg(alpha: float, xs: np.ndarray, params: MlParams | None = N
             split = hi
         if split > 0:
             res[order[:split]] = _tanh_sinh_theta(alpha, flat[order[:split]])
-        for i in order[split:]:
-            res[i] = _asymptotic(alpha, flat[i], params.asym_terms)[0]
+        res[order[split:]] = _asymptotic_batch(alpha, flat[order[split:]], params.asym_terms)
     out[:] = res.reshape(xs.shape)
     return out
 

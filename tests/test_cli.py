@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import backflow_lab
 from backflow_lab.cli import main
 from backflow_lab.models import exp_kernel_difference_mode
 
@@ -15,6 +16,19 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_module(*argv):
+    """``python -m backflow_lab.cli`` in a child that imports this package
+    (the child does not inherit pytest's ``pythonpath`` setting)."""
+    src = os.path.dirname(os.path.dirname(backflow_lab.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "backflow_lab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def read_csv(path):
@@ -173,6 +187,42 @@ class TestBackflow:
         assert report["measures"]["kl"]["backflow"] > 1e-3
         assert report["divisibility"]["divisible"] is False
 
+    @pytest.mark.parametrize(
+        "model, measures, builder",
+        [
+            ({"name": "fractional_two_state", "params": {"alpha": 0.6}}, ["s_cl", "s_qe"], "pair"),
+            ({"name": "classical_exp_kernel", "params": {"tau_m": 0.5}}, ["kl"], "kl"),
+        ],
+    )
+    def test_each_series_built_once(self, tmp_path, monkeypatch, model, measures, builder):
+        import backflow_lab.information as information
+        import backflow_lab.netfd as netfd
+
+        built = []
+
+        def counting(label, fn):
+            return lambda *a, **k: built.append(label) or fn(*a, **k)
+
+        monkeypatch.setattr(
+            netfd, "two_state_entropy_series", counting("pair", netfd.two_state_entropy_series)
+        )
+        monkeypatch.setattr(information, "kl_divergences", counting("kl", information.kl_divergences))
+        config = write_config(
+            tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 4.0}, "measures": measures}
+        )
+        assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 0
+        assert built == [builder]
+        report = json.loads((tmp_path / "backflow.json").read_text())
+        assert sorted(report["measures"]) == sorted(measures)
+        assert report["n_total"] >= 0.0
+
+    @pytest.mark.parametrize("measures", ["kl", [["kl"]], [1]])
+    def test_malformed_measures_exit_2(self, tmp_path, measures):
+        config = write_config(
+            tmp_path, {"model": {"name": "classical_exp_kernel"}, "measures": measures}
+        )
+        assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 2
+
 
 class TestPhaseDiagram:
     def test_sweep_outputs(self, tmp_path):
@@ -198,30 +248,13 @@ class TestPhaseDiagram:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "backflow_lab.cli", "model", "list"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("model", "list")
         assert proc.returncode == 0
         assert "markov_two_state" in proc.stdout
 
     def test_config_error_message_on_stderr(self, tmp_path):
         config = write_config(tmp_path, {"model": {"name": "nonexistent_model"}})
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "backflow_lab.cli",
-                "simulate",
-                "--config",
-                config,
-                "--out",
-                str(tmp_path),
-            ],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("simulate", "--config", config, "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
@@ -314,3 +347,62 @@ class TestParameterValidation:
         config.write_text('{"model": {"name": "dephasing_qubit", "params": {"amplitude": NaN}}}')
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
         assert "finite" in capsys.readouterr().err
+
+
+class TestThreads:
+    def sweep_config(self, tmp_path, **extra):
+        payload = {
+            "model": {"name": "classical_exp_kernel", "params": {"gamma": 1.0}},
+            "axes": [{"param": "tau_m", "min": 0.5, "max": 1.0, "steps": 3}],
+            "grid": {"dt": 1e-2, "t_max": 2.0},
+        }
+        payload.update(extra)
+        return write_config(tmp_path, payload)
+
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [
+            ({"threads": "abc"}, []),
+            ({"threads": True}, []),
+            ({"threads": 2.5}, []),
+            ({"threads": 0}, []),
+            ({}, ["--set", "threads=-3"]),
+            ({}, ["--threads", "0"]),
+        ],
+    )
+    def test_invalid_threads_exit_2(self, tmp_path, monkeypatch, capsys, extra, flags):
+        import backflow_lab.phase_diagram as pd
+
+        monkeypatch.setattr(pd, "_sweep_point", lambda work: pytest.fail("a row ran"))
+        config = self.sweep_config(tmp_path, **extra)
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)] + flags) == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "threads, cpus, expected",
+        [(8, 2, 2), (8, 16, 3), (2, 16, 2), (4, 1, None), (1, 16, None), (8, None, None)],
+    )
+    def test_workers_capped_by_cpus_and_points(self, tmp_path, monkeypatch, threads, cpus, expected):
+        import backflow_lab.phase_diagram as pd
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(pd, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pd.os, "cpu_count", lambda: cpus)
+        config = self.sweep_config(tmp_path, threads=threads)
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 0
+        assert pools == ([] if expected is None else [expected])
+        assert json.loads((tmp_path / "summary.json").read_text())["rows"] == 3

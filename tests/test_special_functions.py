@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erfcx
 
+import backflow_lab.special_functions as sf
 from backflow_lab import ContractViolationError, MlParams, ml_envelope, mittag_leffler
 from backflow_lab.special_functions import (
+    _asymptotic,
+    _asymptotic_batch,
     gamma_lanczos,
     ml_envelope_grid,
     mittag_leffler_neg,
@@ -145,3 +148,39 @@ class TestEnvelope:
             ml_envelope(0.5, -1.0, 1.0)
         with pytest.raises(ContractViolationError):
             ml_envelope(0.5, 1.0, -1.0)
+
+
+class TestAsymptoticBatch:
+    """The batched asymptotic branch must reproduce the scalar series bit
+    for bit, and the grid evaluator may call the scalar form only inside the
+    branch bisection."""
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.6, 0.75, 0.9])
+    @pytest.mark.parametrize("max_terms", [400, 7])
+    def test_batch_equals_scalar_bitwise(self, alpha, max_terms):
+        # x runs from inside the Taylor band (T = x^(1/alpha) <= 10) across
+        # the integral band into the accepted asymptotic band
+        xs = np.concatenate([np.geomspace(0.2, 400.0, 257), [10.0**alpha, 1.0, 50.0]])
+        batch = _asymptotic_batch(alpha, xs, max_terms)
+        scalar = np.array([_asymptotic(alpha, float(x), max_terms)[0] for x in xs])
+        assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+
+    @pytest.mark.parametrize("n", [4001, 8001])
+    def test_scalar_calls_only_in_bisection(self, monkeypatch, n):
+        scalar_calls = []
+        batched = []
+        scalar, batch = sf._asymptotic, sf._asymptotic_batch
+
+        def counting_scalar(alpha, x, max_terms):
+            scalar_calls.append(x)
+            return scalar(alpha, x, max_terms)
+
+        def counting_batch(alpha, xs, max_terms):
+            batched.append(len(xs))
+            return batch(alpha, xs, max_terms)
+
+        monkeypatch.setattr(sf, "_asymptotic", counting_scalar)
+        monkeypatch.setattr(sf, "_asymptotic_batch", counting_batch)
+        ml_envelope_grid(0.6, 1.0, np.linspace(0.0, 40.0, n))
+        assert sum(batched) > n // 4  # the asymptotic band is well populated
+        assert len(scalar_calls) <= 2 * math.log2(n) + 2
