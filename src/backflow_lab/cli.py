@@ -27,8 +27,8 @@ from .generator_analysis import (
     check_cp_divisible,
     extract_tcl_generator,
 )
-from .information import backflow_functional
-from .models import MODEL_REGISTRY, build_model, model_schemas
+from .information import backflow_functional, check_measure_tags
+from .models import build_model, check_params, model_schemas
 from .netfd import decomposed_backflow
 from .phase_diagram import SweepSpec, classify, run_sweep, series_cache
 from .propagation import build_propagator, solve_tc, solve_tcl
@@ -89,39 +89,6 @@ def _validate_keys(config: dict, schema: dict, path: str = ""):
             _validate_keys(value, inner, where)
 
 
-def _validate_model_params(name: str, params: dict):
-    if name not in MODEL_REGISTRY:
-        raise ConfigError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
-    schema = MODEL_REGISTRY[name][1]
-    for key, value in params.items():
-        if key not in schema:
-            raise ConfigError(f"model {name} has no parameter {key!r}")
-        rule = schema[key]
-        if rule["type"] in ("number", "integer") and isinstance(value, bool):
-            raise ConfigError(f"parameter {key} must be a {rule['type']}, not a boolean")
-        if rule["type"] == "number" and not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter {key} must be a number")
-        if rule["type"] == "number" and not math.isfinite(value):
-            raise ConfigError(f"parameter {key} must be finite, got {value}")
-        if rule["type"] == "integer" and not isinstance(value, int):
-            raise ConfigError(f"parameter {key} must be an integer")
-        if rule["type"] == "string":
-            if not isinstance(value, str):
-                raise ConfigError(f"parameter {key} must be a string")
-            if "choices" in rule and value not in rule["choices"]:
-                raise ConfigError(f"parameter {key} must be one of {rule['choices']}")
-            continue
-        lo = rule.get("min")
-        if lo is not None:
-            if rule.get("exclusive_min") and not value > lo:
-                raise ConfigError(f"parameter {key}={value} must be > {lo}")
-            if not rule.get("exclusive_min") and value < lo:
-                raise ConfigError(f"parameter {key}={value} must be >= {lo}")
-        hi = rule.get("max")
-        if hi is not None and value > hi:
-            raise ConfigError(f"parameter {key}={value} must be <= {hi}")
-
-
 _GRID_SCHEMA = {"__nested__": True, "dt": {}, "t_max": {}}
 _MODEL_SCHEMA = {"__nested__": True, "name": {}, "params": {"__nested__": True, "__open__": True}}
 
@@ -154,6 +121,14 @@ COMMAND_SCHEMAS = {
 }
 
 
+def _finite_number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
+    return float(value)
+
+
 def _grid_params(config: dict, args) -> tuple[float, float]:
     """(dt, t_max) from the config's grid block; ``--dt``/``--t-max`` win."""
     grid_cfg = dict(config.get("grid", {}))
@@ -163,13 +138,30 @@ def _grid_params(config: dict, args) -> tuple[float, float]:
         grid_cfg["t_max"] = args.t_max
     values = []
     for key, default in (("dt", DEFAULT_DT), ("t_max", DEFAULT_T_MAX)):
-        value = grid_cfg.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"grid.{key} must be a number")
-        if not math.isfinite(value) or value <= 0:
-            raise ConfigError(f"grid.{key} must be finite and positive, got {value}")
-        values.append(float(value))
+        value = _finite_number(grid_cfg.get(key, default), f"grid.{key}")
+        if value <= 0:
+            raise ConfigError(f"grid.{key} must be positive, got {value}")
+        values.append(value)
     return values[0], values[1]
+
+
+def _tolerance(config: dict, key: str, default: float) -> float:
+    """``epsilon_n`` or ``rate_tolerance``: a finite number >= 0."""
+    value = _finite_number(config.get(key, default), key)
+    if value < 0:
+        raise ConfigError(f"{key} must be >= 0, got {value}")
+    return value
+
+
+def _measures(config: dict):
+    """The configured measure tags (None when absent), checked up front."""
+    measures = config.get("measures")
+    if measures is not None:
+        try:
+            check_measure_tags(measures)
+        except ContractViolationError as exc:
+            raise ConfigError(str(exc)) from exc
+    return measures
 
 
 def _grid_from_config(config: dict, args) -> TimeGrid:
@@ -182,15 +174,15 @@ def _model_from_config(config: dict):
         raise ConfigError("config requires model.name")
     name = model_cfg["name"]
     params = dict(model_cfg.get("params", {}))
-    _validate_model_params(name, params)
     try:
+        check_params(name, params)
         return build_model(name, params)
     except ContractViolationError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _trajectory(model, grid: TimeGrid, route: str):
-    if route not in ("auto", "closed_form", "tcl", "tc", "embedding"):
+    if route not in ("auto", "closed_form", "tcl", "tc"):
         raise ConfigError(f"unknown route {route!r}")
     if route == "auto":
         if model.trajectory_fn is not None:
@@ -200,9 +192,9 @@ def _trajectory(model, grid: TimeGrid, route: str):
         if model.kernel is not None:
             return solve_tc(model.kernel, model.initial_state, grid)
         raise ConfigError(f"model {model.name} offers no trajectory route")
-    if route in ("closed_form", "embedding"):
+    if route == "closed_form":
         if model.trajectory_fn is None:
-            raise ConfigError(f"model {model.name} has no {route} route")
+            raise ConfigError(f"model {model.name} has no closed_form route")
         return model.trajectory_fn(grid)
     if route == "tcl":
         if not model.has("tcl_generator"):
@@ -273,9 +265,9 @@ def cmd_extract(config: dict, args) -> int:
 def cmd_divisibility(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid_from_config(config, args)
+    tol = _tolerance(config, "rate_tolerance", 1e-7)
     family = _propagator(model, grid)
     sampled = extract_tcl_generator(family)
-    tol = float(config.get("rate_tolerance", 1e-7))
     report = (
         check_cp_divisible(sampled, tol)
         if sampled.kind == "quantum"
@@ -293,11 +285,9 @@ def cmd_divisibility(config: dict, args) -> int:
 def cmd_backflow(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid_from_config(config, args)
-    measures = config.get("measures")
-    if measures is not None and (
-        not isinstance(measures, list) or not all(isinstance(tag, str) for tag in measures)
-    ):
-        raise ConfigError("measures must be a list of measure tags")
+    measures = _measures(config)
+    eps = _tolerance(config, "epsilon_n", 1e-6)
+    tol = _tolerance(config, "rate_tolerance", 1e-7)
     traj = _trajectory(model, grid, config.get("route", "auto"))
     if measures is None:
         measures = ["kl"] if traj.kind == "classical" else ["rel_entropy"]
@@ -307,7 +297,6 @@ def cmd_backflow(config: dict, args) -> int:
         family = _propagator(model, grid)
         sampled = extract_tcl_generator(family)
         gaps = sampled.gaps
-        tol = float(config.get("rate_tolerance", 1e-7))
         report = (
             check_cp_divisible(sampled, tol)
             if sampled.kind == "quantum"
@@ -330,7 +319,6 @@ def cmd_backflow(config: dict, args) -> int:
             "tail_residual": s.tail_residual(),
             "has_infinite": s.has_infinite(),
         }
-    eps = float(config.get("epsilon_n", 1e-6))
     if traj.kind == "quantum" and traj.dim == 2:
         payload.update(decomposed_backflow(series("s_cl"), series("s_qe"), eps).to_json_dict())
     elif traj.kind == "classical":
@@ -352,28 +340,32 @@ def cmd_phase_diagram(config: dict, args) -> int:
     if not isinstance(model_cfg, dict) or "name" not in model_cfg:
         raise ConfigError("config requires model.name")
     axes_cfg = config.get("axes")
-    if not axes_cfg:
-        raise ConfigError("config requires at least one sweep axis")
+    if not isinstance(axes_cfg, list) or not axes_cfg:
+        raise ConfigError("config requires a list of at least one sweep axis")
     axes = []
-    for axis in axes_cfg:
-        try:
-            axes.append((axis["param"], float(axis["min"]), float(axis["max"]), int(axis["steps"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"axis entries need param/min/max/steps: {exc}") from exc
-    fixed = dict(model_cfg.get("params", {}))
-    _validate_model_params(model_cfg["name"], fixed)
+    for i, axis in enumerate(axes_cfg):
+        if not isinstance(axis, dict) or not {"param", "min", "max", "steps"} <= axis.keys():
+            raise ConfigError(f"axes[{i}] needs param/min/max/steps")
+        if not isinstance(axis["param"], str):
+            raise ConfigError(f"axes[{i}].param must be a parameter name")
+        steps = axis["steps"]
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise ConfigError(f"axes[{i}].steps must be an integer")
+        lo = _finite_number(axis["min"], f"axes[{i}].min")
+        hi = _finite_number(axis["max"], f"axes[{i}].max")
+        axes.append((axis["param"], lo, hi, steps))
     dt, t_max = _grid_params(config, args)
     threads = args.threads if args.threads is not None else config.get("threads", 1)
     try:
         spec = SweepSpec(
             model=model_cfg["name"],
             axes=tuple(axes),
-            fixed=fixed,
+            fixed=dict(model_cfg.get("params", {})),
             dt=dt,
             t_max=t_max,
-            measures=tuple(config.get("measures", [])),
-            epsilon_n=float(config.get("epsilon_n", 1e-6)),
-            rate_tolerance=float(config.get("rate_tolerance", 1e-7)),
+            measures=config.get("measures", ()),
+            epsilon_n=_tolerance(config, "epsilon_n", 1e-6),
+            rate_tolerance=_tolerance(config, "rate_tolerance", 1e-7),
             threads=threads,
         )
     except ContractViolationError as exc:

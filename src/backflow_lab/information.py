@@ -30,6 +30,16 @@ SUPPORT_EIGENVALUE = 1e-12
 SUPPORT_WEIGHT = 1e-10
 
 
+def check_measure_tags(tags):
+    """Raise :class:`ContractViolationError` unless ``tags`` is a list or
+    tuple of known measure tags."""
+    if not isinstance(tags, (list, tuple)):
+        raise ContractViolationError(f"measures must be a list of measure tags, got {tags!r}")
+    for tag in tags:
+        if not isinstance(tag, str) or tag not in MEASURE_TAGS:
+            raise ContractViolationError(f"unknown measure {tag!r}; known: {list(MEASURE_TAGS)}")
+
+
 @dataclass(frozen=True)
 class InfoSeries:
     """Scalar information values on a time grid, with skip intervals marking

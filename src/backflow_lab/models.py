@@ -494,6 +494,41 @@ MODEL_REGISTRY = {
 }
 
 
+def check_params(name: str, params: dict):
+    """Check parameter names, types and ranges against the model's schema;
+    raises :class:`ContractViolationError` on the first mismatch."""
+    if name not in MODEL_REGISTRY:
+        raise ContractViolationError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
+    schema = MODEL_REGISTRY[name][1]
+    for key, value in params.items():
+        if key not in schema:
+            raise ContractViolationError(f"model {name} has no parameter {key!r}")
+        rule = schema[key]
+        if rule["type"] in ("number", "integer") and isinstance(value, bool):
+            raise ContractViolationError(f"parameter {key} must be a {rule['type']}, not a boolean")
+        if rule["type"] == "number" and not isinstance(value, (int, float)):
+            raise ContractViolationError(f"parameter {key} must be a number")
+        if rule["type"] == "number" and not math.isfinite(value):
+            raise ContractViolationError(f"parameter {key} must be finite, got {value}")
+        if rule["type"] == "integer" and not isinstance(value, int):
+            raise ContractViolationError(f"parameter {key} must be an integer")
+        if rule["type"] == "string":
+            if not isinstance(value, str):
+                raise ContractViolationError(f"parameter {key} must be a string")
+            if "choices" in rule and value not in rule["choices"]:
+                raise ContractViolationError(f"parameter {key} must be one of {rule['choices']}")
+            continue
+        lo = rule.get("min")
+        if lo is not None:
+            if rule.get("exclusive_min") and not value > lo:
+                raise ContractViolationError(f"parameter {key}={value} must be > {lo}")
+            if not rule.get("exclusive_min") and value < lo:
+                raise ContractViolationError(f"parameter {key}={value} must be >= {lo}")
+        hi = rule.get("max")
+        if hi is not None and value > hi:
+            raise ContractViolationError(f"parameter {key}={value} must be <= {hi}")
+
+
 def build_model(name: str, params: dict | None = None) -> ModelSpec:
     """Instantiate a registered model from primitive parameters."""
     if name not in MODEL_REGISTRY:

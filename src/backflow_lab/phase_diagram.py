@@ -6,9 +6,10 @@ each lattice point.
 Sweeps never abort on a failing point: a numerical or contract failure
 (any :class:`BackflowLabError`, or numpy's ``LinAlgError``) is recorded in
 that row's ``error`` column.  Any other exception is a programming error
-and propagates.  Axis and fixed parameter names are checked against the
-model schema before any row runs.  Rows are assembled in lattice order
-regardless of worker completion order, so repeated runs are bit-identical.
+and propagates.  Axis and fixed parameters (names, types and schema
+ranges) and the measure tags are checked before any row runs.  Rows are
+assembled in lattice order regardless of worker completion order, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -27,10 +28,16 @@ from .generator_analysis import (
     check_cp_divisible,
     extract_tcl_generator,
 )
-from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
-from .models import MODEL_REGISTRY, ModelSpec, build_model
+from .information import (
+    REFERENCE_TAGS,
+    InfoSeries,
+    backflow_functional,
+    check_measure_tags,
+    series_from_trajectory,
+)
+from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params
 from .netfd import decomposed_backflow, two_state_series_from_trajectory
-from .propagation import build_propagator, solve_tcl
+from .propagation import build_propagator, propagate_tcl, solve_tcl
 from .states import TimeGrid, Trajectory
 
 EPSILON_N = 1e-6
@@ -111,9 +118,7 @@ class SweepSpec:
         if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
             raise ContractViolationError(f"threads must be an integer >= 1, got {self.threads!r}")
         schema = MODEL_REGISTRY[self.model][1]
-        for name in self.fixed:
-            if name not in schema:
-                raise ContractViolationError(f"model {self.model} has no parameter {name!r}")
+        check_params(self.model, self.fixed)
         for name, lo, hi, steps in self.axes:
             if name not in schema:
                 raise ContractViolationError(f"model {self.model} has no parameter {name!r} to sweep")
@@ -125,6 +130,11 @@ class SweepSpec:
                 raise ContractViolationError(f"axis {name!r} needs at least 2 steps")
             if not hi > lo:
                 raise ContractViolationError(f"axis {name!r} needs max > min")
+            # the schema ranges are intervals, so both ends decide the lattice
+            check_params(self.model, {name: float(lo)})
+            check_params(self.model, {name: float(hi)})
+        check_measure_tags(self.measures)
+        object.__setattr__(self, "measures", tuple(self.measures))
 
     def axis_values(self) -> list:
         return [
@@ -220,22 +230,25 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     """The per-lattice-point pipeline: propagate, extract, test, measure."""
     row: dict = {}
     gaps: tuple = ()
-    # propagate / obtain the trajectory from the best exact route available
-    if model.trajectory_fn is not None:
-        traj = model.trajectory_fn(grid)
-    elif model.has("tcl_generator"):
-        traj = solve_tcl(model.tcl_generator, model.initial_state, grid)
-    else:
+    # trajectory and propagator from the best exact route available; a
+    # time-local model without closed forms gets both from one RK4 pass
+    traj = model.trajectory_fn(grid) if model.trajectory_fn is not None else None
+    family = model.propagator_fn(grid) if model.propagator_fn is not None else None
+    if model.has("tcl_generator"):
+        gen = model.tcl_generator
+        if traj is None and family is None:
+            traj, family = propagate_tcl(gen, model.initial_state, grid)
+        elif traj is None:
+            traj = solve_tcl(gen, model.initial_state, grid)
+        elif family is None:
+            family = build_propagator(gen, grid)
+    if traj is None:
         raise ContractViolationError(f"model {model.name} offers no trajectory route")
     # generator extraction and divisibility where a propagator exists
     divisible = None
     min_rate = None
     first_violation = None
-    if model.propagator_fn is not None or model.has("tcl_generator"):
-        if model.propagator_fn is not None:
-            family = model.propagator_fn(grid)
-        else:
-            family = build_propagator(model.tcl_generator, grid)
+    if family is not None:
         sampled = extract_tcl_generator(family)
         gaps = sampled.gaps
         report = (

@@ -12,6 +12,21 @@ differences see evenly spaced samples:
   as one matrix product of a contiguous slice of the reversed kernel table
   with the stored states (a BLAS GEMV, or GEMM for propagator columns).
 
+Every time-local route runs one RK4 kernel, ``_rk4_tcl``:
+:func:`solve_tcl` advances the state, :func:`build_propagator` the dd basis
+columns, and :func:`propagate_tcl` both in the same pass over the grid
+(each generator sample is evaluated once and used by both).  The fused
+pass is bit-identical to the separate ones: the state and the columns
+share one flat buffer per RK4 stage, so every elementwise step is a
+single ufunc call in the order ``y + (0.5h)*k`` and
+``y + (h/6)*(((k1 + 2k2) + 2k3) + k4)``, while the products stay two
+separate calls per stage (a GEMV on the state, a GEMM on the columns).
+One GEMM over both would change the last bits of each.  Each sample's
+shape is checked as soon as it is evaluated; the trace-preservation check
+of the on-grid samples and the finiteness check of the stored rows run
+batched every ``_CHECK_STEPS`` steps, and the earliest failing time is
+reported, a bad sample ahead of a divergence at the same time.
+
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
 """
@@ -31,13 +46,15 @@ from .states import (
     ProbabilityVector,
     TimeGrid,
     Trajectory,
-    trace_annihilation_defect,
 )
 
 TRACE_DRIFT_TOL = 1e-8
 TC_NORMALIZATION_TOL = 1e-6
 SAMPLE_TRACE_TOL = 1e-10
 PROPAGATOR_TRACE_TOL = 1e-8
+# steps between the batched sample and finiteness checks of the RK4 kernel;
+# bounds the samples held for checking (64 KB each at d = 8)
+_CHECK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -57,20 +74,6 @@ class TclGenerator:
     @property
     def matrix_dim(self) -> int:
         return self.dim * self.dim if self.kind == "quantum" else self.dim
-
-    def validate_sample(self, m: np.ndarray, t: float):
-        dd = self.matrix_dim
-        if m.shape != (dd, dd):
-            raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if self.kind == "quantum":
-            defect = trace_annihilation_defect(m, self.dim)
-        else:
-            defect = float(np.max(np.abs(m.sum(axis=0))))
-        if defect > SAMPLE_TRACE_TOL * scale:
-            raise ContractViolationError(
-                f"generator sample at t={t:g} violates trace preservation (defect {defect:.3e})"
-            )
 
 
 @dataclass(frozen=True)
@@ -141,33 +144,127 @@ def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
     return initial.entries.astype(float).copy()
 
 
-def rk4_linear(apply_at: Callable[[float, np.ndarray], np.ndarray], y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Classic RK4 for dy/dt = A(t) y on a uniform grid.
+def _sample_defects(samples: np.ndarray, kind: str, dim: int):
+    """Trace-preservation defect of stacked generator samples (k, dd, dd)
+    and the scale it is judged against: sample j fails when
+    ``defect[j] > SAMPLE_TRACE_TOL * scale[j]``, scale = max(1, max|G|)."""
+    if kind == "quantum":
+        column_traces = linalg.trace_row(dim) @ samples
+    else:
+        column_traces = samples.sum(axis=1)
+    defect = np.max(np.abs(column_traces), axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(samples), axis=(1, 2)))
+    return defect, scale
 
-    ``apply_at(t, y)`` must return A(t) @ y; ``y`` may be a vector or a
-    matrix (basis columns propagated together).  Returns the stacked raw
-    solution with no state validation.
+
+def _rk4_tcl(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None, columns: bool):
+    """Classic RK4 for d/dt y = G(t) y, advancing the state ``y0`` (if
+    given) and the dd basis columns (if ``columns``) in one pass.
+
+    Returns ``(states, maps)``: the raw stacked states (N, dd) and maps
+    (N, dd, dd), None for the part not asked for; no state validation.
+    Samples are taken at t_i, t_i + h/2 and t_i + h; the t_i + h sample is
+    reused as the next step's first one when it equals t_{i+1} exactly.
     """
     if not grid.is_uniform():
         raise ContractViolationError("solve on a uniform grid")
     h = grid.dt
     ts = grid.points
-    out = np.empty((grid.n,) + y0.shape, dtype=np.result_type(y0.dtype, np.float64))
-    y = y0.astype(out.dtype, copy=True)
-    out[0] = y
-    for i in range(grid.n - 1):
-        t = ts[i]
-        k1 = apply_at(t, y)
-        k2 = apply_at(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = apply_at(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = apply_at(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationDivergedError(
-                f"integration diverged at t={ts[i+1]:g}", time=float(ts[i + 1])
+    dd = gen.matrix_dim
+    ns = 0 if y0 is None else dd
+    width = ns + (dd * dd if columns else 0)
+    out = np.empty((grid.n, width), dtype=complex if gen.kind == "quantum" else float)
+    if y0 is not None:
+        out[0, :ns] = y0
+    if columns:
+        out[0, ns:] = np.eye(dd).ravel()
+
+    def parts(flat):
+        """The flat buffer and its contiguous state and column views."""
+        return flat, flat[:ns], flat[ns:].reshape(dd, dd) if columns else None
+
+    k1, k2, k3, k4, tmp = (parts(flat) for flat in np.empty((5, width), dtype=out.dtype))
+
+    def apply(m, src, dst):
+        if ns:
+            np.dot(m, src[1], out=dst[1])
+        if columns:
+            np.dot(m, src[2], out=dst[2])
+
+    checked = 0  # rows before this index passed the finiteness check
+    # on-grid samples awaiting the trace check: (time, sample, row) where a
+    # failing sample is reported ahead of a divergence at that row or later
+    pending: list = []
+
+    def sample(t):
+        m = np.asarray(gen.evaluate(t))
+        if m.shape != (dd, dd):
+            raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
+        return m
+
+    def check(stop: int):
+        """Raise for the earliest failure among the pending samples and the
+        rows ``checked..stop-1``."""
+        nonlocal checked
+        bad = []
+        if pending:
+            defect, scale = _sample_defects(np.stack([m for _, m, _ in pending]), gen.kind, gen.dim)
+            bad = np.flatnonzero(defect > SAMPLE_TRACE_TOL * scale)
+        finite = np.isfinite(out[checked:stop]).all(axis=1)
+        row = checked + int(np.argmin(finite)) if not finite.all() else None
+        if len(bad) and (row is None or pending[bad[0]][2] <= row):
+            t = pending[bad[0]][0]
+            raise ContractViolationError(
+                f"generator sample at t={t:g} violates trace preservation "
+                f"(defect {defect[bad[0]]:.3e})"
             )
-        out[i + 1] = y
-    return out
+        if row is not None:
+            raise IntegrationDivergedError(
+                f"integration diverged at t={ts[row]:g}", time=float(ts[row])
+            )
+        pending.clear()
+        checked = stop
+
+    t_next, m_next = None, None
+    for i in range(grid.n - 1):
+        try:
+            t = ts[i]
+            if t == t_next:
+                m1 = m_next
+            else:
+                m1 = sample(t)
+                pending.append((t, m1, i + 1))
+            y = parts(out[i])
+            apply(m1, y, k1)
+            m2 = sample(t + 0.5 * h)
+            np.multiply(0.5 * h, k1[0], out=tmp[0])
+            np.add(y[0], tmp[0], out=tmp[0])
+            apply(m2, tmp, k2)
+            np.multiply(0.5 * h, k2[0], out=tmp[0])
+            np.add(y[0], tmp[0], out=tmp[0])
+            apply(m2, tmp, k3)
+            t_next = t + h
+            m_next = sample(t_next)
+            pending.append((t_next, m_next, i + 1))
+            np.multiply(h, k3[0], out=tmp[0])
+            np.add(y[0], tmp[0], out=tmp[0])
+            apply(m_next, tmp, k4)
+            np.multiply(2.0, k2[0], out=k2[0])
+            np.add(k1[0], k2[0], out=k1[0])
+            np.multiply(2.0, k3[0], out=k3[0])
+            np.add(k1[0], k3[0], out=k1[0])
+            np.add(k1[0], k4[0], out=k1[0])
+            np.multiply(h / 6.0, k1[0], out=k1[0])
+            np.add(y[0], k1[0], out=out[i + 1])
+        except Exception:
+            check(i + 1)  # a failure at an earlier time is reported first
+            raise
+        if (i + 1) % _CHECK_STEPS == 0:
+            check(i + 2)
+    check(grid.n)
+    states = np.ascontiguousarray(out[:, :ns]) if ns else None
+    maps = np.ascontiguousarray(out[:, ns:]).reshape(grid.n, dd, dd) if columns else None
+    return states, maps
 
 
 def rk4_constant(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -229,22 +326,18 @@ def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
     time (states are renormalized only within that allowance).
     """
     y0 = _initial_vector(initial, gen.kind, gen.dim)
-    h = grid.dt
-    cache: dict[float, np.ndarray] = {}
-
-    def apply_at(t: float, y: np.ndarray) -> np.ndarray:
-        m = cache.get(t)
-        if m is None:
-            m = np.asarray(gen.evaluate(t))
-            on_grid = abs(t / h - round(t / h)) < 1e-9
-            if on_grid:
-                gen.validate_sample(m, t)
-            cache.clear()
-            cache[t] = m
-        return m @ y
-
-    raw = rk4_linear(apply_at, y0, grid)
+    raw, _ = _rk4_tcl(gen, grid, y0, columns=False)
     return _finalize_trajectory(raw, grid, gen.kind, gen.dim)
+
+
+def propagate_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> tuple[Trajectory, PropagatorFamily]:
+    """Trajectory and propagator family of a time-local generator from one
+    RK4 pass; each is bit-identical to what :func:`solve_tcl` and
+    :func:`build_propagator` return, at one evaluation of each sample."""
+    y0 = _initial_vector(initial, gen.kind, gen.dim)
+    raw, maps = _rk4_tcl(gen, grid, y0, columns=True)
+    traj = _finalize_trajectory(raw, grid, gen.kind, gen.dim)
+    return traj, PropagatorFamily(grid, maps, gen.kind, gen.dim)
 
 
 def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
@@ -336,21 +429,10 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     carrier space: vectorized matrix units for quantum sources, the n
     canonical probability basis vectors for classical ones (yielding the
     stochastic propagator T(t, 0))."""
-    dd = source.matrix_dim
-    eye = np.eye(dd, dtype=complex if source.kind == "quantum" else float)
     if isinstance(source, TclGenerator):
-        cache: dict[float, np.ndarray] = {}
-
-        def apply_at(t: float, y: np.ndarray) -> np.ndarray:
-            m = cache.get(t)
-            if m is None:
-                m = np.asarray(source.evaluate(t))
-                cache.clear()
-                cache[t] = m
-            return m @ y
-
-        raw = rk4_linear(apply_at, eye, grid)
+        _, raw = _rk4_tcl(source, grid, None, columns=True)
     elif isinstance(source, MemoryKernel):
+        eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
         raw = volterra_propagate(source, eye, grid)
     else:
         raise ContractViolationError(f"unsupported propagator source {type(source).__name__}")

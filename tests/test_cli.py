@@ -18,13 +18,13 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def run_module(*argv):
-    """``python -m backflow_lab.cli`` in a child that imports this package
-    (the child does not inherit pytest's ``pythonpath`` setting)."""
+def run_module(*argv, module="backflow_lab.cli"):
+    """``python -m <module>`` in a child that imports this package (the
+    child does not inherit pytest's ``pythonpath`` setting)."""
     src = os.path.dirname(os.path.dirname(backflow_lab.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "backflow_lab.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
@@ -70,6 +70,11 @@ class TestSimulate:
             {"model": {"name": "fractional_two_state", "params": {"alpha": 1.5}}},
         )
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+
+    def test_embedding_route_alias_is_gone(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"model": {"name": "classical_exp_kernel"}, "route": "embedding"})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "unknown route 'embedding'" in capsys.readouterr().err
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         config = write_config(tmp_path, {"model": {"name": "markov_two_state"}, "bogus": 1})
@@ -245,10 +250,20 @@ class TestPhaseDiagram:
         config = write_config(tmp_path, {"model": {"name": "classical_exp_kernel"}})
         assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("axes", [5, "tau_m", {"param": "tau_m"}])
+    def test_axes_not_a_list_exits_2(self, tmp_path, axes):
+        config = write_config(tmp_path, {"model": {"name": "classical_exp_kernel"}, "axes": axes})
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = run_module("model", "list")
+        assert proc.returncode == 0
+        assert "markov_two_state" in proc.stdout
+
+    def test_package_invocation(self, tmp_path):
+        proc = run_module("model", "list", module="backflow_lab")
         assert proc.returncode == 0
         assert "markov_two_state" in proc.stdout
 
@@ -333,6 +348,84 @@ class TestParameterValidation:
         )
         assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "model, axis, measures",
+        [
+            ("classical_exp_kernel", ("gamma", 0.0, 0.5), []),  # exclusive minimum
+            ("amplitude_damping_qubit", ("nbar", -0.1, 0.3), []),  # minimum
+            ("markov_two_state", ("p0", 0.5, 1.5), []),  # maximum
+            ("amplitude_damping_qubit", ("gamma", 0.5, 1.0), "rel_entropy"),
+            ("amplitude_damping_qubit", ("gamma", 0.5, 1.0), ["rel_entropy", "bogus"]),
+        ],
+    )
+    def test_out_of_range_axis_or_bad_measures_exit_2_before_any_row(
+        self, tmp_path, monkeypatch, capsys, model, axis, measures
+    ):
+        import backflow_lab.phase_diagram as pd
+
+        monkeypatch.setattr(pd, "_sweep_point", lambda work: pytest.fail("a row ran"))
+        name, lo, hi = axis
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": model},
+                "axes": [{"param": name, "min": lo, "max": hi, "steps": 2}],
+                "measures": measures,
+            },
+        )
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"param": "gamma", "min": True, "max": 2.0, "steps": 2},
+            {"param": "gamma", "min": 0.5, "max": "2.0", "steps": 2},
+            {"param": "gamma", "min": 0.5, "max": 2.0, "steps": 2.5},
+            {"param": ["gamma"], "min": 0.5, "max": 2.0, "steps": 2},
+            {"param": "gamma", "min": 0.5, "steps": 2},
+            ["gamma", 0.5, 2.0, 2],
+        ],
+    )
+    def test_malformed_axis_exits_2_before_any_row(self, tmp_path, monkeypatch, capsys, axis):
+        import backflow_lab.phase_diagram as pd
+
+        monkeypatch.setattr(pd, "_sweep_point", lambda work: pytest.fail("a row ran"))
+        config = write_config(tmp_path, {"model": {"name": "amplitude_damping_qubit"}, "axes": [axis]})
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
+        assert "config error: axes[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("backflow", "epsilon_n", "abc"),
+            ("backflow", "epsilon_n", -1e-6),
+            ("backflow", "rate_tolerance", True),
+            ("divisibility", "rate_tolerance", "abc"),
+            ("divisibility", "rate_tolerance", float("nan")),
+            ("phase-diagram", "epsilon_n", float("inf")),
+            ("phase-diagram", "rate_tolerance", -1.0),
+            ("phase-diagram", "epsilon_n", [1e-6]),
+        ],
+    )
+    def test_bad_tolerance_exits_2_before_any_propagation(
+        self, tmp_path, monkeypatch, capsys, command, key, value
+    ):
+        import backflow_lab.cli as cli
+        import backflow_lab.phase_diagram as pd
+
+        ran = lambda *args: pytest.fail("propagation ran")
+        monkeypatch.setattr(cli, "_trajectory", ran)
+        monkeypatch.setattr(cli, "_propagator", ran)
+        monkeypatch.setattr(pd, "_sweep_point", ran)
+        payload = {"model": {"name": "dephasing_qubit"}, key: value}
+        if command == "phase-diagram":
+            payload["axes"] = [{"param": "lam", "min": 0.5, "max": 1.0, "steps": 2}]
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+        assert f"config error: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("param, value", [("n", True), ("gamma", False)])
     def test_json_boolean_rejected(self, tmp_path, capsys, param, value):

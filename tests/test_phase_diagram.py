@@ -136,10 +136,12 @@ class TestRunSweep:
             assert row["revival"] is False  # peaks decay under the envelope
 
     def test_failures_recorded_not_raised(self):
-        # p0 > 1 never validates, so every row carries an error message
+        # a coherence beyond the PSD bound of p0 = 0.5 fits the schema (c0
+        # has no range) but never builds, so every row carries an error
         spec = SweepSpec(
-            model="markov_two_state",
-            axes=(("p0", 1.5, 2.0, 2),),
+            model="amplitude_damping_qubit",
+            axes=(("c0", 0.6, 0.8, 2),),
+            fixed={"p0": 0.5},
             dt=0.1,
             t_max=1.0,
         )
@@ -227,6 +229,22 @@ class TestSweepHardening:
         with pytest.raises(ContractViolationError, match="finite"):
             SweepSpec(model="markov_two_state", axes=(("lam", 0.1, float("inf"), 3),))
 
+    def test_schema_ranges_and_measures_checked_up_front(self):
+        base = dict(model="amplitude_damping_qubit", dt=0.1, t_max=1.0)
+        with pytest.raises(ContractViolationError, match="gamma=0.0 must be > 0"):
+            SweepSpec(axes=(("gamma", 0.0, 1.0, 3),), **base)
+        with pytest.raises(ContractViolationError, match="nbar=-0.1 must be >= 0"):
+            SweepSpec(axes=(("nbar", -0.1, 0.3, 3),), **base)
+        with pytest.raises(ContractViolationError, match="p0=1.5 must be <= 1"):
+            SweepSpec(axes=(("gamma", 0.5, 1.0, 3),), fixed={"p0": 1.5}, **base)
+        with pytest.raises(ContractViolationError, match="p0=1.2 must be <= 1"):
+            SweepSpec(axes=(("p0", 0.2, 1.2, 3),), **base)
+        for measures in ("rel_entropy", ("rel_entropy", "bogus"), 7):
+            with pytest.raises(ContractViolationError, match="measure"):
+                SweepSpec(axes=(("gamma", 0.5, 1.0, 3),), measures=measures, **base)
+        spec = SweepSpec(axes=(("gamma", 0.5, 1.0, 3),), measures=["rel_entropy"], **base)
+        assert spec.measures == ("rel_entropy",)
+
     def test_programming_error_surfaces(self, monkeypatch):
         import backflow_lab.phase_diagram as pd
 
@@ -277,3 +295,49 @@ class TestSweepHardening:
         rows = run_sweep(spec).rows
         assert all(row["error"] == "" for row in rows)
         assert sorted(built) == sorted(list(measures or ("kl",)) * len(rows))
+
+    def test_time_local_row_takes_one_rk4_pass(self, monkeypatch):
+        """A time-local model without closed forms gets its trajectory and
+        its propagator from one RK4 pass: at most 3(N-1)+1 generator
+        samples per row, and neither single-operand route runs."""
+        import dataclasses
+
+        import backflow_lab.phase_diagram as pd
+        from backflow_lab.propagation import TclGenerator
+
+        samples = []
+        real_build_model = pd.build_model
+
+        def counting_model(name, params):
+            model = real_build_model(name, params)
+            gen = model.tcl_generator
+
+            def evaluate(t):
+                samples.append(t)
+                return gen.evaluate(t)
+
+            counted = TclGenerator(dim=gen.dim, kind=gen.kind, evaluate=evaluate)
+            return dataclasses.replace(model, tcl_generator=counted)
+
+        def forbidden(*args):
+            raise AssertionError("second RK4 pass")
+
+        monkeypatch.setattr(pd, "build_model", counting_model)
+        monkeypatch.setattr(pd, "build_propagator", forbidden)
+        monkeypatch.setattr(pd, "solve_tcl", forbidden)
+        spec = SweepSpec(
+            model="amplitude_damping_qubit",
+            axes=(("gamma", 0.5, 1.0, 2),),
+            dt=1e-2,
+            t_max=3.0,
+            measures=("rel_entropy",),
+        )
+        n = TimeGrid.uniform(spec.dt, spec.t_max).n
+        for params in spec.lattice():
+            samples.clear()
+            row = pd._sweep_point(
+                (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
+            )
+            assert row["error"] == ""
+            assert row["divisible"] is True
+            assert 0 < len(samples) <= 3 * (n - 1) + 1

@@ -15,9 +15,11 @@ from backflow_lab import (
     solve_tc,
     solve_tcl,
 )
-from backflow_lab.linalg import dissipator_superop, trace_row
+from backflow_lab.errors import IntegrationDivergedError
+from backflow_lab.linalg import commutator_superop, dissipator_superop, trace_row
 from backflow_lab.models import SIGMA_MINUS, SIGMA_Z, exp_kernel_difference_mode
 from backflow_lab.propagation import apply_family
+from backflow_lab.states import random_density_matrix
 
 W_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
@@ -270,3 +272,205 @@ class TestVolterraHistorySum:
         traj = solve_tc(kernel, DensityMatrix(rho0), grid)
         family = build_propagator(kernel, grid)
         assert np.max(np.abs(apply_family(family, DensityMatrix(rho0)).states - traj.states)) <= 1e-13
+
+
+def reference_trace_check(gen, m, t):
+    """The per-sample trace-preservation rule the RK4 kernel batches."""
+    dd = gen.matrix_dim
+    if m.shape != (dd, dd):
+        raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if gen.kind == "quantum":
+        defect = float(np.max(np.abs(trace_row(gen.dim) @ m)))
+    else:
+        defect = float(np.max(np.abs(m.sum(axis=0))))
+    if defect > 1e-10 * scale:
+        raise ContractViolationError(
+            f"generator sample at t={t:g} violates trace preservation (defect {defect:.3e})"
+        )
+
+
+def rk4_two_loop_reference(gen, y0, grid, validate=True):
+    """The RK4 the fused kernel replaced: one pass per operand (a state
+    vector or the basis columns), a one-entry sample cache, on-grid samples
+    checked as they are evaluated and a divergence check after every step."""
+    h = grid.dt
+    ts = grid.points
+    cache = {}
+
+    def apply_at(t, y):
+        m = cache.get(t)
+        if m is None:
+            m = np.asarray(gen.evaluate(t))
+            if validate and abs(t / h - round(t / h)) < 1e-9:
+                reference_trace_check(gen, m, t)
+            cache.clear()
+            cache[t] = m
+        return m @ y
+
+    out = np.empty((grid.n,) + y0.shape, dtype=np.result_type(y0.dtype, np.float64))
+    y = y0.astype(out.dtype, copy=True)
+    out[0] = y
+    for i in range(grid.n - 1):
+        t = ts[i]
+        k1 = apply_at(t, y)
+        k2 = apply_at(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = apply_at(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = apply_at(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(y)):
+            raise IntegrationDivergedError(
+                f"integration diverged at t={ts[i+1]:g}", time=float(ts[i + 1])
+            )
+        out[i + 1] = y
+    return out
+
+
+def classical_three_state_generator():
+    base = np.array([[0.0, 0.7, 0.2], [0.5, 0.0, 0.9], [0.3, 0.4, 0.0]])
+    freq = np.array([[0.0, 1.3, 0.7], [2.1, 0.0, 0.5], [0.9, 1.7, 0.0]])
+
+    def evaluate(t):
+        w = base * (1.0 + 0.6 * np.cos(freq * t))
+        return w - np.diag(w.sum(axis=0))
+
+    return TclGenerator(dim=3, kind="classical", evaluate=evaluate)
+
+
+def random_gksl_generator(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    ham = commutator_superop((a + a.conj().T) / 2.0)
+    d1 = dissipator_superop(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    d2 = dissipator_superop(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return TclGenerator(
+        dim=3, kind="quantum", evaluate=lambda t: ham + (1.0 + 0.5 * math.sin(3.0 * t)) * d1 + 0.3 * d2
+    )
+
+
+def fused_cases():
+    from backflow_lab.models import amplitude_damping_qubit, dephasing_qubit
+
+    amp = amplitude_damping_qubit(gamma=1.3, nbar=0.2, p0=0.3, c0=0.35)
+    deph = dephasing_qubit(rate_kind="sinusoidal", lam=0.4, amplitude=1.5, frequency=2.0)
+    rng = np.random.default_rng(7)
+    return [
+        ("amplitude_damping", amp.tcl_generator, amp.initial_state, TimeGrid.uniform(1e-3, 4.0)),
+        ("sinusoidal_dephasing", deph.tcl_generator, deph.initial_state, TimeGrid.uniform(1e-3, 4.0)),
+        (
+            "classical_three_state",
+            classical_three_state_generator(),
+            ProbabilityVector([0.6, 0.3, 0.1]),
+            TimeGrid.uniform(1e-2, 6.0),
+        ),
+        ("random_gksl_d3", random_gksl_generator(rng), random_density_matrix(3, rng), TimeGrid.uniform(1e-2, 3.0)),
+    ]
+
+
+class TestFusedRk4:
+    @pytest.mark.parametrize("case", fused_cases(), ids=lambda case: case[0])
+    def test_bit_identical_to_two_loop_reference(self, case):
+        from backflow_lab.propagation import _finalize_trajectory, _initial_vector, propagate_tcl
+
+        _, gen, initial, grid = case
+        assert grid.n - 1 > 64  # spans several batched-check chunks
+        y0 = _initial_vector(initial, gen.kind, gen.dim)
+        eye = np.eye(gen.matrix_dim, dtype=complex if gen.kind == "quantum" else float)
+        want_states = _finalize_trajectory(
+            rk4_two_loop_reference(gen, y0, grid), grid, gen.kind, gen.dim
+        ).states
+        want_maps = rk4_two_loop_reference(gen, eye, grid, validate=False)
+        traj, family = propagate_tcl(gen, initial, grid)
+        assert np.array_equal(traj.states, want_states)
+        assert np.array_equal(family.maps, want_maps)
+        assert np.array_equal(solve_tcl(gen, initial, grid).states, want_states)
+        assert np.array_equal(build_propagator(gen, grid).maps, want_maps)
+
+    @staticmethod
+    def corrupted_dephasing(bad_time, bad_sample):
+        g = dissipator_superop(SIGMA_Z / np.sqrt(2))
+
+        def evaluate(t):
+            return bad_sample if abs(t - bad_time) < 1e-9 else g
+
+        return TclGenerator(dim=2, kind="quantum", evaluate=evaluate)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator", "propagate_tcl"])
+    def test_trace_breaking_sample_names_its_time(self, route):
+        from backflow_lab.propagation import propagate_tcl
+
+        grid = TimeGrid.uniform(1e-2, 3.0)
+        bad_time = 150 * grid.dt
+        rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+        # a finite sample whose k4 product overflows: the state diverges at
+        # the same grid time, and the sample must still be reported first
+        gen = self.corrupted_dephasing(bad_time, np.full((4, 4), 1.7e308, dtype=complex))
+        run = {
+            "solve_tcl": lambda: solve_tcl(gen, rho0, grid),
+            "build_propagator": lambda: build_propagator(gen, grid),
+            "propagate_tcl": lambda: propagate_tcl(gen, rho0, grid),
+        }[route]
+        with pytest.raises(ContractViolationError, match=f"t={bad_time:g} violates trace"):
+            run()
+        gen = self.corrupted_dephasing(bad_time, np.eye(4, dtype=complex) * 1e-3)
+        with pytest.raises(ContractViolationError, match=f"t={bad_time:g} violates trace"):
+            run()
+
+    @staticmethod
+    def exploding_rate(fail_after=None):
+        def evaluate(t):
+            if fail_after is not None and t > fail_after:
+                raise RuntimeError("rate undefined")
+            return math.exp(6.0 * t) * W_SYM
+
+        return TclGenerator(dim=2, kind="classical", evaluate=evaluate)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_exploding_rate_diverges_at_reference_time(self):
+        from backflow_lab.propagation import _CHECK_STEPS, propagate_tcl
+
+        grid = TimeGrid.uniform(1e-2, 5.0)
+        p0 = ProbabilityVector([1.0, 0.0])
+        with pytest.raises(IntegrationDivergedError) as ref:
+            rk4_two_loop_reference(self.exploding_rate(), p0.entries, grid)
+        t_ref = ref.value.time
+        assert 0.0 < t_ref < grid.t_max
+        with pytest.raises(IntegrationDivergedError) as got:
+            propagate_tcl(self.exploding_rate(), p0, grid)
+        assert got.value.time == t_ref
+        # a sample that cannot be evaluated after the divergence, inside the
+        # same check chunk, still leaves the earlier divergence reported
+        row = round(t_ref / grid.dt)
+        assert row // _CHECK_STEPS == (row + 3) // _CHECK_STEPS
+        with pytest.raises(IntegrationDivergedError) as got:
+            solve_tcl(self.exploding_rate(fail_after=t_ref + 2.5 * grid.dt), p0, grid)
+        assert got.value.time == t_ref
+
+    def test_wrong_shape_sample_raises_before_any_product(self, monkeypatch):
+        import backflow_lab.propagation as propagation
+
+        products = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dot(self, *args, **kwargs):
+                products.append(1)
+                return np.dot(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "np", CountingNumpy())
+        rho0 = DensityMatrix(np.eye(2, dtype=complex) / 2)
+        grid = TimeGrid.uniform(0.1, 1.0)
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: np.zeros((2, 2), dtype=complex))
+        with pytest.raises(ContractViolationError, match=r"t=0 has shape \(2, 2\)"):
+            propagation.propagate_tcl(gen, rho0, grid)
+        assert products == []
+        # a midpoint sample is checked too, before the k2 products use it
+        g = np.zeros((4, 4), dtype=complex)
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g if t == 0.0 else g[:3, :3])
+        with pytest.raises(ContractViolationError, match=r"t=0.05 has shape \(3, 3\)"):
+            propagation.propagate_tcl(gen, rho0, grid)
+        assert len(products) == 2  # the k1 state and column products only
