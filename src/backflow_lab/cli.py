@@ -30,8 +30,8 @@ from .generator_analysis import (
 from .information import backflow_functional, check_measure_tags
 from .models import build_model, check_params, model_schemas
 from .netfd import decomposed_backflow
-from .phase_diagram import SweepSpec, classify, run_sweep, series_cache
-from .propagation import build_propagator, solve_tc, solve_tcl
+from .phase_diagram import SweepSpec, check_tolerance, classify, run_sweep, series_cache
+from .propagation import build_propagator, propagate_tcl, solve_tc, solve_tcl
 from .states import TimeGrid
 
 DEFAULT_DT = 1e-3
@@ -147,10 +147,10 @@ def _grid_params(config: dict, args) -> tuple[float, float]:
 
 def _tolerance(config: dict, key: str, default: float) -> float:
     """``epsilon_n`` or ``rate_tolerance``: a finite number >= 0."""
-    value = _finite_number(config.get(key, default), key)
-    if value < 0:
-        raise ConfigError(f"{key} must be >= 0, got {value}")
-    return value
+    try:
+        return check_tolerance(key, config.get(key, default))
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _measures(config: dict):
@@ -288,13 +288,24 @@ def cmd_backflow(config: dict, args) -> int:
     measures = _measures(config)
     eps = _tolerance(config, "epsilon_n", 1e-6)
     tol = _tolerance(config, "rate_tolerance", 1e-7)
-    traj = _trajectory(model, grid, config.get("route", "auto"))
+    route = config.get("route", "auto")
+    family = None
+    if (
+        model.has("tcl_generator")
+        and model.propagator_fn is None
+        and (route == "tcl" or (route == "auto" and model.trajectory_fn is None))
+    ):
+        # trajectory and propagator from the same generator: one RK4 pass
+        traj, family = propagate_tcl(model.tcl_generator, model.initial_state, grid)
+    else:
+        traj = _trajectory(model, grid, route)
     if measures is None:
         measures = ["kl"] if traj.kind == "classical" else ["rel_entropy"]
     gaps: tuple = ()
     report_dict = None
     try:
-        family = _propagator(model, grid)
+        if family is None:
+            family = _propagator(model, grid)
         sampled = extract_tcl_generator(family)
         gaps = sampled.gaps
         report = (

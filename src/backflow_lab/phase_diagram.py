@@ -7,14 +7,16 @@ Sweeps never abort on a failing point: a numerical or contract failure
 (any :class:`BackflowLabError`, or numpy's ``LinAlgError``) is recorded in
 that row's ``error`` column.  Any other exception is a programming error
 and propagates.  Axis and fixed parameters (names, types and schema
-ranges) and the measure tags are checked before any row runs.  Rows are
-assembled in lattice order regardless of worker completion order, so
-repeated runs are bit-identical.
+ranges), the measure tags and the tolerances ``epsilon_n`` and
+``rate_tolerance`` are checked before any row runs.  Rows are assembled in
+lattice order regardless of worker completion order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -70,6 +72,18 @@ def classify(n_cl: float, n_qe: float, epsilon_n: float = EPSILON_N) -> str:
     if qe:
         return "intrinsic_revival"
     return "monotone"
+
+
+def check_tolerance(name: str, value) -> float:
+    """``epsilon_n`` or ``rate_tolerance`` as a float: a finite number >= 0,
+    else :class:`ContractViolationError`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ContractViolationError(f"{name} must be a number")
+    if not math.isfinite(value):
+        raise ContractViolationError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ContractViolationError(f"{name} must be >= 0, got {value}")
+    return float(value)
 
 
 def revival_detector(series: InfoSeries, epsilon_n: float = EPSILON_N):
@@ -135,6 +149,8 @@ class SweepSpec:
             check_params(self.model, {name: float(hi)})
         check_measure_tags(self.measures)
         object.__setattr__(self, "measures", tuple(self.measures))
+        for name in ("epsilon_n", "rate_tolerance"):
+            object.__setattr__(self, name, check_tolerance(name, getattr(self, name)))
 
     def axis_values(self) -> list:
         return [

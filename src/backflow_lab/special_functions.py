@@ -20,9 +20,13 @@ series must cancel):
 The points of the last two branches are sorted by x and split once: the
 asymptotic error estimate falls monotonically in x, so a bisection with the
 scalar series finds the first accepted point.  The integral band shares its
-quadrature nodes; the asymptotic band is summed as one batch that advances
-the term index for all points together and evaluates each Gamma factor once
-per term, with per-point arithmetic identical to the scalar series.
+quadrature nodes and is summed in blocks of ``ML_CHUNK_POINTS`` points, so
+each (points x nodes) weight matrix stays at 4 MB; weights below exp(-708)
+are exactly 0, never subnormal (subnormal exp results and products take a
+slow path in numpy and BLAS), which leaves every sum unchanged.  The
+asymptotic band is summed as one batch that advances the term index for all
+points together and evaluates each Gamma factor once per term, with
+per-point arithmetic identical to the scalar series.
 
 The integral form used is obtained from the spectral representation of
 E_alpha(-x) by absorbing the Lorentzian denominator into the integration
@@ -53,6 +57,10 @@ from .errors import ContractViolationError
 TAYLOR_SWITCH = 10.0     # max cancellation exponent for the plain series
 ASYM_ACCEPT = 1e-12      # asymptotic branch used only below this estimate
 _LN_PI = 1.1447298858494002
+# integral-band points per quadrature block: bounds each (points x nodes)
+# temporary at 4 MB (2048 x 256 doubles) whatever the band size
+ML_CHUNK_POINTS = 2048
+_EXP_NORMAL_ARG = 708.0  # exp(-x) for x above this is negligible here
 
 _LANCZOS = (
     0.99999999999980993,
@@ -235,10 +243,18 @@ def _tanh_sinh_theta(alpha: float, xs: np.ndarray, max_level: int = 10) -> np.nd
         su = np.sinh(u)
         w = half * (math.pi / 2) * np.cosh(u) / np.cosh((math.pi / 2) * su) ** 2
         th = mid + half * np.tanh((math.pi / 2) * su)
-        v = np.maximum(-ca + sa * np.tan(th), 0.0)
-        # arg[i, j] = T[i] * v[j]^(1/alpha); clamp to avoid exp underflow noise
-        arg = np.minimum(T[:, None] * v[None, :] ** (1.0 / alpha), 745.0)
-        return np.exp(-arg) @ w
+        v = np.maximum(-ca + sa * np.tan(th), 0.0) ** (1.0 / alpha)
+        out = np.empty_like(T)
+        for lo in range(0, T.size, ML_CHUNK_POINTS):
+            # arg[i, j] = T[i] * v(th_j)^(1/alpha); a weight below exp(-708)
+            # cannot move a row sum (E_alpha(-x) times O(1) factors), so it
+            # is exactly 0 rather than a subnormal, slow to make and to sum
+            arg = np.multiply.outer(T[lo : lo + ML_CHUNK_POINTS], v)
+            arg[arg > _EXP_NORMAL_ARG] = np.inf
+            np.negative(arg, out=arg)
+            np.exp(arg, out=arg)
+            out[lo : lo + ML_CHUNK_POINTS] = arg @ w
+        return out
 
     h = 1.0
     total = h * node_sum(np.arange(-4.0, 4.0 + 1e-12, h))

@@ -221,6 +221,44 @@ class TestBackflow:
         assert sorted(report["measures"]) == sorted(measures)
         assert report["n_total"] >= 0.0
 
+    def test_time_local_model_takes_one_rk4_pass(self, tmp_path, monkeypatch):
+        """A time-local model without closed forms gets its trajectory and
+        its propagator from one RK4 pass, and backflow.json has the bytes of
+        the two separate passes."""
+        import backflow_lab.cli as cli
+        import backflow_lab.propagation as propagation
+
+        passes = []
+        rk4 = propagation._rk4_tcl
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return rk4(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "_rk4_tcl", counting)
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "amplitude_damping_qubit", "params": {"gamma": 0.8}},
+                "grid": {"dt": 1e-2, "t_max": 2.0},
+                "measures": ["rel_entropy", "vn_entropy"],
+            },
+        )
+        fused, separate = tmp_path / "fused", tmp_path / "separate"
+        assert main(["backflow", "--config", config, "--out", str(fused)]) == 0
+        assert len(passes) == 1
+        monkeypatch.setattr(
+            cli,
+            "propagate_tcl",
+            lambda gen, initial, grid: (
+                propagation.solve_tcl(gen, initial, grid),
+                propagation.build_propagator(gen, grid),
+            ),
+        )
+        assert main(["backflow", "--config", config, "--out", str(separate)]) == 0
+        assert len(passes) == 3
+        assert (fused / "backflow.json").read_bytes() == (separate / "backflow.json").read_bytes()
+
     @pytest.mark.parametrize("measures", ["kl", [["kl"]], [1]])
     def test_malformed_measures_exit_2(self, tmp_path, measures):
         config = write_config(

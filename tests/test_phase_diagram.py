@@ -245,6 +245,39 @@ class TestSweepHardening:
         spec = SweepSpec(axes=(("gamma", 0.5, 1.0, 3),), measures=["rel_entropy"], **base)
         assert spec.measures == ("rel_entropy",)
 
+    @pytest.mark.parametrize("name", ["epsilon_n", "rate_tolerance"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "must be a number"),
+            (True, "must be a number"),
+            ([1e-6], "must be a number"),
+            (float("nan"), "must be finite"),
+            (float("inf"), "must be finite"),
+            (-1e-9, "must be >= 0"),
+        ],
+    )
+    def test_tolerances_checked_up_front(self, monkeypatch, name, value, message):
+        import backflow_lab.phase_diagram as pd
+
+        def forbidden(*args):
+            raise AssertionError("a row ran")
+
+        monkeypatch.setattr(pd, "_sweep_point", forbidden)
+        with pytest.raises(ContractViolationError, match=f"{name} {message}"):
+            run_sweep(
+                SweepSpec(
+                    model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), dt=0.1, t_max=1.0, **{name: value}
+                )
+            )
+
+    def test_tolerances_stored_as_floats(self):
+        spec = SweepSpec(
+            model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), dt=0.1, t_max=1.0, epsilon_n=0, rate_tolerance=1
+        )
+        assert (spec.epsilon_n, spec.rate_tolerance) == (0.0, 1.0)
+        assert type(spec.epsilon_n) is float and type(spec.rate_tolerance) is float
+
     def test_programming_error_surfaces(self, monkeypatch):
         import backflow_lab.phase_diagram as pd
 

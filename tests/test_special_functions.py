@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -184,3 +188,109 @@ class TestAsymptoticBatch:
         ml_envelope_grid(0.6, 1.0, np.linspace(0.0, 40.0, n))
         assert sum(batched) > n // 4  # the asymptotic band is well populated
         assert len(scalar_calls) <= 2 * math.log2(n) + 2
+
+
+def unchunked_tanh_sinh_theta(alpha, xs, max_level=10):
+    """The integral branch before chunking: one (points x nodes) matrix per
+    level, negligible weights clamped to the subnormal exp(-745)."""
+    xs = np.asarray(xs, dtype=float)
+    T = xs ** (1.0 / alpha)
+    a = math.pi / 2 - alpha * math.pi
+    b = math.pi / 2
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    ca = math.cos(alpha * math.pi)
+    sa = math.sin(alpha * math.pi)
+
+    def node_sum(u):
+        su = np.sinh(u)
+        w = half * (math.pi / 2) * np.cosh(u) / np.cosh((math.pi / 2) * su) ** 2
+        th = mid + half * np.tanh((math.pi / 2) * su)
+        v = np.maximum(-ca + sa * np.tan(th), 0.0)
+        arg = np.minimum(T[:, None] * v[None, :] ** (1.0 / alpha), 745.0)
+        return np.exp(-arg) @ w
+
+    h = 1.0
+    total = h * node_sum(np.arange(-4.0, 4.0 + 1e-12, h))
+    for _ in range(1, max_level):
+        h *= 0.5
+        new = node_sum(np.arange(-4.0 + h, 4.0, 2 * h))
+        refined = 0.5 * total + h * new
+        if np.all(np.abs(refined - total) <= 1e-15 * np.maximum(np.abs(refined), 1e-300) + 1e-17):
+            total = refined
+            break
+        total = refined
+    return total / (alpha * math.pi)
+
+
+def integral_band_mismatches():
+    """{"mismatches": [(alpha, lam), ...], "largest_band": n}: the pairs for
+    which the integral branch of ``ml_envelope_grid`` on 40001 points
+    differs in any bit from :func:`unchunked_tanh_sinh_theta`."""
+    ts = np.linspace(0.0, 40.0, 40001)
+    bands = []
+    mismatches = []
+    current = sf._tanh_sinh_theta
+    for alpha in (0.3, 0.5, 0.6, 0.7, 0.9):
+        for lam in (0.95, 1.05, 3.0):
+
+            def compared(a, xs, max_level=10):
+                got = current(a, xs, max_level)
+                want = unchunked_tanh_sinh_theta(a, xs, max_level)
+                bands.append(len(xs))
+                if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                    mismatches.append((alpha, lam))
+                return got
+
+            sf._tanh_sinh_theta = compared
+            try:
+                ml_envelope_grid(alpha, lam, ts)
+            finally:
+                sf._tanh_sinh_theta = current
+    return {"mismatches": mismatches, "largest_band": max(bands)}
+
+
+class TestIntegralBand:
+    def test_bit_identical_to_unchunked_sum(self):
+        """Chunking the band and zeroing the weights past exp(-708) leave
+        every bit in place.  Runs in a child with one BLAS thread: a
+        threaded GEMV splits its rows by matrix size, so the last bit of a
+        row sum would depend on the thread count, chunked or not."""
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.dirname(os.path.dirname(sf.__file__))
+        path = os.pathsep.join(p for p in (src, tests_dir, os.environ.get("PYTHONPATH")) if p)
+        threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+        code = "import json, test_special_functions as t; print(json.dumps(t.integral_band_mismatches()))"
+        child = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            cwd=tests_dir,
+            env=dict(os.environ, PYTHONPATH=path, **threads),
+        )
+        assert child.returncode == 0, child.stderr
+        result = json.loads(child.stdout.strip().splitlines()[-1])
+        assert result["mismatches"] == []
+        assert result["largest_band"] > 4 * sf.ML_CHUNK_POINTS  # several chunks
+
+    def test_node_matrices_hold_one_chunk(self, monkeypatch):
+        rows = []
+
+        class Outer:
+            def __getattr__(self, name):
+                return getattr(np.multiply, name)
+
+            def outer(self, a, b):
+                rows.append(len(a))
+                return np.multiply.outer(a, b)
+
+        class RecordingNumpy:
+            multiply = Outer()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(sf, "np", RecordingNumpy())
+        ml_envelope_grid(0.6, 1.0, np.linspace(0.0, 40.0, 40001))
+        assert max(rows) == sf.ML_CHUNK_POINTS
+        assert sum(rows) > 4 * max(rows)
