@@ -8,6 +8,7 @@ from .errors import (
     ContractViolationError,
     GeneratorSingularityError,
     IntegrationDivergedError,
+    InvalidStateError,
     NotPsdError,
 )
 from .generator_analysis import (

@@ -14,6 +14,15 @@ class NotPsdError(ContractViolationError):
     negative eigenvalue (below the noise-clipping band)."""
 
 
+class InvalidStateError(ContractViolationError):
+    """A trajectory state leaves its state set (unit trace, Hermitian, in
+    the PSD cone; or on the probability simplex) at grid time ``time``."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
+
+
 class IntegrationDivergedError(BackflowLabError):
     """A propagated state stopped satisfying its invariants mid-run."""
 

@@ -167,7 +167,6 @@ def extract_tcl_generator(
     h = family.grid.dt
     ts = family.grid.points
     deriv = _derivative_4th(maps, h)
-    n = maps.shape[0]
     u = _conservation_row(family.kind, family.dim)
     # batched conditioning check and inversion over the whole grid
     sv = np.linalg.svd(maps, compute_uv=False)
@@ -191,20 +190,18 @@ def extract_tcl_generator(
         raise GeneratorSingularityError(
             f"propagator singular at every grid point (first t={ts[0]:g})", time=float(ts[0])
         )
-    gaps = []
-    i = 0
-    while i < n:
-        if flagged[i]:
-            j = i
-            while j + 1 < n and flagged[j + 1]:
-                j += 1
-            lo = ts[i] - (h / 2 if i > 0 else 0.0)
-            hi = ts[j] + (h / 2 if j < n - 1 else 0.0)
-            gaps.append((float(lo), float(hi)))
-            i = j + 1
-        else:
-            i += 1
-    return SampledGenerator(family.grid, samples, family.kind, family.dim, tuple(gaps))
+    return SampledGenerator(family.grid, samples, family.kind, family.dim, _gap_intervals(flagged, ts, h))
+
+
+def _gap_intervals(flagged: np.ndarray, ts: np.ndarray, h: float) -> tuple:
+    """(lo, hi) of each run of flagged points, widened by h/2 on each side
+    that has a neighbour; run starts and ends come from one ``np.diff``."""
+    edges = np.diff(flagged.astype(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1) - 1
+    lo = ts[first] - np.where(first > 0, h / 2, 0.0)
+    hi = ts[last] + np.where(last < ts.shape[0] - 1, h / 2, 0.0)
+    return tuple(zip(lo.tolist(), hi.tolist()))
 
 
 @lru_cache(maxsize=8)

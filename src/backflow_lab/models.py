@@ -31,6 +31,7 @@ from .propagation import (
     MemoryKernel,
     PropagatorFamily,
     TclGenerator,
+    computed_trajectory,
     rk4_constant,
 )
 from .special_functions import ml_envelope_grid
@@ -196,11 +197,17 @@ def classical_exp_kernel(
         p0 = ProbabilityVector(e0)
     wb = np.asarray(w_base.entries)
 
+    def kernel_lags(taus: np.ndarray) -> np.ndarray:
+        # math.exp per lag: np.exp differs from it in the last bit on some lags
+        decay = np.array([(gamma / tau_m) * math.exp(-tau / tau_m) for tau in taus.tolist()])
+        return decay[:, None, None] * wb
+
     kernel = MemoryKernel(
         dim=n,
         kind="classical",
         evaluate=lambda tau: (gamma / tau_m) * math.exp(-tau / tau_m) * wb,
         decay_scale=tau_m,
+        evaluate_lags=kernel_lags,
     )
 
     embed = np.zeros((2 * n, 2 * n))
@@ -211,7 +218,7 @@ def classical_exp_kernel(
     def embedded_trajectory(grid: TimeGrid) -> Trajectory:
         y0 = np.concatenate([p0.entries, np.zeros(n)])
         raw = rk4_constant(embed, y0, grid)
-        return Trajectory(grid, raw[:, :n], "classical")
+        return computed_trajectory(grid, raw[:, :n], "classical")
 
     def embedded_propagator(grid: TimeGrid) -> PropagatorFamily:
         y0 = np.zeros((2 * n, n))

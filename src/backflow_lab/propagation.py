@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, IntegrationDivergedError
+from .errors import ContractViolationError, IntegrationDivergedError, InvalidStateError
 from .states import (
     DensityMatrix,
     ProbabilityVector,
@@ -92,12 +92,16 @@ class TclGenerator:
 class MemoryKernel:
     """Memory kernel: ``evaluate(tau)`` returns the kernel superoperator (or
     classical rate-matrix-valued kernel) at lag tau >= 0.  ``decay_scale``
-    is a time-scale hint used to sanity-check the grid resolution."""
+    is a time-scale hint used to sanity-check the grid resolution.  The
+    optional ``evaluate_lags(taus)`` returns the samples at a 1-D array of
+    lags stacked on a leading axis, equal to ``evaluate`` lag by lag; the
+    kernel table is built from it in one call when it is given."""
 
     dim: int
     kind: str
     evaluate: Callable[[float], np.ndarray]
     decay_scale: float = 1.0
+    evaluate_lags: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -323,10 +327,18 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
                 f"normalization drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i])
             )
         states = raw / sums[:, None]
+    return computed_trajectory(grid, states, kind)
+
+
+def computed_trajectory(grid: TimeGrid, states: np.ndarray, kind: str) -> Trajectory:
+    """The states a solver computed, as a :class:`Trajectory`.  A state that
+    leaves its state set (the probability simplex or the PSD cone) is a
+    numerical failure of the run: :class:`IntegrationDivergedError` at the
+    time of that state, whichever route computed it."""
     try:
         return Trajectory(grid, states, kind)
-    except ContractViolationError as exc:
-        raise IntegrationDivergedError(str(exc)) from exc
+    except InvalidStateError as exc:
+        raise IntegrationDivergedError(str(exc), time=exc.time) from exc
 
 
 def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
@@ -355,12 +367,21 @@ def propagate_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> tuple[Trajector
 def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
     h = grid.dt
     dd = kernel.matrix_dim
-    table = np.empty((grid.n, dd, dd), dtype=complex if kernel.kind == "quantum" else float)
-    for m in range(grid.n):
-        k = np.asarray(kernel.evaluate(m * h))
-        if k.shape != (dd, dd):
-            raise ContractViolationError(f"kernel sample at lag {m*h:g} has shape {k.shape}")
-        table[m] = k
+    dtype = complex if kernel.kind == "quantum" else float
+    if kernel.evaluate_lags is not None:
+        # lag m is m * h, as in the per-lag loop below
+        table = np.asarray(kernel.evaluate_lags(np.arange(grid.n) * h), dtype=dtype)
+        if table.shape != (grid.n, dd, dd):
+            raise ContractViolationError(
+                f"kernel samples have shape {table.shape}, expected {(grid.n, dd, dd)}"
+            )
+    else:
+        table = np.empty((grid.n, dd, dd), dtype=dtype)
+        for m in range(grid.n):
+            k = np.asarray(kernel.evaluate(m * h))
+            if k.shape != (dd, dd):
+                raise ContractViolationError(f"kernel sample at lag {m*h:g} has shape {k.shape}")
+            table[m] = k
     finite = np.isfinite(table).all(axis=(1, 2))
     n_ok = grid.n if finite.all() else int(np.argmin(finite))
     head = table[:n_ok]

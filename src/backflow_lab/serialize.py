@@ -2,10 +2,13 @@
 
 Conventions (stable across runs so outputs are byte-identical):
 
-* floats print with repr-faithful '%.17g'; the trajectory, generator and
-  rate tables are formatted a chunk of rows at a time (one format string
-  per row over Python floats), byte-identical to formatting each cell
-  with :func:`fmt`;
+* floats print with repr-faithful '%.17g'.  The trajectory, generator,
+  rate and information-series tables go through one encoder that works
+  on chunks of at most ``_CHUNK_CELLS`` cells: it formats each distinct
+  float bit pattern of a chunk once, gives +0.0, empty and flag cells
+  fixed tokens, and builds the chunk's bytes with numpy gathers.  The
+  output is byte-identical to formatting each cell with :func:`fmt`;
+* ``sweep_csv`` formats its mixed-type cells one by one with :func:`fmt`;
 * complex matrices serialize to JSON as nested arrays of [re, im] pairs;
 * files are written atomically (temp file + rename);
 * trajectory CSV header is ``t`` followed by flattened state labels,
@@ -16,7 +19,6 @@ Conventions (stable across runs so outputs are byte-identical):
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 
@@ -26,9 +28,16 @@ from .information import InfoSeries
 from .phase_diagram import SweepResult
 from .states import Trajectory
 
-# rows converted to Python objects at a time when formatting CSV tables; a
-# whole-table conversion would hold every cell as a float object at once
-_CHUNK_ROWS = 256
+# cells encoded at a time when writing CSV tables: the encoder's temporaries
+# (float buffer, codes, gather index, the chunk's bytes) scale with it, not
+# with the table; larger chunks raise the peak RSS of a run
+_CHUNK_CELLS = 8192
+# fixed tokens ahead of a chunk's formatted floats, each with its separator:
+# +0.0, an empty (NaN) cell, and the two flag values
+_TOKENS = ("0", "", "false", "true")
+_ZERO, _BLANK, _FALSE = 0, 1, 2
+_FIXED_TEXT = "".join(token + "," for token in _TOKENS).encode("ascii")
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 def fmt(x) -> str:
@@ -70,38 +79,80 @@ def json_to_complex_matrix(data) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
-def _float_rows(t: np.ndarray, values: np.ndarray, tail=None) -> list[str]:
-    """CSV lines ``t, v_1, ..., v_k[, tail]`` with every float as '%.17g'.
+def _format_floats(values: np.ndarray) -> bytes:
+    """``'%.17g,'`` of every value of a 1-D float array, concatenated: one
+    ``%`` call over a joined template, so no Python call per value."""
+    return (("%.17g," * values.size) % tuple(values.tolist())).encode("ascii")
+
+
+def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=False, flags=None) -> str:
+    """CSV text ``header`` then rows ``t, v_1, ..., v_k[, flag]``.
 
     ``values`` has one leading axis over rows and is flattened row-major per
-    row; complex entries become (re, im) column pairs; ``tail`` is an
-    optional trailing column of strings.  Rows are gathered into one
-    reused float buffer and converted to Python floats a chunk at a time,
-    so the output equals per-cell :func:`fmt` byte for byte without holding
-    the whole table as objects or allocating per-chunk arrays.
+    row; complex entries become (re, im) column pairs.  With ``blank_nan`` a
+    NaN cell prints empty; ``flags`` is an optional boolean column printed
+    as ``true``/``false``.  Every other cell prints as :func:`fmt` would,
+    byte for byte.
+
+    Rows are encoded in chunks of at most ``_CHUNK_CELLS`` cells (one row
+    when a row is wider).  A chunk's cells are keyed by their float bits
+    (an int64 view, so -0.0 stays apart from 0.0); +0.0, blank and flag
+    cells take fixed tokens, and each distinct remaining bit pattern is
+    formatted once.  The chunk's bytes are then one numpy gather of token
+    text, each token carrying its ``,`` and a row's last one turned into
+    ``\n``.  A chunk whose cells are all distinct and non-zero is already
+    its own token text, so the gather is skipped there.
     """
     n = t.shape[0]
     flat = values.reshape(n, -1)
     pairs = np.iscomplexobj(flat)
     width = flat.shape[1] * (2 if pairs else 1)
-    template = ",".join(["%.17g"] * (1 + width)) + ("" if tail is None else ",%s")
-    buf = np.empty((min(n, _CHUNK_ROWS), 1 + width))
-    lines = []
-    for a in range(0, n, _CHUNK_ROWS):
-        b = min(a + _CHUNK_ROWS, n)
+    ncol = 2 + width if flags is not None else 1 + width
+    step = max(1, _CHUNK_CELLS // ncol)
+    # the flag column of the buffer stays +0.0: its cells never reach the sort
+    buf = np.zeros((min(n, step), ncol))
+    # one growing buffer: per-chunk text objects would scatter over the heap
+    encoded = bytearray((header + "\n").encode("ascii"))
+    for a in range(0, n, step):
+        b = min(a + step, n)
         rows = buf[: b - a]
         rows[:, 0] = t[a:b]
         if pairs:
-            rows[:, 1::2] = flat[a:b].real
-            rows[:, 2::2] = flat[a:b].imag
+            rows[:, 1 : width + 1 : 2] = flat[a:b].real
+            rows[:, 2 : width + 1 : 2] = flat[a:b].imag
         else:
-            rows[:, 1:] = flat[a:b]
-        rows = rows.tolist()
-        if tail is None:
-            lines.extend(template % tuple(row) for row in rows)
-        else:
-            lines.extend(template % (*row, cell) for row, cell in zip(rows, tail[a:b]))
-    return lines
+            rows[:, 1 : width + 1] = flat[a:b]
+        cells = rows.reshape(-1)
+        bits = cells.view(np.int64)
+        take = bits != 0
+        if blank_nan:
+            nan = np.isnan(cells)
+            take &= ~nan
+        if take.all():
+            key = np.sort(bits)
+            if not np.any(key[1:] == key[:-1]):
+                text = np.frombuffer(_format_floats(cells), np.uint8).copy()
+                text[np.flatnonzero(text == _COMMA)[ncol - 1 :: ncol]] = _NEWLINE
+                encoded += text.data
+                continue
+        distinct, inverse = np.unique(bits[take], return_inverse=True)
+        codes = np.full(cells.size, _ZERO)
+        codes[take] = inverse + len(_TOKENS)
+        if blank_nan:
+            codes[nan] = _BLANK
+        if flags is not None:
+            codes[ncol - 1 :: ncol] = _FALSE + flags[a:b]
+        text = np.frombuffer(_FIXED_TEXT + _format_floats(distinct.view(np.float64)), np.uint8)
+        ends = np.flatnonzero(text == _COMMA)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        size = (ends + 1 - starts)[codes]  # token plus its separator
+        stop = np.cumsum(size)
+        index = np.repeat(starts[codes] - (stop - size), size)
+        index += np.arange(stop[-1])
+        out = text[index]
+        out[stop[ncol - 1 :: ncol] - 1] = _NEWLINE
+        encoded += out.data
+    return encoded.decode("ascii")
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -115,16 +166,11 @@ def trajectory_csv(traj: Trajectory) -> str:
         header = "t," + ",".join(labels)
     else:
         header = "t," + ",".join(f"p_{i}" for i in range(traj.dim))
-    lines = [header] + _float_rows(traj.grid.points, traj.states)
-    return "\n".join(lines) + "\n"
+    return _encode_table(header, traj.grid.points, traj.states)
 
 
 def info_series_csv(series: InfoSeries) -> str:
-    mask = series.skipped()
-    lines = ["t,value,skipped"]
-    for t, v, s in zip(series.grid.points, series.values, mask):
-        lines.append(f"{fmt(t)},{fmt(v)},{fmt(bool(s))}")
-    return "\n".join(lines) + "\n"
+    return _encode_table("t,value,skipped", series.grid.points, series.values, flags=series.skipped())
 
 
 def sampled_generator_csv(gen) -> str:
@@ -141,24 +187,14 @@ def sampled_generator_csv(gen) -> str:
                 labels.append(f"w_{i}_{j}")
     header = "t," + ",".join(labels) + ",in_gap"
     values = gen.samples.astype(complex, copy=False) if quantum else np.real(gen.samples)
-    tail = [fmt(m) for m in gen.gap_mask().tolist()]
-    lines = [header] + _float_rows(gen.grid.points, values, tail)
-    return "\n".join(lines) + "\n"
+    return _encode_table(header, gen.grid.points, values, flags=gen.gap_mask())
 
 
 def rate_traces_csv(report) -> str:
     ts, rates = report.grid.points, report.rate_traces
     header = "t," + ",".join(f"rate_{i}" for i in range(rates.shape[1]))
     # a NaN rate (no rate at that point) prints as an empty cell
-    blank = np.isnan(rates).any(axis=1)
-    lines = [None] * ts.shape[0]
-    full = np.nonzero(~blank)[0]
-    for i, line in zip(full.tolist(), _float_rows(ts[full], rates[full])):
-        lines[i] = line
-    for i in np.nonzero(blank)[0].tolist():
-        cells = ["" if math.isnan(r) else fmt(r) for r in rates[i].tolist()]
-        lines[i] = ",".join([fmt(ts[i])] + cells)
-    return "\n".join([header] + lines) + "\n"
+    return _encode_table(header, ts, rates, blank_nan=True)
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError
+from .errors import ContractViolationError, InvalidStateError
 
 TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -245,24 +245,29 @@ class Trajectory:
             raise ContractViolationError(f"unknown trajectory kind {self.kind!r}")
         arr = np.asarray(self.states)
         n = self.grid.n
+        ts = self.grid.points
         if self.kind == "quantum":
             arr = arr.astype(complex)
             if arr.ndim != 3 or arr.shape[0] != n or arr.shape[1] != arr.shape[2]:
                 raise ContractViolationError(f"expected ({n}, d, d) quantum states, got {arr.shape}")
             defect = float(np.max(np.abs(arr - arr.conj().transpose(0, 2, 1)))) / 2.0
             if defect > 1e-9:
-                raise ContractViolationError(f"non-Hermitian state in trajectory (defect {defect:.3e})")
+                skew = np.abs(arr - arr.conj().transpose(0, 2, 1))
+                i = np.unravel_index(np.argmax(skew), skew.shape)[0]
+                raise InvalidStateError(
+                    f"non-Hermitian state in trajectory (defect {defect:.3e})", time=float(ts[i])
+                )
             traces = np.einsum("nii->n", arr)
             bad = np.argmax(np.abs(traces - 1.0))
             if abs(traces[bad] - 1.0) > self.trace_tol:
-                raise ContractViolationError(
-                    f"state at t={self.grid.points[bad]:g} has trace {traces[bad]}"
+                raise InvalidStateError(
+                    f"state at t={ts[bad]:g} has trace {traces[bad]}", time=float(ts[bad])
                 )
             w = np.linalg.eigvalsh((arr + arr.conj().transpose(0, 2, 1)) / 2.0)
             i = np.argmin(w[:, 0])
             if w[i, 0] < self.psd_floor:
-                raise ContractViolationError(
-                    f"state at t={self.grid.points[i]:g} has eigenvalue {w[i,0]:.3e}"
+                raise InvalidStateError(
+                    f"state at t={ts[i]:g} has eigenvalue {w[i,0]:.3e}", time=float(ts[i])
                 )
         else:
             arr = arr.astype(float)
@@ -270,14 +275,14 @@ class Trajectory:
                 raise ContractViolationError(f"expected ({n}, m) classical states, got {arr.shape}")
             if np.min(arr) < -1e-9:
                 i = np.unravel_index(np.argmin(arr), arr.shape)[0]
-                raise ContractViolationError(
-                    f"negative probability at t={self.grid.points[i]:g}: {np.min(arr):.3e}"
+                raise InvalidStateError(
+                    f"negative probability at t={ts[i]:g}: {np.min(arr):.3e}", time=float(ts[i])
                 )
             sums = arr.sum(axis=1)
             bad = np.argmax(np.abs(sums - 1.0))
             if abs(sums[bad] - 1.0) > self.trace_tol:
-                raise ContractViolationError(
-                    f"state at t={self.grid.points[bad]:g} sums to {sums[bad]}"
+                raise InvalidStateError(
+                    f"state at t={ts[bad]:g} sums to {sums[bad]}", time=float(ts[bad])
                 )
         object.__setattr__(self, "states", _freeze(arr))
 

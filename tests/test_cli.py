@@ -127,6 +127,16 @@ class TestSimulate:
         assert (tmp_path / "trajectory.csv").read_bytes() == first
 
 
+    @pytest.mark.parametrize("route", ["tc", "closed_form"])
+    def test_state_leaving_simplex_is_numerical_failure_on_both_routes(self, tmp_path, capsys, route):
+        # strong memory: the exact 3-state dynamics leave the probability simplex
+        model = {"name": "classical_exp_kernel", "params": {"n": 3, "gamma": 2.0, "tau_m": 1.0}}
+        config = write_config(
+            tmp_path, {"model": model, "grid": {"dt": 1e-3, "t_max": 3.0}, "route": route}
+        )
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 3
+        assert "numerical failure: negative probability at t=1.31" in capsys.readouterr().err
+
 class TestExtract:
     def test_generator_csv_and_gaps(self, tmp_path):
         config = write_config(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from backflow_lab import (
     ContractViolationError,
     DensityMatrix,
+    InvalidStateError,
     NotPsdError,
     ProbabilityVector,
     RateMatrix,
@@ -228,6 +229,25 @@ class TestTrajectory:
         states = np.array([[0.5, 0.5]] * 3)
         traj = Trajectory(grid, states, "classical")
         assert traj.state(2).entries[0] == 0.5
+
+    def test_invalid_state_names_its_time(self):
+        grid = TimeGrid.uniform(0.5, 1.5)
+        quantum = np.array([np.eye(2) / 2] * 4, dtype=complex)
+        classical = np.array([[0.5, 0.5]] * 4)
+        cases = []
+        skew = np.array([[0.5, 1.0], [0.0, 0.5]])
+        for k, bad in [(1, np.diag([0.8, 0.1])), (2, np.diag([1.2, -0.2])), (3, skew)]:
+            states = quantum.copy()
+            states[k] = bad  # trace, PSD cone, Hermiticity
+            cases.append((k, states, "quantum"))
+        for k, bad in [(2, [1.2, -0.2]), (3, [0.5, 0.6])]:
+            states = classical.copy()
+            states[k] = bad  # simplex, normalization
+            cases.append((k, states, "classical"))
+        for k, states, kind in cases:
+            with pytest.raises(InvalidStateError) as got:
+                Trajectory(grid, states, kind)
+            assert got.value.time == grid.points[k] and isinstance(got.value.time, float)
 
 
 class TestTimeGridInputs:

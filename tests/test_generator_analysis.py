@@ -108,6 +108,55 @@ class TestExtraction:
         assert np.max(np.abs(probe - g)) < 1e-6
 
 
+def gap_intervals_loop(flagged, ts, h):
+    """The per-point run scan the gap intervals were first built with."""
+    n = flagged.shape[0]
+    gaps = []
+    i = 0
+    while i < n:
+        if flagged[i]:
+            j = i
+            while j + 1 < n and flagged[j + 1]:
+                j += 1
+            lo = ts[i] - (h / 2 if i > 0 else 0.0)
+            hi = ts[j] + (h / 2 if j < n - 1 else 0.0)
+            gaps.append((float(lo), float(hi)))
+            i = j + 1
+        else:
+            i += 1
+    return tuple(gaps)
+
+
+class TestGapIntervals:
+    def masks(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 7, 64, 1001):
+            yield np.zeros(n, dtype=bool)
+            yield np.ones(n, dtype=bool)
+            for density in (0.05, 0.5, 0.95):
+                yield rng.random(n) < density
+            for k in {0, n // 2, n - 1}:
+                single = np.zeros(n, dtype=bool)
+                single[k] = True
+                yield single  # one flagged point: first, middle or last
+                yield ~single  # flagged everywhere but one point
+        edges = np.zeros(50, dtype=bool)
+        edges[[0, 1, 2, 20, 47, 48, 49]] = True
+        yield edges
+
+    def test_matches_per_point_loop(self):
+        from backflow_lab.generator_analysis import _gap_intervals
+
+        for flagged in self.masks():
+            grid = TimeGrid.uniform(0.013, 0.013 * (flagged.size - 1)) if flagged.size > 1 else None
+            ts = grid.points if grid is not None else np.array([0.0])
+            h = grid.dt if grid is not None else 0.013
+            got = _gap_intervals(flagged, ts, h)
+            want = gap_intervals_loop(flagged, ts, h)
+            assert got == want and all(type(x) is float for gap in got for x in gap)
+            assert [a.hex() for gap in got for a in gap] == [a.hex() for gap in want for a in gap]
+
+
 class TestCanonicalDecomposition:
     def test_amplitude_damping(self):
         g = assemble_gksl(np.zeros((2, 2)), [1.0], [SIGMA_MINUS])

@@ -501,6 +501,62 @@ class TestVolterraBlockSolve:
             solve_tc(kernel, ProbabilityVector([1.0, 0.0]), TimeGrid.uniform(1e-2, 2.0))
         assert len(lags) == 26
 
+    @pytest.mark.parametrize("n, gamma, tau_m", [(2, 1.0, 0.5), (3, 1.3, 0.4), (5, 0.7, 2.5)])
+    def test_batched_kernel_table_equals_per_lag_loop(self, n, gamma, tau_m):
+        import dataclasses
+
+        from backflow_lab.models import classical_exp_kernel
+        from backflow_lab.propagation import _kernel_table
+
+        kernel = classical_exp_kernel(n=n, gamma=gamma, tau_m=tau_m).kernel
+        assert kernel.evaluate_lags is not None
+        grid = TimeGrid.uniform(1e-3, 16.0)
+        batched = _kernel_table(kernel, grid)
+        looped = _kernel_table(dataclasses.replace(kernel, evaluate_lags=None), grid)
+        assert batched.dtype == looped.dtype == kernel_samples(kernel, grid).dtype
+        assert batched.tobytes() == looped.tobytes() == kernel_samples(kernel, grid).tobytes()
+
+    def test_batched_kernel_checks_name_earliest_lag(self):
+        grid = TimeGrid.uniform(1e-2, 2.0)
+        p0 = ProbabilityVector([1.0, 0.0])
+
+        def per_lag(tau):
+            raise AssertionError("the per-lag path ran")
+
+        def kernel(bad, shape=(2, 2)):
+            def evaluate_lags(taus):
+                table = np.exp(-taus)[:, None, None] * np.resize(W_SYM, shape)
+                for m, value in bad:
+                    table[m] = value
+                return table
+
+            return MemoryKernel(dim=2, kind="classical", evaluate=per_lag, evaluate_lags=evaluate_lags)
+
+        nan, inf = np.full((2, 2), np.nan), np.full((2, 2), np.inf)
+        broken = np.array([[-1.0, 1.0], [1.0, -0.5]])
+        with pytest.raises(ContractViolationError, match="lag 0.3 is not finite"):
+            solve_tc(kernel([(80, nan), (30, inf)]), p0, grid)
+        with pytest.raises(ContractViolationError, match="trace annihilation at lag 0.4 "):
+            solve_tc(kernel([(40, broken), (90, broken), (120, nan)]), p0, grid)
+        with pytest.raises(ContractViolationError, match=r"samples have shape \(201, 3, 3\)"):
+            solve_tc(kernel([], shape=(3, 3)), p0, grid)
+
+    def test_state_leaving_simplex_raises_one_class_on_both_routes(self):
+        from backflow_lab.errors import InvalidStateError
+        from backflow_lab.models import classical_exp_kernel
+
+        model = classical_exp_kernel(n=3, gamma=2.0, tau_m=1.0)
+        grid = TimeGrid.uniform(1e-3, 3.0)
+        routes = {
+            "tc": lambda: solve_tc(model.kernel, model.initial_state, grid),
+            "closed_form": lambda: model.trajectory_fn(grid),
+        }
+        for route in routes.values():
+            with pytest.raises(IntegrationDivergedError, match="negative probability at t=1.31") as got:
+                route()
+            assert got.value.time == grid.points[1310]
+            assert isinstance(got.value.__cause__, InvalidStateError)
+
     @settings(max_examples=12, deadline=None)
     @given(
         n=st.sampled_from([2, 3]),

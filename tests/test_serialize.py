@@ -3,10 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from backflow_lab import InfoSeries, TimeGrid, Trajectory
-from backflow_lab.generator_analysis import SampledGenerator
+from backflow_lab import InfoSeries, TimeGrid, Trajectory, serialize
+from backflow_lab.generator_analysis import SampledGenerator, extract_tcl_generator
+from backflow_lab.models import dephasing_qubit
+from backflow_lab.propagation import build_propagator
 from backflow_lab.serialize import (
-    _CHUNK_ROWS,
+    _CHUNK_CELLS,
+    _encode_table,
     complex_matrix_to_json,
     fmt,
     info_series_csv,
@@ -119,7 +122,9 @@ SPECIAL = np.array([-0.0, 5e-324, 1e300, 3.0, -2.0, 0.1 + 0.2])
 
 
 class TestChunkedCsvMatchesPerCell:
-    n = 2 * _CHUNK_ROWS + 37  # not a multiple of the chunk size
+    # crosses a chunk boundary for every table below (at most _CHUNK_CELLS // 4
+    # rows a chunk) and is a multiple of none of their chunk lengths
+    n = _CHUNK_CELLS // 2 + 37
 
     def grid(self):
         return TimeGrid.uniform(0.25, 0.25 * (self.n - 1))
@@ -172,6 +177,142 @@ class TestChunkedCsvMatchesPerCell:
         text = rate_traces_csv(report)
         assert text == rate_traces_csv_reference(report)
         assert "\n10,,,\n" in text and "nan" not in text
+
+
+def encode_reference(header, t, values, blank_nan=False, flags=None):
+    """Per-cell reference for the table encoder: one fmt() call per cell."""
+    flat = values.reshape(t.shape[0], -1)
+    lines = [header]
+    for k in range(t.shape[0]):
+        cells = [fmt(t[k])]
+        for v in flat[k]:
+            for x in ((v.real, v.imag) if np.iscomplexobj(flat) else (v,)):
+                cells.append("" if blank_nan and np.isnan(x) else fmt(x))
+        if flags is not None:
+            cells.append(fmt(bool(flags[k])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def from_bits(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+# NaN payloads, -nan and the signalling pattern all print as "nan"
+NANS = from_bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001)
+EDGES = np.concatenate(
+    [
+        NANS,
+        [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308],
+        [1e300, -1.7976931348623157e308, 3.0, -2.0, 0.1 + 0.2, 1e16, 123456789012345.625],
+    ]
+)
+
+
+def edge_table(rng, rows, width, zero_frac=0.3):
+    """Random cells drawn from a small pool (repeats within a chunk), the
+    edge values and zeros."""
+    pool = np.concatenate([EDGES, rng.standard_normal(20)])
+    table = rng.choice(pool, size=(rows, width))
+    table[rng.random((rows, width)) < zero_frac] = 0.0
+    return table
+
+
+class TestTableEncoder:
+    @pytest.mark.parametrize("width", [1, 2, 5, 33, _CHUNK_CELLS - 1, _CHUNK_CELLS + 7])
+    @pytest.mark.parametrize("blank_nan", [False, True])
+    def test_chunk_boundaries(self, width, blank_nan):
+        rng = np.random.default_rng(width)
+        step = max(1, _CHUNK_CELLS // (width + 2))
+        rows = 2 * step + 3  # three chunks, the last one partial
+        t = np.arange(rows) * 0.125
+        values = edge_table(rng, rows, width)
+        flags = rng.random(rows) < 0.5
+        text = _encode_table("h", t, values, blank_nan, flags)
+        assert text == encode_reference("h", t, values, blank_nan, flags)
+
+    def test_edge_values_one_row(self):
+        t = np.array([0.5])
+        text = _encode_table("h", t, EDGES[None, :])
+        assert text == encode_reference("h", t, EDGES[None, :])
+        cells = text.split("\n")[1].split(",")
+        assert cells[1:9] == ["nan"] * 4 + ["inf", "-inf", "0", "-0"]
+        assert cells[9:11] == ["4.9406564584124654e-324", "-4.9406564584124654e-324"]
+        blank = _encode_table("h", t, EDGES[None, :], blank_nan=True)
+        assert blank.split("\n")[1].startswith("0.5,,,,,inf,-inf,0,-0,")
+
+    def test_signed_zeros_side_by_side(self):
+        t = np.array([0.0, -0.0, 1.0])
+        values = np.array([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]])
+        text = _encode_table("h", t, values, flags=np.array([True, False, True]))
+        assert text == "h\n0,0,-0,true\n-0,-0,0,false\n1,0,0,true\n"
+
+    def test_all_zero_chunks(self):
+        rows = 3 * (_CHUNK_CELLS // 4) + 11
+        t = np.arange(rows) * 0.5
+        values = np.zeros((rows, 2), dtype=complex)  # every value cell is +0.0
+        values[-5:] = 1.5 - 0.25j
+        flags = np.zeros(rows, dtype=bool)
+        text = _encode_table("h", t, values, flags=flags)
+        assert text == encode_reference("h", t, values, flags=flags)
+        assert text.split("\n")[2] == "0.5,0,0,0,0,false"
+
+    @pytest.mark.parametrize("rows", [1, _CHUNK_CELLS // 3 + 1])
+    def test_all_distinct_nonzero_chunks(self, rows):
+        # chunks with no +0.0 and no repeat skip the gather
+        t = 1.0 + np.arange(rows) / 7.0
+        values = np.random.default_rng(rows).dirichlet(np.ones(2), size=rows) + 0.5
+        assert _encode_table("h", t, values) == encode_reference("h", t, values)
+
+    def test_fully_blank_rate_row(self):
+        rates = np.array([[0.5, -1.0], [np.nan, np.nan], [-np.nan, 2.0], [np.nan, np.nan]])
+        report = SimpleNamespace(grid=TimeGrid.uniform(0.5, 1.5), rate_traces=rates)
+        text = rate_traces_csv(report)
+        assert text == rate_traces_csv_reference(report)
+        assert text == "t,rate_0,rate_1\n0,0.5,-1\n0.5,,\n1,,2\n1.5,,\n"
+
+    def test_info_series_with_skipped_non_finite_values(self):
+        n = _CHUNK_CELLS // 3 + 5  # two chunks of three-cell rows
+        grid = TimeGrid.uniform(0.5, 0.5 * (n - 1))
+        values = np.random.default_rng(3).standard_normal(n)
+        values[:3] = [0.0, -0.0, 5e-324]
+        values[100:110] = [np.nan, np.inf, -np.inf, *NANS, 0.0, 1.0, 1.0]
+        series = InfoSeries(grid, values, "kl", ((49.5, 55.0),))
+        lines = ["t,value,skipped"]
+        for t, v, s in zip(grid.points, series.values, series.skipped()):
+            lines.append(f"{fmt(t)},{fmt(v)},{fmt(bool(s))}")
+        text = info_series_csv(series)
+        assert text == "\n".join(lines) + "\n"
+        assert "\n50,nan,true\n50.5,inf,true\n51,-inf,true\n" in text
+
+    def test_repeated_values_formatted_once_per_chunk(self, monkeypatch):
+        calls = []
+        real = serialize._format_floats
+        monkeypatch.setattr(serialize, "_format_floats", lambda v: calls.append(v.size) or real(v))
+        rows = 3 * (_CHUNK_CELLS // 5) + 2
+        t = np.full(rows, 0.5)
+        values = np.random.default_rng(8).choice([1.5, -2.0, -0.0, 0.0, 0.1], size=(rows, 4))
+        text = _encode_table("h", t, values)
+        assert text == encode_reference("h", t, values)
+        assert len(calls) == 4 and max(calls) <= 5  # 0.5, 1.5, -2, -0, 0.1
+
+    def test_count_gate_on_dephasing_generator(self, monkeypatch):
+        # the cli-mixed extraction: +0.0 cells and repeats never reach the
+        # formatter; at most 3 values a row plus one a chunk do
+        model = dephasing_qubit(rate_kind="sinusoidal", lam=1.0, amplitude=1.5, frequency=1.0)
+        grid = TimeGrid.uniform(1e-3, 40.0)
+        gen = extract_tcl_generator(build_propagator(model.tcl_generator, grid))
+        calls = []
+        real = serialize._format_floats
+        monkeypatch.setattr(serialize, "_format_floats", lambda v: calls.append(v.size) or real(v))
+        text = sampled_generator_csv(gen)
+        n, ncol = grid.n, 34
+        assert n == 40001 and text.count("\n") == n + 1
+        assert len(text.split("\n")[1].split(",")) == ncol
+        chunks = -(-n // (_CHUNK_CELLS // ncol))
+        assert len(calls) == chunks
+        assert sum(calls) <= 3 * n + chunks
+        assert gen.gaps  # gap rows are part of the table
 
 
 class TestAtomicWrites:
