@@ -49,6 +49,7 @@ from .netfd import (
     DecomposedBackflow,
     ThermoFieldState,
     TwoStateNetfdParams,
+    classify,
     coincident_rise_intervals,
     decompose_two_state,
     decomposed_backflow,
@@ -57,7 +58,7 @@ from .netfd import (
     thermofield_vector,
     two_state_entropy_series,
 )
-from .phase_diagram import SweepResult, SweepSpec, classify, revival_detector, run_sweep
+from .phase_diagram import SweepResult, SweepSpec, revival_detector, run_sweep
 from .propagation import (
     MemoryKernel,
     PropagatorFamily,
@@ -66,7 +67,7 @@ from .propagation import (
     solve_tc,
     solve_tcl,
 )
-from .special_functions import MlParams, ml_envelope, ml_envelope_grid, mittag_leffler
+from .special_functions import ml_envelope, ml_envelope_grid, mittag_leffler
 from .states import (
     DensityMatrix,
     ProbabilityVector,

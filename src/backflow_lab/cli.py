@@ -20,18 +20,12 @@ import sys
 
 import numpy as np
 
-from . import serialize
+from . import analysis, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
-from .generator_analysis import (
-    check_classical_divisible,
-    check_cp_divisible,
-    extract_tcl_generator,
-)
-from .information import backflow_functional, check_measure_tags
+from .generator_analysis import check_divisible, extract_tcl_generator
+from .information import check_measure_tags
 from .models import build_model, check_params, model_schemas
-from .netfd import decomposed_backflow
-from .phase_diagram import SweepSpec, check_tolerance, classify, run_sweep, series_cache
-from .propagation import build_propagator, propagate_tcl, solve_tc, solve_tcl
+from .phase_diagram import SweepSpec, check_tolerance, run_sweep
 from .states import TimeGrid
 
 DEFAULT_DT = 1e-3
@@ -181,38 +175,13 @@ def _model_from_config(config: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _trajectory(model, grid: TimeGrid, route: str):
-    if route not in ("auto", "closed_form", "tcl", "tc"):
-        raise ConfigError(f"unknown route {route!r}")
-    if route == "auto":
-        if model.trajectory_fn is not None:
-            return model.trajectory_fn(grid)
-        if model.has("tcl_generator"):
-            return solve_tcl(model.tcl_generator, model.initial_state, grid)
-        if model.kernel is not None:
-            return solve_tc(model.kernel, model.initial_state, grid)
-        raise ConfigError(f"model {model.name} offers no trajectory route")
-    if route == "closed_form":
-        if model.trajectory_fn is None:
-            raise ConfigError(f"model {model.name} has no closed_form route")
-        return model.trajectory_fn(grid)
-    if route == "tcl":
-        if not model.has("tcl_generator"):
-            raise ConfigError(f"model {model.name} has no time-local generator")
-        return solve_tcl(model.tcl_generator, model.initial_state, grid)
-    if model.kernel is None:
-        raise ConfigError(f"model {model.name} has no memory kernel")
-    return solve_tc(model.kernel, model.initial_state, grid)
-
-
-def _propagator(model, grid: TimeGrid):
-    if model.propagator_fn is not None:
-        return model.propagator_fn(grid)
-    if model.has("tcl_generator"):
-        return build_propagator(model.tcl_generator, grid)
-    if model.kernel is not None:
-        return build_propagator(model.kernel, grid)
-    raise ConfigError(f"model {model.name} offers no propagator route")
+def _generator(config: dict, model, grid: TimeGrid):
+    """The time-local generator extracted from the propagator family of the
+    configured route; no trajectory is built."""
+    _, family = analysis.propagate(model, grid, config.get("route", "auto"), trajectory=False)
+    if family is None:
+        raise ConfigError(f"model {model.name} offers no propagator route")
+    return extract_tcl_generator(family)
 
 
 # ---------------------------------------------------------------- commands
@@ -220,7 +189,7 @@ def _propagator(model, grid: TimeGrid):
 def cmd_simulate(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid_from_config(config, args)
-    traj = _trajectory(model, grid, config.get("route", "auto"))
+    traj, _ = analysis.propagate(model, grid, config.get("route", "auto"), propagator=False)
     out_dir = args.out
     serialize.write_text_atomic(
         os.path.join(out_dir, "trajectory.csv"), serialize.trajectory_csv(traj)
@@ -250,8 +219,7 @@ def cmd_simulate(config: dict, args) -> int:
 def cmd_extract(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid_from_config(config, args)
-    family = _propagator(model, grid)
-    sampled = extract_tcl_generator(family)
+    sampled = _generator(config, model, grid)
     serialize.write_text_atomic(
         os.path.join(args.out, "generator.csv"), serialize.sampled_generator_csv(sampled)
     )
@@ -266,13 +234,7 @@ def cmd_divisibility(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid_from_config(config, args)
     tol = _tolerance(config, "rate_tolerance", 1e-7)
-    family = _propagator(model, grid)
-    sampled = extract_tcl_generator(family)
-    report = (
-        check_cp_divisible(sampled, tol)
-        if sampled.kind == "quantum"
-        else check_classical_divisible(sampled, tol)
-    )
+    report = check_divisible(_generator(config, model, grid), tol)
     rates_path = os.path.join(args.out, "rates.csv")
     serialize.write_text_atomic(rates_path, serialize.rate_traces_csv(report))
     serialize.write_json_atomic(
@@ -288,60 +250,23 @@ def cmd_backflow(config: dict, args) -> int:
     measures = _measures(config)
     eps = _tolerance(config, "epsilon_n", 1e-6)
     tol = _tolerance(config, "rate_tolerance", 1e-7)
-    route = config.get("route", "auto")
-    family = None
-    if (
-        model.has("tcl_generator")
-        and model.propagator_fn is None
-        and (route == "tcl" or (route == "auto" and model.trajectory_fn is None))
-    ):
-        # trajectory and propagator from the same generator: one RK4 pass
-        traj, family = propagate_tcl(model.tcl_generator, model.initial_state, grid)
-    else:
-        traj = _trajectory(model, grid, route)
     if measures is None:
-        measures = ["kl"] if traj.kind == "classical" else ["rel_entropy"]
-    gaps: tuple = ()
-    report_dict = None
-    try:
-        if family is None:
-            family = _propagator(model, grid)
-        sampled = extract_tcl_generator(family)
-        gaps = sampled.gaps
-        report = (
-            check_cp_divisible(sampled, tol)
-            if sampled.kind == "quantum"
-            else check_classical_divisible(sampled, tol)
-        )
-        report_dict = report.to_json_dict()
-    except ConfigError:
-        pass  # closed-form-only model: no generator route
+        measures = ["kl"] if model.kind == "classical" else ["rel_entropy"]
+    report = analysis.analyze(model, grid, config.get("route", "auto"), measures, eps, tol)
     payload = {
         "model": model.name,
         "params": model.params,
         "measures": {},
-        "divisibility": report_dict,
+        "divisibility": None if report.divisibility is None else report.divisibility.to_json_dict(),
     }
-    series = series_cache(traj, model.reference_state, gaps)
-    for tag in measures:
-        s = series(tag)
+    for tag, value in report.backflow.items():
+        s = report.series(tag)
         payload["measures"][tag] = {
-            "backflow": backflow_functional(s),
+            "backflow": value,
             "tail_residual": s.tail_residual(),
             "has_infinite": s.has_infinite(),
         }
-    if traj.kind == "quantum" and traj.dim == 2:
-        payload.update(decomposed_backflow(series("s_cl"), series("s_qe"), eps).to_json_dict())
-    elif traj.kind == "classical":
-        n_cl = backflow_functional(series("kl"))
-        payload.update(
-            {
-                "n_total": n_cl,
-                "n_cl": n_cl,
-                "n_qe": 0.0,
-                "regime": classify(n_cl, 0.0, eps),
-            }
-        )
+    payload.update(report.split.to_json_dict())
     serialize.write_json_atomic(os.path.join(args.out, "backflow.json"), payload)
     return 0
 

@@ -24,7 +24,6 @@ from .states import TimeGrid
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
 EXTRACTION_TRACE_TOL = 1e-7
-REASSEMBLY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,7 @@ class CanonicalGkslForm:
 
     def reassemble(self) -> np.ndarray:
         """Superoperator matrix rebuilt from the canonical pieces."""
-        g = linalg.commutator_superop(self.hamiltonian)
-        for rate, jump in zip(self.rates, self.jump_ops):
-            g = g + rate * linalg.dissipator_superop(jump)
-        return g
+        return assemble_gksl(self.hamiltonian, self.rates, self.jump_ops)
 
 
 @dataclass(frozen=True)
@@ -166,30 +162,36 @@ def extract_tcl_generator(
     maps = np.asarray(family.maps)
     h = family.grid.dt
     ts = family.grid.points
-    deriv = _derivative_4th(maps, h)
     u = _conservation_row(family.kind, family.dim)
     # batched conditioning check and inversion over the whole grid
     sv = np.linalg.svd(maps, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf)
     flagged = conds > condition_limit
-    samples = np.zeros_like(maps)
-    ok = ~flagged
-    if np.any(ok):
-        inv_ok = np.linalg.inv(maps[ok])
-        g_ok = np.einsum("nab,nbc->nac", deriv[ok], inv_ok)
-        defects = np.max(np.abs(np.einsum("a,nab->nb", u, g_ok)), axis=1)
-        scales = np.maximum(1.0, np.max(np.abs(g_ok), axis=(1, 2)))
-        bad = defects > EXTRACTION_TRACE_TOL * scales
-        # project out the residual trace-row defect for downstream stability
-        g_ok = g_ok - np.einsum("a,nb->nab", u, np.einsum("a,nab->nb", u, g_ok)) / float(u @ u)
-        g_ok[bad] = 0.0
-        samples[ok] = g_ok
-        flagged[np.nonzero(ok)[0][bad]] = True
+    ok = np.flatnonzero(~flagged)
+    # only the well-conditioned points are inverted; when that is all of
+    # them, the family and its derivative enter as they are, uncopied
+    every = ok.size == flagged.size
+    sub = slice(None) if every else ok
+    g = np.einsum("nab,nbc->nac", _derivative_4th(maps, h)[sub], np.linalg.inv(maps[sub]))
+    residual = np.einsum("a,nab->nb", u, g)
+    defects = np.max(np.abs(residual), axis=1)
+    scales = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    bad = defects > EXTRACTION_TRACE_TOL * scales
+    # project out the residual trace-row defect for downstream stability; u
+    # holds only 0s and 1s, so scaling the residual first gives the same bits
+    g -= np.einsum("a,nb->nab", u, residual / float(u @ u))
+    g[bad] = 0.0
+    flagged[ok[bad]] = True
     if np.all(flagged):
         raise GeneratorSingularityError(
             f"propagator singular at every grid point (first t={ts[0]:g})", time=float(ts[0])
         )
+    if every:
+        samples = g
+    else:
+        samples = np.zeros_like(maps)
+        samples[ok] = g
     return SampledGenerator(family.grid, samples, family.kind, family.dim, _gap_intervals(flagged, ts, h))
 
 
@@ -237,13 +239,16 @@ def _full_basis(dim: int) -> np.ndarray:
     return np.concatenate([ident[None], gell_mann_basis(dim)], axis=0)
 
 
-def process_matrix(g: np.ndarray, dim: int) -> np.ndarray:
-    """Expansion coefficients c with A(rho) = sum_{ab} c[a,b] F_a rho F_b
-    over the HS-orthonormal basis {F_0 = I/sqrt(d), Gell-Mann...}."""
+def _kossakowski(samples: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian parts of the expansion coefficients c[t] with
+    A_t(rho) = sum_{ab} c[t,a,b] F_a rho F_b^dagger over the HS-orthonormal
+    basis {F_0 = I/sqrt(d), Gell-Mann...}, for stacked (n, d^2, d^2)
+    superoperator matrices; c[t, 1:, 1:] is the Kossakowski matrix."""
     basis = _full_basis(dim)
-    m4 = np.asarray(g, dtype=complex).reshape(dim, dim, dim, dim)
+    m4 = np.asarray(samples, dtype=complex).reshape(-1, dim, dim, dim, dim)
     # c[A,B] = sum conj(F[B][c,a]) conj(F[A][d,e]) M[a,d,c,e]
-    return np.einsum("Bca,Ade,adce->AB", basis.conj(), basis.conj(), m4, optimize=True)
+    c = np.einsum("Bca,Ade,tadce->tAB", basis.conj(), basis.conj(), m4, optimize=True)
+    return (c + c.conj().transpose(0, 2, 1)) / 2.0
 
 
 def gksl_canonical_decompose(
@@ -270,8 +275,7 @@ def gksl_canonical_decompose(
     scale = max(1.0, float(np.max(np.abs(mat))))
     if trace_annihilation_defect(mat, dim) > EXTRACTION_TRACE_TOL * scale:
         raise ContractViolationError("generator does not annihilate the trace")
-    c = process_matrix(mat, dim)
-    c = (c + c.conj().T) / 2.0
+    c = _kossakowski(mat, dim)[0]
     basis = _full_basis(dim)
     chi = c[1:, 1:]
     rates, vecs = np.linalg.eigh(chi)
@@ -295,16 +299,8 @@ def canonical_rates_on_grid(gen: SampledGenerator) -> np.ndarray:
     """
     if gen.kind != "quantum":
         raise ContractViolationError("canonical rates exist only for quantum generators")
-    dim = gen.dim
-    basis = _full_basis(dim)
-    mask = gen.gap_mask()
-    n = gen.grid.n
-    m4 = np.asarray(gen.samples, dtype=complex).reshape(n, dim, dim, dim, dim)
-    c = np.einsum("Bca,Ade,tadce->tAB", basis.conj(), basis.conj(), m4, optimize=True)
-    chi = c[:, 1:, 1:]
-    chi = (chi + chi.conj().transpose(0, 2, 1)) / 2.0
-    rates = np.linalg.eigvalsh(chi)[:, ::-1].real
-    rates[mask] = np.nan
+    rates = np.linalg.eigvalsh(_kossakowski(gen.samples, gen.dim)[:, 1:, 1:])[:, ::-1].real
+    rates[gen.gap_mask()] = np.nan
     return rates
 
 
@@ -322,12 +318,20 @@ def check_classical_divisible(
     """Divisibility via the sign of the off-diagonal effective rates."""
     if gen.kind != "classical":
         raise ContractViolationError("classical divisibility needs a classical generator")
-    n = gen.grid.n
-    dim = gen.dim
-    mask = ~np.eye(dim, dtype=bool)
+    mask = ~np.eye(gen.dim, dtype=bool)
     traces = np.asarray(gen.samples)[:, mask].real.copy()
     traces[gen.gap_mask()] = np.nan
     return _report_from_traces(gen, traces, rate_tolerance)
+
+
+def check_divisible(
+    gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE
+) -> DivisibilityReport:
+    """:func:`check_cp_divisible` for a quantum generator,
+    :func:`check_classical_divisible` for a classical one."""
+    if gen.kind == "quantum":
+        return check_cp_divisible(gen, rate_tolerance)
+    return check_classical_divisible(gen, rate_tolerance)
 
 
 def _report_from_traces(gen, traces: np.ndarray, rate_tolerance: float) -> DivisibilityReport:

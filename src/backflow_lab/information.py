@@ -142,13 +142,6 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(w)))
 
 
-def shannon_entropy(p: np.ndarray) -> float:
-    """-sum p log p for a bare nonnegative vector (0 log 0 = 0)."""
-    p = np.clip(np.asarray(p, dtype=float), 0.0, None)
-    nz = p[p > 0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
 def _sum_w_log_w(w: np.ndarray) -> np.ndarray:
     """Row sums of w log w for a nonnegative (n, k) array, 0 log 0 = 0."""
     pos = w > 0

@@ -27,6 +27,7 @@ from .states import DensityMatrix, TimeGrid, Trajectory
 
 ROUNDTRIP_TOL = 1e-10
 SUBADDITIVITY_SLACK = 1e-8
+EPSILON_N = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,21 @@ class DecomposedBackflow:
         }
 
 
+def classify(n_cl: float, n_qe: float, epsilon_n: float = EPSILON_N) -> str:
+    """Regime label from the two backflow sectors."""
+    if n_cl < 0 or n_qe < 0:
+        raise ContractViolationError("backflow measures must be nonnegative")
+    cl = n_cl > epsilon_n
+    qe = n_qe > epsilon_n
+    if cl and qe:
+        return "hybrid"
+    if cl:
+        return "classical_overshoot"
+    if qe:
+        return "intrinsic_revival"
+    return "monotone"
+
+
 def thermofield_vector(rho: DensityMatrix) -> ThermoFieldState:
     """Doubled-space purification with amplitudes vectorize(sqrt(rho))."""
     root = linalg.psd_sqrt(rho.entries)
@@ -124,10 +140,18 @@ def extended_entropy(rho_a: DensityMatrix) -> float:
     return von_neumann_entropy(rho_a)
 
 
-def binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log(p) - (1.0 - p) * np.log(1.0 - p))
+def _sector_entropies(p: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(s_cl, s_qe) of the 2x2 states [[p, c], [c*, 1-p]] with b = |c|^2:
+    s_cl is the binary entropy of p, and s_qe = S_hat - s_cl <= 0 with
+    S_hat the entropy of the eigenvalues 1/2 +- r, r^2 = (p - 1/2)^2 + b."""
+    pc = np.clip(p, 1e-300, 1.0)
+    qc = np.clip(1.0 - p, 1e-300, 1.0)
+    s_cl = -(pc * np.log(pc) + qc * np.log(qc))
+    r = np.minimum(np.sqrt((p - 0.5) ** 2 + b), 0.5)
+    hi = np.clip(0.5 + r, 1e-300, 1.0)
+    lo = np.clip(0.5 - r, 1e-300, 1.0)
+    s_hat = -(hi * np.log(hi) + lo * np.log(lo))
+    return s_cl, s_hat - s_cl
 
 
 def decompose_two_state(params: TwoStateNetfdParams) -> tuple[float, float]:
@@ -137,11 +161,8 @@ def decompose_two_state(params: TwoStateNetfdParams) -> tuple[float, float]:
     s_qe depends on |c| only (the eigenvalues are 1/2 +- r with
     r^2 = (p - 1/2)^2 + b_qe) and vanishes iff c = 0.
     """
-    s_cl = binary_entropy(params.p)
-    r = np.sqrt((params.p - 0.5) ** 2 + params.b_qe)
-    r = min(float(r), 0.5)
-    s_hat = binary_entropy(0.5 + r)
-    return s_cl, s_hat - s_cl
+    s_cl, s_qe = _sector_entropies(np.array([params.p]), np.array([params.b_qe]))
+    return float(s_cl[0]), float(s_qe[0])
 
 
 def two_state_entropy_series(
@@ -157,16 +178,10 @@ def two_state_entropy_series(
         raise NotPsdError(
             f"b_qe exceeds p(1-p) at t={grid.points[i]:g}: state not PSD"
         )
-    pc = np.clip(p, 1e-300, 1.0)
-    qc = np.clip(1.0 - p, 1e-300, 1.0)
-    s_cl = -(pc * np.log(pc) + qc * np.log(qc))
-    r = np.minimum(np.sqrt((p - 0.5) ** 2 + b), 0.5)
-    hi = np.clip(0.5 + r, 1e-300, 1.0)
-    lo = np.clip(0.5 - r, 1e-300, 1.0)
-    s_hat = -(hi * np.log(hi) + lo * np.log(lo))
+    s_cl, s_qe = _sector_entropies(p, b)
     return (
         InfoSeries(grid, s_cl, "s_cl", skip_intervals),
-        InfoSeries(grid, s_hat - s_cl, "s_qe", skip_intervals),
+        InfoSeries(grid, s_qe, "s_qe", skip_intervals),
     )
 
 
@@ -208,7 +223,7 @@ def coincident_rise_intervals(
 
 
 def decomposed_backflow(
-    s_cl_series: InfoSeries, s_qe_series: InfoSeries, epsilon_n: float = 1e-6
+    s_cl_series: InfoSeries, s_qe_series: InfoSeries, epsilon_n: float = EPSILON_N
 ) -> DecomposedBackflow:
     """Backflow of each entropy sector and of their sum, classified.
 
@@ -228,8 +243,6 @@ def decomposed_backflow(
         s_cl_series.skip_intervals,
     )
     n_total = backflow_functional(total_series)
-    from .phase_diagram import classify
-
     return DecomposedBackflow(
         n_total=n_total, n_cl=n_cl, n_qe=n_qe, regime=classify(n_cl, n_qe, epsilon_n)
     )

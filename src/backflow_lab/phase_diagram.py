@@ -20,30 +20,15 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
+from .analysis import analyze
 from .errors import BackflowLabError, ContractViolationError
-from .generator_analysis import (
-    check_classical_divisible,
-    check_cp_divisible,
-    extract_tcl_generator,
-)
-from .information import (
-    REFERENCE_TAGS,
-    InfoSeries,
-    backflow_functional,
-    check_measure_tags,
-    series_from_trajectory,
-)
+from .information import InfoSeries, check_measure_tags
 from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params
-from .netfd import decomposed_backflow, two_state_series_from_trajectory
-from .propagation import build_propagator, propagate_tcl, solve_tcl
-from .states import TimeGrid, Trajectory
-
-EPSILON_N = 1e-6
-REGIMES = ("monotone", "classical_overshoot", "intrinsic_revival", "hybrid")
+from .netfd import EPSILON_N
+from .states import TimeGrid
 
 SWEEP_COLUMNS_TAIL = (
     "divisible",
@@ -57,21 +42,6 @@ SWEEP_COLUMNS_TAIL = (
     "marginal",
     "error",
 )
-
-
-def classify(n_cl: float, n_qe: float, epsilon_n: float = EPSILON_N) -> str:
-    """Regime label from the two backflow sectors."""
-    if n_cl < 0 or n_qe < 0:
-        raise ContractViolationError("backflow measures must be nonnegative")
-    cl = n_cl > epsilon_n
-    qe = n_qe > epsilon_n
-    if cl and qe:
-        return "hybrid"
-    if cl:
-        return "classical_overshoot"
-    if qe:
-        return "intrinsic_revival"
-    return "monotone"
 
 
 def check_tolerance(name: str, value) -> float:
@@ -206,116 +176,34 @@ class SweepResult:
         return out
 
 
-def series_cache(traj: Trajectory, reference, gaps=()) -> Callable[[str], InfoSeries]:
-    """Memoized information series of one trajectory, keyed by measure tag.
-
-    Each series is built at most once; 's_cl' and 's_qe' come from a single
-    two-state pass.  ``reference`` is passed only to the tags that need it.
-    """
-    cache: dict[str, InfoSeries] = {}
-
-    def series(tag: str) -> InfoSeries:
-        if tag not in cache:
-            if tag in ("s_cl", "s_qe"):
-                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(
-                    traj, skip_intervals=gaps
-                )
-            else:
-                cache[tag] = series_from_trajectory(
-                    traj,
-                    tag,
-                    reference=reference if tag in REFERENCE_TAGS else None,
-                    skip_intervals=gaps,
-                )
-        return cache[tag]
-
-    return series
-
-
-def _half_grid_backflow(series: InfoSeries) -> float:
-    sub = InfoSeries(
-        TimeGrid(series.grid.points[::2]),
-        series.values[::2],
-        series.measure_tag,
-        series.skip_intervals,
-    )
-    return backflow_functional(sub)
-
-
 def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_tolerance) -> dict:
-    """The per-lattice-point pipeline: propagate, extract, test, measure."""
-    row: dict = {}
-    gaps: tuple = ()
-    # trajectory and propagator from the best exact route available; a
-    # time-local model without closed forms gets both from one RK4 pass
-    traj = model.trajectory_fn(grid) if model.trajectory_fn is not None else None
-    family = model.propagator_fn(grid) if model.propagator_fn is not None else None
-    if model.has("tcl_generator"):
-        gen = model.tcl_generator
-        if traj is None and family is None:
-            traj, family = propagate_tcl(gen, model.initial_state, grid)
-        elif traj is None:
-            traj = solve_tcl(gen, model.initial_state, grid)
-        elif family is None:
-            family = build_propagator(gen, grid)
-    if traj is None:
-        raise ContractViolationError(f"model {model.name} offers no trajectory route")
-    # generator extraction and divisibility where a propagator exists
-    divisible = None
-    min_rate = None
-    first_violation = None
-    if family is not None:
-        sampled = extract_tcl_generator(family)
-        gaps = sampled.gaps
-        report = (
-            check_cp_divisible(sampled, rate_tolerance)
-            if model.kind == "quantum"
-            else check_classical_divisible(sampled, rate_tolerance)
-        )
-        divisible = report.divisible
-        min_rate = report.min_rate
-        first_violation = report.first_violation_time
-    row["divisible"] = divisible
-    row["min_rate"] = min_rate
-    row["first_violation_time"] = first_violation
-    # information measures; each series is built once per point and shared
-    # by the measure columns, the sector split and the revival flag
-    series = series_cache(traj, model.reference_state, gaps)
-    for tag in measures:
-        row[f"N_{tag}"] = backflow_functional(series(tag))
-    # sector split; a row is boundary-marginal when either sector sits
-    # closer to the classification threshold than ten times its own
-    # grid-refinement error estimate
-    if model.kind == "quantum" and traj.dim == 2:
-        s_cl, s_qe = series("s_cl"), series("s_qe")
-        decomp = decomposed_backflow(s_cl, s_qe, epsilon_n)
-        n_cl, n_qe, n_total = decomp.n_cl, decomp.n_qe, decomp.n_total
-        err_cl = abs(n_cl - _half_grid_backflow(s_cl))
-        err_qe = abs(n_qe - _half_grid_backflow(s_qe))
-        regime = decomp.regime
-    else:
-        kl_series = series("kl")
-        n_cl = backflow_functional(kl_series)
-        n_qe = 0.0
-        n_total = n_cl
-        err_cl = abs(n_cl - _half_grid_backflow(kl_series))
-        err_qe = 0.0
-        regime = classify(n_cl, n_qe, epsilon_n)
-    row["n_cl"] = n_cl
-    row["n_qe"] = n_qe
-    row["n_total"] = n_total
-    row["regime"] = regime
+    """One lattice point's row, formatted from :func:`analysis.analyze` on
+    the model's ``auto`` route."""
+    report = analyze(model, grid, "auto", measures, epsilon_n, rate_tolerance)
+    div, split = report.divisibility, report.split
+    err_cl, err_qe = report.split_errors
+    row = {f"N_{tag}": value for tag, value in report.backflow.items()}
+    row["divisible"] = None if div is None else div.divisible
+    row["min_rate"] = None if div is None else div.min_rate
+    row["first_violation_time"] = None if div is None else div.first_violation_time
+    row["n_cl"] = split.n_cl
+    row["n_qe"] = split.n_qe
+    row["n_total"] = split.n_total
+    row["regime"] = split.regime
+    # a row is boundary-marginal when either sector sits closer to the
+    # classification threshold than ten times its own grid-refinement
+    # error estimate
     row["marginal"] = bool(
-        abs(n_cl - epsilon_n) <= 10.0 * err_cl or abs(n_qe - epsilon_n) <= 10.0 * err_qe
+        abs(split.n_cl - epsilon_n) <= 10.0 * err_cl or abs(split.n_qe - epsilon_n) <= 10.0 * err_qe
     )
     # revival flag on the intrinsic-parameter series where the model has one,
     # else on the primary measure series
     if model.b_qe_fn is not None:
-        b_series = InfoSeries(grid, model.b_qe_fn(grid.points), "s_qe", gaps)
+        b_series = InfoSeries(grid, model.b_qe_fn(grid.points), "s_qe", report.gaps)
         row["revival"], _ = revival_detector(b_series, epsilon_n)
     else:
         tag = measures[0] if measures else "kl" if model.kind == "classical" else "vn_entropy"
-        row["revival"], _ = revival_detector(series(tag), epsilon_n)
+        row["revival"], _ = revival_detector(report.series(tag), epsilon_n)
     row["error"] = ""
     return row
 

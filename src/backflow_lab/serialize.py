@@ -9,7 +9,6 @@ Conventions (stable across runs so outputs are byte-identical):
   fixed tokens, and builds the chunk's bytes with numpy gathers.  The
   output is byte-identical to formatting each cell with :func:`fmt`;
 * ``sweep_csv`` formats its mixed-type cells one by one with :func:`fmt`;
-* complex matrices serialize to JSON as nested arrays of [re, im] pairs;
 * files are written atomically (temp file + rename);
 * trajectory CSV header is ``t`` followed by flattened state labels,
   row-major over matrix entries with ``_re``/``_im`` suffixes for quantum
@@ -68,15 +67,6 @@ def write_text_atomic(path: str, text: str):
 
 def write_json_atomic(path: str, payload: dict):
     write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def complex_matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
-def json_to_complex_matrix(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 def _format_floats(values: np.ndarray) -> bytes:

@@ -6,7 +6,7 @@ T = |z|^(1/alpha), which measures how many orders of magnitude the Taylor
 series must cancel):
 
 * ``alpha == 1``            -> ``exp(z)`` exactly.
-* ``T <= switch_point``     -> Kahan-compensated Taylor series
+* ``T <= TAYLOR_SWITCH``    -> Kahan-compensated Taylor series
                                sum_k z^k / Gamma(alpha*k + 1).
 * large ``T``               -> algebraic asymptotic series
                                -sum_k z^(-k) / Gamma(1 - alpha*k), truncated
@@ -47,14 +47,16 @@ arguments (exactly zero at the poles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ContractViolationError
 
-# Branch thresholds, validated against high-precision references.
+# Branch thresholds and series lengths, validated against high-precision
+# references.  The switch is on the cancellation exponent T, not on |z|,
+# because the series' cancellation depends on alpha.
 TAYLOR_SWITCH = 10.0     # max cancellation exponent for the plain series
+TAYLOR_TERMS = 800       # term cap of the Taylor series
+ASYM_TERMS = 400         # term cap of the asymptotic series
 ASYM_ACCEPT = 1e-12      # asymptotic branch used only below this estimate
 _LN_PI = 1.1447298858494002
 # integral-band points per quadrature block: bounds each (points x nodes)
@@ -73,29 +75,6 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
-
-
-@dataclass(frozen=True)
-class MlParams:
-    """Tuning knobs for the Mittag-Leffler evaluator.
-
-    ``switch_point`` is the cancellation-exponent threshold T = |z|^(1/alpha)
-    below which the plain Taylor series is used (an |z|-based switch is not
-    usable because the series' cancellation depends on alpha).
-    """
-
-    alpha: float
-    series_cutoff: int = 800
-    asym_terms: int = 400
-    switch_point: float = TAYLOR_SWITCH
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ContractViolationError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.series_cutoff < 1 or self.asym_terms < 1:
-            raise ContractViolationError("series cutoffs must be >= 1")
-        if self.switch_point <= 0:
-            raise ContractViolationError("switch_point must be positive")
 
 
 def gamma_lanczos(x: float) -> float:
@@ -124,25 +103,6 @@ def reciprocal_gamma(x: float) -> float:
 
 def _lgamma_pos(x: float) -> float:
     return math.lgamma(x)
-
-
-def _taylor(alpha: float, x: float, max_terms: int) -> float:
-    # E_alpha(-x) by compensated summation; safe only for small T.
-    s = 1.0
-    c = 0.0
-    p = 1.0
-    for k in range(1, max_terms):
-        p *= x
-        if not math.isfinite(p):
-            break
-        term = (p if k % 2 == 0 else -p) * reciprocal_gamma(alpha * k + 1.0)
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        if k > 3 and abs(term) < 1e-18 * max(abs(s), 1e-30):
-            return s
-    return s
 
 
 def _taylor_batch(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
@@ -269,58 +229,39 @@ def _tanh_sinh_theta(alpha: float, xs: np.ndarray, max_level: int = 10) -> np.nd
     return total / (alpha * math.pi)
 
 
-def mittag_leffler(alpha: float, z: float, params: MlParams | None = None) -> float:
-    """E_alpha(z) for real z <= 0 and alpha in (0, 1].
+def mittag_leffler(alpha: float, z: float) -> float:
+    """E_alpha(z) for real z <= 0 and alpha in (0, 1]; the value
+    :func:`mittag_leffler_neg` gives at x = -z.
 
     Absolute accuracy is better than 1e-8 for |z| <= 100 and
     alpha in [0.3, 1]; the alpha = 1 path is exp(z) exactly.
     """
-    if params is None:
-        params = MlParams(alpha)
-    elif params.alpha != alpha:
-        raise ContractViolationError("params.alpha disagrees with alpha argument")
-    if z > 0:
-        raise ContractViolationError(f"positive argument z={z} is out of scope")
-    if z == 0.0:
-        return 1.0
-    if alpha == 1.0:
-        return math.exp(z)
-    x = -float(z)
-    T = x ** (1.0 / alpha)
-    if T <= params.switch_point:
-        return _taylor(alpha, x, params.series_cutoff)
-    value, estimate = _asymptotic(alpha, x, params.asym_terms)
-    if estimate < ASYM_ACCEPT:
-        return value
-    return float(_tanh_sinh_theta(alpha, np.array([x]))[0])
+    return float(mittag_leffler_neg(alpha, np.array([-float(z)]))[0])
 
 
-def mittag_leffler_neg(alpha: float, xs: np.ndarray, params: MlParams | None = None) -> np.ndarray:
+def mittag_leffler_neg(alpha: float, xs: np.ndarray) -> np.ndarray:
     """Vectorized E_alpha(-x) for an array of x >= 0 (shared alpha).
 
     Points are dispatched per-branch; the integral branch shares its
     quadrature nodes across all points it serves.
     """
-    if params is None:
-        params = MlParams(alpha)
+    if not 0.0 < alpha <= 1.0:
+        raise ContractViolationError(f"alpha must lie in (0, 1], got {alpha}")
     xs = np.asarray(xs, dtype=float)
     if np.any(xs < 0):
         raise ContractViolationError("x values must be >= 0")
-    out = np.empty(xs.shape, dtype=float)
+    if alpha == 1.0:
+        return np.exp(-xs)
     flat = xs.ravel()
     res = np.empty(flat.shape, dtype=float)
-    if alpha == 1.0:
-        res[:] = np.exp(-flat)
-        out[:] = res.reshape(xs.shape)
-        return out
     zero = flat == 0.0
     res[zero] = 1.0
     rest = ~zero
     T = np.zeros_like(flat)
     T[rest] = flat[rest] ** (1.0 / alpha)
-    taylor_mask = rest & (T <= params.switch_point)
+    taylor_mask = rest & (T <= TAYLOR_SWITCH)
     if np.any(taylor_mask):
-        res[taylor_mask] = _taylor_batch(alpha, flat[taylor_mask], params.series_cutoff)
+        res[taylor_mask] = _taylor_batch(alpha, flat[taylor_mask], TAYLOR_TERMS)
     hard_idx = np.nonzero(rest & ~taylor_mask)[0]
     if hard_idx.size:
         # the asymptotic error estimate is monotone decreasing in x at fixed
@@ -330,7 +271,7 @@ def mittag_leffler_neg(alpha: float, xs: np.ndarray, params: MlParams | None = N
         xs_sorted = flat[order]
 
         def passes(x: float) -> bool:
-            return _asymptotic(alpha, x, params.asym_terms)[1] < ASYM_ACCEPT
+            return _asymptotic(alpha, x, ASYM_TERMS)[1] < ASYM_ACCEPT
 
         if passes(xs_sorted[0]):
             split = 0
@@ -347,28 +288,25 @@ def mittag_leffler_neg(alpha: float, xs: np.ndarray, params: MlParams | None = N
             split = hi
         if split > 0:
             res[order[:split]] = _tanh_sinh_theta(alpha, flat[order[:split]])
-        res[order[split:]] = _asymptotic_batch(alpha, flat[order[split:]], params.asym_terms)
-    out[:] = res.reshape(xs.shape)
-    return out
+        res[order[split:]] = _asymptotic_batch(alpha, flat[order[split:]], ASYM_TERMS)
+    return res.reshape(xs.shape)
 
 
-def ml_envelope(alpha: float, lam: float, t: float, params: MlParams | None = None) -> float:
-    """Fractional relaxation envelope E_alpha(-(lam*t)^alpha).
+def ml_envelope(alpha: float, lam: float, t: float) -> float:
+    """Fractional relaxation envelope E_alpha(-(lam*t)^alpha) at one time:
+    :func:`ml_envelope_grid` at ``t``.
 
     Equals exp(-lam*t) at alpha = 1; always in (0, 1] for t >= 0.
     """
-    if lam <= 0:
-        raise ContractViolationError(f"lam must be positive, got {lam}")
-    if t < 0:
-        raise ContractViolationError(f"t must be >= 0, got {t}")
-    return mittag_leffler(alpha, -((lam * t) ** alpha), params)
+    return float(ml_envelope_grid(alpha, lam, np.array([float(t)]))[0])
 
 
-def ml_envelope_grid(alpha: float, lam: float, ts: np.ndarray, params: MlParams | None = None) -> np.ndarray:
-    """Vectorized :func:`ml_envelope` over an array of times."""
+def ml_envelope_grid(alpha: float, lam: float, ts: np.ndarray) -> np.ndarray:
+    """Fractional relaxation envelope E_alpha(-(lam*t)^alpha) over an array
+    of times."""
     if lam <= 0:
         raise ContractViolationError(f"lam must be positive, got {lam}")
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < 0):
         raise ContractViolationError("times must be >= 0")
-    return mittag_leffler_neg(alpha, (lam * ts) ** alpha, params)
+    return mittag_leffler_neg(alpha, (lam * ts) ** alpha)

@@ -125,11 +125,6 @@ class RateMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def min_off_diagonal(self) -> float:
-        w = self.entries
-        mask = ~np.eye(self.dim, dtype=bool)
-        return float(np.min(w[mask])) if self.dim > 1 else 0.0
-
 
 @dataclass(frozen=True)
 class SuperoperatorSample:

@@ -171,6 +171,95 @@ class TestDivisibility:
         assert os.path.exists(report["rates_csv_path"])
 
 
+class TestRoutes:
+    """``route`` means the same in every command that takes it."""
+
+    @pytest.mark.parametrize("command", ["simulate", "extract", "divisibility", "backflow"])
+    @pytest.mark.parametrize("route", ["bogus", "embedding"])
+    def test_unknown_route_exits_2(self, tmp_path, capsys, command, route):
+        config = write_config(tmp_path, {"model": {"name": "dephasing_qubit"}, "route": route})
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert f"unknown route '{route}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "extract", "divisibility", "backflow"])
+    def test_route_the_model_lacks_exits_2(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, {"model": {"name": "dephasing_qubit"}, "route": "tc"})
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+        assert "has no tc route" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["extract", "divisibility"])
+    def test_closed_form_without_propagator_exits_2(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, {"model": {"name": "markov_two_state"}, "route": "closed_form"})
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+        assert "offers no propagator route" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [{"gamma": 0.2, "tau_m": 0.3}, {"n": 3, "gamma": 0.1, "tau_m": 0.3}])
+    def test_extract_from_memory_kernel_matches_closed_form(self, tmp_path, params):
+        """The TC-to-TCL procedure: the generator recovered from the
+        memory-kernel propagator (``route=tc``) agrees with the one from the
+        exact embedding within the 1e-5 the two families agree to."""
+        tables = {}
+        for route in ("tc", "closed_form"):
+            config = write_config(
+                tmp_path,
+                {
+                    "model": {"name": "classical_exp_kernel", "params": params},
+                    "grid": {"dt": 2e-3, "t_max": 6.0},
+                    "route": route,
+                },
+            )
+            out = tmp_path / route
+            assert main(["extract", "--config", config, "--out", str(out)]) == 0
+            assert json.loads((out / "gaps.json").read_text())["gaps"] == []
+            header, rows = read_csv(out / "generator.csv")
+            tables[route] = np.array([[float(x) for x in row[:-1]] for row in rows])
+        assert tables["tc"].shape == tables["closed_form"].shape == (3001, 1 + (params.get("n", 2)) ** 2)
+        assert not np.array_equal(tables["tc"], tables["closed_form"])
+        assert np.max(np.abs(tables["tc"] - tables["closed_form"])) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "model, route",
+        [
+            ({"name": "dephasing_qubit", "params": {"rate_kind": "sinusoidal"}}, "auto"),
+            ({"name": "dephasing_qubit", "params": {"rate_kind": "sinusoidal"}}, "tcl"),
+            ({"name": "classical_exp_kernel", "params": {"tau_m": 0.5}}, "auto"),
+            ({"name": "classical_exp_kernel", "params": {"tau_m": 0.5}}, "tc"),
+            ({"name": "amplitude_damping_qubit", "params": {}}, "auto"),
+        ],
+    )
+    def test_extract_and_divisibility_build_no_trajectory(self, tmp_path, monkeypatch, model, route):
+        from backflow_lab.states import Trajectory
+
+        built = []
+        validate = Trajectory.__post_init__
+        monkeypatch.setattr(Trajectory, "__post_init__", lambda self: built.append(1) or validate(self))
+        config = write_config(tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 2.0}, "route": route})
+        for command in ("extract", "divisibility"):
+            assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0
+        assert built == []
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "simulate")]) == 0
+        assert built == [1]
+
+    @pytest.mark.parametrize(
+        "model, route",
+        [
+            ({"name": "classical_exp_kernel", "params": {"tau_m": 0.5}}, "tc"),
+            ({"name": "dephasing_qubit", "params": {"rate_kind": "sinusoidal", "amplitude": 1.5}}, "tcl"),
+        ],
+    )
+    def test_backflow_divisibility_follows_route(self, tmp_path, model, route):
+        """backflow.json's divisibility block is the divisibility command's
+        report on the same route."""
+        config = write_config(tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 4.0}, "route": route})
+        assert main(["backflow", "--config", config, "--out", str(tmp_path / "b")]) == 0
+        assert main(["divisibility", "--config", config, "--out", str(tmp_path / "d")]) == 0
+        block = json.loads((tmp_path / "b" / "backflow.json").read_text())["divisibility"]
+        report = json.loads((tmp_path / "d" / "divisibility.json").read_text())
+        report.pop("rates_csv_path")
+        assert block == report
+
+
 class TestBackflow:
     def test_quantum_report_includes_sectors(self, tmp_path):
         config = write_config(
@@ -235,7 +324,7 @@ class TestBackflow:
         """A time-local model without closed forms gets its trajectory and
         its propagator from one RK4 pass, and backflow.json has the bytes of
         the two separate passes."""
-        import backflow_lab.cli as cli
+        import backflow_lab.analysis as analysis
         import backflow_lab.propagation as propagation
 
         passes = []
@@ -258,7 +347,7 @@ class TestBackflow:
         assert main(["backflow", "--config", config, "--out", str(fused)]) == 0
         assert len(passes) == 1
         monkeypatch.setattr(
-            cli,
+            analysis,
             "propagate_tcl",
             lambda gen, initial, grid: (
                 propagation.solve_tcl(gen, initial, grid),
@@ -461,12 +550,11 @@ class TestParameterValidation:
     def test_bad_tolerance_exits_2_before_any_propagation(
         self, tmp_path, monkeypatch, capsys, command, key, value
     ):
-        import backflow_lab.cli as cli
+        import backflow_lab.analysis as analysis
         import backflow_lab.phase_diagram as pd
 
-        ran = lambda *args: pytest.fail("propagation ran")
-        monkeypatch.setattr(cli, "_trajectory", ran)
-        monkeypatch.setattr(cli, "_propagator", ran)
+        ran = lambda *args, **kwargs: pytest.fail("propagation ran")
+        monkeypatch.setattr(analysis, "propagate", ran)
         monkeypatch.setattr(pd, "_sweep_point", ran)
         payload = {"model": {"name": "dephasing_qubit"}, key: value}
         if command == "phase-diagram":

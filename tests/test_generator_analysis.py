@@ -157,6 +157,90 @@ class TestGapIntervals:
             assert [a.hex() for gap in got for a in gap] == [a.hex() for gap in want for a in gap]
 
 
+def extract_with_copies(family, condition_limit=1e8):
+    """Generator extraction as first batched: the well-conditioned maps and
+    derivatives copied out, a separate zero sample table, and the
+    trace-row projection built from full temporaries."""
+    from backflow_lab.generator_analysis import (
+        EXTRACTION_TRACE_TOL,
+        _conservation_row,
+        _derivative_4th,
+        _gap_intervals,
+    )
+
+    maps = np.asarray(family.maps)
+    h = family.grid.dt
+    ts = family.grid.points
+    deriv = _derivative_4th(maps, h)
+    u = _conservation_row(family.kind, family.dim)
+    sv = np.linalg.svd(maps, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf)
+    flagged = conds > condition_limit
+    samples = np.zeros_like(maps)
+    ok = ~flagged
+    inv_ok = np.linalg.inv(maps[ok])
+    g_ok = np.einsum("nab,nbc->nac", deriv[ok], inv_ok)
+    defects = np.max(np.abs(np.einsum("a,nab->nb", u, g_ok)), axis=1)
+    scales = np.maximum(1.0, np.max(np.abs(g_ok), axis=(1, 2)))
+    bad = defects > EXTRACTION_TRACE_TOL * scales
+    g_ok = g_ok - np.einsum("a,nb->nab", u, np.einsum("a,nab->nb", u, g_ok)) / float(u @ u)
+    g_ok[bad] = 0.0
+    samples[ok] = g_ok
+    flagged[np.nonzero(ok)[0][bad]] = True
+    return samples, _gap_intervals(flagged, ts, h)
+
+
+class TestExtractionWithoutCopies:
+    """Extraction uses the family itself when every point is
+    well-conditioned and projects in place; the samples keep every bit."""
+
+    def families(self):
+        yield "sinusoidal, no gaps", dephasing_qubit(rate_kind="sinusoidal", amplitude=0.5).propagator_fn(
+            TimeGrid.uniform(1e-3, 10.0)
+        )
+        yield "sinusoidal, gap at the end", dephasing_qubit(rate_kind="sinusoidal", amplitude=1.5).propagator_fn(
+            TimeGrid.uniform(1e-3, 40.0)
+        )
+        # mu = pi puts the zeros of f on grid points (t = 0.5, 1.5, ...)
+        yield "cosine_f, gaps at the zeros", dephasing_qubit(rate_kind="cosine_f", mu=math.pi).propagator_fn(
+            TimeGrid.uniform(1e-3, 8.0)
+        )
+        model = classical_exp_kernel(n=3, gamma=1.0, tau_m=1.0)
+        yield "3-state kernel", model.propagator_fn(TimeGrid.uniform(2e-3, 10.0))
+
+    def test_samples_bitwise_equal_to_copying_version(self):
+        gap_counts = {}
+        for label, family in self.families():
+            got = extract_tcl_generator(family)
+            want_samples, want_gaps = extract_with_copies(family)
+            assert got.samples.dtype == want_samples.dtype, label
+            assert np.array_equal(got.samples.view(np.uint8), want_samples.view(np.uint8)), label
+            assert got.gaps == want_gaps, label
+            gap_counts[label] = len(got.gaps)
+        assert gap_counts["sinusoidal, no gaps"] == gap_counts["3-state kernel"] == 0
+        assert gap_counts["sinusoidal, gap at the end"] > 0 and gap_counts["cosine_f, gaps at the zeros"] > 0
+
+    @pytest.mark.parametrize("amplitude, t_max", [(0.5, 10.0), (1.5, 40.0)])
+    def test_peak_allocation_bounded(self, amplitude, t_max):
+        """The 4th-order stencil needs three map tables at once; nothing
+        later in the extraction may need more than that plus the inverse's
+        share (the copying version reached 6.2 tables without gaps)."""
+        import tracemalloc
+
+        family = dephasing_qubit(rate_kind="sinusoidal", amplitude=amplitude).propagator_fn(
+            TimeGrid.uniform(1e-3, t_max)
+        )
+        extract_tcl_generator(family)
+        tracemalloc.start()
+        try:
+            extract_tcl_generator(family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * family.maps.nbytes
+
+
 class TestCanonicalDecomposition:
     def test_amplitude_damping(self):
         g = assemble_gksl(np.zeros((2, 2)), [1.0], [SIGMA_MINUS])

@@ -311,16 +311,16 @@ class TestSweepHardening:
         ],
     )
     def test_each_series_built_once_per_point(self, monkeypatch, model, fixed, measures):
-        import backflow_lab.phase_diagram as pd
+        import backflow_lab.analysis as analysis
 
         built = []
-        original = pd.series_from_trajectory
+        original = analysis.series_from_trajectory
 
         def counting(traj, tag, **kwargs):
             built.append(tag)
             return original(traj, tag, **kwargs)
 
-        monkeypatch.setattr(pd, "series_from_trajectory", counting)
+        monkeypatch.setattr(analysis, "series_from_trajectory", counting)
         axis = "tau_m" if model == "classical_exp_kernel" else "gamma"
         spec = SweepSpec(
             model=model, axes=((axis, 0.5, 1.0, 2),), fixed=fixed, dt=1e-2, t_max=2.0, measures=measures
@@ -335,6 +335,7 @@ class TestSweepHardening:
         samples per row, and neither single-operand route runs."""
         import dataclasses
 
+        import backflow_lab.analysis as analysis
         import backflow_lab.phase_diagram as pd
         from backflow_lab.propagation import TclGenerator
 
@@ -356,8 +357,8 @@ class TestSweepHardening:
             raise AssertionError("second RK4 pass")
 
         monkeypatch.setattr(pd, "build_model", counting_model)
-        monkeypatch.setattr(pd, "build_propagator", forbidden)
-        monkeypatch.setattr(pd, "solve_tcl", forbidden)
+        monkeypatch.setattr(analysis, "build_propagator", forbidden)
+        monkeypatch.setattr(analysis, "solve_tcl", forbidden)
         spec = SweepSpec(
             model="amplitude_damping_qubit",
             axes=(("gamma", 0.5, 1.0, 2),),

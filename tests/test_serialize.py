@@ -10,10 +10,8 @@ from backflow_lab.propagation import build_propagator
 from backflow_lab.serialize import (
     _CHUNK_CELLS,
     _encode_table,
-    complex_matrix_to_json,
     fmt,
     info_series_csv,
-    json_to_complex_matrix,
     rate_traces_csv,
     sampled_generator_csv,
     trajectory_csv,
@@ -32,18 +30,6 @@ class TestFormatting:
 
     def test_booleans(self):
         assert fmt(True) == "true" and fmt(False) == "false"
-
-
-class TestComplexMatrixJson:
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        back = json_to_complex_matrix(complex_matrix_to_json(m))
-        assert np.array_equal(back, m)
-
-    def test_pair_layout(self):
-        data = complex_matrix_to_json(np.array([[1 + 2j]]))
-        assert data == [[[1.0, 2.0]]]
 
 
 class TestCsv:

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import erfcx
 
 import backflow_lab.special_functions as sf
-from backflow_lab import ContractViolationError, MlParams, ml_envelope, mittag_leffler
+from backflow_lab import ContractViolationError, ml_envelope, mittag_leffler
 from backflow_lab.special_functions import (
     _asymptotic,
     _asymptotic_batch,
@@ -113,20 +113,6 @@ class TestMittagLeffler:
             batch = mittag_leffler_neg(alpha, xs)
             scalar = np.array([mittag_leffler(alpha, -float(x)) for x in xs])
             assert np.max(np.abs(batch - scalar)) <= 1e-13
-
-
-class TestMlParams:
-    def test_validation(self):
-        with pytest.raises(ContractViolationError):
-            MlParams(alpha=1.5)
-        with pytest.raises(ContractViolationError):
-            MlParams(alpha=0.5, series_cutoff=0)
-        with pytest.raises(ContractViolationError):
-            MlParams(alpha=0.5, switch_point=-1.0)
-
-    def test_params_alpha_must_match(self):
-        with pytest.raises(ContractViolationError):
-            mittag_leffler(0.5, -1.0, params=MlParams(alpha=0.7))
 
 
 class TestEnvelope:
