@@ -39,14 +39,15 @@ variable:
 whose integrand is bounded, positive, and free of endpoint singularities,
 so fixed tanh-sinh nodes converge fast for every alpha in (0, 1).
 
-Gamma is evaluated in-repo by the usual 9-term Lanczos approximation
-(g = 7), with the reflection formula supplying 1/Gamma at nonpositive
-arguments (exactly zero at the poles).
+Gamma comes from ``math.gamma`` and ``math.lgamma``, with the reflection
+formula supplying 1/Gamma below 1/2 (exactly zero at the poles).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+
 import numpy as np
 
 from .errors import ContractViolationError
@@ -63,46 +64,23 @@ _LN_PI = 1.1447298858494002
 # temporary at 4 MB (2048 x 256 doubles) whatever the band size
 ML_CHUNK_POINTS = 2048
 _EXP_NORMAL_ARG = 708.0  # exp(-x) for x above this is negligible here
-
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_lanczos(x: float) -> float:
-    """Gamma(x) for real x (reflection below 1/2); inf at the poles."""
-    if x < 0.5:
-        s = math.sin(math.pi * x)
-        if s == 0.0:
-            return math.inf
-        return math.pi / (s * gamma_lanczos(1.0 - x))
-    x -= 1.0
-    a = _LANCZOS[0]
-    t = x + 7.5
-    for i in range(1, 9):
-        a += _LANCZOS[i] / (x + i)
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * a
-
+_GAMMA_MAX = 171.6       # math.gamma overflows just above this
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for real x, exactly zero at x = 0, -1, -2, ..."""
+    """1/Gamma(x) for real x from ``math.gamma``/``math.lgamma``: exactly
+    zero at the poles x = 0, -1, -2, ..., by reflection below 1/2, and 0 or
+    +-inf, never an exception, where the value leaves the float range."""
     if x > 0.5:
-        return 1.0 / gamma_lanczos(x)
+        return 1.0 / math.gamma(x) if x < _GAMMA_MAX else math.exp(-math.lgamma(x))
     if x == math.floor(x):
         return 0.0
-    return math.sin(math.pi * x) * gamma_lanczos(1.0 - x) / math.pi
-
-
-def _lgamma_pos(x: float) -> float:
-    return math.lgamma(x)
+    # 1/Gamma(x) = sin(pi x) Gamma(1 - x) / pi
+    s = math.sin(math.pi * x)
+    if 1.0 - x < _GAMMA_MAX:
+        return s * math.gamma(1.0 - x) / math.pi
+    ln = math.log(abs(s) / math.pi) + math.lgamma(1.0 - x)
+    return math.copysign(math.exp(ln) if ln < _LN_FLOAT_MAX else math.inf, s)
 
 
 def _taylor_batch(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
@@ -135,7 +113,7 @@ def _asymptotic(alpha: float, x: float, max_terms: int):
     prev_env = None
     min_env = math.inf
     for k in range(1, max_terms):
-        ln_env = -k * lnx + _lgamma_pos(alpha * k) - _LN_PI
+        ln_env = -k * lnx + math.lgamma(alpha * k) - _LN_PI
         if prev_env is not None and ln_env > prev_env:
             break
         p *= -1.0 / x
@@ -173,7 +151,7 @@ def _asymptotic_batch(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarra
     for k in range(1, max_terms):
         if live.size == 0:
             break
-        ln_env = -k * lnx[live] + _lgamma_pos(alpha * k) - _LN_PI
+        ln_env = -k * lnx[live] + math.lgamma(alpha * k) - _LN_PI
         go = ~(ln_env > prev_env[live])
         live, ln_env = live[go], ln_env[go]
         pk = p[live] * (-1.0 / xs[live])

@@ -13,7 +13,6 @@ from backflow_lab import ContractViolationError, ml_envelope, mittag_leffler
 from backflow_lab.special_functions import (
     _asymptotic,
     _asymptotic_batch,
-    gamma_lanczos,
     ml_envelope_grid,
     mittag_leffler_neg,
     reciprocal_gamma,
@@ -42,16 +41,37 @@ class TestOracleSelfConsistency:
 
 
 class TestGamma:
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.5, 10.0, 50.5, 121.3])
-    def test_against_stdlib(self, x):
-        assert gamma_lanczos(x) == pytest.approx(math.gamma(x), rel=5e-13)
-
     def test_reciprocal_at_poles_is_zero(self):
-        for k in range(0, 5):
+        for k in list(range(0, 5)) + [170, 171, 172, 200, 10**6]:
             assert reciprocal_gamma(-float(k)) == 0.0
 
     def test_reciprocal_reflection(self):
         assert reciprocal_gamma(-0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.7, 1.0, 2.5, 10.0, 50.5, 121.3, 171.5])
+    def test_reciprocal_above_one_half(self, x):
+        assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12)
+
+    def test_reciprocal_sign_below_one_half(self):
+        # 1/Gamma changes sign at every pole: negative on (-1, 0), positive
+        # on (-2, -1), ...; the reflection keeps it
+        for k in range(0, 12):
+            for frac in (0.1, 0.5, 0.9):
+                x = -k - frac
+                value = reciprocal_gamma(x)
+                assert math.copysign(1.0, value) == (-1.0 if k % 2 == 0 else 1.0), x
+                assert value == pytest.approx(1.0 / math.gamma(x), rel=1e-12), x
+
+    @pytest.mark.parametrize("x", [180.0, 171.7, 1e6, -171.5, -200.5, -170.5, -170.65, -170.98, -300.25])
+    def test_reciprocal_outside_float_range(self, x):
+        import mpmath
+
+        value = reciprocal_gamma(x)  # no OverflowError or ZeroDivisionError
+        want = float(mpmath.rgamma(mpmath.mpf(x)))  # 0 or +-inf past the range
+        if math.isinf(want) or want == 0.0:
+            assert value == want
+        else:
+            assert value == pytest.approx(want, rel=1e-11, abs=1e-300)
 
 
 class TestMittagLeffler:
