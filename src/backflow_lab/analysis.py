@@ -111,7 +111,6 @@ class PointReport:
     half-grid error estimates |N(h) - N(2h)| of ``split.n_cl`` and
     ``split.n_qe``."""
 
-    trajectory: Trajectory
     divisibility: DivisibilityReport | None  # None without a propagator
     series: Callable[[str], InfoSeries]  # memoized, generator gaps skipped
     backflow: dict  # measure tag -> accumulated backflow
@@ -151,4 +150,4 @@ def analyze(model: ModelSpec, grid: TimeGrid, route, measures, epsilon_n: float,
         n_cl = backflow_functional(kl)
         split = DecomposedBackflow(n_cl, n_cl, 0.0, classify(n_cl, 0.0, epsilon_n))
         errors = (abs(n_cl - _half_grid_backflow(kl)), 0.0)
-    return PointReport(traj, divisibility, series, backflow, split, errors)
+    return PointReport(divisibility, series, backflow, split, errors)

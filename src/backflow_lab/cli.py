@@ -5,7 +5,9 @@ Commands: ``simulate``, ``extract``, ``divisibility``, ``backflow``,
 applies dotted-path overrides (``--set a.b.c=value`` plus the ``--dt``,
 ``--t-max``, ``--threads`` shortcuts), validates it against the command's
 schema (unknown keys are rejected), runs, and writes outputs atomically
-under ``--out``.
+under ``--out``.  ``route`` is resolved by :func:`analysis.propagate` in
+every command that takes it; ``backflow`` formats the
+:func:`analysis.analyze` report that a sweep row also formats.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """

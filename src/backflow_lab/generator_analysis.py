@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
 from .propagation import PropagatorFamily, TclGenerator
-from .states import TimeGrid
+from .states import SuperoperatorSample, TimeGrid, trace_annihilation_defect
 
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
@@ -52,11 +52,7 @@ class SampledGenerator:
 
     def gap_mask(self) -> np.ndarray:
         """Boolean mask over grid points lying inside a gap interval."""
-        ts = self.grid.points
-        mask = np.zeros(ts.size, dtype=bool)
-        for a, b in self.gaps:
-            mask |= (ts >= a) & (ts <= b)
-        return mask
+        return self.grid.within(self.gaps)
 
     def interpolate(self, t: float) -> np.ndarray:
         """Cubic 4-point Lagrange interpolation between grid samples."""
@@ -261,8 +257,6 @@ def gksl_canonical_decompose(
     canonical rates (descending) and jump operators, and the remainder
     assembles into the Hamiltonian part.
     """
-    from .states import SuperoperatorSample, trace_annihilation_defect
-
     if isinstance(g, SuperoperatorSample):
         mat = np.asarray(g.entries)
         dim = g.dim

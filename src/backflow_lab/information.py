@@ -56,7 +56,7 @@ class InfoSeries:
         if vals.shape != (self.grid.n,):
             raise ContractViolationError(f"expected {self.grid.n} values, got shape {vals.shape}")
         skips = tuple((float(a), float(b)) for a, b in self.skip_intervals)
-        mask = _skip_mask(self.grid.points, skips)
+        mask = self.grid.within(skips)
         if not np.all(np.isfinite(vals[~mask])):
             raise ContractViolationError("non-finite value outside skip intervals")
         vals = np.ascontiguousarray(vals)
@@ -66,7 +66,7 @@ class InfoSeries:
 
     def skipped(self) -> np.ndarray:
         """Boolean mask of grid points inside skip intervals."""
-        return _skip_mask(self.grid.points, self.skip_intervals)
+        return self.grid.within(self.skip_intervals)
 
     def has_infinite(self) -> bool:
         return bool(np.any(np.isinf(self.values)))
@@ -76,13 +76,6 @@ class InfoSeries:
         I(t_max) - min_t I(t) over non-skipped points."""
         vals = self.values[~self.skipped()]
         return float(vals[-1] - np.min(vals))
-
-
-def _skip_mask(ts: np.ndarray, skips) -> np.ndarray:
-    mask = np.zeros(ts.size, dtype=bool)
-    for a, b in skips:
-        mask |= (ts >= a) & (ts <= b)
-    return mask
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

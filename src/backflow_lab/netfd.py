@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, NotPsdError
-from .information import InfoSeries, backflow_functional
+from .information import InfoSeries, backflow_functional, von_neumann_entropy
 from .states import DensityMatrix, TimeGrid, Trajectory
 
 ROUNDTRIP_TOL = 1e-10
@@ -135,8 +135,6 @@ def extended_reduced_density(psi: ThermoFieldState) -> DensityMatrix:
 
 def extended_entropy(rho_a: DensityMatrix) -> float:
     """Entropy of the reduced doubled state (von Neumann entropy)."""
-    from .information import von_neumann_entropy
-
     return von_neumann_entropy(rho_a)
 
 

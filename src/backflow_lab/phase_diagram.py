@@ -1,7 +1,7 @@
-"""Parameter sweeps over the built-in models: propagate, extract the
-time-local generator, test divisibility, accumulate backflow measures,
-split them into classical/intrinsic sectors where available, and classify
-each lattice point.
+"""Parameter sweeps over the built-in models.  Each lattice point runs
+:func:`analysis.analyze` on the model's ``auto`` route (propagate, extract
+the time-local generator, test divisibility, accumulate backflow measures
+and their classical/intrinsic split) and is formatted into one row.
 
 Sweeps never abort on a failing point: a numerical or contract failure
 (any :class:`BackflowLabError`, or numpy's ``LinAlgError``) is recorded in

@@ -64,8 +64,9 @@ _LN_PI = 1.1447298858494002
 # temporary at 4 MB (2048 x 256 doubles) whatever the band size
 ML_CHUNK_POINTS = 2048
 _EXP_NORMAL_ARG = 708.0  # exp(-x) for x above this is negligible here
-_GAMMA_MAX = 171.6       # math.gamma overflows just above this
+_GAMMA_MAX = 171.6       # math.gamma overflows above 171.62
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) for real x from ``math.gamma``/``math.lgamma``: exactly

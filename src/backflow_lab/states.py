@@ -206,6 +206,13 @@ class TimeGrid:
     def n(self) -> int:
         return self.points.size
 
+    def within(self, intervals) -> np.ndarray:
+        """Boolean mask of the points lying in any closed interval (a, b)."""
+        mask = np.zeros(self.points.size, dtype=bool)
+        for a, b in intervals:
+            mask |= (self.points >= a) & (self.points <= b)
+        return mask
+
     @property
     def t_max(self) -> float:
         return float(self.points[-1])

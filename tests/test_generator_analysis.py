@@ -208,6 +208,10 @@ class TestExtractionWithoutCopies:
         )
         model = classical_exp_kernel(n=3, gamma=1.0, tau_m=1.0)
         yield "3-state kernel", model.propagator_fn(TimeGrid.uniform(2e-3, 10.0))
+        # most of this family's gap points fail the trace check after an
+        # ill-conditioned but allowed inversion, rather than the condition limit
+        model = classical_exp_kernel(gamma=1.0, tau_m=0.5)
+        yield "kernel, trace-check gaps", model.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
 
     def test_samples_bitwise_equal_to_copying_version(self):
         gap_counts = {}
@@ -220,6 +224,7 @@ class TestExtractionWithoutCopies:
             gap_counts[label] = len(got.gaps)
         assert gap_counts["sinusoidal, no gaps"] == gap_counts["3-state kernel"] == 0
         assert gap_counts["sinusoidal, gap at the end"] > 0 and gap_counts["cosine_f, gaps at the zeros"] > 0
+        assert gap_counts["kernel, trace-check gaps"] > 0
 
     @pytest.mark.parametrize("amplitude, t_max", [(0.5, 10.0), (1.5, 40.0)])
     def test_peak_allocation_bounded(self, amplitude, t_max):
