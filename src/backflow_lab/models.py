@@ -67,9 +67,6 @@ class ModelSpec:
     propagator_fn: Callable | None = field(default=None, repr=False, compare=False)
     b_qe_fn: Callable | None = field(default=None, repr=False, compare=False)
 
-    def has(self, capability: str) -> bool:
-        return capability in self.outputs
-
 
 def _check_positive(**kwargs):
     for name, value in kwargs.items():

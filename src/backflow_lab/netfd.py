@@ -139,9 +139,8 @@ def extended_entropy(rho_a: DensityMatrix) -> float:
 
 
 def _sector_entropies(p: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(s_cl, s_qe) of the 2x2 states [[p, c], [c*, 1-p]] with b = |c|^2:
-    s_cl is the binary entropy of p, and s_qe = S_hat - s_cl <= 0 with
-    S_hat the entropy of the eigenvalues 1/2 +- r, r^2 = (p - 1/2)^2 + b."""
+    """:func:`decompose_two_state` over arrays of populations ``p`` and
+    intrinsic parameters ``b`` = |c|^2."""
     pc = np.clip(p, 1e-300, 1.0)
     qc = np.clip(1.0 - p, 1e-300, 1.0)
     s_cl = -(pc * np.log(pc) + qc * np.log(qc))

@@ -186,10 +186,7 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     row["divisible"] = None if div is None else div.divisible
     row["min_rate"] = None if div is None else div.min_rate
     row["first_violation_time"] = None if div is None else div.first_violation_time
-    row["n_cl"] = split.n_cl
-    row["n_qe"] = split.n_qe
-    row["n_total"] = split.n_total
-    row["regime"] = split.regime
+    row.update(split.to_json_dict())  # n_total, n_cl, n_qe, regime
     # a row is boundary-marginal when either sector sits closer to the
     # classification threshold than ten times its own grid-refinement
     # error estimate

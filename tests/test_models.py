@@ -215,7 +215,7 @@ class TestDephasingQubit:
     def test_cosine_f_has_no_generator_route(self):
         model = dephasing_qubit(rate_kind="cosine_f")
         assert model.tcl_generator is None
-        assert not model.has("tcl_generator")
+        assert "tcl_generator" not in model.outputs
 
     def test_unknown_rate_kind(self):
         with pytest.raises(ContractViolationError):
