@@ -72,7 +72,6 @@ from .states import (
     DensityMatrix,
     ProbabilityVector,
     RateMatrix,
-    SuperoperatorSample,
     TimeGrid,
     Trajectory,
 )

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -26,7 +25,7 @@ from . import analysis, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
 from .generator_analysis import check_divisible, extract_tcl_generator
 from .information import check_measure_tags
-from .models import build_model, check_params, model_schemas
+from .models import build_model, finite_number, model_schemas
 from .phase_diagram import SweepSpec, check_tolerance, run_sweep
 from .states import TimeGrid
 
@@ -117,14 +116,6 @@ COMMAND_SCHEMAS = {
 }
 
 
-def _finite_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value}")
-    return float(value)
-
-
 def _grid_params(config: dict, args) -> tuple[float, float]:
     """(dt, t_max) from the config's grid block; ``--dt``/``--t-max`` win."""
     grid_cfg = dict(config.get("grid", {}))
@@ -134,7 +125,10 @@ def _grid_params(config: dict, args) -> tuple[float, float]:
         grid_cfg["t_max"] = args.t_max
     values = []
     for key, default in (("dt", DEFAULT_DT), ("t_max", DEFAULT_T_MAX)):
-        value = _finite_number(grid_cfg.get(key, default), f"grid.{key}")
+        try:
+            value = finite_number(f"grid.{key}", grid_cfg.get(key, default))
+        except ContractViolationError as exc:
+            raise ConfigError(str(exc)) from exc
         if value <= 0:
             raise ConfigError(f"grid.{key} must be positive, got {value}")
         values.append(value)
@@ -171,7 +165,6 @@ def _model_from_config(config: dict):
     name = model_cfg["name"]
     params = dict(model_cfg.get("params", {}))
     try:
-        check_params(name, params)
         return build_model(name, params)
     except ContractViolationError as exc:
         raise ConfigError(str(exc)) from exc
@@ -280,24 +273,15 @@ def cmd_phase_diagram(config: dict, args) -> int:
     axes_cfg = config.get("axes")
     if not isinstance(axes_cfg, list) or not axes_cfg:
         raise ConfigError("config requires a list of at least one sweep axis")
-    axes = []
     for i, axis in enumerate(axes_cfg):
         if not isinstance(axis, dict) or not {"param", "min", "max", "steps"} <= axis.keys():
             raise ConfigError(f"axes[{i}] needs param/min/max/steps")
-        if not isinstance(axis["param"], str):
-            raise ConfigError(f"axes[{i}].param must be a parameter name")
-        steps = axis["steps"]
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ConfigError(f"axes[{i}].steps must be an integer")
-        lo = _finite_number(axis["min"], f"axes[{i}].min")
-        hi = _finite_number(axis["max"], f"axes[{i}].max")
-        axes.append((axis["param"], lo, hi, steps))
     dt, t_max = _grid_params(config, args)
     threads = args.threads if args.threads is not None else config.get("threads", 1)
     try:
         spec = SweepSpec(
             model=model_cfg["name"],
-            axes=tuple(axes),
+            axes=tuple((a["param"], a["min"], a["max"], a["steps"]) for a in axes_cfg),
             fixed=dict(model_cfg.get("params", {})),
             dt=dt,
             t_max=t_max,

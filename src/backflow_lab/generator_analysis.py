@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
 from .propagation import PropagatorFamily, TclGenerator
-from .states import SuperoperatorSample, TimeGrid, trace_annihilation_defect
+from .states import TimeGrid
 
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
@@ -141,16 +141,10 @@ def _derivative_4th(maps: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _conservation_row(kind: str, dim: int) -> np.ndarray:
-    return linalg.trace_row(dim) if kind == "quantum" else np.ones(dim)
-
-
-def extract_tcl_generator(
-    family: PropagatorFamily, condition_limit: float = CONDITION_LIMIT
-) -> SampledGenerator:
+def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     """Recover G(t) = dPhi/dt Phi^{-1} on the grid.
 
-    Points where Phi is singular beyond ``condition_limit`` (or where the
+    Points where Phi is singular beyond ``CONDITION_LIMIT`` (or where the
     recovered sample fails trace annihilation, the symptom of a
     near-singular inversion) become gap intervals.  Raises
     :class:`GeneratorSingularityError` only if no point survives.
@@ -158,12 +152,12 @@ def extract_tcl_generator(
     maps = np.asarray(family.maps)
     h = family.grid.dt
     ts = family.grid.points
-    u = _conservation_row(family.kind, family.dim)
+    u = linalg.conservation_row(family.kind, family.dim)
     # batched conditioning check and inversion over the whole grid
     sv = np.linalg.svd(maps, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         conds = np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf)
-    flagged = conds > condition_limit
+    flagged = conds > CONDITION_LIMIT
     ok = np.flatnonzero(~flagged)
     # only the well-conditioned points are inverted; when that is all of
     # them, the family and its derivative enter as they are, uncopied
@@ -248,26 +242,21 @@ def _kossakowski(samples: np.ndarray, dim: int) -> np.ndarray:
 
 
 def gksl_canonical_decompose(
-    g, dim: int | None = None, time: float | None = None
+    g, dim: int | None = None, time: float = 0.0
 ) -> CanonicalGkslForm:
-    """Canonical decomposition of a trace-annihilating generator.
+    """Canonical decomposition of a trace-annihilating generator, the
+    (d^2, d^2) superoperator matrix ``g``.
 
     The generator is expanded over the traceless orthonormal basis; the
     eigendecomposition of the resulting Kossakowski matrix supplies the
     canonical rates (descending) and jump operators, and the remainder
     assembles into the Hamiltonian part.
     """
-    if isinstance(g, SuperoperatorSample):
-        mat = np.asarray(g.entries)
-        dim = g.dim
-        t = g.time if time is None else time
-    else:
-        mat = np.asarray(g, dtype=complex)
-        if dim is None:
-            dim = int(round(np.sqrt(mat.shape[0])))
-        t = 0.0 if time is None else time
+    mat = np.asarray(g, dtype=complex)
+    if dim is None:
+        dim = int(round(np.sqrt(mat.shape[0])))
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if trace_annihilation_defect(mat, dim) > EXTRACTION_TRACE_TOL * scale:
+    if np.max(np.abs(linalg.conservation_row("quantum", dim) @ mat)) > EXTRACTION_TRACE_TOL * scale:
         raise ContractViolationError("generator does not annihilate the trace")
     c = _kossakowski(mat, dim)[0]
     basis = _full_basis(dim)
@@ -281,7 +270,7 @@ def gksl_canonical_decompose(
     hamiltonian = (hamiltonian + hamiltonian.conj().T) / 2.0
     hamiltonian = hamiltonian - np.trace(hamiltonian) / dim * np.eye(dim)
     return CanonicalGkslForm(
-        time=float(t), hamiltonian=hamiltonian, rates=rates, jump_ops=jumps
+        time=float(time), hamiltonian=hamiltonian, rates=rates, jump_ops=jumps
     )
 
 

@@ -195,9 +195,9 @@ def series_from_trajectory(
 ) -> InfoSeries:
     """Pointwise information series over a trajectory.
 
-    The values come from one batched pass over the stacked states (the
-    scalar measures above are the per-state reference); the states are
-    first checked as a stack by :meth:`Trajectory.check_states`.
+    The values come from one batched pass over the stacked states, which
+    the :class:`Trajectory` constructor has already checked (the scalar
+    measures above are the per-state reference).
 
     ``reference`` is required for 'rel_entropy', 'kl' and 'trace_distance'.
     Gap intervals from an upstream divisibility report should be passed as
@@ -227,7 +227,6 @@ def series_from_trajectory(
             raise ContractViolationError(
                 f"reference must be a {ref_type.__name__} of dimension {traj.dim}"
             )
-    traj.check_states()
     if measure_tag in ("vn_entropy", "extended_entropy"):
         # the extended entropy of the thermofield purification is the von
         # Neumann entropy of the state itself (see netfd)

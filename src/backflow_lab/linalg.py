@@ -16,11 +16,8 @@ import numpy as np
 
 from .errors import ContractViolationError, NotPsdError
 
-# Tolerances; keyword arguments on the functions below override them.
 HERMITICITY_TOL = 1e-10
-PSD_CLIP = 1e-10
 PSD_ERROR = 1e-8
-RECONSTRUCTION_TOL = 1e-10
 
 MAX_QUANTUM_DIM = 8
 MAX_CLASSICAL_DIM = 16
@@ -32,33 +29,34 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)) / 2.0)
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
+def hermitian_eig(m: np.ndarray):
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Returns ``(w, v)`` with ``v @ diag(w) @ v.conj().T == m`` to within
-    ``RECONSTRUCTION_TOL`` relative Frobenius error.  Raises
-    :class:`ContractViolationError` if ``m`` is not Hermitian within ``tol``.
+    Returns ``(w, v)`` with ``v @ diag(w) @ v.conj().T == m``.  Raises
+    :class:`ContractViolationError` if ``m`` is not Hermitian within
+    ``HERMITICITY_TOL``.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-    if hermiticity_defect(m) > tol:
+    if hermiticity_defect(m) > HERMITICITY_TOL:
         raise ContractViolationError(
-            f"matrix is not Hermitian within {tol:g} (defect {hermiticity_defect(m):.3e})"
+            f"matrix is not Hermitian within {HERMITICITY_TOL:g} (defect {hermiticity_defect(m):.3e})"
         )
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def psd_sqrt(m: np.ndarray, clip: float = PSD_CLIP, hard: float = PSD_ERROR) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix.
 
-    Eigenvalues in ``[-hard, 0)`` are treated as float noise and clipped to
-    zero; anything below ``-hard`` raises :class:`NotPsdError`.
+    Eigenvalues in ``[-PSD_ERROR, 0)`` are treated as float noise and
+    clipped to zero; anything below ``-PSD_ERROR`` raises
+    :class:`NotPsdError`.
     """
     w, v = hermitian_eig(m)
-    if w[-1] < -hard:
-        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{hard:g}")
+    if w[-1] < -PSD_ERROR:
+        raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{PSD_ERROR:g}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
@@ -107,6 +105,9 @@ def dissipator_superop(jump: np.ndarray) -> np.ndarray:
     )
 
 
-def trace_row(dim: int) -> np.ndarray:
-    """Row vector r with r @ vectorize(X) == trace(X)."""
-    return vectorize(np.eye(dim)).astype(float)
+def conservation_row(kind: str, dim: int) -> np.ndarray:
+    """The row u that a generator or kernel of ``kind`` annihilates and a
+    propagator preserves (u @ G == 0, u @ Phi == u): for quantum maps the
+    trace row, u @ vectorize(X) == trace(X); for classical ones all ones
+    (the column sums)."""
+    return vectorize(np.eye(dim)).astype(float) if kind == "quantum" else np.ones(dim)

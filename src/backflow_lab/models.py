@@ -20,6 +20,7 @@ families coincide identically at alpha = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,18 +67,6 @@ class ModelSpec:
     trajectory_fn: Callable | None = field(default=None, repr=False, compare=False)
     propagator_fn: Callable | None = field(default=None, repr=False, compare=False)
     b_qe_fn: Callable | None = field(default=None, repr=False, compare=False)
-
-
-def _check_positive(**kwargs):
-    for name, value in kwargs.items():
-        if value <= 0:
-            raise ContractViolationError(f"parameter {name} must be positive, got {value}")
-
-
-def _check_unit_interval(**kwargs):
-    for name, value in kwargs.items():
-        if not 0.0 <= value <= 1.0:
-            raise ContractViolationError(f"parameter {name} must lie in [0, 1], got {value}")
 
 
 def _two_state_trajectory(grid: TimeGrid, p: np.ndarray, c: np.ndarray) -> Trajectory:
@@ -127,8 +116,7 @@ def _envelope_model(
 def markov_two_state(lam: float = 1.0, omega: float = 1.0, p0: float = 0.5, p_eq: float = 0.5) -> ModelSpec:
     """Exponential-envelope two-state relaxation with oscillating intrinsic
     coherence c(t) = (1/2) e^{-lam t} sin(omega t), b_qe = c^2."""
-    _check_positive(lam=lam, omega=omega)
-    _check_unit_interval(p0=p0, p_eq=p_eq)
+    check_params("markov_two_state", dict(lam=lam, omega=omega, p0=p0, p_eq=p_eq))
     env_fn = lambda ts: np.exp(-lam * np.asarray(ts, dtype=float))
     return _envelope_model(
         "markov_two_state", env_fn, lam, omega, p0, p_eq, {},
@@ -141,10 +129,7 @@ def fractional_two_state(
 ) -> ModelSpec:
     """Mittag-Leffler-envelope two-state relaxation; reduces identically to
     :func:`markov_two_state` at alpha = 1."""
-    _check_positive(lam=lam, omega=omega)
-    _check_unit_interval(p0=p0, p_eq=p_eq)
-    if not 0.0 < alpha <= 1.0:
-        raise ContractViolationError(f"alpha must lie in (0, 1], got {alpha}")
+    check_params("fractional_two_state", dict(alpha=alpha, lam=lam, omega=omega, p0=p0, p_eq=p_eq))
     env_fn = lambda ts: ml_envelope_grid(alpha, lam, np.asarray(ts, dtype=float))
     return _envelope_model(
         "fractional_two_state", env_fn, lam, omega, p0, p_eq, {"alpha": alpha},
@@ -183,7 +168,7 @@ def classical_exp_kernel(
 
         dp/dt = y,   dy/dt = (gamma/tau_m) W_base p - y/tau_m.
     """
-    _check_positive(gamma=gamma, tau_m=tau_m)
+    check_params("classical_exp_kernel", dict(n=n, gamma=gamma, tau_m=tau_m))
     if w_base is None:
         w_base = symmetric_rate_matrix(n)
     if w_base.dim != n:
@@ -241,7 +226,7 @@ def exp_kernel_difference_mode(gamma: float, tau_m: float, ts: np.ndarray) -> np
     """Closed-form population-difference relaxation x(t)/x(0) for the
     symmetric two-state exponential-kernel model, solving
     x'' + x'/tau_m + (2 gamma/tau_m) x = 0 with x'(0) = 0."""
-    _check_positive(gamma=gamma, tau_m=tau_m)
+    check_params("classical_exp_kernel", dict(gamma=gamma, tau_m=tau_m))
     ts = np.asarray(ts, dtype=float)
     disc = 1.0 / tau_m**2 - 8.0 * gamma / tau_m
     if abs(disc) < 1e-14:
@@ -273,11 +258,8 @@ def classical_fractional(
     """Symmetric two-state relaxation whose difference mode follows the
     Mittag-Leffler envelope x(t) = x(0) E_alpha(-(gamma t)^alpha); reduces
     to exp(-gamma t) at alpha = 1."""
-    _check_positive(gamma=gamma)
-    if not 0.0 < alpha <= 1.0:
-        raise ContractViolationError(f"alpha must lie in (0, 1], got {alpha}")
-    if n != 2:
-        raise ContractViolationError("closed form available for the symmetric 2-state case only")
+    # the schema pins n to 2: the closed form covers the symmetric 2-state case only
+    check_params("classical_fractional", dict(gamma=gamma, alpha=alpha, n=n))
     if p0 is None:
         p0 = ProbabilityVector(np.array([1.0, 0.0]))
     x0 = float(p0.entries[0] - p0.entries[1])
@@ -312,26 +294,25 @@ def _dephasing_decoherence(rate_kind: str, lam: float, amplitude: float, frequen
 
         rate = lambda t: lam + amplitude * math.sin(frequency * t)
         return f, rate, lambda t_max: []
-    if rate_kind == "cosine_f":
-        def f(ts):
-            ts = np.asarray(ts, dtype=float)
-            return np.exp(-lam * ts / 2.0) * np.cos(mu * ts)
+    # "cosine_f", the last of the schema's choices
+    def f(ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.exp(-lam * ts / 2.0) * np.cos(mu * ts)
 
-        def rate(t):
-            return lam / 2.0 + mu * math.tan(mu * t)
+    def rate(t):
+        return lam / 2.0 + mu * math.tan(mu * t)
 
-        def zeros(t_max):
-            out = []
-            k = 0
-            while True:
-                t = (math.pi / 2 + k * math.pi) / mu
-                if t > t_max:
-                    return out
-                out.append(t)
-                k += 1
+    def zeros(t_max):
+        out = []
+        k = 0
+        while True:
+            t = (math.pi / 2 + k * math.pi) / mu
+            if t > t_max:
+                return out
+            out.append(t)
+            k += 1
 
-        return f, rate, zeros
-    raise ContractViolationError(f"unknown rate_kind {rate_kind!r}")
+    return f, rate, zeros
 
 
 def dephasing_qubit(
@@ -350,7 +331,9 @@ def dephasing_qubit(
     gamma(t) = lam + amplitude*sin(frequency*t) (always smooth); 'cosine_f'
     gives f = exp(-lam t/2) cos(mu t), whose generator is undefined at the
     zeros of f (reported as gap intervals by extraction)."""
-    _check_positive(lam=lam)
+    check_params(
+        "dephasing_qubit", dict(rate_kind=rate_kind, lam=lam, amplitude=amplitude, frequency=frequency, mu=mu)
+    )
     if rho0 is None:
         rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     f, rate, singular_times = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
@@ -416,10 +399,7 @@ def amplitude_damping_qubit(
     lowering channel, gamma nbar on the raising channel; the stationary
     state is the thermal population mix.  The initial state is
     [[p0, c0], [c0, 1 - p0]]."""
-    _check_positive(gamma=gamma)
-    if nbar < 0:
-        raise ContractViolationError(f"nbar must be >= 0, got {nbar}")
-    _check_unit_interval(p0=p0)
+    check_params("amplitude_damping_qubit", dict(gamma=gamma, nbar=nbar, p0=p0, c0=c0))
     if c0 * c0 > p0 * (1.0 - p0):
         raise ContractViolationError("initial coherence exceeds the PSD bound")
     rho0 = DensityMatrix(np.array([[p0, c0], [c0, 1.0 - p0]], dtype=complex))
@@ -498,9 +478,22 @@ MODEL_REGISTRY = {
 }
 
 
+def finite_number(where: str, value) -> float:
+    """``value`` as a float when it is a finite real number (not a bool),
+    else :class:`ContractViolationError` naming ``where``."""
+    if isinstance(value, bool):
+        raise ContractViolationError(f"{where} must be a number, not a boolean")
+    if not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ContractViolationError(f"{where} must be finite, got {value}")
+    return float(value)
+
+
 def check_params(name: str, params: dict):
-    """Check parameter names, types and ranges against the model's schema;
-    raises :class:`ContractViolationError` on the first mismatch."""
+    """Check parameter names, types and ranges against the model's schema,
+    the one place they are decided (every factory and :func:`build_model`
+    call it); raises :class:`ContractViolationError` on the first mismatch."""
     if name not in MODEL_REGISTRY:
         raise ContractViolationError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
     schema = MODEL_REGISTRY[name][1]
@@ -508,13 +501,11 @@ def check_params(name: str, params: dict):
         if key not in schema:
             raise ContractViolationError(f"model {name} has no parameter {key!r}")
         rule = schema[key]
-        if rule["type"] in ("number", "integer") and isinstance(value, bool):
-            raise ContractViolationError(f"parameter {key} must be a {rule['type']}, not a boolean")
-        if rule["type"] == "number" and not isinstance(value, (int, float)):
-            raise ContractViolationError(f"parameter {key} must be a number")
-        if rule["type"] == "number" and not math.isfinite(value):
-            raise ContractViolationError(f"parameter {key} must be finite, got {value}")
-        if rule["type"] == "integer" and not isinstance(value, int):
+        if rule["type"] == "number":
+            finite_number(f"parameter {key}", value)
+        if rule["type"] == "integer" and isinstance(value, bool):
+            raise ContractViolationError(f"parameter {key} must be an integer, not a boolean")
+        if rule["type"] == "integer" and not isinstance(value, numbers.Integral):
             raise ContractViolationError(f"parameter {key} must be an integer")
         if rule["type"] == "string":
             if not isinstance(value, str):
@@ -535,12 +526,9 @@ def check_params(name: str, params: dict):
 
 def build_model(name: str, params: dict | None = None) -> ModelSpec:
     """Instantiate a registered model from primitive parameters."""
-    if name not in MODEL_REGISTRY:
-        raise ContractViolationError(
-            f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}"
-        )
-    factory, _ = MODEL_REGISTRY[name]
-    return factory(**(params or {}))
+    params = params or {}
+    check_params(name, params)
+    return MODEL_REGISTRY[name][0](**params)
 
 
 def model_schemas() -> dict:

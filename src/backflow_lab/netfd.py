@@ -28,6 +28,8 @@ from .states import DensityMatrix, TimeGrid, Trajectory
 ROUNDTRIP_TOL = 1e-10
 SUBADDITIVITY_SLACK = 1e-8
 EPSILON_N = 1e-6
+# b_qe may exceed p(1 - p) by this much before the 2x2 state counts as not PSD
+PSD_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,15 +39,14 @@ class ThermoFieldState:
 
     dim: int
     amplitudes: np.ndarray
-    norm_tol: float = ROUNDTRIP_TOL
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
         if a.shape != (self.dim * self.dim,):
             raise ContractViolationError(f"expected {self.dim**2} amplitudes, got {a.shape}")
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > self.norm_tol:
-            raise ContractViolationError(f"norm {nrm} differs from 1 beyond {self.norm_tol:g}")
+        if abs(nrm - 1.0) > ROUNDTRIP_TOL:
+            raise ContractViolationError(f"norm {nrm} differs from 1 beyond {ROUNDTRIP_TOL:g}")
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
@@ -58,12 +59,11 @@ class TwoStateNetfdParams:
 
     p: float
     c: complex
-    psd_slack: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ContractViolationError(f"population p={self.p} outside [0, 1]")
-        if self.b_qe > self.p * (1.0 - self.p) + self.psd_slack:
+        if self.b_qe > self.p * (1.0 - self.p) + PSD_SLACK:
             raise NotPsdError(
                 f"b_qe={self.b_qe:.3e} exceeds p(1-p)={self.p*(1-self.p):.3e}: "
                 "the assembled state is not PSD"
@@ -130,7 +130,7 @@ def extended_reduced_density(psi: ThermoFieldState) -> DensityMatrix:
     a = linalg.devectorize(psi.amplitudes, psi.dim)
     rho = a @ a.conj().T
     rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(rho / np.trace(rho).real, trace_tol=1e-9, psd_floor=-1e-9)
+    return DensityMatrix(rho / np.trace(rho).real)
 
 
 def extended_entropy(rho_a: DensityMatrix) -> float:
@@ -170,7 +170,7 @@ def two_state_entropy_series(
     b = np.asarray(b_qe, dtype=float)
     if p.shape != (grid.n,) or b.shape != (grid.n,):
         raise ContractViolationError("p and b_qe must match the grid")
-    if np.any(b > p * (1.0 - p) + 1e-12):
+    if np.any(b > p * (1.0 - p) + PSD_SLACK):
         i = int(np.argmax(b - p * (1.0 - p)))
         raise NotPsdError(
             f"b_qe exceeds p(1-p) at t={grid.points[i]:g}: state not PSD"

@@ -16,7 +16,6 @@ bit-identical.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ import numpy as np
 from .analysis import analyze
 from .errors import BackflowLabError, ContractViolationError
 from .information import InfoSeries, check_measure_tags
-from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params
+from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params, finite_number
 from .netfd import EPSILON_N
 from .states import TimeGrid
 
@@ -47,13 +46,10 @@ SWEEP_COLUMNS_TAIL = (
 def check_tolerance(name: str, value) -> float:
     """``epsilon_n`` or ``rate_tolerance`` as a float: a finite number >= 0,
     else :class:`ContractViolationError`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ContractViolationError(f"{name} must be a number")
-    if not math.isfinite(value):
-        raise ContractViolationError(f"{name} must be finite, got {value}")
+    value = finite_number(name, value)
     if value < 0:
         raise ContractViolationError(f"{name} must be >= 0, got {value}")
-    return float(value)
+    return value
 
 
 def revival_detector(series: InfoSeries, epsilon_n: float = EPSILON_N):
@@ -82,7 +78,9 @@ def revival_detector(series: InfoSeries, epsilon_n: float = EPSILON_N):
 @dataclass(frozen=True)
 class SweepSpec:
     """Lattice description: 1 or 2 swept parameter axes over a registered
-    model, remaining parameters fixed."""
+    model, remaining parameters fixed.  Each axis entry is checked here: a
+    parameter name of the model's number parameters, finite bounds inside
+    its schema range with max > min, and an integer step count >= 2."""
 
     model: str
     axes: tuple  # ((name, min, max, steps), ...) with 1 or 2 entries
@@ -103,20 +101,23 @@ class SweepSpec:
             raise ContractViolationError(f"threads must be an integer >= 1, got {self.threads!r}")
         schema = MODEL_REGISTRY[self.model][1]
         check_params(self.model, self.fixed)
-        for name, lo, hi, steps in self.axes:
+        for i, (name, lo, hi, steps) in enumerate(self.axes):
+            if not isinstance(name, str):
+                raise ContractViolationError(f"axes[{i}].param must be a parameter name, got {name!r}")
             if name not in schema:
                 raise ContractViolationError(f"model {self.model} has no parameter {name!r} to sweep")
             if schema[name]["type"] != "number":
-                raise ContractViolationError(f"axis {name!r} is not a number parameter")
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ContractViolationError(f"axis {name!r} needs finite bounds")
+                raise ContractViolationError(f"axes[{i}]: {name!r} is not a number parameter")
+            lo, hi = finite_number(f"axes[{i}].min", lo), finite_number(f"axes[{i}].max", hi)
+            if isinstance(steps, bool) or not isinstance(steps, int):
+                raise ContractViolationError(f"axes[{i}].steps must be an integer, got {steps!r}")
             if steps < 2:
-                raise ContractViolationError(f"axis {name!r} needs at least 2 steps")
+                raise ContractViolationError(f"axes[{i}] ({name!r}) needs at least 2 steps")
             if not hi > lo:
-                raise ContractViolationError(f"axis {name!r} needs max > min")
+                raise ContractViolationError(f"axes[{i}] ({name!r}) needs max > min")
             # the schema ranges are intervals, so both ends decide the lattice
-            check_params(self.model, {name: float(lo)})
-            check_params(self.model, {name: float(hi)})
+            check_params(self.model, {name: lo})
+            check_params(self.model, {name: hi})
         check_measure_tags(self.measures)
         object.__setattr__(self, "measures", tuple(self.measures))
         for name in ("epsilon_n", "rate_tolerance"):
@@ -124,7 +125,7 @@ class SweepSpec:
 
     def axis_values(self) -> list:
         return [
-            (name, np.linspace(lo, hi, int(steps)))
+            (name, np.linspace(lo, hi, steps))
             for name, lo, hi, steps in self.axes
         ]
 
@@ -239,8 +240,4 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             rows = list(pool.map(_sweep_point, work, chunksize=1))
     else:
         rows = [_sweep_point(w) for w in work]
-    axis_names = [name for name, *_ in spec.axes]
-    for row, p in zip(rows, points):
-        for name in axis_names:
-            row[name] = p[name]
     return SweepResult(spec=spec, rows=tuple(rows))

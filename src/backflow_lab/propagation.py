@@ -132,11 +132,8 @@ class PropagatorFamily:
             raise ContractViolationError(f"expected maps of shape {(n, dd, dd)}, got {maps.shape}")
         if np.max(np.abs(maps[0] - np.eye(dd))) > 1e-12:
             raise ContractViolationError("Phi(0, 0) is not the identity")
-        if self.kind == "quantum":
-            r = linalg.trace_row(self.dim)
-            defect = np.max(np.abs(r @ maps - r))
-        else:
-            defect = np.max(np.abs(maps.sum(axis=1) - 1.0))
+        u = linalg.conservation_row(self.kind, self.dim)
+        defect = np.max(np.abs(u @ maps - u))
         if defect > PROPAGATOR_TRACE_TOL:
             raise ContractViolationError(
                 f"propagator family violates trace preservation (defect {defect:.3e})"
@@ -164,11 +161,7 @@ def _sample_defects(samples: np.ndarray, kind: str, dim: int):
     """Trace-preservation defect of stacked generator samples (k, dd, dd)
     and the scale it is judged against: sample j fails when
     ``defect[j] > SAMPLE_TRACE_TOL * scale[j]``, scale = max(1, max|G|)."""
-    if kind == "quantum":
-        column_traces = linalg.trace_row(dim) @ samples
-    else:
-        column_traces = samples.sum(axis=1)
-    defect = np.max(np.abs(column_traces), axis=1)
+    defect = np.max(np.abs(linalg.conservation_row(kind, dim) @ samples), axis=1)
     scale = np.maximum(1.0, np.max(np.abs(samples), axis=(1, 2)))
     return defect, scale
 
@@ -387,10 +380,7 @@ def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
     head = table[:n_ok]
     # kernels act as generators under the time integral: trace-annihilated;
     # the samples ahead of the first non-finite one are judged first
-    if kernel.kind == "quantum":
-        defect = np.max(np.abs(linalg.trace_row(kernel.dim) @ head), axis=-1)
-    else:
-        defect = np.max(np.abs(head.sum(axis=1)), axis=-1)
+    defect = np.max(np.abs(linalg.conservation_row(kernel.kind, kernel.dim) @ head), axis=-1)
     scale = max(1.0, float(np.max(np.abs(head)))) if n_ok else 1.0
     bad = np.flatnonzero(defect > SAMPLE_TRACE_TOL * scale)
     if bad.size:

@@ -192,7 +192,9 @@ def _tanh_sinh_theta(alpha: float, xs: np.ndarray, max_level: int = 10) -> np.nd
             arg[arg > _EXP_NORMAL_ARG] = np.inf
             np.negative(arg, out=arg)
             np.exp(arg, out=arg)
-            out[lo : lo + ML_CHUNK_POINTS] = arg @ w
+            # einsum, not a GEMV: its row sums do not depend on the BLAS
+            # thread count
+            out[lo : lo + ML_CHUNK_POINTS] = np.einsum("ij,j->i", arg, w)
         return out
 
     h = 1.0

@@ -1,5 +1,4 @@
-"""Value types: states, rate matrices, superoperator samples, time grids,
-and trajectories.
+"""Value types: states, rate matrices, time grids and trajectories.
 
 All types are immutable after construction (backing arrays are marked
 read-only) and validate their invariants eagerly, so anything downstream
@@ -19,10 +18,9 @@ HERMITICITY_TOL = 1e-12
 PSD_FLOOR = -1e-10
 PROB_FLOOR = -1e-12
 COLUMN_SUM_TOL = 1e-10
-GENERATOR_TRACE_TOL = 1e-10
-# per-state tolerances of Trajectory.state and Trajectory.check_states
-STATE_TRACE_TOL = 1e-9
-STATE_FLOOR = -1e-9
+# trace (sum) drift a trajectory state may carry, and its classical floor
+TRAJECTORY_TRACE_TOL = 1e-9
+TRAJECTORY_PROB_FLOOR = -1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -36,9 +34,6 @@ class DensityMatrix:
     """Hermitian, unit-trace, PSD complex matrix (the reduced state)."""
 
     entries: np.ndarray
-    trace_tol: float = TRACE_TOL
-    herm_tol: float = HERMITICITY_TOL
-    psd_floor: float = PSD_FLOOR
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -47,17 +42,17 @@ class DensityMatrix:
         d = m.shape[0]
         if d < 1 or d > linalg.MAX_QUANTUM_DIM:
             raise ContractViolationError(f"dimension {d} outside supported range 1..{linalg.MAX_QUANTUM_DIM}")
-        if linalg.hermiticity_defect(m) > self.herm_tol:
+        if linalg.hermiticity_defect(m) > HERMITICITY_TOL:
             raise ContractViolationError(
-                f"density matrix not Hermitian within {self.herm_tol:g}"
+                f"density matrix not Hermitian within {HERMITICITY_TOL:g}"
             )
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ContractViolationError(f"trace {tr} differs from 1 beyond {self.trace_tol:g}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ContractViolationError(f"trace {tr} differs from 1 beyond {TRACE_TOL:g}")
         w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w[0] < self.psd_floor:
+        if w[0] < PSD_FLOOR:
             raise ContractViolationError(
-                f"density matrix not PSD: min eigenvalue {w[0]:.3e} < {self.psd_floor:g}"
+                f"density matrix not PSD: min eigenvalue {w[0]:.3e} < {PSD_FLOOR:g}"
             )
         object.__setattr__(self, "entries", _freeze(m))
 
@@ -75,8 +70,6 @@ class ProbabilityVector:
     """Nonnegative real vector summing to one."""
 
     entries: np.ndarray
-    sum_tol: float = TRACE_TOL
-    floor: float = PROB_FLOOR
 
     def __post_init__(self):
         p = np.asarray(self.entries, dtype=float)
@@ -85,9 +78,9 @@ class ProbabilityVector:
         n = p.size
         if n < 1 or n > linalg.MAX_CLASSICAL_DIM:
             raise ContractViolationError(f"dimension {n} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}")
-        if np.min(p) < self.floor:
-            raise ContractViolationError(f"negative entry {np.min(p):.3e} below {self.floor:g}")
-        if abs(float(np.sum(p)) - 1.0) > self.sum_tol:
+        if np.min(p) < PROB_FLOOR:
+            raise ContractViolationError(f"negative entry {np.min(p):.3e} below {PROB_FLOOR:g}")
+        if abs(float(np.sum(p)) - 1.0) > TRACE_TOL:
             raise ContractViolationError(f"entries sum to {np.sum(p)}, not 1")
         object.__setattr__(self, "entries", _freeze(p))
 
@@ -105,7 +98,6 @@ class RateMatrix:
     """
 
     entries: np.ndarray
-    column_sum_tol: float = COLUMN_SUM_TOL
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=float)
@@ -115,53 +107,15 @@ class RateMatrix:
             raise ContractViolationError(f"dimension {w.shape[0]} exceeds {linalg.MAX_CLASSICAL_DIM}")
         colsums = np.abs(w.sum(axis=0))
         scale = max(1.0, float(np.max(np.abs(w))))
-        if np.max(colsums) > self.column_sum_tol * scale:
+        if np.max(colsums) > COLUMN_SUM_TOL * scale:
             raise ContractViolationError(
-                f"column sums reach {np.max(colsums):.3e}, beyond {self.column_sum_tol:g}"
+                f"column sums reach {np.max(colsums):.3e}, beyond {COLUMN_SUM_TOL:g}"
             )
         object.__setattr__(self, "entries", _freeze(w))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class SuperoperatorSample:
-    """d^2 x d^2 complex matrix acting on column-stacked states, tagged with
-    the time it was sampled at.
-
-    With ``is_generator=True`` the trace row must annihilate the matrix
-    (Tr(G X) = 0 for all X), the defining property of a generator.
-    """
-
-    dim: int
-    entries: np.ndarray
-    time: float = 0.0
-    is_generator: bool = False
-    trace_tol: float = GENERATOR_TRACE_TOL
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        d = self.dim
-        if m.shape != (d * d, d * d):
-            raise ContractViolationError(f"expected shape {(d*d, d*d)}, got {m.shape}")
-        if self.time < 0:
-            raise ContractViolationError("sample time must be >= 0")
-        if self.is_generator:
-            defect = trace_annihilation_defect(m, d)
-            scale = max(1.0, float(np.max(np.abs(m))))
-            if defect > self.trace_tol * scale:
-                raise ContractViolationError(
-                    f"generator does not annihilate the trace (defect {defect:.3e})"
-                )
-        object.__setattr__(self, "entries", _freeze(m))
-
-
-def trace_annihilation_defect(superop: np.ndarray, dim: int) -> float:
-    """Max abs entry of trace_row @ superop; zero for exact generators."""
-    r = linalg.trace_row(dim) @ np.asarray(superop)
-    return float(np.max(np.abs(r)))
 
 
 @dataclass(frozen=True)
@@ -232,15 +186,17 @@ class Trajectory:
     """Per-grid-point states of a single kind ('quantum' or 'classical').
 
     States are stored as one stacked array: shape (n, d, d) complex for
-    quantum, (n, m) float for classical.  Every stored state is validated
-    on construction.
+    quantum, (n, m) float for classical.  Construction is the one check of
+    the state set, batched over the stack: the dimension cap, Hermiticity
+    within ``HERMITICITY_TOL``, trace (sum) within ``TRAJECTORY_TRACE_TOL``,
+    and eigenvalues above ``PSD_FLOOR`` (entries above
+    ``TRAJECTORY_PROB_FLOOR``).  A state outside the set raises
+    :class:`InvalidStateError` naming its time.
     """
 
     grid: TimeGrid
     states: np.ndarray
     kind: str
-    trace_tol: float = 1e-9
-    psd_floor: float = PSD_FLOOR
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -252,22 +208,27 @@ class Trajectory:
             arr = arr.astype(complex)
             if arr.ndim != 3 or arr.shape[0] != n or arr.shape[1] != arr.shape[2]:
                 raise ContractViolationError(f"expected ({n}, d, d) quantum states, got {arr.shape}")
-            defect = float(np.max(np.abs(arr - arr.conj().transpose(0, 2, 1)))) / 2.0
-            if defect > 1e-9:
-                skew = np.abs(arr - arr.conj().transpose(0, 2, 1))
+            if arr.shape[1] > linalg.MAX_QUANTUM_DIM:
+                raise ContractViolationError(
+                    f"dimension {arr.shape[1]} outside supported range 1..{linalg.MAX_QUANTUM_DIM}"
+                )
+            adj = arr.conj().transpose(0, 2, 1)
+            skew = np.abs(arr - adj)
+            defect = float(np.max(skew)) / 2.0
+            if defect > HERMITICITY_TOL:
                 i = np.unravel_index(np.argmax(skew), skew.shape)[0]
                 raise InvalidStateError(
                     f"non-Hermitian state in trajectory (defect {defect:.3e})", time=float(ts[i])
                 )
             traces = np.einsum("nii->n", arr)
             bad = np.argmax(np.abs(traces - 1.0))
-            if abs(traces[bad] - 1.0) > self.trace_tol:
+            if abs(traces[bad] - 1.0) > TRAJECTORY_TRACE_TOL:
                 raise InvalidStateError(
                     f"state at t={ts[bad]:g} has trace {traces[bad]}", time=float(ts[bad])
                 )
-            w = np.linalg.eigvalsh((arr + arr.conj().transpose(0, 2, 1)) / 2.0)
+            w = np.linalg.eigvalsh((arr + adj) / 2.0)
             i = np.argmin(w[:, 0])
-            if w[i, 0] < self.psd_floor:
+            if w[i, 0] < PSD_FLOOR:
                 raise InvalidStateError(
                     f"state at t={ts[i]:g} has eigenvalue {w[i,0]:.3e}", time=float(ts[i])
                 )
@@ -275,14 +236,18 @@ class Trajectory:
             arr = arr.astype(float)
             if arr.ndim != 2 or arr.shape[0] != n:
                 raise ContractViolationError(f"expected ({n}, m) classical states, got {arr.shape}")
-            if np.min(arr) < -1e-9:
+            if arr.shape[1] > linalg.MAX_CLASSICAL_DIM:
+                raise ContractViolationError(
+                    f"dimension {arr.shape[1]} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}"
+                )
+            if np.min(arr) < TRAJECTORY_PROB_FLOOR:
                 i = np.unravel_index(np.argmin(arr), arr.shape)[0]
                 raise InvalidStateError(
                     f"negative probability at t={ts[i]:g}: {np.min(arr):.3e}", time=float(ts[i])
                 )
             sums = arr.sum(axis=1)
             bad = np.argmax(np.abs(sums - 1.0))
-            if abs(sums[bad] - 1.0) > self.trace_tol:
+            if abs(sums[bad] - 1.0) > TRAJECTORY_TRACE_TOL:
                 raise InvalidStateError(
                     f"state at t={ts[bad]:g} sums to {sums[bad]}", time=float(ts[bad])
                 )
@@ -291,51 +256,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def state(self, i: int):
-        """The i-th state as a validated value object."""
-        if self.kind == "quantum":
-            return DensityMatrix(self.states[i], trace_tol=STATE_TRACE_TOL, psd_floor=STATE_FLOOR)
-        return ProbabilityVector(self.states[i], sum_tol=STATE_TRACE_TOL, floor=STATE_FLOOR)
-
-    def check_states(self):
-        """Apply the checks :meth:`state` makes on each state to the whole
-        stack at once, at the same tolerances: the dimension cap,
-        Hermiticity within ``HERMITICITY_TOL``, trace (sum) within
-        ``STATE_TRACE_TOL`` and eigenvalues (entries) above ``STATE_FLOOR``.
-        """
-        arr, ts = self.states, self.grid.points
-        if self.kind == "quantum":
-            if self.dim > linalg.MAX_QUANTUM_DIM:
-                raise ContractViolationError(
-                    f"dimension {self.dim} outside supported range 1..{linalg.MAX_QUANTUM_DIM}"
-                )
-            adj = arr.conj().transpose(0, 2, 1)
-            defect = np.max(np.abs(arr - adj), axis=(1, 2)) / 2.0
-            i = int(np.argmax(defect))
-            if defect[i] > HERMITICITY_TOL:
-                raise ContractViolationError(
-                    f"state at t={ts[i]:g} not Hermitian within {HERMITICITY_TOL:g}"
-                )
-            drift = np.abs(np.einsum("nii->n", arr) - 1.0)
-            low = np.linalg.eigvalsh((arr + adj) / 2.0)[:, 0]
-        else:
-            if self.dim > linalg.MAX_CLASSICAL_DIM:
-                raise ContractViolationError(
-                    f"dimension {self.dim} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}"
-                )
-            drift = np.abs(arr.sum(axis=1) - 1.0)
-            low = np.min(arr, axis=1)
-        i = int(np.argmax(drift))
-        if drift[i] > STATE_TRACE_TOL:
-            raise ContractViolationError(
-                f"state at t={ts[i]:g} has trace (sum) off 1 by {drift[i]:.3e}, beyond {STATE_TRACE_TOL:g}"
-            )
-        i = int(np.argmin(low))
-        if low[i] < STATE_FLOOR:
-            raise ContractViolationError(
-                f"state at t={ts[i]:g} has eigenvalue (entry) {low[i]:.3e} below {STATE_FLOOR:g}"
-            )
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:

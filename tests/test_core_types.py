@@ -10,7 +10,6 @@ from backflow_lab import (
     NotPsdError,
     ProbabilityVector,
     RateMatrix,
-    SuperoperatorSample,
     TimeGrid,
     Trajectory,
     devectorize,
@@ -173,20 +172,6 @@ class TestRateMatrix:
         assert np.min(w.entries[~np.eye(2, dtype=bool)]) == -1.0
 
 
-class TestSuperoperatorSample:
-    def test_generator_tag_enforced(self):
-        bad = np.eye(4, dtype=complex)  # identity does not annihilate the trace
-        with pytest.raises(ContractViolationError):
-            SuperoperatorSample(2, bad, is_generator=True)
-        SuperoperatorSample(2, bad, is_generator=False)
-
-    def test_generator_accepts_valid(self):
-        from backflow_lab.linalg import dissipator_superop
-
-        g = dissipator_superop(np.array([[0, 1], [0, 0]], dtype=complex))
-        SuperoperatorSample(2, g, is_generator=True)
-
-
 class TestTimeGrid:
     def test_uniform(self):
         grid = TimeGrid.uniform(0.1, 1.0)
@@ -215,7 +200,7 @@ class TestTrajectory:
         states = np.array([np.eye(2) / 2] * 3, dtype=complex)
         traj = Trajectory(grid, states, "quantum")
         assert traj.dim == 2
-        assert traj.state(0).dim == 2
+        assert DensityMatrix(traj.states[0]).dim == 2
 
     def test_bad_state_rejected(self):
         grid = TimeGrid.uniform(0.5, 1.0)
@@ -228,7 +213,7 @@ class TestTrajectory:
         grid = TimeGrid.uniform(0.5, 1.0)
         states = np.array([[0.5, 0.5]] * 3)
         traj = Trajectory(grid, states, "classical")
-        assert traj.state(2).entries[0] == 0.5
+        assert ProbabilityVector(traj.states[2]).entries[0] == 0.5
 
     def test_invalid_state_names_its_time(self):
         grid = TimeGrid.uniform(0.5, 1.5)

@@ -7,6 +7,7 @@ from backflow_lab import (
     ContractViolationError,
     DensityMatrix,
     InfoSeries,
+    InvalidStateError,
     ProbabilityVector,
     TimeGrid,
     backflow_functional,
@@ -246,7 +247,8 @@ def _scalar_series(traj, tag, reference):
         "trace_distance": lambda s: trace_distance(s, reference),
         "kl": lambda s: kl_divergence(s, reference),
     }[tag]
-    return np.array([measure(traj.state(i)) for i in range(traj.grid.n)])
+    value = DensityMatrix if traj.kind == "quantum" else ProbabilityVector
+    return np.array([measure(value(state)) for state in traj.states])
 
 
 def _random_quantum_trajectory(dim, n, rng, null_level=False):
@@ -311,8 +313,8 @@ class TestBatchedSeries:
         _, traj = _model_trajectory(name, TimeGrid.uniform(2e-2, 6.0))
         series = series_from_trajectory(traj, "extended_entropy")
         round_trip = [
-            extended_entropy(extended_reduced_density(thermofield_vector(traj.state(i))))
-            for i in range(traj.grid.n)
+            extended_entropy(extended_reduced_density(thermofield_vector(DensityMatrix(state))))
+            for state in traj.states
         ]
         np.testing.assert_allclose(series.values, round_trip, rtol=0.0, atol=1e-12)
 
@@ -344,24 +346,6 @@ class TestBatchedSeries:
         if null_entries:
             assert np.all(np.isinf(values[1::2])) and np.all(np.isfinite(values[::2]))
 
-    def test_no_per_point_state_objects(self, monkeypatch):
-        calls = []
-        original = Trajectory.state
-
-        def counting_state(self, i):
-            calls.append(i)
-            return original(self, i)
-
-        monkeypatch.setattr(Trajectory, "state", counting_state)
-        rng = np.random.default_rng(33)
-        quantum = _random_quantum_trajectory(2, 40, rng)
-        sigma = random_density_matrix(2, rng)
-        for tag in QUANTUM_TAGS + ("s_cl", "s_qe"):
-            series_from_trajectory(quantum, tag, reference=sigma)
-        classical = _random_classical_trajectory(4, 40, rng)
-        series_from_trajectory(classical, "kl", reference=ProbabilityVector(np.ones(4) / 4))
-        assert calls == []
-
     def test_reference_of_wrong_kind_rejected(self):
         rng = np.random.default_rng(34)
         quantum = _random_quantum_trajectory(2, 10, rng)
@@ -372,42 +356,49 @@ class TestBatchedSeries:
 
 
 class TestBatchedStateChecks:
-    """The batched checks reject exactly what a per-point DensityMatrix or
-    ProbabilityVector at the Trajectory.state tolerances would reject."""
+    """The Trajectory constructor is the one check of the state set: it
+    rejects each defect below in one batched pass over the stack, so no
+    series needs to re-check the states."""
 
     @staticmethod
-    def _quantum(defect):
+    def _quantum_states(defect):
         grid = TimeGrid.uniform(0.5, 1.0)
         states = np.array([np.diag([0.7, 0.3])] * grid.n, dtype=complex)
         if defect == "hermiticity":
-            states[1, 0, 1] += 5e-12  # within the trajectory's 1e-9, beyond 1e-12
+            states[1, 0, 1] += 5e-12  # beyond the 1e-12 Hermiticity bound
         elif defect == "trace":
             states[1] *= 1.0 + 5e-9
         elif defect == "psd":
             states[1] = np.diag([1.0 + 5e-9, -5e-9])
-        return Trajectory(grid, states, "quantum", trace_tol=1e-6, psd_floor=-1e-6)
+        return grid, states
 
     @pytest.mark.parametrize("defect", ["hermiticity", "trace", "psd"])
     def test_quantum_defects(self, defect):
-        traj = self._quantum(defect)
-        with pytest.raises(ContractViolationError):
-            traj.state(1)
-        with pytest.raises(ContractViolationError):
-            traj.check_states()
-        with pytest.raises(ContractViolationError):
-            series_from_trajectory(traj, "vn_entropy")
+        grid, states = self._quantum_states(defect)
+        with pytest.raises(InvalidStateError) as got:
+            Trajectory(grid, states, "quantum")
+        assert got.value.time == grid.points[1]
 
     def test_classical_sum_defect(self):
         grid = TimeGrid.uniform(0.5, 1.0)
         ps = np.array([[0.5, 0.5]] * grid.n)
         ps[1] = [0.5, 0.5 + 5e-9]
-        traj = Trajectory(grid, ps, "classical", trace_tol=1e-6)
-        with pytest.raises(ContractViolationError):
-            traj.state(1)
-        with pytest.raises(ContractViolationError):
-            traj.check_states()
+        with pytest.raises(InvalidStateError) as got:
+            Trajectory(grid, ps, "classical")
+        assert got.value.time == grid.points[1]
+
+    @pytest.mark.parametrize("kind, dim", [("quantum", 9), ("classical", 17)])
+    def test_dimension_cap(self, kind, dim):
+        grid = TimeGrid.uniform(0.5, 1.0)
+        if kind == "quantum":
+            states = np.array([np.eye(dim) / dim] * grid.n, dtype=complex)
+        else:
+            states = np.full((grid.n, dim), 1.0 / dim)
+        with pytest.raises(ContractViolationError, match="outside supported range"):
+            Trajectory(grid, states, kind)
 
     def test_within_tolerance_passes(self):
-        traj = self._quantum(None)
-        traj.check_states()
-        assert traj.state(1).dim == 2
+        grid, states = self._quantum_states(None)
+        traj = Trajectory(grid, states, "quantum")
+        assert DensityMatrix(traj.states[1]).dim == 2
+        series_from_trajectory(traj, "vn_entropy")

@@ -57,6 +57,8 @@ class TestMarkovTwoState:
             markov_two_state(lam=-1.0)
         with pytest.raises(ContractViolationError):
             markov_two_state(p0=1.5)
+        with pytest.raises(ContractViolationError, match="lam must be a number"):
+            markov_two_state(lam="x")
 
 
 class TestFractionalTwoState:

@@ -1,0 +1,46 @@
+"""Every ``backflow_lab`` name that the benchmark harness under
+``perfbench/`` imports resolves, so a change that removes or renames one
+fails here rather than inside a benchmark child.  The harness files are
+only parsed, never run."""
+
+import ast
+import importlib
+import os
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def package_imports():
+    """(file, module, name) of each ``backflow_lab`` import in
+    ``perfbench/*.py``; ``name`` is None for ``import backflow_lab.x``."""
+    found = []
+    for fname in sorted(f for f in os.listdir(PERFBENCH) if f.endswith(".py")):
+        with open(os.path.join(PERFBENCH, fname)) as handle:
+            tree = ast.parse(handle.read(), fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "backflow_lab":
+                found += [(fname, node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(fname, a.name, None) for a in node.names if a.name.split(".")[0] == "backflow_lab"]
+    return found
+
+
+def resolves(module: str, name: str | None) -> bool:
+    try:
+        owner = importlib.import_module(module)
+    except ImportError:
+        return False
+    if name is None or hasattr(owner, name):
+        return True
+    try:  # a submodule, as in ``from backflow_lab import cli``
+        importlib.import_module(f"{module}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_perfbench_import_resolves():
+    imports = package_imports()
+    assert {fname for fname, _, _ in imports} >= {"child.py", "oracles.py"}
+    missing = [entry for entry in imports if not resolves(entry[1], entry[2])]
+    assert missing == []

@@ -229,6 +229,22 @@ class TestSweepHardening:
         with pytest.raises(ContractViolationError, match="finite"):
             SweepSpec(model="markov_two_state", axes=(("lam", 0.1, float("inf"), 3),))
 
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            (("gamma", 0.5, 1.0, "3"), "steps must be an integer"),
+            (("gamma", 0.5, 1.0, 2.5), "steps must be an integer"),
+            (("gamma", 0.5, 1.0, True), "steps must be an integer"),
+            (("gamma", "0.2", 1.0, 3), "min must be a number"),
+            (("gamma", True, 1.0, 3), "min must be a number"),
+            (("gamma", 0.5, True, 3), "max must be a number"),
+            ((["gamma"], 0.5, 1.0, 3), "param must be a parameter name"),
+        ],
+    )
+    def test_malformed_axis_entries_rejected(self, axis, message):
+        with pytest.raises(ContractViolationError, match=rf"axes\[0\]\.{message}"):
+            SweepSpec(model="amplitude_damping_qubit", axes=(axis,), dt=0.1, t_max=1.0)
+
     def test_schema_ranges_and_measures_checked_up_front(self):
         base = dict(model="amplitude_damping_qubit", dt=0.1, t_max=1.0)
         with pytest.raises(ContractViolationError, match="gamma=0.0 must be > 0"):

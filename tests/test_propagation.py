@@ -18,7 +18,7 @@ from backflow_lab import (
     solve_tcl,
 )
 from backflow_lab.errors import IntegrationDivergedError
-from backflow_lab.linalg import commutator_superop, dissipator_superop, trace_row
+from backflow_lab.linalg import commutator_superop, conservation_row, dissipator_superop
 from backflow_lab.models import SIGMA_MINUS, SIGMA_Z, exp_kernel_difference_mode
 from backflow_lab.propagation import apply_family
 from backflow_lab.states import random_density_matrix
@@ -191,7 +191,8 @@ class TestBuildPropagator:
         assert np.max(np.abs(via_family.states - direct.states)) < 1e-9
 
     def test_family_trace_preservation_checked(self):
-        assert np.max(np.abs(trace_row(2) @ np.eye(4) - trace_row(2))) == 0.0
+        u = conservation_row("quantum", 2)
+        assert np.max(np.abs(u @ np.eye(4) - u)) == 0.0
 
 
 class TestGridCost:
@@ -582,7 +583,7 @@ def reference_trace_check(gen, m, t):
         raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
     scale = max(1.0, float(np.max(np.abs(m))))
     if gen.kind == "quantum":
-        defect = float(np.max(np.abs(trace_row(gen.dim) @ m)))
+        defect = float(np.max(np.abs(conservation_row("quantum", gen.dim) @ m)))
     else:
         defect = float(np.max(np.abs(m.sum(axis=0))))
     if defect > 1e-10 * scale:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -214,7 +215,7 @@ def unchunked_tanh_sinh_theta(alpha, xs, max_level=10):
         th = mid + half * np.tanh((math.pi / 2) * su)
         v = np.maximum(-ca + sa * np.tan(th), 0.0)
         arg = np.minimum(T[:, None] * v[None, :] ** (1.0 / alpha), 745.0)
-        return np.exp(-arg) @ w
+        return np.einsum("ij,j->i", np.exp(-arg), w)
 
     h = 1.0
     total = h * node_sum(np.arange(-4.0, 4.0 + 1e-12, h))
@@ -229,55 +230,75 @@ def unchunked_tanh_sinh_theta(alpha, xs, max_level=10):
     return total / (alpha * math.pi)
 
 
+# (alpha, lam) pairs whose envelopes on 40001 points reach the integral band
+BAND_PAIRS = [(alpha, lam) for alpha in (0.3, 0.5, 0.6, 0.7, 0.9) for lam in (0.95, 1.05, 3.0)]
+BAND_GRID = np.linspace(0.0, 40.0, 40001)
+
+
 def integral_band_mismatches():
     """{"mismatches": [(alpha, lam), ...], "largest_band": n}: the pairs for
     which the integral branch of ``ml_envelope_grid`` on 40001 points
     differs in any bit from :func:`unchunked_tanh_sinh_theta`."""
-    ts = np.linspace(0.0, 40.0, 40001)
     bands = []
     mismatches = []
     current = sf._tanh_sinh_theta
-    for alpha in (0.3, 0.5, 0.6, 0.7, 0.9):
-        for lam in (0.95, 1.05, 3.0):
+    for alpha, lam in BAND_PAIRS:
 
-            def compared(a, xs, max_level=10):
-                got = current(a, xs, max_level)
-                want = unchunked_tanh_sinh_theta(a, xs, max_level)
-                bands.append(len(xs))
-                if not np.array_equal(got.view(np.int64), want.view(np.int64)):
-                    mismatches.append((alpha, lam))
-                return got
+        def compared(a, xs, max_level=10):
+            got = current(a, xs, max_level)
+            want = unchunked_tanh_sinh_theta(a, xs, max_level)
+            bands.append(len(xs))
+            if not np.array_equal(got.view(np.int64), want.view(np.int64)):
+                mismatches.append((alpha, lam))
+            return got
 
-            sf._tanh_sinh_theta = compared
-            try:
-                ml_envelope_grid(alpha, lam, ts)
-            finally:
-                sf._tanh_sinh_theta = current
+        sf._tanh_sinh_theta = compared
+        try:
+            ml_envelope_grid(alpha, lam, BAND_GRID)
+        finally:
+            sf._tanh_sinh_theta = current
     return {"mismatches": mismatches, "largest_band": max(bands)}
+
+
+def envelope_digests():
+    """sha256 of the bits of ``ml_envelope_grid`` on 40001 points, one per
+    pair of ``BAND_PAIRS``."""
+    return [hashlib.sha256(ml_envelope_grid(a, lam, BAND_GRID).tobytes()).hexdigest() for a, lam in BAND_PAIRS]
+
+
+def child_result(call: str, blas_threads: int):
+    """JSON result of ``call`` (a function of this module) in a child
+    interpreter whose BLAS pools have ``blas_threads`` threads."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(sf.__file__))
+    path = os.pathsep.join(p for p in (src, tests_dir, os.environ.get("PYTHONPATH")) if p)
+    threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), str(blas_threads))
+    code = f"import json, test_special_functions as t; print(json.dumps(t.{call}()))"
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tests_dir,
+        env=dict(os.environ, PYTHONPATH=path, **threads),
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout.strip().splitlines()[-1])
 
 
 class TestIntegralBand:
     def test_bit_identical_to_unchunked_sum(self):
         """Chunking the band and zeroing the weights past exp(-708) leave
-        every bit in place.  Runs in a child with one BLAS thread: a
-        threaded GEMV splits its rows by matrix size, so the last bit of a
-        row sum would depend on the thread count, chunked or not."""
-        tests_dir = os.path.dirname(os.path.abspath(__file__))
-        src = os.path.dirname(os.path.dirname(sf.__file__))
-        path = os.pathsep.join(p for p in (src, tests_dir, os.environ.get("PYTHONPATH")) if p)
-        threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-        code = "import json, test_special_functions as t; print(json.dumps(t.integral_band_mismatches()))"
-        child = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            cwd=tests_dir,
-            env=dict(os.environ, PYTHONPATH=path, **threads),
-        )
-        assert child.returncode == 0, child.stderr
-        result = json.loads(child.stdout.strip().splitlines()[-1])
+        every bit in place (in a child with one BLAS thread)."""
+        result = child_result("integral_band_mismatches", 1)
         assert result["mismatches"] == []
         assert result["largest_band"] > 4 * sf.ML_CHUNK_POINTS  # several chunks
+
+    def test_bits_independent_of_blas_threads(self):
+        """The row sums of the integral band are einsum sums, not a GEMV
+        that splits its rows over threads, so one and two BLAS threads give
+        the same bits on every pair."""
+        one, two = (child_result("envelope_digests", n) for n in (1, 2))
+        assert len(one) == len(BAND_PAIRS) and one == two
 
     def test_node_matrices_hold_one_chunk(self, monkeypatch):
         rows = []
