@@ -154,10 +154,6 @@ def _measures(config: dict):
     return measures
 
 
-def _grid_from_config(config: dict, args) -> TimeGrid:
-    return TimeGrid.uniform(*_grid_params(config, args))
-
-
 def _model_from_config(config: dict):
     model_cfg = config.get("model")
     if not isinstance(model_cfg, dict) or "name" not in model_cfg:
@@ -183,7 +179,7 @@ def _generator(config: dict, model, grid: TimeGrid):
 
 def cmd_simulate(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = _grid_from_config(config, args)
+    grid = TimeGrid.uniform(*_grid_params(config, args))
     traj, _ = analysis.propagate(model, grid, config.get("route", "auto"), propagator=False)
     out_dir = args.out
     serialize.write_text_atomic(
@@ -213,7 +209,7 @@ def cmd_simulate(config: dict, args) -> int:
 
 def cmd_extract(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = _grid_from_config(config, args)
+    grid = TimeGrid.uniform(*_grid_params(config, args))
     sampled = _generator(config, model, grid)
     serialize.write_text_atomic(
         os.path.join(args.out, "generator.csv"), serialize.sampled_generator_csv(sampled)
@@ -227,7 +223,7 @@ def cmd_extract(config: dict, args) -> int:
 
 def cmd_divisibility(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = _grid_from_config(config, args)
+    grid = TimeGrid.uniform(*_grid_params(config, args))
     tol = _tolerance(config, "rate_tolerance", 1e-7)
     report = check_divisible(_generator(config, model, grid), tol)
     rates_path = os.path.join(args.out, "rates.csv")
@@ -241,7 +237,7 @@ def cmd_divisibility(config: dict, args) -> int:
 
 def cmd_backflow(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = _grid_from_config(config, args)
+    grid = TimeGrid.uniform(*_grid_params(config, args))
     measures = _measures(config)
     eps = _tolerance(config, "epsilon_n", 1e-6)
     tol = _tolerance(config, "rate_tolerance", 1e-7)

@@ -32,8 +32,8 @@ from .propagation import (
     MemoryKernel,
     PropagatorFamily,
     TclGenerator,
-    computed_trajectory,
-    rk4_constant,
+    apply_family,
+    rk4_power_table,
 )
 from .special_functions import ml_envelope_grid
 from .states import (
@@ -197,16 +197,18 @@ def classical_exp_kernel(
     embed[n:, :n] = (gamma / tau_m) * wb
     embed[n:, n:] = -np.eye(n) / tau_m
 
-    def embedded_trajectory(grid: TimeGrid) -> Trajectory:
-        y0 = np.concatenate([p0.entries, np.zeros(n)])
-        raw = rk4_constant(embed, y0, grid)
-        return computed_trajectory(grid, raw[:, :n], "classical")
+    last = {}  # the family of the last grid, shared by both functions
 
     def embedded_propagator(grid: TimeGrid) -> PropagatorFamily:
-        y0 = np.zeros((2 * n, n))
-        y0[:n] = np.eye(n)
-        raw = rk4_constant(embed, y0, grid)
-        return PropagatorFamily(grid, raw[:, :n, :], "classical", n)
+        if last.get("grid") is not grid:
+            y0 = np.zeros((2 * n, n))
+            y0[:n] = np.eye(n)
+            raw = rk4_power_table(embed, y0, grid)
+            last.update(grid=grid, family=PropagatorFamily(grid, raw[:, :n, :], "classical", n))
+        return last["family"]
+
+    def embedded_trajectory(grid: TimeGrid) -> Trajectory:
+        return apply_family(embedded_propagator(grid), p0)
 
     return ModelSpec(
         name="classical_exp_kernel",
@@ -282,37 +284,22 @@ def classical_fractional(
 
 
 def _dephasing_decoherence(rate_kind: str, lam: float, amplitude: float, frequency: float, mu: float):
-    """(f, rate, singular_times_fn) for the supported decoherence choices."""
+    """(f, rate) for the supported decoherence choices; rate is None for
+    'cosine_f', whose generator is undefined at the zeros of f."""
     if rate_kind == "constant":
-        f = lambda ts: np.exp(-lam * np.asarray(ts, dtype=float))
-        rate = lambda t: lam
-        return f, rate, lambda t_max: []
+        return (lambda ts: np.exp(-lam * np.asarray(ts, dtype=float))), (lambda t: lam)
     if rate_kind == "sinusoidal":
         def f(ts):
             ts = np.asarray(ts, dtype=float)
             return np.exp(-lam * ts - (amplitude / frequency) * (1.0 - np.cos(frequency * ts)))
 
-        rate = lambda t: lam + amplitude * math.sin(frequency * t)
-        return f, rate, lambda t_max: []
+        return f, lambda t: lam + amplitude * math.sin(frequency * t)
     # "cosine_f", the last of the schema's choices
     def f(ts):
         ts = np.asarray(ts, dtype=float)
         return np.exp(-lam * ts / 2.0) * np.cos(mu * ts)
 
-    def rate(t):
-        return lam / 2.0 + mu * math.tan(mu * t)
-
-    def zeros(t_max):
-        out = []
-        k = 0
-        while True:
-            t = (math.pi / 2 + k * math.pi) / mu
-            if t > t_max:
-                return out
-            out.append(t)
-            k += 1
-
-    return f, rate, zeros
+    return f, None
 
 
 def dephasing_qubit(
@@ -336,16 +323,11 @@ def dephasing_qubit(
     )
     if rho0 is None:
         rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-    f, rate, singular_times = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
-    jump = SIGMA_Z / np.sqrt(2.0)
-    dissipator = linalg.dissipator_superop(jump)
-
-    has_generator = rate_kind in ("constant", "sinusoidal")
-    gen = (
-        TclGenerator(dim=2, kind="quantum", evaluate=lambda t: rate(t) * dissipator)
-        if has_generator
-        else None
-    )
+    f, rate = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
+    dissipator = linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0))
+    matrix = lam * dissipator if rate_kind == "constant" else None
+    evaluate = lambda t: rate(t) * dissipator
+    gen = None if rate is None else TclGenerator(dim=2, kind="quantum", evaluate=evaluate, matrix=matrix)
 
     def exact_propagator(grid: TimeGrid) -> PropagatorFamily:
         fv = f(grid.points)
@@ -369,7 +351,7 @@ def dephasing_qubit(
         np.diag([rho0.entries[0, 0].real, rho0.entries[1, 1].real]).astype(complex)
     )
     outputs = ["closed_form", "propagator", "netfd_split"]
-    if has_generator:
+    if gen is not None:
         outputs.append("tcl_generator")
     return ModelSpec(
         name="dephasing_qubit",
@@ -413,7 +395,7 @@ def amplitude_damping_qubit(
         params={"gamma": gamma, "nbar": nbar, "p0": p0, "c0": c0},
         outputs=("tcl_generator", "netfd_split"),
         description="thermal amplitude damping with constant rates",
-        tcl_generator=TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g),
+        tcl_generator=TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g, matrix=g),
         initial_state=rho0,
         reference_state=reference,
     )

@@ -7,9 +7,9 @@ Sweeps never abort on a failing point: a numerical or contract failure
 (any :class:`BackflowLabError`, or numpy's ``LinAlgError``) is recorded in
 that row's ``error`` column.  Any other exception is a programming error
 and propagates.  Axis and fixed parameters (names, types and schema
-ranges), the measure tags and the tolerances ``epsilon_n`` and
-``rate_tolerance`` are checked before any row runs.  Rows are assembled in
-lattice order regardless of worker completion order, so repeated runs are
+ranges), the measure tags, ``epsilon_n``, ``rate_tolerance``, ``dt`` and
+``t_max`` are checked before any row runs.  Rows are assembled in lattice
+order regardless of worker completion order, so repeated runs are
 bit-identical.
 """
 
@@ -122,16 +122,15 @@ class SweepSpec:
         object.__setattr__(self, "measures", tuple(self.measures))
         for name in ("epsilon_n", "rate_tolerance"):
             object.__setattr__(self, name, check_tolerance(name, getattr(self, name)))
-
-    def axis_values(self) -> list:
-        return [
-            (name, np.linspace(lo, hi, steps))
-            for name, lo, hi, steps in self.axes
-        ]
+        for name in ("dt", "t_max"):
+            value = finite_number(name, getattr(self, name))
+            if not value > 0:
+                raise ContractViolationError(f"{name} must be > 0, got {value}")
+            object.__setattr__(self, name, value)
 
     def lattice(self) -> list[dict]:
         """Parameter dicts in lattice order (last axis fastest)."""
-        named = self.axis_values()
+        named = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in self.axes]
         points = []
         for combo in itertools.product(*[vals for _, vals in named]):
             p = dict(self.fixed)

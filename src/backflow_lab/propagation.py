@@ -18,20 +18,20 @@ differences see evenly spaced samples:
   states are checked for finiteness before they feed a convolution, and
   the first non-finite state's time is reported.
 
-Every time-local route runs one RK4 kernel, ``_rk4_tcl``:
-:func:`solve_tcl` advances the state, :func:`build_propagator` the dd basis
-columns, and :func:`propagate_tcl` both in the same pass over the grid
-(each generator sample is evaluated once and used by both).  The fused
-pass is bit-identical to the separate ones: the state and the columns
-share one flat buffer per RK4 stage, so every elementwise step is a
-single ufunc call in the order ``y + (0.5h)*k`` and
-``y + (h/6)*(((k1 + 2k2) + 2k3) + k4)``, while the products stay two
-separate calls per stage (a GEMV on the state, a GEMM on the columns).
-One GEMM over both would change the last bits of each.  Each sample's
-shape is checked as soon as it is evaluated; the trace-preservation check
-of the on-grid samples and the finiteness check of the stored rows run
-batched every ``_CHECK_STEPS`` steps, and the earliest failing time is
-reported, a bad sample ahead of a divergence at the same time.
+A constant generator (``TclGenerator.matrix`` set) has one RK4 step matrix
+S, the degree-4 Taylor polynomial of exp(hA), so Phi(t_k) = S^k:
+:func:`rk4_power_table` fills the table by doubling in ceil(log2 N) batched
+products, checking each block so the earliest non-finite row is reported,
+and the trajectory is the table applied to the initial state.  Any other
+generator runs the step kernel ``_rk4_tcl``: :func:`solve_tcl` advances
+the state, :func:`build_propagator` the dd basis columns, and
+:func:`propagate_tcl` both in one pass, each sample evaluated once.  The
+state and the columns share one flat buffer per stage, so every
+elementwise step is one ufunc call and the fused pass is bit-identical to
+the separate ones.  Each sample's shape is checked as it is evaluated;
+the trace check of the on-grid samples and the finiteness check of the
+rows run batched every ``_CHECK_STEPS`` steps, and the earliest failing
+time is reported, a bad sample ahead of a divergence at the same time.
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -40,7 +40,7 @@ there is deliberately no API surface for them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -73,11 +73,13 @@ def _volterra_block(dd: int) -> int:
 class TclGenerator:
     """Time-local generator: ``evaluate(t)`` returns the (d^2, d^2) complex
     superoperator matrix (quantum) or the (n, n) real rate matrix
-    (classical)."""
+    (classical).  ``matrix``, when set, is the generator at every time: it
+    is propagated as RK4 matrix powers and ``evaluate`` is not called."""
 
     dim: int
     kind: str
     evaluate: Callable[[float], np.ndarray]
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -276,25 +278,43 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None, columns: 
     return states, maps
 
 
-def rk4_constant(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """RK4 for dy/dt = A y with constant A: one step is exactly the degree-4
-    Taylor polynomial of exp(h A), precomputed once and iterated."""
+def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """RK4 for dY/dt = A Y with constant A and Y(0) = ``y0`` (dd, c): one
+    step is the degree-4 Taylor polynomial S of exp(hA), so Y(t_k) = S^k y0.
+    Filled by doubling, out[k:k+m] = S^k out[:m] with S^k by repeated
+    squaring; each block is checked for finiteness as it is filled, and the
+    earliest non-finite row's time is reported."""
     if not grid.is_uniform():
         raise ContractViolationError("solve on a uniform grid")
-    h = grid.dt
     a = np.asarray(matrix)
     eye = np.eye(a.shape[0], dtype=a.dtype)
-    ha = h * a
-    step = eye + ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+    ha = grid.dt * a
+    power = eye + np.matmul(ha, eye + np.matmul(ha, eye / 2.0 + np.matmul(ha, eye / 6.0 + ha / 24.0)))
     out = np.empty((grid.n,) + y0.shape, dtype=np.result_type(a.dtype, y0.dtype, np.float64))
-    y = y0.astype(out.dtype, copy=True)
-    out[0] = y
-    for i in range(grid.n - 1):
-        y = step @ y
-        out[i + 1] = y
-    if not np.all(np.isfinite(out)):
-        raise IntegrationDivergedError("integration diverged", time=float(grid.points[-1]))
+    out[0] = y0
+    k = 1
+    while k < grid.n:
+        m = min(k, grid.n - k)
+        np.matmul(power, out[:m], out=out[k : k + m])
+        finite = np.isfinite(out[k : k + m]).all(axis=(1, 2))
+        if not finite.all():
+            t = float(grid.points[k + int(np.argmin(finite))])
+            raise IntegrationDivergedError(f"integration diverged at t={t:g}", time=t)
+        k += m
+        if k < grid.n:
+            power = np.matmul(power, power)
     return out
+
+
+def _constant_maps(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
+    """Power table of a constant generator, its sample checked once."""
+    a = np.asarray(gen.matrix)
+    if a.shape != (gen.matrix_dim, gen.matrix_dim):
+        raise ContractViolationError(f"generator matrix has shape {a.shape}")
+    defect, scale = _sample_defects(a[None], gen.kind, gen.dim)
+    if defect[0] > SAMPLE_TRACE_TOL * scale[0]:
+        raise ContractViolationError(f"generator matrix violates trace preservation (defect {defect[0]:.3e})")
+    return rk4_power_table(a, np.eye(gen.matrix_dim, dtype=a.dtype), grid)
 
 
 def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -> Trajectory:
@@ -320,14 +340,8 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
                 f"normalization drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i])
             )
         states = raw / sums[:, None]
-    return computed_trajectory(grid, states, kind)
-
-
-def computed_trajectory(grid: TimeGrid, states: np.ndarray, kind: str) -> Trajectory:
-    """The states a solver computed, as a :class:`Trajectory`.  A state that
-    leaves its state set (the probability simplex or the PSD cone) is a
-    numerical failure of the run: :class:`IntegrationDivergedError` at the
-    time of that state, whichever route computed it."""
+    # a state outside its state set (the simplex or the PSD cone) is a
+    # numerical failure on every route, at the time of that state
     try:
         return Trajectory(grid, states, kind)
     except InvalidStateError as exc:
@@ -342,6 +356,8 @@ def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
     ``TRACE_DRIFT_TOL`` raises :class:`IntegrationDivergedError` naming the
     time (states are renormalized only within that allowance).
     """
+    if gen.matrix is not None:
+        return propagate_tcl(gen, initial, grid)[0]
     y0 = _initial_vector(initial, gen.kind, gen.dim)
     raw, _ = _rk4_tcl(gen, grid, y0, columns=False)
     return _finalize_trajectory(raw, grid, gen.kind, gen.dim)
@@ -349,8 +365,11 @@ def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
 
 def propagate_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> tuple[Trajectory, PropagatorFamily]:
     """Trajectory and propagator family of a time-local generator from one
-    RK4 pass; each is bit-identical to what :func:`solve_tcl` and
-    :func:`build_propagator` return, at one evaluation of each sample."""
+    RK4 pass or power table; each is bit-identical to what :func:`solve_tcl`
+    and :func:`build_propagator` return, at one evaluation of each sample."""
+    if gen.matrix is not None:
+        family = build_propagator(gen, grid)
+        return apply_family(family, initial), family
     y0 = _initial_vector(initial, gen.kind, gen.dim)
     raw, maps = _rk4_tcl(gen, grid, y0, columns=True)
     traj = _finalize_trajectory(raw, grid, gen.kind, gen.dim)
@@ -533,7 +552,9 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     carrier space: vectorized matrix units for quantum sources, the n
     canonical probability basis vectors for classical ones (yielding the
     stochastic propagator T(t, 0))."""
-    if isinstance(source, TclGenerator):
+    if isinstance(source, TclGenerator) and source.matrix is not None:
+        raw = _constant_maps(source, grid)
+    elif isinstance(source, TclGenerator):
         _, raw = _rk4_tcl(source, grid, None, columns=True)
     elif isinstance(source, MemoryKernel):
         eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)

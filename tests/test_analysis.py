@@ -80,17 +80,24 @@ class TestPropagate:
 
     @pytest.mark.parametrize("name", ["amplitude_damping_qubit", "dephasing_qubit"])
     def test_tcl_route_takes_one_rk4_pass_for_both(self, monkeypatch, name):
+        """One pass gives both parts: one RK4 power table for the constant
+        generator, one step-kernel pass for the time-dependent one."""
         model = build_model(name, {"rate_kind": "sinusoidal"} if name == "dephasing_qubit" else {})
         passes = []
-        rk4 = propagation._rk4_tcl
+        rk4, table = propagation._rk4_tcl, propagation._constant_maps
 
         def counting(*args, **kwargs):
             passes.append(args[2] is not None)
             return rk4(*args, **kwargs)
 
+        def counting_table(*args):
+            passes.append("table")
+            return table(*args)
+
         monkeypatch.setattr(propagation, "_rk4_tcl", counting)
+        monkeypatch.setattr(propagation, "_constant_maps", counting_table)
         traj, family = analysis.propagate(model, GRID, "tcl")
-        assert passes == [True]
+        assert passes == (["table"] if name == "amplitude_damping_qubit" else [True])
         gen = model.tcl_generator
         assert np.array_equal(traj.states, propagation.solve_tcl(gen, model.initial_state, GRID).states)
         assert np.array_equal(family.maps, propagation.build_propagator(gen, GRID).maps)

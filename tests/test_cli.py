@@ -322,19 +322,22 @@ class TestBackflow:
 
     def test_time_local_model_takes_one_rk4_pass(self, tmp_path, monkeypatch):
         """A time-local model without closed forms gets its trajectory and
-        its propagator from one RK4 pass, and backflow.json has the bytes of
-        the two separate passes."""
+        its propagator from one RK4 pass (here a constant generator's power
+        table), and backflow.json has the bytes of the two separate passes."""
         import backflow_lab.analysis as analysis
         import backflow_lab.propagation as propagation
 
         passes = []
-        rk4 = propagation._rk4_tcl
 
-        def counting(*args, **kwargs):
-            passes.append(1)
-            return rk4(*args, **kwargs)
+        def counting(kernel):
+            def run(*args, **kwargs):
+                passes.append(1)
+                return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(propagation, "_rk4_tcl", counting)
+            return run
+
+        monkeypatch.setattr(propagation, "_rk4_tcl", counting(propagation._rk4_tcl))
+        monkeypatch.setattr(propagation, "_constant_maps", counting(propagation._constant_maps))
         config = write_config(
             tmp_path,
             {

@@ -214,6 +214,11 @@ class TestDephasingQubit:
         rises = np.diff(np.abs(f))
         assert float(np.sum(rises[rises > 0])) > 0.1
 
+    def test_only_the_constant_rate_sets_a_matrix(self):
+        gen = dephasing_qubit(rate_kind="constant", lam=0.7).tcl_generator
+        assert np.array_equal(gen.matrix, gen.evaluate(1.3))
+        assert dephasing_qubit(rate_kind="sinusoidal").tcl_generator.matrix is None
+
     def test_cosine_f_has_no_generator_route(self):
         model = dephasing_qubit(rate_kind="cosine_f")
         assert model.tcl_generator is None
@@ -225,6 +230,10 @@ class TestDephasingQubit:
 
 
 class TestAmplitudeDamping:
+    def test_generator_is_constant_matrix(self):
+        gen = amplitude_damping_qubit(gamma=1.5, nbar=0.3).tcl_generator
+        assert np.array_equal(gen.matrix, gen.evaluate(2.0))
+
     def test_stationary_state_is_fixed_point(self):
         model = amplitude_damping_qubit(gamma=1.0, nbar=0.2)
         g = model.tcl_generator.evaluate(0.0)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,6 +290,24 @@ class TestSweepHardening:
                 )
             )
 
+    @pytest.mark.parametrize("name", ["dt", "t_max"])
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (-0.1, "must be > 0"),
+            ("x", "must be a number"),
+            (True, "must be a number"),
+            (float("inf"), "must be finite"),
+        ],
+    )
+    def test_grid_checked_up_front(self, monkeypatch, name, value, message):
+        import backflow_lab.phase_diagram as pd
+
+        monkeypatch.setattr(pd, "_sweep_point", lambda *args: pytest.fail("a row ran"))
+        grid = {"dt": 0.1, "t_max": 1.0, name: value}
+        with pytest.raises(ContractViolationError, match=f"{name} {message}"):
+            run_sweep(SweepSpec(model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), **grid))
+
     def test_tolerances_stored_as_floats(self):
         spec = SweepSpec(
             model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), dt=0.1, t_max=1.0, epsilon_n=0, rate_tolerance=1
@@ -391,3 +412,62 @@ class TestSweepHardening:
             assert row["error"] == ""
             assert row["divisible"] is True
             assert 0 < len(samples) <= 3 * (n - 1) + 1
+
+    def test_constant_generator_row_builds_one_power_table(self, monkeypatch):
+        """A constant generator's row never steps the RK4 kernel: the
+        generator is not evaluated, and its table takes at most
+        2 ceil(log2 N) + 2 matrix products, at N and at 2N points."""
+        import backflow_lab.phase_diagram as pd
+        import backflow_lab.propagation as propagation
+
+        samples, products = [], []
+        real_build_model = pd.build_model
+
+        def counting_model(name, params):
+            model = real_build_model(name, params)
+            gen = model.tcl_generator
+
+            def evaluate(t):
+                samples.append(t)
+                return gen.evaluate(t)
+
+            return dataclasses.replace(model, tcl_generator=dataclasses.replace(gen, evaluate=evaluate))
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                products.append(1)
+                return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(pd, "build_model", counting_model)
+        monkeypatch.setattr(propagation, "_rk4_tcl", lambda *args: pytest.fail("RK4 step kernel ran"))
+        monkeypatch.setattr(propagation, "np", CountingNumpy())
+        for t_max in (3.0, 6.0):
+            spec = SweepSpec(
+                model="amplitude_damping_qubit", axes=(("gamma", 0.5, 1.0, 2),), dt=1e-2, t_max=t_max, measures=("rel_entropy",)
+            )
+            n = TimeGrid.uniform(spec.dt, spec.t_max).n
+            for params in spec.lattice():
+                samples.clear()
+                products.clear()
+                row = pd._sweep_point(
+                    (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
+                )
+                assert row["error"] == "" and row["divisible"] is True
+                assert len(samples) <= 1
+                assert 0 < len(products) <= 2 * math.ceil(math.log2(n)) + 2
+
+    def test_constant_generator_sweep_reruns_byte_identical(self):
+        base = dict(
+            model="amplitude_damping_qubit",
+            axes=(("gamma", 0.5, 2.0, 3),),
+            fixed={"nbar": 0.2},
+            dt=1e-3,
+            t_max=2.0,
+            measures=("rel_entropy",),
+        )
+        first = sweep_csv(run_sweep(SweepSpec(**base)))
+        assert sweep_csv(run_sweep(SweepSpec(**base))) == first
+        assert sweep_csv(run_sweep(SweepSpec(**base, threads=2))) == first

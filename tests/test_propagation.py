@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -655,8 +656,10 @@ def fused_cases():
     amp = amplitude_damping_qubit(gamma=1.3, nbar=0.2, p0=0.3, c0=0.35)
     deph = dephasing_qubit(rate_kind="sinusoidal", lam=0.4, amplitude=1.5, frequency=2.0)
     rng = np.random.default_rng(7)
+    # without its matrix the constant generator runs the step kernel too
+    amp_steps = dataclasses.replace(amp.tcl_generator, matrix=None)
     return [
-        ("amplitude_damping", amp.tcl_generator, amp.initial_state, TimeGrid.uniform(1e-3, 4.0)),
+        ("amplitude_damping", amp_steps, amp.initial_state, TimeGrid.uniform(1e-3, 4.0)),
         ("sinusoidal_dephasing", deph.tcl_generator, deph.initial_state, TimeGrid.uniform(1e-3, 4.0)),
         (
             "classical_three_state",
@@ -776,3 +779,147 @@ class TestFusedRk4:
         with pytest.raises(ContractViolationError, match=r"t=0.05 has shape \(3, 3\)"):
             propagation.propagate_tcl(gen, rho0, grid)
         assert len(products) == 2  # the k1 state and column products only
+
+
+def rk4_constant_loop(matrix, y0, grid):
+    """The sequential RK4 that constant generators ran before the power
+    table: the step matrix S (the degree-4 Taylor polynomial of exp(hA))
+    applied once per step."""
+    h = grid.dt
+    a = np.asarray(matrix)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    ha = h * a
+    step = eye + ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+    out = np.empty((grid.n,) + y0.shape, dtype=np.result_type(a.dtype, y0.dtype, np.float64))
+    y = y0.astype(out.dtype, copy=True)
+    out[0] = y
+    for i in range(grid.n - 1):
+        y = step @ y
+        out[i + 1] = y
+    return out
+
+
+def constant_gksl_d3(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    g = commutator_superop((a + a.conj().T) / 2.0)
+    for weight in (1.0, 0.3):
+        g = g + weight * dissipator_superop(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    return TclGenerator(dim=3, kind="quantum", evaluate=lambda t: g, matrix=g)
+
+
+class TestRk4PowerTable:
+    @staticmethod
+    def without_matrix(gen):
+        return dataclasses.replace(gen, matrix=None)
+
+    def test_amplitude_damping_matches_step_kernel(self):
+        from backflow_lab.models import amplitude_damping_qubit
+        from backflow_lab.propagation import propagate_tcl
+
+        model = amplitude_damping_qubit(gamma=2.0, nbar=0.2)
+        grid = TimeGrid.uniform(1e-3, 4.0)
+        assert grid.n == 4001
+        traj, family = propagate_tcl(model.tcl_generator, model.initial_state, grid)
+        want_traj, want_family = propagate_tcl(self.without_matrix(model.tcl_generator), model.initial_state, grid)
+        assert np.max(np.abs(family.maps - want_family.maps)) <= 1e-12
+        assert np.max(np.abs(traj.states - want_traj.states)) <= 1e-12
+
+    def test_embedding_matches_sequential_loop(self):
+        from backflow_lab.models import classical_exp_kernel
+
+        gamma, tau_m = 1.3, 0.4
+        model = classical_exp_kernel(n=2, gamma=gamma, tau_m=tau_m)
+        grid = TimeGrid.uniform(1e-3, 15.0)
+        assert grid.n == 15001
+        embed = np.zeros((4, 4))
+        embed[:2, 2:] = np.eye(2)
+        embed[2:, :2] = (gamma / tau_m) * W_SYM
+        embed[2:, 2:] = -np.eye(2) / tau_m
+        columns = np.zeros((4, 2))
+        columns[:2] = np.eye(2)
+        want_maps = rk4_constant_loop(embed, columns, grid)[:, :2, :]
+        want_states = rk4_constant_loop(embed, np.array([1.0, 0.0, 0.0, 0.0]), grid)[:, :2]
+        assert np.max(np.abs(model.propagator_fn(grid).maps - want_maps)) <= 1e-12
+        assert np.max(np.abs(model.trajectory_fn(grid).states - want_states)) <= 1e-12
+
+    def test_embedding_trajectory_and_propagator_share_one_table(self, monkeypatch):
+        import backflow_lab.models as models
+
+        tables = []
+        table = models.rk4_power_table
+
+        def counting(*args):
+            tables.append(1)
+            return table(*args)
+
+        monkeypatch.setattr(models, "rk4_power_table", counting)
+        model = models.classical_exp_kernel(n=3, gamma=1.0, tau_m=0.5)
+        grid = TimeGrid.uniform(1e-2, 4.0)
+        traj, family = model.trajectory_fn(grid), model.propagator_fn(grid)
+        assert tables == [1]
+        assert np.array_equal(traj.states, apply_family(family, model.initial_state).states)
+
+    def test_random_constant_gksl_d3_matches_step_kernel(self):
+        gen = constant_gksl_d3(np.random.default_rng(11))
+        grid = TimeGrid.uniform(1e-2, 3.0)
+        got = build_propagator(gen, grid).maps
+        want = build_propagator(self.without_matrix(gen), grid).maps
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_fourth_order_against_closed_form(self):
+        gen = TclGenerator(dim=2, kind="classical", evaluate=lambda t: W_SYM, matrix=W_SYM)
+        p0 = ProbabilityVector([1.0, 0.0])
+
+        def error(dt):
+            grid = TimeGrid.uniform(dt, 1.0)
+            traj = solve_tcl(gen, p0, grid)
+            return np.max(np.abs(traj.states[:, 0] - 0.5 * (1.0 + np.exp(-2.0 * grid.points))))
+
+        assert error(0.02) / error(0.01) >= 14.0
+
+    def test_constant_gksl_matches_expm(self):
+        g = dissipator_superop(SIGMA_MINUS) + 0.3 * dissipator_superop(SIGMA_Z / np.sqrt(2))
+        family = build_propagator(TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g, matrix=g), TimeGrid.uniform(1e-3, 2.0))
+        for t_probe in (0.5, 1.0, 2.0):
+            assert np.max(np.abs(family.maps[int(round(t_probe / 1e-3))] - expm(t_probe * g))) <= 1e-7
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (np.eye(4, dtype=complex), "violates trace preservation"),
+            (np.zeros((2, 2), dtype=complex), r"has shape \(2, 2\)"),
+        ],
+    )
+    def test_bad_matrix_rejected_before_any_product(self, monkeypatch, matrix, message):
+        import backflow_lab.propagation as propagation
+
+        monkeypatch.setattr(propagation, "rk4_power_table", lambda *args: pytest.fail("table built"))
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: matrix, matrix=matrix)
+        with pytest.raises(ContractViolationError, match=f"generator matrix {message}"):
+            build_propagator(gen, TimeGrid.uniform(0.1, 1.0))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator", "propagate_tcl"])
+    def test_exploding_generator_names_earliest_non_finite_row(self, route):
+        from backflow_lab.propagation import propagate_tcl
+
+        # negative rates: the difference mode grows as exp(12 t) and
+        # overflows near t = 59, far from the end of the grid
+        w = -6.0 * W_SYM
+        gen = TclGenerator(dim=2, kind="classical", evaluate=lambda t: w, matrix=w)
+        grid = TimeGrid.uniform(1e-2, 80.0)
+        p0 = ProbabilityVector([1.0, 0.0])
+        run = {
+            "solve_tcl": lambda g: solve_tcl(g, p0, grid),
+            "build_propagator": lambda g: build_propagator(g, grid),
+            "propagate_tcl": lambda g: propagate_tcl(g, p0, grid),
+        }[route]
+        # the step matrix iterated once per step, as the sequential loop did;
+        # the step kernel overflows in its stage sums some 35 steps earlier
+        finite = np.isfinite(rk4_constant_loop(w, np.eye(2), grid)).all(axis=(1, 2))
+        t_ref = grid.points[np.argmin(finite)]
+        with pytest.raises(IntegrationDivergedError) as got:
+            run(gen)
+        assert 50.0 < got.value.time < grid.t_max
+        assert abs(got.value.time - t_ref) <= 3 * grid.dt
