@@ -23,7 +23,7 @@ from .generator_analysis import DivisibilityReport, check_divisible, extract_tcl
 from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
-from .propagation import PropagatorFamily, build_propagator, propagate_tcl, solve_tc, solve_tcl
+from .propagation import PropagatorFamily, apply_family, build_propagator, solve_tc
 from .states import TimeGrid, Trajectory
 
 ROUTES = ("closed_form", "tcl", "tc")
@@ -34,9 +34,9 @@ def propagate(
 ) -> tuple[Trajectory | None, PropagatorFamily | None]:
     """(trajectory, propagator family) of ``model`` on ``grid`` along
     ``route``, each None when not asked for; the family is also None on a
-    closed-form route without a propagator.  When both come from the
-    time-local generator they come from one RK4 pass.  An unknown route,
-    or one the model does not offer, raises :class:`ConfigError`."""
+    closed-form route without a propagator.  On the time-local route both
+    come from one propagator family.  An unknown route, or one the model
+    does not offer, raises :class:`ConfigError`."""
     sources = (model.trajectory_fn, model.tcl_generator, model.kernel)
     offered = [r for r, source in zip(ROUTES, sources) if source is not None]
     if route == "auto":
@@ -54,13 +54,11 @@ def propagate(
         if propagator and model.propagator_fn is not None:
             family = model.propagator_fn(grid)
     elif route == "tcl":
-        gen = model.tcl_generator
-        if trajectory and propagator:
-            traj, family = propagate_tcl(gen, model.initial_state, grid)
-        elif trajectory:
-            traj = solve_tcl(gen, model.initial_state, grid)
-        elif propagator:
-            family = build_propagator(gen, grid)
+        family = build_propagator(model.tcl_generator, grid)
+        if trajectory:
+            traj = apply_family(family, model.initial_state)
+        if not propagator:
+            family = None
     else:
         if trajectory:
             traj = solve_tc(model.kernel, model.initial_state, grid)

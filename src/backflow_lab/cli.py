@@ -2,12 +2,12 @@
 
 Commands: ``simulate``, ``extract``, ``divisibility``, ``backflow``,
 ``phase-diagram``, ``model list``.  Each reads a JSON config (``--config``),
-applies dotted-path overrides (``--set a.b.c=value`` plus the ``--dt``,
-``--t-max``, ``--threads`` shortcuts), validates it against the command's
-schema (unknown keys are rejected), runs, and writes outputs atomically
-under ``--out``.  ``route`` is resolved by :func:`analysis.propagate` in
-every command that takes it; ``backflow`` formats the
-:func:`analysis.analyze` report that a sweep row also formats.
+applies dotted-path overrides (``--set a.b.c=value`` plus the ``--dt`` and
+``--t-max`` shortcuts, and ``--threads`` on ``phase-diagram``), validates
+it against the command's schema (unknown keys are rejected), runs, and
+writes outputs atomically under ``--out``.  ``route`` is resolved by
+:func:`analysis.propagate` in every command that takes it; ``backflow``
+formats the :func:`analysis.analyze` report that a sweep row also formats.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--threads", type=int, default=None, help="worker cap for sweeps")
         p.add_argument("--dt", type=float, default=None, help="grid step override")
         p.add_argument("--t-max", dest="t_max", type=float, default=None, help="grid end override")
         p.add_argument(
@@ -325,8 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config leaf via dotted path (repeatable)",
         )
 
-    for name in ("simulate", "extract", "divisibility", "backflow", "phase-diagram"):
+    for name in ("simulate", "extract", "divisibility", "backflow"):
         add_common(sub.add_parser(name))
+    sweep = sub.add_parser("phase-diagram")
+    add_common(sweep)
+    sweep.add_argument("--threads", type=int, default=None, help="worker cap for sweeps")
     model = sub.add_parser("model")
     model_sub = model.add_subparsers(dest="model_command", required=True)
     model_sub.add_parser("list")

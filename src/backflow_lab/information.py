@@ -80,15 +80,7 @@ class InfoSeries:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho log rho) in nats, with 0 log 0 = 0."""
-    w = np.clip(rho.eigenvalues(), 0.0, None)
-    nz = w[w > 0]
-    return max(float(-np.sum(nz * np.log(nz))), 0.0)
-
-
-def _spectral_entropy(w: np.ndarray) -> float:
-    w = np.clip(w, 0.0, None)
-    nz = w[w > 0]
-    return float(-np.sum(nz * np.log(nz)))
+    return float(von_neumann_entropies(rho.entries[None])[0])
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -99,40 +91,21 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ContractViolationError("states must share a dimension")
-    wr, vr = np.linalg.eigh(rho.entries)
-    ws, vs = np.linalg.eigh(sigma.entries)
-    wr = np.clip(wr, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    small = ws < SUPPORT_EIGENVALUE
-    overlap = np.abs(vs.conj().T @ rho.entries @ vs).diagonal().real
-    if np.any(small) and float(np.sum(overlap[small])) > SUPPORT_WEIGHT:
-        return float("inf")
-    cross = np.abs(vr.conj().T @ vs) ** 2  # |<r_i|s_j>|^2
-    log_ws = np.where(small, 0.0, np.log(np.where(small, 1.0, ws)))
-    keep = ~small
-    tr_rho_log_sigma = float(np.einsum("i,ij,j->", wr, cross[:, keep], log_ws[keep]))
-    return max(-_spectral_entropy(wr) - tr_rho_log_sigma, 0.0)
+    return float(relative_entropies(rho.entries[None], sigma)[0])
 
 
 def kl_divergence(p: ProbabilityVector, q: ProbabilityVector) -> float:
     """Classical relative entropy D(p || q) in nats; +inf on support mismatch."""
     if p.dim != q.dim:
         raise ContractViolationError("distributions must share a dimension")
-    pv = np.clip(p.entries, 0.0, None)
-    qv = np.clip(q.entries, 0.0, None)
-    small = qv < SUPPORT_EIGENVALUE
-    if np.any(small) and float(np.sum(pv[small])) > SUPPORT_WEIGHT:
-        return float("inf")
-    keep = (pv > 0) & ~small
-    return max(float(np.sum(pv[keep] * (np.log(pv[keep]) - np.log(qv[keep])))), 0.0)
+    return float(kl_divergences(p.entries[None], q)[0])
 
 
 def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """(1/2) sum |eigenvalues(rho - sigma)|, in [0, 1]."""
     if rho.dim != sigma.dim:
         raise ContractViolationError("states must share a dimension")
-    w = np.linalg.eigvalsh(rho.entries - sigma.entries)
-    return float(0.5 * np.sum(np.abs(w)))
+    return float(trace_distances(rho.entries[None], sigma)[0])
 
 
 def _sum_w_log_w(w: np.ndarray) -> np.ndarray:

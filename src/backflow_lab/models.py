@@ -39,7 +39,6 @@ from .special_functions import ml_envelope_grid
 from .states import (
     DensityMatrix,
     ProbabilityVector,
-    RateMatrix,
     TimeGrid,
     Trajectory,
 )
@@ -58,8 +57,6 @@ class ModelSpec:
     name: str
     kind: str
     params: dict
-    outputs: tuple
-    description: str = ""
     kernel: MemoryKernel | None = field(default=None, repr=False, compare=False)
     tcl_generator: TclGenerator | None = field(default=None, repr=False, compare=False)
     initial_state: object = field(default=None, repr=False, compare=False)
@@ -86,7 +83,6 @@ def _envelope_model(
     p0: float,
     p_eq: float,
     extra_params: dict,
-    description: str,
 ) -> ModelSpec:
     def trajectory(grid: TimeGrid) -> Trajectory:
         env = env_fn(grid.points)
@@ -104,8 +100,6 @@ def _envelope_model(
         name=name,
         kind="quantum",
         params=dict(extra_params, lam=lam, omega=omega, p0=p0, p_eq=p_eq),
-        outputs=("closed_form", "netfd_split"),
-        description=description,
         initial_state=initial,
         reference_state=reference,
         trajectory_fn=trajectory,
@@ -118,10 +112,7 @@ def markov_two_state(lam: float = 1.0, omega: float = 1.0, p0: float = 0.5, p_eq
     coherence c(t) = (1/2) e^{-lam t} sin(omega t), b_qe = c^2."""
     check_params("markov_two_state", dict(lam=lam, omega=omega, p0=p0, p_eq=p_eq))
     env_fn = lambda ts: np.exp(-lam * np.asarray(ts, dtype=float))
-    return _envelope_model(
-        "markov_two_state", env_fn, lam, omega, p0, p_eq, {},
-        "two-state relaxation with exponential envelope",
-    )
+    return _envelope_model("markov_two_state", env_fn, lam, omega, p0, p_eq, {})
 
 
 def fractional_two_state(
@@ -131,66 +122,30 @@ def fractional_two_state(
     :func:`markov_two_state` at alpha = 1."""
     check_params("fractional_two_state", dict(alpha=alpha, lam=lam, omega=omega, p0=p0, p_eq=p_eq))
     env_fn = lambda ts: ml_envelope_grid(alpha, lam, np.asarray(ts, dtype=float))
-    return _envelope_model(
-        "fractional_two_state", env_fn, lam, omega, p0, p_eq, {"alpha": alpha},
-        "two-state relaxation with Mittag-Leffler envelope",
-    )
+    return _envelope_model("fractional_two_state", env_fn, lam, omega, p0, p_eq, {"alpha": alpha})
 
 
-def symmetric_rate_matrix(n: int) -> RateMatrix:
-    """All-to-all generator with unit off-diagonal rates (zero column sums)."""
-    w = np.ones((n, n)) - n * np.eye(n)
-    return RateMatrix(w)
-
-
-def stationary_distribution(w: RateMatrix) -> ProbabilityVector:
-    """Normalized nonnegative null vector of the rate matrix."""
-    _, _, vt = np.linalg.svd(w.entries)
-    v = vt[-1].real
-    if np.sum(v) < 0:
-        v = -v
-    if np.min(v) < -1e-10:
-        raise ContractViolationError("rate matrix has no nonnegative stationary vector")
-    v = np.clip(v, 0.0, None)
-    return ProbabilityVector(v / np.sum(v))
-
-
-def classical_exp_kernel(
-    n: int = 2,
-    gamma: float = 1.0,
-    tau_m: float = 1.0,
-    w_base: RateMatrix | None = None,
-    p0: ProbabilityVector | None = None,
-) -> ModelSpec:
+def classical_exp_kernel(n: int = 2, gamma: float = 1.0, tau_m: float = 1.0) -> ModelSpec:
     """Classical dynamics with exponential memory kernel
-    K(tau) = (gamma/tau_m) exp(-tau/tau_m) W_base, together with its exact
+    K(tau) = (gamma/tau_m) exp(-tau/tau_m) W_base, W_base the all-to-all
+    generator with unit off-diagonal rates, together with its exact
     Markovian embedding (auxiliary flux variables y, initialized to zero):
 
         dp/dt = y,   dy/dt = (gamma/tau_m) W_base p - y/tau_m.
+
+    The initial state is the first basis state; the reference state is the
+    uniform stationary distribution.
     """
     check_params("classical_exp_kernel", dict(n=n, gamma=gamma, tau_m=tau_m))
-    if w_base is None:
-        w_base = symmetric_rate_matrix(n)
-    if w_base.dim != n:
-        raise ContractViolationError(f"w_base dimension {w_base.dim} != n={n}")
-    if p0 is None:
-        e0 = np.zeros(n)
-        e0[0] = 1.0
-        p0 = ProbabilityVector(e0)
-    wb = np.asarray(w_base.entries)
+    wb = np.ones((n, n)) - n * np.eye(n)
+    p0 = ProbabilityVector(np.eye(n)[0])
 
-    def kernel_lags(taus: np.ndarray) -> np.ndarray:
+    def kernel_table(taus: np.ndarray) -> np.ndarray:
         # math.exp per lag: np.exp differs from it in the last bit on some lags
         decay = np.array([(gamma / tau_m) * math.exp(-tau / tau_m) for tau in taus.tolist()])
         return decay[:, None, None] * wb
 
-    kernel = MemoryKernel(
-        dim=n,
-        kind="classical",
-        evaluate=lambda tau: (gamma / tau_m) * math.exp(-tau / tau_m) * wb,
-        decay_scale=tau_m,
-        evaluate_lags=kernel_lags,
-    )
+    kernel = MemoryKernel(dim=n, kind="classical", evaluate=kernel_table, decay_scale=tau_m)
 
     embed = np.zeros((2 * n, 2 * n))
     embed[:n, n:] = np.eye(n)
@@ -214,11 +169,9 @@ def classical_exp_kernel(
         name="classical_exp_kernel",
         kind="classical",
         params={"n": n, "gamma": gamma, "tau_m": tau_m},
-        outputs=("kernel", "embedding", "propagator"),
-        description="classical master equation with exponential memory kernel",
         kernel=kernel,
         initial_state=p0,
-        reference_state=stationary_distribution(w_base),
+        reference_state=ProbabilityVector(np.full(n, 1 / n)),
         trajectory_fn=embedded_trajectory,
         propagator_fn=embedded_propagator,
     )
@@ -254,20 +207,16 @@ def exp_kernel_zero_crossing(gamma: float, tau_m: float) -> float | None:
     return (math.pi - math.atan(2.0 * om * tau_m)) / om
 
 
-def classical_fractional(
-    gamma: float = 1.0, alpha: float = 0.7, n: int = 2, p0: ProbabilityVector | None = None
-) -> ModelSpec:
+def classical_fractional(gamma: float = 1.0, alpha: float = 0.7, n: int = 2) -> ModelSpec:
     """Symmetric two-state relaxation whose difference mode follows the
     Mittag-Leffler envelope x(t) = x(0) E_alpha(-(gamma t)^alpha); reduces
-    to exp(-gamma t) at alpha = 1."""
+    to exp(-gamma t) at alpha = 1.  The initial state is (1, 0), so
+    x(0) = 1."""
     # the schema pins n to 2: the closed form covers the symmetric 2-state case only
     check_params("classical_fractional", dict(gamma=gamma, alpha=alpha, n=n))
-    if p0 is None:
-        p0 = ProbabilityVector(np.array([1.0, 0.0]))
-    x0 = float(p0.entries[0] - p0.entries[1])
 
     def trajectory(grid: TimeGrid) -> Trajectory:
-        x = x0 * ml_envelope_grid(alpha, gamma, grid.points)
+        x = ml_envelope_grid(alpha, gamma, grid.points)
         states = np.stack([(1.0 + x) / 2.0, (1.0 - x) / 2.0], axis=1)
         return Trajectory(grid, states, "classical")
 
@@ -275,9 +224,7 @@ def classical_fractional(
         name="classical_fractional",
         kind="classical",
         params={"gamma": gamma, "alpha": alpha, "n": n},
-        outputs=("closed_form",),
-        description="symmetric two-state fractional relaxation",
-        initial_state=p0,
+        initial_state=ProbabilityVector(np.array([1.0, 0.0])),
         reference_state=ProbabilityVector(np.array([0.5, 0.5])),
         trajectory_fn=trajectory,
     )
@@ -308,7 +255,6 @@ def dephasing_qubit(
     amplitude: float = 0.5,
     frequency: float = 1.0,
     mu: float = 2.0,
-    rho0: DensityMatrix | None = None,
 ) -> ModelSpec:
     """Pure-dephasing qubit: generator gamma(t) D[sigma_z / sqrt(2)], so the
     off-diagonal evolves exactly as rho_01(t) = f(t) rho_01(0) with
@@ -317,12 +263,12 @@ def dephasing_qubit(
     rate_kind 'constant' gives f = exp(-lam t); 'sinusoidal' gives
     gamma(t) = lam + amplitude*sin(frequency*t) (always smooth); 'cosine_f'
     gives f = exp(-lam t/2) cos(mu t), whose generator is undefined at the
-    zeros of f (reported as gap intervals by extraction)."""
+    zeros of f (reported as gap intervals by extraction).  The initial
+    state is |+><+|."""
     check_params(
         "dephasing_qubit", dict(rate_kind=rate_kind, lam=lam, amplitude=amplitude, frequency=frequency, mu=mu)
     )
-    if rho0 is None:
-        rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+    rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     f, rate = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
     dissipator = linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0))
     matrix = lam * dissipator if rate_kind == "constant" else None
@@ -350,9 +296,6 @@ def dephasing_qubit(
     reference = DensityMatrix(
         np.diag([rho0.entries[0, 0].real, rho0.entries[1, 1].real]).astype(complex)
     )
-    outputs = ["closed_form", "propagator", "netfd_split"]
-    if gen is not None:
-        outputs.append("tcl_generator")
     return ModelSpec(
         name="dephasing_qubit",
         kind="quantum",
@@ -363,8 +306,6 @@ def dephasing_qubit(
             "frequency": frequency,
             "mu": mu,
         },
-        outputs=tuple(outputs),
-        description="pure-dephasing qubit with selectable decoherence function",
         tcl_generator=gen,
         initial_state=rho0,
         reference_state=reference,
@@ -393,8 +334,6 @@ def amplitude_damping_qubit(
         name="amplitude_damping_qubit",
         kind="quantum",
         params={"gamma": gamma, "nbar": nbar, "p0": p0, "c0": c0},
-        outputs=("tcl_generator", "netfd_split"),
-        description="thermal amplitude damping with constant rates",
         tcl_generator=TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g, matrix=g),
         initial_state=rho0,
         reference_state=reference,

@@ -53,26 +53,19 @@ def check_tolerance(name: str, value) -> float:
 
 
 def revival_detector(series: InfoSeries, epsilon_n: float = EPSILON_N):
-    """Flag a revival iff some strict local maximum exceeds an earlier one
-    by more than ``epsilon_n``.  Returns (flag, peak list as (t, value))."""
+    """Flag a revival iff some strict local maximum exceeds the running
+    maximum of the earlier ones by more than ``epsilon_n``; a peak and both
+    of its neighbours lie outside the skip intervals.  Returns (flag, peak
+    list as (t, value))."""
     vals = series.values
     if vals.size < 3:
         raise ContractViolationError("need at least 3 points")
-    mask = series.skipped()
-    peaks = []
-    for i in range(1, vals.size - 1):
-        if mask[i - 1] or mask[i] or mask[i + 1]:
-            continue
-        if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
-            peaks.append((float(series.grid.points[i]), float(vals[i])))
-    flag = False
-    running_max = -np.inf
-    for _, v in peaks:
-        if v > running_max + epsilon_n and np.isfinite(running_max):
-            flag = True
-            break
-        running_max = max(running_max, v)
-    return flag, peaks
+    ok = ~series.skipped()
+    mid = vals[1:-1]
+    idx = 1 + np.flatnonzero(ok[:-2] & ok[1:-1] & ok[2:] & (mid > vals[:-2]) & (mid > vals[2:]))
+    heights = vals[idx]
+    flag = bool(np.any(heights[1:] > np.maximum.accumulate(heights)[:-1] + epsilon_n))
+    return flag, list(zip(series.grid.points[idx].tolist(), heights.tolist()))
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,18 @@ differences see evenly spaced samples:
   states are checked for finiteness before they feed a convolution, and
   the first non-finite state's time is reported.
 
-A constant generator (``TclGenerator.matrix`` set) has one RK4 step matrix
-S, the degree-4 Taylor polynomial of exp(hA), so Phi(t_k) = S^k:
-:func:`rk4_power_table` fills the table by doubling in ceil(log2 N) batched
-products, checking each block so the earliest non-finite row is reported,
-and the trajectory is the table applied to the initial state.  Any other
-generator runs the step kernel ``_rk4_tcl``: :func:`solve_tcl` advances
-the state, :func:`build_propagator` the dd basis columns, and
-:func:`propagate_tcl` both in one pass, each sample evaluated once.  The
-state and the columns share one flat buffer per stage, so every
-elementwise step is one ufunc call and the fused pass is bit-identical to
-the separate ones.  Each sample's shape is checked as it is evaluated;
-the trace check of the on-grid samples and the finiteness check of the
-rows run batched every ``_CHECK_STEPS`` steps, and the earliest failing
-time is reported, a bad sample ahead of a divergence at the same time.
+Every time-local trajectory is its propagator family applied to the
+initial state, rho(t) = Phi(t, 0) rho(0).  A constant generator
+(``TclGenerator.matrix`` set) has one RK4 step matrix S, the degree-4
+Taylor polynomial of exp(hA), so Phi(t_k) = S^k: :func:`rk4_power_table`
+fills the table by doubling in ceil(log2 N) batched products, checking each
+block so the earliest non-finite row is reported.  Any other generator runs
+the step kernel ``_rk4_tcl``, which advances the dd basis columns from
+Phi(0) = I, each sample evaluated once.  Each sample's shape is checked as
+it is evaluated; the trace check of the on-grid samples and the finiteness
+check of the rows run batched every ``_CHECK_STEPS`` steps, and the
+earliest failing time is reported, a bad sample ahead of a divergence at
+the same time.
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -92,18 +90,16 @@ class TclGenerator:
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """Memory kernel: ``evaluate(tau)`` returns the kernel superoperator (or
-    classical rate-matrix-valued kernel) at lag tau >= 0.  ``decay_scale``
-    is a time-scale hint used to sanity-check the grid resolution.  The
-    optional ``evaluate_lags(taus)`` returns the samples at a 1-D array of
-    lags stacked on a leading axis, equal to ``evaluate`` lag by lag; the
-    kernel table is built from it in one call when it is given."""
+    """Memory kernel: ``evaluate(taus)`` takes a 1-D array of lags tau >= 0
+    and returns the kernel superoperators (or classical rate-matrix-valued
+    kernels) at those lags, stacked as an (N, dd, dd) table.
+    ``decay_scale`` is a time-scale hint used to sanity-check the grid
+    resolution."""
 
     dim: int
     kind: str
-    evaluate: Callable[[float], np.ndarray]
+    evaluate: Callable[[np.ndarray], np.ndarray]
     decay_scale: float = 1.0
-    evaluate_lags: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -168,12 +164,10 @@ def _sample_defects(samples: np.ndarray, kind: str, dim: int):
     return defect, scale
 
 
-def _rk4_tcl(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None, columns: bool):
-    """Classic RK4 for d/dt y = G(t) y, advancing the state ``y0`` (if
-    given) and the dd basis columns (if ``columns``) in one pass.
+def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
+    """Classic RK4 for d/dt Phi = G(t) Phi from Phi(0) = I, advancing the dd
+    basis columns; returns the raw stacked maps (N, dd, dd).
 
-    Returns ``(states, maps)``: the raw stacked states (N, dd) and maps
-    (N, dd, dd), None for the part not asked for; no state validation.
     Samples are taken at t_i, t_i + h/2 and t_i + h; the t_i + h sample is
     reused as the next step's first one when it equals t_{i+1} exactly.
     """
@@ -182,26 +176,9 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None, columns: 
     h = grid.dt
     ts = grid.points
     dd = gen.matrix_dim
-    ns = 0 if y0 is None else dd
-    width = ns + (dd * dd if columns else 0)
-    out = np.empty((grid.n, width), dtype=complex if gen.kind == "quantum" else float)
-    if y0 is not None:
-        out[0, :ns] = y0
-    if columns:
-        out[0, ns:] = np.eye(dd).ravel()
-
-    def parts(flat):
-        """The flat buffer and its contiguous state and column views."""
-        return flat, flat[:ns], flat[ns:].reshape(dd, dd) if columns else None
-
-    k1, k2, k3, k4, tmp = (parts(flat) for flat in np.empty((5, width), dtype=out.dtype))
-
-    def apply(m, src, dst):
-        if ns:
-            np.dot(m, src[1], out=dst[1])
-        if columns:
-            np.dot(m, src[2], out=dst[2])
-
+    out = np.empty((grid.n, dd, dd), dtype=complex if gen.kind == "quantum" else float)
+    out[0] = np.eye(dd)
+    k1, k2, k3, k4, tmp = np.empty((5, dd, dd), dtype=out.dtype)
     checked = 0  # rows before this index passed the finiteness check
     # on-grid samples awaiting the trace check: (time, sample, row) where a
     # failing sample is reported ahead of a divergence at that row or later
@@ -221,7 +198,7 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None, columns: 
         if pending:
             defect, scale = _sample_defects(np.stack([m for _, m, _ in pending]), gen.kind, gen.dim)
             bad = np.flatnonzero(defect > SAMPLE_TRACE_TOL * scale)
-        finite = np.isfinite(out[checked:stop]).all(axis=1)
+        finite = np.isfinite(out[checked:stop]).all(axis=(1, 2))
         row = checked + int(np.argmin(finite)) if not finite.all() else None
         if len(bad) and (row is None or pending[bad[0]][2] <= row):
             t = pending[bad[0]][0]
@@ -245,37 +222,35 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None, columns: 
             else:
                 m1 = sample(t)
                 pending.append((t, m1, i + 1))
-            y = parts(out[i])
-            apply(m1, y, k1)
+            y = out[i]
+            np.dot(m1, y, out=k1)
             m2 = sample(t + 0.5 * h)
-            np.multiply(0.5 * h, k1[0], out=tmp[0])
-            np.add(y[0], tmp[0], out=tmp[0])
-            apply(m2, tmp, k2)
-            np.multiply(0.5 * h, k2[0], out=tmp[0])
-            np.add(y[0], tmp[0], out=tmp[0])
-            apply(m2, tmp, k3)
+            np.multiply(0.5 * h, k1, out=tmp)
+            np.add(y, tmp, out=tmp)
+            np.dot(m2, tmp, out=k2)
+            np.multiply(0.5 * h, k2, out=tmp)
+            np.add(y, tmp, out=tmp)
+            np.dot(m2, tmp, out=k3)
             t_next = t + h
             m_next = sample(t_next)
             pending.append((t_next, m_next, i + 1))
-            np.multiply(h, k3[0], out=tmp[0])
-            np.add(y[0], tmp[0], out=tmp[0])
-            apply(m_next, tmp, k4)
-            np.multiply(2.0, k2[0], out=k2[0])
-            np.add(k1[0], k2[0], out=k1[0])
-            np.multiply(2.0, k3[0], out=k3[0])
-            np.add(k1[0], k3[0], out=k1[0])
-            np.add(k1[0], k4[0], out=k1[0])
-            np.multiply(h / 6.0, k1[0], out=k1[0])
-            np.add(y[0], k1[0], out=out[i + 1])
+            np.multiply(h, k3, out=tmp)
+            np.add(y, tmp, out=tmp)
+            np.dot(m_next, tmp, out=k4)
+            np.multiply(2.0, k2, out=k2)
+            np.add(k1, k2, out=k1)
+            np.multiply(2.0, k3, out=k3)
+            np.add(k1, k3, out=k1)
+            np.add(k1, k4, out=k1)
+            np.multiply(h / 6.0, k1, out=k1)
+            np.add(y, k1, out=out[i + 1])
         except Exception:
             check(i + 1)  # a failure at an earlier time is reported first
             raise
         if (i + 1) % _CHECK_STEPS == 0:
             check(i + 2)
     check(grid.n)
-    states = np.ascontiguousarray(out[:, :ns]) if ns else None
-    maps = np.ascontiguousarray(out[:, ns:]).reshape(grid.n, dd, dd) if columns else None
-    return states, maps
+    return out
 
 
 def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -349,51 +324,20 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
 
 
 def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
-    """Integrate the homogeneous time-local equation d/dt x = G(t) x.
-
-    Generator samples are validated at every grid time; the returned
-    trajectory re-validates every stored state.  Trace drift beyond
-    ``TRACE_DRIFT_TOL`` raises :class:`IntegrationDivergedError` naming the
-    time (states are renormalized only within that allowance).
-    """
-    if gen.matrix is not None:
-        return propagate_tcl(gen, initial, grid)[0]
-    y0 = _initial_vector(initial, gen.kind, gen.dim)
-    raw, _ = _rk4_tcl(gen, grid, y0, columns=False)
-    return _finalize_trajectory(raw, grid, gen.kind, gen.dim)
-
-
-def propagate_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> tuple[Trajectory, PropagatorFamily]:
-    """Trajectory and propagator family of a time-local generator from one
-    RK4 pass or power table; each is bit-identical to what :func:`solve_tcl`
-    and :func:`build_propagator` return, at one evaluation of each sample."""
-    if gen.matrix is not None:
-        family = build_propagator(gen, grid)
-        return apply_family(family, initial), family
-    y0 = _initial_vector(initial, gen.kind, gen.dim)
-    raw, maps = _rk4_tcl(gen, grid, y0, columns=True)
-    traj = _finalize_trajectory(raw, grid, gen.kind, gen.dim)
-    return traj, PropagatorFamily(grid, maps, gen.kind, gen.dim)
+    """Integrate the homogeneous time-local equation d/dt x = G(t) x: the
+    propagator family of :func:`build_propagator` applied to ``initial``,
+    so trace drift beyond ``TRACE_DRIFT_TOL`` raises
+    :class:`IntegrationDivergedError` naming the time."""
+    return apply_family(build_propagator(gen, grid), initial)
 
 
 def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
     h = grid.dt
     dd = kernel.matrix_dim
     dtype = complex if kernel.kind == "quantum" else float
-    if kernel.evaluate_lags is not None:
-        # lag m is m * h, as in the per-lag loop below
-        table = np.asarray(kernel.evaluate_lags(np.arange(grid.n) * h), dtype=dtype)
-        if table.shape != (grid.n, dd, dd):
-            raise ContractViolationError(
-                f"kernel samples have shape {table.shape}, expected {(grid.n, dd, dd)}"
-            )
-    else:
-        table = np.empty((grid.n, dd, dd), dtype=dtype)
-        for m in range(grid.n):
-            k = np.asarray(kernel.evaluate(m * h))
-            if k.shape != (dd, dd):
-                raise ContractViolationError(f"kernel sample at lag {m*h:g} has shape {k.shape}")
-            table[m] = k
+    table = np.asarray(kernel.evaluate(np.arange(grid.n) * h), dtype=dtype)  # lag m is m * h
+    if table.shape != (grid.n, dd, dd):
+        raise ContractViolationError(f"kernel samples have shape {table.shape}, expected {(grid.n, dd, dd)}")
     finite = np.isfinite(table).all(axis=(1, 2))
     n_ok = grid.n if finite.all() else int(np.argmin(finite))
     head = table[:n_ok]
@@ -555,7 +499,7 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     if isinstance(source, TclGenerator) and source.matrix is not None:
         raw = _constant_maps(source, grid)
     elif isinstance(source, TclGenerator):
-        _, raw = _rk4_tcl(source, grid, None, columns=True)
+        raw = _rk4_tcl(source, grid)
     elif isinstance(source, MemoryKernel):
         eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
         raw = volterra_propagate(source, eye, grid)

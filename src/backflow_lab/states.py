@@ -60,10 +60,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Spectrum, descending."""
-        return np.linalg.eigvalsh(self.entries)[::-1]
-
 
 @dataclass(frozen=True)
 class ProbabilityVector:

@@ -67,3 +67,56 @@ def entropy_scalar(p) -> float:
     p = np.asarray(p, dtype=float)
     mask = p > 0
     return float(-np.sum(p[mask] * np.log(p[mask])))
+
+
+# Per-state measures written independently of the package's batched ones
+# (one eigendecomposition per state): the reference the batched series are
+# checked against.
+
+def _spectral_entropy(w: np.ndarray) -> float:
+    w = np.clip(w, 0.0, None)
+    nz = w[w > 0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
+def von_neumann_entropy_oracle(rho) -> float:
+    """-Tr(rho log rho) in nats from the descending spectrum, 0 log 0 = 0."""
+    return max(_spectral_entropy(np.linalg.eigvalsh(rho.entries)[::-1]), 0.0)
+
+
+def relative_entropy_oracle(rho, sigma) -> float:
+    """D(rho || sigma), +inf when rho has weight outside sigma's support."""
+    from backflow_lab.information import SUPPORT_EIGENVALUE, SUPPORT_WEIGHT
+
+    wr, vr = np.linalg.eigh(rho.entries)
+    ws, vs = np.linalg.eigh(sigma.entries)
+    wr = np.clip(wr, 0.0, None)
+    ws = np.clip(ws, 0.0, None)
+    small = ws < SUPPORT_EIGENVALUE
+    overlap = np.abs(vs.conj().T @ rho.entries @ vs).diagonal().real
+    if np.any(small) and float(np.sum(overlap[small])) > SUPPORT_WEIGHT:
+        return float("inf")
+    cross = np.abs(vr.conj().T @ vs) ** 2  # |<r_i|s_j>|^2
+    log_ws = np.where(small, 0.0, np.log(np.where(small, 1.0, ws)))
+    keep = ~small
+    tr_rho_log_sigma = float(np.einsum("i,ij,j->", wr, cross[:, keep], log_ws[keep]))
+    return max(-_spectral_entropy(wr) - tr_rho_log_sigma, 0.0)
+
+
+def kl_divergence_oracle(p, q) -> float:
+    """D(p || q) in nats, +inf on support mismatch."""
+    from backflow_lab.information import SUPPORT_EIGENVALUE, SUPPORT_WEIGHT
+
+    pv = np.clip(p.entries, 0.0, None)
+    qv = np.clip(q.entries, 0.0, None)
+    small = qv < SUPPORT_EIGENVALUE
+    if np.any(small) and float(np.sum(pv[small])) > SUPPORT_WEIGHT:
+        return float("inf")
+    keep = (pv > 0) & ~small
+    return max(float(np.sum(pv[keep] * (np.log(pv[keep]) - np.log(qv[keep])))), 0.0)
+
+
+def trace_distance_oracle(rho, sigma) -> float:
+    """(1/2) sum |eigenvalues(rho - sigma)|."""
+    w = np.linalg.eigvalsh(rho.entries - sigma.entries)
+    return float(0.5 * np.sum(np.abs(w)))

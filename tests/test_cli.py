@@ -351,10 +351,10 @@ class TestBackflow:
         assert len(passes) == 1
         monkeypatch.setattr(
             analysis,
-            "propagate_tcl",
-            lambda gen, initial, grid: (
-                propagation.solve_tcl(gen, initial, grid),
-                propagation.build_propagator(gen, grid),
+            "propagate",
+            lambda model, grid, route: (
+                propagation.solve_tcl(model.tcl_generator, model.initial_state, grid),
+                propagation.build_propagator(model.tcl_generator, grid),
             ),
         )
         assert main(["backflow", "--config", config, "--out", str(separate)]) == 0
@@ -638,3 +638,14 @@ class TestThreads:
         assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 0
         assert pools == ([] if expected is None else [expected])
         assert json.loads((tmp_path / "summary.json").read_text())["rows"] == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "extract", "divisibility", "backflow"])
+    def test_threads_flag_only_on_phase_diagram(self, tmp_path, capsys, command):
+        """Only sweeps have workers: elsewhere ``--threads`` is an unknown
+        argument, as ``--set threads=2`` is an unknown key."""
+        config = write_config(tmp_path, {"model": {"name": "markov_two_state"}, "grid": {"dt": 1e-2, "t_max": 1.0}})
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--config", config, "--out", str(tmp_path), "--threads", "2"])
+        assert exited.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert main([command, "--config", config, "--out", str(tmp_path), "--set", "threads=2"]) == 2

@@ -22,7 +22,15 @@ from backflow_lab.models import amplitude_damping_qubit
 from backflow_lab.propagation import TclGenerator
 from backflow_lab.states import Trajectory, random_density_matrix
 
-from _oracles import entropy_scalar, kl_scalar, positive_variation
+from _oracles import (
+    entropy_scalar,
+    kl_divergence_oracle,
+    kl_scalar,
+    positive_variation,
+    relative_entropy_oracle,
+    trace_distance_oracle,
+    von_neumann_entropy_oracle,
+)
 
 
 def diag_state(*populations):
@@ -238,14 +246,13 @@ def _model_trajectory(name, grid):
 
 def _scalar_series(traj, tag, reference):
     """The per-state reference: one validated value object per grid point."""
-    from backflow_lab.netfd import extended_entropy
-
     measure = {
-        "vn_entropy": von_neumann_entropy,
-        "extended_entropy": extended_entropy,
-        "rel_entropy": lambda s: relative_entropy(s, reference),
-        "trace_distance": lambda s: trace_distance(s, reference),
-        "kl": lambda s: kl_divergence(s, reference),
+        "vn_entropy": von_neumann_entropy_oracle,
+        # the extended entropy of the purification is the state's own entropy
+        "extended_entropy": von_neumann_entropy_oracle,
+        "rel_entropy": lambda s: relative_entropy_oracle(s, reference),
+        "trace_distance": lambda s: trace_distance_oracle(s, reference),
+        "kl": lambda s: kl_divergence_oracle(s, reference),
     }[tag]
     value = DensityMatrix if traj.kind == "quantum" else ProbabilityVector
     return np.array([measure(value(state)) for state in traj.states])

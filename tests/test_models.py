@@ -150,6 +150,12 @@ class TestClassicalExpKernel:
         assert traj.states.shape == (grid.n, 3)
         assert np.max(np.abs(model.reference_state.entries - 1.0 / 3.0)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_reference_is_exactly_uniform(self, n):
+        model = classical_exp_kernel(n=n)
+        assert np.array_equal(model.reference_state.entries, np.full(n, 1 / n))
+        assert np.array_equal(model.initial_state.entries, np.eye(n)[0])
+
 
 class TestClassicalFractional:
     def test_alpha_one_reduction(self):
@@ -222,7 +228,6 @@ class TestDephasingQubit:
     def test_cosine_f_has_no_generator_route(self):
         model = dephasing_qubit(rate_kind="cosine_f")
         assert model.tcl_generator is None
-        assert "tcl_generator" not in model.outputs
 
     def test_unknown_rate_kind(self):
         with pytest.raises(ContractViolationError):

@@ -76,6 +76,44 @@ class TestRevivalDetector:
         with pytest.raises(ContractViolationError):
             revival_detector(InfoSeries(grid, np.zeros(2), "s_qe"))
 
+    @staticmethod
+    def revival_loop(series, epsilon_n):
+        """Per-point reference for the array version: peaks by a scan over
+        the points, the flag by a scan over the peaks."""
+        vals = series.values
+        mask = series.skipped()
+        peaks = []
+        for i in range(1, vals.size - 1):
+            if mask[i - 1] or mask[i] or mask[i + 1]:
+                continue
+            if vals[i] > vals[i - 1] and vals[i] > vals[i + 1]:
+                peaks.append((float(series.grid.points[i]), float(vals[i])))
+        flag = False
+        running_max = -np.inf
+        for _, v in peaks:
+            if v > running_max + epsilon_n and np.isfinite(running_max):
+                flag = True
+                break
+            running_max = max(running_max, v)
+        return flag, peaks
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_point_loop(self, seed):
+        """Random walks rounded to a coarse step (so plateaus and ties
+        occur), with random skip intervals holding non-finite values."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 400))
+        grid = TimeGrid.uniform(0.1, 0.1 * (n - 1))
+        vals = np.round(np.cumsum(rng.normal(size=n)) * rng.uniform(0.5, 4.0)) / 4.0
+        skips = []
+        for _ in range(int(rng.integers(0, 4))):
+            a = float(rng.uniform(0.0, grid.t_max))
+            skips.append((a, a + float(rng.uniform(0.0, 1.5))))
+        vals[grid.within(tuple(skips))] = rng.choice([np.nan, np.inf, -np.inf])
+        series = InfoSeries(grid, vals, "s_qe", tuple(skips))
+        for epsilon_n in (0.0, 0.1, 0.3, 1.0):
+            assert revival_detector(series, epsilon_n) == self.revival_loop(series, epsilon_n)
+
 
 class TestSweepSpec:
     def test_lattice_order(self):
@@ -368,15 +406,16 @@ class TestSweepHardening:
 
     def test_time_local_row_takes_one_rk4_pass(self, monkeypatch):
         """A time-local model without closed forms gets its trajectory and
-        its propagator from one RK4 pass: at most 3(N-1)+1 generator
-        samples per row, and neither single-operand route runs."""
+        its propagator from one RK4 pass: one step-kernel run and at most
+        3(N-1)+1 generator samples per row."""
         import dataclasses
 
-        import backflow_lab.analysis as analysis
         import backflow_lab.phase_diagram as pd
+        import backflow_lab.propagation as propagation
         from backflow_lab.propagation import TclGenerator
 
-        samples = []
+        samples, passes = [], []
+        rk4 = propagation._rk4_tcl
         real_build_model = pd.build_model
 
         def counting_model(name, params):
@@ -390,12 +429,12 @@ class TestSweepHardening:
             counted = TclGenerator(dim=gen.dim, kind=gen.kind, evaluate=evaluate)
             return dataclasses.replace(model, tcl_generator=counted)
 
-        def forbidden(*args):
-            raise AssertionError("second RK4 pass")
+        def counting_rk4(*args):
+            passes.append(1)
+            return rk4(*args)
 
         monkeypatch.setattr(pd, "build_model", counting_model)
-        monkeypatch.setattr(analysis, "build_propagator", forbidden)
-        monkeypatch.setattr(analysis, "solve_tcl", forbidden)
+        monkeypatch.setattr(propagation, "_rk4_tcl", counting_rk4)
         spec = SweepSpec(
             model="amplitude_damping_qubit",
             axes=(("gamma", 0.5, 1.0, 2),),
@@ -406,12 +445,14 @@ class TestSweepHardening:
         n = TimeGrid.uniform(spec.dt, spec.t_max).n
         for params in spec.lattice():
             samples.clear()
+            passes.clear()
             row = pd._sweep_point(
                 (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
             )
             assert row["error"] == ""
             assert row["divisible"] is True
             assert 0 < len(samples) <= 3 * (n - 1) + 1
+            assert passes == [1]
 
     def test_constant_generator_row_builds_one_power_table(self, monkeypatch):
         """A constant generator's row never steps the RK4 kernel: the

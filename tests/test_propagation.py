@@ -35,6 +35,16 @@ def constant_classical_generator(w):
     return TclGenerator(dim=w.shape[0], kind="classical", evaluate=lambda t: w)
 
 
+def lag_kernel(evaluate, dim=2, kind="classical", decay_scale=1.0):
+    """A memory kernel whose table stacks ``evaluate(tau)`` lag by lag."""
+    return MemoryKernel(
+        dim=dim,
+        kind=kind,
+        evaluate=lambda taus: np.array([evaluate(tau) for tau in taus.tolist()]),
+        decay_scale=decay_scale,
+    )
+
+
 class TestSolveTcl:
     def test_zero_generator_constant(self):
         gen = constant_quantum_generator(np.zeros((4, 4), dtype=complex))
@@ -71,20 +81,13 @@ class TestSolveTcl:
 
 class TestSolveTc:
     def test_zero_kernel_constant(self):
-        kernel = MemoryKernel(
-            dim=2, kind="classical", evaluate=lambda tau: np.zeros((2, 2)), decay_scale=1.0
-        )
+        kernel = lag_kernel(lambda tau: np.zeros((2, 2)))
         traj = solve_tc(kernel, ProbabilityVector([0.4, 0.6]), TimeGrid.uniform(0.01, 1.0))
         assert np.max(np.abs(traj.states - [0.4, 0.6])) < 1e-14
 
     def test_exponential_kernel_closed_form(self):
         gamma, tau_m = 1.0, 1.0
-        kernel = MemoryKernel(
-            dim=2,
-            kind="classical",
-            evaluate=lambda tau: (gamma / tau_m) * math.exp(-tau / tau_m) * W_SYM,
-            decay_scale=tau_m,
-        )
+        kernel = lag_kernel(lambda tau: (gamma / tau_m) * math.exp(-tau / tau_m) * W_SYM, decay_scale=tau_m)
         grid = TimeGrid.uniform(1e-3, 3.0)
         traj = solve_tc(kernel, ProbabilityVector([1.0, 0.0]), grid)
         x = traj.states[:, 0] - traj.states[:, 1]
@@ -105,9 +108,7 @@ class TestSolveTc:
         assert np.max(np.abs(tc.states - embedded.states)) <= 1e-6
 
     def test_coarse_grid_warns(self):
-        kernel = MemoryKernel(
-            dim=2, kind="classical", evaluate=lambda tau: math.exp(-tau / 0.1) * W_SYM, decay_scale=0.1
-        )
+        kernel = lag_kernel(lambda tau: math.exp(-tau / 0.1) * W_SYM, decay_scale=0.1)
         with pytest.warns(UserWarning):
             solve_tc(kernel, ProbabilityVector([1.0, 0.0]), TimeGrid.uniform(0.02, 0.5))
 
@@ -127,12 +128,7 @@ class TestConvergenceOrder:
         assert error(0.02) / error(0.01) >= 14.0
 
     def test_tc_second_order(self):
-        kernel = MemoryKernel(
-            dim=2,
-            kind="classical",
-            evaluate=lambda tau: math.exp(-tau) * W_SYM,
-            decay_scale=1.0,
-        )
+        kernel = lag_kernel(lambda tau: math.exp(-tau) * W_SYM)
         p0 = ProbabilityVector([1.0, 0.0])
 
         def error(dt):
@@ -300,9 +296,7 @@ def quantum_kernel():
         + commutator_superop(np.array([[0.5, 0.3 - 0.2j], [0.3 + 0.2j, -0.5]]))
     )
     # short memory (8 * rate * tau_m < 1) keeps the states positive
-    return MemoryKernel(
-        dim=2, kind="quantum", evaluate=lambda tau: 2.5 * math.exp(-tau / 0.2) * g, decay_scale=0.2
-    )
+    return lag_kernel(lambda tau: 2.5 * math.exp(-tau / 0.2) * g, kind="quantum", decay_scale=0.2)
 
 
 def volterra_cases():
@@ -324,7 +318,7 @@ def volterra_cases():
 
 
 def kernel_samples(kernel, grid):
-    return np.array([kernel.evaluate(m * grid.dt) for m in range(grid.n)])
+    return kernel.evaluate(np.arange(grid.n) * grid.dt)
 
 
 class CountingFft:
@@ -405,9 +399,7 @@ class TestVolterraBlockSolve:
         """The step loop overflows in its history sum a little before the
         states do; the block solve scales its convolution operands, so it
         reports the first non-finite state no earlier and within 3%."""
-        kernel = MemoryKernel(
-            dim=2, kind="classical", evaluate=lambda tau: c * math.exp(-tau) * W_SYM, decay_scale=1.0
-        )
+        kernel = lag_kernel(lambda tau: c * math.exp(-tau) * W_SYM)
         grid = TimeGrid.uniform(dt, 800.0 / math.sqrt(-2.0 * c))
         y0 = np.array([1.0, 0.0])
         ref = volterra_reference(kernel_samples(kernel, grid), y0, grid.dt)
@@ -426,9 +418,7 @@ class TestVolterraBlockSolve:
 
         counting = CountingFft()
         monkeypatch.setattr(propagation, "np", counting)
-        kernel = MemoryKernel(
-            dim=2, kind="classical", evaluate=lambda tau: -2000.0 * math.exp(-tau) * W_SYM, decay_scale=1.0
-        )
+        kernel = lag_kernel(lambda tau: -2000.0 * math.exp(-tau) * W_SYM)
         grid = TimeGrid.uniform(1e-2, 2.0)
         with pytest.raises(IntegrationDivergedError) as got:
             propagation.volterra_propagate(kernel, np.array([1e307, -1e307]), grid)
@@ -447,7 +437,7 @@ class TestVolterraBlockSolve:
             huge = round(tau / grid.dt) in (20, 21)
             return (1.5e308 if huge else math.exp(-tau)) * W_SYM
 
-        kernel = MemoryKernel(dim=2, kind="classical", evaluate=evaluate)
+        kernel = lag_kernel(evaluate)
         ref = volterra_reference(kernel_samples(kernel, grid), np.array([1.0, 0.0]), grid.dt)
         t_ref = grid.points[np.argmin(np.isfinite(ref).all(axis=1))]
         assert t_ref == grid.points[21]
@@ -461,9 +451,7 @@ class TestVolterraBlockSolve:
         of them would overflow."""
         from backflow_lab.propagation import volterra_propagate
 
-        kernel = MemoryKernel(
-            dim=2, kind="classical", evaluate=lambda tau: 10.0 * math.exp(-tau / 0.1) * W_SYM, decay_scale=0.1
-        )
+        kernel = lag_kernel(lambda tau: 10.0 * math.exp(-tau / 0.1) * W_SYM, decay_scale=0.1)
         grid = TimeGrid.uniform(1e-3, 4.0)
         unit = volterra_propagate(kernel, np.array([1.0, 0.0]), grid)
         huge = volterra_propagate(kernel, np.array([1e306, 0.0]), grid)
@@ -480,7 +468,7 @@ class TestVolterraBlockSolve:
                         return value
                 return math.exp(-tau) * W_SYM
 
-            return MemoryKernel(dim=2, kind="classical", evaluate=evaluate)
+            return lag_kernel(evaluate)
 
         nan, inf = np.full((2, 2), np.nan), np.full((2, 2), np.inf)
         broken = np.array([[-1.0, 1.0], [1.0, -0.5]])
@@ -491,57 +479,36 @@ class TestVolterraBlockSolve:
         with pytest.raises(ContractViolationError, match="trace annihilation at lag 0.4 "):
             solve_tc(kernel([(0.4, broken), (0.9, broken), (1.2, nan)]), p0, grid)
 
-    def test_wrong_shape_sample_raises_as_evaluated(self):
-        lags = []
+    def test_wrong_shape_table_rejected_before_any_solve(self, monkeypatch):
+        import backflow_lab.propagation as propagation
 
-        def evaluate(tau):
-            lags.append(tau)
-            return W_SYM if tau < 0.25 else np.zeros((3, 3))
-
-        kernel = MemoryKernel(dim=2, kind="classical", evaluate=evaluate)
-        with pytest.raises(ContractViolationError, match=r"lag 0.25 has shape \(3, 3\)"):
-            solve_tc(kernel, ProbabilityVector([1.0, 0.0]), TimeGrid.uniform(1e-2, 2.0))
-        assert len(lags) == 26
+        monkeypatch.setattr(propagation, "_toeplitz_inverse", lambda lags: pytest.fail("solve started"))
+        grid = TimeGrid.uniform(1e-2, 2.0)
+        p0 = ProbabilityVector([1.0, 0.0])
+        tables = {
+            r"\(201, 3, 3\)": lambda taus: np.exp(-taus)[:, None, None] * np.zeros((3, 3)),
+            r"\(200, 2, 2\)": lambda taus: np.exp(-taus[1:])[:, None, None] * W_SYM,
+            r"\(201, 2\)": lambda taus: np.zeros((taus.size, 2)),
+        }
+        for shape, table in tables.items():
+            kernel = MemoryKernel(dim=2, kind="classical", evaluate=table)
+            with pytest.raises(ContractViolationError, match=rf"samples have shape {shape}, expected \(201, 2, 2\)"):
+                solve_tc(kernel, p0, grid)
 
     @pytest.mark.parametrize("n, gamma, tau_m", [(2, 1.0, 0.5), (3, 1.3, 0.4), (5, 0.7, 2.5)])
     def test_batched_kernel_table_equals_per_lag_loop(self, n, gamma, tau_m):
-        import dataclasses
-
+        """The model's table takes math.exp lag by lag (np.exp differs from
+        it in the last bit on some lags): its bytes equal a per-lag loop's."""
         from backflow_lab.models import classical_exp_kernel
         from backflow_lab.propagation import _kernel_table
 
         kernel = classical_exp_kernel(n=n, gamma=gamma, tau_m=tau_m).kernel
-        assert kernel.evaluate_lags is not None
         grid = TimeGrid.uniform(1e-3, 16.0)
-        batched = _kernel_table(kernel, grid)
-        looped = _kernel_table(dataclasses.replace(kernel, evaluate_lags=None), grid)
-        assert batched.dtype == looped.dtype == kernel_samples(kernel, grid).dtype
-        assert batched.tobytes() == looped.tobytes() == kernel_samples(kernel, grid).tobytes()
-
-    def test_batched_kernel_checks_name_earliest_lag(self):
-        grid = TimeGrid.uniform(1e-2, 2.0)
-        p0 = ProbabilityVector([1.0, 0.0])
-
-        def per_lag(tau):
-            raise AssertionError("the per-lag path ran")
-
-        def kernel(bad, shape=(2, 2)):
-            def evaluate_lags(taus):
-                table = np.exp(-taus)[:, None, None] * np.resize(W_SYM, shape)
-                for m, value in bad:
-                    table[m] = value
-                return table
-
-            return MemoryKernel(dim=2, kind="classical", evaluate=per_lag, evaluate_lags=evaluate_lags)
-
-        nan, inf = np.full((2, 2), np.nan), np.full((2, 2), np.inf)
-        broken = np.array([[-1.0, 1.0], [1.0, -0.5]])
-        with pytest.raises(ContractViolationError, match="lag 0.3 is not finite"):
-            solve_tc(kernel([(80, nan), (30, inf)]), p0, grid)
-        with pytest.raises(ContractViolationError, match="trace annihilation at lag 0.4 "):
-            solve_tc(kernel([(40, broken), (90, broken), (120, nan)]), p0, grid)
-        with pytest.raises(ContractViolationError, match=r"samples have shape \(201, 3, 3\)"):
-            solve_tc(kernel([], shape=(3, 3)), p0, grid)
+        w = np.ones((n, n)) - n * np.eye(n)
+        looped = np.array([(gamma / tau_m) * math.exp(-(m * grid.dt) / tau_m) * w for m in range(grid.n)])
+        table = _kernel_table(kernel, grid)
+        assert table.dtype == looped.dtype
+        assert table.tobytes() == looped.tobytes()
 
     def test_state_leaving_simplex_raises_one_class_on_both_routes(self):
         from backflow_lab.errors import InvalidStateError
@@ -594,9 +561,9 @@ def reference_trace_check(gen, m, t):
 
 
 def rk4_two_loop_reference(gen, y0, grid, validate=True):
-    """The RK4 the fused kernel replaced: one pass per operand (a state
-    vector or the basis columns), a one-entry sample cache, on-grid samples
-    checked as they are evaluated and a divergence check after every step."""
+    """Per-step RK4 reference: one pass per operand (a state vector or the
+    basis columns), a one-entry sample cache, on-grid samples checked as
+    they are evaluated and a divergence check after every step."""
     h = grid.dt
     ts = grid.points
     cache = {}
@@ -672,23 +639,21 @@ def fused_cases():
 
 
 class TestFusedRk4:
+    """The step kernel that advances the basis columns of a time-dependent
+    generator, and the trajectories read off its family."""
+
     @pytest.mark.parametrize("case", fused_cases(), ids=lambda case: case[0])
     def test_bit_identical_to_two_loop_reference(self, case):
-        from backflow_lab.propagation import _finalize_trajectory, _initial_vector, propagate_tcl
+        from backflow_lab.propagation import _finalize_trajectory, _initial_vector
 
         _, gen, initial, grid = case
         assert grid.n - 1 > 64  # spans several batched-check chunks
         y0 = _initial_vector(initial, gen.kind, gen.dim)
         eye = np.eye(gen.matrix_dim, dtype=complex if gen.kind == "quantum" else float)
-        want_states = _finalize_trajectory(
-            rk4_two_loop_reference(gen, y0, grid), grid, gen.kind, gen.dim
-        ).states
-        want_maps = rk4_two_loop_reference(gen, eye, grid, validate=False)
-        traj, family = propagate_tcl(gen, initial, grid)
-        assert np.array_equal(traj.states, want_states)
-        assert np.array_equal(family.maps, want_maps)
-        assert np.array_equal(solve_tcl(gen, initial, grid).states, want_states)
+        want_maps = rk4_two_loop_reference(gen, eye, grid)
+        want_states = _finalize_trajectory(np.einsum("nab,b->na", want_maps, y0), grid, gen.kind, gen.dim).states
         assert np.array_equal(build_propagator(gen, grid).maps, want_maps)
+        assert np.array_equal(solve_tcl(gen, initial, grid).states, want_states)
 
     @staticmethod
     def corrupted_dephasing(bad_time, bad_sample):
@@ -701,10 +666,8 @@ class TestFusedRk4:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator", "propagate_tcl"])
+    @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator"])
     def test_trace_breaking_sample_names_its_time(self, route):
-        from backflow_lab.propagation import propagate_tcl
-
         grid = TimeGrid.uniform(1e-2, 3.0)
         bad_time = 150 * grid.dt
         rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
@@ -714,7 +677,6 @@ class TestFusedRk4:
         run = {
             "solve_tcl": lambda: solve_tcl(gen, rho0, grid),
             "build_propagator": lambda: build_propagator(gen, grid),
-            "propagate_tcl": lambda: propagate_tcl(gen, rho0, grid),
         }[route]
         with pytest.raises(ContractViolationError, match=f"t={bad_time:g} violates trace"):
             run()
@@ -734,7 +696,7 @@ class TestFusedRk4:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_exploding_rate_diverges_at_reference_time(self):
-        from backflow_lab.propagation import _CHECK_STEPS, propagate_tcl
+        from backflow_lab.propagation import _CHECK_STEPS
 
         grid = TimeGrid.uniform(1e-2, 5.0)
         p0 = ProbabilityVector([1.0, 0.0])
@@ -743,7 +705,7 @@ class TestFusedRk4:
         t_ref = ref.value.time
         assert 0.0 < t_ref < grid.t_max
         with pytest.raises(IntegrationDivergedError) as got:
-            propagate_tcl(self.exploding_rate(), p0, grid)
+            build_propagator(self.exploding_rate(), grid)
         assert got.value.time == t_ref
         # a sample that cannot be evaluated after the divergence, inside the
         # same check chunk, still leaves the earlier divergence reported
@@ -771,14 +733,14 @@ class TestFusedRk4:
         grid = TimeGrid.uniform(0.1, 1.0)
         gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: np.zeros((2, 2), dtype=complex))
         with pytest.raises(ContractViolationError, match=r"t=0 has shape \(2, 2\)"):
-            propagation.propagate_tcl(gen, rho0, grid)
+            propagation.solve_tcl(gen, rho0, grid)
         assert products == []
         # a midpoint sample is checked too, before the k2 products use it
         g = np.zeros((4, 4), dtype=complex)
         gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g if t == 0.0 else g[:3, :3])
         with pytest.raises(ContractViolationError, match=r"t=0.05 has shape \(3, 3\)"):
-            propagation.propagate_tcl(gen, rho0, grid)
-        assert len(products) == 2  # the k1 state and column products only
+            propagation.solve_tcl(gen, rho0, grid)
+        assert len(products) == 1  # the k1 column product only
 
 
 def rk4_constant_loop(matrix, y0, grid):
@@ -814,13 +776,14 @@ class TestRk4PowerTable:
 
     def test_amplitude_damping_matches_step_kernel(self):
         from backflow_lab.models import amplitude_damping_qubit
-        from backflow_lab.propagation import propagate_tcl
 
         model = amplitude_damping_qubit(gamma=2.0, nbar=0.2)
         grid = TimeGrid.uniform(1e-3, 4.0)
         assert grid.n == 4001
-        traj, family = propagate_tcl(model.tcl_generator, model.initial_state, grid)
-        want_traj, want_family = propagate_tcl(self.without_matrix(model.tcl_generator), model.initial_state, grid)
+        gen, stepped = model.tcl_generator, self.without_matrix(model.tcl_generator)
+        family, want_family = build_propagator(gen, grid), build_propagator(stepped, grid)
+        traj = solve_tcl(gen, model.initial_state, grid)
+        want_traj = solve_tcl(stepped, model.initial_state, grid)
         assert np.max(np.abs(family.maps - want_family.maps)) <= 1e-12
         assert np.max(np.abs(traj.states - want_traj.states)) <= 1e-12
 
@@ -900,10 +863,8 @@ class TestRk4PowerTable:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator", "propagate_tcl"])
+    @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator"])
     def test_exploding_generator_names_earliest_non_finite_row(self, route):
-        from backflow_lab.propagation import propagate_tcl
-
         # negative rates: the difference mode grows as exp(12 t) and
         # overflows near t = 59, far from the end of the grid
         w = -6.0 * W_SYM
@@ -913,7 +874,6 @@ class TestRk4PowerTable:
         run = {
             "solve_tcl": lambda g: solve_tcl(g, p0, grid),
             "build_propagator": lambda g: build_propagator(g, grid),
-            "propagate_tcl": lambda g: propagate_tcl(g, p0, grid),
         }[route]
         # the step matrix iterated once per step, as the sequential loop did;
         # the step kernel overflows in its stage sums some 35 steps earlier
