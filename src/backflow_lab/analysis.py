@@ -6,9 +6,13 @@ offers: the closed form (``closed_form``: ``trajectory_fn``, with
 ``propagator_fn`` where the model has one), the time-local generator
 (``tcl``) and the memory kernel (``tc``).  The route picks both the
 trajectory and the propagator family; ``auto`` is the first of the three
-the model offers.  :func:`analyze` runs the rest of the chain on one point:
-generator extraction and the divisibility test where the route has a
-propagator, the memoized information series (generator gaps as skip
+the model offers.  :func:`sampled_generator` is the only place that
+decides where a route's sampled time-local generator comes from: on
+``tcl`` the generator is the input, G(t) sampled on the grid with no gaps;
+on ``closed_form`` and ``tc`` it is extracted from the route's propagator
+family (on ``tc``, the paper's TC-to-TCL procedure).  :func:`analyze` runs
+the rest of the chain on one point: the divisibility test where the route
+has a generator, the memoized information series (generator gaps as skip
 intervals), the backflow of each measure, and the classical/intrinsic
 sector split with its half-grid error estimates.
 """
@@ -19,14 +23,30 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError
-from .generator_analysis import DivisibilityReport, check_divisible, extract_tcl_generator
+from .generator_analysis import DivisibilityReport, SampledGenerator, check_divisible, extract_tcl_generator
 from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
-from .propagation import PropagatorFamily, apply_family, build_propagator, solve_tc
+from .propagation import PropagatorFamily, apply_family, build_propagator, generator_samples, solve_tc, tcl_propagator
 from .states import TimeGrid, Trajectory
 
 ROUTES = ("closed_form", "tcl", "tc")
+
+
+def _resolve(model: ModelSpec, route: str) -> str:
+    """``route`` itself, or the first route the model offers for
+    ``auto``."""
+    sources = (model.trajectory_fn, model.tcl_generator, model.kernel)
+    offered = [r for r, source in zip(ROUTES, sources) if source is not None]
+    if route == "auto":
+        if not offered:
+            raise ConfigError(f"model {model.name} offers no route")
+        return offered[0]
+    if route not in ROUTES:
+        raise ConfigError(f"unknown route {route!r}")
+    if route not in offered:
+        raise ConfigError(f"model {model.name} has no {route} route")
+    return route
 
 
 def propagate(
@@ -37,16 +57,7 @@ def propagate(
     closed-form route without a propagator.  On the time-local route both
     come from one propagator family.  An unknown route, or one the model
     does not offer, raises :class:`ConfigError`."""
-    sources = (model.trajectory_fn, model.tcl_generator, model.kernel)
-    offered = [r for r, source in zip(ROUTES, sources) if source is not None]
-    if route == "auto":
-        if not offered:
-            raise ConfigError(f"model {model.name} offers no route")
-        route = offered[0]
-    elif route not in ROUTES:
-        raise ConfigError(f"unknown route {route!r}")
-    elif route not in offered:
-        raise ConfigError(f"model {model.name} has no {route} route")
+    route = _resolve(model, route)
     traj = family = None
     if route == "closed_form":
         if trajectory:
@@ -65,6 +76,28 @@ def propagate(
         if propagator:
             family = build_propagator(model.kernel, grid)
     return traj, family
+
+
+def sampled_generator(
+    model: ModelSpec, grid: TimeGrid, route: str = "auto", trajectory: bool = False
+) -> tuple[Trajectory | None, SampledGenerator | None]:
+    """(trajectory, time-local generator sampled on ``grid``) along
+    ``route``; the trajectory is None unless asked for.  On ``tcl`` the
+    generator is the model's own G(t) on the grid, with no gaps: the
+    samples the trajectory's propagator family was built from, or, without
+    a trajectory, the samples alone.  On ``closed_form`` and ``tc`` it is
+    extracted from the route's propagator family, and is None without
+    one."""
+    if _resolve(model, route) == "tcl":
+        gen = model.tcl_generator
+        if trajectory:
+            family, samples = tcl_propagator(gen, grid)
+            traj = apply_family(family, model.initial_state)
+        else:
+            traj, samples = None, generator_samples(gen, grid)
+        return traj, SampledGenerator(grid, samples, gen.kind, gen.dim)
+    traj, family = propagate(model, grid, route, trajectory)
+    return traj, None if family is None else extract_tcl_generator(family)
 
 
 def series_cache(traj: Trajectory, reference, gaps=()) -> Callable[[str], InfoSeries]:
@@ -121,18 +154,16 @@ class PointReport:
 
 
 def analyze(model: ModelSpec, grid: TimeGrid, route, measures, epsilon_n: float, rate_tolerance: float) -> PointReport:
-    """Propagate along ``route``, extract the generator and test
-    divisibility where a propagator exists, and accumulate the backflow of
-    each of ``measures`` and of the two sectors.
+    """Propagate along ``route``, test divisibility where the route has a
+    sampled generator (:func:`sampled_generator`), and accumulate the
+    backflow of each of ``measures`` and of the two sectors.
 
     A two-state quantum trajectory is split through the extended entropy
     (``s_cl``/``s_qe``); any other trajectory is classical, with all of its
     backflow in the classical sector (``kl`` to the reference state).
     """
-    traj, family = propagate(model, grid, route)
-    divisibility = None
-    if family is not None:
-        divisibility = check_divisible(extract_tcl_generator(family), rate_tolerance)
+    traj, gen = sampled_generator(model, grid, route, trajectory=True)
+    divisibility = None if gen is None else check_divisible(gen, rate_tolerance)
     gaps = () if divisibility is None else divisibility.gaps
     series = series_cache(traj, model.reference_state, gaps)
     backflow = {tag: backflow_functional(series(tag)) for tag in measures}

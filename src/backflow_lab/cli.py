@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
-from .generator_analysis import check_divisible, extract_tcl_generator
+from .generator_analysis import check_divisible
 from .information import check_measure_tags
 from .models import build_model, finite_number, model_schemas
 from .phase_diagram import SweepSpec, check_tolerance, run_sweep
@@ -167,12 +167,12 @@ def _model_from_config(config: dict):
 
 
 def _generator(config: dict, model, grid: TimeGrid):
-    """The time-local generator extracted from the propagator family of the
-    configured route; no trajectory is built."""
-    _, family = analysis.propagate(model, grid, config.get("route", "auto"), trajectory=False)
-    if family is None:
+    """The sampled time-local generator of the configured route
+    (:func:`analysis.sampled_generator`); no trajectory is built."""
+    _, sampled = analysis.sampled_generator(model, grid, config.get("route", "auto"))
+    if sampled is None:
         raise ConfigError(f"model {model.name} offers no propagator route")
-    return extract_tcl_generator(family)
+    return sampled
 
 
 # ---------------------------------------------------------------- commands

@@ -278,11 +278,18 @@ def canonical_rates_on_grid(gen: SampledGenerator) -> np.ndarray:
     """Canonical rate vectors gamma_k(t) at every non-gap grid point.
 
     Returns shape (n, d^2 - 1); gap rows are NaN.  The per-point
-    Kossakowski construction is batched over the grid.
+    Kossakowski construction is batched over the grid; when every sample
+    equals the first (a constant generator) it runs on that one sample and
+    its rates are broadcast.
     """
     if gen.kind != "quantum":
         raise ContractViolationError("canonical rates exist only for quantum generators")
-    rates = np.linalg.eigvalsh(_kossakowski(gen.samples, gen.dim)[:, 1:, 1:])[:, ::-1].real
+    samples = gen.samples
+    constant = bool(np.all(samples == samples[0]))
+    c = _kossakowski(samples[:1] if constant else samples, gen.dim)
+    rates = np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1].real
+    if constant:
+        rates = np.repeat(rates, samples.shape[0], axis=0)
     rates[gen.gap_mask()] = np.nan
     return rates
 

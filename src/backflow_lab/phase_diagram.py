@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,6 +227,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     ]
     workers = min(spec.threads, os.cpu_count() or 1, len(points))
     if workers > 1:
+        # imported here: only a sweep with several workers needs the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, work, chunksize=1))
     else:

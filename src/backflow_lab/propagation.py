@@ -29,7 +29,10 @@ Phi(0) = I, each sample evaluated once.  Each sample's shape is checked as
 it is evaluated; the trace check of the on-grid samples and the finiteness
 check of the rows run batched every ``_CHECK_STEPS`` steps, and the
 earliest failing time is reported, a bad sample ahead of a divergence at
-the same time.
+the same time.  :func:`generator_samples` gives G(t) itself on the grid,
+under the same checks, with no propagation: the matrix repeated, or one
+evaluation per grid point; :func:`tcl_propagator` gives the family and
+those samples from one pass.
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -164,9 +167,10 @@ def _sample_defects(samples: np.ndarray, kind: str, dim: int):
     return defect, scale
 
 
-def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
+def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     """Classic RK4 for d/dt Phi = G(t) Phi from Phi(0) = I, advancing the dd
-    basis columns; returns the raw stacked maps (N, dd, dd).
+    basis columns; returns the raw stacked maps (N, dd, dd) and G(t_i) at
+    every grid point, stacked.
 
     Samples are taken at t_i, t_i + h/2 and t_i + h; the t_i + h sample is
     reused as the next step's first one when it equals t_{i+1} exactly.
@@ -183,6 +187,7 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
     # on-grid samples awaiting the trace check: (time, sample, row) where a
     # failing sample is reported ahead of a divergence at that row or later
     pending: list = []
+    on_grid: list = []
 
     def sample(t):
         m = np.asarray(gen.evaluate(t))
@@ -222,6 +227,7 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
             else:
                 m1 = sample(t)
                 pending.append((t, m1, i + 1))
+            on_grid.append(m1)
             y = out[i]
             np.dot(m1, y, out=k1)
             m2 = sample(t + 0.5 * h)
@@ -249,8 +255,18 @@ def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
             raise
         if (i + 1) % _CHECK_STEPS == 0:
             check(i + 2)
+    t = ts[-1]
+    if t == t_next:
+        on_grid.append(m_next)
+    else:
+        try:
+            on_grid.append(sample(t))
+        except Exception:
+            check(grid.n)
+            raise
+        pending.append((t, on_grid[-1], grid.n - 1))
     check(grid.n)
-    return out
+    return out, np.stack(on_grid)
 
 
 def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -281,15 +297,79 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
     return out
 
 
-def _constant_maps(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
-    """Power table of a constant generator, its sample checked once."""
+def _checked_matrix(gen: TclGenerator) -> np.ndarray:
+    """A constant generator's ``matrix``, its shape and trace checked."""
     a = np.asarray(gen.matrix)
     if a.shape != (gen.matrix_dim, gen.matrix_dim):
         raise ContractViolationError(f"generator matrix has shape {a.shape}")
     defect, scale = _sample_defects(a[None], gen.kind, gen.dim)
     if defect[0] > SAMPLE_TRACE_TOL * scale[0]:
         raise ContractViolationError(f"generator matrix violates trace preservation (defect {defect[0]:.3e})")
+    return a
+
+
+def _constant_maps(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
+    """Power table of a constant generator, its sample checked once."""
+    a = _checked_matrix(gen)
     return rk4_power_table(a, np.eye(gen.matrix_dim, dtype=a.dtype), grid)
+
+
+def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> None:
+    """Raise for the earliest of stacked samples (k, dd, dd), taken at
+    ``ts[:k]``, that is not finite (:class:`IntegrationDivergedError`) or
+    fails trace preservation (:class:`ContractViolationError`)."""
+    finite = np.isfinite(samples).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):
+        defect, scale = _sample_defects(samples, kind, dim)
+    bad = ~finite | (defect > SAMPLE_TRACE_TOL * scale)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = float(ts[i])
+        if not finite[i]:
+            raise IntegrationDivergedError(f"generator sample at t={t:g} is not finite", time=t)
+        raise ContractViolationError(
+            f"generator sample at t={t:g} violates trace preservation (defect {defect[i]:.3e})"
+        )
+
+
+def generator_samples(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
+    """G(t) at every grid point, stacked (N, dd, dd): a constant ``matrix``
+    repeated, else ``evaluate`` called once per point.  The earliest sample
+    that has the wrong shape, is not finite or fails trace preservation is
+    reported with its time and the class :func:`build_propagator` gives it."""
+    ts = grid.points
+    if gen.matrix is not None:
+        a = _checked_matrix(gen)
+        _check_samples(a[None], ts, gen.kind, gen.dim)
+        return np.repeat(a[None], grid.n, axis=0)
+    dd = gen.matrix_dim
+    samples = []
+    for t in ts.tolist():
+        try:
+            m = np.asarray(gen.evaluate(t))
+            if m.shape != (dd, dd):
+                raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
+        except Exception:
+            if samples:  # a failure at an earlier time is reported first
+                _check_samples(np.stack(samples), ts, gen.kind, gen.dim)
+            raise
+        samples.append(m)
+    samples = np.stack(samples)
+    _check_samples(samples, ts, gen.kind, gen.dim)
+    return samples
+
+
+def tcl_propagator(gen: TclGenerator, grid: TimeGrid) -> tuple[PropagatorFamily, np.ndarray]:
+    """The propagator family of ``gen`` (:func:`build_propagator`) and its
+    samples on the grid (:func:`generator_samples`), each sample evaluated
+    once: a time-dependent generator's on-grid samples are the ones its
+    RK4 pass took."""
+    if gen.matrix is not None:
+        return build_propagator(gen, grid), generator_samples(gen, grid)
+    maps, samples = _rk4_tcl(gen, grid)
+    # a last sample taken apart from the steps feeds no row: check it here
+    _check_samples(samples, grid.points, gen.kind, gen.dim)
+    return PropagatorFamily(grid, maps, gen.kind, gen.dim), samples
 
 
 def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -> Trajectory:
@@ -499,7 +579,7 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     if isinstance(source, TclGenerator) and source.matrix is not None:
         raw = _constant_maps(source, grid)
     elif isinstance(source, TclGenerator):
-        raw = _rk4_tcl(source, grid)
+        raw = _rk4_tcl(source, grid)[0]
     elif isinstance(source, MemoryKernel):
         eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
         raw = volterra_propagate(source, eye, grid)

@@ -6,6 +6,7 @@ import pytest
 import backflow_lab.analysis as analysis
 import backflow_lab.propagation as propagation
 from backflow_lab import ConfigError, TimeGrid
+from backflow_lab.generator_analysis import SampledGenerator, check_divisible, extract_tcl_generator
 from backflow_lab.models import build_model
 
 GRID = TimeGrid.uniform(1e-2, 2.0)
@@ -120,19 +121,50 @@ class TestAnalyze:
         assert report.split.regime in ("monotone", "classical_overshoot", "intrinsic_revival", "hybrid")
 
     @pytest.mark.parametrize(
-        "name, params, route, family_of",
+        "name, params, route, generator_of",
         [
-            ("classical_exp_kernel", {"tau_m": 0.5}, "closed_form", lambda m, g: m.propagator_fn(g)),
-            ("classical_exp_kernel", {"tau_m": 0.5}, "tc", lambda m, g: propagation.build_propagator(m.kernel, g)),
-            ("dephasing_qubit", {"rate_kind": "sinusoidal"}, "closed_form", lambda m, g: m.propagator_fn(g)),
-            ("dephasing_qubit", {"rate_kind": "sinusoidal"}, "tcl", lambda m, g: propagation.build_propagator(m.tcl_generator, g)),
+            ("classical_exp_kernel", {"tau_m": 0.5}, "closed_form", lambda m, g: extract_tcl_generator(m.propagator_fn(g))),
+            (
+                "classical_exp_kernel",
+                {"tau_m": 0.5},
+                "tc",
+                lambda m, g: extract_tcl_generator(propagation.build_propagator(m.kernel, g)),
+            ),
+            ("dephasing_qubit", {"rate_kind": "sinusoidal"}, "closed_form", lambda m, g: extract_tcl_generator(m.propagator_fn(g))),
+            # on tcl the generator is the input: the route's own samples
+            (
+                "dephasing_qubit",
+                {"rate_kind": "sinusoidal"},
+                "tcl",
+                lambda m, g: SampledGenerator(g, propagation.generator_samples(m.tcl_generator, g), "quantum", 2),
+            ),
         ],
     )
-    def test_divisibility_follows_the_route(self, name, params, route, family_of):
-        from backflow_lab.generator_analysis import check_divisible, extract_tcl_generator
-
+    def test_divisibility_follows_the_route(self, name, params, route, generator_of):
         model = build_model(name, params)
         report = analysis.analyze(model, GRID, route, [], 1e-6, 1e-7).divisibility
-        want = check_divisible(extract_tcl_generator(family_of(model, GRID)), 1e-7)
+        want = check_divisible(generator_of(model, GRID), 1e-7)
         assert np.array_equal(report.rate_traces, want.rate_traces, equal_nan=True)
         assert report.to_json_dict() == want.to_json_dict()
+
+
+class TestTclGeneratorIsTheInput:
+    """On the tcl route the divisibility test reads the model's own
+    generator: no family is inverted, so the exact rates are tested."""
+
+    @pytest.mark.parametrize("gamma, t_max", [(2.0, 6.0), (1.0, 20.0)])
+    def test_constant_gksl_generator_is_divisible(self, gamma, t_max):
+        model = build_model("amplitude_damping_qubit", {"gamma": gamma})
+        report = analysis.analyze(model, TimeGrid.uniform(1e-3, t_max), "tcl", [], 1e-6, 1e-7).divisibility
+        assert report.divisible and report.first_violation_time is None
+        assert report.gaps == ()
+        assert abs(report.min_rate) <= 1e-15
+
+    def test_no_family_is_built_for_the_generator(self, monkeypatch):
+        model = build_model("dephasing_qubit", {"rate_kind": "sinusoidal"})
+        monkeypatch.setattr(analysis, "build_propagator", lambda *args: pytest.fail("family built"))
+        monkeypatch.setattr(analysis, "extract_tcl_generator", lambda *args: pytest.fail("generator extracted"))
+        traj, gen = analysis.sampled_generator(model, GRID, "tcl")
+        assert traj is None and gen.gaps == ()
+        want = propagation.generator_samples(model.tcl_generator, GRID)
+        assert np.array_equal(gen.samples, want)

@@ -260,6 +260,45 @@ class TestRoutes:
         assert block == report
 
 
+class TestTclRoute:
+    """On ``tcl`` the generator is the input: ``extract`` writes G(t) itself
+    and ``divisibility`` tests its exact rate."""
+
+    LAM, AMPLITUDE = 1.0, 1.5
+
+    def config(self, tmp_path):
+        params = {"rate_kind": "sinusoidal", "lam": self.LAM, "amplitude": self.AMPLITUDE, "frequency": 1.0}
+        return write_config(
+            tmp_path, {"model": {"name": "dephasing_qubit", "params": params}, "grid": {"dt": 1e-2, "t_max": 8.0}, "route": "tcl"}
+        )
+
+    def rates(self, ts):
+        return np.array([self.LAM + self.AMPLITUDE * math.sin(t) for t in ts])
+
+    def test_first_violation_is_the_first_negative_rate(self, tmp_path):
+        config = self.config(tmp_path)
+        assert main(["divisibility", "--config", config, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "divisibility.json").read_text())
+        ts = backflow_lab.TimeGrid.uniform(1e-2, 8.0).points
+        negative = np.flatnonzero(self.rates(ts) < -report["rate_tolerance"])
+        assert report["divisible"] is False and report["gaps"] == []
+        assert report["first_violation_time"] == ts[negative[0]]
+
+    def test_generator_csv_is_rate_times_dissipator(self, tmp_path):
+        from backflow_lab.linalg import dissipator_superop
+        from backflow_lab.models import SIGMA_Z
+
+        config = self.config(tmp_path)
+        assert main(["extract", "--config", config, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "generator.csv")
+        assert all(row[-1] == "false" for row in rows)
+        cells = np.array([[float(x) for x in row[:-1]] for row in rows])
+        d = dissipator_superop(SIGMA_Z / np.sqrt(2.0))
+        want = self.rates(cells[:, 0].tolist())[:, None, None] * d
+        got = cells[:, 1::2] + 1j * cells[:, 2::2]
+        assert np.array_equal(got, want.reshape(len(rows), 16))
+
+
 class TestBackflow:
     def test_quantum_report_includes_sectors(self, tmp_path):
         config = write_config(
@@ -323,9 +362,11 @@ class TestBackflow:
     def test_time_local_model_takes_one_rk4_pass(self, tmp_path, monkeypatch):
         """A time-local model without closed forms gets its trajectory and
         its propagator from one RK4 pass (here a constant generator's power
-        table), and backflow.json has the bytes of the two separate passes."""
+        table), and backflow.json has the bytes of a separate trajectory
+        pass and the generator's own samples."""
         import backflow_lab.analysis as analysis
         import backflow_lab.propagation as propagation
+        from backflow_lab.generator_analysis import SampledGenerator
 
         passes = []
 
@@ -351,14 +392,14 @@ class TestBackflow:
         assert len(passes) == 1
         monkeypatch.setattr(
             analysis,
-            "propagate",
-            lambda model, grid, route: (
+            "sampled_generator",
+            lambda model, grid, route, trajectory: (
                 propagation.solve_tcl(model.tcl_generator, model.initial_state, grid),
-                propagation.build_propagator(model.tcl_generator, grid),
+                SampledGenerator(grid, propagation.generator_samples(model.tcl_generator, grid), "quantum", 2),
             ),
         )
         assert main(["backflow", "--config", config, "--out", str(separate)]) == 0
-        assert len(passes) == 3
+        assert len(passes) == 2
         assert (fused / "backflow.json").read_bytes() == (separate / "backflow.json").read_bytes()
 
     @pytest.mark.parametrize("measures", ["kl", [["kl"]], [1]])
@@ -406,6 +447,15 @@ class TestEntryPoint:
         proc = run_module("model", "list", module="backflow_lab")
         assert proc.returncode == 0
         assert "markov_two_state" in proc.stdout
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        """Only a sweep with several workers imports the process pool."""
+        src = os.path.dirname(os.path.dirname(backflow_lab.__file__))
+        code = "import sys, backflow_lab.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_config_error_message_on_stderr(self, tmp_path):
         config = write_config(tmp_path, {"model": {"name": "nonexistent_model"}})
@@ -615,6 +665,8 @@ class TestThreads:
         [(8, 2, 2), (8, 16, 3), (2, 16, 2), (4, 1, None), (1, 16, None), (8, None, None)],
     )
     def test_workers_capped_by_cpus_and_points(self, tmp_path, monkeypatch, threads, cpus, expected):
+        import concurrent.futures
+
         import backflow_lab.phase_diagram as pd
 
         pools = []
@@ -632,7 +684,7 @@ class TestThreads:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(pd, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pd.os, "cpu_count", lambda: cpus)
         config = self.sweep_config(tmp_path, threads=threads)
         assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 0

@@ -512,3 +512,44 @@ class TestSweepHardening:
         first = sweep_csv(run_sweep(SweepSpec(**base)))
         assert sweep_csv(run_sweep(SweepSpec(**base))) == first
         assert sweep_csv(run_sweep(SweepSpec(**base, threads=2))) == first
+
+
+class TestTclRowReadsItsGenerator:
+    def test_constant_generator_row_runs_no_svd_and_one_decomposition(self, monkeypatch):
+        """A sweep row on a constant generator takes its divisibility test
+        from the generator itself: no SVD, no extraction, and the canonical
+        rates of one sample broadcast to the grid."""
+        import backflow_lab.analysis as analysis
+        import backflow_lab.generator_analysis as generator_analysis
+        import backflow_lab.phase_diagram as pd
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        decomposed = []
+        kossakowski = generator_analysis._kossakowski
+
+        def counting(samples, dim):
+            decomposed.append(np.shape(samples)[0])
+            return kossakowski(samples, dim)
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(analysis, "extract_tcl_generator", refuse)
+        monkeypatch.setattr(generator_analysis, "extract_tcl_generator", refuse)
+        monkeypatch.setattr(generator_analysis, "_kossakowski", counting)
+        spec = SweepSpec(
+            model="amplitude_damping_qubit",
+            axes=(("gamma", 0.2, 0.457, 2),),
+            fixed={"nbar": 0.2, "p0": 0.3, "c0": 0.35},
+            dt=1e-3,
+            t_max=4.0,
+            measures=("rel_entropy",),
+        )
+        for params in spec.lattice():
+            decomposed.clear()
+            row = pd._sweep_point(
+                (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
+            )
+            assert row["error"] == "" and row["divisible"] is True
+            assert abs(row["min_rate"]) <= 1e-15
+            assert decomposed == [1]

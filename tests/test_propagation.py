@@ -883,3 +883,103 @@ class TestRk4PowerTable:
             run(gen)
         assert 50.0 < got.value.time < grid.t_max
         assert abs(got.value.time - t_ref) <= 3 * grid.dt
+
+
+class TestGeneratorSamples:
+    """G(t) itself on the grid, under the checks the propagator build makes."""
+
+    def test_time_dependent_generator_evaluated_once_per_point(self):
+        from backflow_lab.propagation import generator_samples
+
+        grid = TimeGrid.uniform(1e-2, 2.0)
+        d = dissipator_superop(SIGMA_Z / np.sqrt(2))
+        seen = []
+
+        def evaluate(t):
+            seen.append(t)
+            return (1.0 + math.sin(t)) * d
+
+        samples = generator_samples(TclGenerator(dim=2, kind="quantum", evaluate=evaluate), grid)
+        assert seen == grid.points.tolist()
+        assert np.array_equal(samples, np.array([(1.0 + math.sin(t)) * d for t in grid.points.tolist()]))
+
+    def test_constant_matrix_repeated_without_evaluating(self):
+        from backflow_lab.propagation import generator_samples
+
+        g = dissipator_superop(SIGMA_MINUS)
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: pytest.fail("evaluated"), matrix=g)
+        grid = TimeGrid.uniform(1e-2, 1.0)
+        samples = generator_samples(gen, grid)
+        assert samples.shape == (grid.n, 4, 4) and np.array_equal(samples, np.broadcast_to(g, samples.shape))
+
+    @pytest.mark.parametrize(
+        "matrix, error, message",
+        [
+            (np.eye(4, dtype=complex), ContractViolationError, "generator matrix violates trace preservation"),
+            (np.zeros((2, 2), dtype=complex), ContractViolationError, r"generator matrix has shape \(2, 2\)"),
+            (np.full((4, 4), np.nan, dtype=complex), IntegrationDivergedError, "t=0 is not finite"),
+        ],
+    )
+    def test_bad_constant_matrix(self, matrix, error, message):
+        from backflow_lab.propagation import generator_samples
+
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: matrix, matrix=matrix)
+        with pytest.raises(error, match=message):
+            generator_samples(gen, TimeGrid.uniform(0.1, 1.0))
+
+    @pytest.mark.parametrize(
+        "first, second, error, message",
+        [
+            (np.eye(4, dtype=complex), np.full((4, 4), np.nan), ContractViolationError, "t=0.5 violates trace"),
+            (np.full((4, 4), np.inf + 0j), np.eye(4, dtype=complex), IntegrationDivergedError, "t=0.5 is not finite"),
+            (np.zeros((3, 3), dtype=complex), np.eye(4, dtype=complex), ContractViolationError, r"t=0.5 has shape \(3, 3\)"),
+            (np.full((4, 4), np.nan), np.zeros((3, 3)), IntegrationDivergedError, "t=0.5 is not finite"),
+            (np.eye(4, dtype=complex), np.zeros((3, 3)), ContractViolationError, "t=0.5 violates trace"),
+        ],
+    )
+    def test_earliest_bad_sample_named_with_its_class(self, first, second, error, message):
+        """Of two bad samples, at t = 0.5 and t = 1.5, the earlier one is
+        reported, with the class the propagator build gives it."""
+        from backflow_lab.propagation import generator_samples
+
+        g = dissipator_superop(SIGMA_Z / np.sqrt(2))
+        bad = {0.5: first, 1.5: second}
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: bad.get(round(t, 9), g))
+        with pytest.raises(error, match=message) as raised:
+            generator_samples(gen, TimeGrid.uniform(0.1, 2.0))
+        if error is IntegrationDivergedError:
+            assert raised.value.time == 0.5
+
+    def test_rk4_pass_hands_on_its_on_grid_samples(self):
+        """The family and the samples of one pass are those of the two
+        separate calls, with no sample evaluated twice."""
+        from backflow_lab.propagation import generator_samples, tcl_propagator
+
+        grid = TimeGrid.uniform(1e-2, 3.0)
+        d = dissipator_superop(SIGMA_Z / np.sqrt(2))
+        seen = []
+
+        def evaluate(t):
+            seen.append(t)
+            return (1.0 + 0.5 * math.sin(t)) * d
+
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=evaluate)
+        family, samples = tcl_propagator(gen, grid)
+        assert len(seen) <= 3 * (grid.n - 1) + 1
+        assert set(grid.points.tolist()) <= set(seen)
+        assert np.array_equal(family.maps, build_propagator(gen, grid).maps)
+        assert np.array_equal(samples, generator_samples(gen, grid))
+
+    def test_rk4_pass_checks_its_last_sample(self):
+        """On this grid t_{N-2} + h misses t_{N-1} in the last bit, so the
+        last sample is evaluated apart from the steps and feeds no row."""
+        from backflow_lab.propagation import tcl_propagator
+
+        grid = TimeGrid.uniform(0.1, 3.0)
+        t_last = grid.points[-1]
+        assert grid.points[-2] + grid.dt != t_last
+        d = dissipator_superop(SIGMA_Z / np.sqrt(2))
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: d * (np.nan if t == t_last else 1.0))
+        with pytest.raises(IntegrationDivergedError, match="generator sample") as raised:
+            tcl_propagator(gen, grid)
+        assert raised.value.time == t_last
