@@ -71,7 +71,6 @@ from .special_functions import ml_envelope, ml_envelope_grid, mittag_leffler
 from .states import (
     DensityMatrix,
     ProbabilityVector,
-    RateMatrix,
     TimeGrid,
     Trajectory,
 )

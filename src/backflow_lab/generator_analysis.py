@@ -47,37 +47,37 @@ class SampledGenerator:
     def matrix_dim(self) -> int:
         return self.dim * self.dim if self.kind == "quantum" else self.dim
 
-    def in_gap(self, t: float) -> bool:
-        return any(a <= t <= b for a, b in self.gaps)
-
     def gap_mask(self) -> np.ndarray:
         """Boolean mask over grid points lying inside a gap interval."""
         return self.grid.within(self.gaps)
 
-    def interpolate(self, t: float) -> np.ndarray:
-        """Cubic 4-point Lagrange interpolation between grid samples."""
-        if self.in_gap(t):
-            raise GeneratorSingularityError(
-                f"generator undefined inside gap at t={t:g}", time=t
-            )
-        ts = self.grid.points
-        if t < ts[0] or t > ts[-1]:
-            raise ContractViolationError(f"t={t:g} outside the sampled range")
-        j = int(np.searchsorted(ts, t) - 1)
-        j = min(max(j, 0), ts.size - 2)
-        lo = min(max(j - 1, 0), ts.size - 4)
-        idx = np.arange(lo, lo + 4)
-        out = np.zeros_like(self.samples[0])
-        for k in idx:
-            w = 1.0
-            for m in idx:
-                if m != k:
-                    w *= (t - ts[m]) / (ts[k] - ts[m])
-            out = out + w * self.samples[k]
-        return out
+    def evaluate(self, ts: np.ndarray) -> np.ndarray:
+        """Cubic 4-point Lagrange interpolation between grid samples at the
+        times ``ts`` (1-D), stacked (n, dd, dd); the earliest time inside a
+        gap raises :class:`GeneratorSingularityError`."""
+        ts = np.asarray(ts, dtype=float)
+        pts = self.grid.points
+        inside = np.zeros(ts.shape, dtype=bool)
+        for a, b in self.gaps:
+            inside |= (ts >= a) & (ts <= b)
+        if inside.any():
+            t = float(ts[np.argmax(inside)])
+            raise GeneratorSingularityError(f"generator undefined inside gap at t={t:g}", time=t)
+        outside = (ts < pts[0]) | (ts > pts[-1])
+        if outside.any():
+            raise ContractViolationError(f"t={ts[np.argmax(outside)]:g} outside the sampled range")
+        j = np.clip(np.searchsorted(pts, ts) - 1, 0, pts.size - 2)
+        nodes = np.clip(j - 1, 0, pts.size - 4)[:, None] + np.arange(4)  # (n, 4)
+        x = pts[nodes]
+        off = ~np.eye(4, dtype=bool)
+        # w_k = prod over m != k of (t - x_m) / (x_k - x_m)
+        ratio = np.where(off, ts[:, None, None] - x[:, None, :], 1.0) / np.where(
+            off, x[:, :, None] - x[:, None, :], 1.0
+        )
+        return np.einsum("nk,nkab->nab", ratio.prod(axis=2), self.samples[nodes])
 
     def as_tcl_generator(self) -> TclGenerator:
-        return TclGenerator(dim=self.dim, kind=self.kind, evaluate=self.interpolate)
+        return TclGenerator(dim=self.dim, kind=self.kind, evaluate=self.evaluate)
 
 
 @dataclass(frozen=True)

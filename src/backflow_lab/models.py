@@ -231,16 +231,17 @@ def classical_fractional(gamma: float = 1.0, alpha: float = 0.7, n: int = 2) -> 
 
 
 def _dephasing_decoherence(rate_kind: str, lam: float, amplitude: float, frequency: float, mu: float):
-    """(f, rate) for the supported decoherence choices; rate is None for
-    'cosine_f', whose generator is undefined at the zeros of f."""
+    """(f, rate) for the supported decoherence choices, both batched over
+    times; rate is None for 'cosine_f', whose generator is undefined at the
+    zeros of f."""
     if rate_kind == "constant":
-        return (lambda ts: np.exp(-lam * np.asarray(ts, dtype=float))), (lambda t: lam)
+        return (lambda ts: np.exp(-lam * np.asarray(ts, dtype=float))), (lambda ts: np.full(len(ts), lam))
     if rate_kind == "sinusoidal":
         def f(ts):
             ts = np.asarray(ts, dtype=float)
             return np.exp(-lam * ts - (amplitude / frequency) * (1.0 - np.cos(frequency * ts)))
 
-        return f, lambda t: lam + amplitude * math.sin(frequency * t)
+        return f, lambda ts: lam + amplitude * np.sin(frequency * ts)
     # "cosine_f", the last of the schema's choices
     def f(ts):
         ts = np.asarray(ts, dtype=float)
@@ -271,9 +272,8 @@ def dephasing_qubit(
     rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     f, rate = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
     dissipator = linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0))
-    matrix = lam * dissipator if rate_kind == "constant" else None
-    evaluate = lambda t: rate(t) * dissipator
-    gen = None if rate is None else TclGenerator(dim=2, kind="quantum", evaluate=evaluate, matrix=matrix)
+    evaluate = lambda ts: rate(ts)[:, None, None] * dissipator
+    gen = None if rate is None else TclGenerator(dim=2, kind="quantum", evaluate=evaluate)
 
     def exact_propagator(grid: TimeGrid) -> PropagatorFamily:
         fv = f(grid.points)
@@ -334,7 +334,9 @@ def amplitude_damping_qubit(
         name="amplitude_damping_qubit",
         kind="quantum",
         params={"gamma": gamma, "nbar": nbar, "p0": p0, "c0": c0},
-        tcl_generator=TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g, matrix=g),
+        tcl_generator=TclGenerator(
+            dim=2, kind="quantum", evaluate=lambda ts: np.broadcast_to(g, (len(ts),) + g.shape)
+        ),
         initial_state=rho0,
         reference_state=reference,
     )

@@ -19,20 +19,22 @@ differences see evenly spaced samples:
   the first non-finite state's time is reported.
 
 Every time-local trajectory is its propagator family applied to the
-initial state, rho(t) = Phi(t, 0) rho(0).  A constant generator
-(``TclGenerator.matrix`` set) has one RK4 step matrix S, the degree-4
-Taylor polynomial of exp(hA), so Phi(t_k) = S^k: :func:`rk4_power_table`
-fills the table by doubling in ceil(log2 N) batched products, checking each
-block so the earliest non-finite row is reported.  Any other generator runs
-the step kernel ``_rk4_tcl``, which advances the dd basis columns from
-Phi(0) = I, each sample evaluated once.  Each sample's shape is checked as
-it is evaluated; the trace check of the on-grid samples and the finiteness
-check of the rows run batched every ``_CHECK_STEPS`` steps, and the
-earliest failing time is reported, a bad sample ahead of a divergence at
-the same time.  :func:`generator_samples` gives G(t) itself on the grid,
-under the same checks, with no propagation: the matrix repeated, or one
-evaluation per grid point; :func:`tcl_propagator` gives the family and
-those samples from one pass.
+initial state, rho(t) = Phi(t, 0) rho(0).  The generator is evaluated once,
+batched, at the 2N - 1 times t_0, t_0 + h/2, t_1, ..., t_{N-1}, and the
+sample table is checked once: its shape, then the earliest sample that is
+not finite or fails trace preservation.  A constant generator (every
+sample equal to the first) has one RK4 step matrix S, the degree-4 Taylor
+polynomial of exp(hA), so Phi(t_k) = S^k: :func:`rk4_power_table` fills the
+table by doubling in ceil(log2 N) batched products.  Any other generator
+has one step matrix per step, S_i = I + h/6 (M1 + 2 K2 + 2 K3 + K4) with
+K2 = M2 (I + h/2 M1), K3 = M2 (I + h/2 K2), K4 = M4 (I + h K3) and M1, M2,
+M4 the samples at t_i, t_i + h/2, t_{i+1}, formed by batched products;
+Phi(t_k) = S_{k-1} ... S_0 is a blocked prefix product in about 2 sqrt(N)
+batched products.  The earliest failure is reported: a bad sample ahead of
+a divergence at the row it feeds or later, else the first non-finite row.
+:func:`generator_samples` gives G(t) itself on the grid, under the same
+sample checks, with no propagation; :func:`tcl_propagator` gives the
+family and those samples from one evaluation.
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -40,8 +42,9 @@ there is deliberately no API surface for them.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -59,9 +62,6 @@ TRACE_DRIFT_TOL = 1e-8
 TC_NORMALIZATION_TOL = 1e-6
 SAMPLE_TRACE_TOL = 1e-10
 PROPAGATOR_TRACE_TOL = 1e-8
-# steps between the batched sample and finiteness checks of the RK4 kernel;
-# bounds the samples held for checking (64 KB each at d = 8)
-_CHECK_STEPS = 64
 
 
 def _volterra_block(dd: int) -> int:
@@ -72,15 +72,15 @@ def _volterra_block(dd: int) -> int:
 
 @dataclass(frozen=True)
 class TclGenerator:
-    """Time-local generator: ``evaluate(t)`` returns the (d^2, d^2) complex
-    superoperator matrix (quantum) or the (n, n) real rate matrix
-    (classical).  ``matrix``, when set, is the generator at every time: it
-    is propagated as RK4 matrix powers and ``evaluate`` is not called."""
+    """Time-local generator: ``evaluate(ts)`` takes a 1-D array of times and
+    returns the generator at those times, stacked as an (n, dd, dd) table of
+    (d^2, d^2) complex superoperator matrices (quantum) or (n, n) real rate
+    matrices (classical).  A table whose samples all equal the first is a
+    constant generator and is propagated as RK4 matrix powers."""
 
     dim: int
     kind: str
-    evaluate: Callable[[float], np.ndarray]
-    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    evaluate: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -167,108 +167,6 @@ def _sample_defects(samples: np.ndarray, kind: str, dim: int):
     return defect, scale
 
 
-def _rk4_tcl(gen: TclGenerator, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 for d/dt Phi = G(t) Phi from Phi(0) = I, advancing the dd
-    basis columns; returns the raw stacked maps (N, dd, dd) and G(t_i) at
-    every grid point, stacked.
-
-    Samples are taken at t_i, t_i + h/2 and t_i + h; the t_i + h sample is
-    reused as the next step's first one when it equals t_{i+1} exactly.
-    """
-    if not grid.is_uniform():
-        raise ContractViolationError("solve on a uniform grid")
-    h = grid.dt
-    ts = grid.points
-    dd = gen.matrix_dim
-    out = np.empty((grid.n, dd, dd), dtype=complex if gen.kind == "quantum" else float)
-    out[0] = np.eye(dd)
-    k1, k2, k3, k4, tmp = np.empty((5, dd, dd), dtype=out.dtype)
-    checked = 0  # rows before this index passed the finiteness check
-    # on-grid samples awaiting the trace check: (time, sample, row) where a
-    # failing sample is reported ahead of a divergence at that row or later
-    pending: list = []
-    on_grid: list = []
-
-    def sample(t):
-        m = np.asarray(gen.evaluate(t))
-        if m.shape != (dd, dd):
-            raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
-        return m
-
-    def check(stop: int):
-        """Raise for the earliest failure among the pending samples and the
-        rows ``checked..stop-1``."""
-        nonlocal checked
-        bad = []
-        if pending:
-            defect, scale = _sample_defects(np.stack([m for _, m, _ in pending]), gen.kind, gen.dim)
-            bad = np.flatnonzero(defect > SAMPLE_TRACE_TOL * scale)
-        finite = np.isfinite(out[checked:stop]).all(axis=(1, 2))
-        row = checked + int(np.argmin(finite)) if not finite.all() else None
-        if len(bad) and (row is None or pending[bad[0]][2] <= row):
-            t = pending[bad[0]][0]
-            raise ContractViolationError(
-                f"generator sample at t={t:g} violates trace preservation "
-                f"(defect {defect[bad[0]]:.3e})"
-            )
-        if row is not None:
-            raise IntegrationDivergedError(
-                f"integration diverged at t={ts[row]:g}", time=float(ts[row])
-            )
-        pending.clear()
-        checked = stop
-
-    t_next, m_next = None, None
-    for i in range(grid.n - 1):
-        try:
-            t = ts[i]
-            if t == t_next:
-                m1 = m_next
-            else:
-                m1 = sample(t)
-                pending.append((t, m1, i + 1))
-            on_grid.append(m1)
-            y = out[i]
-            np.dot(m1, y, out=k1)
-            m2 = sample(t + 0.5 * h)
-            np.multiply(0.5 * h, k1, out=tmp)
-            np.add(y, tmp, out=tmp)
-            np.dot(m2, tmp, out=k2)
-            np.multiply(0.5 * h, k2, out=tmp)
-            np.add(y, tmp, out=tmp)
-            np.dot(m2, tmp, out=k3)
-            t_next = t + h
-            m_next = sample(t_next)
-            pending.append((t_next, m_next, i + 1))
-            np.multiply(h, k3, out=tmp)
-            np.add(y, tmp, out=tmp)
-            np.dot(m_next, tmp, out=k4)
-            np.multiply(2.0, k2, out=k2)
-            np.add(k1, k2, out=k1)
-            np.multiply(2.0, k3, out=k3)
-            np.add(k1, k3, out=k1)
-            np.add(k1, k4, out=k1)
-            np.multiply(h / 6.0, k1, out=k1)
-            np.add(y, k1, out=out[i + 1])
-        except Exception:
-            check(i + 1)  # a failure at an earlier time is reported first
-            raise
-        if (i + 1) % _CHECK_STEPS == 0:
-            check(i + 2)
-    t = ts[-1]
-    if t == t_next:
-        on_grid.append(m_next)
-    else:
-        try:
-            on_grid.append(sample(t))
-        except Exception:
-            check(grid.n)
-            raise
-        pending.append((t, on_grid[-1], grid.n - 1))
-    check(grid.n)
-    return out, np.stack(on_grid)
-
-
 def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """RK4 for dY/dt = A Y with constant A and Y(0) = ``y0`` (dd, c): one
     step is the degree-4 Taylor polynomial S of exp(hA), so Y(t_k) = S^k y0.
@@ -297,23 +195,6 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
     return out
 
 
-def _checked_matrix(gen: TclGenerator) -> np.ndarray:
-    """A constant generator's ``matrix``, its shape and trace checked."""
-    a = np.asarray(gen.matrix)
-    if a.shape != (gen.matrix_dim, gen.matrix_dim):
-        raise ContractViolationError(f"generator matrix has shape {a.shape}")
-    defect, scale = _sample_defects(a[None], gen.kind, gen.dim)
-    if defect[0] > SAMPLE_TRACE_TOL * scale[0]:
-        raise ContractViolationError(f"generator matrix violates trace preservation (defect {defect[0]:.3e})")
-    return a
-
-
-def _constant_maps(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
-    """Power table of a constant generator, its sample checked once."""
-    a = _checked_matrix(gen)
-    return rk4_power_table(a, np.eye(gen.matrix_dim, dtype=a.dtype), grid)
-
-
 def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> None:
     """Raise for the earliest of stacked samples (k, dd, dd), taken at
     ``ts[:k]``, that is not finite (:class:`IntegrationDivergedError`) or
@@ -332,43 +213,110 @@ def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> 
         )
 
 
+def _rk4_steps(samples: np.ndarray, h: float) -> np.ndarray:
+    """RK4 step matrices (N - 1, dd, dd) of d/dt Phi = G(t) Phi from the
+    samples at t_0, t_0 + h/2, t_1, ..., t_{N-1}, stacked (2N - 1, dd, dd).
+    Worked in place: two stage buffers beside the result."""
+    m1, m2, m4 = samples[:-1:2], samples[1::2], samples[2::2]
+    eye = np.eye(samples.shape[1], dtype=samples.dtype)
+    steps, buf, k = m1.copy(), np.empty_like(m1), m1
+    for m, c, w in ((m2, 0.5 * h, 2.0), (m2, 0.5 * h, 2.0), (m4, h, 1.0)):  # K2, K3, K4
+        np.multiply(k, c, out=buf)
+        buf += eye
+        k = np.matmul(m, buf, out=None if k is m1 else k)
+        np.multiply(k, w, out=buf)
+        steps += buf
+    steps *= h / 6.0
+    steps += eye
+    return steps
+
+
+def _prefix_product(steps: np.ndarray) -> np.ndarray:
+    """Phi_0 = I and Phi_{k+1} = S_k Phi_k for stacked steps S (m, dd, dd),
+    in blocks of b = ceil(sqrt(m)) steps: the prefixes within every block
+    (b - 1 batched products), the carry into each block (one product per
+    block) and one batched product combining the two."""
+    m, dd = steps.shape[0], steps.shape[1]
+    b = math.isqrt(m - 1) + 1
+    n_blocks = -(-m // b)
+    eye = np.eye(dd, dtype=steps.dtype)
+    part = np.empty((n_blocks * b, dd, dd), dtype=steps.dtype)
+    part[:m] = steps
+    part[m:] = eye  # the last block padded with identity steps
+    part = part.reshape(n_blocks, b, dd, dd)
+    for j in range(1, b):
+        part[:, j] = np.matmul(part[:, j], part[:, j - 1])
+    carry = np.empty((n_blocks, dd, dd), dtype=steps.dtype)
+    carry[0] = eye
+    for k in range(1, n_blocks):
+        carry[k] = np.matmul(part[k - 1, -1], carry[k - 1])
+    out = np.empty((n_blocks * b + 1, dd, dd), dtype=steps.dtype)
+    out[0] = eye
+    np.matmul(part, carry[:, None], out=out[1:].reshape(n_blocks, b, dd, dd))
+    return out[: m + 1]
+
+
+def _tcl_pass(gen: TclGenerator, grid: TimeGrid, propagate: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+    """(maps (N, dd, dd) or None, G(t) at the grid points (N, dd, dd)) from
+    one ``evaluate`` call at t_0, t_0 + h/2, t_1, ..., t_{N-1}.  Without
+    ``propagate`` only the samples are checked."""
+    if not grid.is_uniform():
+        raise ContractViolationError("solve on a uniform grid")
+    h, ts, dd = grid.dt, grid.points, gen.matrix_dim
+    times = np.empty(2 * grid.n - 1)
+    times[::2] = ts
+    times[1::2] = ts[:-1] + 0.5 * h
+    table = gen.evaluate(times)
+    dtype, shape_error = (complex if gen.kind == "quantum" else float), None
+    try:
+        samples = np.asarray(table, dtype=dtype)
+    except ValueError:
+        # samples of different shapes: those ahead of the first of another
+        # shape are judged as below, and its error comes after them
+        k = next((i for i, s in enumerate(table) if np.shape(s) != (dd, dd)), None)
+        if k is None:
+            raise ContractViolationError(f"generator samples do not form one (n, {dd}, {dd}) table") from None
+        samples = np.asarray(table[:k], dtype=dtype).reshape(k, dd, dd)
+        shape_error = ContractViolationError(f"generator sample at t={times[k]:g} has shape {np.shape(table[k])}")
+    if samples.shape[1:] != (dd, dd):
+        raise ContractViolationError(f"generator sample at t={times[0]:g} has shape {samples.shape[1:]}")
+    if shape_error is None and samples.shape[0] != times.size:
+        raise ContractViolationError(f"{samples.shape[0]} generator samples for {times.size} times")
+    if shape_error is None and np.all(samples == samples[0]):
+        _check_samples(samples[:1], times, gen.kind, gen.dim)
+        maps = rk4_power_table(samples[0], np.eye(dd, dtype=samples.dtype), grid) if propagate else None
+        return maps, samples[::2]
+    # row r is fed by samples 0 .. 2r, so sample k feeds row ceil(k/2) (row 1
+    # for k = 0) and later rows: the samples feeding rows up to the first
+    # non-finite one are judged first, then that row; the rows fed by a
+    # sample of another shape are never formed, so its error comes last
+    rows = (samples.shape[0] + 1) // 2
+    maps, row = None, None
+    if propagate and rows > 1:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is reported below
+            maps = _prefix_product(_rk4_steps(samples[: 2 * rows - 1], h))
+        finite = np.isfinite(maps).all(axis=(1, 2))
+        row = None if finite.all() else int(np.argmin(finite))
+    _check_samples(samples if row is None else samples[: 2 * row + 1], times, gen.kind, gen.dim)
+    if row is not None:
+        raise IntegrationDivergedError(f"integration diverged at t={ts[row]:g}", time=float(ts[row]))
+    if shape_error is not None:
+        raise shape_error
+    return maps, samples[::2].copy()  # not a view that keeps the midpoints alive
+
+
 def generator_samples(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
-    """G(t) at every grid point, stacked (N, dd, dd): a constant ``matrix``
-    repeated, else ``evaluate`` called once per point.  The earliest sample
-    that has the wrong shape, is not finite or fails trace preservation is
-    reported with its time and the class :func:`build_propagator` gives it."""
-    ts = grid.points
-    if gen.matrix is not None:
-        a = _checked_matrix(gen)
-        _check_samples(a[None], ts, gen.kind, gen.dim)
-        return np.repeat(a[None], grid.n, axis=0)
-    dd = gen.matrix_dim
-    samples = []
-    for t in ts.tolist():
-        try:
-            m = np.asarray(gen.evaluate(t))
-            if m.shape != (dd, dd):
-                raise ContractViolationError(f"generator sample at t={t:g} has shape {m.shape}")
-        except Exception:
-            if samples:  # a failure at an earlier time is reported first
-                _check_samples(np.stack(samples), ts, gen.kind, gen.dim)
-            raise
-        samples.append(m)
-    samples = np.stack(samples)
-    _check_samples(samples, ts, gen.kind, gen.dim)
-    return samples
+    """G(t) at every grid point, stacked (N, dd, dd), from the one
+    evaluation :func:`build_propagator` makes and under its sample checks:
+    the earliest sample that has the wrong shape, is not finite or fails
+    trace preservation is reported with its time and class."""
+    return _tcl_pass(gen, grid, propagate=False)[1]
 
 
 def tcl_propagator(gen: TclGenerator, grid: TimeGrid) -> tuple[PropagatorFamily, np.ndarray]:
     """The propagator family of ``gen`` (:func:`build_propagator`) and its
-    samples on the grid (:func:`generator_samples`), each sample evaluated
-    once: a time-dependent generator's on-grid samples are the ones its
-    RK4 pass took."""
-    if gen.matrix is not None:
-        return build_propagator(gen, grid), generator_samples(gen, grid)
-    maps, samples = _rk4_tcl(gen, grid)
-    # a last sample taken apart from the steps feeds no row: check it here
-    _check_samples(samples, grid.points, gen.kind, gen.dim)
+    samples on the grid (:func:`generator_samples`), from one evaluation."""
+    maps, samples = _tcl_pass(gen, grid)
     return PropagatorFamily(grid, maps, gen.kind, gen.dim), samples
 
 
@@ -378,23 +326,13 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
         # column-stacked vectors: v.reshape(d, d, order='F') == v.reshape(d, d).T
         states = raw.reshape(grid.n, dim, dim).transpose(0, 2, 1)
         states = (states + states.conj().transpose(0, 2, 1)) / 2.0
-        traces = np.einsum("nii->n", states).real
-        drift = float(np.max(np.abs(traces - 1.0)))
-        if drift > TRACE_DRIFT_TOL:
-            i = int(np.argmax(np.abs(traces - 1.0)))
-            raise IntegrationDivergedError(
-                f"trace drifted to {traces[i]:.12g} at t={ts[i]:g}", time=float(ts[i])
-            )
-        states = states / traces[:, None, None]
+        sums, tol, what = np.einsum("nii->n", states).real, TRACE_DRIFT_TOL, "trace"
     else:
-        sums = raw.sum(axis=1)
-        drift = float(np.max(np.abs(sums - 1.0)))
-        if drift > TC_NORMALIZATION_TOL:
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            raise IntegrationDivergedError(
-                f"normalization drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i])
-            )
-        states = raw / sums[:, None]
+        states, sums, tol, what = raw, raw.sum(axis=1), TC_NORMALIZATION_TOL, "normalization"
+    i = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[i] - 1.0) > tol:
+        raise IntegrationDivergedError(f"{what} drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i]))
+    states = states / sums.reshape((-1,) + (1,) * (states.ndim - 1))
     # a state outside its state set (the simplex or the PSD cone) is a
     # numerical failure on every route, at the time of that state
     try:
@@ -576,10 +514,8 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     carrier space: vectorized matrix units for quantum sources, the n
     canonical probability basis vectors for classical ones (yielding the
     stochastic propagator T(t, 0))."""
-    if isinstance(source, TclGenerator) and source.matrix is not None:
-        raw = _constant_maps(source, grid)
-    elif isinstance(source, TclGenerator):
-        raw = _rk4_tcl(source, grid)[0]
+    if isinstance(source, TclGenerator):
+        raw = _tcl_pass(source, grid)[0]
     elif isinstance(source, MemoryKernel):
         eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
         raw = volterra_propagate(source, eye, grid)

@@ -1,4 +1,4 @@
-"""Value types: states, rate matrices, time grids and trajectories.
+"""Value types: states, time grids and trajectories.
 
 All types are immutable after construction (backing arrays are marked
 read-only) and validate their invariants eagerly, so anything downstream
@@ -17,7 +17,6 @@ TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 PSD_FLOOR = -1e-10
 PROB_FLOOR = -1e-12
-COLUMN_SUM_TOL = 1e-10
 # trace (sum) drift a trajectory state may carry, and its classical floor
 TRAJECTORY_TRACE_TOL = 1e-9
 TRAJECTORY_PROB_FLOOR = -1e-9
@@ -83,35 +82,6 @@ class ProbabilityVector:
     @property
     def dim(self) -> int:
         return self.entries.size
-
-
-@dataclass(frozen=True)
-class RateMatrix:
-    """Real n x n classical generator with zero column sums.
-
-    The sign of the off-diagonal entries is deliberately NOT an invariant:
-    it is exactly the property the divisibility test probes.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.entries, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ContractViolationError(f"rate matrix must be square, got {w.shape}")
-        if w.shape[0] > linalg.MAX_CLASSICAL_DIM:
-            raise ContractViolationError(f"dimension {w.shape[0]} exceeds {linalg.MAX_CLASSICAL_DIM}")
-        colsums = np.abs(w.sum(axis=0))
-        scale = max(1.0, float(np.max(np.abs(w))))
-        if np.max(colsums) > COLUMN_SUM_TOL * scale:
-            raise ContractViolationError(
-                f"column sums reach {np.max(colsums):.3e}, beyond {COLUMN_SUM_TOL:g}"
-            )
-        object.__setattr__(self, "entries", _freeze(w))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -252,10 +222,3 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random state from a seeded generator (tests, examples)."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = a @ a.conj().T + 1e-3 * np.eye(dim)
-    return DensityMatrix(m / np.trace(m).real)

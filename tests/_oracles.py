@@ -120,3 +120,24 @@ def trace_distance_oracle(rho, sigma) -> float:
     """(1/2) sum |eigenvalues(rho - sigma)|."""
     w = np.linalg.eigvalsh(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(w)))
+
+
+def random_density_matrix(dim: int, rng: np.random.Generator):
+    """Full-rank random state from a seeded generator."""
+    from backflow_lab import DensityMatrix
+
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    m = a @ a.conj().T + 1e-3 * np.eye(dim)
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def pointwise(sample):
+    """A batched ``TclGenerator.evaluate`` built from a per-time function:
+    the samples ``sample(t)`` of the given times, in order, as a list."""
+    return lambda ts: [sample(t) for t in ts.tolist()]
+
+
+def constant(matrix):
+    """A batched ``TclGenerator.evaluate`` giving ``matrix`` at every time."""
+    matrix = np.asarray(matrix)
+    return lambda ts: np.broadcast_to(matrix, (len(ts),) + matrix.shape)

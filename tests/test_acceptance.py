@@ -44,6 +44,8 @@ from backflow_lab.netfd import (
 from backflow_lab.propagation import TclGenerator
 from backflow_lab.serialize import sweep_csv
 from backflow_lab.special_functions import mittag_leffler_neg
+
+from _oracles import constant
 from backflow_lab.states import ProbabilityVector
 
 
@@ -74,7 +76,7 @@ def test_criterion_2_classical_divisible_relaxation_is_monotone():
     """3-state symmetric constant generator: KL backflow <= 1e-6 and
     per-step KL increments <= 1e-8."""
     w = np.ones((3, 3)) - 3.0 * np.eye(3)
-    gen = TclGenerator(dim=3, kind="classical", evaluate=lambda t: w)
+    gen = TclGenerator(dim=3, kind="classical", evaluate=constant(w))
     grid = TimeGrid.uniform(1e-3, 10.0)
     traj = solve_tcl(gen, ProbabilityVector([1.0, 0.0, 0.0]), grid)
     series = series_from_trajectory(traj, "kl", reference=ProbabilityVector(np.ones(3) / 3))
@@ -286,7 +288,7 @@ def test_criterion_10_thermofield_round_trip():
     """Reducing the doubled-space purification returns the original state
     within 1e-10 on 100 seeded random states for d in {2, 3}."""
     from backflow_lab import extended_reduced_density, thermofield_vector
-    from backflow_lab.states import random_density_matrix
+    from _oracles import random_density_matrix
 
     rng = np.random.default_rng(2024)
     worst = 0.0

@@ -82,23 +82,23 @@ class TestPropagate:
     @pytest.mark.parametrize("name", ["amplitude_damping_qubit", "dephasing_qubit"])
     def test_tcl_route_takes_one_rk4_pass_for_both(self, monkeypatch, name):
         """One family gives both parts: one RK4 power table for the constant
-        generator, one step-kernel pass for the time-dependent one."""
+        generator, one blocked prefix product for the time-dependent one."""
         model = build_model(name, {"rate_kind": "sinusoidal"} if name == "dephasing_qubit" else {})
         passes = []
-        rk4, table = propagation._rk4_tcl, propagation._constant_maps
+        prefix, table = propagation._prefix_product, propagation.rk4_power_table
 
-        def counting(*args):
-            passes.append("steps")
-            return rk4(*args)
+        def counting_prefix(*args):
+            passes.append("prefix")
+            return prefix(*args)
 
         def counting_table(*args):
             passes.append("table")
             return table(*args)
 
-        monkeypatch.setattr(propagation, "_rk4_tcl", counting)
-        monkeypatch.setattr(propagation, "_constant_maps", counting_table)
+        monkeypatch.setattr(propagation, "_prefix_product", counting_prefix)
+        monkeypatch.setattr(propagation, "rk4_power_table", counting_table)
         traj, family = analysis.propagate(model, GRID, "tcl")
-        assert passes == (["table"] if name == "amplitude_damping_qubit" else ["steps"])
+        assert passes == (["table"] if name == "amplitude_damping_qubit" else ["prefix"])
         gen = model.tcl_generator
         assert np.array_equal(traj.states, propagation.solve_tcl(gen, model.initial_state, GRID).states)
         assert np.array_equal(family.maps, propagation.build_propagator(gen, GRID).maps)

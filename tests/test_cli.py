@@ -377,8 +377,8 @@ class TestBackflow:
 
             return run
 
-        monkeypatch.setattr(propagation, "_rk4_tcl", counting(propagation._rk4_tcl))
-        monkeypatch.setattr(propagation, "_constant_maps", counting(propagation._constant_maps))
+        monkeypatch.setattr(propagation, "rk4_power_table", counting(propagation.rk4_power_table))
+        monkeypatch.setattr(propagation, "_prefix_product", counting(propagation._prefix_product))
         config = write_config(
             tmp_path,
             {

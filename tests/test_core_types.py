@@ -9,7 +9,6 @@ from backflow_lab import (
     InvalidStateError,
     NotPsdError,
     ProbabilityVector,
-    RateMatrix,
     TimeGrid,
     Trajectory,
     devectorize,
@@ -18,7 +17,7 @@ from backflow_lab import (
     vectorize,
 )
 from backflow_lab.linalg import left_right_superop
-from backflow_lab.states import random_density_matrix
+from _oracles import random_density_matrix
 
 
 class TestHermitianEig:
@@ -159,17 +158,6 @@ class TestProbabilityVector:
     def test_dimension_cap(self):
         with pytest.raises(ContractViolationError):
             ProbabilityVector(np.ones(17) / 17)
-
-
-class TestRateMatrix:
-    def test_column_sums(self):
-        RateMatrix([[-1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(ContractViolationError):
-            RateMatrix([[-1.0, 1.0], [0.9, -1.0]])
-
-    def test_negative_off_diagonal_allowed(self):
-        w = RateMatrix([[1.0, -1.0], [-1.0, 1.0]])
-        assert np.min(w.entries[~np.eye(2, dtype=bool)]) == -1.0
 
 
 class TestTimeGrid:

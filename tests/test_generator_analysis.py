@@ -94,18 +94,39 @@ class TestExtraction:
         assert len(gen.gaps) == 1
         lo, hi = gen.gaps[0]
         assert lo <= 0.4 <= hi
-        assert gen.in_gap(0.4) and not gen.in_gap(0.1)
+        assert list(gen.gap_mask()[[1, 4]]) == [False, True]
         from backflow_lab import GeneratorSingularityError
 
-        with pytest.raises(GeneratorSingularityError):
-            gen.interpolate(0.4)
+        with pytest.raises(GeneratorSingularityError, match="t=0.4") as raised:
+            gen.evaluate(np.array([0.1, 0.4, 0.45]))
+        assert raised.value.time == 0.4
 
     def test_interpolation_matches_smooth_generator(self):
         g = dissipator_superop(SIGMA_MINUS)
         grid = TimeGrid.uniform(1e-2, 1.0)
         gen = extract_tcl_generator(expm_family(g, grid))
-        probe = gen.interpolate(0.123)
-        assert np.max(np.abs(probe - g)) < 1e-6
+        probe = gen.evaluate(np.array([0.0, 0.123, 1.0]))
+        assert probe.shape == (3, 4, 4) and np.max(np.abs(probe - g)) < 1e-6
+
+    def test_batched_interpolation_matches_pointwise_lagrange(self):
+        """Against the per-time 4-point Lagrange loop, at the ends, on grid
+        points and between them."""
+        grid = TimeGrid.uniform(0.1, 1.0)
+        rng = np.random.default_rng(3)
+        gen = SampledGenerator(grid, rng.standard_normal((grid.n, 2, 2)), "classical", 2)
+        ts = np.concatenate([[0.0, 0.05, 0.3, 0.95, 1.0], rng.uniform(0.0, 1.0, 20)])
+        pts = grid.points
+
+        def lagrange(t):
+            j = min(max(int(np.searchsorted(pts, t) - 1), 0), pts.size - 2)
+            idx = range(min(max(j - 1, 0), pts.size - 4), min(max(j - 1, 0), pts.size - 4) + 4)
+            return sum(
+                math.prod((t - pts[m]) / (pts[k] - pts[m]) for m in idx if m != k) * gen.samples[k] for k in idx
+            )
+
+        want = np.array([lagrange(t) for t in ts.tolist()])
+        assert np.max(np.abs(gen.evaluate(ts) - want)) <= 1e-13
+        assert np.array_equal(gen.evaluate(pts), gen.samples)
 
 
 class TestStencilOrder:

@@ -20,13 +20,15 @@ from backflow_lab import (
 )
 from backflow_lab.models import amplitude_damping_qubit
 from backflow_lab.propagation import TclGenerator
-from backflow_lab.states import Trajectory, random_density_matrix
+from backflow_lab.states import Trajectory
 
 from _oracles import (
+    constant,
     entropy_scalar,
     kl_divergence_oracle,
     kl_scalar,
     positive_variation,
+    random_density_matrix,
     relative_entropy_oracle,
     trace_distance_oracle,
     von_neumann_entropy_oracle,
@@ -140,7 +142,7 @@ class TestInfoSeries:
 
     def test_markov_decay_kl_strictly_decreasing(self):
         w = np.array([[-1.0, 1.0], [1.0, -1.0]])
-        gen = TclGenerator(dim=2, kind="classical", evaluate=lambda t: w)
+        gen = TclGenerator(dim=2, kind="classical", evaluate=constant(w))
         traj = solve_tcl(gen, ProbabilityVector([1.0, 0.0]), TimeGrid.uniform(1e-2, 3.0))
         series = series_from_trajectory(traj, "kl", reference=ProbabilityVector([0.5, 0.5]))
         assert np.all(np.diff(series.values) < 0)

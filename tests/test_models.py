@@ -220,10 +220,16 @@ class TestDephasingQubit:
         rises = np.diff(np.abs(f))
         assert float(np.sum(rises[rises > 0])) > 0.1
 
-    def test_only_the_constant_rate_sets_a_matrix(self):
-        gen = dephasing_qubit(rate_kind="constant", lam=0.7).tcl_generator
-        assert np.array_equal(gen.matrix, gen.evaluate(1.3))
-        assert dephasing_qubit(rate_kind="sinusoidal").tcl_generator.matrix is None
+    def test_only_the_constant_rate_gives_equal_samples(self):
+        from backflow_lab.linalg import dissipator_superop
+        from backflow_lab.models import SIGMA_Z
+
+        ts = np.array([0.0, 1.3, 2.0])
+        samples = dephasing_qubit(rate_kind="constant", lam=0.7).tcl_generator.evaluate(ts)
+        want = 0.7 * dissipator_superop(SIGMA_Z / np.sqrt(2.0))
+        assert samples.shape == (3, 4, 4) and np.array_equal(samples, np.broadcast_to(want, samples.shape))
+        samples = dephasing_qubit(rate_kind="sinusoidal").tcl_generator.evaluate(ts)
+        assert not np.array_equal(samples[1], samples[0])
 
     def test_cosine_f_has_no_generator_route(self):
         model = dephasing_qubit(rate_kind="cosine_f")
@@ -236,12 +242,12 @@ class TestDephasingQubit:
 
 class TestAmplitudeDamping:
     def test_generator_is_constant_matrix(self):
-        gen = amplitude_damping_qubit(gamma=1.5, nbar=0.3).tcl_generator
-        assert np.array_equal(gen.matrix, gen.evaluate(2.0))
+        samples = amplitude_damping_qubit(gamma=1.5, nbar=0.3).tcl_generator.evaluate(np.array([0.0, 2.0]))
+        assert samples.shape == (2, 4, 4) and np.array_equal(samples[1], samples[0])
 
     def test_stationary_state_is_fixed_point(self):
         model = amplitude_damping_qubit(gamma=1.0, nbar=0.2)
-        g = model.tcl_generator.evaluate(0.0)
+        g = model.tcl_generator.evaluate(np.array([0.0]))[0]
         from backflow_lab.linalg import vectorize
 
         residual = g @ vectorize(model.reference_state.entries)

@@ -25,7 +25,7 @@ from backflow_lab import (
 )
 from backflow_lab.netfd import two_state_series_from_trajectory
 from backflow_lab.models import markov_two_state
-from backflow_lab.states import random_density_matrix
+from _oracles import random_density_matrix
 
 
 class TestThermofieldVector:

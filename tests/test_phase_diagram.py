@@ -406,35 +406,38 @@ class TestSweepHardening:
 
     def test_time_local_row_takes_one_rk4_pass(self, monkeypatch):
         """A time-local model without closed forms gets its trajectory and
-        its propagator from one RK4 pass: one step-kernel run and at most
-        3(N-1)+1 generator samples per row."""
+        its propagator from one RK4 pass: one blocked prefix product and
+        one ``evaluate`` call per row, at 2N-1 strictly increasing times
+        whose even entries are the grid points."""
         import dataclasses
 
         import backflow_lab.phase_diagram as pd
         import backflow_lab.propagation as propagation
         from backflow_lab.propagation import TclGenerator
 
-        samples, passes = [], []
-        rk4 = propagation._rk4_tcl
+        calls, passes = [], []
+        prefix = propagation._prefix_product
         real_build_model = pd.build_model
 
         def counting_model(name, params):
             model = real_build_model(name, params)
             gen = model.tcl_generator
 
-            def evaluate(t):
-                samples.append(t)
-                return gen.evaluate(t)
+            def evaluate(ts):
+                calls.append(ts.copy())
+                # a time-dependent copy of the constant generator: no two
+                # samples are equal, so no power table is taken
+                return gen.evaluate(ts) * (1.0 + 1e-3 * np.sin(ts))[:, None, None]
 
             counted = TclGenerator(dim=gen.dim, kind=gen.kind, evaluate=evaluate)
             return dataclasses.replace(model, tcl_generator=counted)
 
-        def counting_rk4(*args):
+        def counting_prefix(*args):
             passes.append(1)
-            return rk4(*args)
+            return prefix(*args)
 
         monkeypatch.setattr(pd, "build_model", counting_model)
-        monkeypatch.setattr(propagation, "_rk4_tcl", counting_rk4)
+        monkeypatch.setattr(propagation, "_prefix_product", counting_prefix)
         spec = SweepSpec(
             model="amplitude_damping_qubit",
             axes=(("gamma", 0.5, 1.0, 2),),
@@ -442,35 +445,38 @@ class TestSweepHardening:
             t_max=3.0,
             measures=("rel_entropy",),
         )
-        n = TimeGrid.uniform(spec.dt, spec.t_max).n
+        grid = TimeGrid.uniform(spec.dt, spec.t_max)
         for params in spec.lattice():
-            samples.clear()
+            calls.clear()
             passes.clear()
             row = pd._sweep_point(
                 (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
             )
             assert row["error"] == ""
             assert row["divisible"] is True
-            assert 0 < len(samples) <= 3 * (n - 1) + 1
+            assert len(calls) == 1
+            (times,) = calls
+            assert times.shape == (2 * grid.n - 1,) and np.all(np.diff(times) > 0)
+            assert np.array_equal(times[::2], grid.points)
             assert passes == [1]
 
     def test_constant_generator_row_builds_one_power_table(self, monkeypatch):
-        """A constant generator's row never steps the RK4 kernel: the
-        generator is not evaluated, and its table takes at most
-        2 ceil(log2 N) + 2 matrix products, at N and at 2N points."""
+        """A constant generator's row never forms per-step matrices: the
+        generator is evaluated in one batched call, and its table takes at
+        most 2 ceil(log2 N) + 2 matrix products, at N and at 2N points."""
         import backflow_lab.phase_diagram as pd
         import backflow_lab.propagation as propagation
 
-        samples, products = [], []
+        calls, products = [], []
         real_build_model = pd.build_model
 
         def counting_model(name, params):
             model = real_build_model(name, params)
             gen = model.tcl_generator
 
-            def evaluate(t):
-                samples.append(t)
-                return gen.evaluate(t)
+            def evaluate(ts):
+                calls.append(ts)
+                return gen.evaluate(ts)
 
             return dataclasses.replace(model, tcl_generator=dataclasses.replace(gen, evaluate=evaluate))
 
@@ -483,7 +489,7 @@ class TestSweepHardening:
                 return np.matmul(*args, **kwargs)
 
         monkeypatch.setattr(pd, "build_model", counting_model)
-        monkeypatch.setattr(propagation, "_rk4_tcl", lambda *args: pytest.fail("RK4 step kernel ran"))
+        monkeypatch.setattr(propagation, "_rk4_steps", lambda *args: pytest.fail("RK4 step matrices formed"))
         monkeypatch.setattr(propagation, "np", CountingNumpy())
         for t_max in (3.0, 6.0):
             spec = SweepSpec(
@@ -491,13 +497,13 @@ class TestSweepHardening:
             )
             n = TimeGrid.uniform(spec.dt, spec.t_max).n
             for params in spec.lattice():
-                samples.clear()
+                calls.clear()
                 products.clear()
                 row = pd._sweep_point(
                     (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
                 )
                 assert row["error"] == "" and row["divisible"] is True
-                assert len(samples) <= 1
+                assert len(calls) == 1
                 assert 0 < len(products) <= 2 * math.ceil(math.log2(n)) + 2
 
     def test_constant_generator_sweep_reruns_byte_identical(self):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -21,18 +20,35 @@ from backflow_lab import (
 from backflow_lab.errors import IntegrationDivergedError
 from backflow_lab.linalg import commutator_superop, conservation_row, dissipator_superop
 from backflow_lab.models import SIGMA_MINUS, SIGMA_Z, exp_kernel_difference_mode
-from backflow_lab.propagation import apply_family
-from backflow_lab.states import random_density_matrix
+from backflow_lab.propagation import PropagatorFamily, apply_family
+from _oracles import constant, pointwise, random_density_matrix
 
 W_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 
 def constant_quantum_generator(matrix):
-    return TclGenerator(dim=2, kind="quantum", evaluate=lambda t: matrix)
+    return TclGenerator(dim=2, kind="quantum", evaluate=constant(matrix))
 
 
 def constant_classical_generator(w):
-    return TclGenerator(dim=w.shape[0], kind="classical", evaluate=lambda t: w)
+    return TclGenerator(dim=w.shape[0], kind="classical", evaluate=constant(w))
+
+
+def interleaved_times(grid):
+    """The times one RK4 family is built from: t_0, t_0 + h/2, t_1, ..., t_{N-1}."""
+    times = np.empty(2 * grid.n - 1)
+    times[::2] = grid.points
+    times[1::2] = grid.points[:-1] + 0.5 * grid.dt
+    return times
+
+
+def prefix_path_maps(gen, grid):
+    """The batched step matrices and blocked prefix product, taken even when
+    every sample is equal (where the propagator build takes the power table)."""
+    from backflow_lab.propagation import _prefix_product, _rk4_steps
+
+    samples = np.asarray(gen.evaluate(interleaved_times(grid)), dtype=complex if gen.kind == "quantum" else float)
+    return _prefix_product(_rk4_steps(samples, grid.dt))
 
 
 def lag_kernel(evaluate, dim=2, kind="classical", decay_scale=1.0):
@@ -68,7 +84,7 @@ class TestSolveTcl:
         assert np.max(np.abs(traj.states[:, 0, 1] - expected)) < 1e-10
 
     def test_invalid_generator_sample_rejected(self):
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: np.eye(4, dtype=complex))
+        gen = constant_quantum_generator(np.eye(4, dtype=complex))
         rho0 = DensityMatrix(np.eye(2, dtype=complex) / 2)
         with pytest.raises(ContractViolationError):
             solve_tcl(gen, rho0, TimeGrid.uniform(0.1, 1.0))
@@ -113,18 +129,28 @@ class TestSolveTc:
             solve_tc(kernel, ProbabilityVector([1.0, 0.0]), TimeGrid.uniform(0.02, 0.5))
 
 
+def constant_two_state_error(dt):
+    """Power-table path: p_0(t) = (1 + exp(-2t))/2 for W_SYM from (1, 0)."""
+    grid = TimeGrid.uniform(dt, 1.0)
+    traj = solve_tcl(constant_classical_generator(W_SYM), ProbabilityVector([1.0, 0.0]), grid)
+    return np.max(np.abs(traj.states[:, 0] - 0.5 * (1.0 + np.exp(-2.0 * grid.points))))
+
+
+def sinusoidal_dephasing_error(dt):
+    """Blocked-prefix path: the coherence against its exact f(t)/2."""
+    from backflow_lab.models import dephasing_qubit
+
+    model = dephasing_qubit(rate_kind="sinusoidal", lam=0.4, amplitude=1.5, frequency=2.0)
+    grid = TimeGrid.uniform(dt, 1.0)
+    traj = solve_tcl(model.tcl_generator, model.initial_state, grid)
+    return np.max(np.abs(traj.states[:, 0, 1] - 0.5 * model.propagator_fn(grid).maps[:, 1, 1]))
+
+
 class TestConvergenceOrder:
-    def test_tcl_fourth_order(self):
-        gen = constant_classical_generator(W_SYM)
-        p0 = ProbabilityVector([1.0, 0.0])
-
-        def error(dt):
-            grid = TimeGrid.uniform(dt, 1.0)
-            traj = solve_tcl(gen, p0, grid)
-            ref = 0.5 * (1.0 + np.exp(-2.0 * grid.points))
-            return np.max(np.abs(traj.states[:, 0] - ref))
-
-        # observed order 4 against the analytic solution (measures 16.3)
+    @pytest.mark.parametrize("error", [constant_two_state_error, sinusoidal_dephasing_error], ids=["constant", "sinusoidal"])
+    def test_tcl_fourth_order(self, error):
+        # observed order 4 against the analytic solution (measures 16.3
+        # constant, 16.0 sinusoidal)
         assert error(0.02) / error(0.01) >= 14.0
 
     def test_tc_second_order(self):
@@ -571,7 +597,7 @@ def rk4_two_loop_reference(gen, y0, grid, validate=True):
     def apply_at(t, y):
         m = cache.get(t)
         if m is None:
-            m = np.asarray(gen.evaluate(t))
+            m = np.asarray(gen.evaluate(np.array([t]))[0])
             if validate and abs(t / h - round(t / h)) < 1e-9:
                 reference_trace_check(gen, m, t)
             cache.clear()
@@ -604,7 +630,7 @@ def classical_three_state_generator():
         w = base * (1.0 + 0.6 * np.cos(freq * t))
         return w - np.diag(w.sum(axis=0))
 
-    return TclGenerator(dim=3, kind="classical", evaluate=evaluate)
+    return TclGenerator(dim=3, kind="classical", evaluate=pointwise(evaluate))
 
 
 def random_gksl_generator(rng):
@@ -613,7 +639,7 @@ def random_gksl_generator(rng):
     d1 = dissipator_superop(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     d2 = dissipator_superop(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     return TclGenerator(
-        dim=3, kind="quantum", evaluate=lambda t: ham + (1.0 + 0.5 * math.sin(3.0 * t)) * d1 + 0.3 * d2
+        dim=3, kind="quantum", evaluate=pointwise(lambda t: ham + (1.0 + 0.5 * math.sin(3.0 * t)) * d1 + 0.3 * d2)
     )
 
 
@@ -623,10 +649,8 @@ def fused_cases():
     amp = amplitude_damping_qubit(gamma=1.3, nbar=0.2, p0=0.3, c0=0.35)
     deph = dephasing_qubit(rate_kind="sinusoidal", lam=0.4, amplitude=1.5, frequency=2.0)
     rng = np.random.default_rng(7)
-    # without its matrix the constant generator runs the step kernel too
-    amp_steps = dataclasses.replace(amp.tcl_generator, matrix=None)
     return [
-        ("amplitude_damping", amp_steps, amp.initial_state, TimeGrid.uniform(1e-3, 4.0)),
+        ("amplitude_damping", amp.tcl_generator, amp.initial_state, TimeGrid.uniform(1e-3, 4.0)),
         ("sinusoidal_dephasing", deph.tcl_generator, deph.initial_state, TimeGrid.uniform(1e-3, 4.0)),
         (
             "classical_three_state",
@@ -639,21 +663,21 @@ def fused_cases():
 
 
 class TestFusedRk4:
-    """The step kernel that advances the basis columns of a time-dependent
-    generator, and the trajectories read off its family."""
+    """The batched step matrices and blocked prefix product of a
+    time-dependent generator, and the trajectories read off its family."""
 
     @pytest.mark.parametrize("case", fused_cases(), ids=lambda case: case[0])
-    def test_bit_identical_to_two_loop_reference(self, case):
+    def test_maps_match_step_loop_reference(self, case):
         from backflow_lab.propagation import _finalize_trajectory, _initial_vector
 
         _, gen, initial, grid = case
-        assert grid.n - 1 > 64  # spans several batched-check chunks
         y0 = _initial_vector(initial, gen.kind, gen.dim)
         eye = np.eye(gen.matrix_dim, dtype=complex if gen.kind == "quantum" else float)
         want_maps = rk4_two_loop_reference(gen, eye, grid)
         want_states = _finalize_trajectory(np.einsum("nab,b->na", want_maps, y0), grid, gen.kind, gen.dim).states
-        assert np.array_equal(build_propagator(gen, grid).maps, want_maps)
-        assert np.array_equal(solve_tcl(gen, initial, grid).states, want_states)
+        assert np.max(np.abs(prefix_path_maps(gen, grid) - want_maps)) <= 1e-12
+        assert np.max(np.abs(build_propagator(gen, grid).maps - want_maps)) <= 1e-12
+        assert np.max(np.abs(solve_tcl(gen, initial, grid).states - want_states)) <= 1e-12
 
     @staticmethod
     def corrupted_dephasing(bad_time, bad_sample):
@@ -662,7 +686,7 @@ class TestFusedRk4:
         def evaluate(t):
             return bad_sample if abs(t - bad_time) < 1e-9 else g
 
-        return TclGenerator(dim=2, kind="quantum", evaluate=evaluate)
+        return TclGenerator(dim=2, kind="quantum", evaluate=pointwise(evaluate))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -685,19 +709,17 @@ class TestFusedRk4:
             run()
 
     @staticmethod
-    def exploding_rate(fail_after=None):
+    def exploding_rate(bad_after=None, bad=np.eye(2)):  # the default breaks trace preservation
         def evaluate(t):
-            if fail_after is not None and t > fail_after:
-                raise RuntimeError("rate undefined")
+            if bad_after is not None and t > bad_after:
+                return bad
             return math.exp(6.0 * t) * W_SYM
 
-        return TclGenerator(dim=2, kind="classical", evaluate=evaluate)
+        return TclGenerator(dim=2, kind="classical", evaluate=pointwise(evaluate))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_exploding_rate_diverges_at_reference_time(self):
-        from backflow_lab.propagation import _CHECK_STEPS
-
         grid = TimeGrid.uniform(1e-2, 5.0)
         p0 = ProbabilityVector([1.0, 0.0])
         with pytest.raises(IntegrationDivergedError) as ref:
@@ -706,14 +728,13 @@ class TestFusedRk4:
         assert 0.0 < t_ref < grid.t_max
         with pytest.raises(IntegrationDivergedError) as got:
             build_propagator(self.exploding_rate(), grid)
-        assert got.value.time == t_ref
-        # a sample that cannot be evaluated after the divergence, inside the
-        # same check chunk, still leaves the earlier divergence reported
-        row = round(t_ref / grid.dt)
-        assert row // _CHECK_STEPS == (row + 3) // _CHECK_STEPS
-        with pytest.raises(IntegrationDivergedError) as got:
-            solve_tcl(self.exploding_rate(fail_after=t_ref + 2.5 * grid.dt), p0, grid)
-        assert got.value.time == t_ref
+        assert abs(got.value.time - t_ref) <= 3 * grid.dt
+        # a bad sample after the divergence, or one of another shape, leaves
+        # the divergence reported
+        for bad in (np.eye(2), np.zeros((3, 3))):
+            with pytest.raises(IntegrationDivergedError) as late:
+                solve_tcl(self.exploding_rate(bad_after=t_ref + 3.5 * grid.dt, bad=bad), p0, grid)
+            assert late.value.time == got.value.time
 
     def test_wrong_shape_sample_raises_before_any_product(self, monkeypatch):
         import backflow_lab.propagation as propagation
@@ -724,23 +745,23 @@ class TestFusedRk4:
             def __getattr__(self, name):
                 return getattr(np, name)
 
-            def dot(self, *args, **kwargs):
+            def matmul(self, *args, **kwargs):
                 products.append(1)
-                return np.dot(*args, **kwargs)
+                return np.matmul(*args, **kwargs)
 
         monkeypatch.setattr(propagation, "np", CountingNumpy())
         rho0 = DensityMatrix(np.eye(2, dtype=complex) / 2)
         grid = TimeGrid.uniform(0.1, 1.0)
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: np.zeros((2, 2), dtype=complex))
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: np.zeros((2, 2), dtype=complex)))
         with pytest.raises(ContractViolationError, match=r"t=0 has shape \(2, 2\)"):
             propagation.solve_tcl(gen, rho0, grid)
         assert products == []
-        # a midpoint sample is checked too, before the k2 products use it
+        # a midpoint sample is checked too, before the K2 products use it
         g = np.zeros((4, 4), dtype=complex)
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g if t == 0.0 else g[:3, :3])
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: g if t == 0.0 else g[:3, :3]))
         with pytest.raises(ContractViolationError, match=r"t=0.05 has shape \(3, 3\)"):
             propagation.solve_tcl(gen, rho0, grid)
-        assert len(products) == 1  # the k1 column product only
+        assert products == []
 
 
 def rk4_constant_loop(matrix, y0, grid):
@@ -766,24 +787,21 @@ def constant_gksl_d3(rng):
     g = commutator_superop((a + a.conj().T) / 2.0)
     for weight in (1.0, 0.3):
         g = g + weight * dissipator_superop(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    return TclGenerator(dim=3, kind="quantum", evaluate=lambda t: g, matrix=g)
+    return TclGenerator(dim=3, kind="quantum", evaluate=constant(g))
 
 
 class TestRk4PowerTable:
-    @staticmethod
-    def without_matrix(gen):
-        return dataclasses.replace(gen, matrix=None)
-
-    def test_amplitude_damping_matches_step_kernel(self):
+    def test_amplitude_damping_matches_prefix_of_equal_steps(self):
         from backflow_lab.models import amplitude_damping_qubit
 
         model = amplitude_damping_qubit(gamma=2.0, nbar=0.2)
         grid = TimeGrid.uniform(1e-3, 4.0)
         assert grid.n == 4001
-        gen, stepped = model.tcl_generator, self.without_matrix(model.tcl_generator)
-        family, want_family = build_propagator(gen, grid), build_propagator(stepped, grid)
+        gen = model.tcl_generator
+        family = build_propagator(gen, grid)
+        want_family = PropagatorFamily(grid, prefix_path_maps(gen, grid), gen.kind, gen.dim)
         traj = solve_tcl(gen, model.initial_state, grid)
-        want_traj = solve_tcl(stepped, model.initial_state, grid)
+        want_traj = apply_family(want_family, model.initial_state)
         assert np.max(np.abs(family.maps - want_family.maps)) <= 1e-12
         assert np.max(np.abs(traj.states - want_traj.states)) <= 1e-12
 
@@ -822,27 +840,15 @@ class TestRk4PowerTable:
         assert tables == [1]
         assert np.array_equal(traj.states, apply_family(family, model.initial_state).states)
 
-    def test_random_constant_gksl_d3_matches_step_kernel(self):
+    def test_random_constant_gksl_d3_matches_prefix_of_equal_steps(self):
         gen = constant_gksl_d3(np.random.default_rng(11))
         grid = TimeGrid.uniform(1e-2, 3.0)
         got = build_propagator(gen, grid).maps
-        want = build_propagator(self.without_matrix(gen), grid).maps
-        assert np.max(np.abs(got - want)) <= 1e-12
-
-    def test_fourth_order_against_closed_form(self):
-        gen = TclGenerator(dim=2, kind="classical", evaluate=lambda t: W_SYM, matrix=W_SYM)
-        p0 = ProbabilityVector([1.0, 0.0])
-
-        def error(dt):
-            grid = TimeGrid.uniform(dt, 1.0)
-            traj = solve_tcl(gen, p0, grid)
-            return np.max(np.abs(traj.states[:, 0] - 0.5 * (1.0 + np.exp(-2.0 * grid.points))))
-
-        assert error(0.02) / error(0.01) >= 14.0
+        assert np.max(np.abs(got - prefix_path_maps(gen, grid))) <= 1e-12
 
     def test_constant_gksl_matches_expm(self):
         g = dissipator_superop(SIGMA_MINUS) + 0.3 * dissipator_superop(SIGMA_Z / np.sqrt(2))
-        family = build_propagator(TclGenerator(dim=2, kind="quantum", evaluate=lambda t: g, matrix=g), TimeGrid.uniform(1e-3, 2.0))
+        family = build_propagator(constant_quantum_generator(g), TimeGrid.uniform(1e-3, 2.0))
         for t_probe in (0.5, 1.0, 2.0):
             assert np.max(np.abs(family.maps[int(round(t_probe / 1e-3))] - expm(t_probe * g))) <= 1e-7
 
@@ -857,8 +863,8 @@ class TestRk4PowerTable:
         import backflow_lab.propagation as propagation
 
         monkeypatch.setattr(propagation, "rk4_power_table", lambda *args: pytest.fail("table built"))
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: matrix, matrix=matrix)
-        with pytest.raises(ContractViolationError, match=f"generator matrix {message}"):
+        gen = constant_quantum_generator(matrix)
+        with pytest.raises(ContractViolationError, match=f"generator sample at t=0 {message}"):
             build_propagator(gen, TimeGrid.uniform(0.1, 1.0))
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -868,7 +874,7 @@ class TestRk4PowerTable:
         # negative rates: the difference mode grows as exp(12 t) and
         # overflows near t = 59, far from the end of the grid
         w = -6.0 * W_SYM
-        gen = TclGenerator(dim=2, kind="classical", evaluate=lambda t: w, matrix=w)
+        gen = constant_classical_generator(w)
         grid = TimeGrid.uniform(1e-2, 80.0)
         p0 = ProbabilityVector([1.0, 0.0])
         run = {
@@ -888,44 +894,57 @@ class TestRk4PowerTable:
 class TestGeneratorSamples:
     """G(t) itself on the grid, under the checks the propagator build makes."""
 
-    def test_time_dependent_generator_evaluated_once_per_point(self):
+    @staticmethod
+    def recording(sample, calls):
+        """A batched evaluate of ``sample(t)`` that records every call's times."""
+
+        def evaluate(ts):
+            calls.append(ts.copy())
+            return np.array([sample(t) for t in ts.tolist()])
+
+        return evaluate
+
+    def test_time_dependent_generator_evaluated_in_one_call(self):
         from backflow_lab.propagation import generator_samples
 
         grid = TimeGrid.uniform(1e-2, 2.0)
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
-        seen = []
-
-        def evaluate(t):
-            seen.append(t)
-            return (1.0 + math.sin(t)) * d
-
+        calls = []
+        evaluate = self.recording(lambda t: (1.0 + math.sin(t)) * d, calls)
         samples = generator_samples(TclGenerator(dim=2, kind="quantum", evaluate=evaluate), grid)
-        assert seen == grid.points.tolist()
+        assert len(calls) == 1 and np.array_equal(calls[0], interleaved_times(grid))
         assert np.array_equal(samples, np.array([(1.0 + math.sin(t)) * d for t in grid.points.tolist()]))
 
-    def test_constant_matrix_repeated_without_evaluating(self):
-        from backflow_lab.propagation import generator_samples
+    def test_constant_generator_checked_on_one_sample(self, monkeypatch):
+        import backflow_lab.propagation as propagation
 
+        checked = []
+        check = propagation._check_samples
+
+        def counting(samples, *args):
+            checked.append(samples.shape[0])
+            return check(samples, *args)
+
+        monkeypatch.setattr(propagation, "_check_samples", counting)
         g = dissipator_superop(SIGMA_MINUS)
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: pytest.fail("evaluated"), matrix=g)
         grid = TimeGrid.uniform(1e-2, 1.0)
-        samples = generator_samples(gen, grid)
+        samples = propagation.generator_samples(constant_quantum_generator(g), grid)
+        assert checked == [1]
         assert samples.shape == (grid.n, 4, 4) and np.array_equal(samples, np.broadcast_to(g, samples.shape))
 
     @pytest.mark.parametrize(
         "matrix, error, message",
         [
-            (np.eye(4, dtype=complex), ContractViolationError, "generator matrix violates trace preservation"),
-            (np.zeros((2, 2), dtype=complex), ContractViolationError, r"generator matrix has shape \(2, 2\)"),
+            (np.eye(4, dtype=complex), ContractViolationError, "t=0 violates trace preservation"),
+            (np.zeros((2, 2), dtype=complex), ContractViolationError, r"t=0 has shape \(2, 2\)"),
             (np.full((4, 4), np.nan, dtype=complex), IntegrationDivergedError, "t=0 is not finite"),
         ],
     )
     def test_bad_constant_matrix(self, matrix, error, message):
         from backflow_lab.propagation import generator_samples
 
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: matrix, matrix=matrix)
         with pytest.raises(error, match=message):
-            generator_samples(gen, TimeGrid.uniform(0.1, 1.0))
+            generator_samples(constant_quantum_generator(matrix), TimeGrid.uniform(0.1, 1.0))
 
     @pytest.mark.parametrize(
         "first, second, error, message",
@@ -944,42 +963,82 @@ class TestGeneratorSamples:
 
         g = dissipator_superop(SIGMA_Z / np.sqrt(2))
         bad = {0.5: first, 1.5: second}
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: bad.get(round(t, 9), g))
-        with pytest.raises(error, match=message) as raised:
-            generator_samples(gen, TimeGrid.uniform(0.1, 2.0))
-        if error is IntegrationDivergedError:
-            assert raised.value.time == 0.5
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: bad.get(round(t, 9), g)))
+        for route in (generator_samples, build_propagator):
+            with pytest.raises(error, match=message) as raised:
+                route(gen, TimeGrid.uniform(0.1, 2.0))
+            if error is IntegrationDivergedError:
+                assert raised.value.time == 0.5
 
     def test_rk4_pass_hands_on_its_on_grid_samples(self):
         """The family and the samples of one pass are those of the two
-        separate calls, with no sample evaluated twice."""
+        separate calls, from one evaluate call at 2N - 1 strictly increasing
+        times whose even entries are the grid points."""
         from backflow_lab.propagation import generator_samples, tcl_propagator
 
         grid = TimeGrid.uniform(1e-2, 3.0)
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
-        seen = []
-
-        def evaluate(t):
-            seen.append(t)
-            return (1.0 + 0.5 * math.sin(t)) * d
-
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=evaluate)
+        calls = []
+        gen = TclGenerator(
+            dim=2, kind="quantum", evaluate=self.recording(lambda t: (1.0 + 0.5 * math.sin(t)) * d, calls)
+        )
         family, samples = tcl_propagator(gen, grid)
-        assert len(seen) <= 3 * (grid.n - 1) + 1
-        assert set(grid.points.tolist()) <= set(seen)
+        assert len(calls) == 1
+        (times,) = calls
+        assert times.shape == (2 * grid.n - 1,) and np.all(np.diff(times) > 0)
+        assert np.array_equal(times[::2], grid.points)
         assert np.array_equal(family.maps, build_propagator(gen, grid).maps)
         assert np.array_equal(samples, generator_samples(gen, grid))
 
     def test_rk4_pass_checks_its_last_sample(self):
-        """On this grid t_{N-2} + h misses t_{N-1} in the last bit, so the
-        last sample is evaluated apart from the steps and feeds no row."""
+        """The last grid sample feeds only the last row: a non-finite one is
+        reported as the sample, ahead of the divergence it causes there."""
         from backflow_lab.propagation import tcl_propagator
 
         grid = TimeGrid.uniform(0.1, 3.0)
         t_last = grid.points[-1]
-        assert grid.points[-2] + grid.dt != t_last
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
-        gen = TclGenerator(dim=2, kind="quantum", evaluate=lambda t: d * (np.nan if t == t_last else 1.0))
+        gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: d * (np.nan if t == t_last else 1.0)))
         with pytest.raises(IntegrationDivergedError, match="generator sample") as raised:
             tcl_propagator(gen, grid)
         assert raised.value.time == t_last
+
+
+class TestPrefixProduct:
+    def test_matmul_calls_grow_like_sqrt_n(self, monkeypatch):
+        """A time-dependent family takes about 2 sqrt(N) Python-level
+        products: from N to 4N their count at most doubles, with slack."""
+        import backflow_lab.propagation as propagation
+        from backflow_lab.models import dephasing_qubit
+
+        gen = dephasing_qubit(rate_kind="sinusoidal", lam=0.4, amplitude=1.5, frequency=2.0).tcl_generator
+        products = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, *args, **kwargs):
+                products.append(1)
+                return np.matmul(*args, **kwargs)
+
+        monkeypatch.setattr(propagation, "np", CountingNumpy())
+        counts = []
+        for t_max in (3.0, 12.0):
+            products.clear()
+            grid = TimeGrid.uniform(1e-2, t_max)
+            propagation.build_propagator(gen, grid)
+            counts.append(len(products))
+        assert grid.n == 4 * (301 - 1) + 1
+        assert 0 < counts[0] and counts[1] <= 2.2 * counts[0]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 17, 100])
+    def test_blocks_of_any_length_match_the_sequential_product(self, m):
+        from backflow_lab.propagation import _prefix_product
+
+        rng = np.random.default_rng(m)
+        steps = np.eye(3) + 0.1 * rng.standard_normal((m, 3, 3))
+        want = [np.eye(3)]
+        for step in steps:
+            want.append(step @ want[-1])
+        assert np.max(np.abs(_prefix_product(steps) - np.array(want))) <= 1e-13
