@@ -48,15 +48,11 @@ from .models import (
 from .netfd import (
     DecomposedBackflow,
     ThermoFieldState,
-    TwoStateNetfdParams,
     classify,
     coincident_rise_intervals,
-    decompose_two_state,
     decomposed_backflow,
-    extended_entropy,
     extended_reduced_density,
     thermofield_vector,
-    two_state_entropy_series,
 )
 from .phase_diagram import SweepResult, SweepSpec, revival_detector, run_sweep
 from .propagation import (

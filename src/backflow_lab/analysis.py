@@ -4,17 +4,24 @@ sweep rows.
 :func:`propagate` is the only place that chooses between what a model
 offers: the closed form (``closed_form``: ``trajectory_fn``, with
 ``propagator_fn`` where the model has one), the time-local generator
-(``tcl``) and the memory kernel (``tc``).  The route picks both the
-trajectory and the propagator family; ``auto`` is the first of the three
-the model offers.  :func:`sampled_generator` is the only place that
-decides where a route's sampled time-local generator comes from: on
-``tcl`` the generator is the input, G(t) sampled on the grid with no gaps;
-on ``closed_form`` and ``tc`` it is extracted from the route's propagator
-family (on ``tc``, the paper's TC-to-TCL procedure).  :func:`analyze` runs
-the rest of the chain on one point: the divisibility test where the route
-has a generator, the memoized information series (generator gaps as skip
-intervals), the backflow of each measure, and the classical/intrinsic
-sector split with its half-grid error estimates.
+(``tcl``) and the memory kernel (``tc``); ``auto`` is the first of the three
+the model offers.  It states
+the paper's TC-to-TCL procedure once, propagator family -> time-local
+generator, and computes each part it is asked for once:
+
+* the trajectory is the family the route builds anyway applied to the
+  initial state (always on ``tcl``; on ``closed_form`` with
+  ``propagator_fn`` and on ``tc`` when the generator is asked for too),
+  else the model's own ``trajectory_fn``, else the memory-kernel solve of
+  the initial state alone;
+* the sampled generator is the input itself on ``tcl`` (G(t) on the grid,
+  no gaps), and is extracted from the route's family on ``closed_form`` and
+  ``tc``; a closed form without ``propagator_fn`` has none.
+
+:func:`analyze` runs the rest of the chain on one point: the divisibility
+test where the route has a generator, the memoized information series
+(generator gaps as skip intervals), the backflow of each measure, and the
+classical/intrinsic sector split with its half-grid error estimates.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .generator_analysis import DivisibilityReport, SampledGenerator, check_divi
 from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
-from .propagation import PropagatorFamily, apply_family, build_propagator, generator_samples, solve_tc, tcl_propagator
+from .propagation import PropagatorFamily, apply_family, build_propagator, solve_tc, tcl_pass
 from .states import TimeGrid, Trajectory
 
 ROUTES = ("closed_form", "tcl", "tc")
@@ -50,53 +57,35 @@ def _resolve(model: ModelSpec, route: str) -> str:
 
 
 def propagate(
-    model: ModelSpec, grid: TimeGrid, route: str = "auto", trajectory: bool = True, propagator: bool = True
-) -> tuple[Trajectory | None, PropagatorFamily | None]:
-    """(trajectory, propagator family) of ``model`` on ``grid`` along
-    ``route``, each None when not asked for; the family is also None on a
-    closed-form route without a propagator.  On the time-local route both
-    come from one propagator family.  An unknown route, or one the model
-    does not offer, raises :class:`ConfigError`."""
-    route = _resolve(model, route)
-    traj = family = None
-    if route == "closed_form":
-        if trajectory:
-            traj = model.trajectory_fn(grid)
-        if propagator and model.propagator_fn is not None:
-            family = model.propagator_fn(grid)
-    elif route == "tcl":
-        family = build_propagator(model.tcl_generator, grid)
-        if trajectory:
-            traj = apply_family(family, model.initial_state)
-        if not propagator:
-            family = None
-    else:
-        if trajectory:
-            traj = solve_tc(model.kernel, model.initial_state, grid)
-        if propagator:
-            family = build_propagator(model.kernel, grid)
-    return traj, family
-
-
-def sampled_generator(
-    model: ModelSpec, grid: TimeGrid, route: str = "auto", trajectory: bool = False
+    model: ModelSpec, grid: TimeGrid, route: str = "auto", trajectory: bool = True, generator: bool = True
 ) -> tuple[Trajectory | None, SampledGenerator | None]:
-    """(trajectory, time-local generator sampled on ``grid``) along
-    ``route``; the trajectory is None unless asked for.  On ``tcl`` the
-    generator is the model's own G(t) on the grid, with no gaps: the
-    samples the trajectory's propagator family was built from, or, without
-    a trajectory, the samples alone.  On ``closed_form`` and ``tc`` it is
-    extracted from the route's propagator family, and is None without
-    one."""
-    if _resolve(model, route) == "tcl":
-        gen = model.tcl_generator
+    """(trajectory, time-local generator sampled on ``grid``) of ``model``
+    along ``route``, each None when not asked for; the generator is also
+    None on a closed-form route without ``propagator_fn``.  An unknown
+    route, or one the model does not offer, raises :class:`ConfigError`."""
+    route = _resolve(model, route)
+    traj = family = samples = None
+    if route == "tcl":
+        source = model.tcl_generator
+        maps, samples = tcl_pass(source, grid, propagate=trajectory)
         if trajectory:
-            family, samples = tcl_propagator(gen, grid)
-            traj = apply_family(family, model.initial_state)
+            family = PropagatorFamily(grid, maps, source.kind, source.dim)
+    elif route == "closed_form":
+        if generator and model.propagator_fn is not None:
+            family = model.propagator_fn(grid)
+        elif trajectory:
+            traj = model.trajectory_fn(grid)
+    elif generator:
+        family = build_propagator(model.kernel, grid)
+    if trajectory and traj is None:
+        if family is None:  # tc asked for the trajectory alone: one column, not dd
+            traj = solve_tc(model.kernel, model.initial_state, grid)
         else:
-            traj, samples = None, generator_samples(gen, grid)
-        return traj, SampledGenerator(grid, samples, gen.kind, gen.dim)
-    traj, family = propagate(model, grid, route, trajectory)
+            traj = apply_family(family, model.initial_state)
+    if not generator:
+        return traj, None
+    if samples is not None:  # tcl: copied after the trajectory is built, off its peak memory
+        return traj, SampledGenerator(grid, samples, source.kind, source.dim)
     return traj, None if family is None else extract_tcl_generator(family)
 
 
@@ -155,14 +144,14 @@ class PointReport:
 
 def analyze(model: ModelSpec, grid: TimeGrid, route, measures, epsilon_n: float, rate_tolerance: float) -> PointReport:
     """Propagate along ``route``, test divisibility where the route has a
-    sampled generator (:func:`sampled_generator`), and accumulate the
+    sampled generator (:func:`propagate`), and accumulate the
     backflow of each of ``measures`` and of the two sectors.
 
     A two-state quantum trajectory is split through the extended entropy
     (``s_cl``/``s_qe``); any other trajectory is classical, with all of its
     backflow in the classical sector (``kl`` to the reference state).
     """
-    traj, gen = sampled_generator(model, grid, route, trajectory=True)
+    traj, gen = propagate(model, grid, route)
     divisibility = None if gen is None else check_divisible(gen, rate_tolerance)
     gaps = () if divisibility is None else divisibility.gaps
     series = series_cache(traj, model.reference_state, gaps)

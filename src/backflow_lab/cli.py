@@ -168,8 +168,8 @@ def _model_from_config(config: dict):
 
 def _generator(config: dict, model, grid: TimeGrid):
     """The sampled time-local generator of the configured route
-    (:func:`analysis.sampled_generator`); no trajectory is built."""
-    _, sampled = analysis.sampled_generator(model, grid, config.get("route", "auto"))
+    (:func:`analysis.propagate`); no trajectory is built."""
+    _, sampled = analysis.propagate(model, grid, config.get("route", "auto"), trajectory=False)
     if sampled is None:
         raise ConfigError(f"model {model.name} offers no propagator route")
     return sampled
@@ -180,7 +180,7 @@ def _generator(config: dict, model, grid: TimeGrid):
 def cmd_simulate(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = TimeGrid.uniform(*_grid_params(config, args))
-    traj, _ = analysis.propagate(model, grid, config.get("route", "auto"), propagator=False)
+    traj, _ = analysis.propagate(model, grid, config.get("route", "auto"), generator=False)
     out_dir = args.out
     serialize.write_text_atomic(
         os.path.join(out_dir, "trajectory.csv"), serialize.trajectory_csv(traj)

@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
 from .propagation import PropagatorFamily, TclGenerator
-from .states import TimeGrid
+from .states import TimeGrid, run_intervals
 
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
@@ -182,18 +182,7 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     else:
         samples = np.zeros_like(maps)
         samples[ok] = g
-    return SampledGenerator(family.grid, samples, family.kind, family.dim, _gap_intervals(flagged, ts, h))
-
-
-def _gap_intervals(flagged: np.ndarray, ts: np.ndarray, h: float) -> tuple:
-    """(lo, hi) of each run of flagged points, widened by h/2 on each side
-    that has a neighbour; run starts and ends come from one ``np.diff``."""
-    edges = np.diff(flagged.astype(np.int8), prepend=0, append=0)
-    first = np.flatnonzero(edges == 1)
-    last = np.flatnonzero(edges == -1) - 1
-    lo = ts[first] - np.where(first > 0, h / 2, 0.0)
-    hi = ts[last] + np.where(last < ts.shape[0] - 1, h / 2, 0.0)
-    return tuple(zip(lo.tolist(), hi.tolist()))
+    return SampledGenerator(family.grid, samples, family.kind, family.dim, run_intervals(flagged, ts, h))
 
 
 @lru_cache(maxsize=8)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, run_intervals
 
 MEASURE_TAGS = (
     "vn_entropy",
@@ -210,14 +210,12 @@ def series_from_trajectory(
         vals = trace_distances(traj.states, reference)
     else:
         vals = kl_divergences(traj.states, reference)
-    skips = list(skip_intervals)
+    skips = tuple(skip_intervals)
     bad = ~np.isfinite(vals)
-    if np.any(bad):
+    if np.any(bad):  # one interval per run of non-finite values
         ts = traj.grid.points
-        h = float(np.min(np.diff(ts)))
-        for i in np.nonzero(bad)[0]:
-            skips.append((float(ts[i]) - h / 2, float(ts[i]) + h / 2))
-    return InfoSeries(traj.grid, vals, measure_tag, tuple(skips))
+        skips += run_intervals(bad, ts, float(np.min(np.diff(ts))))
+    return InfoSeries(traj.grid, vals, measure_tag, skips)
 
 
 def backflow_functional(series: InfoSeries) -> float:
@@ -231,7 +229,9 @@ def backflow_functional(series: InfoSeries) -> float:
     mask = series.skipped()
     if int(np.sum(~mask)) < 2:
         raise ContractViolationError("need at least two non-skipped points")
-    vals = series.values
+    # skipped values may be +inf: zeroed, they leave the counted pairs'
+    # increments as they are and raise no warning in the difference
+    vals = np.where(mask, 0.0, series.values)
     ok_pair = (~mask[:-1]) & (~mask[1:])
     inc = np.diff(vals)
     rises = np.where(ok_pair, np.clip(inc, 0.0, None), 0.0)

@@ -133,8 +133,10 @@ def classical_exp_kernel(n: int = 2, gamma: float = 1.0, tau_m: float = 1.0) -> 
 
         dp/dt = y,   dy/dt = (gamma/tau_m) W_base p - y/tau_m.
 
-    The initial state is the first basis state; the reference state is the
-    uniform stationary distribution.
+    The embedding gives the closed-form propagator family
+    (``propagator_fn``); the trajectory (``trajectory_fn``) is that family
+    applied to the initial state, the first basis state.  The reference
+    state is the uniform stationary distribution.
     """
     check_params("classical_exp_kernel", dict(n=n, gamma=gamma, tau_m=tau_m))
     wb = np.ones((n, n)) - n * np.eye(n)
@@ -152,15 +154,11 @@ def classical_exp_kernel(n: int = 2, gamma: float = 1.0, tau_m: float = 1.0) -> 
     embed[n:, :n] = (gamma / tau_m) * wb
     embed[n:, n:] = -np.eye(n) / tau_m
 
-    last = {}  # the family of the last grid, shared by both functions
-
     def embedded_propagator(grid: TimeGrid) -> PropagatorFamily:
-        if last.get("grid") is not grid:
-            y0 = np.zeros((2 * n, n))
-            y0[:n] = np.eye(n)
-            raw = rk4_power_table(embed, y0, grid)
-            last.update(grid=grid, family=PropagatorFamily(grid, raw[:, :n, :], "classical", n))
-        return last["family"]
+        y0 = np.zeros((2 * n, n))
+        y0[:n] = np.eye(n)
+        raw = rk4_power_table(embed, y0, grid)
+        return PropagatorFamily(grid, raw[:, :n, :], "classical", n)
 
     def embedded_trajectory(grid: TimeGrid) -> Trajectory:
         return apply_family(embedded_propagator(grid), p0)

@@ -21,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, NotPsdError
-from .information import InfoSeries, backflow_functional, von_neumann_entropy
-from .states import DensityMatrix, TimeGrid, Trajectory
+from .errors import ContractViolationError
+from .information import InfoSeries, backflow_functional
+from .states import DensityMatrix, Trajectory
 
 ROUNDTRIP_TOL = 1e-10
 SUBADDITIVITY_SLACK = 1e-8
 EPSILON_N = 1e-6
-# b_qe may exceed p(1 - p) by this much before the 2x2 state counts as not PSD
-PSD_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,31 +48,6 @@ class ThermoFieldState:
         a = np.ascontiguousarray(a)
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
-
-
-@dataclass(frozen=True)
-class TwoStateNetfdParams:
-    """Population p and intrinsic coherence c of the canonical 2x2 reduced
-    doubled state [[p, c], [c*, 1-p]]; b_qe = |c|^2."""
-
-    p: float
-    c: complex
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ContractViolationError(f"population p={self.p} outside [0, 1]")
-        if self.b_qe > self.p * (1.0 - self.p) + PSD_SLACK:
-            raise NotPsdError(
-                f"b_qe={self.b_qe:.3e} exceeds p(1-p)={self.p*(1-self.p):.3e}: "
-                "the assembled state is not PSD"
-            )
-
-    @property
-    def b_qe(self) -> float:
-        return float(abs(self.c) ** 2)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.p, self.c], [np.conj(self.c), 1.0 - self.p]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -133,14 +106,12 @@ def extended_reduced_density(psi: ThermoFieldState) -> DensityMatrix:
     return DensityMatrix(rho / np.trace(rho).real)
 
 
-def extended_entropy(rho_a: DensityMatrix) -> float:
-    """Entropy of the reduced doubled state (von Neumann entropy)."""
-    return von_neumann_entropy(rho_a)
-
-
 def _sector_entropies(p: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`decompose_two_state` over arrays of populations ``p`` and
-    intrinsic parameters ``b`` = |c|^2."""
+    """(s_cl, s_qe) over arrays of populations ``p`` and intrinsic
+    parameters ``b`` = |c|^2 <= p(1 - p): s_cl is the binary entropy of p
+    and s_qe = S_hat - s_cl <= 0, where the eigenvalues of the 2x2 state are
+    1/2 +- r with r^2 = (p - 1/2)^2 + b, so s_qe depends on |c| only and
+    vanishes iff c = 0."""
     pc = np.clip(p, 1e-300, 1.0)
     qc = np.clip(1.0 - p, 1e-300, 1.0)
     s_cl = -(pc * np.log(pc) + qc * np.log(qc))
@@ -151,47 +122,21 @@ def _sector_entropies(p: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return s_cl, s_hat - s_cl
 
 
-def decompose_two_state(params: TwoStateNetfdParams) -> tuple[float, float]:
-    """Split the extended entropy of the canonical 2x2 state into
-    (s_cl, s_qe): s_cl = binary entropy of p, s_qe = S_hat - s_cl <= 0.
-
-    s_qe depends on |c| only (the eigenvalues are 1/2 +- r with
-    r^2 = (p - 1/2)^2 + b_qe) and vanishes iff c = 0.
-    """
-    s_cl, s_qe = _sector_entropies(np.array([params.p]), np.array([params.b_qe]))
-    return float(s_cl[0]), float(s_qe[0])
-
-
-def two_state_entropy_series(
-    grid: TimeGrid, p: np.ndarray, b_qe: np.ndarray, skip_intervals=()
-) -> tuple[InfoSeries, InfoSeries]:
-    """(s_cl, s_qe) series from population and intrinsic-parameter samples."""
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b_qe, dtype=float)
-    if p.shape != (grid.n,) or b.shape != (grid.n,):
-        raise ContractViolationError("p and b_qe must match the grid")
-    if np.any(b > p * (1.0 - p) + PSD_SLACK):
-        i = int(np.argmax(b - p * (1.0 - p)))
-        raise NotPsdError(
-            f"b_qe exceeds p(1-p) at t={grid.points[i]:g}: state not PSD"
-        )
-    s_cl, s_qe = _sector_entropies(p, b)
-    return (
-        InfoSeries(grid, s_cl, "s_cl", skip_intervals),
-        InfoSeries(grid, s_qe, "s_qe", skip_intervals),
-    )
-
-
 def two_state_series_from_trajectory(
     traj: Trajectory, skip_intervals=()
 ) -> tuple[InfoSeries, InfoSeries]:
     """(s_cl, s_qe) series for a two-state quantum trajectory, reading
-    p = rho_00(t) and c = rho_01(t)."""
+    p = rho_00(t) and c = rho_01(t); |c|^2 is clipped to p(1 - p), the PSD
+    bound the trajectory's states meet up to rounding."""
     if traj.kind != "quantum" or traj.dim != 2:
         raise ContractViolationError("need a two-state quantum trajectory")
     p = traj.states[:, 0, 0].real
     b = np.abs(traj.states[:, 0, 1]) ** 2
-    return two_state_entropy_series(traj.grid, p, np.minimum(b, p * (1 - p)), skip_intervals)
+    s_cl, s_qe = _sector_entropies(p, np.minimum(b, p * (1 - p)))
+    return (
+        InfoSeries(traj.grid, s_cl, "s_cl", skip_intervals),
+        InfoSeries(traj.grid, s_qe, "s_qe", skip_intervals),
+    )
 
 
 def coincident_rise_intervals(

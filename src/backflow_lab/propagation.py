@@ -32,9 +32,8 @@ M4 the samples at t_i, t_i + h/2, t_{i+1}, formed by batched products;
 Phi(t_k) = S_{k-1} ... S_0 is a blocked prefix product in about 2 sqrt(N)
 batched products.  The earliest failure is reported: a bad sample ahead of
 a divergence at the row it feeds or later, else the first non-finite row.
-:func:`generator_samples` gives G(t) itself on the grid, under the same
-sample checks, with no propagation; :func:`tcl_propagator` gives the
-family and those samples from one evaluation.
+:func:`tcl_pass` is the one time-local entry: it gives G(t) itself on the
+grid, and the family from the same evaluation when asked for it.
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -256,10 +255,12 @@ def _prefix_product(steps: np.ndarray) -> np.ndarray:
     return out[: m + 1]
 
 
-def _tcl_pass(gen: TclGenerator, grid: TimeGrid, propagate: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
+def tcl_pass(gen: TclGenerator, grid: TimeGrid, propagate: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
     """(maps (N, dd, dd) or None, G(t) at the grid points (N, dd, dd)) from
     one ``evaluate`` call at t_0, t_0 + h/2, t_1, ..., t_{N-1}.  Without
-    ``propagate`` only the samples are checked."""
+    ``propagate`` only the samples are checked: the earliest sample that has
+    the wrong shape, is not finite or fails trace preservation is reported
+    with its time and class."""
     if not grid.is_uniform():
         raise ContractViolationError("solve on a uniform grid")
     h, ts, dd = grid.dt, grid.points, gen.matrix_dim
@@ -303,21 +304,6 @@ def _tcl_pass(gen: TclGenerator, grid: TimeGrid, propagate: bool = True) -> tupl
     if shape_error is not None:
         raise shape_error
     return maps, samples[::2].copy()  # not a view that keeps the midpoints alive
-
-
-def generator_samples(gen: TclGenerator, grid: TimeGrid) -> np.ndarray:
-    """G(t) at every grid point, stacked (N, dd, dd), from the one
-    evaluation :func:`build_propagator` makes and under its sample checks:
-    the earliest sample that has the wrong shape, is not finite or fails
-    trace preservation is reported with its time and class."""
-    return _tcl_pass(gen, grid, propagate=False)[1]
-
-
-def tcl_propagator(gen: TclGenerator, grid: TimeGrid) -> tuple[PropagatorFamily, np.ndarray]:
-    """The propagator family of ``gen`` (:func:`build_propagator`) and its
-    samples on the grid (:func:`generator_samples`), from one evaluation."""
-    maps, samples = _tcl_pass(gen, grid)
-    return PropagatorFamily(grid, maps, gen.kind, gen.dim), samples
 
 
 def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -> Trajectory:
@@ -447,7 +433,11 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
     lags = b_lags[:block].copy()
     lags[0] = eye - c * table[0]
     lags[1:2] -= eye
-    tinv = _toeplitz_inverse(lags)
+    try:
+        tinv = _toeplitz_inverse(lags)
+    except np.linalg.LinAlgError:  # A_0 = I - c K_0 is singular: no step can be taken
+        t = float(grid.points[1])
+        raise IntegrationDivergedError(f"integration diverged at t={t:g}: singular step matrix", time=t) from None
     real = not np.iscomplexobj(ys)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
 
@@ -515,7 +505,7 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     canonical probability basis vectors for classical ones (yielding the
     stochastic propagator T(t, 0))."""
     if isinstance(source, TclGenerator):
-        raw = _tcl_pass(source, grid)[0]
+        raw = tcl_pass(source, grid)[0]
     elif isinstance(source, MemoryKernel):
         eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
         raw = volterra_propagate(source, eye, grid)

@@ -2,12 +2,12 @@
 
 Conventions (stable across runs so outputs are byte-identical):
 
-* floats print with repr-faithful '%.17g'.  The trajectory, generator,
-  rate and information-series tables go through one encoder that works
-  on chunks of at most ``_CHUNK_CELLS`` cells: it formats each distinct
-  float bit pattern of a chunk once, gives +0.0, empty and flag cells
-  fixed tokens, and builds the chunk's bytes with numpy gathers.  The
-  output is byte-identical to formatting each cell with :func:`fmt`;
+* floats print with repr-faithful '%.17g'.  The trajectory, generator
+  and rate tables go through one encoder that works on chunks of at most
+  ``_CHUNK_CELLS`` cells: it formats each distinct float bit pattern of a
+  chunk once, gives +0.0, empty and flag cells fixed tokens, and builds
+  the chunk's bytes with numpy gathers.  The output is byte-identical to
+  formatting each cell with :func:`fmt`;
 * ``sweep_csv`` formats its mixed-type cells one by one with :func:`fmt`;
 * files are written atomically (temp file + rename);
 * trajectory CSV header is ``t`` followed by flattened state labels,
@@ -23,7 +23,6 @@ import tempfile
 
 import numpy as np
 
-from .information import InfoSeries
 from .phase_diagram import SweepResult
 from .states import Trajectory
 
@@ -157,10 +156,6 @@ def trajectory_csv(traj: Trajectory) -> str:
     else:
         header = "t," + ",".join(f"p_{i}" for i in range(traj.dim))
     return _encode_table(header, traj.grid.points, traj.states)
-
-
-def info_series_csv(series: InfoSeries) -> str:
-    return _encode_table("t,value,skipped", series.grid.points, series.values, flags=series.skipped())
 
 
 def sampled_generator_csv(gen) -> str:

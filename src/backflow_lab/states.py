@@ -84,6 +84,19 @@ class ProbabilityVector:
         return self.entries.size
 
 
+def run_intervals(flagged: np.ndarray, ts: np.ndarray, h: float) -> tuple:
+    """(lo, hi) of each run of flagged points, widened by h/2 on each side
+    that has a neighbour; run starts and ends come from one ``np.diff``.
+    :meth:`TimeGrid.within` of the result is ``flagged`` again wherever the
+    grid steps exceed h/2."""
+    edges = np.diff(flagged.astype(np.int8), prepend=0, append=0)
+    first = np.flatnonzero(edges == 1)
+    last = np.flatnonzero(edges == -1) - 1
+    lo = ts[first] - np.where(first > 0, h / 2, 0.0)
+    hi = ts[last] + np.where(last < ts.shape[0] - 1, h / 2, 0.0)
+    return tuple(zip(lo.tolist(), hi.tolist()))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing sample times starting at 0.

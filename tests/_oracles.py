@@ -69,6 +69,20 @@ def entropy_scalar(p) -> float:
     return float(-np.sum(p[mask] * np.log(p[mask])))
 
 
+def binary_entropy(p: float) -> float:
+    """-p log p - (1 - p) log(1 - p) in nats, 0 log 0 = 0."""
+    return entropy_scalar([p, 1.0 - p])
+
+
+def two_state_split(p: float, b: float) -> tuple[float, float]:
+    """(s_cl, s_qe) of the 2x2 state [[p, c], [c*, 1 - p]] with |c|^2 = b:
+    s_cl is the binary entropy of p, and s_qe is the entropy of the
+    eigenvalues 1/2 +- r, r = sqrt((p - 1/2)^2 + b), less s_cl."""
+    r = float(np.sqrt((p - 0.5) ** 2 + b))
+    s_cl = binary_entropy(p)
+    return s_cl, entropy_scalar([0.5 + r, 0.5 - r]) - s_cl
+
+
 # Per-state measures written independently of the package's batched ones
 # (one eigendecomposition per state): the reference the batched series are
 # checked against.

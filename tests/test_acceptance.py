@@ -36,17 +36,13 @@ from backflow_lab.models import (
     fractional_two_state,
     markov_two_state,
 )
-from backflow_lab.netfd import (
-    coincident_rise_intervals,
-    two_state_entropy_series,
-    two_state_series_from_trajectory,
-)
+from backflow_lab.netfd import coincident_rise_intervals, two_state_series_from_trajectory
 from backflow_lab.propagation import TclGenerator
 from backflow_lab.serialize import sweep_csv
 from backflow_lab.special_functions import mittag_leffler_neg
 
 from _oracles import constant
-from backflow_lab.states import ProbabilityVector
+from backflow_lab.states import ProbabilityVector, Trajectory
 
 
 def report(criterion, text):
@@ -209,7 +205,9 @@ def test_criterion_7_decomposition_bound_and_sharp_additivity():
     # functions of one oscillating coherence, so rise steps coincide
     c = 0.3 * np.exp(-grid.points) * (1.0 + 0.3 * np.cos(5.0 * grid.points))
     p = 0.5 - 0.4 * c
-    s_cl, s_qe = two_state_entropy_series(grid, p, c**2)
+    states = np.zeros((grid.n, 2, 2), dtype=complex)
+    states[:, 0, 0], states[:, 1, 1], states[:, 0, 1], states[:, 1, 0] = p, 1.0 - p, c, c
+    s_cl, s_qe = two_state_series_from_trajectory(Trajectory(grid, states, "quantum"))
     assert coincident_rise_intervals(s_cl, s_qe)
     decomp = decomposed_backflow(s_cl, s_qe)
     sharp_defect = abs(decomp.n_total - (decomp.n_cl + decomp.n_qe))

@@ -7,7 +7,7 @@ import backflow_lab.analysis as analysis
 import backflow_lab.propagation as propagation
 from backflow_lab import ConfigError, TimeGrid
 from backflow_lab.generator_analysis import SampledGenerator, check_divisible, extract_tcl_generator
-from backflow_lab.models import build_model
+from backflow_lab.models import MODEL_REGISTRY, build_model
 
 GRID = TimeGrid.uniform(1e-2, 2.0)
 
@@ -29,8 +29,8 @@ class TestPropagate:
     )
     def test_auto_is_first_offered_route(self, name, route, trajectory_solver):
         model = build_model(name, {})
-        auto, _ = analysis.propagate(model, GRID, "auto", propagator=False)
-        explicit, _ = analysis.propagate(model, GRID, route, propagator=False)
+        auto, _ = analysis.propagate(model, GRID, "auto", generator=False)
+        explicit, _ = analysis.propagate(model, GRID, route, generator=False)
         assert np.array_equal(auto.states, explicit.states)
         if trajectory_solver is not None:
             solver = getattr(propagation, trajectory_solver)
@@ -39,9 +39,28 @@ class TestPropagate:
 
     def test_auto_falls_back_to_the_kernel(self):
         model = kernel_only(build_model("classical_exp_kernel", {"tau_m": 0.5}))
-        traj, family = analysis.propagate(model, GRID)
-        assert np.array_equal(traj.states, propagation.solve_tc(model.kernel, model.initial_state, GRID).states)
-        assert np.array_equal(family.maps, propagation.build_propagator(model.kernel, GRID).maps)
+        family = propagation.build_propagator(model.kernel, GRID)
+        traj, gen = analysis.propagate(model, GRID)
+        assert np.array_equal(traj.states, propagation.apply_family(family, model.initial_state).states)
+        assert np.array_equal(gen.samples, extract_tcl_generator(family).samples)
+        alone, _ = analysis.propagate(model, GRID, generator=False)
+        assert np.array_equal(alone.states, propagation.solve_tc(model.kernel, model.initial_state, GRID).states)
+
+    @pytest.mark.parametrize(
+        "name, params", [("classical_exp_kernel", {"tau_m": 0.5}), ("dephasing_qubit", {"rate_kind": "cosine_f"})]
+    )
+    def test_closed_form_reuses_the_family_for_both(self, name, params):
+        """With the generator asked for, the closed-form trajectory is the
+        family applied to the initial state, with the bits of the model's
+        own trajectory_fn, which is not called."""
+        model = build_model(name, params)
+        family = model.propagator_fn(GRID)
+        own = model.trajectory_fn(GRID)
+        model = dataclasses.replace(model, trajectory_fn=lambda grid: pytest.fail("trajectory_fn called"))
+        traj, gen = analysis.propagate(model, GRID, "closed_form")
+        assert np.array_equal(traj.states, propagation.apply_family(family, model.initial_state).states)
+        assert np.array_equal(traj.states, own.states)
+        assert np.array_equal(gen.samples, extract_tcl_generator(family).samples)
 
     @pytest.mark.parametrize("route", ["bogus", "embedding", "", None, 3])
     def test_unknown_route(self, route):
@@ -70,19 +89,20 @@ class TestPropagate:
     @pytest.mark.parametrize("route", ["closed_form", "tcl"])
     def test_parts_not_asked_for_are_none(self, route):
         model = build_model("dephasing_qubit", {"rate_kind": "sinusoidal"})
-        traj, family = analysis.propagate(model, GRID, route, trajectory=False)
-        assert traj is None and family is not None
-        traj, family = analysis.propagate(model, GRID, route, propagator=False)
-        assert traj is not None and family is None
+        traj, gen = analysis.propagate(model, GRID, route, trajectory=False)
+        assert traj is None and gen is not None
+        traj, gen = analysis.propagate(model, GRID, route, generator=False)
+        assert traj is not None and gen is None
 
     def test_closed_form_without_propagator(self):
-        traj, family = analysis.propagate(build_model("fractional_two_state", {}), GRID)
-        assert traj is not None and family is None
+        traj, gen = analysis.propagate(build_model("fractional_two_state", {}), GRID)
+        assert traj is not None and gen is None
 
     @pytest.mark.parametrize("name", ["amplitude_damping_qubit", "dephasing_qubit"])
     def test_tcl_route_takes_one_rk4_pass_for_both(self, monkeypatch, name):
-        """One family gives both parts: one RK4 power table for the constant
-        generator, one blocked prefix product for the time-dependent one."""
+        """One evaluation gives both parts: one RK4 power table for the
+        constant generator, one blocked prefix product for the
+        time-dependent one, and the generator is the samples of that pass."""
         model = build_model(name, {"rate_kind": "sinusoidal"} if name == "dephasing_qubit" else {})
         passes = []
         prefix, table = propagation._prefix_product, propagation.rk4_power_table
@@ -97,11 +117,11 @@ class TestPropagate:
 
         monkeypatch.setattr(propagation, "_prefix_product", counting_prefix)
         monkeypatch.setattr(propagation, "rk4_power_table", counting_table)
-        traj, family = analysis.propagate(model, GRID, "tcl")
+        traj, gen = analysis.propagate(model, GRID, "tcl")
         assert passes == (["table"] if name == "amplitude_damping_qubit" else ["prefix"])
-        gen = model.tcl_generator
-        assert np.array_equal(traj.states, propagation.solve_tcl(gen, model.initial_state, GRID).states)
-        assert np.array_equal(family.maps, propagation.build_propagator(gen, GRID).maps)
+        source = model.tcl_generator
+        assert np.array_equal(traj.states, propagation.solve_tcl(source, model.initial_state, GRID).states)
+        assert np.array_equal(gen.samples, propagation.tcl_pass(source, GRID, propagate=False)[1])
 
 
 class TestAnalyze:
@@ -136,7 +156,7 @@ class TestAnalyze:
                 "dephasing_qubit",
                 {"rate_kind": "sinusoidal"},
                 "tcl",
-                lambda m, g: SampledGenerator(g, propagation.generator_samples(m.tcl_generator, g), "quantum", 2),
+                lambda m, g: SampledGenerator(g, propagation.tcl_pass(m.tcl_generator, g, propagate=False)[1], "quantum", 2),
             ),
         ],
     )
@@ -163,8 +183,71 @@ class TestTclGeneratorIsTheInput:
     def test_no_family_is_built_for_the_generator(self, monkeypatch):
         model = build_model("dephasing_qubit", {"rate_kind": "sinusoidal"})
         monkeypatch.setattr(analysis, "build_propagator", lambda *args: pytest.fail("family built"))
+        monkeypatch.setattr(propagation, "_prefix_product", lambda *args: pytest.fail("family built"))
         monkeypatch.setattr(analysis, "extract_tcl_generator", lambda *args: pytest.fail("generator extracted"))
-        traj, gen = analysis.sampled_generator(model, GRID, "tcl")
+        traj, gen = analysis.propagate(model, GRID, "tcl", trajectory=False)
         assert traj is None and gen.gaps == ()
-        want = propagation.generator_samples(model.tcl_generator, GRID)
+        want = propagation.tcl_pass(model.tcl_generator, GRID, propagate=False)[1]
         assert np.array_equal(gen.samples, want)
+
+
+# every built-in model, with each decoherence choice of dephasing_qubit
+BUILT_IN = [(name, {}) for name in sorted(MODEL_REGISTRY) if name != "dephasing_qubit"] + [
+    ("dephasing_qubit", {"rate_kind": kind}) for kind in ("constant", "sinusoidal", "cosine_f")
+]
+
+
+def offered_routes(model):
+    sources = (model.trajectory_fn, model.tcl_generator, model.kernel)
+    return [route for route, source in zip(analysis.ROUTES, sources) if source is not None]
+
+
+class TestOneSolvePerPoint:
+    """One analyze runs each part of the route once: at most one numerical
+    solve (a Volterra solve, an RK4 power table or a blocked prefix product)
+    and at most one call of each closed form."""
+
+    @pytest.mark.parametrize(
+        "name, params, route",
+        [(n, p, r) for n, p in BUILT_IN for r in offered_routes(build_model(n, p))],
+        ids=lambda value: value.get("rate_kind", "defaults") if isinstance(value, dict) else value,
+    )
+    def test_at_most_one_solve(self, monkeypatch, name, params, route):
+        import backflow_lab.models as models
+
+        calls = []
+
+        def counting(label, fn):
+            return lambda *args: calls.append(label) or fn(*args)
+
+        for module, attr in (
+            (propagation, "volterra_propagate"),
+            (propagation, "rk4_power_table"),
+            (propagation, "_prefix_product"),
+            (models, "rk4_power_table"),
+        ):
+            monkeypatch.setattr(module, attr, counting("solve", getattr(module, attr)))
+        model = build_model(name, params)
+        closed = {
+            field: counting(field, getattr(model, field))
+            for field in ("trajectory_fn", "propagator_fn")
+            if getattr(model, field) is not None
+        }
+        model = dataclasses.replace(model, **closed)
+        measures = ["kl"] if model.kind == "classical" else ["rel_entropy"]
+        analysis.analyze(model, GRID, route, measures, 1e-6, 1e-7)
+        # closed forms solve nothing, except the embedding's power table
+        solves = 0 if route == "closed_form" and name != "classical_exp_kernel" else 1
+        assert calls.count("solve") == solves
+        assert calls.count("trajectory_fn") <= 1 and calls.count("propagator_fn") <= 1
+
+    def test_tc_trajectory_is_the_family_applied(self):
+        """On tc with the generator asked for, the trajectory is the family
+        applied to the initial state, within 1e-14 of the one-column solve."""
+        model = build_model("classical_exp_kernel", {"tau_m": 0.5})
+        grid = TimeGrid.uniform(1e-3, 16.0)
+        traj, _ = analysis.propagate(model, grid, "tc")
+        alone, none = analysis.propagate(model, grid, "tc", generator=False)
+        assert none is None
+        assert np.array_equal(alone.states, propagation.solve_tc(model.kernel, model.initial_state, grid).states)
+        assert np.max(np.abs(traj.states - alone.states)) <= 1e-14

@@ -137,6 +137,7 @@ class TestSimulate:
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 3
         assert "numerical failure: negative probability at t=1.31" in capsys.readouterr().err
 
+
 class TestExtract:
     def test_generator_csv_and_gaps(self, tmp_path):
         config = write_config(
@@ -259,6 +260,22 @@ class TestRoutes:
         report.pop("rates_csv_path")
         assert block == report
 
+    @pytest.mark.parametrize("command", ["simulate", "extract", "backflow"])
+    def test_singular_memory_kernel_step_exits_3(self, tmp_path, command):
+        """A kernel too large for the first Volterra step is a numerical
+        failure: exit 3 and one line on stderr, no traceback."""
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "classical_exp_kernel", "params": {"gamma": 1e21}},
+                "grid": {"dt": 0.01, "t_max": 1.0},
+                "route": "tc",
+            },
+        )
+        done = run_module(command, "--config", config, "--out", str(tmp_path / "out"))
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == ["numerical failure: integration diverged at t=0.01: singular step matrix"]
+
 
 class TestTclRoute:
     """On ``tcl`` the generator is the input: ``extract`` writes G(t) itself
@@ -346,9 +363,7 @@ class TestBackflow:
         def counting(label, fn):
             return lambda *a, **k: built.append(label) or fn(*a, **k)
 
-        monkeypatch.setattr(
-            netfd, "two_state_entropy_series", counting("pair", netfd.two_state_entropy_series)
-        )
+        monkeypatch.setattr(netfd, "_sector_entropies", counting("pair", netfd._sector_entropies))
         monkeypatch.setattr(information, "kl_divergences", counting("kl", information.kl_divergences))
         config = write_config(
             tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 4.0}, "measures": measures}
@@ -392,15 +407,32 @@ class TestBackflow:
         assert len(passes) == 1
         monkeypatch.setattr(
             analysis,
-            "sampled_generator",
-            lambda model, grid, route, trajectory: (
+            "propagate",
+            lambda model, grid, route: (
                 propagation.solve_tcl(model.tcl_generator, model.initial_state, grid),
-                SampledGenerator(grid, propagation.generator_samples(model.tcl_generator, grid), "quantum", 2),
+                SampledGenerator(
+                    grid, propagation.tcl_pass(model.tcl_generator, grid, propagate=False)[1], "quantum", 2
+                ),
             ),
         )
         assert main(["backflow", "--config", config, "--out", str(separate)]) == 0
         assert len(passes) == 2
         assert (fused / "backflow.json").read_bytes() == (separate / "backflow.json").read_bytes()
+
+    def test_backflow_with_infinite_series_values_is_quiet(self, tmp_path):
+        """Support mismatches give +inf values at skipped points; the run
+        exits 0 with nothing on stderr."""
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "markov_two_state", "params": {"p_eq": 1, "p0": 0.5}},
+                "grid": {"t_max": 40},
+                "measures": ["rel_entropy"],
+            },
+        )
+        done = run_module("backflow", "--config", config, "--out", str(tmp_path))
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads((tmp_path / "backflow.json").read_text())["measures"]["rel_entropy"]["has_infinite"]
 
     @pytest.mark.parametrize("measures", ["kl", [["kl"]], [1]])
     def test_malformed_measures_exit_2(self, tmp_path, measures):

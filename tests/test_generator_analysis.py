@@ -188,13 +188,13 @@ class TestGapIntervals:
         yield edges
 
     def test_matches_per_point_loop(self):
-        from backflow_lab.generator_analysis import _gap_intervals
+        from backflow_lab.states import run_intervals
 
         for flagged in self.masks():
             grid = TimeGrid.uniform(0.013, 0.013 * (flagged.size - 1)) if flagged.size > 1 else None
             ts = grid.points if grid is not None else np.array([0.0])
             h = grid.dt if grid is not None else 0.013
-            got = _gap_intervals(flagged, ts, h)
+            got = run_intervals(flagged, ts, h)
             want = gap_intervals_loop(flagged, ts, h)
             assert got == want and all(type(x) is float for gap in got for x in gap)
             assert [a.hex() for gap in got for a in gap] == [a.hex() for gap in want for a in gap]
@@ -204,8 +204,9 @@ def extract_with_copies(family, condition_limit=1e8):
     """Generator extraction as first batched: the well-conditioned maps and
     derivatives copied out, a separate zero sample table, and the
     trace-row projection built from full temporaries."""
-    from backflow_lab.generator_analysis import EXTRACTION_TRACE_TOL, _derivative_4th, _gap_intervals
+    from backflow_lab.generator_analysis import EXTRACTION_TRACE_TOL, _derivative_4th
     from backflow_lab.linalg import conservation_row
+    from backflow_lab.states import run_intervals
 
     maps = np.asarray(family.maps)
     h = family.grid.dt
@@ -227,7 +228,7 @@ def extract_with_copies(family, condition_limit=1e8):
     g_ok[bad] = 0.0
     samples[ok] = g_ok
     flagged[np.nonzero(ok)[0][bad]] = True
-    return samples, _gap_intervals(flagged, ts, h)
+    return samples, run_intervals(flagged, ts, h)
 
 
 class TestExtractionWithoutCopies:

@@ -31,6 +31,7 @@ from _oracles import (
     random_density_matrix,
     relative_entropy_oracle,
     trace_distance_oracle,
+    two_state_split,
     von_neumann_entropy_oracle,
 )
 
@@ -156,6 +157,33 @@ class TestInfoSeries:
         assert series.has_infinite()
         assert np.all(series.skipped())
 
+    def test_one_skip_interval_per_run(self):
+        """Non-finite values are encoded as one skip interval per run; the
+        mask is the per-point one, and passed intervals are kept."""
+        grid = TimeGrid.uniform(0.01, 3.0)
+        rng = np.random.default_rng(4)
+        x = np.where(rng.random(grid.n) < 0.3, 0.0, 0.2)
+        x[:7] = 0.2  # a run at the first point
+        x[-5:] = 0.2  # and one at the last
+        traj = Trajectory(grid, np.stack([1.0 - x, x], axis=1), "classical")
+        given = ((1.0, 1.2),)
+        series = series_from_trajectory(traj, "kl", ProbabilityVector([1.0, 0.0]), skip_intervals=given)
+        bad = ~np.isfinite(series.values)
+        runs = int(np.sum(np.diff(bad.astype(int), prepend=0) == 1))
+        assert bad[0] and bad[-1] and runs > 10
+        assert series.skip_intervals[: len(given)] == given
+        assert len(series.skip_intervals) == len(given) + runs
+        assert np.array_equal(series.skipped(), bad | grid.within(given))
+        per_point = grid.within([(t - 0.005, t + 0.005) for t in grid.points[bad]])
+        assert np.array_equal(grid.within(series.skip_intervals[len(given) :]), per_point)
+
+    def test_all_infinite_series_is_one_interval(self):
+        grid = TimeGrid.uniform(1e-3, 20.0)
+        traj = Trajectory(grid, np.tile([0.5, 0.5], (grid.n, 1)), "classical")
+        series = series_from_trajectory(traj, "kl", ProbabilityVector([1.0, 0.0]))
+        assert series.skip_intervals == ((0.0, grid.t_max),)
+        assert np.all(series.skipped())
+
     def test_tail_residual(self):
         grid = TimeGrid.uniform(0.5, 2.0)
         series = InfoSeries(grid, np.array([3.0, 1.0, 2.0, 2.5, 2.2]), "vn_entropy")
@@ -208,6 +236,23 @@ class TestBackflowFunctional:
 
         coarse, fine = n_at(1e-3), n_at(5e-4)
         assert abs(coarse - fine) / fine <= 0.01
+
+    def test_infinite_skipped_values_raise_no_warning(self):
+        """+inf values at skipped points (a support mismatch) leave the
+        counted increments as they are, with no numpy warning."""
+        import warnings
+
+        from backflow_lab.models import markov_two_state
+
+        model = markov_two_state(p0=0.5, p_eq=1.0)
+        traj = model.trajectory_fn(TimeGrid.uniform(1e-2, 40.0))
+        series = series_from_trajectory(traj, "rel_entropy", reference=model.reference_state)
+        finite = np.isfinite(series.values)
+        assert not finite[0] and finite[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = backflow_functional(series)
+        assert value == pytest.approx(positive_variation(series.values[finite]), abs=1e-15)
 
     def test_too_few_points_rejected(self):
         grid = TimeGrid.uniform(0.5, 1.0)
@@ -295,8 +340,6 @@ class TestBatchedSeries:
 
     @pytest.mark.parametrize("name", TWO_LEVEL_MODELS[:4])
     def test_sector_series_match_scalar_split(self, name):
-        from backflow_lab.netfd import TwoStateNetfdParams, decompose_two_state
-
         _, traj = _model_trajectory(name, TimeGrid.uniform(5e-3, 6.0))
         s_cl = series_from_trajectory(traj, "s_cl").values
         s_qe = series_from_trajectory(traj, "s_qe").values
@@ -304,25 +347,21 @@ class TestBatchedSeries:
         for rho in traj.states:
             p = rho[0, 0].real
             b = min(abs(rho[0, 1]) ** 2, p * (1.0 - p))
-            split.append(decompose_two_state(TwoStateNetfdParams(p, math.sqrt(b))))
+            split.append(two_state_split(p, b))
         split = np.array(split)
         assert np.array_equal(s_cl, split[:, 0])
-        # the batched split takes 1/2 - r where the scalar one takes
+        # the batched split takes 1/2 - r where the oracle takes
         # 1 - (1/2 + r), so the last bit may differ
         np.testing.assert_allclose(s_qe, split[:, 1], rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", TWO_LEVEL_MODELS[:4])
     def test_extended_entropy_matches_thermofield_round_trip(self, name):
-        from backflow_lab.netfd import (
-            extended_entropy,
-            extended_reduced_density,
-            thermofield_vector,
-        )
+        from backflow_lab.netfd import extended_reduced_density, thermofield_vector
 
         _, traj = _model_trajectory(name, TimeGrid.uniform(2e-2, 6.0))
         series = series_from_trajectory(traj, "extended_entropy")
         round_trip = [
-            extended_entropy(extended_reduced_density(thermofield_vector(DensityMatrix(state))))
+            von_neumann_entropy(extended_reduced_density(thermofield_vector(DensityMatrix(state))))
             for state in traj.states
         ]
         np.testing.assert_allclose(series.values, round_trip, rtol=0.0, atol=1e-12)

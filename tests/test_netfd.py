@@ -9,23 +9,35 @@ from backflow_lab import (
     ContractViolationError,
     DensityMatrix,
     InfoSeries,
-    NotPsdError,
+    InvalidStateError,
     ThermoFieldState,
     TimeGrid,
-    TwoStateNetfdParams,
-    backflow_functional,
+    Trajectory,
     coincident_rise_intervals,
-    decompose_two_state,
     decomposed_backflow,
-    extended_entropy,
     extended_reduced_density,
     thermofield_vector,
-    two_state_entropy_series,
     von_neumann_entropy,
 )
 from backflow_lab.netfd import two_state_series_from_trajectory
 from backflow_lab.models import markov_two_state
-from _oracles import random_density_matrix
+from _oracles import binary_entropy, random_density_matrix, two_state_split
+
+
+def two_state_trajectory(grid, p, c):
+    """Trajectory of the states [[p, c], [c*, 1 - p]] on ``grid``."""
+    p, c = np.broadcast_to(p, grid.n), np.broadcast_to(c, grid.n)
+    states = np.empty((grid.n, 2, 2), dtype=complex)
+    states[:, 0, 0], states[:, 1, 1] = p, 1.0 - p
+    states[:, 0, 1], states[:, 1, 0] = c, np.conj(c)
+    return Trajectory(grid, states, "quantum")
+
+
+def split(p, c):
+    """(s_cl, s_qe) of the state [[p, c], [c*, 1 - p]], read off the
+    sector series of a constant two-point trajectory."""
+    s_cl, s_qe = two_state_series_from_trajectory(two_state_trajectory(TimeGrid.uniform(1.0, 1.0), p, c))
+    return float(s_cl.values[0]), float(s_qe.values[0])
 
 
 class TestThermofieldVector:
@@ -75,28 +87,39 @@ class TestExtendedReducedDensity:
     def test_extended_entropy_equals_vn_entropy(self):
         rng = np.random.default_rng(5)
         rho = random_density_matrix(2, rng)
-        s_hat = extended_entropy(extended_reduced_density(thermofield_vector(rho)))
+        s_hat = von_neumann_entropy(extended_reduced_density(thermofield_vector(rho)))
         assert s_hat == pytest.approx(von_neumann_entropy(rho), abs=1e-10)
 
 
 class TestTwoStateDecomposition:
     def test_zero_coherence(self):
-        s_cl, s_qe = decompose_two_state(TwoStateNetfdParams(p=0.3, c=0.0))
+        s_cl, s_qe = split(0.3, 0.0)
         assert s_cl == pytest.approx(0.6108643020548935, abs=1e-12)
         assert s_qe == 0.0
 
     def test_maximal_coherence_pure(self):
-        s_cl, s_qe = decompose_two_state(TwoStateNetfdParams(p=0.5, c=0.5))
+        s_cl, s_qe = split(0.5, 0.5)
         assert s_cl == pytest.approx(math.log(2), abs=1e-12)
         assert s_qe == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_quarter_coherence_value(self):
         # eigenvalues 1/2 +- |c| at p = 1/2
-        s_cl, s_qe = decompose_two_state(TwoStateNetfdParams(p=0.5, c=0.25))
+        s_cl, s_qe = split(0.5, 0.25)
         s_hat = entropy_of([0.75, 0.25])
         assert s_cl == pytest.approx(math.log(2), abs=1e-12)
         assert s_qe == pytest.approx(s_hat - math.log(2), abs=1e-12)
         assert s_qe == pytest.approx(-0.1308120359411370, abs=1e-10)
+
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            p = rng.uniform(0.0, 1.0)
+            c = rng.uniform(0, math.sqrt(p * (1 - p))) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            s_cl, s_qe = split(p, c)
+            want_cl, want_qe = two_state_split(p, abs(c) ** 2)
+            assert s_cl == pytest.approx(binary_entropy(p), abs=1e-15)
+            assert s_cl == pytest.approx(want_cl, abs=1e-15)
+            assert s_qe == pytest.approx(want_qe, abs=1e-12)
 
     def test_sign_always_nonpositive(self):
         rng = np.random.default_rng(8)
@@ -104,30 +127,31 @@ class TestTwoStateDecomposition:
             p = rng.uniform(0.05, 0.95)
             cmax = math.sqrt(p * (1 - p))
             c = rng.uniform(0, cmax) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            _, s_qe = decompose_two_state(TwoStateNetfdParams(p=p, c=c))
+            _, s_qe = split(p, c)
             assert s_qe <= 1e-14
 
     def test_phase_invariance(self):
-        base = decompose_two_state(TwoStateNetfdParams(p=0.4, c=0.2))
+        base = split(0.4, 0.2)
         for k in range(8):
             phase = np.exp(1j * 2 * np.pi * k / 8)
-            got = decompose_two_state(TwoStateNetfdParams(p=0.4, c=0.2 * phase))
+            got = split(0.4, 0.2 * phase)
             assert got[0] == pytest.approx(base[0], abs=1e-12)
             assert got[1] == pytest.approx(base[1], abs=1e-12)
 
     def test_small_coherence_linear_bound(self):
         for b in (1e-4, 1e-5, 1e-6):
-            _, s_qe = decompose_two_state(TwoStateNetfdParams(p=0.5, c=math.sqrt(b)))
+            _, s_qe = split(0.5, math.sqrt(b))
             assert abs(s_qe) <= 5.0 * b
 
     def test_psd_violation_rejected(self):
-        with pytest.raises(NotPsdError):
-            TwoStateNetfdParams(p=0.9, c=0.4)
+        # a state beyond the PSD bound never reaches the split
+        with pytest.raises(InvalidStateError):
+            two_state_trajectory(TimeGrid.uniform(1.0, 1.0), 0.9, 0.4)
 
     def test_matrix_matches_entropy_route(self):
-        params = TwoStateNetfdParams(p=0.35, c=0.1 + 0.2j)
-        s_cl, s_qe = decompose_two_state(params)
-        rho = DensityMatrix(params.matrix())
+        p, c = 0.35, 0.1 + 0.2j
+        s_cl, s_qe = split(p, c)
+        rho = DensityMatrix(np.array([[p, c], [np.conj(c), 1.0 - p]], dtype=complex))
         assert s_cl + s_qe == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
 
 
@@ -168,7 +192,7 @@ class TestDecomposedBackflow:
         grid = TimeGrid.uniform(1e-3, 12.0)
         c = 0.3 * np.exp(-grid.points) * (1.0 + 0.3 * np.cos(5.0 * grid.points))
         p = 0.5 - 0.4 * c
-        s_cl, s_qe = two_state_entropy_series(grid, p, c**2)
+        s_cl, s_qe = two_state_series_from_trajectory(two_state_trajectory(grid, p, c))
         assert coincident_rise_intervals(s_cl, s_qe)
         d = decomposed_backflow(s_cl, s_qe)
         assert abs(d.n_total - (d.n_cl + d.n_qe)) <= 1e-6
@@ -198,9 +222,11 @@ class TestDecomposedBackflow:
         d = decomposed_backflow(a, b)  # raises if subadditivity fails
         assert d.n_total <= d.n_cl + d.n_qe + 1e-8
 
-    def test_psd_guard_in_series_builder(self):
+    def test_coherence_clipped_to_the_psd_bound(self):
+        # |c|^2 above p(1 - p) by rounding, inside the trajectory's PSD
+        # floor: the split is that of the pure state at the bound
         grid = TimeGrid.uniform(0.1, 1.0)
-        p = np.full(grid.n, 0.9)
-        b = np.full(grid.n, 0.2)  # exceeds p(1-p) = 0.09
-        with pytest.raises(NotPsdError):
-            two_state_entropy_series(grid, p, b)
+        traj = two_state_trajectory(grid, 0.9, math.sqrt(0.09 + 1e-11))
+        s_cl, s_qe = two_state_series_from_trajectory(traj)
+        assert np.all(np.isfinite(s_qe.values))
+        assert np.max(np.abs(s_cl.values + s_qe.values)) <= 1e-15

@@ -20,7 +20,7 @@ from backflow_lab import (
 from backflow_lab.errors import IntegrationDivergedError
 from backflow_lab.linalg import commutator_superop, conservation_row, dissipator_superop
 from backflow_lab.models import SIGMA_MINUS, SIGMA_Z, exp_kernel_difference_mode
-from backflow_lab.propagation import PropagatorFamily, apply_family
+from backflow_lab.propagation import PropagatorFamily, apply_family, tcl_pass
 from _oracles import constant, pointwise, random_density_matrix
 
 W_SYM = np.array([[-1.0, 1.0], [1.0, -1.0]])
@@ -32,6 +32,11 @@ def constant_quantum_generator(matrix):
 
 def constant_classical_generator(w):
     return TclGenerator(dim=w.shape[0], kind="classical", evaluate=constant(w))
+
+
+def samples_of(gen, grid):
+    """G(t) on the grid from a pass without propagation."""
+    return tcl_pass(gen, grid, propagate=False)[1]
 
 
 def interleaved_times(grid):
@@ -471,6 +476,24 @@ class TestVolterraBlockSolve:
             solve_tc(kernel, ProbabilityVector([1.0, 0.0]), grid)
         assert got.value.time == t_ref
 
+    @pytest.mark.parametrize("solve", ["volterra_propagate", "solve_tc", "build_propagator"])
+    def test_singular_first_step_diverges_at_t1(self, solve):
+        """A kernel so large that A_0 = I - (h^2/4) K_0 is singular in float
+        cannot take the first step: the failure is named at t_1."""
+        import backflow_lab.propagation as propagation
+        from backflow_lab.models import classical_exp_kernel
+
+        model = classical_exp_kernel(gamma=1e21)
+        grid = TimeGrid.uniform(0.01, 1.0)
+        args = {
+            "volterra_propagate": (model.kernel, np.array([1.0, 0.0]), grid),
+            "solve_tc": (model.kernel, model.initial_state, grid),
+            "build_propagator": (model.kernel, grid),
+        }[solve]
+        with pytest.raises(IntegrationDivergedError, match="t=0.01") as got:
+            getattr(propagation, solve)(*args)
+        assert got.value.time == grid.points[1]
+
     def test_huge_states_do_not_overflow_the_merges(self):
         """The scheme is linear in y0: states of size 1e306 are 1e306 times
         the states of size 1, although an unscaled FFT over a block of 128
@@ -823,23 +846,6 @@ class TestRk4PowerTable:
         assert np.max(np.abs(model.propagator_fn(grid).maps - want_maps)) <= 1e-12
         assert np.max(np.abs(model.trajectory_fn(grid).states - want_states)) <= 1e-12
 
-    def test_embedding_trajectory_and_propagator_share_one_table(self, monkeypatch):
-        import backflow_lab.models as models
-
-        tables = []
-        table = models.rk4_power_table
-
-        def counting(*args):
-            tables.append(1)
-            return table(*args)
-
-        monkeypatch.setattr(models, "rk4_power_table", counting)
-        model = models.classical_exp_kernel(n=3, gamma=1.0, tau_m=0.5)
-        grid = TimeGrid.uniform(1e-2, 4.0)
-        traj, family = model.trajectory_fn(grid), model.propagator_fn(grid)
-        assert tables == [1]
-        assert np.array_equal(traj.states, apply_family(family, model.initial_state).states)
-
     def test_random_constant_gksl_d3_matches_prefix_of_equal_steps(self):
         gen = constant_gksl_d3(np.random.default_rng(11))
         grid = TimeGrid.uniform(1e-2, 3.0)
@@ -905,13 +911,11 @@ class TestGeneratorSamples:
         return evaluate
 
     def test_time_dependent_generator_evaluated_in_one_call(self):
-        from backflow_lab.propagation import generator_samples
-
         grid = TimeGrid.uniform(1e-2, 2.0)
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
         calls = []
         evaluate = self.recording(lambda t: (1.0 + math.sin(t)) * d, calls)
-        samples = generator_samples(TclGenerator(dim=2, kind="quantum", evaluate=evaluate), grid)
+        samples = samples_of(TclGenerator(dim=2, kind="quantum", evaluate=evaluate), grid)
         assert len(calls) == 1 and np.array_equal(calls[0], interleaved_times(grid))
         assert np.array_equal(samples, np.array([(1.0 + math.sin(t)) * d for t in grid.points.tolist()]))
 
@@ -928,7 +932,7 @@ class TestGeneratorSamples:
         monkeypatch.setattr(propagation, "_check_samples", counting)
         g = dissipator_superop(SIGMA_MINUS)
         grid = TimeGrid.uniform(1e-2, 1.0)
-        samples = propagation.generator_samples(constant_quantum_generator(g), grid)
+        samples = samples_of(constant_quantum_generator(g), grid)
         assert checked == [1]
         assert samples.shape == (grid.n, 4, 4) and np.array_equal(samples, np.broadcast_to(g, samples.shape))
 
@@ -941,10 +945,8 @@ class TestGeneratorSamples:
         ],
     )
     def test_bad_constant_matrix(self, matrix, error, message):
-        from backflow_lab.propagation import generator_samples
-
         with pytest.raises(error, match=message):
-            generator_samples(constant_quantum_generator(matrix), TimeGrid.uniform(0.1, 1.0))
+            samples_of(constant_quantum_generator(matrix), TimeGrid.uniform(0.1, 1.0))
 
     @pytest.mark.parametrize(
         "first, second, error, message",
@@ -959,22 +961,20 @@ class TestGeneratorSamples:
     def test_earliest_bad_sample_named_with_its_class(self, first, second, error, message):
         """Of two bad samples, at t = 0.5 and t = 1.5, the earlier one is
         reported, with the class the propagator build gives it."""
-        from backflow_lab.propagation import generator_samples
-
         g = dissipator_superop(SIGMA_Z / np.sqrt(2))
         bad = {0.5: first, 1.5: second}
         gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: bad.get(round(t, 9), g)))
-        for route in (generator_samples, build_propagator):
+        for route in (samples_of, build_propagator):
             with pytest.raises(error, match=message) as raised:
                 route(gen, TimeGrid.uniform(0.1, 2.0))
             if error is IntegrationDivergedError:
                 assert raised.value.time == 0.5
 
     def test_rk4_pass_hands_on_its_on_grid_samples(self):
-        """The family and the samples of one pass are those of the two
-        separate calls, from one evaluate call at 2N - 1 strictly increasing
-        times whose even entries are the grid points."""
-        from backflow_lab.propagation import generator_samples, tcl_propagator
+        """The maps and the samples of one pass are those of the propagator
+        build and of a pass without propagation, from one evaluate call at
+        2N - 1 strictly increasing times whose even entries are the grid
+        points."""
 
         grid = TimeGrid.uniform(1e-2, 3.0)
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
@@ -982,25 +982,24 @@ class TestGeneratorSamples:
         gen = TclGenerator(
             dim=2, kind="quantum", evaluate=self.recording(lambda t: (1.0 + 0.5 * math.sin(t)) * d, calls)
         )
-        family, samples = tcl_propagator(gen, grid)
+        maps, samples = tcl_pass(gen, grid)
         assert len(calls) == 1
         (times,) = calls
         assert times.shape == (2 * grid.n - 1,) and np.all(np.diff(times) > 0)
         assert np.array_equal(times[::2], grid.points)
-        assert np.array_equal(family.maps, build_propagator(gen, grid).maps)
-        assert np.array_equal(samples, generator_samples(gen, grid))
+        assert np.array_equal(maps, build_propagator(gen, grid).maps)
+        assert np.array_equal(samples, samples_of(gen, grid))
 
     def test_rk4_pass_checks_its_last_sample(self):
         """The last grid sample feeds only the last row: a non-finite one is
         reported as the sample, ahead of the divergence it causes there."""
-        from backflow_lab.propagation import tcl_propagator
 
         grid = TimeGrid.uniform(0.1, 3.0)
         t_last = grid.points[-1]
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
         gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: d * (np.nan if t == t_last else 1.0)))
         with pytest.raises(IntegrationDivergedError, match="generator sample") as raised:
-            tcl_propagator(gen, grid)
+            tcl_pass(gen, grid)
         assert raised.value.time == t_last
 
 

@@ -11,7 +11,6 @@ from backflow_lab.serialize import (
     _CHUNK_CELLS,
     _encode_table,
     fmt,
-    info_series_csv,
     rate_traces_csv,
     sampled_generator_csv,
     trajectory_csv,
@@ -46,14 +45,6 @@ class TestCsv:
         states = np.array([[0.25, 0.75]] * 3)
         text = trajectory_csv(Trajectory(grid, states, "classical"))
         assert text.startswith("t,p_0,p_1\n")
-
-    def test_info_series_skip_flag(self):
-        grid = TimeGrid.uniform(0.5, 1.0)
-        series = InfoSeries(grid, np.array([1.0, 2.0, 3.0]), "kl", ((0.4, 0.6),))
-        lines = info_series_csv(series).strip().split("\n")
-        assert lines[0] == "t,value,skipped"
-        assert lines[2].endswith("true")
-        assert lines[1].endswith("false")
 
 
 # per-cell references for the chunked CSV writers: one fmt() call per cell
@@ -257,7 +248,7 @@ class TestTableEncoder:
         assert text == rate_traces_csv_reference(report)
         assert text == "t,rate_0,rate_1\n0,0.5,-1\n0.5,,\n1,,2\n1.5,,\n"
 
-    def test_info_series_with_skipped_non_finite_values(self):
+    def test_flag_column_with_non_finite_values(self):
         n = _CHUNK_CELLS // 3 + 5  # two chunks of three-cell rows
         grid = TimeGrid.uniform(0.5, 0.5 * (n - 1))
         values = np.random.default_rng(3).standard_normal(n)
@@ -267,7 +258,7 @@ class TestTableEncoder:
         lines = ["t,value,skipped"]
         for t, v, s in zip(grid.points, series.values, series.skipped()):
             lines.append(f"{fmt(t)},{fmt(v)},{fmt(bool(s))}")
-        text = info_series_csv(series)
+        text = _encode_table("t,value,skipped", grid.points, series.values, flags=series.skipped())
         assert text == "\n".join(lines) + "\n"
         assert "\n50,nan,true\n50.5,inf,true\n51,-inf,true\n" in text
 
