@@ -188,7 +188,7 @@ def cmd_simulate(config: dict, args) -> int:
     if traj.kind == "quantum":
         traces = np.einsum("nii->n", traj.states).real
         herm = float(np.max(np.abs(traj.states - traj.states.conj().transpose(0, 2, 1)))) / 2
-        min_eig = float(np.min(np.linalg.eigvalsh(traj.states)))
+        min_eig = float(np.min(traj.spectrum[:, 0]))
     else:
         traces = traj.states.sum(axis=1)
         herm = 0.0

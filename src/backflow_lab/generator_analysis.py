@@ -218,15 +218,26 @@ def _full_basis(dim: int) -> np.ndarray:
     return np.concatenate([ident[None], gell_mann_basis(dim)], axis=0)
 
 
+_KOSSAKOWSKI = "Bca,Ade,tadce->tAB"
+
+
+@lru_cache(maxsize=8)
+def _kossakowski_path(dim: int) -> list:
+    """The contraction path ``optimize=True`` finds for :func:`_kossakowski`,
+    searched once per dimension (the number of samples does not change it)."""
+    basis = _full_basis(dim).conj()
+    return np.einsum_path(_KOSSAKOWSKI, basis, basis, np.zeros((1,) + (dim,) * 4, complex), optimize=True)[0]
+
+
 def _kossakowski(samples: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian parts of the expansion coefficients c[t] with
     A_t(rho) = sum_{ab} c[t,a,b] F_a rho F_b^dagger over the HS-orthonormal
     basis {F_0 = I/sqrt(d), Gell-Mann...}, for stacked (n, d^2, d^2)
     superoperator matrices; c[t, 1:, 1:] is the Kossakowski matrix."""
-    basis = _full_basis(dim)
+    basis = _full_basis(dim).conj()
     m4 = np.asarray(samples, dtype=complex).reshape(-1, dim, dim, dim, dim)
     # c[A,B] = sum conj(F[B][c,a]) conj(F[A][d,e]) M[a,d,c,e]
-    c = np.einsum("Bca,Ade,tadce->tAB", basis.conj(), basis.conj(), m4, optimize=True)
+    c = np.einsum(_KOSSAKOWSKI, basis, basis, m4, optimize=_kossakowski_path(dim))
     return (c + c.conj().transpose(0, 2, 1)) / 2.0
 
 

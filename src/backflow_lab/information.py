@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolationError
 from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, run_intervals
 
@@ -80,7 +81,7 @@ class InfoSeries:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-Tr(rho log rho) in nats, with 0 log 0 = 0."""
-    return float(von_neumann_entropies(rho.entries[None])[0])
+    return float(von_neumann_entropies(linalg.hermitian_spectra(rho.entries[None]))[0])
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -91,7 +92,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise ContractViolationError("states must share a dimension")
-    return float(relative_entropies(rho.entries[None], sigma)[0])
+    states = rho.entries[None]
+    return float(relative_entropies(states, linalg.hermitian_spectra(states), sigma)[0])
 
 
 def kl_divergence(p: ProbabilityVector, q: ProbabilityVector) -> float:
@@ -114,28 +116,34 @@ def _sum_w_log_w(w: np.ndarray) -> np.ndarray:
     return np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=1)
 
 
-def von_neumann_entropies(states: np.ndarray) -> np.ndarray:
-    """:func:`von_neumann_entropy` of each of the stacked (n, d, d) states."""
-    w = np.clip(np.linalg.eigvalsh(states)[:, ::-1], 0.0, None)
+def von_neumann_entropies(spectrum: np.ndarray) -> np.ndarray:
+    """:func:`von_neumann_entropy` of each state from its (n, d) ascending
+    spectrum (:attr:`Trajectory.spectrum`)."""
+    w = np.clip(spectrum[:, ::-1], 0.0, None)
     return np.maximum(-_sum_w_log_w(w), 0.0)
 
 
-def relative_entropies(states: np.ndarray, sigma: DensityMatrix) -> np.ndarray:
+def relative_entropies(states: np.ndarray, spectrum: np.ndarray, sigma: DensityMatrix) -> np.ndarray:
     """:func:`relative_entropy` D(rho_k || sigma) of each of the stacked
-    (n, d, d) states against one reference, whose spectrum is computed
-    once."""
-    wr, vr = np.linalg.eigh(states)
+    (n, d, d) states, whose ascending spectra are ``spectrum``, against one
+    reference.
+
+    Tr(rho log rho) comes from the spectrum, and Tr(rho log sigma) is one
+    contraction of the states with L = sum_j log s_j |s_j><s_j| over the
+    support of sigma, formed once from sigma's own eigenvectors; no state
+    is diagonalized.
+    """
     ws, vs = np.linalg.eigh(sigma.entries)
-    wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
     small = ws < SUPPORT_EIGENVALUE
     keep = ~small
-    cross = np.abs(vr.conj().transpose(0, 2, 1) @ vs) ** 2  # |<r_i|s_j>|^2
-    tr_rho_log_sigma = np.einsum("ni,nij,j->n", wr, cross[:, :, keep], np.log(ws[keep]))
-    vals = np.maximum(_sum_w_log_w(wr) - tr_rho_log_sigma, 0.0)
-    if np.any(small):
-        overlap = np.abs(vs.conj().T @ states @ vs).diagonal(axis1=1, axis2=2)
-        vals[overlap[:, small].sum(axis=1) > SUPPORT_WEIGHT] = np.inf
+    log_sigma = (vs[:, keep] * np.log(ws[keep])) @ vs[:, keep].conj().T
+    tr_rho_log_sigma = np.einsum("nij,ji->n", states, log_sigma).real
+    vals = np.maximum(_sum_w_log_w(np.clip(spectrum, 0.0, None)) - tr_rho_log_sigma, 0.0)
+    if np.any(small):  # the weight of each state outside sigma's support
+        outside = vs[:, small]
+        weight = np.einsum("ik,nij,jk->n", outside.conj(), states, outside).real
+        vals[weight > SUPPORT_WEIGHT] = np.inf
     return vals
 
 
@@ -156,7 +164,7 @@ def kl_divergences(ps: np.ndarray, q: ProbabilityVector) -> np.ndarray:
 def trace_distances(states: np.ndarray, sigma: DensityMatrix) -> np.ndarray:
     """:func:`trace_distance` of each of the stacked (n, d, d) states to one
     reference."""
-    w = np.linalg.eigvalsh(states - sigma.entries)
+    w = linalg.hermitian_spectra(states - sigma.entries)
     return 0.5 * np.sum(np.abs(w), axis=1)
 
 
@@ -169,8 +177,9 @@ def series_from_trajectory(
     """Pointwise information series over a trajectory.
 
     The values come from one batched pass over the stacked states, which
-    the :class:`Trajectory` constructor has already checked (the scalar
-    measures above are the per-state reference).
+    the :class:`Trajectory` constructor has already checked; the entropies
+    read the spectrum that check computed (the scalar measures above are
+    the per-state reference).
 
     ``reference`` is required for 'rel_entropy', 'kl' and 'trace_distance'.
     Gap intervals from an upstream divisibility report should be passed as
@@ -203,9 +212,9 @@ def series_from_trajectory(
     if measure_tag in ("vn_entropy", "extended_entropy"):
         # the extended entropy of the thermofield purification is the von
         # Neumann entropy of the state itself (see netfd)
-        vals = von_neumann_entropies(traj.states)
+        vals = von_neumann_entropies(traj.spectrum)
     elif measure_tag == "rel_entropy":
-        vals = relative_entropies(traj.states, reference)
+        vals = relative_entropies(traj.states, traj.spectrum, reference)
     elif measure_tag == "trace_distance":
         vals = trace_distances(traj.states, reference)
     else:

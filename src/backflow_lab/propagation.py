@@ -318,7 +318,8 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
     i = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[i] - 1.0) > tol:
         raise IntegrationDivergedError(f"{what} drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i]))
-    states = states / sums.reshape((-1,) + (1,) * (states.ndim - 1))
+    with np.errstate(invalid="ignore"):  # a non-finite state is named by the check below
+        states = states / sums.reshape((-1,) + (1,) * (states.ndim - 1))
     # a state outside its state set (the simplex or the PSD cone) is a
     # numerical failure on every route, at the time of that state
     try:

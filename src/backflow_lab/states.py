@@ -140,11 +140,21 @@ class TimeGrid:
         return self.points.size
 
     def within(self, intervals) -> np.ndarray:
-        """Boolean mask of the points lying in any closed interval (a, b)."""
-        mask = np.zeros(self.points.size, dtype=bool)
-        for a, b in intervals:
-            mask |= (self.points >= a) & (self.points <= b)
-        return mask
+        """Boolean mask of the points lying in any closed interval (a, b).
+
+        Each interval's first and past-the-last point come from
+        ``searchsorted``, and one difference-array ``cumsum`` marks the
+        covered runs: O(N + k log N) for k intervals, which may be
+        unsorted, overlapping or empty."""
+        bounds = np.asarray(intervals, dtype=float).reshape(-1, 2)
+        n = self.points.size
+        if bounds.shape[0] == 0:
+            return np.zeros(n, dtype=bool)
+        first = np.searchsorted(self.points, bounds[:, 0], side="left")
+        stop = np.searchsorted(self.points, bounds[:, 1], side="right")
+        keep = (first < stop) & (bounds[:, 0] <= bounds[:, 1])  # also drops NaN ends
+        marks = np.bincount(first[keep], minlength=n + 1) - np.bincount(stop[keep], minlength=n + 1)
+        return np.cumsum(marks[:n]) > 0
 
     @property
     def t_max(self) -> float:
@@ -166,16 +176,22 @@ class Trajectory:
 
     States are stored as one stacked array: shape (n, d, d) complex for
     quantum, (n, m) float for classical.  Construction is the one check of
-    the state set, batched over the stack: the dimension cap, Hermiticity
-    within ``HERMITICITY_TOL``, trace (sum) within ``TRAJECTORY_TRACE_TOL``,
-    and eigenvalues above ``PSD_FLOOR`` (entries above
-    ``TRAJECTORY_PROB_FLOOR``).  A state outside the set raises
-    :class:`InvalidStateError` naming its time.
+    the state set, batched over the stack: the dimension cap, finite
+    entries, Hermiticity within ``HERMITICITY_TOL``, trace (sum) within
+    ``TRAJECTORY_TRACE_TOL``, and eigenvalues above ``PSD_FLOOR`` (entries
+    above ``TRAJECTORY_PROB_FLOOR``).  A state outside the set raises
+    :class:`InvalidStateError` naming the earliest such time.
+
+    The eigenvalues of the check are kept as ``spectrum``, (n, d) float
+    ascending (:func:`linalg.hermitian_spectra`), so the information
+    measures read them instead of diagonalizing the states again; it is
+    None for classical trajectories.
     """
 
     grid: TimeGrid
     states: np.ndarray
     kind: str
+    spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("quantum", "classical"):
@@ -183,6 +199,7 @@ class Trajectory:
         arr = np.asarray(self.states)
         n = self.grid.n
         ts = self.grid.points
+        spectrum = None
         if self.kind == "quantum":
             arr = arr.astype(complex)
             if arr.ndim != 3 or arr.shape[0] != n or arr.shape[1] != arr.shape[2]:
@@ -191,6 +208,7 @@ class Trajectory:
                 raise ContractViolationError(
                     f"dimension {arr.shape[1]} outside supported range 1..{linalg.MAX_QUANTUM_DIM}"
                 )
+            _check_finite(arr, ts)
             adj = arr.conj().transpose(0, 2, 1)
             skew = np.abs(arr - adj)
             defect = float(np.max(skew)) / 2.0
@@ -205,12 +223,13 @@ class Trajectory:
                 raise InvalidStateError(
                     f"state at t={ts[bad]:g} has trace {traces[bad]}", time=float(ts[bad])
                 )
-            w = np.linalg.eigvalsh((arr + adj) / 2.0)
-            i = np.argmin(w[:, 0])
-            if w[i, 0] < PSD_FLOOR:
+            spectrum = linalg.hermitian_spectra(arr)
+            i = np.argmin(spectrum[:, 0])
+            if spectrum[i, 0] < PSD_FLOOR:
                 raise InvalidStateError(
-                    f"state at t={ts[i]:g} has eigenvalue {w[i,0]:.3e}", time=float(ts[i])
+                    f"state at t={ts[i]:g} has eigenvalue {spectrum[i, 0]:.3e}", time=float(ts[i])
                 )
+            spectrum = _freeze(spectrum)
         else:
             arr = arr.astype(float)
             if arr.ndim != 2 or arr.shape[0] != n:
@@ -219,6 +238,7 @@ class Trajectory:
                 raise ContractViolationError(
                     f"dimension {arr.shape[1]} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}"
                 )
+            _check_finite(arr, ts)
             if np.min(arr) < TRAJECTORY_PROB_FLOOR:
                 i = np.unravel_index(np.argmin(arr), arr.shape)[0]
                 raise InvalidStateError(
@@ -231,7 +251,17 @@ class Trajectory:
                     f"state at t={ts[bad]:g} sums to {sums[bad]}", time=float(ts[bad])
                 )
         object.__setattr__(self, "states", _freeze(arr))
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.states.shape[1]
+
+
+def _check_finite(arr: np.ndarray, ts: np.ndarray):
+    """Raise :class:`InvalidStateError` at the earliest state with a NaN or
+    infinite entry (no later check sees through a NaN: it compares false)."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite.reshape(arr.shape[0], -1).all(axis=1)))
+        raise InvalidStateError(f"state at t={ts[i]:g} has a non-finite entry", time=float(ts[i]))

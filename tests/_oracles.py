@@ -98,22 +98,47 @@ def von_neumann_entropy_oracle(rho) -> float:
     return max(_spectral_entropy(np.linalg.eigvalsh(rho.entries)[::-1]), 0.0)
 
 
-def relative_entropy_oracle(rho, sigma) -> float:
-    """D(rho || sigma), +inf when rho has weight outside sigma's support."""
+def _support_mismatch(rho, ws, vs) -> bool:
+    """Whether rho puts weight above SUPPORT_WEIGHT on the eigenvectors of
+    sigma (eigenvalues ``ws``, vectors ``vs``) below SUPPORT_EIGENVALUE."""
     from backflow_lab.information import SUPPORT_EIGENVALUE, SUPPORT_WEIGHT
+
+    small = ws < SUPPORT_EIGENVALUE
+    overlap = np.abs(vs.conj().T @ rho.entries @ vs).diagonal().real
+    return bool(np.any(small)) and float(np.sum(overlap[small])) > SUPPORT_WEIGHT
+
+
+def relative_entropy_oracle(rho, sigma) -> float:
+    """D(rho || sigma) = Tr rho log rho - Tr rho log sigma, +inf when rho has
+    weight outside sigma's support; log sigma is sum_j log s_j |s_j><s_j|
+    over that support, from sigma's own eigendecomposition."""
+    from backflow_lab.information import SUPPORT_EIGENVALUE
+
+    wr = np.clip(np.linalg.eigvalsh(rho.entries), 0.0, None)
+    ws, vs = np.linalg.eigh(sigma.entries)
+    ws = np.clip(ws, 0.0, None)
+    if _support_mismatch(rho, ws, vs):
+        return float("inf")
+    keep = ws >= SUPPORT_EIGENVALUE
+    log_sigma = (vs[:, keep] * np.log(ws[keep])) @ vs[:, keep].conj().T
+    tr_rho_log_sigma = float(np.einsum("ij,ji->", rho.entries, log_sigma).real)
+    return max(-_spectral_entropy(wr) - tr_rho_log_sigma, 0.0)
+
+
+def relative_entropy_overlap_oracle(rho, sigma) -> float:
+    """D(rho || sigma) through both eigenbases: Tr rho log sigma as
+    sum_ij r_i |<r_i|s_j>|^2 log s_j over sigma's support."""
+    from backflow_lab.information import SUPPORT_EIGENVALUE
 
     wr, vr = np.linalg.eigh(rho.entries)
     ws, vs = np.linalg.eigh(sigma.entries)
     wr = np.clip(wr, 0.0, None)
     ws = np.clip(ws, 0.0, None)
-    small = ws < SUPPORT_EIGENVALUE
-    overlap = np.abs(vs.conj().T @ rho.entries @ vs).diagonal().real
-    if np.any(small) and float(np.sum(overlap[small])) > SUPPORT_WEIGHT:
+    if _support_mismatch(rho, ws, vs):
         return float("inf")
+    keep = ws >= SUPPORT_EIGENVALUE
     cross = np.abs(vr.conj().T @ vs) ** 2  # |<r_i|s_j>|^2
-    log_ws = np.where(small, 0.0, np.log(np.where(small, 1.0, ws)))
-    keep = ~small
-    tr_rho_log_sigma = float(np.einsum("i,ij,j->", wr, cross[:, keep], log_ws[keep]))
+    tr_rho_log_sigma = float(np.einsum("i,ij,j->", wr, cross[:, keep], np.log(ws[keep])))
     return max(-_spectral_entropy(wr) - tr_rho_log_sigma, 0.0)
 
 

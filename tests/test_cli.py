@@ -38,6 +38,22 @@ def read_csv(path):
     return header, rows
 
 
+def record_spectral_passes(monkeypatch):
+    """Shapes of the stacks given to ``linalg.hermitian_spectra`` and to
+    numpy's Hermitian eigensolvers, in call order."""
+    import backflow_lab.linalg as linalg
+
+    passes = []
+
+    def recording(name, fn):
+        return lambda a, *args, **kwargs: passes.append((name, np.shape(a))) or fn(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_spectra", recording("closed_form", linalg.hermitian_spectra))
+    monkeypatch.setattr(np.linalg, "eigh", recording("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording("eigvalsh", np.linalg.eigvalsh))
+    return passes
+
+
 class TestModelList:
     def test_lists_all_models(self, capsys):
         assert main(["model", "list"]) == 0
@@ -63,6 +79,20 @@ class TestSimulate:
         validation = json.loads((tmp_path / "validation.json").read_text())
         assert validation["states_validated"] is True
         assert validation["max_trace_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("model", ["markov_two_state", "amplitude_damping_qubit"])
+    def test_min_eigenvalue_is_read_from_the_trajectory_spectrum(self, tmp_path, monkeypatch, model):
+        from backflow_lab import analysis
+        from backflow_lab.models import build_model
+
+        passes = record_spectral_passes(monkeypatch)
+        config = write_config(tmp_path, {"model": {"name": model}, "grid": {"dt": 1e-2, "t_max": 3.0}})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+        assert [p for p in passes if len(p[1]) == 3] == [("closed_form", (301, 2, 2))]
+        monkeypatch.undo()
+        validation = json.loads((tmp_path / "validation.json").read_text())
+        traj, _ = analysis.propagate(build_model(model, {}), backflow_lab.TimeGrid.uniform(1e-2, 3.0), generator=False)
+        assert validation["min_eigenvalue"] == float(np.min(np.linalg.eigvalsh(traj.states)))
 
     def test_invalid_alpha_exits_2(self, tmp_path):
         config = write_config(
@@ -170,6 +200,35 @@ class TestDivisibility:
         t_star = (math.pi - math.atan(math.sqrt(7.0))) / (math.sqrt(7.0) / 2.0)
         assert abs(report["first_violation_time"] - t_star) <= 5e-3
         assert os.path.exists(report["rates_csv_path"])
+
+
+    def test_cached_contraction_path_keeps_rates_csv(self, tmp_path, monkeypatch):
+        """The canonical rates contract with a path searched once per
+        dimension; rates.csv of the sinusoidal dephasing run has the bytes
+        of the per-call ``optimize=True`` search."""
+        import backflow_lab.generator_analysis as generator_analysis
+
+        def searched_per_call(samples, dim):
+            basis = generator_analysis._full_basis(dim)
+            m4 = np.asarray(samples, dtype=complex).reshape(-1, dim, dim, dim, dim)
+            c = np.einsum("Bca,Ade,tadce->tAB", basis.conj(), basis.conj(), m4, optimize=True)
+            return (c + c.conj().transpose(0, 2, 1)) / 2.0
+
+        params = {"rate_kind": "sinusoidal", "lam": 1.0, "amplitude": 1.5, "frequency": 1.0}
+        config = write_config(
+            tmp_path, {"model": {"name": "dephasing_qubit", "params": params}, "grid": {"dt": 1e-3, "t_max": 40.0}}
+        )
+        searches = []
+        einsum_path = np.einsum_path
+        monkeypatch.setattr(np, "einsum_path", lambda *a, **k: searches.append(1) or einsum_path(*a, **k))
+        generator_analysis._kossakowski_path.cache_clear()
+        cached, per_call = tmp_path / "cached", tmp_path / "per_call"
+        for _ in range(2):
+            assert main(["divisibility", "--config", config, "--out", str(cached)]) == 0
+        assert len(searches) == 1
+        monkeypatch.setattr(generator_analysis, "_kossakowski", searched_per_call)
+        assert main(["divisibility", "--config", config, "--out", str(per_call)]) == 0
+        assert (cached / "rates.csv").read_bytes() == (per_call / "rates.csv").read_bytes()
 
 
 class TestRoutes:
@@ -373,6 +432,24 @@ class TestBackflow:
         report = json.loads((tmp_path / "backflow.json").read_text())
         assert sorted(report["measures"]) == sorted(measures)
         assert report["n_total"] >= 0.0
+
+    @pytest.mark.parametrize("model", ["markov_two_state", "dephasing_qubit", "amplitude_damping_qubit"])
+    def test_entropies_take_no_spectral_pass_of_their_own(self, tmp_path, monkeypatch, model):
+        """'vn_entropy' and 'extended_entropy' both read the spectrum of the
+        trajectory check: the run diagonalizes its states once."""
+        passes = record_spectral_passes(monkeypatch)
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": model},
+                "grid": {"dt": 1e-2, "t_max": 4.0},
+                "measures": ["vn_entropy", "extended_entropy"],
+            },
+        )
+        assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 0
+        assert [p for p in passes if len(p[1]) == 3 and p[1][1:] == (2, 2)] == [("closed_form", (401, 2, 2))]
+        measures = json.loads((tmp_path / "backflow.json").read_text())["measures"]
+        assert measures["vn_entropy"] == measures["extended_entropy"]
 
     def test_time_local_model_takes_one_rk4_pass(self, tmp_path, monkeypatch):
         """A time-local model without closed forms gets its trajectory and

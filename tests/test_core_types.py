@@ -16,7 +16,7 @@ from backflow_lab import (
     psd_sqrt,
     vectorize,
 )
-from backflow_lab.linalg import left_right_superop
+from backflow_lab.linalg import hermitian_spectra, left_right_superop
 from _oracles import random_density_matrix
 
 
@@ -44,6 +44,86 @@ class TestHermitianEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ContractViolationError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _hermitian_stack(a, c, b):
+    s = np.empty((len(a), 2, 2), dtype=complex)
+    s[:, 0, 0], s[:, 1, 1], s[:, 1, 0] = a, c, b
+    s[:, 0, 1] = np.conj(b)
+    return s
+
+
+def _exact_spectra(stack):
+    """Eigenvalues m -+ sqrt(((a - c)/2)^2 + |b|^2) of each 2x2 Hermitian
+    matrix, in 40-digit arithmetic."""
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(40):
+        for m in stack:
+            a, c, b = mp.mpf(m[0, 0].real), mp.mpf(m[1, 1].real), m[1, 0]
+            r = mp.sqrt(((a - c) / 2) ** 2 + mp.mpf(b.real) ** 2 + mp.mpf(b.imag) ** 2)
+            out.append([(a + c) / 2 - r, (a + c) / 2 + r])
+    return out
+
+
+class TestHermitianSpectra:
+    """The 2x2 closed form: bit for bit LAPACK's on real off-diagonals,
+    within 4 eps of the largest entry of the exact spectrum otherwise."""
+
+    @staticmethod
+    def _cases(rng, n, complex_b):
+        p = rng.random(n)
+        b = rng.standard_normal(n) + (1j * rng.standard_normal(n) if complex_b else 0.0)
+        coherence = np.sqrt(p * (1 - p)) * (b / np.abs(b))
+        return {
+            "random": _hermitian_stack(rng.standard_normal(n), rng.standard_normal(n), b),
+            "states": _hermitian_stack(p, 1 - p, rng.random(n) * coherence),
+            "diagonal": _hermitian_stack(rng.random(n), rng.random(n), 0.0 * b),
+            "degenerate": _hermitian_stack(np.full(n, 0.5), np.full(n, 0.5), 0.0 * b),
+            "pure": _hermitian_stack(p, 1 - p, coherence),
+            "tiny_b": _hermitian_stack(p, 1 - p, b * 10.0 ** rng.uniform(-20, -8, n)),
+            "scaled": _hermitian_stack(*(x * 10.0 ** rng.uniform(-200, 200, n) for x in (p - 0.5, 1 - p, b))),
+        }
+
+    def test_real_off_diagonal_equals_eigvalsh(self):
+        rng = np.random.default_rng(11)
+        for name, stack in self._cases(rng, 20_000, complex_b=False).items():
+            if name != "scaled":  # LAPACK rescales those by a factor that is not a power of two
+                assert np.array_equal(hermitian_spectra(stack), np.linalg.eigvalsh(stack)), name
+        # |b| at LAPACK's split threshold eps sqrt|a| sqrt|c|, where its two
+        # split tests (on |b| and on |b|^2) disagree in the last bit
+        n = 400_000
+        a, c = rng.random(n), rng.random(n) * 10.0 ** rng.uniform(-3, 0, n)
+        b = np.sqrt(a) * np.sqrt(c) * (np.finfo(float).eps / 2) * (1 + rng.uniform(-2e-15, 2e-15, n))
+        stack = _hermitian_stack(a, c, b + 0j)
+        assert np.array_equal(hermitian_spectra(stack), np.linalg.eigvalsh(stack))
+
+    @pytest.mark.parametrize("complex_b", [False, True])
+    def test_within_four_eps_of_the_exact_spectrum(self, complex_b):
+        rng = np.random.default_rng(12 + complex_b)
+        eps = np.finfo(float).eps
+        for name, stack in self._cases(rng, 300, complex_b).items():
+            w = hermitian_spectra(stack)
+            bound = 4 * eps * np.max(np.abs(stack), axis=(1, 2))
+            for i, exact in enumerate(_exact_spectra(stack)):
+                assert abs(w[i, 0] - float(exact[0])) <= bound[i], (name, i)
+                assert abs(w[i, 1] - float(exact[1])) <= bound[i], (name, i)
+
+    def test_hermitian_part_and_other_sizes(self):
+        rng = np.random.default_rng(13)
+        m = rng.standard_normal((50, 3, 3)) + 1j * rng.standard_normal((50, 3, 3))
+        herm = (m + m.conj().transpose(0, 2, 1)) / 2
+        assert np.array_equal(hermitian_spectra(m), np.linalg.eigvalsh(herm))
+        two = m[:, :2, :2]
+        assert np.array_equal(hermitian_spectra(two), hermitian_spectra((two + two.conj().transpose(0, 2, 1)) / 2))
+
+    def test_non_finite_input_gives_non_finite_output(self):
+        stack = _hermitian_stack(np.array([np.nan, 0.5, np.inf]), np.array([0.5, 0.5, 0.5]), np.array([0, np.nan, 0]))
+        with np.errstate(all="raise"):
+            w = hermitian_spectra(stack[:0])
+        assert w.shape == (0, 2)
+        assert not np.isfinite(hermitian_spectra(stack)).all(axis=1).any()
 
 
 class TestPsdSqrt:
@@ -221,6 +301,67 @@ class TestTrajectory:
             with pytest.raises(InvalidStateError) as got:
                 Trajectory(grid, states, kind)
             assert got.value.time == grid.points[k] and isinstance(got.value.time, float)
+
+
+    def test_non_finite_quantum_state_names_the_earliest_time(self):
+        """A NaN coherence compares false in every other check, so the
+        finiteness check is what rejects it, at the earliest such state."""
+        grid = TimeGrid.uniform(0.5, 3.0)
+        states = np.array([np.eye(2) / 2] * grid.n, dtype=complex)
+        states[2, 0, 1] = states[2, 1, 0] = np.nan
+        states[4, 1, 0] = np.inf
+        with pytest.raises(InvalidStateError, match="non-finite") as got:
+            Trajectory(grid, states, "quantum")
+        assert got.value.time == grid.points[2]
+
+    def test_non_finite_probability_names_the_earliest_time(self):
+        grid = TimeGrid.uniform(0.5, 3.0)
+        states = np.array([[0.5, 0.5]] * grid.n)
+        states[3] = [np.nan, 0.5]
+        states[5] = [np.inf, -np.inf]
+        with pytest.raises(InvalidStateError, match="non-finite") as got:
+            Trajectory(grid, states, "classical")
+        assert got.value.time == grid.points[3]
+
+    def test_spectrum_is_the_checked_eigenvalues(self):
+        rng = np.random.default_rng(7)
+        grid = TimeGrid.uniform(0.5, 3.0)
+        for d in (2, 3):
+            states = np.array([random_density_matrix(d, rng).entries for _ in range(grid.n)])
+            traj = Trajectory(grid, states, "quantum")
+            assert traj.spectrum.shape == (grid.n, d) and traj.spectrum.dtype == np.float64
+            assert not traj.spectrum.flags.writeable
+            np.testing.assert_allclose(traj.spectrum, np.linalg.eigvalsh(states), rtol=0.0, atol=1e-15)
+        assert Trajectory(grid, np.array([[0.5, 0.5]] * grid.n), "classical").spectrum is None
+
+
+class TestTimeGridWithin:
+    @staticmethod
+    def _looped(grid, intervals):
+        mask = np.zeros(grid.n, dtype=bool)
+        for a, b in intervals:
+            mask |= (grid.points >= a) & (grid.points <= b)
+        return mask
+
+    def test_matches_the_interval_loop(self):
+        rng = np.random.default_rng(3)
+        grid = TimeGrid.uniform(1e-2, 5.0)
+        for _ in range(300):
+            k = int(rng.integers(0, 8))
+            ends = rng.uniform(-0.5, 5.5, size=(k, 2))
+            if k and rng.random() < 0.5:  # some ends exactly on grid points
+                ends[0] = grid.points[rng.integers(0, grid.n, size=2)]
+            intervals = [tuple(e) for e in ends]  # unsorted, overlapping, some with a > b
+            assert np.array_equal(grid.within(intervals), self._looped(grid, intervals))
+
+    def test_closed_ends_and_edge_cases(self):
+        grid = TimeGrid(np.array([0.0, 1.0, 2.0, 3.0, 4.0]))
+        assert not grid.within(()).any()
+        assert grid.within([(1.0, 1.0)]).tolist() == [False, True, False, False, False]
+        assert grid.within([(3.0, 1.0)]).tolist() == [False] * 5
+        assert grid.within([(2.0, 9.0), (0.0, 2.5), (2.5, 2.6)]).tolist() == [True] * 5
+        assert grid.within([(float("nan"), 2.0), (1.0, float("nan"))]).tolist() == [False] * 5
+        assert grid.within([(-float("inf"), 0.5)]).tolist() == [True] + [False] * 4
 
 
 class TestTimeGridInputs:

@@ -18,6 +18,7 @@ from backflow_lab import (
     trace_distance,
     von_neumann_entropy,
 )
+from backflow_lab.information import relative_entropies
 from backflow_lab.models import amplitude_damping_qubit
 from backflow_lab.propagation import TclGenerator
 from backflow_lab.states import Trajectory
@@ -30,6 +31,7 @@ from _oracles import (
     positive_variation,
     random_density_matrix,
     relative_entropy_oracle,
+    relative_entropy_overlap_oracle,
     trace_distance_oracle,
     two_state_split,
     von_neumann_entropy_oracle,
@@ -401,6 +403,47 @@ class TestBatchedSeries:
             series_from_trajectory(quantum, "rel_entropy", reference=ProbabilityVector([0.5, 0.5]))
         with pytest.raises(ContractViolationError):
             series_from_trajectory(quantum, "trace_distance", reference=random_density_matrix(3, rng))
+
+
+class TestSharedSpectrum:
+    """The entropies read the spectrum of the trajectory check, and
+    Tr(rho log sigma) is one contraction with log sigma."""
+
+    @pytest.mark.parametrize("null_level", [False, True])
+    def test_trace_form_matches_overlap_form(self, null_level):
+        rng = np.random.default_rng(41)
+        traj = _random_quantum_trajectory(3, 60, rng, null_level)
+        sigma = random_density_matrix(3, rng)
+        if null_level:  # support mismatch on the odd points
+            sigma = DensityMatrix(np.diag([0.6, 0.4, 0.0]).astype(complex))
+        values = relative_entropies(traj.states, traj.spectrum, sigma)
+        overlap = np.array([relative_entropy_overlap_oracle(DensityMatrix(s), sigma) for s in traj.states])
+        assert np.array_equal(np.isinf(values), np.isinf(overlap))
+        np.testing.assert_allclose(values[np.isfinite(values)], overlap[np.isfinite(overlap)], rtol=0.0, atol=1e-12)
+        if null_level:
+            assert np.all(np.isinf(values[1::2])) and np.all(np.isfinite(values[::2]))
+
+    @pytest.mark.parametrize("name", TWO_LEVEL_MODELS[:4])
+    def test_trace_form_matches_overlap_form_on_two_level_models(self, name):
+        model, traj = _model_trajectory(name, TimeGrid.uniform(5e-3, 6.0))
+        sigma = model.reference_state
+        values = series_from_trajectory(traj, "rel_entropy", reference=sigma).values
+        overlap = np.array([relative_entropy_overlap_oracle(DensityMatrix(s), sigma) for s in traj.states])
+        np.testing.assert_allclose(values, overlap, rtol=0.0, atol=1e-12)
+
+    def test_scalar_measures_equal_the_batched_ones(self):
+        rng = np.random.default_rng(42)
+        traj = _random_quantum_trajectory(2, 40, rng)
+        sigma = random_density_matrix(2, rng)
+        scalar = {
+            "vn_entropy": lambda rho: von_neumann_entropy(rho),
+            "rel_entropy": lambda rho: relative_entropy(rho, sigma),
+            "trace_distance": lambda rho: trace_distance(rho, sigma),
+        }
+        for tag, measure in scalar.items():
+            reference = sigma if tag != "vn_entropy" else None
+            values = series_from_trajectory(traj, tag, reference=reference).values
+            assert np.array_equal(values, [measure(DensityMatrix(s)) for s in traj.states]), tag
 
 
 class TestBatchedStateChecks:

@@ -559,3 +559,33 @@ class TestTclRowReadsItsGenerator:
             assert row["error"] == "" and row["divisible"] is True
             assert abs(row["min_rate"]) <= 1e-15
             assert decomposed == [1]
+
+    def test_constant_generator_row_diagonalizes_its_states_once(self, monkeypatch):
+        """One spectral pass per row: the trajectory check's closed-form
+        spectrum feeds the relative entropy, and no LAPACK eigensolver sees
+        a stack of states."""
+        import backflow_lab.linalg as linalg
+        import backflow_lab.phase_diagram as pd
+
+        lapack, spectra = [], []
+
+        def recording(log, fn):
+            return lambda a, *args, **kwargs: log.append(np.shape(a)) or fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording(lapack, np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording(lapack, np.linalg.eigvalsh))
+        monkeypatch.setattr(linalg, "hermitian_spectra", recording(spectra, linalg.hermitian_spectra))
+        spec = SweepSpec(
+            model="amplitude_damping_qubit",
+            axes=(("gamma", 0.2, 0.457, 2),),
+            fixed={"nbar": 0.2, "p0": 0.3, "c0": 0.35},
+            dt=1e-3,
+            t_max=4.0,
+            measures=("rel_entropy",),
+        )
+        row = pd._sweep_point(
+            (spec.model, spec.lattice()[0], spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
+        )
+        assert row["error"] == ""
+        assert spectra == [(4001, 2, 2)]
+        assert lapack and not [shape for shape in lapack if shape[-2:] == (2, 2) and len(shape) == 3]

@@ -575,6 +575,23 @@ class TestVolterraBlockSolve:
             assert got.value.time == grid.points[1310]
             assert isinstance(got.value.__cause__, InvalidStateError)
 
+    @pytest.mark.parametrize("kind, dim, width", [("quantum", 2, 4), ("classical", 3, 3)])
+    def test_non_finite_state_is_a_divergence_at_its_time(self, kind, dim, width):
+        """A NaN entry passes the trace (sum) drift test, which compares
+        false; the trajectory check names its time instead."""
+        from backflow_lab.errors import InvalidStateError
+        from backflow_lab.propagation import _finalize_trajectory
+
+        grid = TimeGrid.uniform(0.1, 1.0)
+        unit = conservation_row(kind, dim) / dim
+        raw = np.tile(unit, (grid.n, 1)).astype(complex if kind == "quantum" else float)
+        raw[6, width - 1] = np.nan
+        raw[8, 0] = np.nan
+        with pytest.raises(IntegrationDivergedError, match="non-finite") as got:
+            _finalize_trajectory(raw, grid, kind, dim)
+        assert got.value.time == grid.points[6]
+        assert isinstance(got.value.__cause__, InvalidStateError)
+
     @settings(max_examples=12, deadline=None)
     @given(
         n=st.sampled_from([2, 3]),
