@@ -9,11 +9,12 @@ the model offers.  It states
 the paper's TC-to-TCL procedure once, propagator family -> time-local
 generator, and computes each part it is asked for once:
 
-* the trajectory is the family the route builds anyway applied to the
-  initial state (always on ``tcl``; on ``closed_form`` with
-  ``propagator_fn`` and on ``tc`` when the generator is asked for too),
-  else the model's own ``trajectory_fn``, else the memory-kernel solve of
-  the initial state alone;
+* the trajectory is, on ``tcl``, the initial state carried through the
+  same RK4 pass that samples the generator (no family is built); on
+  ``closed_form`` with ``propagator_fn`` and on ``tc`` when the generator
+  is asked for too, the family the route builds anyway applied to the
+  initial state; else the model's own ``trajectory_fn``, else the
+  memory-kernel solve of the initial state alone;
 * the sampled generator is the input itself on ``tcl`` (G(t) on the grid,
   no gaps), and is extracted from the route's family on ``closed_form`` and
   ``tc``; a closed form without ``propagator_fn`` has none.
@@ -34,7 +35,7 @@ from .generator_analysis import DivisibilityReport, SampledGenerator, check_divi
 from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
-from .propagation import PropagatorFamily, apply_family, build_propagator, solve_tc, tcl_pass
+from .propagation import _finalize_trajectory, _initial_vector, apply_family, build_propagator, solve_tc, tcl_pass
 from .states import TimeGrid, Trajectory
 
 ROUTES = ("closed_form", "tcl", "tc")
@@ -67,9 +68,10 @@ def propagate(
     traj = family = samples = None
     if route == "tcl":
         source = model.tcl_generator
-        maps, samples = tcl_pass(source, grid, propagate=trajectory)
+        y0 = _initial_vector(model.initial_state, source.kind, source.dim) if trajectory else None
+        raw, samples = tcl_pass(source, grid, y0)
         if trajectory:
-            family = PropagatorFamily(grid, maps, source.kind, source.dim)
+            traj = _finalize_trajectory(raw, grid, source.kind, source.dim)
     elif route == "closed_form":
         if generator and model.propagator_fn is not None:
             family = model.propagator_fn(grid)

@@ -18,22 +18,24 @@ differences see evenly spaced samples:
   states are checked for finiteness before they feed a convolution, and
   the first non-finite state's time is reported.
 
-Every time-local trajectory is its propagator family applied to the
-initial state, rho(t) = Phi(t, 0) rho(0).  The generator is evaluated once,
-batched, at the 2N - 1 times t_0, t_0 + h/2, t_1, ..., t_{N-1}, and the
-sample table is checked once: its shape, then the earliest sample that is
-not finite or fails trace preservation.  A constant generator (every
+Every time-local RK4 pass carries a block y0 of c columns, Y(t) = Phi(t, 0)
+y0: a trajectory is the initial state carried through the pass (c = 1),
+and a propagator family the identity (c = dd).  The generator is evaluated
+once, batched, at the 2N - 1 times t_0, t_0 + h/2, t_1, ..., t_{N-1}, and
+the sample table is checked once: its shape, then the earliest sample that
+is not finite or fails trace preservation.  A constant generator (every
 sample equal to the first) has one RK4 step matrix S, the degree-4 Taylor
-polynomial of exp(hA), so Phi(t_k) = S^k: :func:`rk4_power_table` fills the
-table by doubling in ceil(log2 N) batched products.  Any other generator
+polynomial of exp(hA), so Y(t_k) = S^k y0: :func:`rk4_power_table` fills
+the table by doubling in ceil(log2 N) 2-D products.  Any other generator
 has one step matrix per step, S_i = I + h/6 (M1 + 2 K2 + 2 K3 + K4) with
 K2 = M2 (I + h/2 M1), K3 = M2 (I + h/2 K2), K4 = M4 (I + h K3) and M1, M2,
 M4 the samples at t_i, t_i + h/2, t_{i+1}, formed by batched products;
-Phi(t_k) = S_{k-1} ... S_0 is a blocked prefix product in about 2 sqrt(N)
-batched products.  The earliest failure is reported: a bad sample ahead of
-a divergence at the row it feeds or later, else the first non-finite row.
-:func:`tcl_pass` is the one time-local entry: it gives G(t) itself on the
-grid, and the family from the same evaluation when asked for it.
+Y(t_k) = S_{k-1} ... S_0 y0 is a blocked prefix product in about 2 sqrt(N)
+batched products, whose blocks hand on c columns.  The earliest failure is
+reported: a bad sample ahead of a divergence at the row it feeds or later,
+else the first non-finite row.  :func:`tcl_pass` is the one time-local
+entry: it gives G(t) itself on the grid, and Y from the same evaluation
+when given y0.
 
 The inhomogeneous terms of the underlying equations are fixed to zero;
 there is deliberately no API surface for them.
@@ -167,23 +169,29 @@ def _sample_defects(samples: np.ndarray, kind: str, dim: int):
 
 
 def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """RK4 for dY/dt = A Y with constant A and Y(0) = ``y0`` (dd, c): one
-    step is the degree-4 Taylor polynomial S of exp(hA), so Y(t_k) = S^k y0.
-    Filled by doubling, out[k:k+m] = S^k out[:m] with S^k by repeated
-    squaring; each block is checked for finiteness as it is filled, and the
-    earliest non-finite row's time is reported."""
+    """RK4 for dY/dt = A Y with constant A and Y(0) = ``y0`` (dd,) or
+    (dd, c): one step is the degree-4 Taylor polynomial S of exp(hA), so
+    Y(t_k) = S^k y0, returned as an (N,) + y0.shape view.  The rows are
+    stored transposed, (N, c, dd), so each doubling, out[k:k+m] = S^k
+    out[:m] with S^k by repeated squaring, is one 2-D product of the first
+    m c rows with (S^k)^T; each block is checked for finiteness as it is
+    filled, and the earliest non-finite row's time is reported."""
     if not grid.is_uniform():
         raise ContractViolationError("solve on a uniform grid")
     a = np.asarray(matrix)
-    eye = np.eye(a.shape[0], dtype=a.dtype)
+    dd = a.shape[0]
+    eye = np.eye(dd, dtype=a.dtype)
     ha = grid.dt * a
     power = eye + np.matmul(ha, eye + np.matmul(ha, eye / 2.0 + np.matmul(ha, eye / 6.0 + ha / 24.0)))
-    out = np.empty((grid.n,) + y0.shape, dtype=np.result_type(a.dtype, y0.dtype, np.float64))
-    out[0] = y0
+    cols = y0.reshape(dd, -1)
+    c = cols.shape[1]
+    out = np.empty((grid.n, c, dd), dtype=np.result_type(a.dtype, y0.dtype, np.float64))
+    out[0] = cols.T
+    flat = out.reshape(grid.n * c, dd)
     k = 1
     while k < grid.n:
         m = min(k, grid.n - k)
-        np.matmul(power, out[:m], out=out[k : k + m])
+        np.matmul(flat[: m * c], power.T, out=flat[k * c : (k + m) * c])
         finite = np.isfinite(out[k : k + m]).all(axis=(1, 2))
         if not finite.all():
             t = float(grid.points[k + int(np.argmin(finite))])
@@ -191,7 +199,7 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
         k += m
         if k < grid.n:
             power = np.matmul(power, power)
-    return out
+    return out.transpose(0, 2, 1).reshape((grid.n,) + y0.shape)
 
 
 def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> None:
@@ -230,35 +238,41 @@ def _rk4_steps(samples: np.ndarray, h: float) -> np.ndarray:
     return steps
 
 
-def _prefix_product(steps: np.ndarray) -> np.ndarray:
-    """Phi_0 = I and Phi_{k+1} = S_k Phi_k for stacked steps S (m, dd, dd),
-    in blocks of b = ceil(sqrt(m)) steps: the prefixes within every block
-    (b - 1 batched products), the carry into each block (one product per
-    block) and one batched product combining the two."""
+def _prefix_product(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Y_0 = y0 (dd,) or (dd, c) and Y_{k+1} = S_k Y_k for stacked steps S
+    (m, dd, dd), as an (m + 1,) + y0.shape table, in blocks of
+    b = ceil(sqrt(m)) steps: the prefixes within every block (b - 1 batched
+    products), the columns carried into each block (one product per block)
+    and one batched product combining the two.  Only the within-block
+    prefixes are (dd, dd) products; what crosses a block has c columns."""
     m, dd = steps.shape[0], steps.shape[1]
+    cols = y0.reshape(dd, -1)
+    c = cols.shape[1]
     b = math.isqrt(m - 1) + 1
     n_blocks = -(-m // b)
-    eye = np.eye(dd, dtype=steps.dtype)
+    dtype = np.result_type(steps.dtype, y0.dtype)
     part = np.empty((n_blocks * b, dd, dd), dtype=steps.dtype)
     part[:m] = steps
-    part[m:] = eye  # the last block padded with identity steps
+    part[m:] = np.eye(dd)  # the last block padded with identity steps
     part = part.reshape(n_blocks, b, dd, dd)
     for j in range(1, b):
         part[:, j] = np.matmul(part[:, j], part[:, j - 1])
-    carry = np.empty((n_blocks, dd, dd), dtype=steps.dtype)
-    carry[0] = eye
+    carry = np.empty((n_blocks, dd, c), dtype=dtype)
+    carry[0] = cols
     for k in range(1, n_blocks):
         carry[k] = np.matmul(part[k - 1, -1], carry[k - 1])
-    out = np.empty((n_blocks * b + 1, dd, dd), dtype=steps.dtype)
-    out[0] = eye
-    np.matmul(part, carry[:, None], out=out[1:].reshape(n_blocks, b, dd, dd))
-    return out[: m + 1]
+    out = np.empty((n_blocks * b + 1, dd, c), dtype=dtype)
+    out[0] = cols
+    np.matmul(part, carry[:, None], out=out[1:].reshape(n_blocks, b, dd, c))
+    return out[: m + 1].reshape((m + 1,) + y0.shape)
 
 
-def tcl_pass(gen: TclGenerator, grid: TimeGrid, propagate: bool = True) -> tuple[np.ndarray | None, np.ndarray]:
-    """(maps (N, dd, dd) or None, G(t) at the grid points (N, dd, dd)) from
-    one ``evaluate`` call at t_0, t_0 + h/2, t_1, ..., t_{N-1}.  Without
-    ``propagate`` only the samples are checked: the earliest sample that has
+def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray]:
+    """(Y (N,) + y0.shape or None, G(t) at the grid points (N, dd, dd)) from
+    one ``evaluate`` call at t_0, t_0 + h/2, t_1, ..., t_{N-1}: Y(t_k) is
+    ``y0`` (dd,) or (dd, c) carried through the RK4 steps, the vectorized
+    initial state for a trajectory and the identity for a propagator family.
+    Without ``y0`` only the samples are checked: the earliest sample that has
     the wrong shape, is not finite or fails trace preservation is reported
     with its time and class."""
     if not grid.is_uniform():
@@ -285,25 +299,25 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, propagate: bool = True) -> tuple
         raise ContractViolationError(f"{samples.shape[0]} generator samples for {times.size} times")
     if shape_error is None and np.all(samples == samples[0]):
         _check_samples(samples[:1], times, gen.kind, gen.dim)
-        maps = rk4_power_table(samples[0], np.eye(dd, dtype=samples.dtype), grid) if propagate else None
-        return maps, samples[::2]
+        out = None if y0 is None else rk4_power_table(samples[0], y0, grid)
+        return out, samples[::2]
     # row r is fed by samples 0 .. 2r, so sample k feeds row ceil(k/2) (row 1
     # for k = 0) and later rows: the samples feeding rows up to the first
     # non-finite one are judged first, then that row; the rows fed by a
     # sample of another shape are never formed, so its error comes last
     rows = (samples.shape[0] + 1) // 2
-    maps, row = None, None
-    if propagate and rows > 1:
+    out, row = None, None
+    if y0 is not None and rows > 1:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is reported below
-            maps = _prefix_product(_rk4_steps(samples[: 2 * rows - 1], h))
-        finite = np.isfinite(maps).all(axis=(1, 2))
+            out = _prefix_product(_rk4_steps(samples[: 2 * rows - 1], h), y0)
+        finite = np.isfinite(out.reshape(rows, -1)).all(axis=1)
         row = None if finite.all() else int(np.argmin(finite))
     _check_samples(samples if row is None else samples[: 2 * row + 1], times, gen.kind, gen.dim)
     if row is not None:
         raise IntegrationDivergedError(f"integration diverged at t={ts[row]:g}", time=float(ts[row]))
     if shape_error is not None:
         raise shape_error
-    return maps, samples[::2].copy()  # not a view that keeps the midpoints alive
+    return out, samples[::2].copy()  # not a view that keeps the midpoints alive
 
 
 def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -> Trajectory:
@@ -330,10 +344,11 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
 
 def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
     """Integrate the homogeneous time-local equation d/dt x = G(t) x: the
-    propagator family of :func:`build_propagator` applied to ``initial``,
-    so trace drift beyond ``TRACE_DRIFT_TOL`` raises
+    initial state carried through the RK4 pass of :func:`tcl_pass`, so
+    trace drift beyond ``TRACE_DRIFT_TOL`` raises
     :class:`IntegrationDivergedError` naming the time."""
-    return apply_family(build_propagator(gen, grid), initial)
+    raw = tcl_pass(gen, grid, _initial_vector(initial, gen.kind, gen.dim))[0]
+    return _finalize_trajectory(raw, grid, gen.kind, gen.dim)
 
 
 def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
@@ -505,13 +520,13 @@ def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:
     carrier space: vectorized matrix units for quantum sources, the n
     canonical probability basis vectors for classical ones (yielding the
     stochastic propagator T(t, 0))."""
-    if isinstance(source, TclGenerator):
-        raw = tcl_pass(source, grid)[0]
-    elif isinstance(source, MemoryKernel):
-        eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
-        raw = volterra_propagate(source, eye, grid)
-    else:
+    if not isinstance(source, (TclGenerator, MemoryKernel)):
         raise ContractViolationError(f"unsupported propagator source {type(source).__name__}")
+    eye = np.eye(source.matrix_dim, dtype=complex if source.kind == "quantum" else float)
+    if isinstance(source, TclGenerator):
+        raw = tcl_pass(source, grid, eye)[0]
+    else:
+        raw = volterra_propagate(source, eye, grid)
     return PropagatorFamily(grid, raw, source.kind, source.dim)
 
 

@@ -121,7 +121,27 @@ class TestPropagate:
         assert passes == (["table"] if name == "amplitude_damping_qubit" else ["prefix"])
         source = model.tcl_generator
         assert np.array_equal(traj.states, propagation.solve_tcl(source, model.initial_state, GRID).states)
-        assert np.array_equal(gen.samples, propagation.tcl_pass(source, GRID, propagate=False)[1])
+        assert np.array_equal(gen.samples, propagation.tcl_pass(source, GRID)[1])
+        alone, _ = analysis.propagate(model, GRID, "tcl", generator=False)
+        assert np.array_equal(alone.states, traj.states)
+
+    @pytest.mark.parametrize("name", ["amplitude_damping_qubit", "dephasing_qubit"])
+    def test_tcl_analyze_builds_no_family(self, monkeypatch, name):
+        """On tcl, analyze constructs no PropagatorFamily, and every block it
+        hands to the RK4 pass, and the pass to its solver, is one column."""
+        model = build_model(name, {"rate_kind": "sinusoidal"} if name == "dephasing_qubit" else {})
+        monkeypatch.setattr(propagation.PropagatorFamily, "__post_init__", lambda self: pytest.fail("family built"))
+        blocks = []
+
+        def recording(fn, position):
+            return lambda *args: blocks.append(args[position]) or fn(*args)
+
+        monkeypatch.setattr(analysis, "tcl_pass", recording(analysis.tcl_pass, 2))
+        for attr in ("rk4_power_table", "_prefix_product"):
+            monkeypatch.setattr(propagation, attr, recording(getattr(propagation, attr), 1))
+        analysis.analyze(model, GRID, "tcl", ["rel_entropy"], 1e-6, 1e-7)
+        assert len(blocks) == 2
+        assert all(y0.shape in ((4,), (4, 1)) for y0 in blocks)
 
 
 class TestAnalyze:
@@ -156,7 +176,7 @@ class TestAnalyze:
                 "dephasing_qubit",
                 {"rate_kind": "sinusoidal"},
                 "tcl",
-                lambda m, g: SampledGenerator(g, propagation.tcl_pass(m.tcl_generator, g, propagate=False)[1], "quantum", 2),
+                lambda m, g: SampledGenerator(g, propagation.tcl_pass(m.tcl_generator, g)[1], "quantum", 2),
             ),
         ],
     )
@@ -187,7 +207,7 @@ class TestTclGeneratorIsTheInput:
         monkeypatch.setattr(analysis, "extract_tcl_generator", lambda *args: pytest.fail("generator extracted"))
         traj, gen = analysis.propagate(model, GRID, "tcl", trajectory=False)
         assert traj is None and gen.gaps == ()
-        want = propagation.tcl_pass(model.tcl_generator, GRID, propagate=False)[1]
+        want = propagation.tcl_pass(model.tcl_generator, GRID)[1]
         assert np.array_equal(gen.samples, want)
 
 

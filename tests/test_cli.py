@@ -453,7 +453,7 @@ class TestBackflow:
 
     def test_time_local_model_takes_one_rk4_pass(self, tmp_path, monkeypatch):
         """A time-local model without closed forms gets its trajectory and
-        its propagator from one RK4 pass (here a constant generator's power
+        its generator samples from one RK4 pass (here a constant generator's power
         table), and backflow.json has the bytes of a separate trajectory
         pass and the generator's own samples."""
         import backflow_lab.analysis as analysis
@@ -488,7 +488,7 @@ class TestBackflow:
             lambda model, grid, route: (
                 propagation.solve_tcl(model.tcl_generator, model.initial_state, grid),
                 SampledGenerator(
-                    grid, propagation.tcl_pass(model.tcl_generator, grid, propagate=False)[1], "quantum", 2
+                    grid, propagation.tcl_pass(model.tcl_generator, grid)[1], "quantum", 2
                 ),
             ),
         )

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,16 @@ from backflow_lab import (
 )
 from backflow_lab.errors import GeneratorSingularityError
 from backflow_lab.serialize import sweep_csv
+from test_special_functions import child_result
+
+
+def tcl_sweep_digest():
+    """sha256 of the sweep CSV of two amplitude_damping_qubit rows, on the
+    tcl route, of 100 001 points each."""
+    spec = SweepSpec(
+        model="amplitude_damping_qubit", axes=(("gamma", 0.5, 2.0, 2),), dt=1e-3, t_max=100.0, measures=("rel_entropy",)
+    )
+    return hashlib.sha256(sweep_csv(run_sweep(spec)).encode()).hexdigest()
 
 
 class TestClassify:
@@ -406,7 +417,7 @@ class TestSweepHardening:
 
     def test_time_local_row_takes_one_rk4_pass(self, monkeypatch):
         """A time-local model without closed forms gets its trajectory and
-        its propagator from one RK4 pass: one blocked prefix product and
+        its generator samples from one RK4 pass: one blocked prefix product and
         one ``evaluate`` call per row, at 2N-1 strictly increasing times
         whose even entries are the grid points."""
         import dataclasses
@@ -518,6 +529,13 @@ class TestSweepHardening:
         first = sweep_csv(run_sweep(SweepSpec(**base)))
         assert sweep_csv(run_sweep(SweepSpec(**base))) == first
         assert sweep_csv(run_sweep(SweepSpec(**base, threads=2))) == first
+
+    def test_tcl_sweep_bits_independent_of_blas_threads(self):
+        """The state column is carried by 2-D products whose rows BLAS may
+        split over threads, never the sum over one row: one and two BLAS
+        threads give the same sweep CSV."""
+        one, two = (child_result("tcl_sweep_digest", n, module="test_phase_diagram") for n in (1, 2))
+        assert one == two
 
 
 class TestTclRowReadsItsGenerator:

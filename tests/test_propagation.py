@@ -36,7 +36,7 @@ def constant_classical_generator(w):
 
 def samples_of(gen, grid):
     """G(t) on the grid from a pass without propagation."""
-    return tcl_pass(gen, grid, propagate=False)[1]
+    return tcl_pass(gen, grid)[1]
 
 
 def interleaved_times(grid):
@@ -53,7 +53,7 @@ def prefix_path_maps(gen, grid):
     from backflow_lab.propagation import _prefix_product, _rk4_steps
 
     samples = np.asarray(gen.evaluate(interleaved_times(grid)), dtype=complex if gen.kind == "quantum" else float)
-    return _prefix_product(_rk4_steps(samples, grid.dt))
+    return _prefix_product(_rk4_steps(samples, grid.dt), np.eye(samples.shape[1]))
 
 
 def lag_kernel(evaluate, dim=2, kind="classical", decay_scale=1.0):
@@ -822,6 +822,37 @@ def rk4_constant_loop(matrix, y0, grid):
     return out
 
 
+def batched_doubling(matrix, y0, grid):
+    """The power table as it was filled before the 2-D layout: each doubling
+    one batched product S^k out[:m] of (dd, dd) with (dd, c) blocks."""
+    a = np.asarray(matrix)
+    eye = np.eye(a.shape[0], dtype=a.dtype)
+    ha = grid.dt * a
+    power = eye + ha @ (eye + ha @ (eye / 2.0 + ha @ (eye / 6.0 + ha / 24.0)))
+    out = np.empty((grid.n,) + y0.shape, dtype=np.result_type(a.dtype, y0.dtype, np.float64))
+    out[0] = y0
+    k = 1
+    while k < grid.n:
+        m = min(k, grid.n - k)
+        np.matmul(power, out[:m], out=out[k : k + m])
+        k += m
+        if k < grid.n:
+            power = np.matmul(power, power)
+    return out
+
+
+def exp_kernel_embedding(n, gamma, tau_m):
+    """The Markovian embedding of ``classical_exp_kernel`` and the columns
+    (2n, n) its propagator family starts from."""
+    embed = np.zeros((2 * n, 2 * n))
+    embed[:n, n:] = np.eye(n)
+    embed[n:, :n] = (gamma / tau_m) * (np.ones((n, n)) - n * np.eye(n))
+    embed[n:, n:] = -np.eye(n) / tau_m
+    columns = np.zeros((2 * n, n))
+    columns[:n] = np.eye(n)
+    return embed, columns
+
+
 def constant_gksl_d3(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     g = commutator_superop((a + a.conj().T) / 2.0)
@@ -852,16 +883,42 @@ class TestRk4PowerTable:
         model = classical_exp_kernel(n=2, gamma=gamma, tau_m=tau_m)
         grid = TimeGrid.uniform(1e-3, 15.0)
         assert grid.n == 15001
-        embed = np.zeros((4, 4))
-        embed[:2, 2:] = np.eye(2)
-        embed[2:, :2] = (gamma / tau_m) * W_SYM
-        embed[2:, 2:] = -np.eye(2) / tau_m
-        columns = np.zeros((4, 2))
-        columns[:2] = np.eye(2)
+        embed, columns = exp_kernel_embedding(2, gamma, tau_m)
         want_maps = rk4_constant_loop(embed, columns, grid)[:, :2, :]
         want_states = rk4_constant_loop(embed, np.array([1.0, 0.0, 0.0, 0.0]), grid)[:, :2]
         assert np.max(np.abs(model.propagator_fn(grid).maps - want_maps)) <= 1e-12
         assert np.max(np.abs(model.trajectory_fn(grid).states - want_states)) <= 1e-12
+
+    def test_amplitude_damping_family_bits_equal_batched_doubling(self):
+        """Each doubling as one 2-D product leaves the 4 x 4 family's bits
+        as the batched (dd, dd) x (dd, dd) products left them."""
+        from backflow_lab.models import amplitude_damping_qubit
+
+        gen = amplitude_damping_qubit(gamma=2.0, nbar=0.2).tcl_generator
+        grid = TimeGrid.uniform(1e-3, 4.0)
+        want = batched_doubling(gen.evaluate(np.zeros(1))[0], np.eye(4, dtype=complex), grid)
+        assert np.array_equal(build_propagator(gen, grid).maps, want)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_embedding_family_bits_equal_batched_doubling(self, n):
+        """Up to dd = 10 the embedding's family keeps the batched doubling's
+        bits."""
+        from backflow_lab.models import classical_exp_kernel
+
+        grid = TimeGrid.uniform(1e-3, 15.0)
+        embed, columns = exp_kernel_embedding(n, 1.3, 0.5)
+        want = batched_doubling(embed, columns, grid)[:, :n, :]
+        assert np.array_equal(classical_exp_kernel(n=n, gamma=1.3, tau_m=0.5).propagator_fn(grid).maps, want)
+
+    def test_large_embedding_family_near_batched_doubling(self):
+        """At dd = 32 the 2-D products round differently in the last bits."""
+        from backflow_lab.models import classical_exp_kernel
+
+        grid = TimeGrid.uniform(1e-3, 15.0)
+        embed, columns = exp_kernel_embedding(16, 1.3, 0.5)
+        want = batched_doubling(embed, columns, grid)[:, :16, :]
+        got = classical_exp_kernel(n=16, gamma=1.3, tau_m=0.5).propagator_fn(grid).maps
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_random_constant_gksl_d3_matches_prefix_of_equal_steps(self):
         gen = constant_gksl_d3(np.random.default_rng(11))
@@ -912,6 +969,31 @@ class TestRk4PowerTable:
             run(gen)
         assert 50.0 < got.value.time < grid.t_max
         assert abs(got.value.time - t_ref) <= 3 * grid.dt
+
+
+class TestStateOnlyPass:
+    """A trajectory is the initial state carried through the RK4 pass as
+    one column, within 1e-13 of the propagator family applied to it."""
+
+    @pytest.mark.parametrize(
+        "name, params", [("amplitude_damping_qubit", {}), ("dephasing_qubit", {"rate_kind": "sinusoidal"})]
+    )
+    def test_quantum_model(self, name, params):
+        from backflow_lab.models import build_model
+
+        model = build_model(name, params)
+        gen, grid = model.tcl_generator, TimeGrid.uniform(1e-3, 4.0)
+        traj = solve_tcl(gen, model.initial_state, grid)
+        want = apply_family(build_propagator(gen, grid), model.initial_state)
+        assert np.max(np.abs(traj.states - want.states)) <= 1e-13
+
+    def test_classical_constant_generator(self):
+        w = np.array([[-1.0, 0.5, 0.2], [0.7, -0.9, 0.3], [0.3, 0.4, -0.5]])
+        gen, grid = constant_classical_generator(w), TimeGrid.uniform(1e-3, 6.0)
+        p0 = ProbabilityVector([0.6, 0.3, 0.1])
+        traj = solve_tcl(gen, p0, grid)
+        want = apply_family(build_propagator(gen, grid), p0)
+        assert np.max(np.abs(traj.states - want.states)) <= 1e-13
 
 
 class TestGeneratorSamples:
@@ -999,7 +1081,7 @@ class TestGeneratorSamples:
         gen = TclGenerator(
             dim=2, kind="quantum", evaluate=self.recording(lambda t: (1.0 + 0.5 * math.sin(t)) * d, calls)
         )
-        maps, samples = tcl_pass(gen, grid)
+        maps, samples = tcl_pass(gen, grid, np.eye(4, dtype=complex))
         assert len(calls) == 1
         (times,) = calls
         assert times.shape == (2 * grid.n - 1,) and np.all(np.diff(times) > 0)
@@ -1016,7 +1098,7 @@ class TestGeneratorSamples:
         d = dissipator_superop(SIGMA_Z / np.sqrt(2))
         gen = TclGenerator(dim=2, kind="quantum", evaluate=pointwise(lambda t: d * (np.nan if t == t_last else 1.0)))
         with pytest.raises(IntegrationDivergedError, match="generator sample") as raised:
-            tcl_pass(gen, grid)
+            tcl_pass(gen, grid, np.eye(4, dtype=complex))
         assert raised.value.time == t_last
 
 
@@ -1057,4 +1139,4 @@ class TestPrefixProduct:
         want = [np.eye(3)]
         for step in steps:
             want.append(step @ want[-1])
-        assert np.max(np.abs(_prefix_product(steps) - np.array(want))) <= 1e-13
+        assert np.max(np.abs(_prefix_product(steps, np.eye(3)) - np.array(want))) <= 1e-13

@@ -266,14 +266,14 @@ def envelope_digests():
     return [hashlib.sha256(ml_envelope_grid(a, lam, BAND_GRID).tobytes()).hexdigest() for a, lam in BAND_PAIRS]
 
 
-def child_result(call: str, blas_threads: int):
-    """JSON result of ``call`` (a function of this module) in a child
-    interpreter whose BLAS pools have ``blas_threads`` threads."""
+def child_result(call: str, blas_threads: int, module: str = "test_special_functions"):
+    """JSON result of ``call`` (a function of the test module ``module``) in
+    a child interpreter whose BLAS pools have ``blas_threads`` threads."""
     tests_dir = os.path.dirname(os.path.abspath(__file__))
     src = os.path.dirname(os.path.dirname(sf.__file__))
     path = os.pathsep.join(p for p in (src, tests_dir, os.environ.get("PYTHONPATH")) if p)
     threads = dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), str(blas_threads))
-    code = f"import json, test_special_functions as t; print(json.dumps(t.{call}()))"
+    code = f"import json, {module} as t; print(json.dumps(t.{call}()))"
     child = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
