@@ -135,6 +135,15 @@ def _grid_params(config: dict, args) -> tuple[float, float]:
     return values[0], values[1]
 
 
+def _grid(config: dict, args) -> TimeGrid:
+    """The uniform grid of :func:`_grid_params`; a grid that cannot be built
+    (a non-finite or unallocatable point count) is a config error."""
+    try:
+        return TimeGrid.uniform(*_grid_params(config, args))
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _tolerance(config: dict, key: str, default: float) -> float:
     """``epsilon_n`` or ``rate_tolerance``: a finite number >= 0."""
     try:
@@ -179,7 +188,7 @@ def _generator(config: dict, model, grid: TimeGrid):
 
 def cmd_simulate(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = TimeGrid.uniform(*_grid_params(config, args))
+    grid = _grid(config, args)
     traj, _ = analysis.propagate(model, grid, config.get("route", "auto"), generator=False)
     out_dir = args.out
     serialize.write_text_atomic(
@@ -209,7 +218,7 @@ def cmd_simulate(config: dict, args) -> int:
 
 def cmd_extract(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = TimeGrid.uniform(*_grid_params(config, args))
+    grid = _grid(config, args)
     sampled = _generator(config, model, grid)
     serialize.write_text_atomic(
         os.path.join(args.out, "generator.csv"), serialize.sampled_generator_csv(sampled)
@@ -223,7 +232,7 @@ def cmd_extract(config: dict, args) -> int:
 
 def cmd_divisibility(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = TimeGrid.uniform(*_grid_params(config, args))
+    grid = _grid(config, args)
     tol = _tolerance(config, "rate_tolerance", 1e-7)
     report = check_divisible(_generator(config, model, grid), tol)
     rates_path = os.path.join(args.out, "rates.csv")
@@ -237,7 +246,7 @@ def cmd_divisibility(config: dict, args) -> int:
 
 def cmd_backflow(config: dict, args) -> int:
     model = _model_from_config(config)
-    grid = TimeGrid.uniform(*_grid_params(config, args))
+    grid = _grid(config, args)
     measures = _measures(config)
     eps = _tolerance(config, "epsilon_n", 1e-6)
     tol = _tolerance(config, "rate_tolerance", 1e-7)

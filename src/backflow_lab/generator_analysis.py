@@ -7,6 +7,11 @@ derivative taken by 4th-order finite differences on the grid (one-sided
 stencils at the ends).  Where Phi is singular or too ill-conditioned the
 point is reported as a gap interval rather than extrapolated; downstream
 consumers skip flagged intervals.
+
+The condition gate kappa_2(Phi) > ``CONDITION_LIMIT`` runs in three steps,
+each an exact inequality: a screen by column norms (no inversion), a
+bracket from the one batched inverse that G also uses, and an SVD only for
+the few maps the bracket cannot decide.
 """
 
 from __future__ import annotations
@@ -24,6 +29,12 @@ from .states import TimeGrid, run_intervals
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
 EXTRACTION_TRACE_TOL = 1e-7
+# Relative distance from CONDITION_LIMIT inside which the gate asks the SVD.
+# Near kappa = L the Frobenius kappa of a pivoted-LU inverse is off by about
+# d eps kappa <~ 1e-7 and the SVD's kappa by about 1e-8, so bounds outside
+# this band give the SVD's decision; a computed Frobenius kappa below L also
+# certifies the inverse it came from.
+GATE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,14 @@ def _derivative_4th(maps: np.ndarray, h: float) -> np.ndarray:
     if n < 5:
         raise ContractViolationError("need at least 5 grid points for 4th-order stencils")
     d = np.empty_like(maps)
-    d[2:-2] = (maps[:-4] - 8 * maps[1:-3] + 8 * maps[3:-1] - maps[4:]) / (12 * h)
+    # (maps[:-4] - 8 maps[1:-3] + 8 maps[3:-1] - maps[4:]) / (12 h), in that
+    # operation order, with one scratch table
+    mid = d[2:-2]
+    np.multiply(8, maps[1:-3], out=mid)
+    np.subtract(maps[:-4], mid, out=mid)
+    mid += np.multiply(8, maps[3:-1])
+    mid -= maps[4:]
+    mid /= 12 * h
     d[0] = (-25 * maps[0] + 48 * maps[1] - 36 * maps[2] + 16 * maps[3] - 3 * maps[4]) / (12 * h)
     d[1] = (-3 * maps[0] - 10 * maps[1] + 18 * maps[2] - 6 * maps[3] + maps[4]) / (12 * h)
     d[-2] = (3 * maps[-1] + 10 * maps[-2] - 18 * maps[-3] + 6 * maps[-4] - maps[-5]) / (12 * h)
@@ -141,29 +159,81 @@ def _derivative_4th(maps: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _svd_gaps(maps: np.ndarray) -> np.ndarray:
+    """kappa_2 > ``CONDITION_LIMIT`` from the singular values of each map."""
+    sv = np.linalg.svd(maps, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf) > CONDITION_LIMIT
+
+
+def _column_squares(maps: np.ndarray) -> np.ndarray:
+    """Squared Euclidean column norms (n, d) of stacked matrices, summed
+    over the real and imaginary views so no table-sized temporary is made."""
+    parts = (maps.real, maps.imag) if np.iscomplexobj(maps) else (maps,)
+    return sum(np.einsum("nab,nab->nb", p, p) for p in parts)
+
+
+def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SVD's gap decision kappa_2 > L = ``CONDITION_LIMIT`` for every
+    map, and the inverses of the kept maps in grid order.
+
+    1. sigma_max >= max column norm and sigma_min <= min column norm, so a
+       column-norm ratio above L(1 + ``GATE_MARGIN``) is a gap.
+    2. The rest are inverted in one batch (X = Phi^{-1}), and
+       maxcol(Phi) maxcol(X) <= kappa_2 <= |Phi|_F |X|_F: a point is kept
+       below L(1 - margin) and is a gap above L(1 + margin).
+    3. Points in between are decided by :func:`_svd_gaps`, and so is every
+       screened-in point when one of them is exactly singular.
+
+    LAPACK inverts each map on its own, so the kept inverses carry the bits
+    of inverting the kept maps alone.
+    """
+    upper_limit = CONDITION_LIMIT * (1 + GATE_MARGIN)
+    lower_limit = CONDITION_LIMIT * (1 - GATE_MARGIN)
+    cols = _column_squares(maps)
+    flagged = np.sqrt(cols.max(axis=1)) > upper_limit * np.sqrt(cols.min(axis=1))
+    rest = np.flatnonzero(~flagged)
+    try:
+        inv = np.linalg.inv(maps if rest.size == flagged.size else maps[rest])
+    except np.linalg.LinAlgError:
+        flagged[rest] = _svd_gaps(maps[rest])  # an exactly singular map is among them
+        return flagged, np.linalg.inv(maps[~flagged])
+    cols, inv_cols = cols[rest], _column_squares(inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lower = np.sqrt(cols.max(axis=1) * inv_cols.max(axis=1))
+        upper = np.sqrt(cols.sum(axis=1) * inv_cols.sum(axis=1))
+    gaps = lower > upper_limit
+    unsure = np.flatnonzero(~gaps & ~(upper < lower_limit))
+    gaps[unsure] = _svd_gaps(maps[rest[unsure]])
+    flagged[rest] = gaps
+    return flagged, inv[~gaps] if gaps.any() else inv
+
+
 def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     """Recover G(t) = dPhi/dt Phi^{-1} on the grid.
 
     Points where Phi is singular beyond ``CONDITION_LIMIT`` (or where the
     recovered sample fails trace annihilation, the symptom of a
-    near-singular inversion) become gap intervals.  Raises
+    near-singular inversion) become gap intervals.  The condition gate
+    (:func:`_condition_gate`) screens by column norms, brackets kappa_2
+    with the inverse that G is then built from, and runs an SVD only on
+    the maps the bracket leaves undecided.  Raises
     :class:`GeneratorSingularityError` only if no point survives.
     """
     maps = np.asarray(family.maps)
     h = family.grid.dt
     ts = family.grid.points
     u = linalg.conservation_row(family.kind, family.dim)
-    # batched conditioning check and inversion over the whole grid
-    sv = np.linalg.svd(maps, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf)
-    flagged = conds > CONDITION_LIMIT
+    # the stencil's scratch table is gone before the gate's inverse exists
+    deriv = _derivative_4th(maps, h)
+    flagged, inv = _condition_gate(maps)
     ok = np.flatnonzero(~flagged)
-    # only the well-conditioned points are inverted; when that is all of
-    # them, the family and its derivative enter as they are, uncopied
+    # when every point is kept, the derivative enters as it is, uncopied
     every = ok.size == flagged.size
-    sub = slice(None) if every else ok
-    g = np.einsum("nab,nbc->nac", _derivative_4th(maps, h)[sub], np.linalg.inv(maps[sub]))
+    if not every:
+        deriv = deriv[ok]
+    g = np.einsum("nab,nbc->nac", deriv, inv)
+    del deriv, inv  # freed before the projection's temporary
     residual = np.einsum("a,nab->nb", u, g)
     defects = np.max(np.abs(residual), axis=1)
     scales = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
@@ -277,20 +347,24 @@ def gksl_canonical_decompose(
 def canonical_rates_on_grid(gen: SampledGenerator) -> np.ndarray:
     """Canonical rate vectors gamma_k(t) at every non-gap grid point.
 
-    Returns shape (n, d^2 - 1); gap rows are NaN.  The per-point
-    Kossakowski construction is batched over the grid; when every sample
-    equals the first (a constant generator) it runs on that one sample and
-    its rates are broadcast.
+    Returns shape (n, d^2 - 1); gap rows are NaN and are never decomposed.
+    The per-point Kossakowski construction is batched over the non-gap
+    samples; when every one of them equals the first (a constant
+    generator) it runs on that one sample and its rates are broadcast.
     """
     if gen.kind != "quantum":
         raise ContractViolationError("canonical rates exist only for quantum generators")
-    samples = gen.samples
-    constant = bool(np.all(samples == samples[0]))
+    gap = gen.gap_mask() if gen.gaps else None
+    samples = gen.samples if gap is None else gen.samples[~gap]
+    constant = bool(np.all(samples == samples[:1]))
     c = _kossakowski(samples[:1] if constant else samples, gen.dim)
-    rates = np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1].real
+    kept = np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1].real
     if constant:
-        rates = np.repeat(rates, samples.shape[0], axis=0)
-    rates[gen.gap_mask()] = np.nan
+        kept = np.repeat(kept, samples.shape[0], axis=0)
+    if gap is None:
+        return kept
+    rates = np.full((gap.size, kept.shape[1]), np.nan)
+    rates[~gap] = kept
     return rates
 
 

@@ -119,6 +119,7 @@ class SweepSpec:
             if not value > 0:
                 raise ContractViolationError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, name, value)
+        TimeGrid.uniform(self.dt, self.t_max)  # the rows' grid must be buildable
 
     def lattice(self) -> list[dict]:
         """Parameter dicts in lattice order (last axis fastest)."""

@@ -130,10 +130,16 @@ class TimeGrid:
             raise ContractViolationError("dt and t_max must be finite")
         if dt <= 0 or t_max <= 0:
             raise ContractViolationError("dt and t_max must be positive")
-        n = int(round(t_max / dt))
+        ratio = t_max / dt
+        if not np.isfinite(ratio):
+            raise ContractViolationError(f"t_max/dt = {t_max:g}/{dt:g} is not a finite point count")
+        n = int(round(ratio))
         if abs(n * dt - t_max) > 1e-9 * max(1.0, t_max):
-            n = int(np.ceil(t_max / dt))
-        return cls(np.arange(n + 1) * dt)
+            n = int(np.ceil(ratio))
+        try:
+            return cls(np.arange(n + 1) * dt)
+        except (ValueError, MemoryError) as exc:
+            raise ContractViolationError(f"a grid of {float(n + 1):.3g} points cannot be allocated: {exc}") from exc
 
     @property
     def n(self) -> int:

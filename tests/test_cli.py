@@ -626,6 +626,24 @@ class TestGridFlags:
         assert main([command, "--config", config, "--out", str(tmp_path)] + flags) == 2
         assert "config error: grid." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "extract", "divisibility", "backflow", "phase-diagram"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    @pytest.mark.parametrize("dt", ["1e-300", "5e-324"])
+    def test_unbuildable_grid_exits_2(self, tmp_path, capsys, command, where, dt):
+        """A step so small that the point count overflows or cannot be
+        allocated is a config error: exit 2, no traceback."""
+        payload = {"model": {"name": "classical_exp_kernel"}, "grid": {"t_max": 40.0}}
+        if command == "phase-diagram":
+            payload["axes"] = [{"param": "tau_m", "min": 0.2, "max": 0.5, "steps": 2}]
+        flags = ["--dt", dt]
+        if where == "config":
+            payload["grid"]["dt"] = float(dt)
+            flags = []
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "point" in err and "Traceback" not in err
+
     def test_non_numeric_grid_value_exits_2(self, tmp_path):
         config = write_config(
             tmp_path, {"model": {"name": "markov_two_state"}, "grid": {"dt": "fast"}}

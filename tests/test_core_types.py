@@ -371,3 +371,10 @@ class TestTimeGridInputs:
     def test_non_finite_rejected(self, dt, t_max):
         with pytest.raises(ContractViolationError):
             TimeGrid.uniform(dt, t_max)
+
+    @pytest.mark.parametrize("dt, t_max", [(5e-324, 1.0), (1e-300, 40.0)])
+    def test_unbuildable_point_count_rejected(self, dt, t_max):
+        """t_max/dt overflows to inf, or names more points than numpy can
+        address: both fail before any allocation is attempted."""
+        with pytest.raises(ContractViolationError, match="point"):
+            TimeGrid.uniform(dt, t_max)

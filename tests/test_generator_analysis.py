@@ -150,6 +150,17 @@ class TestStencilOrder:
         assert interior_coarse / interior_fine >= 14.0
         assert ends_coarse / ends_fine >= 14.0
 
+    def test_interior_stencil_bitwise_equal_to_one_expression(self):
+        """The interior stencil is written in place with one scratch table,
+        in the operation order of the one-expression form."""
+        from backflow_lab.generator_analysis import _derivative_4th
+
+        h = 1e-3
+        maps = dephasing_qubit(rate_kind="sinusoidal", amplitude=1.3).propagator_fn(TimeGrid.uniform(h, 5.0)).maps
+        want = (maps[:-4] - 8 * maps[1:-3] + 8 * maps[3:-1] - maps[4:]) / (12 * h)
+        got = _derivative_4th(maps, h)[2:-2]
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
 
 def gap_intervals_loop(flagged, ts, h):
     """The per-point run scan the gap intervals were first built with."""
@@ -231,6 +242,106 @@ def extract_with_copies(family, condition_limit=1e8):
     return samples, run_intervals(flagged, ts, h)
 
 
+# on dt = 1e-3, t_max = 15, 926 of its maps lie within 1e-12 of
+# [[.5, .5], [.5, .5]] and are exactly singular to LU: they pass the
+# column-norm screen and make the batched inverse raise
+EXACTLY_SINGULAR_KERNEL = classical_exp_kernel(gamma=0.84, tau_m=0.1526)
+# its inverse bracket leaves a few hundred maps near the limit to the SVD
+BRACKETED_KERNEL = classical_exp_kernel(n=3, gamma=1.0, tau_m=0.3)
+
+
+def svd_gap_mask(maps, condition_limit=1e8):
+    """kappa_2 > condition_limit from every map's singular values."""
+    sv = np.linalg.svd(maps, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf) > condition_limit
+
+
+def conditioned_stack(rng, kappas, d, complex_):
+    """Random (n, d, d) maps with condition numbers ``kappas``: singular
+    values 1 and 1/kappa with the rest log-uniform between, rotated by
+    random orthogonal (or unitary) factors and scaled by up to 1e3 either way."""
+    n = kappas.size
+    shape = (n, d, d)
+
+    def rotation():
+        z = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+        return np.linalg.qr(z)[0]
+
+    inner = kappas[:, None] ** -rng.uniform(0.0, 1.0, (n, d - 2))
+    sv = np.concatenate([np.ones((n, 1)), inner, 1.0 / kappas[:, None]], axis=1)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, (n, 1, 1))
+    return scale * np.einsum("nab,nb,ncb->nac", rotation(), sv, rotation().conj())
+
+
+def count_svd_rows(monkeypatch):
+    """Patch ``np.linalg.svd`` to record the number of maps of each call."""
+    rows = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        rows.append(np.shape(a)[0])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return rows
+
+
+class TestConditionGate:
+    """The gate's screen and inverse bracket give the SVD's decision
+    kappa_2 > CONDITION_LIMIT on every map, and hand back the kept maps'
+    inverses with the bits of inverting those maps alone."""
+
+    SHAPES = [(4, True), (2, False), (3, False)]
+
+    def check(self, maps):
+        from backflow_lab.generator_analysis import _condition_gate
+
+        flagged, inv = _condition_gate(maps)
+        want = svd_gap_mask(maps)
+        assert np.array_equal(flagged, want)
+        kept = np.linalg.inv(maps[~want])
+        assert inv.shape == kept.shape
+        assert np.array_equal(inv.view(np.uint8), kept.view(np.uint8))
+        return flagged
+
+    @pytest.mark.parametrize("d, complex_", SHAPES)
+    def test_log_uniform_conditions(self, monkeypatch, d, complex_):
+        rng = np.random.default_rng(16 + d)
+        kappas = 10.0 ** rng.uniform(6.0, 10.0, 4000)
+        maps = conditioned_stack(rng, kappas, d, complex_)
+        rows = count_svd_rows(monkeypatch)
+        flagged = self.check(maps)
+        assert 0 < flagged.sum() < flagged.size
+        # the bounds decide most maps; the SVD sees only the rest (and the
+        # reference's own call on every map)
+        assert rows[-1] == maps.shape[0] and 0 < sum(rows[:-1]) < maps.shape[0] // 2
+
+    @pytest.mark.parametrize("d, complex_", SHAPES)
+    def test_conditions_pinned_at_the_limit(self, d, complex_):
+        from backflow_lab.generator_analysis import CONDITION_LIMIT
+
+        rng = np.random.default_rng(160 + d)
+        offsets = np.concatenate([-np.logspace(-9, -5, 9), np.logspace(-9, -5, 9)])
+        kappas = np.repeat(CONDITION_LIMIT * (1.0 + offsets), 40)
+        flagged = self.check(conditioned_stack(rng, kappas, d, complex_))
+        assert flagged[kappas > CONDITION_LIMIT * (1 + 1e-7)].all()
+        assert not flagged[kappas < CONDITION_LIMIT * (1 - 1e-7)].any()
+
+    def test_exactly_singular_maps(self):
+        rng = np.random.default_rng(1616)
+        for d, complex_ in self.SHAPES:
+            maps = conditioned_stack(rng, 10.0 ** rng.uniform(0.0, 10.0, 200), d, complex_)
+            # duplicated power-of-two columns: LU elimination meets an exact zero pivot
+            column = 0.5 ** np.arange(d)
+            maps[::7, :, 0] = maps[::7, :, 1] = column
+            maps[3] = 0.0
+            flagged = self.check(maps)
+            assert flagged[::7].all() and flagged[3]
+        half = np.full((2, 2), 0.5)
+        self.check(np.stack([half, np.eye(2), half, [[1.0, 2.0], [0.0, 1.0]]]))
+
+
 class TestExtractionWithoutCopies:
     """Extraction uses the family itself when every point is
     well-conditioned and projects in place; the samples keep every bit."""
@@ -252,6 +363,8 @@ class TestExtractionWithoutCopies:
         # ill-conditioned but allowed inversion, rather than the condition limit
         model = classical_exp_kernel(gamma=1.0, tau_m=0.5)
         yield "kernel, trace-check gaps", model.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
+        yield "kernel, exactly singular maps", EXACTLY_SINGULAR_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
+        yield "3-state kernel, SVD-decided points", BRACKETED_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
 
     def test_samples_bitwise_equal_to_copying_version(self):
         gap_counts = {}
@@ -265,6 +378,7 @@ class TestExtractionWithoutCopies:
         assert gap_counts["sinusoidal, no gaps"] == gap_counts["3-state kernel"] == 0
         assert gap_counts["sinusoidal, gap at the end"] > 0 and gap_counts["cosine_f, gaps at the zeros"] > 0
         assert gap_counts["kernel, trace-check gaps"] > 0
+        assert gap_counts["kernel, exactly singular maps"] > 0 and gap_counts["3-state kernel, SVD-decided points"] > 0
 
     @pytest.mark.parametrize("amplitude, t_max", [(0.5, 10.0), (1.5, 40.0)])
     def test_peak_allocation_bounded(self, amplitude, t_max):
@@ -284,6 +398,30 @@ class TestExtractionWithoutCopies:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * family.maps.nbytes
+
+
+class TestGateCost:
+    def test_dephasing_extraction_passes_few_maps_to_the_svd(self, monkeypatch):
+        """The cli-mixed dephasing family: the screen and the inverse
+        bracket decide all but a few percent of the 40 001 maps."""
+        family = dephasing_qubit(rate_kind="sinusoidal", amplitude=1.32).propagator_fn(TimeGrid.uniform(1e-3, 40.0))
+        rows = count_svd_rows(monkeypatch)
+        gen = extract_tcl_generator(family)
+        assert gen.gaps and sum(rows) <= 0.05 * family.maps.shape[0]
+
+    def test_families_take_the_fallback_and_the_bracket(self, monkeypatch):
+        """The two kernel families added to the bit-equality test reach the
+        gate's SVD paths: the exactly singular maps send every screened-in
+        map to the SVD, the 3-state kernel only the bracket's undecided ones."""
+        rows = count_svd_rows(monkeypatch)
+        family = EXACTLY_SINGULAR_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
+        assert np.count_nonzero(np.linalg.det(family.maps) == 0) == 926
+        extract_tcl_generator(family)
+        assert rows == [family.maps.shape[0]]
+        rows.clear()
+        family = BRACKETED_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
+        extract_tcl_generator(family)
+        assert len(rows) == 1 and 0 < rows[0] < 0.05 * family.maps.shape[0]
 
 
 class TestCanonicalDecomposition:
@@ -351,6 +489,32 @@ class TestCanonicalDecomposition:
 
 
 class TestCpDivisibility:
+    @pytest.mark.parametrize("rate_kind, params, t_max", [("cosine_f", {"mu": math.pi}, 8.0), ("sinusoidal", {"amplitude": 1.5}, 40.0)])
+    def test_canonical_rates_skip_gap_rows_with_equal_bits(self, monkeypatch, rate_kind, params, t_max):
+        """Gap rows are never decomposed; they are NaN, and the other rows
+        keep the bits of the full-grid decomposition."""
+        import backflow_lab.generator_analysis as ga
+
+        family = dephasing_qubit(rate_kind=rate_kind, **params).propagator_fn(TimeGrid.uniform(1e-3, t_max))
+        gen = extract_tcl_generator(family)
+        gap = gen.gap_mask()
+        assert 0 < gap.sum() < gap.size
+        c = ga._kossakowski(gen.samples, gen.dim)
+        want = np.ascontiguousarray(np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1].real)
+        want[gap] = np.nan
+        decomposed = []
+        kossakowski = ga._kossakowski
+
+        def counting(samples, dim):
+            decomposed.append(np.shape(samples)[0])
+            return kossakowski(samples, dim)
+
+        monkeypatch.setattr(ga, "_kossakowski", counting)
+        got = ga.canonical_rates_on_grid(gen)
+        assert decomposed == [np.count_nonzero(~gap)]
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
     def test_constant_gksl_divisible(self):
         g = dissipator_superop(SIGMA_MINUS)
         grid = TimeGrid.uniform(1e-3, 2.0)
