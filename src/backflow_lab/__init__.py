@@ -16,11 +16,11 @@ from .generator_analysis import (
     DivisibilityReport,
     SampledGenerator,
     assemble_gksl,
+    canonical_forms,
     check_classical_divisible,
     check_cp_divisible,
     extract_tcl_generator,
     gell_mann_basis,
-    gksl_canonical_decompose,
 )
 from .information import (
     InfoSeries,

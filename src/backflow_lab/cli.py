@@ -23,14 +23,12 @@ import numpy as np
 
 from . import analysis, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
-from .generator_analysis import check_divisible
+from .generator_analysis import RATE_TOLERANCE, check_divisible
 from .information import check_measure_tags
 from .models import build_model, finite_number, model_schemas
+from .netfd import EPSILON_N
 from .phase_diagram import SweepSpec, check_tolerance, run_sweep
-from .states import TimeGrid
-
-DEFAULT_DT = 1e-3
-DEFAULT_T_MAX = 20.0
+from .states import DEFAULT_DT, DEFAULT_T_MAX, TimeGrid
 
 
 # ---------------------------------------------------------------- config
@@ -144,10 +142,13 @@ def _grid(config: dict, args) -> TimeGrid:
         raise ConfigError(str(exc)) from exc
 
 
-def _tolerance(config: dict, key: str, default: float) -> float:
+_TOLERANCE_DEFAULTS = {"epsilon_n": EPSILON_N, "rate_tolerance": RATE_TOLERANCE}
+
+
+def _tolerance(config: dict, key: str) -> float:
     """``epsilon_n`` or ``rate_tolerance``: a finite number >= 0."""
     try:
-        return check_tolerance(key, config.get(key, default))
+        return check_tolerance(key, config.get(key, _TOLERANCE_DEFAULTS[key]))
     except ContractViolationError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -233,7 +234,7 @@ def cmd_extract(config: dict, args) -> int:
 def cmd_divisibility(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid(config, args)
-    tol = _tolerance(config, "rate_tolerance", 1e-7)
+    tol = _tolerance(config, "rate_tolerance")
     report = check_divisible(_generator(config, model, grid), tol)
     rates_path = os.path.join(args.out, "rates.csv")
     serialize.write_text_atomic(rates_path, serialize.rate_traces_csv(report))
@@ -248,8 +249,8 @@ def cmd_backflow(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid(config, args)
     measures = _measures(config)
-    eps = _tolerance(config, "epsilon_n", 1e-6)
-    tol = _tolerance(config, "rate_tolerance", 1e-7)
+    eps = _tolerance(config, "epsilon_n")
+    tol = _tolerance(config, "rate_tolerance")
     if measures is None:
         measures = ["kl"] if model.kind == "classical" else ["rel_entropy"]
     report = analysis.analyze(model, grid, config.get("route", "auto"), measures, eps, tol)
@@ -291,8 +292,8 @@ def cmd_phase_diagram(config: dict, args) -> int:
             dt=dt,
             t_max=t_max,
             measures=config.get("measures", ()),
-            epsilon_n=_tolerance(config, "epsilon_n", 1e-6),
-            rate_tolerance=_tolerance(config, "rate_tolerance", 1e-7),
+            epsilon_n=_tolerance(config, "epsilon_n"),
+            rate_tolerance=_tolerance(config, "rate_tolerance"),
             threads=threads,
         )
     except ContractViolationError as exc:

@@ -1,6 +1,5 @@
 """Exact extraction of time-local generators from propagator families,
-canonical GKSL decomposition with time-dependent rates, and divisibility
-tests.
+the canonical GKSL form of a stack of generators, and divisibility tests.
 
 The generator is recovered as G(t) = dPhi/dt(t) Phi(t)^{-1} with the time
 derivative taken by 4th-order finite differences on the grid (one-sided
@@ -12,18 +11,23 @@ The condition gate kappa_2(Phi) > ``CONDITION_LIMIT`` runs in three steps,
 each an exact inequality: a screen by column norms (no inversion), a
 bracket from the one batched inverse that G also uses, and an SVD only for
 the few maps the bracket cannot decide.
+
+:func:`canonical_forms` is the one decomposition: the Kossakowski matrices
+(Gorini, Kossakowski and Sudarshan, JMP 17, 821 (1976)) of a stack of
+samples and their eigenvalues, the canonical rates gamma_k(t) that
+:func:`check_cp_divisible` reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
-from .propagation import PropagatorFamily, TclGenerator
+from .propagation import PropagatorFamily, TclGenerator, _sample_defects
 from .states import TimeGrid, run_intervals
 
 CONDITION_LIMIT = 1e8
@@ -77,6 +81,8 @@ class SampledGenerator:
         outside = (ts < pts[0]) | (ts > pts[-1])
         if outside.any():
             raise ContractViolationError(f"t={ts[np.argmax(outside)]:g} outside the sampled range")
+        if pts.size < 4:
+            raise ContractViolationError(f"cubic interpolation needs at least 4 samples, got {pts.size}")
         j = np.clip(np.searchsorted(pts, ts) - 1, 0, pts.size - 2)
         nodes = np.clip(j - 1, 0, pts.size - 4)[:, None] + np.arange(4)  # (n, 4)
         x = pts[nodes]
@@ -89,26 +95,6 @@ class SampledGenerator:
 
     def as_tcl_generator(self) -> TclGenerator:
         return TclGenerator(dim=self.dim, kind=self.kind, evaluate=self.evaluate)
-
-
-@dataclass(frozen=True)
-class CanonicalGkslForm:
-    """Canonical pieces of a trace-annihilating quantum generator:
-    Hermitian traceless ``hamiltonian``, canonical ``rates`` (descending)
-    and Hilbert-Schmidt-orthonormal traceless ``jump_ops``."""
-
-    time: float
-    hamiltonian: np.ndarray
-    rates: np.ndarray
-    jump_ops: np.ndarray  # shape (d^2 - 1, d, d)
-
-    @property
-    def dim(self) -> int:
-        return self.hamiltonian.shape[0]
-
-    def reassemble(self) -> np.ndarray:
-        """Superoperator matrix rebuilt from the canonical pieces."""
-        return assemble_gksl(self.hamiltonian, self.rates, self.jump_ops)
 
 
 @dataclass(frozen=True)
@@ -311,86 +297,78 @@ def _kossakowski(samples: np.ndarray, dim: int) -> np.ndarray:
     return (c + c.conj().transpose(0, 2, 1)) / 2.0
 
 
-def gksl_canonical_decompose(
-    g, dim: int | None = None, time: float = 0.0
-) -> CanonicalGkslForm:
-    """Canonical decomposition of a trace-annihilating generator, the
-    (d^2, d^2) superoperator matrix ``g``.
+@dataclass(frozen=True)
+class CanonicalGkslForm:
+    """Canonical GKSL form of n trace-annihilating quantum generators.
 
-    The generator is expanded over the traceless orthonormal basis; the
-    eigendecomposition of the resulting Kossakowski matrix supplies the
-    canonical rates (descending) and jump operators, and the remainder
-    assembles into the Hamiltonian part.
+    ``coefficients`` (n, d^2, d^2) is the Hermitian :func:`_kossakowski`
+    stack, whose [:, 1:, 1:] block is the Kossakowski matrix; ``rates``
+    (n, d^2 - 1) are its eigenvalues, descending.  The Hamiltonians and the
+    jump operators (one batched ``eigh``) are computed only when read.
     """
-    mat = np.asarray(g, dtype=complex)
-    if dim is None:
-        dim = int(round(np.sqrt(mat.shape[0])))
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(linalg.conservation_row("quantum", dim) @ mat)) > EXTRACTION_TRACE_TOL * scale:
-        raise ContractViolationError("generator does not annihilate the trace")
-    c = _kossakowski(mat, dim)[0]
-    basis = _full_basis(dim)
-    chi = c[1:, 1:]
-    rates, vecs = np.linalg.eigh(chi)
-    rates = rates[::-1].real.copy()
-    vecs = vecs[:, ::-1]
-    jumps = np.einsum("ik,iab->kab", vecs, basis[1:])
-    b_op = np.einsum("i,iab->ab", c[1:, 0], basis[1:]) / np.sqrt(dim)
-    hamiltonian = 1j * (b_op - b_op.conj().T) / 2.0
-    hamiltonian = (hamiltonian + hamiltonian.conj().T) / 2.0
-    hamiltonian = hamiltonian - np.trace(hamiltonian) / dim * np.eye(dim)
-    return CanonicalGkslForm(
-        time=float(time), hamiltonian=hamiltonian, rates=rates, jump_ops=jumps
-    )
+
+    dim: int
+    coefficients: np.ndarray
+    rates: np.ndarray
+
+    @cached_property
+    def jump_ops(self) -> np.ndarray:
+        """HS-orthonormal traceless jump operators (n, d^2 - 1, d, d), in
+        the order of ``rates``."""
+        vecs = np.linalg.eigh(self.coefficients[:, 1:, 1:])[1][:, :, ::-1]
+        return np.einsum("nik,iab->nkab", vecs, gell_mann_basis(self.dim))
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """Hermitian traceless Hamiltonians (n, d, d)."""
+        b = np.einsum("ni,iab->nab", self.coefficients[:, 1:, 0], gell_mann_basis(self.dim)) / np.sqrt(self.dim)
+        h = 1j * (b - b.conj().transpose(0, 2, 1)) / 2.0
+        return h - np.einsum("nii->n", h)[:, None, None] / self.dim * np.eye(self.dim)
+
+    def reassemble(self) -> np.ndarray:
+        """The (n, d^2, d^2) generators rebuilt from the canonical pieces."""
+        return assemble_gksl(self.hamiltonian, self.rates, self.jump_ops)
 
 
-def canonical_rates_on_grid(gen: SampledGenerator) -> np.ndarray:
-    """Canonical rate vectors gamma_k(t) at every non-gap grid point.
+def canonical_forms(samples: np.ndarray, dim: int) -> CanonicalGkslForm:
+    """Canonical GKSL form (Hall, Cresser, Li and Andersson, PRA 89, 042120
+    (2014)) of stacked (n, d^2, d^2) quantum generators.
 
-    Returns shape (n, d^2 - 1); gap rows are NaN and are never decomposed.
-    The per-point Kossakowski construction is batched over the non-gap
-    samples; when every one of them equals the first (a constant
-    generator) it runs on that one sample and its rates are broadcast.
+    The first sample whose trace defect exceeds ``EXTRACTION_TRACE_TOL``
+    times max(1, max|G|) raises :class:`ContractViolationError`.  When every
+    sample equals the first (a constant generator) one Kossakowski matrix
+    is decomposed and broadcast to every row.
     """
+    samples = np.asarray(samples)
+    constant = bool(np.all(samples == samples[:1]))
+    distinct = samples[:1] if constant else samples
+    defect, bad = _sample_defects(distinct, "quantum", dim, EXTRACTION_TRACE_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractViolationError(f"generator sample {i} does not annihilate the trace (defect {defect[i]:.3e})")
+    c = _kossakowski(distinct, dim)
+    rates = np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1]
+    if constant:
+        c, rates = np.broadcast_to(c, samples.shape), np.repeat(rates, len(samples), axis=0)
+    return CanonicalGkslForm(dim, c, rates)
+
+
+def check_cp_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE) -> DivisibilityReport:
+    """Divisibility via the sign of the canonical rates at every grid point."""
     if gen.kind != "quantum":
         raise ContractViolationError("canonical rates exist only for quantum generators")
-    gap = gen.gap_mask() if gen.gaps else None
-    samples = gen.samples if gap is None else gen.samples[~gap]
-    constant = bool(np.all(samples == samples[:1]))
-    c = _kossakowski(samples[:1] if constant else samples, gen.dim)
-    kept = np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1].real
-    if constant:
-        kept = np.repeat(kept, samples.shape[0], axis=0)
-    if gap is None:
-        return kept
-    rates = np.full((gap.size, kept.shape[1]), np.nan)
-    rates[~gap] = kept
-    return rates
+    return _report_from_traces(gen, lambda kept: canonical_forms(kept, gen.dim).rates, rate_tolerance)
 
 
-def check_cp_divisible(
-    gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE
-) -> DivisibilityReport:
-    """Divisibility via the sign of the canonical rates at every grid point."""
-    rates = canonical_rates_on_grid(gen)
-    return _report_from_traces(gen, rates, rate_tolerance)
-
-
-def check_classical_divisible(
-    gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE
-) -> DivisibilityReport:
+def check_classical_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE) -> DivisibilityReport:
     """Divisibility via the sign of the off-diagonal effective rates."""
     if gen.kind != "classical":
         raise ContractViolationError("classical divisibility needs a classical generator")
-    mask = ~np.eye(gen.dim, dtype=bool)
-    traces = np.asarray(gen.samples)[:, mask].real.copy()
-    traces[gen.gap_mask()] = np.nan
-    return _report_from_traces(gen, traces, rate_tolerance)
+    off = ~np.eye(gen.dim, dtype=bool)
+    return _report_from_traces(gen, lambda kept: kept[:, off].real, rate_tolerance)
 
 
-def check_divisible(
-    gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE
-) -> DivisibilityReport:
+def check_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE) -> DivisibilityReport:
     """:func:`check_cp_divisible` for a quantum generator,
     :func:`check_classical_divisible` for a classical one."""
     if gen.kind == "quantum":
@@ -398,18 +376,25 @@ def check_divisible(
     return check_classical_divisible(gen, rate_tolerance)
 
 
-def _report_from_traces(gen, traces: np.ndarray, rate_tolerance: float) -> DivisibilityReport:
-    n = traces.shape[0]
+def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityReport:
+    """The report on the (n, m) rate traces: ``traces_of`` maps the non-gap
+    samples to their rows, and gap rows are NaN.  Without gaps no mask is
+    built and no sample is copied."""
+    if gen.gaps:
+        gap = gen.gap_mask()
+        kept = traces_of(gen.samples[~gap])
+        traces = np.full((gap.size,) + kept.shape[1:], np.nan)
+        traces[~gap] = kept
+    else:
+        traces = traces_of(gen.samples)
     valid = ~np.all(np.isnan(traces), axis=1)
     if not np.any(valid):
         raise GeneratorSingularityError("no usable grid points outside gaps")
-    per_point = np.full(n, np.nan)
+    per_point = np.full(len(traces), np.nan)
     per_point[valid] = np.nanmin(traces[valid], axis=1)
     min_rate = float(np.nanmin(per_point))
     violating = valid & (per_point < -rate_tolerance)
-    first_violation = (
-        float(gen.grid.points[np.argmax(violating)]) if np.any(violating) else None
-    )
+    first_violation = float(gen.grid.points[np.argmax(violating)]) if np.any(violating) else None
     return DivisibilityReport(
         divisible=not np.any(violating),
         min_rate=min_rate,
@@ -422,9 +407,9 @@ def _report_from_traces(gen, traces: np.ndarray, rate_tolerance: float) -> Divis
     )
 
 
-def assemble_gksl(hamiltonian: np.ndarray, rates, jump_ops) -> np.ndarray:
-    """Superoperator matrix of -i[H, .] + sum_k gamma_k D[L_k]."""
-    g = linalg.commutator_superop(np.asarray(hamiltonian, dtype=complex))
-    for rate, jump in zip(np.atleast_1d(rates), jump_ops):
-        g = g + rate * linalg.dissipator_superop(np.asarray(jump, dtype=complex))
-    return g
+def assemble_gksl(hamiltonian, rates, jump_ops) -> np.ndarray:
+    """Superoperator matrix of -i[H, .] + sum_k gamma_k D[L_k]: H (..., d, d),
+    rates (..., K) and jump operators (..., K, d, d) give (..., d^2, d^2)."""
+    return linalg.commutator_superop(hamiltonian) + np.einsum(
+        "...k,...kab->...ab", rates, linalg.dissipator_superop(jump_ops)
+    )

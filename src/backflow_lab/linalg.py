@@ -145,24 +145,30 @@ def devectorize(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 
 
 def left_right_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X B acting on column-stacked vectors: kron(B.T, A)."""
-    return np.kron(np.asarray(b).T, np.asarray(a))
+    """Matrix of X -> A X B acting on column-stacked vectors: kron(B.T, A),
+    for (d, d) operators or broadcast stacks (..., d, d).  Written as the
+    broadcast product ``np.kron`` itself forms, so it keeps its bits."""
+    a, bt = np.asarray(a), np.swapaxes(np.asarray(b), -1, -2)
+    out = bt[..., :, None, :, None] * a[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3], -1))
 
 
 def commutator_superop(h: np.ndarray) -> np.ndarray:
-    """Matrix of X -> -i[H, X]."""
+    """Matrix of X -> -i[H, X], for one H or a stack (..., d, d)."""
     h = np.asarray(h, dtype=complex)
-    eye = np.eye(h.shape[0])
+    eye = np.eye(h.shape[-1])
     return -1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
 
 
 def dissipator_superop(jump: np.ndarray) -> np.ndarray:
-    """Matrix of X -> L X L^dag - (1/2){L^dag L, X}."""
+    """Matrix of X -> L X L^dag - (1/2){L^dag L, X}, for one L or a stack
+    (..., d, d)."""
     jump = np.asarray(jump, dtype=complex)
-    eye = np.eye(jump.shape[0])
-    ldl = jump.conj().T @ jump
+    eye = np.eye(jump.shape[-1])
+    dagger = np.swapaxes(jump.conj(), -1, -2)
+    ldl = dagger @ jump
     return (
-        left_right_superop(jump, jump.conj().T)
+        left_right_superop(jump, dagger)
         - 0.5 * left_right_superop(ldl, eye)
         - 0.5 * left_right_superop(eye, ldl)
     )

@@ -23,10 +23,11 @@ import numpy as np
 
 from .analysis import analyze
 from .errors import BackflowLabError, ContractViolationError
+from .generator_analysis import RATE_TOLERANCE
 from .information import InfoSeries, check_measure_tags
 from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params, finite_number
 from .netfd import EPSILON_N
-from .states import TimeGrid
+from .states import DEFAULT_DT, DEFAULT_T_MAX, TimeGrid
 
 SWEEP_COLUMNS_TAIL = (
     "divisible",
@@ -77,11 +78,11 @@ class SweepSpec:
     model: str
     axes: tuple  # ((name, min, max, steps), ...) with 1 or 2 entries
     fixed: dict = field(default_factory=dict)
-    dt: float = 1e-3
-    t_max: float = 20.0
+    dt: float = DEFAULT_DT
+    t_max: float = DEFAULT_T_MAX
     measures: tuple = ()
     epsilon_n: float = EPSILON_N
-    rate_tolerance: float = 1e-7
+    rate_tolerance: float = RATE_TOLERANCE
     threads: int = 1
 
     def __post_init__(self):

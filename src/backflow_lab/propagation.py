@@ -159,13 +159,15 @@ def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
     return initial.entries.astype(float).copy()
 
 
-def _sample_defects(samples: np.ndarray, kind: str, dim: int):
+def _sample_defects(samples: np.ndarray, kind: str, dim: int, tol: float):
     """Trace-preservation defect of stacked generator samples (k, dd, dd)
-    and the scale it is judged against: sample j fails when
-    ``defect[j] > SAMPLE_TRACE_TOL * scale[j]``, scale = max(1, max|G|)."""
+    and the mask of those that fail, ``defect > tol * max(1, max|G|)``.
+    The scale is >= 1, so it is read only where the defect exceeds ``tol``."""
     defect = np.max(np.abs(linalg.conservation_row(kind, dim) @ samples), axis=1)
-    scale = np.maximum(1.0, np.max(np.abs(samples), axis=(1, 2)))
-    return defect, scale
+    bad = defect > tol
+    if bad.any():
+        bad[bad] = defect[bad] > tol * np.maximum(1.0, np.max(np.abs(samples[bad]), axis=(1, 2)))
+    return defect, bad
 
 
 def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -208,8 +210,8 @@ def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> 
     fails trace preservation (:class:`ContractViolationError`)."""
     finite = np.isfinite(samples).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):
-        defect, scale = _sample_defects(samples, kind, dim)
-    bad = ~finite | (defect > SAMPLE_TRACE_TOL * scale)
+        defect, failing = _sample_defects(samples, kind, dim, SAMPLE_TRACE_TOL)
+    bad = ~finite | failing
     if bad.any():
         i = int(np.argmax(bad))
         t = float(ts[i])

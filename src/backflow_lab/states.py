@@ -20,6 +20,9 @@ PROB_FLOOR = -1e-12
 # trace (sum) drift a trajectory state may carry, and its classical floor
 TRAJECTORY_TRACE_TOL = 1e-9
 TRAJECTORY_PROB_FLOOR = -1e-9
+# the grid of a command or sweep that names no dt or t_max
+DEFAULT_DT = 1e-3
+DEFAULT_T_MAX = 20.0
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

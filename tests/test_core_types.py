@@ -16,7 +16,8 @@ from backflow_lab import (
     psd_sqrt,
     vectorize,
 )
-from backflow_lab.linalg import hermitian_spectra, left_right_superop
+from backflow_lab.linalg import commutator_superop, dissipator_superop, hermitian_spectra, left_right_superop
+from backflow_lab.models import SIGMA_MINUS
 from _oracles import random_density_matrix
 
 
@@ -185,6 +186,49 @@ class TestVectorize:
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolationError):
             devectorize(np.zeros(3))
+
+
+def kron_builds(op):
+    """Commutator and dissipator superoperators of one operator, built with
+    ``np.kron`` as kron(B.T, A) for X -> A X B."""
+    op = np.asarray(op, dtype=complex)
+    eye = np.eye(op.shape[0])
+    ldl = op.conj().T @ op
+    commutator = -1j * (np.kron(eye, op) - np.kron(op.T, eye))
+    dissipator = np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
+    return commutator, dissipator
+
+
+class TestSuperopBuilders:
+    """The batched builders keep the bits of the ``np.kron`` builds, one
+    operator at a time and on a stack."""
+
+    RNG = np.random.default_rng(17)
+    QUTRIT = RNG.standard_normal((3, 3)) + 1j * RNG.standard_normal((3, 3))
+    STACK = RNG.standard_normal((5, 3, 3)) + 1j * RNG.standard_normal((5, 3, 3))
+
+    @staticmethod
+    def same_bits(a, b):
+        return a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    @pytest.mark.parametrize(
+        "op",
+        [SIGMA_MINUS, SIGMA_MINUS.T, np.diag([1.0, -1.0]) / np.sqrt(2.0), QUTRIT],
+        ids=["sigma_minus", "sigma_plus", "sigma_z_over_sqrt2", "random_qutrit"],
+    )
+    def test_one_operator(self, op):
+        commutator, dissipator = kron_builds(op)
+        assert self.same_bits(commutator_superop(op), commutator)
+        assert self.same_bits(dissipator_superop(op), dissipator)
+        b = self.QUTRIT[: len(op), : len(op)]
+        assert self.same_bits(left_right_superop(op, b), np.kron(b.T, op))
+
+    def test_stack(self):
+        builds = [kron_builds(op) for op in self.STACK]
+        assert self.same_bits(commutator_superop(self.STACK), np.array([c for c, _ in builds]))
+        assert self.same_bits(dissipator_superop(self.STACK), np.array([d for _, d in builds]))
+        want = np.array([np.kron(self.QUTRIT.T, op) for op in self.STACK])
+        assert self.same_bits(left_right_superop(self.STACK, self.QUTRIT), want)
 
 
 class TestDensityMatrix:

@@ -9,15 +9,15 @@ from backflow_lab import (
     ProbabilityVector,
     TimeGrid,
     assemble_gksl,
+    canonical_forms,
     check_classical_divisible,
     check_cp_divisible,
     extract_tcl_generator,
     gell_mann_basis,
-    gksl_canonical_decompose,
     solve_tcl,
 )
 from backflow_lab.generator_analysis import SampledGenerator
-from backflow_lab.linalg import commutator_superop, dissipator_superop
+from backflow_lab.linalg import commutator_superop, dissipator_superop, left_right_superop
 from backflow_lab.models import (
     SIGMA_MINUS,
     SIGMA_X,
@@ -127,6 +127,17 @@ class TestExtraction:
         want = np.array([lagrange(t) for t in ts.tolist()])
         assert np.max(np.abs(gen.evaluate(ts) - want)) <= 1e-13
         assert np.array_equal(gen.evaluate(pts), gen.samples)
+
+    def test_interpolation_needs_four_samples(self):
+        """A 3-point grid has no 4-point stencil: a contract error that
+        names the sample count, not a wrapped node index and +-inf."""
+        from backflow_lab.analysis import propagate
+
+        model = dephasing_qubit(rate_kind="sinusoidal")
+        _, gen = propagate(model, TimeGrid.uniform(1.0, 2.0), "tcl", trajectory=False)
+        assert gen.samples.shape[0] == 3
+        with pytest.raises(ContractViolationError, match="at least 4 samples, got 3"):
+            gen.evaluate(np.array([0.5, 1.5]))
 
 
 class TestStencilOrder:
@@ -424,40 +435,63 @@ class TestGateCost:
         assert len(rows) == 1 and 0 < rows[0] < 0.05 * family.maps.shape[0]
 
 
+def canonical_form(g, dim=2):
+    """The canonical form of one generator, as a one-sample stack."""
+    return canonical_forms(np.asarray(g)[None], dim)
+
+
 class TestCanonicalDecomposition:
     def test_amplitude_damping(self):
         g = assemble_gksl(np.zeros((2, 2)), [1.0], [SIGMA_MINUS])
-        form = gksl_canonical_decompose(g, dim=2)
-        assert np.allclose(form.rates, [1.0, 0.0, 0.0], atol=1e-12)
+        form = canonical_form(g)
+        assert np.allclose(form.rates[0], [1.0, 0.0, 0.0], atol=1e-12)
         # dominant jump operator is the lowering operator up to phase
-        overlap = abs(np.trace(form.jump_ops[0].conj().T @ SIGMA_MINUS))
+        overlap = abs(np.trace(form.jump_ops[0, 0].conj().T @ SIGMA_MINUS))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_unitary_generator_rates_vanish(self):
         g = commutator_superop(0.9 * SIGMA_X + 0.4 * SIGMA_Z)
-        form = gksl_canonical_decompose(g, dim=2)
+        form = canonical_form(g)
         assert np.max(np.abs(form.rates)) <= 1e-9
-        assert np.max(np.abs(form.hamiltonian - (0.9 * SIGMA_X + 0.4 * SIGMA_Z))) < 1e-10
+        assert np.max(np.abs(form.hamiltonian[0] - (0.9 * SIGMA_X + 0.4 * SIGMA_Z))) < 1e-10
 
     def test_dephasing_rate_and_jump(self):
         gamma = 0.7
         g = gamma * dissipator_superop(SIGMA_Z / np.sqrt(2.0))
-        form = gksl_canonical_decompose(g, dim=2)
-        assert form.rates[0] == pytest.approx(gamma, abs=1e-12)
-        assert np.max(np.abs(form.rates[1:])) <= 1e-12
-        overlap = abs(np.trace(form.jump_ops[0].conj().T @ (SIGMA_Z / np.sqrt(2.0))))
+        form = canonical_form(g)
+        assert form.rates[0, 0] == pytest.approx(gamma, abs=1e-12)
+        assert np.max(np.abs(form.rates[0, 1:])) <= 1e-12
+        overlap = abs(np.trace(form.jump_ops[0, 0].conj().T @ (SIGMA_Z / np.sqrt(2.0))))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_reassembly_roundtrip(self):
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            h = (h + h.conj().T) / 2
-            jumps = [SIGMA_MINUS, SIGMA_Z / np.sqrt(2.0)]
-            rates = rng.uniform(0.1, 2.0, size=2)
-            g = assemble_gksl(h, rates, jumps)
-            form = gksl_canonical_decompose(g, dim=2)
-            assert np.max(np.abs(form.reassemble() - g)) <= 1e-8
+        h = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        h = (h + h.conj().transpose(0, 2, 1)) / 2
+        rates = rng.uniform(0.1, 2.0, size=(5, 2))
+        g = assemble_gksl(h, rates, [SIGMA_MINUS, SIGMA_Z / np.sqrt(2.0)])
+        assert g.shape == (5, 4, 4)
+        assert np.max(np.abs(canonical_forms(g, 2).reassemble() - g)) <= 1e-8
+
+    def test_assemble_matches_the_loop_over_jumps(self):
+        """The batched sum over jump operators against -i[H, .] plus one
+        rate times D[L_k] at a time, per sample: equal up to the summation
+        order, within 16 eps of the largest entry."""
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        h = (a + a.conj().transpose(0, 2, 1)) / 2
+        rates = rng.uniform(-1.0, 2.0, size=(4, 5))
+        jumps = rng.standard_normal((4, 5, 3, 3)) + 1j * rng.standard_normal((4, 5, 3, 3))
+        loop = []
+        for n in range(4):
+            g = commutator_superop(h[n])
+            for k in range(5):
+                g = g + rates[n, k] * dissipator_superop(jumps[n, k])
+            loop.append(g)
+        loop = np.array(loop)
+        got = assemble_gksl(h, rates, jumps)
+        assert got.shape == (4, 9, 9)
+        assert np.max(np.abs(got - loop)) <= 16 * np.finfo(float).eps * np.max(np.abs(loop))
 
     def test_rates_basis_independent(self):
         rng = np.random.default_rng(23)
@@ -465,34 +499,63 @@ class TestCanonicalDecomposition:
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         u, _ = np.linalg.qr(a)
         # conjugated generator: rho -> U^dag A(U rho U^dag) U
-        from backflow_lab.linalg import left_right_superop
-
         conj = left_right_superop(u.conj().T, u)
         conj_inv = left_right_superop(u, u.conj().T)
         g2 = conj @ g @ conj_inv
-        r1 = gksl_canonical_decompose(g, dim=2).rates
-        r2 = gksl_canonical_decompose(g2, dim=2).rates
+        r1, r2 = canonical_forms(np.stack([g, g2]), 2).rates
         assert np.max(np.abs(np.sort(r1) - np.sort(r2))) <= 1e-8
+
+    def test_qutrit_round_trip_and_unitary_invariance(self):
+        """d = 3: a random Hamiltonian, three rates and three jump
+        operators reassemble within 1e-8, and a unitary conjugation moves
+        no canonical rate by more than 1e-8."""
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        jumps = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        g = assemble_gksl((a + a.conj().T) / 2, rng.uniform(0.1, 2.0, 3), jumps)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        g2 = left_right_superop(u.conj().T, u) @ g @ left_right_superop(u, u.conj().T)
+        forms = canonical_forms(np.stack([g, g2]), 3)
+        assert forms.rates.shape == (2, 8)
+        assert np.max(np.abs(forms.reassemble() - np.stack([g, g2]))) <= 1e-8
+        assert np.max(np.abs(forms.rates[0] - forms.rates[1])) <= 1e-8
+        assert np.all(forms.rates[:, :3] > 0.1)
 
     def test_jump_ops_orthonormal(self):
         g = assemble_gksl(0.2 * SIGMA_X, [1.3, 0.5], [SIGMA_MINUS, SIGMA_Z / np.sqrt(2.0)])
-        form = gksl_canonical_decompose(g, dim=2)
-        for i, li in enumerate(form.jump_ops):
+        jumps = canonical_form(g).jump_ops[0]
+        for i, li in enumerate(jumps):
             assert abs(np.trace(li)) < 1e-9
-            for j, lj in enumerate(form.jump_ops):
+            for j, lj in enumerate(jumps):
                 expected = 1.0 if i == j else 0.0
                 assert np.trace(li.conj().T @ lj) == pytest.approx(expected, abs=1e-9)
 
+    def test_constant_stack_decomposes_one_sample(self, monkeypatch):
+        import backflow_lab.generator_analysis as ga
+
+        g = assemble_gksl(0.2 * SIGMA_X, [1.3, 0.5], [SIGMA_MINUS, SIGMA_Z / np.sqrt(2.0)])
+        one = canonical_form(g)
+        decomposed = []
+        kossakowski = ga._kossakowski
+        monkeypatch.setattr(ga, "_kossakowski", lambda s, d: decomposed.append(len(s)) or kossakowski(s, d))
+        forms = canonical_forms(np.stack([g] * 4), 2)
+        assert decomposed == [1]
+        assert np.array_equal(forms.rates, np.repeat(one.rates, 4, axis=0))
+        assert np.max(np.abs(forms.reassemble() - g)) <= 1e-8
+
     def test_non_generator_rejected(self):
-        with pytest.raises(ContractViolationError):
-            gksl_canonical_decompose(np.eye(4, dtype=complex), dim=2)
+        """The trace check names the first failing sample of the stack."""
+        good = dissipator_superop(SIGMA_MINUS)
+        with pytest.raises(ContractViolationError, match="sample 1 does not annihilate the trace"):
+            canonical_forms(np.stack([good, np.eye(4, dtype=complex), good]), 2)
 
 
 class TestCpDivisibility:
     @pytest.mark.parametrize("rate_kind, params, t_max", [("cosine_f", {"mu": math.pi}, 8.0), ("sinusoidal", {"amplitude": 1.5}, 40.0)])
     def test_canonical_rates_skip_gap_rows_with_equal_bits(self, monkeypatch, rate_kind, params, t_max):
         """Gap rows are never decomposed; they are NaN, and the other rows
-        keep the bits of the full-grid decomposition."""
+        keep the bits of the full-grid decomposition.  The report reads no
+        jump operator, so no ``eigh`` runs."""
         import backflow_lab.generator_analysis as ga
 
         family = dephasing_qubit(rate_kind=rate_kind, **params).propagator_fn(TimeGrid.uniform(1e-3, t_max))
@@ -509,8 +572,12 @@ class TestCpDivisibility:
             decomposed.append(np.shape(samples)[0])
             return kossakowski(samples, dim)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called")
+
         monkeypatch.setattr(ga, "_kossakowski", counting)
-        got = ga.canonical_rates_on_grid(gen)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        got = check_cp_divisible(gen).rate_traces
         assert decomposed == [np.count_nonzero(~gap)]
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
