@@ -12,6 +12,12 @@ each an exact inequality: a screen by column norms (no inversion), a
 bracket from the one batched inverse that G also uses, and an SVD only for
 the few maps the bracket cannot decide.
 
+Extraction and the divisibility reports walk the grid in row blocks of
+``BLOCK_BYTES`` (at least 64 rows), so beyond the family and the output
+tables (samples, or rate traces) they hold the temporaries of one block.
+LAPACK inverts, decomposes and diagonalizes each matrix by itself, so the
+results do not depend on the block size.
+
 :func:`canonical_forms` is the one decomposition: the Kossakowski matrices
 (Gorini, Kossakowski and Sudarshan, JMP 17, 821 (1976)) of a stack of
 samples and their eigenvalues, the canonical rates gamma_k(t) that
@@ -39,6 +45,8 @@ EXTRACTION_TRACE_TOL = 1e-7
 # this band give the SVD's decision; a computed Frobenius kappa below L also
 # certifies the inverse it came from.
 GATE_MARGIN = 1e-6
+# Bytes of table rows that extraction and the reports process at a time.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -124,24 +132,39 @@ class DivisibilityReport:
         return out
 
 
-def _derivative_4th(maps: np.ndarray, h: float) -> np.ndarray:
-    """4th-order finite-difference time derivative of a stacked family."""
+def _block_rows(table: np.ndarray) -> int:
+    """Rows of ``table`` per block: ``BLOCK_BYTES`` of rows, at least 64."""
+    return max(64, BLOCK_BYTES // max(1, table[:1].nbytes))
+
+
+def _derivative_4th(maps: np.ndarray, h: float, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Rows lo..hi-1 (all by default) of the 4th-order finite-difference
+    time derivative of a stacked family: interior rows read maps[lo-2:hi+2],
+    the two one-sided rows at each end the first or last five maps."""
     n = maps.shape[0]
     if n < 5:
         raise ContractViolationError("need at least 5 grid points for 4th-order stencils")
-    d = np.empty_like(maps)
-    # (maps[:-4] - 8 maps[1:-3] + 8 maps[3:-1] - maps[4:]) / (12 h), in that
-    # operation order, with one scratch table
-    mid = d[2:-2]
-    np.multiply(8, maps[1:-3], out=mid)
-    np.subtract(maps[:-4], mid, out=mid)
-    mid += np.multiply(8, maps[3:-1])
-    mid -= maps[4:]
-    mid /= 12 * h
-    d[0] = (-25 * maps[0] + 48 * maps[1] - 36 * maps[2] + 16 * maps[3] - 3 * maps[4]) / (12 * h)
-    d[1] = (-3 * maps[0] - 10 * maps[1] + 18 * maps[2] - 6 * maps[3] + maps[4]) / (12 * h)
-    d[-2] = (3 * maps[-1] + 10 * maps[-2] - 18 * maps[-3] + 6 * maps[-4] - maps[-5]) / (12 * h)
-    d[-1] = (25 * maps[-1] - 48 * maps[-2] + 36 * maps[-3] - 16 * maps[-4] + 3 * maps[-5]) / (12 * h)
+    hi = n if hi is None else min(hi, n)
+    d = np.empty_like(maps[lo:hi])
+    a, b = max(lo, 2), min(hi, n - 2)
+    if a < b:
+        # (maps[i-2] - 8 maps[i-1] + 8 maps[i+1] - maps[i+2]) / (12 h), in
+        # that operation order, with one scratch block
+        mid = d[a - lo : b - lo]
+        np.multiply(8, maps[a - 1 : b - 1], out=mid)
+        np.subtract(maps[a - 2 : b - 2], mid, out=mid)
+        mid += np.multiply(8, maps[a + 1 : b + 1])
+        mid -= maps[a + 2 : b + 2]
+        mid /= 12 * h
+    ends = {
+        0: lambda m: (-25 * m[0] + 48 * m[1] - 36 * m[2] + 16 * m[3] - 3 * m[4]) / (12 * h),
+        1: lambda m: (-3 * m[0] - 10 * m[1] + 18 * m[2] - 6 * m[3] + m[4]) / (12 * h),
+        n - 2: lambda m: (3 * m[-1] + 10 * m[-2] - 18 * m[-3] + 6 * m[-4] - m[-5]) / (12 * h),
+        n - 1: lambda m: (25 * m[-1] - 48 * m[-2] + 36 * m[-3] - 16 * m[-4] + 3 * m[-5]) / (12 * h),
+    }
+    for i, row in ends.items():
+        if lo <= i < hi:
+            d[i - lo] = row(maps)
     return d
 
 
@@ -168,8 +191,9 @@ def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2. The rest are inverted in one batch (X = Phi^{-1}), and
        maxcol(Phi) maxcol(X) <= kappa_2 <= |Phi|_F |X|_F: a point is kept
        below L(1 - margin) and is a gap above L(1 + margin).
-    3. Points in between are decided by :func:`_svd_gaps`, and so is every
-       screened-in point when one of them is exactly singular.
+    3. Points in between are decided by :func:`_svd_gaps`.  When the batched
+       inverse meets an exact zero pivot, the maps whose ``det`` (the same
+       LU pivots) is exactly 0 go to the SVD and the rest to the bracket.
 
     LAPACK inverts each map on its own, so the kept inverses carry the bits
     of inverting the kept maps alone.
@@ -182,15 +206,18 @@ def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         inv = np.linalg.inv(maps if rest.size == flagged.size else maps[rest])
     except np.linalg.LinAlgError:
-        flagged[rest] = _svd_gaps(maps[rest])  # an exactly singular map is among them
-        return flagged, np.linalg.inv(maps[~flagged])
+        zero = rest[np.linalg.det(maps[rest]) == 0]
+        flagged[zero] = _svd_gaps(maps[zero])
+        rest = np.flatnonzero(~flagged)
+        inv = np.linalg.inv(maps[rest])
     cols, inv_cols = cols[rest], _column_squares(inv)
     with np.errstate(over="ignore", invalid="ignore"):
         lower = np.sqrt(cols.max(axis=1) * inv_cols.max(axis=1))
         upper = np.sqrt(cols.sum(axis=1) * inv_cols.sum(axis=1))
     gaps = lower > upper_limit
     unsure = np.flatnonzero(~gaps & ~(upper < lower_limit))
-    gaps[unsure] = _svd_gaps(maps[rest[unsure]])
+    if unsure.size:
+        gaps[unsure] = _svd_gaps(maps[rest[unsure]])
     flagged[rest] = gaps
     return flagged, inv[~gaps] if gaps.any() else inv
 
@@ -203,41 +230,38 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     near-singular inversion) become gap intervals.  The condition gate
     (:func:`_condition_gate`) screens by column norms, brackets kappa_2
     with the inverse that G is then built from, and runs an SVD only on
-    the maps the bracket leaves undecided.  Raises
+    the maps the bracket leaves undecided.  The grid is walked in row
+    blocks (:func:`_block_rows`): stencil, gate, G and the trace-row
+    projection of one block at a time, so the memory held is the family,
+    the sample table and one block's temporaries.  Raises
     :class:`GeneratorSingularityError` only if no point survives.
     """
     maps = np.asarray(family.maps)
     h = family.grid.dt
     ts = family.grid.points
     u = linalg.conservation_row(family.kind, family.dim)
-    # the stencil's scratch table is gone before the gate's inverse exists
-    deriv = _derivative_4th(maps, h)
-    flagged, inv = _condition_gate(maps)
-    ok = np.flatnonzero(~flagged)
-    # when every point is kept, the derivative enters as it is, uncopied
-    every = ok.size == flagged.size
-    if not every:
-        deriv = deriv[ok]
-    g = np.einsum("nab,nbc->nac", deriv, inv)
-    del deriv, inv  # freed before the projection's temporary
-    residual = np.einsum("a,nab->nb", u, g)
-    defects = np.max(np.abs(residual), axis=1)
-    scales = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-    bad = defects > EXTRACTION_TRACE_TOL * scales
-    # project out the residual trace-row defect for downstream stability; u
-    # holds only 0s and 1s, so scaling the residual first gives the same bits
-    g -= np.einsum("a,nb->nab", u, residual / float(u @ u))
-    g[bad] = 0.0
-    flagged[ok[bad]] = True
+    samples = np.zeros_like(maps)
+    flagged = np.empty(maps.shape[0], dtype=bool)
+    step = _block_rows(maps)
+    for lo in range(0, maps.shape[0], step):
+        deriv = _derivative_4th(maps, h, lo, lo + step)
+        gaps, inv = _condition_gate(maps[lo : lo + step])
+        ok = np.flatnonzero(~gaps)
+        g = np.einsum("nab,nbc->nac", deriv[ok] if gaps.any() else deriv, inv)
+        residual = np.einsum("a,nab->nb", u, g)
+        defects = np.max(np.abs(residual), axis=1)
+        scales = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+        bad = defects > EXTRACTION_TRACE_TOL * scales
+        # project out the residual trace-row defect for downstream stability;
+        # u holds only 0s and 1s, so scaling the residual first gives the same bits
+        g -= np.einsum("a,nb->nab", u, residual / float(u @ u))
+        gaps[ok[bad]] = True
+        flagged[lo : lo + step] = gaps
+        samples[lo : lo + step][~gaps] = g[~bad]
     if np.all(flagged):
         raise GeneratorSingularityError(
             f"propagator singular at every grid point (first t={ts[0]:g})", time=float(ts[0])
         )
-    if every:
-        samples = g
-    else:
-        samples = np.zeros_like(maps)
-        samples[ok] = g
     return SampledGenerator(family.grid, samples, family.kind, family.dim, run_intervals(flagged, ts, h))
 
 
@@ -354,7 +378,10 @@ def canonical_forms(samples: np.ndarray, dim: int) -> CanonicalGkslForm:
 
 
 def check_cp_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE) -> DivisibilityReport:
-    """Divisibility via the sign of the canonical rates at every grid point."""
+    """Divisibility via the sign of the canonical rates at every grid point.
+    The rates are taken block by block (:func:`_report_from_traces`), so
+    beyond the samples and the rate table it holds one block's Kossakowski
+    and ``eigvalsh`` temporaries."""
     if gen.kind != "quantum":
         raise ContractViolationError("canonical rates exist only for quantum generators")
     return _report_from_traces(gen, lambda kept: canonical_forms(kept, gen.dim).rates, rate_tolerance)
@@ -378,20 +405,29 @@ def check_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANC
 
 def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityReport:
     """The report on the (n, m) rate traces: ``traces_of`` maps the non-gap
-    samples to their rows, and gap rows are NaN.  Without gaps no mask is
-    built and no sample is copied."""
-    if gen.gaps:
-        gap = gen.gap_mask()
-        kept = traces_of(gen.samples[~gap])
-        traces = np.full((gap.size,) + kept.shape[1:], np.nan)
-        traces[~gap] = kept
-    else:
-        traces = traces_of(gen.samples)
-    valid = ~np.all(np.isnan(traces), axis=1)
+    samples of one row block (:func:`_block_rows`) at a time to their rows,
+    and gap rows are NaN.  A constant stack without gaps is one block, so
+    :func:`canonical_forms` decomposes one sample of it."""
+    samples = gen.samples
+    n = len(samples)
+    keep = ~gen.gap_mask() if gen.gaps else None
+    step = _block_rows(samples)
+    if keep is None and all((samples[lo : lo + step] == samples[0]).all() for lo in range(0, n, step)):
+        step = max(n, 1)
+    traces = None
+    for lo in range(0, n, step):
+        at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
+        block = samples[at]
+        if len(block):
+            rows = traces_of(block)
+            if traces is None:
+                traces = np.full((n,) + rows.shape[1:], np.nan)
+            traces[at] = rows
+    # fmin ignores NaN like nanmin; a row is all NaN (a gap) exactly when its minimum is
+    per_point = np.full(n, np.nan) if traces is None else np.fmin.reduce(traces, axis=1, initial=np.nan)
+    valid = ~np.isnan(per_point)
     if not np.any(valid):
         raise GeneratorSingularityError("no usable grid points outside gaps")
-    per_point = np.full(len(traces), np.nan)
-    per_point[valid] = np.nanmin(traces[valid], axis=1)
     min_rate = float(np.nanmin(per_point))
     violating = valid & (per_point < -rate_tolerance)
     first_violation = float(gen.grid.points[np.argmax(violating)]) if np.any(violating) else None

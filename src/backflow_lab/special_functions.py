@@ -138,32 +138,35 @@ def _asymptotic(alpha: float, x: float, max_terms: int):
 
 def _asymptotic_batch(alpha: float, xs: np.ndarray, max_terms: int) -> np.ndarray:
     # Values of _asymptotic for many x at fixed alpha: k advances for all
-    # still-active points at once, so the Gamma factors are computed once
-    # per k.  Every point sees the scalar sequence of operations (same
-    # Kahan update, same stops), hence bit-identical sums; ln x comes from
-    # math.log because np.log may differ by an ulp and move a truncation.
+    # points at once, so the Gamma factors are computed once per k, and a
+    # point that has stopped keeps its sums (np.copyto where live) while its
+    # discarded arithmetic may overflow.  Every live point sees the scalar
+    # sequence of operations (same Kahan update, same stops), hence
+    # bit-identical sums; ln x comes from math.log because np.log may differ
+    # by an ulp and move a truncation.
     xs = np.asarray(xs, dtype=float)
     lnx = np.array([math.log(x) for x in xs.tolist()])
+    neg_inv = -1.0 / xs
     s = np.zeros_like(xs)
     c = np.zeros_like(xs)
     p = np.ones_like(xs)
     prev_env = np.full_like(xs, math.inf)
-    live = np.arange(xs.size)
+    live = np.ones(xs.shape, dtype=bool)
     for k in range(1, max_terms):
-        if live.size == 0:
+        if not live.any():
             break
-        ln_env = -k * lnx[live] + math.lgamma(alpha * k) - _LN_PI
-        go = ~(ln_env > prev_env[live])
-        live, ln_env = live[go], ln_env[go]
-        pk = p[live] * (-1.0 / xs[live])
-        term = -pk * reciprocal_gamma(1.0 - alpha * k)
-        y = term - c[live]
-        t = s[live] + y
-        c[live] = (t - s[live]) - y
-        s[live] = t
-        p[live] = pk
-        prev_env[live] = ln_env
-        live = live[~(ln_env < -45.0)]
+        ln_env = -k * lnx + math.lgamma(alpha * k) - _LN_PI
+        live &= ~(ln_env > prev_env)
+        with np.errstate(all="ignore"):
+            pk = p * neg_inv
+            term = -pk * reciprocal_gamma(1.0 - alpha * k)
+            y = term - c
+            t = s + y
+            np.copyto(c, (t - s) - y, where=live)
+        np.copyto(s, t, where=live)
+        np.copyto(p, pk, where=live)
+        np.copyto(prev_env, ln_env, where=live)
+        live &= ~(ln_env < -45.0)
     return s
 
 

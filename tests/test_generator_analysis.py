@@ -298,6 +298,20 @@ def count_svd_rows(monkeypatch):
     return rows
 
 
+def bracket_undecided(maps):
+    """The number of invertible maps whose inverse bracket
+    maxcol(Phi) maxcol(Phi^-1) <= kappa_2 <= |Phi|_F |Phi^-1|_F meets the
+    band CONDITION_LIMIT (1 +- GATE_MARGIN), widened by 1e-12 either way."""
+    from backflow_lab.generator_analysis import CONDITION_LIMIT, GATE_MARGIN
+
+    cols = np.sum(np.abs(maps) ** 2, axis=1)
+    inv_cols = np.sum(np.abs(np.linalg.inv(maps)) ** 2, axis=1)
+    lower = np.sqrt(cols.max(axis=1) * inv_cols.max(axis=1))
+    upper = np.sqrt(cols.sum(axis=1) * inv_cols.sum(axis=1))
+    band = CONDITION_LIMIT * (1 + GATE_MARGIN) * (1 + 1e-12), CONDITION_LIMIT * (1 - GATE_MARGIN) * (1 - 1e-12)
+    return int(np.count_nonzero((lower <= band[0]) & (upper >= band[1])))
+
+
 class TestConditionGate:
     """The gate's screen and inverse bracket give the SVD's decision
     kappa_2 > CONDITION_LIMIT on every map, and hand back the kept maps'
@@ -391,12 +405,54 @@ class TestExtractionWithoutCopies:
         assert gap_counts["kernel, trace-check gaps"] > 0
         assert gap_counts["kernel, exactly singular maps"] > 0 and gap_counts["3-state kernel, SVD-decided points"] > 0
 
+    def test_block_edges(self, monkeypatch):
+        """With 64-row blocks, gap runs and exactly singular maps straddle
+        block edges, and short grids end in a partial block or one block of
+        5 rows; samples and gaps keep the bits of the copying version, and
+        both reports' rate traces keep the bits of a one-block run."""
+        import backflow_lab.generator_analysis as ga
+
+        # dt = 1/128 puts the zeros of f (t = 0.5, 1.5, ...) on rows 64, 192, ...
+        model = dephasing_qubit(rate_kind="cosine_f", mu=math.pi)
+        short = [(f"cosine_f, N = {n}", model.propagator_fn(TimeGrid.uniform(1 / 128, (n - 1) / 128))) for n in (5, 63, 64, 65, 131)]
+        gapped = {}
+        for label, family in list(self.families()) + short:
+            monkeypatch.setattr(ga, "BLOCK_BYTES", 1)
+            got = extract_tcl_generator(family)
+            want_samples, want_gaps = extract_with_copies(family)
+            assert np.array_equal(got.samples.view(np.uint8), want_samples.view(np.uint8)), label
+            assert got.gaps == want_gaps, label
+            gapped[label] = bool(got.gaps)
+            check = check_cp_divisible if got.kind == "quantum" else check_classical_divisible
+            blocked = check(got).rate_traces
+            monkeypatch.setattr(ga, "BLOCK_BYTES", 1 << 40)
+            whole = check(got).rate_traces
+            assert np.array_equal(blocked.view(np.uint8), whole.view(np.uint8)), label
+        assert gapped["cosine_f, N = 65"] and gapped["cosine_f, N = 131"]
+
+    def test_blocks_of_one_and_seven_rows(self, monkeypatch):
+        """Blocks smaller than the stencil's reach split its end rows and
+        interior across blocks; the bits stay."""
+        import backflow_lab.generator_analysis as ga
+
+        family = dephasing_qubit(rate_kind="cosine_f", mu=math.pi).propagator_fn(TimeGrid.uniform(1 / 128, 1.5))
+        want_samples, want_gaps = extract_with_copies(family)
+        whole = check_cp_divisible(extract_tcl_generator(family)).rate_traces
+        for rows in (1, 7):
+            monkeypatch.setattr(ga, "_block_rows", lambda table: rows)
+            got = extract_tcl_generator(family)
+            assert np.array_equal(got.samples.view(np.uint8), want_samples.view(np.uint8)), rows
+            assert got.gaps == want_gaps and got.gaps, rows
+            assert np.array_equal(check_cp_divisible(got).rate_traces.view(np.uint8), whole.view(np.uint8)), rows
+
     @pytest.mark.parametrize("amplitude, t_max", [(0.5, 10.0), (1.5, 40.0)])
     def test_peak_allocation_bounded(self, amplitude, t_max):
-        """The 4th-order stencil needs three map tables at once; nothing
-        later in the extraction may need more than that plus the inverse's
-        share (the copying version reached 6.2 tables without gaps)."""
+        """Beyond the family, extraction holds the sample table and one
+        block's temporaries (the copying version reached 6.2 tables without
+        gaps, the whole-grid stencil 3.04)."""
         import tracemalloc
+
+        from backflow_lab.generator_analysis import BLOCK_BYTES
 
         family = dephasing_qubit(rate_kind="sinusoidal", amplitude=amplitude).propagator_fn(
             TimeGrid.uniform(1e-3, t_max)
@@ -408,7 +464,7 @@ class TestExtractionWithoutCopies:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * family.maps.nbytes
+        assert peak <= family.maps.nbytes + 8 * BLOCK_BYTES
 
 
 class TestGateCost:
@@ -422,17 +478,20 @@ class TestGateCost:
 
     def test_families_take_the_fallback_and_the_bracket(self, monkeypatch):
         """The two kernel families added to the bit-equality test reach the
-        gate's SVD paths: the exactly singular maps send every screened-in
-        map to the SVD, the 3-state kernel only the bracket's undecided ones."""
-        rows = count_svd_rows(monkeypatch)
-        family = EXACTLY_SINGULAR_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
-        assert np.count_nonzero(np.linalg.det(family.maps) == 0) == 926
-        extract_tcl_generator(family)
-        assert rows == [family.maps.shape[0]]
-        rows.clear()
-        family = BRACKETED_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0))
-        extract_tcl_generator(family)
-        assert len(rows) == 1 and 0 < rows[0] < 0.05 * family.maps.shape[0]
+        gate's SVD: the exactly singular maps (``det`` exactly 0) go to it
+        and the other maps of their block keep the bracket, so the SVD sees
+        no more than the det-zero maps and the maps the bracket leaves
+        undecided."""
+        for family, zero in [
+            (EXACTLY_SINGULAR_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0)), 926),
+            (BRACKETED_KERNEL.propagator_fn(TimeGrid.uniform(1e-3, 15.0)), 0),
+        ]:
+            singular = np.linalg.det(family.maps) == 0
+            assert np.count_nonzero(singular) == zero
+            rows = count_svd_rows(monkeypatch)
+            extract_tcl_generator(family)
+            assert 0 < sum(rows) <= zero + bracket_undecided(family.maps[~singular])
+            assert sum(rows) < 0.1 * family.maps.shape[0]
 
 
 def canonical_form(g, dim=2):
@@ -578,9 +637,45 @@ class TestCpDivisibility:
         monkeypatch.setattr(ga, "_kossakowski", counting)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         got = check_cp_divisible(gen).rate_traces
-        assert decomposed == [np.count_nonzero(~gap)]
+        assert sum(decomposed) == np.count_nonzero(~gap)
+        assert max(decomposed) <= ga._block_rows(gen.samples)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_constant_stack_decomposed_once(self, monkeypatch):
+        """A constant stack of several blocks is one block: one sample is
+        decomposed and its rates fill every row."""
+        import backflow_lab.generator_analysis as ga
+
+        grid = TimeGrid.uniform(1e-3, 3.0)
+        g = dissipator_superop(SIGMA_MINUS)
+        gen = SampledGenerator(grid, np.repeat(g[None], grid.n, axis=0), "quantum", 2)
+        assert grid.n > 2 * ga._block_rows(gen.samples)
+        decomposed = []
+        kossakowski = ga._kossakowski
+        monkeypatch.setattr(ga, "_kossakowski", lambda s, d: decomposed.append(len(s)) or kossakowski(s, d))
+        traces = check_cp_divisible(gen).rate_traces
+        assert decomposed == [1]
+        assert np.array_equal(traces, np.repeat(canonical_form(g).rates, grid.n, axis=0))
+
+    def test_peak_allocation_bounded(self):
+        """Beyond the samples, the report holds the rate table and one
+        block's Kossakowski and ``eigvalsh`` temporaries."""
+        import tracemalloc
+
+        from backflow_lab.generator_analysis import BLOCK_BYTES
+
+        family = dephasing_qubit(rate_kind="sinusoidal", amplitude=1.5).propagator_fn(TimeGrid.uniform(1e-3, 40.0))
+        gen = extract_tcl_generator(family)
+        del family
+        check_cp_divisible(gen)
+        tracemalloc.start()
+        try:
+            report = check_cp_divisible(gen)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gen.gaps and peak <= report.rate_traces.nbytes + 8 * BLOCK_BYTES
 
     def test_constant_gksl_divisible(self):
         g = dissipator_superop(SIGMA_MINUS)
