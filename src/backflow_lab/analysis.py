@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolationError
 from .generator_analysis import DivisibilityReport, SampledGenerator, check_divisible, extract_tcl_generator
 from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
 from .models import ModelSpec
@@ -115,6 +115,14 @@ def series_cache(traj: Trajectory, reference, gaps=()) -> Callable[[str], InfoSe
         return cache[tag]
 
     return series
+
+
+def check_split_grid(grid: TimeGrid):
+    """Raise :class:`ContractViolationError` unless ``grid`` has the 3
+    points the sector split's half-grid error estimate needs: every other
+    point, at least two of them."""
+    if grid.n < 3:
+        raise ContractViolationError(f"the sector split needs a grid of at least 3 points, got {grid.n}")
 
 
 def _half_grid_backflow(series: InfoSeries) -> float:

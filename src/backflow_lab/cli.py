@@ -3,8 +3,8 @@
 Commands: ``simulate``, ``extract``, ``divisibility``, ``backflow``,
 ``phase-diagram``, ``model list``.  Each reads a JSON config (``--config``),
 applies dotted-path overrides (``--set a.b.c=value`` plus the ``--dt`` and
-``--t-max`` shortcuts, and ``--threads`` on ``phase-diagram``), validates
-it against the command's schema (unknown keys are rejected), runs, and
+``--t-max`` shortcuts, and ``--threads`` on ``phase-diagram``), checks its
+keys against :data:`CONFIG_KEYS` (unknown keys are rejected), runs, and
 writes outputs atomically under ``--out``.  ``route`` is resolved by
 :func:`analysis.propagate` in every command that takes it; ``backflow``
 formats the :func:`analysis.analyze` report that a sweep row also formats.
@@ -18,13 +18,14 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import analysis, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
 from .generator_analysis import RATE_TOLERANCE, check_divisible
-from .information import check_measure_tags
+from .information import check_measure_fit, check_measure_tags
 from .models import build_model, finite_number, model_schemas
 from .netfd import EPSILON_N
 from .phase_diagram import SweepSpec, check_tolerance, run_sweep
@@ -67,51 +68,38 @@ def load_config(path: str | None, overrides) -> dict:
     return config
 
 
-def _validate_keys(config: dict, schema: dict, path: str = ""):
+# the keys each command's config may hold, and those of its 'model' and
+# 'grid' objects; model.params is an object whose names the model's schema checks
+CONFIG_KEYS = {
+    "simulate": ("model", "grid", "route"),
+    "extract": ("model", "grid", "route"),
+    "divisibility": ("model", "grid", "route", "rate_tolerance"),
+    "backflow": ("model", "grid", "route", "measures", "epsilon_n", "rate_tolerance"),
+    "phase-diagram": ("model", "grid", "axes", "measures", "epsilon_n", "rate_tolerance", "threads"),
+    "model": ("name", "params"),
+    "grid": ("dt", "t_max"),
+}
+
+
+def _validate_keys(config: dict, keys, path: str = ""):
     for key, value in config.items():
         where = f"{path}.{key}" if path else key
-        if key not in schema:
+        if key not in keys:
             raise ConfigError(f"unknown config key {where!r}")
-        sub = schema[key]
-        if isinstance(sub, dict) and sub.get("__nested__"):
+        if key in ("model", "grid", "params"):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be an object")
-            inner = {k: v for k, v in sub.items() if k != "__nested__"}
-            if sub.get("__open__"):
-                continue
-            _validate_keys(value, inner, where)
+            if key != "params":
+                _validate_keys(value, CONFIG_KEYS[key], where)
 
 
-_GRID_SCHEMA = {"__nested__": True, "dt": {}, "t_max": {}}
-_MODEL_SCHEMA = {"__nested__": True, "name": {}, "params": {"__nested__": True, "__open__": True}}
-
-COMMAND_SCHEMAS = {
-    "simulate": {"model": _MODEL_SCHEMA, "grid": _GRID_SCHEMA, "route": {}},
-    "extract": {"model": _MODEL_SCHEMA, "grid": _GRID_SCHEMA, "route": {}},
-    "divisibility": {
-        "model": _MODEL_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "route": {},
-        "rate_tolerance": {},
-    },
-    "backflow": {
-        "model": _MODEL_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "route": {},
-        "measures": {},
-        "epsilon_n": {},
-        "rate_tolerance": {},
-    },
-    "phase-diagram": {
-        "model": _MODEL_SCHEMA,
-        "grid": _GRID_SCHEMA,
-        "axes": {},
-        "measures": {},
-        "epsilon_n": {},
-        "rate_tolerance": {},
-        "threads": {},
-    },
-}
+@contextmanager
+def _config_errors():
+    """A broken input contract inside the block is a config error."""
+    try:
+        yield
+    except ContractViolationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _grid_params(config: dict, args) -> tuple[float, float]:
@@ -123,10 +111,8 @@ def _grid_params(config: dict, args) -> tuple[float, float]:
         grid_cfg["t_max"] = args.t_max
     values = []
     for key, default in (("dt", DEFAULT_DT), ("t_max", DEFAULT_T_MAX)):
-        try:
+        with _config_errors():
             value = finite_number(f"grid.{key}", grid_cfg.get(key, default))
-        except ContractViolationError as exc:
-            raise ConfigError(str(exc)) from exc
         if value <= 0:
             raise ConfigError(f"grid.{key} must be positive, got {value}")
         values.append(value)
@@ -136,10 +122,8 @@ def _grid_params(config: dict, args) -> tuple[float, float]:
 def _grid(config: dict, args) -> TimeGrid:
     """The uniform grid of :func:`_grid_params`; a grid that cannot be built
     (a non-finite or unallocatable point count) is a config error."""
-    try:
+    with _config_errors():
         return TimeGrid.uniform(*_grid_params(config, args))
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 _TOLERANCE_DEFAULTS = {"epsilon_n": EPSILON_N, "rate_tolerance": RATE_TOLERANCE}
@@ -147,33 +131,34 @@ _TOLERANCE_DEFAULTS = {"epsilon_n": EPSILON_N, "rate_tolerance": RATE_TOLERANCE}
 
 def _tolerance(config: dict, key: str) -> float:
     """``epsilon_n`` or ``rate_tolerance``: a finite number >= 0."""
-    try:
+    with _config_errors():
         return check_tolerance(key, config.get(key, _TOLERANCE_DEFAULTS[key]))
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
-def _measures(config: dict):
-    """The configured measure tags (None when absent), checked up front."""
+def _measures(config: dict, model):
+    """The configured measure tags, checked up front to be known and to fit
+    the model's trajectory, or the model's default measure."""
     measures = config.get("measures")
-    if measures is not None:
-        try:
-            check_measure_tags(measures)
-        except ContractViolationError as exc:
-            raise ConfigError(str(exc)) from exc
+    if measures is None:
+        return ["kl"] if model.kind == "classical" else ["rel_entropy"]
+    with _config_errors():
+        check_measure_tags(measures)
+        for tag in measures:
+            check_measure_fit(tag, model.kind, model.initial_state.dim)
     return measures
 
 
-def _model_from_config(config: dict):
-    model_cfg = config.get("model")
-    if not isinstance(model_cfg, dict) or "name" not in model_cfg:
+def _model_config(config: dict) -> tuple[str, dict]:
+    """(model.name, model.params) of a config whose keys are validated."""
+    model_cfg = config.get("model", {})
+    if "name" not in model_cfg:
         raise ConfigError("config requires model.name")
-    name = model_cfg["name"]
-    params = dict(model_cfg.get("params", {}))
-    try:
-        return build_model(name, params)
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
+    return model_cfg["name"], dict(model_cfg.get("params", {}))
+
+
+def _model_from_config(config: dict):
+    with _config_errors():
+        return build_model(*_model_config(config))
 
 
 def _generator(config: dict, model, grid: TimeGrid):
@@ -248,11 +233,11 @@ def cmd_divisibility(config: dict, args) -> int:
 def cmd_backflow(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid(config, args)
-    measures = _measures(config)
+    with _config_errors():
+        analysis.check_split_grid(grid)
+    measures = _measures(config, model)
     eps = _tolerance(config, "epsilon_n")
     tol = _tolerance(config, "rate_tolerance")
-    if measures is None:
-        measures = ["kl"] if model.kind == "classical" else ["rel_entropy"]
     report = analysis.analyze(model, grid, config.get("route", "auto"), measures, eps, tol)
     payload = {
         "model": model.name,
@@ -273,9 +258,7 @@ def cmd_backflow(config: dict, args) -> int:
 
 
 def cmd_phase_diagram(config: dict, args) -> int:
-    model_cfg = config.get("model")
-    if not isinstance(model_cfg, dict) or "name" not in model_cfg:
-        raise ConfigError("config requires model.name")
+    name, fixed = _model_config(config)
     axes_cfg = config.get("axes")
     if not isinstance(axes_cfg, list) or not axes_cfg:
         raise ConfigError("config requires a list of at least one sweep axis")
@@ -284,11 +267,11 @@ def cmd_phase_diagram(config: dict, args) -> int:
             raise ConfigError(f"axes[{i}] needs param/min/max/steps")
     dt, t_max = _grid_params(config, args)
     threads = args.threads if args.threads is not None else config.get("threads", 1)
-    try:
+    with _config_errors():
         spec = SweepSpec(
-            model=model_cfg["name"],
+            model=name,
             axes=tuple((a["param"], a["min"], a["max"], a["steps"]) for a in axes_cfg),
-            fixed=dict(model_cfg.get("params", {})),
+            fixed=fixed,
             dt=dt,
             t_max=t_max,
             measures=config.get("measures", ()),
@@ -296,8 +279,6 @@ def cmd_phase_diagram(config: dict, args) -> int:
             rate_tolerance=_tolerance(config, "rate_tolerance"),
             threads=threads,
         )
-    except ContractViolationError as exc:
-        raise ConfigError(str(exc)) from exc
     result = run_sweep(spec)
     serialize.write_text_atomic(os.path.join(args.out, "sweep.csv"), serialize.sweep_csv(result))
     serialize.write_json_atomic(os.path.join(args.out, "summary.json"), result.summary())
@@ -359,7 +340,7 @@ def main(argv=None) -> int:
     }
     try:
         config = load_config(args.config, args.overrides)
-        _validate_keys(config, COMMAND_SCHEMAS[args.command])
+        _validate_keys(config, CONFIG_KEYS[args.command])
         return handlers[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

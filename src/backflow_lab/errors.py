@@ -2,7 +2,12 @@
 
 
 class BackflowLabError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``time`` is the
+    grid time of the failure where one is known, else None."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message)
+        self.time = time
 
 
 class ContractViolationError(BackflowLabError):
@@ -18,26 +23,14 @@ class InvalidStateError(ContractViolationError):
     """A trajectory state leaves its state set (unit trace, Hermitian, in
     the PSD cone; or on the probability simplex) at grid time ``time``."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 class IntegrationDivergedError(BackflowLabError):
     """A propagated state stopped satisfying its invariants mid-run."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 class GeneratorSingularityError(BackflowLabError):
     """The propagator is singular or too ill-conditioned to invert, so the
     time-local generator is undefined there."""
-
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
 
 
 class ConfigError(BackflowLabError):

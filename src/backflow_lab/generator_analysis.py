@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
 from .propagation import PropagatorFamily, TclGenerator, _sample_defects
-from .states import TimeGrid, run_intervals
+from .states import TimeGrid, _freeze, run_intervals
 
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
@@ -61,9 +61,7 @@ class SampledGenerator:
     gaps: tuple = ()
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.samples)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _freeze(self.samples))
         object.__setattr__(self, "gaps", tuple((float(a), float(b)) for a, b in self.gaps))
 
     @property
@@ -287,9 +285,7 @@ def gell_mann_basis(dim: int) -> np.ndarray:
         diag[l, l] = -float(l)
         diag /= np.sqrt(l * (l + 1))
         mats.append(diag)
-    out = np.array(mats)
-    out.setflags(write=False)
-    return out
+    return _freeze(np.array(mats))
 
 
 @lru_cache(maxsize=8)
@@ -354,14 +350,16 @@ class CanonicalGkslForm:
         return assemble_gksl(self.hamiltonian, self.rates, self.jump_ops)
 
 
-def canonical_forms(samples: np.ndarray, dim: int) -> CanonicalGkslForm:
+def canonical_forms(samples: np.ndarray, dim: int, ts: np.ndarray | None = None, at=slice(None)) -> CanonicalGkslForm:
     """Canonical GKSL form (Hall, Cresser, Li and Andersson, PRA 89, 042120
     (2014)) of stacked (n, d^2, d^2) quantum generators.
 
     The first sample whose trace defect exceeds ``EXTRACTION_TRACE_TOL``
-    times max(1, max|G|) raises :class:`ContractViolationError`.  When every
-    sample equals the first (a constant generator) one Kossakowski matrix
-    is decomposed and broadcast to every row.
+    times max(1, max|G|) raises :class:`ContractViolationError` naming its
+    index in the stack or, given the grid times ``ts`` and the samples'
+    place ``at`` on that grid (a slice or an index array), its grid index
+    and time.  When every sample equals the first (a constant generator) one
+    Kossakowski matrix is decomposed and broadcast to every row.
     """
     samples = np.asarray(samples)
     constant = bool(np.all(samples == samples[:1]))
@@ -369,7 +367,12 @@ def canonical_forms(samples: np.ndarray, dim: int) -> CanonicalGkslForm:
     defect, bad = _sample_defects(distinct, "quantum", dim, EXTRACTION_TRACE_TOL)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ContractViolationError(f"generator sample {i} does not annihilate the trace (defect {defect[i]:.3e})")
+        k = i if ts is None else int(np.arange(ts.size)[at][i])
+        t = None if ts is None else float(ts[k])
+        where = f"{k}" if t is None else f"{k} at t={t:g}"
+        raise ContractViolationError(
+            f"generator sample {where} does not annihilate the trace (defect {defect[i]:.3e})", time=t
+        )
     c = _kossakowski(distinct, dim)
     rates = np.linalg.eigvalsh(c[:, 1:, 1:])[:, ::-1]
     if constant:
@@ -384,7 +387,8 @@ def check_cp_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLER
     and ``eigvalsh`` temporaries."""
     if gen.kind != "quantum":
         raise ContractViolationError("canonical rates exist only for quantum generators")
-    return _report_from_traces(gen, lambda kept: canonical_forms(kept, gen.dim).rates, rate_tolerance)
+    rates = lambda kept, at: canonical_forms(kept, gen.dim, gen.grid.points, at).rates
+    return _report_from_traces(gen, rates, rate_tolerance)
 
 
 def check_classical_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE) -> DivisibilityReport:
@@ -392,7 +396,7 @@ def check_classical_divisible(gen: SampledGenerator, rate_tolerance: float = RAT
     if gen.kind != "classical":
         raise ContractViolationError("classical divisibility needs a classical generator")
     off = ~np.eye(gen.dim, dtype=bool)
-    return _report_from_traces(gen, lambda kept: kept[:, off].real, rate_tolerance)
+    return _report_from_traces(gen, lambda kept, at: kept[:, off].real, rate_tolerance)
 
 
 def check_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANCE) -> DivisibilityReport:
@@ -405,8 +409,9 @@ def check_divisible(gen: SampledGenerator, rate_tolerance: float = RATE_TOLERANC
 
 def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityReport:
     """The report on the (n, m) rate traces: ``traces_of`` maps the non-gap
-    samples of one row block (:func:`_block_rows`) at a time to their rows,
-    and gap rows are NaN.  A constant stack without gaps is one block, so
+    samples of one row block (:func:`_block_rows`) at a time, and their
+    place on the grid (a slice or an index array), to their rows, and gap
+    rows are NaN.  A constant stack without gaps is one block, so
     :func:`canonical_forms` decomposes one sample of it."""
     samples = gen.samples
     n = len(samples)
@@ -419,7 +424,7 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
         at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
         block = samples[at]
         if len(block):
-            rows = traces_of(block)
+            rows = traces_of(block, at)
             if traces is None:
                 traces = np.full((n,) + rows.shape[1:], np.nan)
             traces[at] = rows

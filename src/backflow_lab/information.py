@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, run_intervals
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, run_intervals
 
 MEASURE_TAGS = (
     "vn_entropy",
@@ -41,6 +41,21 @@ def check_measure_tags(tags):
             raise ContractViolationError(f"unknown measure {tag!r}; known: {list(MEASURE_TAGS)}")
 
 
+def check_measure_fit(tag: str, kind: str, dim: int):
+    """Raise :class:`ContractViolationError` unless measure ``tag`` applies
+    to a ``kind`` trajectory of dimension ``dim``: 'kl' needs a classical
+    trajectory, 's_cl' and 's_qe' a two-state quantum one, and every other
+    measure a quantum one."""
+    if tag == "kl":
+        if kind != "classical":
+            raise ContractViolationError("'kl' needs a classical trajectory")
+    elif tag in ("s_cl", "s_qe"):
+        if kind != "quantum" or dim != 2:
+            raise ContractViolationError(f"{tag!r} needs a two-state quantum trajectory")
+    elif kind != "quantum":
+        raise ContractViolationError(f"{tag!r} needs a quantum trajectory")
+
+
 @dataclass(frozen=True)
 class InfoSeries:
     """Scalar information values on a time grid, with skip intervals marking
@@ -60,9 +75,7 @@ class InfoSeries:
         mask = self.grid.within(skips)
         if not np.all(np.isfinite(vals[~mask])):
             raise ContractViolationError("non-finite value outside skip intervals")
-        vals = np.ascontiguousarray(vals)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "skip_intervals", skips)
 
     def skipped(self) -> np.ndarray:
@@ -190,15 +203,8 @@ def series_from_trajectory(
         raise ContractViolationError(f"unknown measure tag {measure_tag!r}")
     if measure_tag in REFERENCE_TAGS and reference is None:
         raise ContractViolationError(f"measure {measure_tag!r} needs a reference state")
-    if measure_tag in ("vn_entropy", "rel_entropy", "trace_distance", "extended_entropy"):
-        if traj.kind != "quantum":
-            raise ContractViolationError(f"{measure_tag!r} needs a quantum trajectory")
-    if measure_tag == "kl":
-        if traj.kind != "classical":
-            raise ContractViolationError("'kl' needs a classical trajectory")
+    check_measure_fit(measure_tag, traj.kind, traj.dim)
     if measure_tag in ("s_cl", "s_qe"):
-        if traj.kind != "quantum" or traj.dim != 2:
-            raise ContractViolationError(f"{measure_tag!r} needs a two-state quantum trajectory")
         from .netfd import two_state_series_from_trajectory
 
         s_cl, s_qe = two_state_series_from_trajectory(traj, skip_intervals=skip_intervals)

@@ -415,7 +415,7 @@ def check_params(name: str, params: dict):
     """Check parameter names, types and ranges against the model's schema,
     the one place they are decided (every factory and :func:`build_model`
     call it); raises :class:`ContractViolationError` on the first mismatch."""
-    if name not in MODEL_REGISTRY:
+    if not isinstance(name, str) or name not in MODEL_REGISTRY:
         raise ContractViolationError(f"unknown model {name!r}; known: {sorted(MODEL_REGISTRY)}")
     schema = MODEL_REGISTRY[name][1]
     for key, value in params.items():

@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError
 from .information import InfoSeries, backflow_functional
-from .states import DensityMatrix, Trajectory
+from .states import DensityMatrix, Trajectory, _freeze
 
 ROUNDTRIP_TOL = 1e-10
 SUBADDITIVITY_SLACK = 1e-8
@@ -45,9 +45,7 @@ class ThermoFieldState:
         nrm = float(np.linalg.norm(a))
         if abs(nrm - 1.0) > ROUNDTRIP_TOL:
             raise ContractViolationError(f"norm {nrm} differs from 1 beyond {ROUNDTRIP_TOL:g}")
-        a = np.ascontiguousarray(a)
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
+        object.__setattr__(self, "amplitudes", _freeze(a))
 
 
 @dataclass(frozen=True)

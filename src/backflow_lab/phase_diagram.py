@@ -7,10 +7,10 @@ Sweeps never abort on a failing point: a numerical or contract failure
 (any :class:`BackflowLabError`, or numpy's ``LinAlgError``) is recorded in
 that row's ``error`` column.  Any other exception is a programming error
 and propagates.  Axis and fixed parameters (names, types and schema
-ranges), the measure tags, ``epsilon_n``, ``rate_tolerance``, ``dt`` and
-``t_max`` are checked before any row runs.  Rows are assembled in lattice
-order regardless of worker completion order, so repeated runs are
-bit-identical.
+ranges), the measure tags and their fit to the model, ``epsilon_n``,
+``rate_tolerance``, ``dt`` and ``t_max`` (a grid of at least 3 points) are
+checked before any row runs.  Rows are assembled in lattice order
+regardless of worker completion order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import analyze
+from .analysis import analyze, check_split_grid
 from .errors import BackflowLabError, ContractViolationError
 from .generator_analysis import RATE_TOLERANCE
-from .information import InfoSeries, check_measure_tags
+from .information import InfoSeries, check_measure_fit, check_measure_tags
 from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params, finite_number
 from .netfd import EPSILON_N
 from .states import DEFAULT_DT, DEFAULT_T_MAX, TimeGrid
@@ -86,7 +86,7 @@ class SweepSpec:
     threads: int = 1
 
     def __post_init__(self):
-        if self.model not in MODEL_REGISTRY:
+        if not isinstance(self.model, str) or self.model not in MODEL_REGISTRY:
             raise ContractViolationError(f"unknown model {self.model!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ContractViolationError("sweeps support 1 or 2 axes")
@@ -120,7 +120,15 @@ class SweepSpec:
             if not value > 0:
                 raise ContractViolationError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, name, value)
-        TimeGrid.uniform(self.dt, self.t_max)  # the rows' grid must be buildable
+        check_split_grid(TimeGrid.uniform(self.dt, self.t_max))  # the rows' grid
+        # the measures must fit the model's trajectory, judged at the first
+        # point; a model that does not build there records its error per row
+        try:
+            first = build_model(self.model, self.lattice()[0])
+        except BackflowLabError:
+            return
+        for tag in self.measures:
+            check_measure_fit(tag, first.kind, first.initial_state.dim)
 
     def lattice(self) -> list[dict]:
         """Parameter dicts in lattice order (last axis fastest)."""

@@ -52,12 +52,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, IntegrationDivergedError, InvalidStateError
-from .states import (
-    DensityMatrix,
-    ProbabilityVector,
-    TimeGrid,
-    Trajectory,
-)
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze
 
 TRACE_DRIFT_TOL = 1e-8
 TC_NORMALIZATION_TOL = 1e-6
@@ -140,22 +135,17 @@ class PropagatorFamily:
             raise ContractViolationError(
                 f"propagator family violates trace preservation (defect {defect:.3e})"
             )
-        arr = np.ascontiguousarray(maps)
-        arr.setflags(write=False)
-        object.__setattr__(self, "maps", arr)
+        object.__setattr__(self, "maps", _freeze(maps))
 
 
 def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
-    if gen_kind == "quantum":
-        if not isinstance(initial, DensityMatrix):
-            raise ContractViolationError("quantum propagation needs a DensityMatrix initial state")
-        if initial.dim != dim:
-            raise ContractViolationError(f"initial dimension {initial.dim} != generator dimension {dim}")
-        return linalg.vectorize(initial.entries)
-    if not isinstance(initial, ProbabilityVector):
-        raise ContractViolationError("classical propagation needs a ProbabilityVector initial state")
+    state_type = DensityMatrix if gen_kind == "quantum" else ProbabilityVector
+    if not isinstance(initial, state_type):
+        raise ContractViolationError(f"{gen_kind} propagation needs a {state_type.__name__} initial state")
     if initial.dim != dim:
         raise ContractViolationError(f"initial dimension {initial.dim} != generator dimension {dim}")
+    if gen_kind == "quantum":
+        return linalg.vectorize(initial.entries)
     return initial.entries.astype(float).copy()
 
 
@@ -178,8 +168,6 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
     out[:m] with S^k by repeated squaring, is one 2-D product of the first
     m c rows with (S^k)^T; each block is checked for finiteness as it is
     filled, and the earliest non-finite row's time is reported."""
-    if not grid.is_uniform():
-        raise ContractViolationError("solve on a uniform grid")
     a = np.asarray(matrix)
     dd = a.shape[0]
     eye = np.eye(dd, dtype=a.dtype)
@@ -277,8 +265,6 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
     Without ``y0`` only the samples are checked: the earliest sample that has
     the wrong shape, is not finite or fails trace preservation is reported
     with its time and class."""
-    if not grid.is_uniform():
-        raise ContractViolationError("solve on a uniform grid")
     h, ts, dd = grid.dt, grid.points, gen.matrix_dim
     times = np.empty(2 * grid.n - 1)
     times[::2] = ts
@@ -414,8 +400,6 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
     directly and convolves B_1 = A_1 + I and B_n = A_n (n >= 2), all
     O(h^2): the FFT rounding is relative to that small scale.
     """
-    if not grid.is_uniform():
-        raise ContractViolationError("solve on a uniform grid")
     h = grid.dt
     if h > kernel.decay_scale / 20.0:
         warnings.warn(
@@ -429,8 +413,6 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
     ys = np.empty((n_pts,) + y0.shape, dtype=dtype)
     ys[0] = y0
     m_tot = n_pts - 1
-    if m_tot == 0:
-        return ys
     dd = y0.shape[0]
     eye = np.eye(dd)
     c = h * h / 4.0

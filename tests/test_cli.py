@@ -519,6 +519,37 @@ class TestBackflow:
         assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 2
 
 
+    @pytest.mark.parametrize("command", ["backflow", "phase-diagram"])
+    def test_measure_that_does_not_fit_the_model_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        import backflow_lab.analysis as analysis
+        import backflow_lab.phase_diagram as pd
+
+        ran = lambda *args, **kwargs: pytest.fail("propagation ran")
+        monkeypatch.setattr(analysis, "propagate", ran)
+        monkeypatch.setattr(pd, "_sweep_point", ran)
+        payload = {"model": {"name": "dephasing_qubit"}, "measures": ["kl"]}
+        if command == "phase-diagram":
+            payload["axes"] = [{"param": "lam", "min": 0.5, "max": 1.0, "steps": 2}]
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "config error: 'kl' needs a classical trajectory\n"
+
+    @pytest.mark.parametrize("command", ["backflow", "phase-diagram"])
+    def test_grid_too_short_for_the_split_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
+        import backflow_lab.analysis as analysis
+        import backflow_lab.phase_diagram as pd
+
+        ran = lambda *args, **kwargs: pytest.fail("propagation ran")
+        monkeypatch.setattr(analysis, "propagate", ran)
+        monkeypatch.setattr(pd, "_sweep_point", ran)
+        payload = {"model": {"name": "amplitude_damping_qubit"}}
+        if command == "phase-diagram":
+            payload["axes"] = [{"param": "gamma", "min": 0.5, "max": 1.0, "steps": 2}]
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path), "--t-max", "0.001"]) == 2
+        assert capsys.readouterr().err == "config error: the sector split needs a grid of at least 3 points, got 2\n"
+
+
 class TestPhaseDiagram:
     def test_sweep_outputs(self, tmp_path):
         config = write_config(
@@ -742,6 +773,17 @@ class TestParameterValidation:
         config = write_config(tmp_path, payload)
         assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
         assert f"config error: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [[1], {}])
+    @pytest.mark.parametrize("command", ["simulate", "extract", "divisibility", "backflow", "phase-diagram"])
+    def test_model_name_of_the_wrong_json_type_exits_2(self, tmp_path, capsys, command, name):
+        payload = {"model": {"name": name}, "axes": [{"param": "lam", "min": 0.5, "max": 1.0, "steps": 2}]}
+        if command != "phase-diagram":
+            del payload["axes"]
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown model {name!r}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("param, value", [("n", True), ("gamma", False)])
     def test_json_boolean_rejected(self, tmp_path, capsys, param, value):

@@ -716,6 +716,20 @@ class TestCpDivisibility:
         assert payload["rates_csv_path"] == "rates.csv"
         assert payload["gaps"] == []
 
+    @pytest.mark.parametrize("gaps", [(), ((0.5, 0.6),), ((1.9, 1.99),)])
+    def test_trace_error_names_the_grid_index_and_time(self, gaps):
+        """A hand-built stack whose sample 2000 fails trace annihilation is
+        named by its grid index and time, whatever the gaps ahead of it and
+        the row blocks (1 024 rows at d = 2) are."""
+        grid = TimeGrid.uniform(1e-3, 3.0)
+        g = 1.3 * dissipator_superop(SIGMA_MINUS) + 0.3 * dissipator_superop(SIGMA_MINUS.conj().T)
+        samples = (1.0 + grid.points)[:, None, None] * g
+        samples[2000] = np.eye(4)
+        gen = SampledGenerator(grid, samples, "quantum", 2, gaps)
+        with pytest.raises(ContractViolationError, match=r"sample 2000 at t=2 does not annihilate") as info:
+            check_cp_divisible(gen)
+        assert info.value.time == grid.points[2000]
+
 
 class TestClassicalDivisibility:
     def test_constant_positive_rates_divisible(self):
