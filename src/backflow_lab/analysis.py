@@ -41,19 +41,25 @@ from .states import TimeGrid, Trajectory
 ROUTES = ("closed_form", "tcl", "tc")
 
 
-def _resolve(model: ModelSpec, route: str) -> str:
-    """``route`` itself, or the first route the model offers for
-    ``auto``."""
+def resolve_route(model: ModelSpec, route: str, grid: TimeGrid | None = None) -> str:
+    """``route`` itself, or the first route the model offers for ``auto``.
+    Given the ``grid`` of a run that needs the generator, a route that
+    extracts it from a family (``closed_form`` with ``propagator_fn``, or
+    ``tc``) on a grid too short for the 4th-order stencils raises
+    :class:`ConfigError` too, before any propagation."""
     sources = (model.trajectory_fn, model.tcl_generator, model.kernel)
     offered = [r for r, source in zip(ROUTES, sources) if source is not None]
     if route == "auto":
         if not offered:
             raise ConfigError(f"model {model.name} offers no route")
-        return offered[0]
+        route = offered[0]
     if route not in ROUTES:
         raise ConfigError(f"unknown route {route!r}")
     if route not in offered:
         raise ConfigError(f"model {model.name} has no {route} route")
+    extracts = route == "tc" or route == "closed_form" and model.propagator_fn is not None
+    if grid is not None and extracts and grid.n < 5:
+        raise ConfigError(f"generator extraction on route {route} needs a grid of at least 5 points, got {grid.n}")
     return route
 
 
@@ -63,8 +69,9 @@ def propagate(
     """(trajectory, time-local generator sampled on ``grid``) of ``model``
     along ``route``, each None when not asked for; the generator is also
     None on a closed-form route without ``propagator_fn``.  An unknown
-    route, or one the model does not offer, raises :class:`ConfigError`."""
-    route = _resolve(model, route)
+    route, one the model does not offer, or a grid too short to extract the
+    generator on, raises :class:`ConfigError` (:func:`resolve_route`)."""
+    route = resolve_route(model, route, grid if generator else None)
     traj = family = samples = None
     if route == "tcl":
         source = model.tcl_generator

@@ -26,14 +26,14 @@ samples and their eigenvalues, the canonical rates gamma_k(t) that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
-from .propagation import PropagatorFamily, TclGenerator, _sample_defects
+from .propagation import PropagatorFamily, TclGenerator, _sample_defects, check_map_table
 from .states import TimeGrid, _freeze, run_intervals
 
 CONDITION_LIMIT = 1e8
@@ -52,21 +52,21 @@ BLOCK_BYTES = 256 * 1024
 @dataclass(frozen=True)
 class SampledGenerator:
     """Time-local generator known only at grid points, with gap intervals
-    where extraction was impossible."""
+    where extraction was impossible: finite (n, dd, dd) samples
+    (:func:`check_map_table`), zero inside the gaps."""
 
     grid: TimeGrid
     samples: np.ndarray
     kind: str
     dim: int
     gaps: tuple = ()
+    matrix_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _freeze(self.samples))
+        samples = check_map_table(self.samples, self.grid, self.kind, self.dim, "generator samples")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "matrix_dim", samples.shape[1])
         object.__setattr__(self, "gaps", tuple((float(a), float(b)) for a, b in self.gaps))
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.dim * self.dim if self.kind == "quantum" else self.dim
 
     def gap_mask(self) -> np.ndarray:
         """Boolean mask over grid points lying inside a gap interval."""

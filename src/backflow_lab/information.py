@@ -68,6 +68,8 @@ class InfoSeries:
     skip_intervals: tuple = ()
 
     def __post_init__(self):
+        if self.measure_tag not in MEASURE_TAGS:
+            raise ContractViolationError(f"unknown measure tag {self.measure_tag!r}")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n,):
             raise ContractViolationError(f"expected {self.grid.n} values, got shape {vals.shape}")
@@ -242,8 +244,11 @@ def backflow_functional(series: InfoSeries) -> float:
     contribute.
     """
     mask = series.skipped()
-    if int(np.sum(~mask)) < 2:
-        raise ContractViolationError("need at least two non-skipped points")
+    if mask.size - np.count_nonzero(mask) < 2:
+        raise ContractViolationError(
+            f"backflow of {series.measure_tag!r} needs two points outside the skip intervals (gaps or non-finite "
+            f"values), but {np.count_nonzero(mask)} of {mask.size} are skipped"
+        )
     # skipped values may be +inf: zeroed, they leave the counted pairs'
     # increments as they are and raise no warning in the difference
     vals = np.where(mask, 0.0, series.values)

@@ -23,10 +23,17 @@ MAX_QUANTUM_DIM = 8
 MAX_CLASSICAL_DIM = 16
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest absolute entry of (m - m^dag)/2."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T)) / 2.0)
+def carrier_dim(kind: str, dim: int) -> int:
+    """Side dd of the (dd, dd) maps on ``kind`` states of dimension ``dim``:
+    d^2 for 'quantum' (superoperators on column-stacked matrices), d for
+    'classical'.  An unknown kind, or a dimension outside 1..``MAX_QUANTUM_DIM``
+    (``MAX_CLASSICAL_DIM``), raises :class:`ContractViolationError`."""
+    if kind not in ("quantum", "classical"):
+        raise ContractViolationError(f"unknown kind {kind!r}; known: 'quantum', 'classical'")
+    cap = MAX_QUANTUM_DIM if kind == "quantum" else MAX_CLASSICAL_DIM
+    if not (isinstance(dim, (int, np.integer)) and 1 <= dim <= cap):
+        raise ContractViolationError(f"dimension {dim} outside supported range 1..{cap}")
+    return dim * dim if kind == "quantum" else dim
 
 
 def hermitian_eig(m: np.ndarray):
@@ -39,10 +46,9 @@ def hermitian_eig(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-    if hermiticity_defect(m) > HERMITICITY_TOL:
-        raise ContractViolationError(
-            f"matrix is not Hermitian within {HERMITICITY_TOL:g} (defect {hermiticity_defect(m):.3e})"
-        )
+    defect = float(np.max(np.abs(m - m.conj().T))) / 2.0
+    if not defect <= HERMITICITY_TOL:
+        raise ContractViolationError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (defect {defect:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
 

@@ -40,10 +40,11 @@ class ThermoFieldState:
 
     def __post_init__(self):
         a = np.asarray(self.amplitudes, dtype=complex)
-        if a.shape != (self.dim * self.dim,):
-            raise ContractViolationError(f"expected {self.dim**2} amplitudes, got {a.shape}")
+        dd = linalg.carrier_dim("quantum", self.dim)
+        if a.shape != (dd,):
+            raise ContractViolationError(f"expected {dd} amplitudes, got {a.shape}")
         nrm = float(np.linalg.norm(a))
-        if abs(nrm - 1.0) > ROUNDTRIP_TOL:
+        if not abs(nrm - 1.0) <= ROUNDTRIP_TOL:
             raise ContractViolationError(f"norm {nrm} differs from 1 beyond {ROUNDTRIP_TOL:g}")
         object.__setattr__(self, "amplitudes", _freeze(a))
 
@@ -60,7 +61,7 @@ class DecomposedBackflow:
     regime: str
 
     def __post_init__(self):
-        if self.n_total > self.n_cl + self.n_qe + SUBADDITIVITY_SLACK:
+        if not self.n_total <= self.n_cl + self.n_qe + SUBADDITIVITY_SLACK:
             raise ContractViolationError(
                 f"subadditivity violated: {self.n_total} > {self.n_cl} + {self.n_qe}"
             )
@@ -76,7 +77,7 @@ class DecomposedBackflow:
 
 def classify(n_cl: float, n_qe: float, epsilon_n: float = EPSILON_N) -> str:
     """Regime label from the two backflow sectors."""
-    if n_cl < 0 or n_qe < 0:
+    if not (n_cl >= 0 and n_qe >= 0):
         raise ContractViolationError("backflow measures must be nonnegative")
     cl = n_cl > epsilon_n
     qe = n_qe > epsilon_n

@@ -8,9 +8,10 @@ Sweeps never abort on a failing point: a numerical or contract failure
 that row's ``error`` column.  Any other exception is a programming error
 and propagates.  Axis and fixed parameters (names, types and schema
 ranges), the measure tags and their fit to the model, ``epsilon_n``,
-``rate_tolerance``, ``dt`` and ``t_max`` (a grid of at least 3 points) are
-checked before any row runs.  Rows are assembled in lattice order
-regardless of worker completion order, so repeated runs are bit-identical.
+``rate_tolerance``, ``dt`` and ``t_max`` (a grid of at least 3 points, and
+of 5 where the auto route extracts the generator) are checked before any
+row runs.  Rows are assembled in lattice order regardless of worker
+completion order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import analyze, check_split_grid
+from .analysis import analyze, check_split_grid, resolve_route
 from .errors import BackflowLabError, ContractViolationError
 from .generator_analysis import RATE_TOLERANCE
 from .information import InfoSeries, check_measure_fit, check_measure_tags
@@ -120,15 +121,17 @@ class SweepSpec:
             if not value > 0:
                 raise ContractViolationError(f"{name} must be > 0, got {value}")
             object.__setattr__(self, name, value)
-        check_split_grid(TimeGrid.uniform(self.dt, self.t_max))  # the rows' grid
-        # the measures must fit the model's trajectory, judged at the first
-        # point; a model that does not build there records its error per row
+        grid = TimeGrid.uniform(self.dt, self.t_max)  # the rows' grid
+        check_split_grid(grid)
+        # the measures must fit the model's trajectory and the grid its auto route, judged
+        # at the first point; a model that does not build there records its error per row
         try:
             first = build_model(self.model, self.lattice()[0])
         except BackflowLabError:
             return
         for tag in self.measures:
             check_measure_fit(tag, first.kind, first.initial_state.dim)
+        resolve_route(first, "auto", grid)
 
     def lattice(self) -> list[dict]:
         """Parameter dicts in lattice order (last axis fastest)."""

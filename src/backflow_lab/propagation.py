@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -72,19 +72,16 @@ class TclGenerator:
     returns the generator at those times, stacked as an (n, dd, dd) table of
     (d^2, d^2) complex superoperator matrices (quantum) or (n, n) real rate
     matrices (classical).  A table whose samples all equal the first is a
-    constant generator and is propagated as RK4 matrix powers."""
+    constant generator and is propagated as RK4 matrix powers.
+    ``matrix_dim`` is dd (:func:`linalg.carrier_dim`)."""
 
     dim: int
     kind: str
     evaluate: Callable[[np.ndarray], np.ndarray]
+    matrix_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("quantum", "classical"):
-            raise ContractViolationError(f"unknown generator kind {self.kind!r}")
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.dim * self.dim if self.kind == "quantum" else self.dim
+        object.__setattr__(self, "matrix_dim", linalg.carrier_dim(self.kind, self.dim))
 
 
 @dataclass(frozen=True)
@@ -93,28 +90,25 @@ class MemoryKernel:
     and returns the kernel superoperators (or classical rate-matrix-valued
     kernels) at those lags, stacked as an (N, dd, dd) table.
     ``decay_scale`` is a time-scale hint used to sanity-check the grid
-    resolution."""
+    resolution.  ``matrix_dim`` is dd (:func:`linalg.carrier_dim`)."""
 
     dim: int
     kind: str
     evaluate: Callable[[np.ndarray], np.ndarray]
     decay_scale: float = 1.0
+    matrix_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("quantum", "classical"):
-            raise ContractViolationError(f"unknown kernel kind {self.kind!r}")
-        if self.decay_scale <= 0:
-            raise ContractViolationError("decay_scale must be positive")
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.dim * self.dim if self.kind == "quantum" else self.dim
+        object.__setattr__(self, "matrix_dim", linalg.carrier_dim(self.kind, self.dim))
+        if not 0 < self.decay_scale < math.inf:
+            raise ContractViolationError("decay_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
 class PropagatorFamily:
-    """Maps Phi(t, 0) sampled on a grid; Phi(0, 0) is the identity and every
-    sample preserves the trace (quantum) or column sums (classical)."""
+    """Finite maps Phi(t, 0) sampled on a grid (:func:`check_map_table`);
+    Phi(0, 0) is the identity and every sample preserves the trace
+    (quantum) or column sums (classical)."""
 
     grid: TimeGrid
     maps: np.ndarray
@@ -122,12 +116,8 @@ class PropagatorFamily:
     dim: int
 
     def __post_init__(self):
-        maps = np.asarray(self.maps)
-        n = self.grid.n
-        dd = self.dim * self.dim if self.kind == "quantum" else self.dim
-        if maps.shape != (n, dd, dd):
-            raise ContractViolationError(f"expected maps of shape {(n, dd, dd)}, got {maps.shape}")
-        if np.max(np.abs(maps[0] - np.eye(dd))) > 1e-12:
+        maps = check_map_table(self.maps, self.grid, self.kind, self.dim, "maps")
+        if np.max(np.abs(maps[0] - np.eye(maps.shape[1]))) > 1e-12:
             raise ContractViolationError("Phi(0, 0) is not the identity")
         u = linalg.conservation_row(self.kind, self.dim)
         defect = np.max(np.abs(u @ maps - u))
@@ -135,7 +125,21 @@ class PropagatorFamily:
             raise ContractViolationError(
                 f"propagator family violates trace preservation (defect {defect:.3e})"
             )
-        object.__setattr__(self, "maps", _freeze(maps))
+        object.__setattr__(self, "maps", maps)
+
+
+def check_map_table(table, grid: TimeGrid, kind: str, dim: int, what: str) -> np.ndarray:
+    """The one carrier rule of a table of maps on ``kind`` states of
+    dimension ``dim`` sampled on ``grid``: a known kind and dimension
+    (:func:`linalg.carrier_dim`), shape (n, dd, dd) and finite entries, else
+    :class:`ContractViolationError`.  Returns the table read-only."""
+    dd = linalg.carrier_dim(kind, dim)
+    table = np.asarray(table)
+    if table.shape != (grid.n, dd, dd):
+        raise ContractViolationError(f"expected {what} of shape {(grid.n, dd, dd)}, got {table.shape}")
+    if not np.isfinite(table).all():
+        raise ContractViolationError(f"non-finite entry among the {what}")
+    return _freeze(table)
 
 
 def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
@@ -144,9 +148,7 @@ def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
         raise ContractViolationError(f"{gen_kind} propagation needs a {state_type.__name__} initial state")
     if initial.dim != dim:
         raise ContractViolationError(f"initial dimension {initial.dim} != generator dimension {dim}")
-    if gen_kind == "quantum":
-        return linalg.vectorize(initial.entries)
-    return initial.entries.astype(float).copy()
+    return linalg.vectorize(initial.entries) if gen_kind == "quantum" else initial.entries.astype(float)
 
 
 def _sample_defects(samples: np.ndarray, kind: str, dim: int, tol: float):
@@ -348,17 +350,12 @@ def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
         raise ContractViolationError(f"kernel samples have shape {table.shape}, expected {(grid.n, dd, dd)}")
     finite = np.isfinite(table).all(axis=(1, 2))
     n_ok = grid.n if finite.all() else int(np.argmin(finite))
-    head = table[:n_ok]
     # kernels act as generators under the time integral: trace-annihilated;
     # the samples ahead of the first non-finite one are judged first
-    defect = np.max(np.abs(linalg.conservation_row(kernel.kind, kernel.dim) @ head), axis=-1)
-    scale = max(1.0, float(np.max(np.abs(head)))) if n_ok else 1.0
-    bad = np.flatnonzero(defect > SAMPLE_TRACE_TOL * scale)
-    if bad.size:
-        raise ContractViolationError(
-            f"memory kernel violates trace annihilation at lag {bad[0]*h:g} "
-            f"(defect {defect[bad[0]]:.3e})"
-        )
+    err, bad = _sample_defects(table[:n_ok], kernel.kind, kernel.dim, SAMPLE_TRACE_TOL)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ContractViolationError(f"memory kernel violates trace annihilation at lag {i*h:g} (defect {err[i]:.3e})")
     if n_ok < grid.n:
         raise ContractViolationError(f"kernel sample at lag {n_ok*h:g} is not finite")
     return table

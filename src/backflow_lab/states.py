@@ -33,30 +33,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, PSD complex matrix (the reduced state)."""
+    """Hermitian, unit-trace, PSD complex matrix (the reduced state): a
+    one-state stack of :func:`_check_states`, trace within ``TRACE_TOL``."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolationError(f"density matrix must be square, got {m.shape}")
-        d = m.shape[0]
-        if d < 1 or d > linalg.MAX_QUANTUM_DIM:
-            raise ContractViolationError(f"dimension {d} outside supported range 1..{linalg.MAX_QUANTUM_DIM}")
-        if linalg.hermiticity_defect(m) > HERMITICITY_TOL:
-            raise ContractViolationError(
-                f"density matrix not Hermitian within {HERMITICITY_TOL:g}"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ContractViolationError(f"trace {tr} differs from 1 beyond {TRACE_TOL:g}")
-        w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if w[0] < PSD_FLOOR:
-            raise ContractViolationError(
-                f"density matrix not PSD: min eigenvalue {w[0]:.3e} < {PSD_FLOOR:g}"
-            )
-        object.__setattr__(self, "entries", _freeze(m))
+        m = _check_states(np.asarray(self.entries)[None], "quantum", None, TRACE_TOL, PROB_FLOOR)[0]
+        object.__setattr__(self, "entries", m[0])
 
     @property
     def dim(self) -> int:
@@ -65,22 +49,15 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Nonnegative real vector summing to one."""
+    """Nonnegative real vector summing to one: a one-state stack of
+    :func:`_check_states`, sum within ``TRACE_TOL``, entries above
+    ``PROB_FLOOR``."""
 
     entries: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.entries, dtype=float)
-        if p.ndim != 1:
-            raise ContractViolationError("probability vector must be one-dimensional")
-        n = p.size
-        if n < 1 or n > linalg.MAX_CLASSICAL_DIM:
-            raise ContractViolationError(f"dimension {n} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}")
-        if np.min(p) < PROB_FLOOR:
-            raise ContractViolationError(f"negative entry {np.min(p):.3e} below {PROB_FLOOR:g}")
-        if abs(float(np.sum(p)) - 1.0) > TRACE_TOL:
-            raise ContractViolationError(f"entries sum to {np.sum(p)}, not 1")
-        object.__setattr__(self, "entries", _freeze(p))
+        p = _check_states(np.asarray(self.entries)[None], "classical", None, TRACE_TOL, PROB_FLOOR)[0]
+        object.__setattr__(self, "entries", p[0])
 
     @property
     def dim(self) -> int:
@@ -102,10 +79,10 @@ def run_intervals(flagged: np.ndarray, ts: np.ndarray, h: float) -> tuple:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing sample times starting at 0.
+    """Finite, strictly increasing sample times starting at 0.
 
     The step and the uniformity flag are computed once, at construction,
-    so :attr:`dt` and :meth:`is_uniform` cost O(1) per call.
+    so :attr:`dt`, the one uniform-grid check, costs O(1) per call.
     """
 
     points: np.ndarray
@@ -116,6 +93,8 @@ class TimeGrid:
         t = np.asarray(self.points, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ContractViolationError("grid needs at least two points")
+        if not np.isfinite(t).all():
+            raise ContractViolationError("grid points must be finite")
         if t[0] != 0.0:
             raise ContractViolationError("grid must start at t=0")
         steps = np.diff(t)
@@ -175,9 +154,6 @@ class TimeGrid:
             raise ContractViolationError("grid is not uniform")
         return self._dt
 
-    def is_uniform(self) -> bool:
-        return self._uniform
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -185,11 +161,9 @@ class Trajectory:
 
     States are stored as one stacked array: shape (n, d, d) complex for
     quantum, (n, m) float for classical.  Construction is the one check of
-    the state set, batched over the stack: the dimension cap, finite
-    entries, Hermiticity within ``HERMITICITY_TOL``, trace (sum) within
-    ``TRAJECTORY_TRACE_TOL``, and eigenvalues above ``PSD_FLOOR`` (entries
-    above ``TRAJECTORY_PROB_FLOOR``).  A state outside the set raises
-    :class:`InvalidStateError` naming the earliest such time.
+    the state set, :func:`_check_states`, with trace (sum) within
+    ``TRAJECTORY_TRACE_TOL`` and entries above ``TRAJECTORY_PROB_FLOOR``; a
+    state outside the set raises :class:`InvalidStateError` naming its time.
 
     The eigenvalues of the check are kept as ``spectrum``, (n, d) float
     ascending (:func:`linalg.hermitian_spectra`), so the information
@@ -203,74 +177,64 @@ class Trajectory:
     spectrum: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("quantum", "classical"):
-            raise ContractViolationError(f"unknown trajectory kind {self.kind!r}")
-        arr = np.asarray(self.states)
-        n = self.grid.n
-        ts = self.grid.points
-        spectrum = None
-        if self.kind == "quantum":
-            arr = arr.astype(complex)
-            if arr.ndim != 3 or arr.shape[0] != n or arr.shape[1] != arr.shape[2]:
-                raise ContractViolationError(f"expected ({n}, d, d) quantum states, got {arr.shape}")
-            if arr.shape[1] > linalg.MAX_QUANTUM_DIM:
-                raise ContractViolationError(
-                    f"dimension {arr.shape[1]} outside supported range 1..{linalg.MAX_QUANTUM_DIM}"
-                )
-            _check_finite(arr, ts)
-            adj = arr.conj().transpose(0, 2, 1)
-            skew = np.abs(arr - adj)
-            defect = float(np.max(skew)) / 2.0
-            if defect > HERMITICITY_TOL:
-                i = np.unravel_index(np.argmax(skew), skew.shape)[0]
-                raise InvalidStateError(
-                    f"non-Hermitian state in trajectory (defect {defect:.3e})", time=float(ts[i])
-                )
-            traces = np.einsum("nii->n", arr)
-            bad = np.argmax(np.abs(traces - 1.0))
-            if abs(traces[bad] - 1.0) > TRAJECTORY_TRACE_TOL:
-                raise InvalidStateError(
-                    f"state at t={ts[bad]:g} has trace {traces[bad]}", time=float(ts[bad])
-                )
-            spectrum = linalg.hermitian_spectra(arr)
-            i = np.argmin(spectrum[:, 0])
-            if spectrum[i, 0] < PSD_FLOOR:
-                raise InvalidStateError(
-                    f"state at t={ts[i]:g} has eigenvalue {spectrum[i, 0]:.3e}", time=float(ts[i])
-                )
-            spectrum = _freeze(spectrum)
-        else:
-            arr = arr.astype(float)
-            if arr.ndim != 2 or arr.shape[0] != n:
-                raise ContractViolationError(f"expected ({n}, m) classical states, got {arr.shape}")
-            if arr.shape[1] > linalg.MAX_CLASSICAL_DIM:
-                raise ContractViolationError(
-                    f"dimension {arr.shape[1]} outside supported range 1..{linalg.MAX_CLASSICAL_DIM}"
-                )
-            _check_finite(arr, ts)
-            if np.min(arr) < TRAJECTORY_PROB_FLOOR:
-                i = np.unravel_index(np.argmin(arr), arr.shape)[0]
-                raise InvalidStateError(
-                    f"negative probability at t={ts[i]:g}: {np.min(arr):.3e}", time=float(ts[i])
-                )
-            sums = arr.sum(axis=1)
-            bad = np.argmax(np.abs(sums - 1.0))
-            if abs(sums[bad] - 1.0) > TRAJECTORY_TRACE_TOL:
-                raise InvalidStateError(
-                    f"state at t={ts[bad]:g} sums to {sums[bad]}", time=float(ts[bad])
-                )
-        object.__setattr__(self, "states", _freeze(arr))
-        object.__setattr__(self, "spectrum", spectrum)
+        checked = _check_states(self.states, self.kind, self.grid.points, TRAJECTORY_TRACE_TOL, TRAJECTORY_PROB_FLOOR)
+        object.__setattr__(self, "states", checked[0])
+        object.__setattr__(self, "spectrum", checked[1])
 
     @property
     def dim(self) -> int:
         return self.states.shape[1]
 
 
-def _check_finite(arr: np.ndarray, ts: np.ndarray):
-    """Raise :class:`InvalidStateError` at the earliest state with a NaN or
-    infinite entry (no later check sees through a NaN: it compares false)."""
+def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor: float):
+    """The one check of a state set, batched over a stack of ``kind``
+    states, (n, d, d) complex or (n, m) float: the kind and the dimension
+    cap (:func:`linalg.carrier_dim`), the shape, finite entries (no later
+    check sees through a NaN: it compares false), Hermiticity within
+    ``HERMITICITY_TOL``, trace (sum) within ``trace_tol``, and eigenvalues
+    above ``PSD_FLOOR`` (entries above ``floor``).  Returns the read-only
+    states and, for quantum ones, their ascending spectra
+    (:func:`linalg.hermitian_spectra`), else None.
+
+    The first state outside the set raises :class:`InvalidStateError`
+    naming its time in ``ts``; a single state is a one-row stack with
+    ``ts`` None, and its error has time None.  The reductions run over the
+    whole stack, and the failing row is looked up only on failure."""
+    arr = np.asarray(arr)
+    quantum = kind == "quantum"
+    linalg.carrier_dim(kind, arr.shape[-1] if arr.ndim else 0)
+    arr = arr.astype(complex if quantum else float)
+    n = 1 if ts is None else ts.size
+    if arr.shape != (n,) + arr.shape[-1:] * (1 + quantum):
+        form = "d, d) quantum" if quantum else "m) classical"
+        raise ContractViolationError(f"expected ({n}, {form} states, got {arr.shape}")
+    at = lambda i: "" if ts is None else f" at t={ts[i]:g}"
+    time = lambda i: None if ts is None else float(ts[i])
     finite = np.isfinite(arr)
     if not finite.all():
-        i = int(np.argmin(finite.reshape(arr.shape[0], -1).all(axis=1)))
-        raise InvalidStateError(f"state at t={ts[i]:g} has a non-finite entry", time=float(ts[i]))
+        i = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
+        raise InvalidStateError(f"state{at(i)} has a non-finite entry", time=time(i))
+    if not quantum:
+        if np.min(arr) < floor:
+            i = np.unravel_index(np.argmin(arr), arr.shape)[0]
+            raise InvalidStateError(f"negative probability{at(i)}: {np.min(arr):.3e}", time=time(i))
+        sums = arr.sum(axis=1)
+        i = np.argmax(np.abs(sums - 1.0))
+        if abs(sums[i] - 1.0) > trace_tol:
+            raise InvalidStateError(f"state{at(i)} sums to {sums[i]}", time=time(i))
+        return _freeze(arr), None
+    skew = np.abs(arr - arr.conj().transpose(0, 2, 1))
+    defect = float(np.max(skew)) / 2.0
+    if defect > HERMITICITY_TOL:
+        i = np.unravel_index(np.argmax(skew), skew.shape)[0]
+        where = "" if ts is None else " in trajectory"
+        raise InvalidStateError(f"non-Hermitian state{where} (defect {defect:.3e})", time=time(i))
+    traces = np.einsum("nii->n", arr)
+    i = np.argmax(np.abs(traces - 1.0))
+    if abs(traces[i] - 1.0) > trace_tol:
+        raise InvalidStateError(f"state{at(i)} has trace {traces[i]}", time=time(i))
+    spectrum = linalg.hermitian_spectra(arr)
+    i = np.argmin(spectrum[:, 0])
+    if spectrum[i, 0] < PSD_FLOOR:
+        raise InvalidStateError(f"state{at(i)} has eigenvalue {spectrum[i, 0]:.3e}", time=time(i))
+    return _freeze(arr), _freeze(spectrum)

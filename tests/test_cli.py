@@ -88,7 +88,7 @@ class TestSimulate:
         passes = record_spectral_passes(monkeypatch)
         config = write_config(tmp_path, {"model": {"name": model}, "grid": {"dt": 1e-2, "t_max": 3.0}})
         assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
-        assert [p for p in passes if len(p[1]) == 3] == [("closed_form", (301, 2, 2))]
+        assert [p for p in passes if len(p[1]) == 3 and p[1][0] == 301] == [("closed_form", (301, 2, 2))]
         monkeypatch.undo()
         validation = json.loads((tmp_path / "validation.json").read_text())
         traj, _ = analysis.propagate(build_model(model, {}), backflow_lab.TimeGrid.uniform(1e-2, 3.0), generator=False)
@@ -447,7 +447,7 @@ class TestBackflow:
             },
         )
         assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 0
-        assert [p for p in passes if len(p[1]) == 3 and p[1][1:] == (2, 2)] == [("closed_form", (401, 2, 2))]
+        assert [p for p in passes if p[1] == (401, 2, 2)] == [("closed_form", (401, 2, 2))]
         measures = json.loads((tmp_path / "backflow.json").read_text())["measures"]
         assert measures["vn_entropy"] == measures["extended_entropy"]
 
@@ -534,6 +534,23 @@ class TestBackflow:
         assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == "config error: 'kl' needs a classical trajectory\n"
 
+    def test_measure_infinite_everywhere_names_the_measure(self, tmp_path, capsys):
+        """nbar = 0 makes the reference state pure, so the relative entropy
+        is +inf at every point: a numerical failure that names the measure
+        and how many points were skipped."""
+        config = write_config(
+            tmp_path,
+            {
+                "model": {"name": "amplitude_damping_qubit", "params": {"nbar": 0.0}},
+                "grid": {"dt": 0.01, "t_max": 0.5},
+                "measures": ["rel_entropy"],
+            },
+        )
+        assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "'rel_entropy'" in err and "51 of 51 are skipped" in err
+
     @pytest.mark.parametrize("command", ["backflow", "phase-diagram"])
     def test_grid_too_short_for_the_split_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command):
         import backflow_lab.analysis as analysis
@@ -548,6 +565,66 @@ class TestBackflow:
         config = write_config(tmp_path, payload)
         assert main([command, "--config", config, "--out", str(tmp_path), "--t-max", "0.001"]) == 2
         assert capsys.readouterr().err == "config error: the sector split needs a grid of at least 3 points, got 2\n"
+
+
+class TestGridTooShortToExtract:
+    """A route that extracts the generator from a family (``closed_form``
+    with ``propagator_fn``, or ``tc``) needs the 5 points of the 4th-order
+    stencils: a shorter grid is a config error found before any
+    propagation.  Routes that do not extract still run on 3-4 points."""
+
+    @staticmethod
+    def forbid_propagation(monkeypatch):
+        import dataclasses
+
+        import backflow_lab.analysis as analysis
+        import backflow_lab.cli as cli
+        import backflow_lab.phase_diagram as pd
+
+        ran = lambda *args, **kwargs: pytest.fail("propagation ran")
+        for name in ("tcl_pass", "build_propagator", "extract_tcl_generator", "solve_tc", "apply_family"):
+            monkeypatch.setattr(analysis, name, ran)
+        monkeypatch.setattr(pd, "_sweep_point", ran)
+        build = cli.build_model
+        closures = lambda name, params: dataclasses.replace(build(name, params), trajectory_fn=ran, propagator_fn=ran)
+        monkeypatch.setattr(cli, "build_model", closures)
+
+    def run(self, tmp_path, monkeypatch, capsys, command, payload, route):
+        self.forbid_propagation(monkeypatch)
+        config = write_config(tmp_path, payload)
+        assert main([command, "--config", config, "--out", str(tmp_path), "--t-max", "0.003"]) == 2
+        want = f"config error: generator extraction on route {route} needs a grid of at least 5 points, got 4\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("command", ["extract", "divisibility", "backflow"])
+    @pytest.mark.parametrize("model, route", [("dephasing_qubit", "closed_form"), ("classical_exp_kernel", "tc")])
+    def test_exits_2_before_any_work(self, tmp_path, monkeypatch, capsys, command, model, route):
+        self.run(tmp_path, monkeypatch, capsys, command, {"model": {"name": model}, "route": route}, route)
+
+    @pytest.mark.parametrize("model, axis", [("dephasing_qubit", "lam"), ("classical_exp_kernel", "gamma")])
+    def test_sweep_judges_the_first_points_auto_route(self, tmp_path, monkeypatch, capsys, model, axis):
+        payload = {"model": {"name": model}, "axes": [{"param": axis, "min": 0.5, "max": 1.0, "steps": 2}]}
+        self.run(tmp_path, monkeypatch, capsys, "phase-diagram", payload, "closed_form")
+
+    @pytest.mark.parametrize(
+        "command, model, route",
+        [
+            ("simulate", "dephasing_qubit", "closed_form"),
+            ("simulate", "classical_exp_kernel", "tc"),
+            ("extract", "dephasing_qubit", "tcl"),
+            ("divisibility", "amplitude_damping_qubit", "tcl"),
+            ("backflow", "dephasing_qubit", "tcl"),
+            ("backflow", "markov_two_state", "closed_form"),
+        ],
+    )
+    @pytest.mark.parametrize("t_max", ["0.002", "0.003"])
+    def test_routes_that_do_not_extract_run_on_3_or_4_points(self, tmp_path, command, model, route, t_max):
+        config = write_config(tmp_path, {"model": {"name": model}, "route": route})
+        assert main([command, "--config", config, "--out", str(tmp_path), "--t-max", t_max]) == 0
+
+    def test_five_points_extract(self, tmp_path):
+        config = write_config(tmp_path, {"model": {"name": "dephasing_qubit"}})
+        assert main(["divisibility", "--config", config, "--out", str(tmp_path), "--t-max", "0.004"]) == 0
 
 
 class TestPhaseDiagram:

@@ -284,7 +284,110 @@ class TestProbabilityVector:
             ProbabilityVector(np.ones(17) / 17)
 
 
+class TestOneStateCheck:
+    """Single states are one-row stacks of the trajectory's batched check,
+    with their own tighter tolerances, and raise with time None."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DensityMatrix([[np.nan, 0], [0, 1]]),
+            lambda: DensityMatrix([[0.5, np.inf], [np.inf, 0.5]]),
+            lambda: ProbabilityVector([np.nan, 1]),
+            lambda: ProbabilityVector([np.inf, 0.5]),
+        ],
+    )
+    def test_non_finite_single_state_is_rejected(self, make):
+        with pytest.raises(InvalidStateError, match="non-finite") as got:
+            make()
+        assert got.value.time is None
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DensityMatrix(np.diag([0.5, 0.6])),
+            lambda: DensityMatrix(np.array([[0.5, 0.2], [0.1, 0.5]])),
+            lambda: DensityMatrix(np.diag([1.2, -0.2])),
+            lambda: ProbabilityVector([0.2, 0.3]),
+            lambda: ProbabilityVector([1.1, -0.1]),
+        ],
+    )
+    def test_state_outside_its_set_raises_without_a_time(self, make):
+        with pytest.raises(InvalidStateError) as got:
+            make()
+        assert got.value.time is None
+
+    def test_single_states_keep_the_tighter_tolerances(self):
+        grid = TimeGrid.uniform(0.5, 1.0)
+        rho = np.diag([0.5, 0.5 + 5e-12]).astype(complex)
+        p = np.array([1.0 + 5e-12, -5e-12])
+        Trajectory(grid, [rho] * grid.n, "quantum")
+        Trajectory(grid, [p] * grid.n, "classical")
+        with pytest.raises(InvalidStateError, match="has trace"):
+            DensityMatrix(rho)
+        with pytest.raises(InvalidStateError, match="negative probability"):
+            ProbabilityVector(p)
+
+    def test_zero_dimensional_trajectory_is_a_contract_violation(self):
+        grid = TimeGrid.uniform(0.5, 1.0)
+        for states, kind in ((np.zeros((grid.n, 0, 0)), "quantum"), (np.zeros((grid.n, 0)), "classical")):
+            with pytest.raises(ContractViolationError, match="dimension 0 outside supported range"):
+                Trajectory(grid, states, kind)
+
+
+class TestCarrierDim:
+    def test_dd_per_kind(self):
+        from backflow_lab.linalg import carrier_dim
+
+        assert [carrier_dim("quantum", d) for d in (1, 2, 8)] == [1, 4, 64]
+        assert [carrier_dim("classical", d) for d in (1, 3, 16)] == [1, 3, 16]
+
+    @pytest.mark.parametrize(
+        "kind, dim, message",
+        [
+            ("Quantum", 2, "unknown kind 'Quantum'"),
+            ("banana", 5, "unknown kind 'banana'"),
+            ("quantum", 0, "dimension 0 outside supported range 1..8"),
+            ("quantum", 9, "dimension 9 outside supported range 1..8"),
+            ("classical", 17, "dimension 17 outside supported range 1..16"),
+            ("classical", 2.0, "dimension 2.0 outside"),
+            ("classical", np.nan, "dimension nan outside"),
+        ],
+    )
+    def test_unknown_kind_or_dimension_is_rejected(self, kind, dim, message):
+        from backflow_lab.linalg import carrier_dim
+
+        with pytest.raises(ContractViolationError, match=message):
+            carrier_dim(kind, dim)
+
+    def test_map_types_check_their_kind(self):
+        from backflow_lab.generator_analysis import SampledGenerator
+        from backflow_lab.propagation import PropagatorFamily
+
+        grid = TimeGrid.uniform(0.5, 1.0)
+        with pytest.raises(ContractViolationError, match="unknown kind 'Quantum'"):
+            PropagatorFamily(grid, np.tile(np.eye(4), (grid.n, 1, 1)), "Quantum", 2)
+        with pytest.raises(ContractViolationError, match="unknown kind 'banana'"):
+            SampledGenerator(grid, np.zeros((3, 7, 7)), "banana", 5)
+        with pytest.raises(ContractViolationError, match="expected generator samples of shape"):
+            SampledGenerator(grid, np.zeros((3, 7, 7)), "classical", 5)
+
+    def test_non_finite_map_is_rejected_before_extraction(self):
+        from backflow_lab.propagation import PropagatorFamily
+
+        grid = TimeGrid.uniform(0.01, 0.2)
+        maps = np.tile(np.eye(4, dtype=complex), (grid.n, 1, 1))
+        maps[7, 1, 1] = np.nan
+        with pytest.raises(ContractViolationError, match="non-finite entry among the maps"):
+            PropagatorFamily(grid, maps, "quantum", 2)
+
+
 class TestTimeGrid:
+    @pytest.mark.parametrize("points", [[0.0, np.nan], [0.0, np.inf], [0.0, 1.0, np.inf], [0.0, 1.0, np.nan, 3.0]])
+    def test_non_finite_points_are_rejected(self, points):
+        with pytest.raises(ContractViolationError):
+            TimeGrid(np.array(points))
+
     def test_uniform(self):
         grid = TimeGrid.uniform(0.1, 1.0)
         assert grid.n == 11
@@ -301,7 +404,6 @@ class TestTimeGrid:
 
     def test_nonuniform_dt_rejected(self):
         grid = TimeGrid(np.array([0.0, 0.1, 0.3]))
-        assert not grid.is_uniform()
         with pytest.raises(ContractViolationError):
             _ = grid.dt
 

@@ -159,6 +159,28 @@ def entropy_of(probs):
     return float(-sum(p * math.log(p) for p in probs if p > 0))
 
 
+class TestNanFailsTheTolerances:
+    """NaN compares false, so each tolerance comparison is written to fail on it."""
+
+    def test_classify_rejects_nan(self):
+        from backflow_lab.netfd import classify
+
+        for n_cl, n_qe in ((np.nan, 0.0), (0.0, np.nan)):
+            with pytest.raises(ContractViolationError, match="nonnegative"):
+                classify(n_cl, n_qe)
+
+    def test_subadditivity_rejects_nan(self):
+        from backflow_lab.netfd import DecomposedBackflow
+
+        for values in ((np.nan, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, np.nan)):
+            with pytest.raises(ContractViolationError, match="subadditivity"):
+                DecomposedBackflow(*values, "monotone")
+
+    def test_thermofield_norm_rejects_nan(self):
+        with pytest.raises(ContractViolationError, match="norm nan"):
+            ThermoFieldState(2, np.array([np.nan, 0.0, 0.0, 1.0]))
+
+
 class TestDecomposedBackflow:
     def test_monotone_sectors(self):
         grid = TimeGrid.uniform(0.01, 2.0)

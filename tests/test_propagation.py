@@ -528,6 +528,20 @@ class TestVolterraBlockSolve:
         with pytest.raises(ContractViolationError, match="trace annihilation at lag 0.4 "):
             solve_tc(kernel([(0.4, broken), (0.9, broken), (1.2, nan)]), p0, grid)
 
+    def test_kernel_trace_defect_is_judged_on_each_sample_scale(self):
+        """A large sample elsewhere does not excuse a small sample's trace
+        defect: the rule is the generator samples' max(1, max|K|) per lag."""
+        grid = TimeGrid.uniform(1e-2, 2.0)
+        broken = W_SYM + np.array([[0.0, 0.0], [0.0, 1e-8]])
+        kernel = lag_kernel(lambda tau: 1e6 * W_SYM if tau == 0.0 else broken if abs(tau - 0.3) < 1e-9 else 0 * W_SYM)
+        with pytest.raises(ContractViolationError, match="trace annihilation at lag 0.3 "):
+            solve_tc(kernel, ProbabilityVector([1.0, 0.0]), grid)
+
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, 0.0, -1.0])
+    def test_decay_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(ContractViolationError, match="decay_scale"):
+            lag_kernel(lambda tau: W_SYM, decay_scale=scale)
+
     def test_wrong_shape_table_rejected_before_any_solve(self, monkeypatch):
         import backflow_lab.propagation as propagation
 
