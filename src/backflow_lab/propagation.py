@@ -82,6 +82,8 @@ class TclGenerator:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix_dim", linalg.carrier_dim(self.kind, self.dim))
+        if not callable(self.evaluate):
+            raise ContractViolationError(f"evaluate must be callable, got {self.evaluate!r}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +102,8 @@ class MemoryKernel:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix_dim", linalg.carrier_dim(self.kind, self.dim))
+        if not callable(self.evaluate):
+            raise ContractViolationError(f"evaluate must be callable, got {self.evaluate!r}")
         if not 0 < self.decay_scale < math.inf:
             raise ContractViolationError("decay_scale must be positive and finite")
 

@@ -39,7 +39,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _check_states(np.asarray(self.entries)[None], "quantum", None, TRACE_TOL, PROB_FLOOR)[0]
+        m = _check_states([self.entries], "quantum", None, TRACE_TOL, PROB_FLOOR)[0]
         object.__setattr__(self, "entries", m[0])
 
     @property
@@ -56,7 +56,7 @@ class ProbabilityVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        p = _check_states(np.asarray(self.entries)[None], "classical", None, TRACE_TOL, PROB_FLOOR)[0]
+        p = _check_states([self.entries], "classical", None, TRACE_TOL, PROB_FLOOR)[0]
         object.__setattr__(self, "entries", p[0])
 
     @property
@@ -188,8 +188,9 @@ class Trajectory:
 
 def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor: float):
     """The one check of a state set, batched over a stack of ``kind``
-    states, (n, d, d) complex or (n, m) float: the kind and the dimension
-    cap (:func:`linalg.carrier_dim`), the shape, finite entries (no later
+    states, (n, d, d) complex or (n, m) float: a rectangular numeric array
+    (real, for classical states), the kind and the dimension cap
+    (:func:`linalg.carrier_dim`), the shape, finite entries (no later
     check sees through a NaN: it compares false), Hermiticity within
     ``HERMITICITY_TOL``, trace (sum) within ``trace_tol``, and eigenvalues
     above ``PSD_FLOOR`` (entries above ``floor``).  Returns the read-only
@@ -200,10 +201,17 @@ def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor
     naming its time in ``ts``; a single state is a one-row stack with
     ``ts`` None, and its error has time None.  The reductions run over the
     whole stack, and the failing row is looked up only on failure."""
-    arr = np.asarray(arr)
+    try:
+        arr = np.asarray(arr)
+    except (ValueError, TypeError):
+        raise ContractViolationError("states are not a rectangular array") from None
+    if arr.dtype.kind not in "biufc":
+        raise ContractViolationError(f"states must be numeric, got dtype {arr.dtype}")
     quantum = kind == "quantum"
     linalg.carrier_dim(kind, arr.shape[-1] if arr.ndim else 0)
-    arr = arr.astype(complex if quantum else float)
+    if not quantum and np.iscomplexobj(arr) and np.any(arr.imag):
+        raise ContractViolationError("classical states must be real")
+    arr = arr.astype(complex) if quantum else np.real(arr).astype(float)
     n = 1 if ts is None else ts.size
     if arr.shape != (n,) + arr.shape[-1:] * (1 + quantum):
         form = "d, d) quantum" if quantum else "m) classical"

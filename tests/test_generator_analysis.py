@@ -14,6 +14,7 @@ from backflow_lab import (
     check_cp_divisible,
     extract_tcl_generator,
     gell_mann_basis,
+    ml_envelope_grid,
     solve_tcl,
 )
 from backflow_lab.generator_analysis import SampledGenerator
@@ -763,6 +764,22 @@ class TestClassicalDivisibility:
         gen = SampledGenerator(grid, samples, "quantum", 2)
         with pytest.raises(ContractViolationError):
             check_classical_divisible(gen)
+
+    @pytest.mark.parametrize("alpha, lam", [(0.3, 3.0), (0.6, 1.0), (0.9, 3.0), (0.99, 1.0)])
+    def test_mittag_leffler_family_divisible(self, alpha, lam):
+        # the symmetric two-state family relaxing with x(t) = E_alpha(-(lam t)^alpha):
+        # its one rate, -x'/(2x), is positive because the envelope is
+        # completely monotone, so the envelope's absolute error must not
+        # push the stencil's rate below zero or open a gap in the tail
+        grid = TimeGrid.uniform(1e-3, 40.0)
+        x = ml_envelope_grid(alpha, lam, grid.points)
+        maps = np.empty((grid.n, 2, 2))
+        maps[:, 0, 0] = maps[:, 1, 1] = (1.0 + x) / 2.0
+        maps[:, 0, 1] = maps[:, 1, 0] = (1.0 - x) / 2.0
+        gen = extract_tcl_generator(PropagatorFamily(grid, maps, "classical", 2))
+        report = check_classical_divisible(gen)
+        assert gen.gaps == () and report.gaps == ()
+        assert report.divisible and report.min_rate > 0.0
 
 
 class TestTcTclEquivalence:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,13 +12,7 @@ from scipy.special import erfcx
 
 import backflow_lab.special_functions as sf
 from backflow_lab import ContractViolationError, ml_envelope, mittag_leffler
-from backflow_lab.special_functions import (
-    _asymptotic,
-    _asymptotic_batch,
-    ml_envelope_grid,
-    mittag_leffler_neg,
-    reciprocal_gamma,
-)
+from backflow_lab.special_functions import ml_envelope_grid, mittag_leffler_neg
 
 from _oracles import ml_reference
 
@@ -39,40 +34,6 @@ class TestOracleSelfConsistency:
         val_series = ml_reference(0.7, 30.0)  # cancellation ~ 129, Taylor
         with_mp = ml_reference(0.7, 30.0, digits=40)
         assert val_series == pytest.approx(with_mp, abs=1e-15)
-
-
-class TestGamma:
-    def test_reciprocal_at_poles_is_zero(self):
-        for k in list(range(0, 5)) + [170, 171, 172, 200, 10**6]:
-            assert reciprocal_gamma(-float(k)) == 0.0
-
-    def test_reciprocal_reflection(self):
-        assert reciprocal_gamma(-0.5) == pytest.approx(1.0 / math.gamma(-0.5), rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.1, 0.5, 0.7, 1.0, 2.5, 10.0, 50.5, 121.3, 171.5])
-    def test_reciprocal_above_one_half(self, x):
-        assert reciprocal_gamma(x) == pytest.approx(1.0 / math.gamma(x), rel=1e-12)
-
-    def test_reciprocal_sign_below_one_half(self):
-        # 1/Gamma changes sign at every pole: negative on (-1, 0), positive
-        # on (-2, -1), ...; the reflection keeps it
-        for k in range(0, 12):
-            for frac in (0.1, 0.5, 0.9):
-                x = -k - frac
-                value = reciprocal_gamma(x)
-                assert math.copysign(1.0, value) == (-1.0 if k % 2 == 0 else 1.0), x
-                assert value == pytest.approx(1.0 / math.gamma(x), rel=1e-12), x
-
-    @pytest.mark.parametrize("x", [180.0, 171.7, 1e6, -171.5, -200.5, -170.5, -170.65, -170.98, -300.25])
-    def test_reciprocal_outside_float_range(self, x):
-        import mpmath
-
-        value = reciprocal_gamma(x)  # no OverflowError or ZeroDivisionError
-        want = float(mpmath.rgamma(mpmath.mpf(x)))  # 0 or +-inf past the range
-        if math.isinf(want) or want == 0.0:
-            assert value == want
-        else:
-            assert value == pytest.approx(want, rel=1e-11, abs=1e-320)  # 171.7 is subnormal
 
 
 class TestMittagLeffler:
@@ -119,6 +80,12 @@ class TestMittagLeffler:
     def test_positive_argument_rejected(self):
         with pytest.raises(ContractViolationError):
             mittag_leffler(0.5, 0.1)
+        for z in (math.nan, -math.inf):
+            with pytest.raises(ContractViolationError):
+                mittag_leffler(0.5, z)
+        for x in (math.inf, math.nan):
+            with pytest.raises(ContractViolationError):
+                mittag_leffler_neg(0.5, np.array([1.0, x]))
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ContractViolationError):
@@ -127,13 +94,57 @@ class TestMittagLeffler:
             mittag_leffler(0.0, -1.0)
 
     def test_batch_matches_scalar(self):
-        # the batched series keeps summing until every point converges, so
-        # early points may pick up a few extra sub-1e-16 terms
         xs = np.linspace(0.0, 60.0, 173)
         for alpha in (0.35, 0.65, 0.92):
             batch = mittag_leffler_neg(alpha, xs)
             scalar = np.array([mittag_leffler(alpha, -float(x)) for x in xs])
-            assert np.max(np.abs(batch - scalar)) <= 1e-13
+            assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
+        pair = mittag_leffler_neg(0.8, np.array([4.471172675086376, 6.3]))
+        assert pair[0].view(np.int64) == np.float64(mittag_leffler(0.8, -4.471172675086376)).view(np.int64)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.8, 0.9, 0.99])
+    def test_accuracy_near_unit_cancellation(self, alpha):
+        # x up to 10^alpha, where x^(1/alpha) = 10: the Taylor series
+        # cancels the most digits just below such a switch point
+        for x in 10.0**alpha * np.array([0.99, 0.995, 0.999, 1.0]):
+            assert abs(mittag_leffler(alpha, -x) - ml_reference(alpha, float(x))) <= 2e-13, x
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99])
+    def test_absolute_accuracy_wide_range(self, alpha):
+        xs = np.geomspace(1e-6, 1e4, 11)
+        ref = np.array([ml_reference(alpha, float(x)) for x in xs])
+        assert np.max(np.abs(mittag_leffler_neg(alpha, xs) - ref)) <= 2e-13
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.99])
+    def test_zero_exact_in_batch(self, alpha):
+        vals = mittag_leffler_neg(alpha, np.array([0.0, 0.5, 0.0, 3.0, 0.0]))
+        assert vals[0] == vals[2] == vals[4] == 1.0
+        assert np.all(vals[[1, 3]] < 1.0)
+
+    def test_alpha_one_is_exp_bitwise(self):
+        xs = np.concatenate([[0.0], np.geomspace(1e-6, 700.0, 97)])
+        assert np.array_equal(mittag_leffler_neg(1.0, xs).view(np.int64), np.exp(-xs).view(np.int64))
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6, 0.8, 0.99])
+    def test_bits_independent_of_order(self, alpha):
+        # the nodes and weights depend on alpha only, so reordering or
+        # splitting a batch moves each point's bits with it
+        xs = np.random.default_rng(7).uniform(0.0, 50.0, 257)
+        xs[::31] = 0.0
+        whole = mittag_leffler_neg(alpha, xs)
+        order = np.random.default_rng(8).permutation(xs.size)
+        shuffled = mittag_leffler_neg(alpha, xs[order])
+        halves = np.concatenate([mittag_leffler_neg(alpha, xs[:100]), mittag_leffler_neg(alpha, xs[100:])])
+        assert np.array_equal(shuffled.view(np.int64), whole[order].view(np.int64))
+        assert np.array_equal(halves.view(np.int64), whole.view(np.int64))
+
+    def test_shape_preserved(self):
+        xs = np.linspace(0.0, 10.0, 12).reshape(3, 4)
+        vals = mittag_leffler_neg(0.6, xs)
+        assert vals.shape == (3, 4)
+        assert np.array_equal(vals.ravel(), mittag_leffler_neg(0.6, xs.ravel()))
+        assert ml_envelope_grid(0.6, 1.3, xs).shape == (3, 4)
+        assert mittag_leffler_neg(0.6, []).shape == (0,)
 
 
 class TestEnvelope:
@@ -159,105 +170,18 @@ class TestEnvelope:
             ml_envelope(0.5, -1.0, 1.0)
         with pytest.raises(ContractViolationError):
             ml_envelope(0.5, 1.0, -1.0)
+        ts = np.linspace(0.0, 1.0, 5)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ContractViolationError):
+                ml_envelope_grid(0.5, lam, ts)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ContractViolationError):
+                ml_envelope_grid(0.5, 1.0, np.append(ts, t))
 
 
-class TestAsymptoticBatch:
-    """The batched asymptotic branch must reproduce the scalar series bit
-    for bit, and the grid evaluator may call the scalar form only inside the
-    branch bisection."""
-
-    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.6, 0.75, 0.9])
-    @pytest.mark.parametrize("max_terms", [400, 7])
-    def test_batch_equals_scalar_bitwise(self, alpha, max_terms):
-        # x runs from inside the Taylor band (T = x^(1/alpha) <= 10) across
-        # the integral band into the accepted asymptotic band
-        xs = np.concatenate([np.geomspace(0.2, 400.0, 257), [10.0**alpha, 1.0, 50.0]])
-        batch = _asymptotic_batch(alpha, xs, max_terms)
-        scalar = np.array([_asymptotic(alpha, float(x), max_terms)[0] for x in xs])
-        assert np.array_equal(batch.view(np.int64), scalar.view(np.int64))
-
-    @pytest.mark.parametrize("n", [4001, 8001])
-    def test_scalar_calls_only_in_bisection(self, monkeypatch, n):
-        scalar_calls = []
-        batched = []
-        scalar, batch = sf._asymptotic, sf._asymptotic_batch
-
-        def counting_scalar(alpha, x, max_terms):
-            scalar_calls.append(x)
-            return scalar(alpha, x, max_terms)
-
-        def counting_batch(alpha, xs, max_terms):
-            batched.append(len(xs))
-            return batch(alpha, xs, max_terms)
-
-        monkeypatch.setattr(sf, "_asymptotic", counting_scalar)
-        monkeypatch.setattr(sf, "_asymptotic_batch", counting_batch)
-        ml_envelope_grid(0.6, 1.0, np.linspace(0.0, 40.0, n))
-        assert sum(batched) > n // 4  # the asymptotic band is well populated
-        assert len(scalar_calls) <= 2 * math.log2(n) + 2
-
-
-def unchunked_tanh_sinh_theta(alpha, xs, max_level=10):
-    """The integral branch before chunking: one (points x nodes) matrix per
-    level, negligible weights clamped to the subnormal exp(-745)."""
-    xs = np.asarray(xs, dtype=float)
-    T = xs ** (1.0 / alpha)
-    a = math.pi / 2 - alpha * math.pi
-    b = math.pi / 2
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    ca = math.cos(alpha * math.pi)
-    sa = math.sin(alpha * math.pi)
-
-    def node_sum(u):
-        su = np.sinh(u)
-        w = half * (math.pi / 2) * np.cosh(u) / np.cosh((math.pi / 2) * su) ** 2
-        th = mid + half * np.tanh((math.pi / 2) * su)
-        v = np.maximum(-ca + sa * np.tan(th), 0.0)
-        arg = np.minimum(T[:, None] * v[None, :] ** (1.0 / alpha), 745.0)
-        return np.einsum("ij,j->i", np.exp(-arg), w)
-
-    h = 1.0
-    total = h * node_sum(np.arange(-4.0, 4.0 + 1e-12, h))
-    for _ in range(1, max_level):
-        h *= 0.5
-        new = node_sum(np.arange(-4.0 + h, 4.0, 2 * h))
-        refined = 0.5 * total + h * new
-        if np.all(np.abs(refined - total) <= 1e-15 * np.maximum(np.abs(refined), 1e-300) + 1e-17):
-            total = refined
-            break
-        total = refined
-    return total / (alpha * math.pi)
-
-
-# (alpha, lam) pairs whose envelopes on 40001 points reach the integral band
+# (alpha, lam) pairs whose envelopes on 40001 points reach far into the tail
 BAND_PAIRS = [(alpha, lam) for alpha in (0.3, 0.5, 0.6, 0.7, 0.9) for lam in (0.95, 1.05, 3.0)]
 BAND_GRID = np.linspace(0.0, 40.0, 40001)
-
-
-def integral_band_mismatches():
-    """{"mismatches": [(alpha, lam), ...], "largest_band": n}: the pairs for
-    which the integral branch of ``ml_envelope_grid`` on 40001 points
-    differs in any bit from :func:`unchunked_tanh_sinh_theta`."""
-    bands = []
-    mismatches = []
-    current = sf._tanh_sinh_theta
-    for alpha, lam in BAND_PAIRS:
-
-        def compared(a, xs, max_level=10):
-            got = current(a, xs, max_level)
-            want = unchunked_tanh_sinh_theta(a, xs, max_level)
-            bands.append(len(xs))
-            if not np.array_equal(got.view(np.int64), want.view(np.int64)):
-                mismatches.append((alpha, lam))
-            return got
-
-        sf._tanh_sinh_theta = compared
-        try:
-            ml_envelope_grid(alpha, lam, BAND_GRID)
-        finally:
-            sf._tanh_sinh_theta = current
-    return {"mismatches": mismatches, "largest_band": max(bands)}
 
 
 def envelope_digests():
@@ -286,38 +210,28 @@ def child_result(call: str, blas_threads: int, module: str = "test_special_funct
 
 
 class TestIntegralBand:
-    def test_bit_identical_to_unchunked_sum(self):
-        """Chunking the band and zeroing the weights past exp(-708) leave
-        every bit in place (in a child with one BLAS thread)."""
-        result = child_result("integral_band_mismatches", 1)
-        assert result["mismatches"] == []
-        assert result["largest_band"] > 4 * sf.ML_CHUNK_POINTS  # several chunks
-
     def test_bits_independent_of_blas_threads(self):
-        """The row sums of the integral band are einsum sums, not a GEMV
-        that splits its rows over threads, so one and two BLAS threads give
-        the same bits on every pair."""
+        """The contour sum is elementwise array arithmetic, with no BLAS
+        call that splits its rows over threads, so one and two BLAS threads
+        give the same bits on every pair."""
         one, two = (child_result("envelope_digests", n) for n in (1, 2))
         assert len(one) == len(BAND_PAIRS) and one == two
 
-    def test_node_matrices_hold_one_chunk(self, monkeypatch):
-        rows = []
-
-        class Outer:
-            def __getattr__(self, name):
-                return getattr(np.multiply, name)
-
-            def outer(self, a, b):
-                rows.append(len(a))
-                return np.multiply.outer(a, b)
-
-        class RecordingNumpy:
-            multiply = Outer()
-
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-        monkeypatch.setattr(sf, "np", RecordingNumpy())
-        ml_envelope_grid(0.6, 1.0, np.linspace(0.0, 40.0, 40001))
-        assert max(rows) == sf.ML_CHUNK_POINTS
-        assert sum(rows) > 4 * max(rows)
+    @pytest.mark.parametrize("n", [4001, 40001])
+    def test_peak_memory_linear_in_points(self, n):
+        """The sum runs over the 17 nodes with one complex and one real
+        array of the points' size, so the peak holds no (points x nodes)
+        matrix and no chunk of one: about 25 bytes a point for
+        ``mittag_leffler_neg`` and 33 for ``ml_envelope_grid``."""
+        ts = np.linspace(0.0, 40.0, n)
+        mittag_leffler_neg(0.6, ts)  # warm the allocator outside the trace
+        peaks = []
+        for call in (lambda: mittag_leffler_neg(0.6, ts), lambda: ml_envelope_grid(0.6, 1.0, ts)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 32 * n + 256 * 1024
+        assert peaks[1] <= 40 * n + 256 * 1024

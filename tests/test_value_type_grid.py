@@ -1,7 +1,8 @@
 """The malformed-value grid, the Python-API counterpart of
 ``test_config_grid.py``: every public value-type constructor fed NaN, +inf,
--inf, an unknown kind (or measure tag), a wrong shape and a dimension of 0,
-wherever it takes such a value.  Each case raises
+-inf, an unknown kind (or measure tag), a wrong shape, a dimension of 0,
+non-numeric, ragged or (for classical states) complex entries, and a
+non-callable ``evaluate``, wherever it takes such a value.  Each case raises
 :class:`ContractViolationError`; none is accepted, and none raises another
 exception type."""
 
@@ -94,6 +95,13 @@ def cases():
         ("SampledGenerator-d0", lambda: SampledGenerator(GRID, np.zeros((N, 0, 0)), "classical", 0)),
         ("TclGenerator-d0", lambda: TclGenerator(0, "quantum", ZERO)),
         ("MemoryKernel-d0", lambda: MemoryKernel(0, "classical", ZERO)),
+        ("ProbabilityVector-complex", lambda: ProbabilityVector([0.5 + 0.5j, 0.5])),
+        ("Trajectory-classical-complex", lambda: Trajectory(GRID, [P + 1e-3j] * N, "classical")),
+        ("DensityMatrix-string", lambda: DensityMatrix("x")),
+        ("DensityMatrix-ragged", lambda: DensityMatrix([[1, 0], [0]])),
+        ("Trajectory-ragged", lambda: Trajectory(GRID, [P] * (N - 1) + [P[:1]], "classical")),
+        ("TclGenerator-evaluate", lambda: TclGenerator(2, "quantum", None)),
+        ("MemoryKernel-evaluate", lambda: MemoryKernel(2, "classical", None)),
         ("ThermoFieldState-d0", lambda: ThermoFieldState(0, np.zeros(0))),
     ]
     return out
