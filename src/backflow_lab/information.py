@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, run_intervals
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _numeric, run_intervals
 
 MEASURE_TAGS = (
     "vn_entropy",
@@ -70,7 +70,7 @@ class InfoSeries:
     def __post_init__(self):
         if self.measure_tag not in MEASURE_TAGS:
             raise ContractViolationError(f"unknown measure tag {self.measure_tag!r}")
-        vals = np.asarray(self.values, dtype=float)
+        vals = _numeric(self.values, "values", real=True).astype(float, copy=False)
         if vals.shape != (self.grid.n,):
             raise ContractViolationError(f"expected {self.grid.n} values, got shape {vals.shape}")
         skips = tuple((float(a), float(b)) for a, b in self.skip_intervals)

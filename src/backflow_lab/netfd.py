@@ -23,7 +23,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError
 from .information import InfoSeries, backflow_functional
-from .states import DensityMatrix, Trajectory, _freeze
+from .states import DensityMatrix, Trajectory, _freeze, _numeric
 
 ROUNDTRIP_TOL = 1e-10
 SUBADDITIVITY_SLACK = 1e-8
@@ -39,7 +39,7 @@ class ThermoFieldState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = _numeric(self.amplitudes, "amplitudes").astype(complex, copy=False)
         dd = linalg.carrier_dim("quantum", self.dim)
         if a.shape != (dd,):
             raise ContractViolationError(f"expected {dd} amplitudes, got {a.shape}")

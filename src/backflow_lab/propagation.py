@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, IntegrationDivergedError, InvalidStateError
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _numeric
 
 TRACE_DRIFT_TOL = 1e-8
 TC_NORMALIZATION_TOL = 1e-6
@@ -135,10 +135,11 @@ class PropagatorFamily:
 def check_map_table(table, grid: TimeGrid, kind: str, dim: int, what: str) -> np.ndarray:
     """The one carrier rule of a table of maps on ``kind`` states of
     dimension ``dim`` sampled on ``grid``: a known kind and dimension
-    (:func:`linalg.carrier_dim`), shape (n, dd, dd) and finite entries, else
+    (:func:`linalg.carrier_dim`), a numeric array (real for classical maps,
+    by :func:`states._numeric`), shape (n, dd, dd) and finite entries, else
     :class:`ContractViolationError`.  Returns the table read-only."""
     dd = linalg.carrier_dim(kind, dim)
-    table = np.asarray(table)
+    table = _numeric(table, f"{kind} {what}", real=kind == "classical")
     if table.shape != (grid.n, dd, dd):
         raise ContractViolationError(f"expected {what} of shape {(grid.n, dd, dd)}, got {table.shape}")
     if not np.isfinite(table).all():

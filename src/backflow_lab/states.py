@@ -31,6 +31,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _numeric(a, what: str, real: bool = False) -> np.ndarray:
+    """The one rule for array input to a value type: ``a`` as a rectangular
+    numeric array, real if ``real``, else :class:`ContractViolationError`."""
+    try:
+        arr = np.asarray(a)
+    except (ValueError, TypeError):
+        raise ContractViolationError(f"{what} are not a rectangular array") from None
+    if arr.dtype.kind not in "biufc":
+        raise ContractViolationError(f"{what} must be numeric, got dtype {arr.dtype}")
+    if real and np.iscomplexobj(arr) and np.any(arr.imag):
+        raise ContractViolationError(f"{what} must be real")
+    return np.real(arr) if real else arr
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, PSD complex matrix (the reduced state): a
@@ -90,7 +104,7 @@ class TimeGrid:
     _uniform: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        t = np.asarray(self.points, dtype=float)
+        t = _numeric(self.points, "grid points", real=True).astype(float, copy=False)
         if t.ndim != 1 or t.size < 2:
             raise ContractViolationError("grid needs at least two points")
         if not np.isfinite(t).all():
@@ -201,17 +215,10 @@ def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor
     naming its time in ``ts``; a single state is a one-row stack with
     ``ts`` None, and its error has time None.  The reductions run over the
     whole stack, and the failing row is looked up only on failure."""
-    try:
-        arr = np.asarray(arr)
-    except (ValueError, TypeError):
-        raise ContractViolationError("states are not a rectangular array") from None
-    if arr.dtype.kind not in "biufc":
-        raise ContractViolationError(f"states must be numeric, got dtype {arr.dtype}")
+    arr = _numeric(arr, "states")
     quantum = kind == "quantum"
     linalg.carrier_dim(kind, arr.shape[-1] if arr.ndim else 0)
-    if not quantum and np.iscomplexobj(arr) and np.any(arr.imag):
-        raise ContractViolationError("classical states must be real")
-    arr = arr.astype(complex) if quantum else np.real(arr).astype(float)
+    arr = arr.astype(complex) if quantum else _numeric(arr, "classical states", real=True).astype(float)
     n = 1 if ts is None else ts.size
     if arr.shape != (n,) + arr.shape[-1:] * (1 + quantum):
         form = "d, d) quantum" if quantum else "m) classical"

@@ -1,5 +1,8 @@
 from types import SimpleNamespace
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,12 @@ from backflow_lab.generator_analysis import SampledGenerator, extract_tcl_genera
 from backflow_lab.models import dephasing_qubit
 from backflow_lab.propagation import build_propagator
 from backflow_lab.serialize import (
+    _BATCH_VALUES,
     _CHUNK_CELLS,
+    _SLOT,
+    _digits,
     _encode_table,
+    _format_slots,
     fmt,
     rate_traces_csv,
     sampled_generator_csv,
@@ -236,7 +243,7 @@ class TestTableEncoder:
 
     @pytest.mark.parametrize("rows", [1, _CHUNK_CELLS // 3 + 1])
     def test_all_distinct_nonzero_chunks(self, rows):
-        # chunks with no +0.0 and no repeat skip the gather
+        # every cell is a value, so each batch holds one chunk
         t = 1.0 + np.arange(rows) / 7.0
         values = np.random.default_rng(rows).dirichlet(np.ones(2), size=rows) + 0.5
         assert _encode_table("h", t, values) == encode_reference("h", t, values)
@@ -262,34 +269,126 @@ class TestTableEncoder:
         assert text == "\n".join(lines) + "\n"
         assert "\n50,nan,true\n50.5,inf,true\n51,-inf,true\n" in text
 
-    def test_repeated_values_formatted_once_per_chunk(self, monkeypatch):
-        calls = []
-        real = serialize._format_floats
-        monkeypatch.setattr(serialize, "_format_floats", lambda v: calls.append(v.size) or real(v))
+    def test_tokens_never_reach_a_formatter(self, monkeypatch):
+        formatted, fallback = [], []
+        real = _format_slots
+        monkeypatch.setattr(serialize, "_format_slots", lambda x, slots: formatted.append(x.copy()) or real(x, slots))
+        monkeypatch.setattr(serialize, "fmt", lambda x: fallback.append(x) or fmt(x))
         rows = 3 * (_CHUNK_CELLS // 5) + 2
         t = np.full(rows, 0.5)
-        values = np.random.default_rng(8).choice([1.5, -2.0, -0.0, 0.0, 0.1], size=(rows, 4))
-        text = _encode_table("h", t, values)
-        assert text == encode_reference("h", t, values)
-        assert len(calls) == 4 and max(calls) <= 5  # 0.5, 1.5, -2, -0, 0.1
+        rng = np.random.default_rng(8)
+        values = rng.choice([1.5, -2.0, -0.0, 0.0, 0.1, np.nan], size=(rows, 4))
+        flags = rng.random(rows) < 0.5
+        text = _encode_table("h", t, values, blank_nan=True, flags=flags)
+        assert text == encode_reference("h", t, values, blank_nan=True, flags=flags)
+        seen = np.concatenate(formatted)
+        # the t cells and every value cell but +0.0 and NaN; no flag cell
+        expected = rows + np.count_nonzero((values.view(np.int64) != 0) & ~np.isnan(values))
+        assert seen.size == expected and not np.isnan(seen).any()
+        assert np.all(seen.view(np.int64) != 0) and max(x.size for x in formatted) <= _BATCH_VALUES
+        assert [float(x) for x in fallback] == [-0.0] * np.count_nonzero(np.signbit(values) & (values == 0))
 
-    def test_count_gate_on_dephasing_generator(self, monkeypatch):
-        # the cli-mixed extraction: +0.0 cells and repeats never reach the
-        # formatter; at most 3 values a row plus one a chunk do
+    def test_work_on_dephasing_generator(self, monkeypatch):
+        # the cli-mixed extraction: only the non-token cells reach the
+        # formatter, in batches that span chunks, and none falls back to %
         model = dephasing_qubit(rate_kind="sinusoidal", lam=1.0, amplitude=1.5, frequency=1.0)
         grid = TimeGrid.uniform(1e-3, 40.0)
         gen = extract_tcl_generator(build_propagator(model.tcl_generator, grid))
-        calls = []
-        real = serialize._format_floats
-        monkeypatch.setattr(serialize, "_format_floats", lambda v: calls.append(v.size) or real(v))
+        sizes, fallback = [], []
+        real = _format_slots
+        monkeypatch.setattr(serialize, "_format_slots", lambda x, slots: sizes.append(x.size) or real(x, slots))
+        monkeypatch.setattr(serialize, "fmt", lambda x: fallback.append(x) or fmt(x))
         text = sampled_generator_csv(gen)
         n, ncol = grid.n, 34
         assert n == 40001 and text.count("\n") == n + 1
         assert len(text.split("\n")[1].split(",")) == ncol
+        samples = gen.samples.reshape(n, -1)
+        cells = np.concatenate((grid.points, samples.real.ravel(), samples.imag.ravel()))
+        assert sum(sizes) == np.count_nonzero(cells.view(np.int64))
         chunks = -(-n // (_CHUNK_CELLS // ncol))
-        assert len(calls) == chunks
-        assert sum(calls) <= 3 * n + chunks
+        assert len(sizes) < chunks / 8 and max(sizes) <= _BATCH_VALUES
+        assert fallback == []
         assert gen.gaps  # gap rows are part of the table
+
+
+def slot_text(x):
+    """The formatter's text for the values of ``x``, concatenated."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    slots = np.empty((x.size, _SLOT), np.uint8)
+    length = _format_slots(x, slots)
+    return slots[np.arange(_SLOT) < length[:, None]].tobytes()
+
+
+def percent_text(x):
+    return (("%.17g," * x.size) % tuple(np.asarray(x, dtype=np.float64).tolist())).encode("ascii")
+
+
+def near(x, steps=2):
+    """``x`` with its neighbouring doubles up to ``steps`` away, both signs."""
+    x = np.asarray(x, dtype=np.float64)
+    out, up, down = [x], x, x
+    with np.errstate(over="ignore"):  # DBL_MAX's upper neighbour is inf
+        for _ in range(steps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+    out = np.concatenate(out)
+    return np.concatenate((out, -out))
+
+
+def exact_ties():
+    """Doubles j * 2**-q whose 18 significant digits end in an exact 5, so
+    that rounding to 17 digits is a tie: with k = 17 - q, x * 10**(16 - k) =
+    j * 5**(q - 1) / 2 for an odd j in [10**k 2**q, 10**(k + 1) 2**q)."""
+    rng = np.random.default_rng(11)
+    ties = []
+    for q in range(2, 26):
+        k = 17 - q
+        lo = math.ceil(Fraction(10) ** k * 2**q)
+        hi = min(math.ceil(Fraction(10) ** (k + 1) * 2**q), 2**53)
+        picks = {int(j) | 1 for j in (lo, hi - 1, *rng.integers(lo, hi, 6))}
+        ties += [math.ldexp(j, -q) for j in sorted(picks) if j < hi]
+    return np.array(ties)
+
+
+class TestDigitPath:
+    """The vectorized digits and layout against ``'%.17g'``, byte for byte."""
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            x = rng.integers(0, 2**64, 2**17, dtype=np.uint64).view(np.float64)
+            assert slot_text(x) == percent_text(x)
+
+    def test_named_classes(self):
+        rng = np.random.default_rng(13)
+        subnormal = from_bits(*rng.integers(1, 2**52, 1000, dtype=np.uint64), 1, 2**52 - 1)
+        powers2 = np.ldexp(1.0, np.arange(-1074, 1024))
+        powers10 = np.array([float(f"1e{j}") for j in range(-323, 309)])
+        integers = np.concatenate((rng.integers(0, 2**63, 2000, dtype=np.uint64), 2 ** np.arange(64, dtype=np.uint64) - 1))
+        classes = {
+            "subnormal": subnormal,
+            "zero, inf, nan": np.concatenate((NANS, [0.0, -0.0, np.inf, -np.inf])),
+            "powers of 2": near(powers2),
+            "powers of 10": near(powers10),
+            "integers": near(integers.astype(np.float64)),
+            "digit boundaries": near([1e16, 1e17, 2.0**53, 99999999999999999.0], steps=40),
+            "extremes": near([np.finfo(float).max, 5e-324, np.finfo(float).tiny, 1e-289, 1e290]),
+        }
+        for name, x in classes.items():
+            assert slot_text(x) == percent_text(x), name
+
+    def test_exact_ties_take_the_fallback(self):
+        ties = exact_ties()
+        assert ties.size > 100
+        for x in ties:
+            k = int(np.floor(np.log10(x)))
+            k += Fraction(x) >= Fraction(10) ** (k + 1)
+            k -= Fraction(x) < Fraction(10) ** k
+            scaled = Fraction(x) * Fraction(10) ** (16 - k)
+            assert scaled.denominator == 2, x  # an exact half
+        both = np.concatenate((ties, -ties))
+        assert not _digits(np.abs(both))[2].any()
+        assert slot_text(both) == percent_text(both)
 
 
 class TestAtomicWrites:

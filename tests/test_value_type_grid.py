@@ -1,10 +1,10 @@
 """The malformed-value grid, the Python-API counterpart of
 ``test_config_grid.py``: every public value-type constructor fed NaN, +inf,
 -inf, an unknown kind (or measure tag), a wrong shape, a dimension of 0,
-non-numeric, ragged or (for classical states) complex entries, and a
-non-callable ``evaluate``, wherever it takes such a value.  Each case raises
-:class:`ContractViolationError`; none is accepted, and none raises another
-exception type."""
+non-numeric, ragged or (for classical states and maps and for real arrays)
+complex entries, and a non-callable ``evaluate``, wherever it takes such a
+value.  Each case raises :class:`ContractViolationError`; none is accepted,
+and none raises another exception type."""
 
 import numpy as np
 import pytest
@@ -40,6 +40,14 @@ def spoiled(array, index, value):
 
 def quantum_maps():
     return np.tile(np.eye(4, dtype=complex), (N, 1, 1))
+
+
+def classical_maps(imag):
+    """Identity maps on two-state vectors; map 2 gains ``imag`` * 1j in its
+    first column, with the column sum kept at 1."""
+    maps = np.tile(np.eye(2, dtype=complex), (N, 1, 1))
+    maps[2, :, 0] += [imag * 1j, -imag * 1j]
+    return maps
 
 
 def cases():
@@ -100,6 +108,13 @@ def cases():
         ("DensityMatrix-string", lambda: DensityMatrix("x")),
         ("DensityMatrix-ragged", lambda: DensityMatrix([[1, 0], [0]])),
         ("Trajectory-ragged", lambda: Trajectory(GRID, [P] * (N - 1) + [P[:1]], "classical")),
+        ("TimeGrid-string", lambda: TimeGrid("x")),
+        ("TimeGrid-complex", lambda: TimeGrid(GRID.points + 1e-3j)),
+        ("InfoSeries-string", lambda: InfoSeries(GRID, "abcde", "vn_entropy")),
+        ("ThermoFieldState-string", lambda: ThermoFieldState(2, "x")),
+        ("PropagatorFamily-ragged", lambda: PropagatorFamily(GRID, list(quantum_maps()[1:]) + [np.eye(3)], "quantum", 2)),
+        ("PropagatorFamily-classical-complex", lambda: PropagatorFamily(GRID, classical_maps(1e-3), "classical", 2)),
+        ("SampledGenerator-classical-complex", lambda: SampledGenerator(GRID, 1e-3j * np.ones((N, 2, 2)), "classical", 2)),
         ("TclGenerator-evaluate", lambda: TclGenerator(2, "quantum", None)),
         ("MemoryKernel-evaluate", lambda: MemoryKernel(2, "classical", None)),
         ("ThermoFieldState-d0", lambda: ThermoFieldState(0, np.zeros(0))),
@@ -129,3 +144,11 @@ def test_the_well_formed_bases_construct():
     MemoryKernel(2, "quantum", ZERO, decay_scale=0.5)
     InfoSeries(GRID, np.zeros(N), "vn_entropy")
     ThermoFieldState(2, [1.0, 0, 0, 0])
+
+
+def test_classical_maps_with_a_zero_imaginary_part_become_real():
+    family = PropagatorFamily(GRID, classical_maps(0.0), "classical", 2)
+    assert family.maps.dtype == np.float64
+    assert np.array_equal(family.maps, np.tile(np.eye(2), (N, 1, 1)))
+    with pytest.raises(ContractViolationError, match="classical maps must be real"):
+        PropagatorFamily(GRID, classical_maps(1e-3), "classical", 2)
