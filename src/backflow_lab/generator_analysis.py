@@ -15,6 +15,8 @@ the few maps the bracket cannot decide.
 Extraction and the divisibility reports walk the grid in row blocks of
 ``BLOCK_BYTES`` (at least 64 rows), so beyond the family and the output
 tables (samples, or rate traces) they hold the temporaries of one block.
+Extraction gates each block before its stencil, so a block with no kept
+map costs only the gate.
 LAPACK inverts, decomposes and diagonalizes each matrix by itself, so the
 results do not depend on the block size.
 
@@ -27,13 +29,13 @@ samples and their eigenvalues, the canonical rates gamma_k(t) that
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
-from .propagation import PropagatorFamily, TclGenerator, _sample_defects, check_map_table
+from .propagation import PropagatorFamily, TclGenerator, _sample_defects, _trace_failures, check_map_table
 from .states import TimeGrid, _freeze, run_intervals
 
 CONDITION_LIMIT = 1e8
@@ -198,8 +200,9 @@ def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     upper_limit = CONDITION_LIMIT * (1 + GATE_MARGIN)
     lower_limit = CONDITION_LIMIT * (1 - GATE_MARGIN)
-    cols = _column_squares(maps)
-    flagged = np.sqrt(cols.max(axis=1)) > upper_limit * np.sqrt(cols.min(axis=1))
+    cols = _column_squares(maps).T  # (d, n): per-row stats are d - 1 elementwise steps
+    big = reduce(np.maximum, cols)
+    flagged = np.sqrt(big) > upper_limit * np.sqrt(reduce(np.minimum, cols))
     rest = np.flatnonzero(~flagged)
     try:
         inv = np.linalg.inv(maps if rest.size == flagged.size else maps[rest])
@@ -208,10 +211,10 @@ def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flagged[zero] = _svd_gaps(maps[zero])
         rest = np.flatnonzero(~flagged)
         inv = np.linalg.inv(maps[rest])
-    cols, inv_cols = cols[rest], _column_squares(inv)
+    inv_cols = _column_squares(inv).T
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = np.sqrt(cols.max(axis=1) * inv_cols.max(axis=1))
-        upper = np.sqrt(cols.sum(axis=1) * inv_cols.sum(axis=1))
+        lower = np.sqrt(big[rest] * reduce(np.maximum, inv_cols))
+        upper = np.sqrt(reduce(np.add, cols[:, rest]) * reduce(np.add, inv_cols))
     gaps = lower > upper_limit
     unsure = np.flatnonzero(~gaps & ~(upper < lower_limit))
     if unsure.size:
@@ -225,13 +228,14 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
 
     Points where Phi is singular beyond ``CONDITION_LIMIT`` (or where the
     recovered sample fails trace annihilation, the symptom of a
-    near-singular inversion) become gap intervals.  The condition gate
-    (:func:`_condition_gate`) screens by column norms, brackets kappa_2
-    with the inverse that G is then built from, and runs an SVD only on
-    the maps the bracket leaves undecided.  The grid is walked in row
-    blocks (:func:`_block_rows`): stencil, gate, G and the trace-row
-    projection of one block at a time, so the memory held is the family,
-    the sample table and one block's temporaries.  Raises
+    near-singular inversion) become gap intervals.  The grid is walked in
+    row blocks (:func:`_block_rows`), so the memory held is the family,
+    the sample table and one block's temporaries.  Each block is gated
+    first (:func:`_condition_gate`: a column-norm screen, a kappa_2
+    bracket from the inverse that G is built from, an SVD for the maps
+    left undecided); a block with no kept map ends there, the others take
+    the stencil, G, the trace test (:func:`propagation._trace_failures`)
+    and the trace-row projection on their kept rows.  Raises
     :class:`GeneratorSingularityError` only if no point survives.
     """
     maps = np.asarray(family.maps)
@@ -239,23 +243,23 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     ts = family.grid.points
     u = linalg.conservation_row(family.kind, family.dim)
     samples = np.zeros_like(maps)
-    flagged = np.empty(maps.shape[0], dtype=bool)
+    flagged = np.ones(maps.shape[0], dtype=bool)
     step = _block_rows(maps)
     for lo in range(0, maps.shape[0], step):
-        deriv = _derivative_4th(maps, h, lo, lo + step)
         gaps, inv = _condition_gate(maps[lo : lo + step])
         ok = np.flatnonzero(~gaps)
-        g = np.einsum("nab,nbc->nac", deriv[ok] if gaps.any() else deriv, inv)
+        if not ok.size:
+            continue
+        deriv = _derivative_4th(maps, h, lo, lo + step)
+        g = np.einsum("nab,nbc->nac", deriv[ok] if ok.size < gaps.size else deriv, inv)
         residual = np.einsum("a,nab->nb", u, g)
-        defects = np.max(np.abs(residual), axis=1)
-        scales = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-        bad = defects > EXTRACTION_TRACE_TOL * scales
+        bad = _trace_failures(np.max(np.abs(residual), axis=1), g, EXTRACTION_TRACE_TOL)
         # project out the residual trace-row defect for downstream stability;
         # u holds only 0s and 1s, so scaling the residual first gives the same bits
         g -= np.einsum("a,nb->nab", u, residual / float(u @ u))
-        gaps[ok[bad]] = True
-        flagged[lo : lo + step] = gaps
-        samples[lo : lo + step][~gaps] = g[~bad]
+        kept = lo + ok[~bad]
+        flagged[kept] = False
+        samples[kept] = g[~bad] if bad.any() else g
     if np.all(flagged):
         raise GeneratorSingularityError(
             f"propagator singular at every grid point (first t={ts[0]:g})", time=float(ts[0])

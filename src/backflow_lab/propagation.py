@@ -156,15 +156,21 @@ def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
     return linalg.vectorize(initial.entries) if gen_kind == "quantum" else initial.entries.astype(float)
 
 
-def _sample_defects(samples: np.ndarray, kind: str, dim: int, tol: float):
-    """Trace-preservation defect of stacked generator samples (k, dd, dd)
-    and the mask of those that fail, ``defect > tol * max(1, max|G|)``.
+def _trace_failures(defect: np.ndarray, samples: np.ndarray, tol: float) -> np.ndarray:
+    """The mask of stacked generator samples (k, dd, dd) whose
+    trace-preservation ``defect`` (k,) exceeds ``tol * max(1, max|G|)``.
     The scale is >= 1, so it is read only where the defect exceeds ``tol``."""
-    defect = np.max(np.abs(linalg.conservation_row(kind, dim) @ samples), axis=1)
     bad = defect > tol
     if bad.any():
         bad[bad] = defect[bad] > tol * np.maximum(1.0, np.max(np.abs(samples[bad]), axis=(1, 2)))
-    return defect, bad
+    return bad
+
+
+def _sample_defects(samples: np.ndarray, kind: str, dim: int, tol: float):
+    """Trace-preservation defect of stacked generator samples (k, dd, dd)
+    and the mask of those that fail (:func:`_trace_failures`)."""
+    defect = np.max(np.abs(linalg.conservation_row(kind, dim) @ samples), axis=1)
+    return defect, _trace_failures(defect, samples, tol)
 
 
 def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
@@ -442,6 +448,7 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
         raise IntegrationDivergedError(f"integration diverged at t={t:g}: singular step matrix", time=t) from None
     real = not np.iscomplexobj(ys)
     fft, ifft = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+    spectra = {}  # merge size -> spectrum of its scaled lag coefficients
 
     def base(lo: int, hi: int):
         k = hi - lo
@@ -468,7 +475,10 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
             return
         # operands scaled to max-abs 1: no FFT sum overflows ahead of the states
         nfft = 2 * (mid - lo)
-        spec = fft(b_lags[:n] / sb, nfft, axis=0) @ fft(x[lo:mid] / sx, nfft, axis=0)
+        if n not in spectra:
+            spectra[n] = fft(b_lags[:n] / sb, nfft, axis=0)
+        # a merge over more than half the steps is the only one of its size
+        spec = (spectra[n] if 2 * n <= m_tot else spectra.pop(n)) @ fft(x[lo:mid] / sx, nfft, axis=0)
         conv = ifft(spec, nfft, axis=0)[mid - lo : n]
         rhs[mid:hi] -= (conv * sb) * sx
 
@@ -484,6 +494,7 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
         solve(lo + half, hi)
 
     solve(0, m_tot)
+    del solve  # it calls itself: a cycle that would keep the solve's tables until the next collection
     return ys
 
 

@@ -477,6 +477,28 @@ class TestGateCost:
         gen = extract_tcl_generator(family)
         assert gen.gaps and sum(rows) <= 0.05 * family.maps.shape[0]
 
+    def test_stencil_runs_only_on_blocks_with_a_kept_point(self, monkeypatch):
+        """The cli-mixed dephasing family: 24 of its 40 blocks of 1 024 rows
+        lie wholly in the screened gap and get no stencil, so at most 16
+        blocks of rows are differentiated, exactly the blocks holding a kept point."""
+        import backflow_lab.generator_analysis as ga
+
+        family = dephasing_qubit(rate_kind="sinusoidal", amplitude=1.32).propagator_fn(TimeGrid.uniform(1e-3, 40.0))
+        step = ga._block_rows(family.maps)
+        assert step == 1024
+        derivative, blocks = ga._derivative_4th, []
+
+        def counting(maps, h, lo=0, hi=None):
+            out = derivative(maps, h, lo, hi)
+            blocks.append((lo, len(out)))
+            return out
+
+        monkeypatch.setattr(ga, "_derivative_4th", counting)
+        gen = extract_tcl_generator(family)
+        kept = ~gen.gap_mask()
+        assert sum(rows for _, rows in blocks) <= 16 * step
+        assert {lo // step for lo in np.flatnonzero(kept)} == {lo // step for lo, _ in blocks}
+
     def test_families_take_the_fallback_and_the_bracket(self, monkeypatch):
         """The two kernel families added to the bit-equality test reach the
         gate's SVD: the exactly singular maps (``det`` exactly 0) go to it

@@ -269,6 +269,54 @@ class TestGridCost:
         assert ops[1] <= 2.5 * ops[0]
         assert lengths[1] <= 2.5 * lengths[0]
 
+    def test_merges_of_one_size_share_the_kernel_spectrum(self, monkeypatch):
+        """The 16 001-point two-state kernel of cli-mixed: 249 merges of 12
+        sizes. The kernel is transformed once per size (its operand has the
+        lag table's trailing (dd, dd) shape; the states' is (dd, 1))."""
+        import backflow_lab.propagation as propagation
+        from backflow_lab.models import classical_exp_kernel
+        from backflow_lab.propagation import _volterra_block
+
+        kernel = classical_exp_kernel(n=2, gamma=1.0, tau_m=0.5).kernel
+        grid = TimeGrid.uniform(1e-3, 16.0)
+        sizes, merges = set(), []
+
+        def split(lo, hi, block=_volterra_block(2)):  # the recursion of the solve
+            if hi - lo > block:
+                half = block
+                while 2 * half < hi - lo:
+                    half *= 2
+                split(lo, lo + half)
+                sizes.add(hi - lo)
+                merges.append(hi - lo)
+                split(lo + half, hi)
+
+        split(0, grid.n - 1)
+        assert (len(sizes), len(merges)) == (12, 249)
+        counting = CountingFft()
+        monkeypatch.setattr(propagation, "np", counting)
+        propagation.volterra_propagate(kernel, np.array([1.0, 0.0]), grid)
+        kernel_ffts = [shape for shape in counting.forward_shapes if shape == (2, 2)]
+        assert 0 < len(kernel_ffts) <= len(sizes)
+        assert counting.inverse == len(merges)
+
+    def test_volterra_solve_leaves_no_reference_cycle(self):
+        """The recursive solve's closures are released on return, so its
+        tables are freed at once, not at the next cyclic collection."""
+        import gc
+
+        from backflow_lab.models import classical_exp_kernel
+        from backflow_lab.propagation import volterra_propagate
+
+        kernel = classical_exp_kernel(n=2, gamma=1.0, tau_m=0.5).kernel
+        gc.collect()
+        gc.disable()
+        try:
+            volterra_propagate(kernel, np.array([1.0, 0.0]), TimeGrid.uniform(1e-3, 2.0))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def volterra_reference(table: np.ndarray, y0: np.ndarray, h: float) -> np.ndarray:
     """The product-trapezoid step loop the block Toeplitz solve replaced:
@@ -354,10 +402,12 @@ def kernel_samples(kernel, grid):
 
 class CountingFft:
     """Stands in for ``np`` inside the propagation module: records the
-    length of every FFT and counts the base-block products (``np.dot``)."""
+    length of every FFT and the trailing shape of each forward FFT's operand,
+    and counts the base-block products (``np.dot``)."""
 
     def __init__(self):
         self.lengths = []
+        self.forward_shapes = []
         self.inverse = 0
         self.dots = 0
         counter = self
@@ -369,6 +419,8 @@ class CountingFft:
                 def counted(a, n=None, axis=-1, **kwargs):
                     counter.lengths.append(n)
                     counter.inverse += name.startswith(("irfft", "ifft"))
+                    if not name.startswith(("irfft", "ifft")):
+                        counter.forward_shapes.append(np.shape(a)[1:])
                     return fn(a, n, axis, **kwargs)
 
                 return counted
