@@ -36,7 +36,7 @@ from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
 from .propagation import _finalize_trajectory, _initial_vector, apply_family, build_propagator, solve_tc, tcl_pass
-from .states import TimeGrid, Trajectory
+from .states import TimeGrid, Trajectory, _trusted
 
 ROUTES = ("closed_form", "tcl", "tc")
 
@@ -93,8 +93,9 @@ def propagate(
             traj = apply_family(family, model.initial_state)
     if not generator:
         return traj, None
-    if samples is not None:  # tcl: copied after the trajectory is built, off its peak memory
-        return traj, SampledGenerator(grid, samples, source.kind, source.dim)
+    if samples is not None:  # tcl: the read-only samples tcl_pass checked
+        fields = dict(kind=source.kind, dim=source.dim, gaps=(), matrix_dim=source.matrix_dim)
+        return traj, _trusted(SampledGenerator, grid=grid, samples=samples, **fields)
     return traj, None if family is None else extract_tcl_generator(family)
 
 

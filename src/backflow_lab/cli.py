@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -293,6 +294,7 @@ def cmd_model_list(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="backflow-lab",
@@ -310,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--set",
             dest="overrides",
             action="append",
-            default=[],
+            default=None,
             metavar="PATH=VALUE",
             help="override a config leaf via dotted path (repeatable)",
         )

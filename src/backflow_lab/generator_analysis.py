@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .errors import ContractViolationError, GeneratorSingularityError
 from .propagation import PropagatorFamily, TclGenerator, _sample_defects, _trace_failures, check_map_table
-from .states import TimeGrid, _freeze, run_intervals
+from .states import TimeGrid, _freeze, _trusted, run_intervals
 
 CONDITION_LIMIT = 1e8
 RATE_TOLERANCE = 1e-7
@@ -176,10 +176,11 @@ def _svd_gaps(maps: np.ndarray) -> np.ndarray:
 
 
 def _column_squares(maps: np.ndarray) -> np.ndarray:
-    """Squared Euclidean column norms (n, d) of stacked matrices, summed
-    over the real and imaginary views so no table-sized temporary is made."""
-    parts = (maps.real, maps.imag) if np.iscomplexobj(maps) else (maps,)
-    return sum(np.einsum("nab,nab->nb", p, p) for p in parts)
+    """Squared Euclidean column norms (n, d) of stacked matrices: one einsum
+    over a complex stack's real view, whose (re, im) column pairs are added."""
+    flat = maps.view(maps.real.dtype) if np.iscomplexobj(maps) else maps
+    squares = np.einsum("nab,nab->nb", flat, flat)
+    return squares if flat is maps else squares[:, ::2] + squares[:, 1::2]
 
 
 def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,9 +236,9 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     bracket from the inverse that G is built from, an SVD for the maps
     left undecided); a block with no kept map ends there, the others take
     the stencil, G, the trace test (:func:`propagation._trace_failures`)
-    and the trace-row projection on their kept rows.  Raises
-    :class:`GeneratorSingularityError` only if no point survives.
-    """
+    and the trace-row projection on their kept rows, which must be finite
+    (else :class:`ContractViolationError`; the result skips the constructor's
+    check).  No point surviving raises :class:`GeneratorSingularityError`."""
     maps = np.asarray(family.maps)
     h = family.grid.dt
     ts = family.grid.points
@@ -257,14 +258,18 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
         # project out the residual trace-row defect for downstream stability;
         # u holds only 0s and 1s, so scaling the residual first gives the same bits
         g -= np.einsum("a,nb->nab", u, residual / float(u @ u))
+        g = g[~bad] if bad.any() else g
+        if not np.isfinite(g).all():
+            raise ContractViolationError("non-finite entry among the generator samples")
         kept = lo + ok[~bad]
         flagged[kept] = False
-        samples[kept] = g[~bad] if bad.any() else g
+        samples[kept] = g
     if np.all(flagged):
         raise GeneratorSingularityError(
             f"propagator singular at every grid point (first t={ts[0]:g})", time=float(ts[0])
         )
-    return SampledGenerator(family.grid, samples, family.kind, family.dim, run_intervals(flagged, ts, h))
+    fields = dict(kind=family.kind, dim=family.dim, gaps=run_intervals(flagged, ts, h), matrix_dim=maps.shape[1])
+    return _trusted(SampledGenerator, grid=family.grid, samples=_freeze(samples), **fields)
 
 
 @lru_cache(maxsize=8)
@@ -362,11 +367,11 @@ def canonical_forms(samples: np.ndarray, dim: int, ts: np.ndarray | None = None,
     times max(1, max|G|) raises :class:`ContractViolationError` naming its
     index in the stack or, given the grid times ``ts`` and the samples'
     place ``at`` on that grid (a slice or an index array), its grid index
-    and time.  When every sample equals the first (a constant generator) one
-    Kossakowski matrix is decomposed and broadcast to every row.
-    """
+    and time.  When every sample equals the first (a constant generator; a
+    broadcast stack, leading stride 0, is one without a compare) one
+    Kossakowski matrix is decomposed and broadcast to every row."""
     samples = np.asarray(samples)
-    constant = bool(np.all(samples == samples[:1]))
+    constant = samples.strides[0] == 0 or bool(np.all(samples == samples[:1]))
     distinct = samples[:1] if constant else samples
     defect, bad = _sample_defects(distinct, "quantum", dim, EXTRACTION_TRACE_TOL)
     if bad.any():
@@ -421,7 +426,9 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
     n = len(samples)
     keep = ~gen.gap_mask() if gen.gaps else None
     step = _block_rows(samples)
-    if keep is None and all((samples[lo : lo + step] == samples[0]).all() for lo in range(0, n, step)):
+    if keep is None and (
+        samples.strides[0] == 0 or all((samples[lo : lo + step] == samples[0]).all() for lo in range(0, n, step))
+    ):
         step = max(n, 1)
     traces = None
     for lo in range(0, n, step):

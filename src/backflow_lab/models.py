@@ -36,12 +36,7 @@ from .propagation import (
     rk4_power_table,
 )
 from .special_functions import ml_envelope_grid
-from .states import (
-    DensityMatrix,
-    ProbabilityVector,
-    TimeGrid,
-    Trajectory,
-)
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _trusted
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,6 +59,11 @@ class ModelSpec:
     trajectory_fn: Callable | None = field(default=None, repr=False, compare=False)
     propagator_fn: Callable | None = field(default=None, repr=False, compare=False)
     b_qe_fn: Callable | None = field(default=None, repr=False, compare=False)
+
+
+def _constant(cls, entries: np.ndarray):
+    """``cls(entries)`` unchecked (:func:`states._trusted`), valid by construction from checked parameters."""
+    return _trusted(cls, entries=_freeze(entries))
 
 
 def _two_state_trajectory(grid: TimeGrid, p: np.ndarray, c: np.ndarray) -> Trajectory:
@@ -94,8 +94,8 @@ def _envelope_model(
         env = env_fn(np.asarray(ts, dtype=float))
         return 0.25 * env**2 * np.sin(omega * np.asarray(ts)) ** 2
 
-    reference = DensityMatrix(np.diag([p_eq, 1.0 - p_eq]).astype(complex))
-    initial = DensityMatrix(np.array([[p0, 0.0], [0.0, 1.0 - p0]], dtype=complex))
+    reference = _constant(DensityMatrix, np.diag([p_eq, 1.0 - p_eq]).astype(complex))
+    initial = _constant(DensityMatrix, np.array([[p0, 0.0], [0.0, 1.0 - p0]], dtype=complex))
     return ModelSpec(
         name=name,
         kind="quantum",
@@ -140,7 +140,7 @@ def classical_exp_kernel(n: int = 2, gamma: float = 1.0, tau_m: float = 1.0) -> 
     """
     check_params("classical_exp_kernel", dict(n=n, gamma=gamma, tau_m=tau_m))
     wb = np.ones((n, n)) - n * np.eye(n)
-    p0 = ProbabilityVector(np.eye(n)[0])
+    p0 = _constant(ProbabilityVector, np.eye(n)[0])
 
     def kernel_table(taus: np.ndarray) -> np.ndarray:
         # math.exp per lag: np.exp differs from it in the last bit on some lags
@@ -169,7 +169,7 @@ def classical_exp_kernel(n: int = 2, gamma: float = 1.0, tau_m: float = 1.0) -> 
         params={"n": n, "gamma": gamma, "tau_m": tau_m},
         kernel=kernel,
         initial_state=p0,
-        reference_state=ProbabilityVector(np.full(n, 1 / n)),
+        reference_state=_constant(ProbabilityVector, np.full(n, 1 / n)),
         trajectory_fn=embedded_trajectory,
         propagator_fn=embedded_propagator,
     )
@@ -222,8 +222,8 @@ def classical_fractional(gamma: float = 1.0, alpha: float = 0.7, n: int = 2) -> 
         name="classical_fractional",
         kind="classical",
         params={"gamma": gamma, "alpha": alpha, "n": n},
-        initial_state=ProbabilityVector(np.array([1.0, 0.0])),
-        reference_state=ProbabilityVector(np.array([0.5, 0.5])),
+        initial_state=_constant(ProbabilityVector, np.array([1.0, 0.0])),
+        reference_state=_constant(ProbabilityVector, np.array([0.5, 0.5])),
         trajectory_fn=trajectory,
     )
 
@@ -264,10 +264,9 @@ def dephasing_qubit(
     gives f = exp(-lam t/2) cos(mu t), whose generator is undefined at the
     zeros of f (reported as gap intervals by extraction).  The initial
     state is |+><+|."""
-    check_params(
-        "dephasing_qubit", dict(rate_kind=rate_kind, lam=lam, amplitude=amplitude, frequency=frequency, mu=mu)
-    )
-    rho0 = DensityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+    params = dict(rate_kind=rate_kind, lam=lam, amplitude=amplitude, frequency=frequency, mu=mu)
+    check_params("dephasing_qubit", params)
+    rho0 = _constant(DensityMatrix, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     f, rate = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
     dissipator = linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0))
     evaluate = lambda ts: rate(ts)[:, None, None] * dissipator
@@ -291,19 +290,11 @@ def dephasing_qubit(
         states[:, 1, 0] = rho0.entries[1, 0] * np.conj(fv)
         return Trajectory(grid, states, "quantum")
 
-    reference = DensityMatrix(
-        np.diag([rho0.entries[0, 0].real, rho0.entries[1, 1].real]).astype(complex)
-    )
+    reference = _constant(DensityMatrix, np.diag([rho0.entries[0, 0].real, rho0.entries[1, 1].real]).astype(complex))
     return ModelSpec(
         name="dephasing_qubit",
         kind="quantum",
-        params={
-            "rate_kind": rate_kind,
-            "lam": lam,
-            "amplitude": amplitude,
-            "frequency": frequency,
-            "mu": mu,
-        },
+        params=params,
         tcl_generator=gen,
         initial_state=rho0,
         reference_state=reference,
@@ -323,11 +314,12 @@ def amplitude_damping_qubit(
     check_params("amplitude_damping_qubit", dict(gamma=gamma, nbar=nbar, p0=p0, c0=c0))
     if c0 * c0 > p0 * (1.0 - p0):
         raise ContractViolationError("initial coherence exceeds the PSD bound")
-    rho0 = DensityMatrix(np.array([[p0, c0], [c0, 1.0 - p0]], dtype=complex))
+    rho0 = _constant(DensityMatrix, np.array([[p0, c0], [c0, 1.0 - p0]], dtype=complex))
     g = gamma * (nbar + 1.0) * linalg.dissipator_superop(SIGMA_MINUS)
     g = g + gamma * nbar * linalg.dissipator_superop(SIGMA_PLUS)
     z = 2.0 * nbar + 1.0
-    reference = DensityMatrix(np.diag([(nbar + 1.0) / z, nbar / z]).astype(complex))
+    thermal = np.diag([(nbar + 1.0) / z, nbar / z]).astype(complex)  # zero trace if 2 nbar + 1 overflows
+    reference = _constant(DensityMatrix, thermal) if math.isfinite(z) else DensityMatrix(thermal)
     return ModelSpec(
         name="amplitude_damping_qubit",
         kind="quantum",

@@ -71,9 +71,9 @@ class TclGenerator:
     """Time-local generator: ``evaluate(ts)`` takes a 1-D array of times and
     returns the generator at those times, stacked as an (n, dd, dd) table of
     (d^2, d^2) complex superoperator matrices (quantum) or (n, n) real rate
-    matrices (classical).  A table whose samples all equal the first is a
-    constant generator and is propagated as RK4 matrix powers.
-    ``matrix_dim`` is dd (:func:`linalg.carrier_dim`)."""
+    matrices (classical).  A table whose samples all equal the first, known
+    without a compare when it is a broadcast one (leading stride 0), is a constant
+    generator, propagated as RK4 matrix powers.  ``matrix_dim`` is dd (:func:`linalg.carrier_dim`)."""
 
     dim: int
     kind: str
@@ -271,7 +271,7 @@ def _prefix_product(steps: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
 
 def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) -> tuple[np.ndarray | None, np.ndarray]:
-    """(Y (N,) + y0.shape or None, G(t) at the grid points (N, dd, dd)) from
+    """(Y (N,) + y0.shape or None, G(t) at the grid points (N, dd, dd), read-only) from
     one ``evaluate`` call at t_0, t_0 + h/2, t_1, ..., t_{N-1}: Y(t_k) is
     ``y0`` (dd,) or (dd, c) carried through the RK4 steps, the vectorized
     initial state for a trajectory and the identity for a propagator family.
@@ -281,7 +281,7 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
     h, ts, dd = grid.dt, grid.points, gen.matrix_dim
     times = np.empty(2 * grid.n - 1)
     times[::2] = ts
-    times[1::2] = ts[:-1] + 0.5 * h
+    np.add(ts[:-1], 0.5 * h, out=times[1::2])
     table = gen.evaluate(times)
     dtype, shape_error = (complex if gen.kind == "quantum" else float), None
     try:
@@ -298,10 +298,13 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
         raise ContractViolationError(f"generator sample at t={times[0]:g} has shape {samples.shape[1:]}")
     if shape_error is None and samples.shape[0] != times.size:
         raise ContractViolationError(f"{samples.shape[0]} generator samples for {times.size} times")
-    if shape_error is None and np.all(samples == samples[0]):
+    # rows that share their memory (leading stride 0) are bitwise equal
+    if shape_error is None and (samples.strides[0] == 0 or np.all(samples == samples[0])):
         _check_samples(samples[:1], times, gen.kind, gen.dim)
         out = None if y0 is None else rk4_power_table(samples[0], y0, grid)
-        return out, samples[::2]
+        if samples.strides[0] == 0:  # one row in memory stays one, copied off the generator's
+            return out, np.broadcast_to(samples[0].copy(), (grid.n, dd, dd))
+        return out, _freeze(samples[::2])
     # row r is fed by samples 0 .. 2r, so sample k feeds row ceil(k/2) (row 1
     # for k = 0) and later rows: the samples feeding rows up to the first
     # non-finite one are judged first, then that row; the rows fed by a
@@ -318,7 +321,7 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
         raise IntegrationDivergedError(f"integration diverged at t={ts[row]:g}", time=float(ts[row]))
     if shape_error is not None:
         raise shape_error
-    return out, samples[::2].copy()  # not a view that keeps the midpoints alive
+    return out, _freeze(samples[::2])  # a copy, not a view that keeps the midpoints alive
 
 
 def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -> Trajectory:

@@ -2,7 +2,8 @@
 
 All types are immutable after construction (backing arrays are marked
 read-only) and validate their invariants eagerly, so anything downstream
-can trust a constructed instance.
+can trust a constructed instance; only package code skips the check, by
+:func:`_trusted`, for values it built from inputs it had checked.
 """
 
 from __future__ import annotations
@@ -29,6 +30,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+def _trusted(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` as given, unchecked:
+    package code only, for fields already in checked form (read-only arrays)."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _numeric(a, what: str, real: bool = False) -> np.ndarray:

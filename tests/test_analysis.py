@@ -126,6 +126,21 @@ class TestPropagate:
         assert np.array_equal(alone.states, traj.states)
 
     @pytest.mark.parametrize("name", ["amplitude_damping_qubit", "dephasing_qubit"])
+    def test_tcl_generator_is_the_checked_one(self, name):
+        """The tcl route's generator skips the constructor's check; it
+        equals the checked generator of the same samples, and the broadcast
+        table of the constant generator stays one row in memory."""
+        model = build_model(name, {"rate_kind": "sinusoidal"} if name == "dephasing_qubit" else {})
+        _, gen = analysis.propagate(model, GRID, "tcl", trajectory=False)
+        checked = SampledGenerator(GRID, gen.samples, gen.kind, gen.dim)
+        assert gen.samples.dtype == checked.samples.dtype and np.array_equal(gen.samples, checked.samples)
+        assert (gen.grid, gen.kind, gen.dim, gen.gaps, gen.matrix_dim) == (
+            checked.grid, checked.kind, checked.dim, checked.gaps, checked.matrix_dim
+        )
+        assert not gen.samples.flags.writeable
+        assert (gen.samples.strides[0] == 0) == (name == "amplitude_damping_qubit")
+
+    @pytest.mark.parametrize("name", ["amplitude_damping_qubit", "dephasing_qubit"])
     def test_tcl_analyze_builds_no_family(self, monkeypatch, name):
         """On tcl, analyze constructs no PropagatorFamily, and every block it
         hands to the RK4 pass, and the pass to its solver, is one column."""

@@ -681,6 +681,26 @@ class TestEntryPoint:
         assert "config error" in proc.stderr
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        from backflow_lab.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_set_does_not_outlive_its_run(self, tmp_path):
+        """On the one parser, a run after a ``--set`` run writes what a run
+        made alone in a fresh process writes."""
+        config = write_config(tmp_path, {"model": {"name": "markov_two_state"}, "grid": {"dt": 0.01, "t_max": 2.0}})
+        alone = run_module("simulate", "--config", config, "--out", str(tmp_path / "alone"))
+        assert alone.returncode == 0, alone.stderr
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "set"), "--set", "grid.dt=0.02"]) == 0
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "after")]) == 0
+        for name in ("trajectory.csv", "validation.json"):
+            assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+        assert len(read_csv(tmp_path / "set" / "trajectory.csv")[1]) == 101
+        assert len(read_csv(tmp_path / "after" / "trajectory.csv")[1]) == 201
+
+
 class TestGridFlags:
     def test_phase_diagram_flags_override_config_grid(self, tmp_path, monkeypatch):
         import backflow_lab.cli as cli

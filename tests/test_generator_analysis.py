@@ -62,6 +62,36 @@ class TestExtraction:
         assert np.max(np.abs(gen.samples)) < 1e-12
         assert gen.gaps == ()
 
+    def test_non_finite_kept_sample_rejected(self):
+        """A map entry of 1e308 gaps its own row, but the stencil overflows on
+        the neighbours, whose trace residual stays finite: they are kept
+        with non-finite samples, and extraction raises for them."""
+        grid = TimeGrid.uniform(1e-3, 1.0)
+        maps = np.array(dephasing_qubit(rate_kind="sinusoidal", amplitude=0.5).propagator_fn(grid).maps)
+        maps[500, 1, 1] = 1e308
+        family = PropagatorFamily(grid, maps, "quantum", 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolationError, match="^non-finite entry among the generator samples$"):
+                extract_tcl_generator(family)
+
+    @pytest.mark.parametrize("name", ["dephasing_qubit", "classical_exp_kernel"])
+    def test_result_is_the_checked_generator(self, name):
+        """The extracted generator skips the constructor's check; it equals,
+        field by field and bit for bit, the checked one of its samples."""
+        # the dephasing family's cos(mu t) vanishes at the grid point t = 1: a gap there
+        gapped = dephasing_qubit(rate_kind="cosine_f", mu=math.pi / 2)
+        model = gapped if name == "dephasing_qubit" else classical_exp_kernel()
+        grid = TimeGrid.uniform(1e-2, 4.0)
+        gen = extract_tcl_generator(model.propagator_fn(grid))
+        checked = SampledGenerator(grid, gen.samples, gen.kind, gen.dim, gen.gaps)
+        assert gen.samples.dtype == checked.samples.dtype and gen.samples.tobytes() == checked.samples.tobytes()
+        assert not gen.samples.flags.writeable and gen.samples.flags.c_contiguous
+        assert (gen.grid, gen.kind, gen.dim, gen.gaps, gen.matrix_dim) == (
+            checked.grid, checked.kind, checked.dim, checked.gaps, checked.matrix_dim
+        )
+        assert all(type(end) is float for gap in gen.gaps for end in gap)
+        assert name != "dephasing_qubit" or gen.gaps
+
     def test_constant_gksl_recovery(self):
         g = dissipator_superop(SIGMA_MINUS) + commutator_superop(0.7 * SIGMA_X)
         grid = TimeGrid.uniform(1e-3, 2.0)
@@ -545,6 +575,17 @@ class TestCanonicalDecomposition:
         assert np.max(np.abs(form.rates[0, 1:])) <= 1e-12
         overlap = abs(np.trace(form.jump_ops[0, 0].conj().T @ (SIGMA_Z / np.sqrt(2.0))))
         assert overlap == pytest.approx(1.0, abs=1e-12)
+
+    def test_broadcast_stack_known_constant_by_its_stride(self, monkeypatch):
+        """A stack of one row in memory is decomposed once, with no
+        elementwise compare, and reads like its contiguous copy."""
+        g = dissipator_superop(SIGMA_MINUS) + commutator_superop(0.3 * SIGMA_Z)
+        stack = np.broadcast_to(g, (50, 4, 4))
+        copy = canonical_forms(np.ascontiguousarray(stack), 2)
+        monkeypatch.setattr(np, "all", None)  # the compare would call it
+        form = canonical_forms(stack, 2)
+        assert form.rates.tobytes() == copy.rates.tobytes()
+        assert np.array_equal(form.coefficients, copy.coefficients)
 
     def test_reassembly_roundtrip(self):
         rng = np.random.default_rng(13)

@@ -6,6 +6,7 @@ from scipy.special import erfcx
 
 from backflow_lab import (
     ContractViolationError,
+    InvalidStateError,
     TimeGrid,
     backflow_functional,
     build_model,
@@ -275,3 +276,59 @@ class TestRegistry:
         assert set(schemas) == set(MODEL_REGISTRY)
         for name, entry in schemas.items():
             assert "params" in entry and "description" in entry
+
+
+def psd_edge(p0, sign):
+    """c0 = sign * sqrt(p0 (1 - p0)), the largest float of that size that
+    meets the factory's bound c0^2 <= p0 (1 - p0)."""
+    c0 = math.sqrt(p0 * (1.0 - p0))
+    while c0 * c0 > p0 * (1.0 - p0):
+        c0 = math.nextafter(c0, 0.0)
+    return sign * c0
+
+
+# every model at its defaults and at the schema edges of its state parameters
+TRUSTED_CASES = [(name, {}) for name in sorted(MODEL_REGISTRY)]
+TRUSTED_CASES += [
+    (name, {key: edge})
+    for name in ("markov_two_state", "fractional_two_state")
+    for key in ("p0", "p_eq")
+    for edge in (0.0, 1.0)
+]
+TRUSTED_CASES += [("amplitude_damping_qubit", {"p0": p0, "c0": 0.0}) for p0 in (0.0, 1.0)]
+TRUSTED_CASES += [
+    ("amplitude_damping_qubit", {"p0": p0, "c0": psd_edge(p0, sign)}) for p0 in (0.3, 0.5, 0.7) for sign in (1, -1)
+]
+TRUSTED_CASES += [("amplitude_damping_qubit", {"nbar": 0.0}), ("classical_exp_kernel", {"n": 16})]
+
+
+class TestTrustedStates:
+    """A model's constant states skip the state check; they must be what
+    the checked constructors make of the same entries."""
+
+    @pytest.mark.parametrize("name, params", TRUSTED_CASES)
+    def test_equal_to_the_checked_states(self, name, params):
+        model = build_model(name, params)
+        for state in (model.initial_state, model.reference_state):
+            checked = type(state)(state.entries.tolist())
+            assert state.entries.dtype == checked.entries.dtype and state.entries.shape == checked.entries.shape
+            assert state.entries.tobytes() == checked.entries.tobytes()
+            assert not state.entries.flags.writeable and state.entries.flags.c_contiguous
+            assert state.dim == checked.dim
+
+    def test_coherence_past_the_bound_raises_before_any_state(self, monkeypatch):
+        import backflow_lab.models as models
+
+        made = []
+        monkeypatch.setattr(models, "_constant", lambda cls, entries: made.append(cls))
+        c0 = math.nextafter(psd_edge(0.3, 1), 1.0)
+        with pytest.raises(ContractViolationError, match="PSD bound"):
+            build_model("amplitude_damping_qubit", {"p0": 0.3, "c0": c0})
+        assert made == []
+
+    def test_overflowing_thermal_weights_still_checked(self):
+        """2 nbar + 1 overflows for nbar near the float maximum: the
+        reference state then has zero trace, and the checked constructor
+        rejects it as before."""
+        with pytest.raises(InvalidStateError, match="trace"):
+            build_model("amplitude_damping_qubit", {"nbar": 1e308})

@@ -1113,6 +1113,36 @@ class TestGeneratorSamples:
         with pytest.raises(error, match=message):
             samples_of(constant_quantum_generator(matrix), TimeGrid.uniform(0.1, 1.0))
 
+    def test_broadcast_constant_known_by_its_stride(self):
+        """A constant table of one row in memory (leading stride 0) is known
+        constant without an elementwise compare of its 2N - 1 samples: the
+        pass holds little beyond its sample times, and hands on one row."""
+        import tracemalloc
+
+        g = dissipator_superop(SIGMA_MINUS)
+        grid = TimeGrid.uniform(1e-3, 1000.0)
+        assert grid.n == 10**6 + 1
+        tracemalloc.start()
+        try:
+            samples = tcl_pass(constant_quantum_generator(g), grid)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        times_bytes = (2 * grid.n - 1) * 8
+        assert peak < 1.5 * times_bytes, f"peak {peak} B for {times_bytes} B of sample times"
+        assert samples.shape == (grid.n, 4, 4) and samples.strides[0] == 0 and not samples.flags.writeable
+        assert np.array_equal(samples[-1], g) and not np.shares_memory(samples, g)
+
+    @pytest.mark.parametrize("y0", [None, np.eye(4, dtype=complex), np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)])
+    def test_broadcast_constant_with_a_nan(self, y0):
+        """One NaN entry in a broadcast constant: the sample at t = 0 is
+        reported, with or without propagation."""
+        g = dissipator_superop(SIGMA_MINUS)
+        g[1, 2] = np.nan
+        with pytest.raises(IntegrationDivergedError, match=r"^generator sample at t=0 is not finite$") as raised:
+            tcl_pass(constant_quantum_generator(g), TimeGrid.uniform(0.1, 1.0), y0)
+        assert raised.value.time == 0.0
+
     @pytest.mark.parametrize(
         "first, second, error, message",
         [
