@@ -178,9 +178,7 @@ def cmd_simulate(config: dict, args) -> int:
     grid = _grid(config, args)
     traj, _ = analysis.propagate(model, grid, config.get("route", "auto"), generator=False)
     out_dir = args.out
-    serialize.write_text_atomic(
-        os.path.join(out_dir, "trajectory.csv"), serialize.trajectory_csv(traj)
-    )
+    serialize.write_atomic(os.path.join(out_dir, "trajectory.csv"), lambda sink: serialize.trajectory_csv(traj, sink))
     if traj.kind == "quantum":
         traces = np.einsum("nii->n", traj.states).real
         herm = float(np.max(np.abs(traj.states - traj.states.conj().transpose(0, 2, 1)))) / 2
@@ -207,8 +205,8 @@ def cmd_extract(config: dict, args) -> int:
     model = _model_from_config(config)
     grid = _grid(config, args)
     sampled = _generator(config, model, grid)
-    serialize.write_text_atomic(
-        os.path.join(args.out, "generator.csv"), serialize.sampled_generator_csv(sampled)
+    serialize.write_atomic(
+        os.path.join(args.out, "generator.csv"), lambda sink: serialize.sampled_generator_csv(sampled, sink)
     )
     serialize.write_json_atomic(
         os.path.join(args.out, "gaps.json"),
@@ -223,7 +221,7 @@ def cmd_divisibility(config: dict, args) -> int:
     tol = _tolerance(config, "rate_tolerance")
     report = check_divisible(_generator(config, model, grid), tol)
     rates_path = os.path.join(args.out, "rates.csv")
-    serialize.write_text_atomic(rates_path, serialize.rate_traces_csv(report))
+    serialize.write_atomic(rates_path, lambda sink: serialize.rate_traces_csv(report, sink))
     serialize.write_json_atomic(
         os.path.join(args.out, "divisibility.json"),
         report.to_json_dict(rates_csv_path=rates_path),

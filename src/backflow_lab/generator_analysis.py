@@ -243,7 +243,7 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
     h = family.grid.dt
     ts = family.grid.points
     u = linalg.conservation_row(family.kind, family.dim)
-    samples = np.zeros_like(maps)
+    samples = np.zeros(maps.shape, maps.dtype)  # lazily zeroed: gap rows are never written
     flagged = np.ones(maps.shape[0], dtype=bool)
     step = _block_rows(maps)
     for lo in range(0, maps.shape[0], step):
@@ -253,11 +253,11 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
             continue
         deriv = _derivative_4th(maps, h, lo, lo + step)
         g = np.einsum("nab,nbc->nac", deriv[ok] if ok.size < gaps.size else deriv, inv)
-        residual = np.einsum("a,nab->nb", u, g)
+        residual = linalg.conservation_sums(g, family.kind, family.dim)
         bad = _trace_failures(np.max(np.abs(residual), axis=1), g, EXTRACTION_TRACE_TOL)
-        # project out the residual trace-row defect for downstream stability;
-        # u holds only 0s and 1s, so scaling the residual first gives the same bits
-        g -= np.einsum("a,nb->nab", u, residual / float(u @ u))
+        # project out the residual trace-row defect for downstream stability:
+        # u holds only 0s and 1s, so only the rows it selects change
+        g[:, u == 1] -= (residual / float(u @ u))[:, None]
         g = g[~bad] if bad.any() else g
         if not np.isfinite(g).all():
             raise ContractViolationError("non-finite entry among the generator samples")

@@ -186,3 +186,14 @@ def conservation_row(kind: str, dim: int) -> np.ndarray:
     trace row, u @ vectorize(X) == trace(X); for classical ones all ones
     (the column sums)."""
     return vectorize(np.eye(dim)).astype(float) if kind == "quantum" else np.ones(dim)
+
+
+def conservation_sums(stack: np.ndarray, kind: str, dim: int) -> np.ndarray:
+    """``conservation_row(kind, dim) @ stack`` for a stack (..., dd, m), as
+    the rows u selects added in row order (rows 0, d + 1, 2(d + 1), ... of
+    quantum maps, all rows of classical ones), with no product by u."""
+    rows = np.moveaxis(stack[..., :: dim + 1 if kind == "quantum" else 1, :], -2, 0)
+    out = rows[0].copy()
+    for row in rows[1:]:
+        out += row
+    return out

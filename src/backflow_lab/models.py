@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError
+from .errors import ContractViolationError, InvalidStateError
 from .propagation import (
     MemoryKernel,
     PropagatorFamily,
@@ -43,6 +43,9 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
+# the models' constant dissipators, built once
+_D_MINUS, _D_PLUS = _freeze(linalg.dissipator_superop(SIGMA_MINUS)), _freeze(linalg.dissipator_superop(SIGMA_PLUS))
+_D_DEPHASING = _freeze(linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0)))
 
 
 @dataclass(frozen=True)
@@ -268,8 +271,7 @@ def dephasing_qubit(
     check_params("dephasing_qubit", params)
     rho0 = _constant(DensityMatrix, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
     f, rate = _dephasing_decoherence(rate_kind, lam, amplitude, frequency, mu)
-    dissipator = linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0))
-    evaluate = lambda ts: rate(ts)[:, None, None] * dissipator
+    evaluate = lambda ts: rate(ts)[:, None, None] * _D_DEPHASING
     gen = None if rate is None else TclGenerator(dim=2, kind="quantum", evaluate=evaluate)
 
     def exact_propagator(grid: TimeGrid) -> PropagatorFamily:
@@ -315,11 +317,11 @@ def amplitude_damping_qubit(
     if c0 * c0 > p0 * (1.0 - p0):
         raise ContractViolationError("initial coherence exceeds the PSD bound")
     rho0 = _constant(DensityMatrix, np.array([[p0, c0], [c0, 1.0 - p0]], dtype=complex))
-    g = gamma * (nbar + 1.0) * linalg.dissipator_superop(SIGMA_MINUS)
-    g = g + gamma * nbar * linalg.dissipator_superop(SIGMA_PLUS)
+    g = gamma * (nbar + 1.0) * _D_MINUS + gamma * nbar * _D_PLUS
     z = 2.0 * nbar + 1.0
-    thermal = np.diag([(nbar + 1.0) / z, nbar / z]).astype(complex)  # zero trace if 2 nbar + 1 overflows
-    reference = _constant(DensityMatrix, thermal) if math.isfinite(z) else DensityMatrix(thermal)
+    if not math.isfinite(z):
+        raise InvalidStateError(f"parameter nbar={nbar:g} overflows 2 nbar + 1: the thermal state would have trace 0")
+    reference = _constant(DensityMatrix, np.diag([(nbar + 1.0) / z, nbar / z]).astype(complex))
     return ModelSpec(
         name="amplitude_damping_qubit",
         kind="quantum",

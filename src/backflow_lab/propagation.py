@@ -123,8 +123,9 @@ class PropagatorFamily:
         maps = check_map_table(self.maps, self.grid, self.kind, self.dim, "maps")
         if np.max(np.abs(maps[0] - np.eye(maps.shape[1]))) > 1e-12:
             raise ContractViolationError("Phi(0, 0) is not the identity")
-        u = linalg.conservation_row(self.kind, self.dim)
-        defect = np.max(np.abs(u @ maps - u))
+        sums = linalg.conservation_sums(maps, self.kind, self.dim)
+        sums -= linalg.conservation_row(self.kind, self.dim)
+        defect = np.max(np.abs(sums))
         if defect > PROPAGATOR_TRACE_TOL:
             raise ContractViolationError(
                 f"propagator family violates trace preservation (defect {defect:.3e})"
@@ -169,7 +170,7 @@ def _trace_failures(defect: np.ndarray, samples: np.ndarray, tol: float) -> np.n
 def _sample_defects(samples: np.ndarray, kind: str, dim: int, tol: float):
     """Trace-preservation defect of stacked generator samples (k, dd, dd)
     and the mask of those that fail (:func:`_trace_failures`)."""
-    defect = np.max(np.abs(linalg.conservation_row(kind, dim) @ samples), axis=1)
+    defect = np.max(np.abs(linalg.conservation_sums(samples, kind, dim)), axis=1)
     return defect, _trace_failures(defect, samples, tol)
 
 

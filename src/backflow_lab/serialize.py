@@ -8,7 +8,9 @@ Conventions (stable across runs so outputs are byte-identical):
   from a double-double product, ``%g``'s layout on uint64 words), and each
   chunk of rows is one numpy gather of token text;
 * ``sweep_csv`` formats its mixed-type cells one by one with :func:`fmt`;
-* files are written atomically (temp file + rename);
+* files are written atomically (temp file + rename) by :func:`write_atomic`;
+  given a sink, the three tables are streamed into it in batches as they are
+  encoded, so no table's text is held whole;
 * trajectory CSV header is ``t`` followed by flattened state labels,
   row-major over matrix entries with ``_re``/``_im`` suffixes for quantum
   states and ``p_<i>`` for classical ones.
@@ -66,18 +68,24 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def write_text_atomic(path: str, text: str):
+def write_atomic(path: str, write):
+    """Call ``write(sink)``, ``sink`` taking bytes-like pieces of the file,
+    on a temp file beside ``path``, then rename it over ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            write(handle.write)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path: str, text: str):
+    write_atomic(path, lambda sink: sink(text.encode()))
 
 
 def write_json_atomic(path: str, payload: dict):
@@ -145,9 +153,9 @@ def _format_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     shifting the bytes above it, the separator and rare ``e±XX`` by scatters.
     What the digit path cannot settle goes to :func:`fmt`."""
     neg = np.signbit(x)
-    k, d, ok = _digits(np.abs(x))
-    lead, rest = np.divmod(d, 10**16)
-    v = np.array(np.divmod(rest, 10**8), np.uint64)
+    k, v, ok = _digits(np.abs(x))
+    lead, v = np.divmod(v, 10**16)
+    v = np.array(np.divmod(v, 10**8), np.uint64)
     for bits, mul, cut, mask, div in _LANES:
         q = ((v * mul) >> cut) & mask
         v = ((v - q * div) << bits) | q
@@ -157,23 +165,23 @@ def _format_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     digits = 17 - zeros[1] - np.where(zeros[1] == 8, zeros[0], 0)
     v |= 0x3030303030303030
     words = np.array([(v[0] << 8) | (lead.astype(np.uint64) + ord("0")), (v[0] >> 56) | (v[1] << 8), v[1] >> 56])
+    del v, lead, zeros  # dropped once used, to keep a batch's peak low
     # %g: 'e' notation for k < -4 or k > 16, else fixed; below 1, the
     # digits follow "0." and -k - 1 zeros
     sci = (k < -4) | (k > 16)
     small = (k < 0) & ~sci
     point = np.where(sci, 1, np.maximum(k + 1, 0))  # digits ahead of the '.'
-    m = np.where(small, 1 - k, 0)
-    shift = neg + m
+    shift = neg + np.where(small, 1 - k, 0)  # the sign, and below 1 "0." and -k - 1 zeros
     bits = (8 * shift).astype(np.uint64)
     words[1:] = (words[1:] << bits) | (words[:2] >> (64 - bits))
-    words[0] = (words[0] << bits) | _PREFIX[6 * neg + m]
+    words[0] = (words[0] << bits) | _PREFIX[5 * neg + shift]  # 6 * neg + (shift - neg)
     dot = (digits > point) & ~small
     at = np.where(dot, point + shift, 24)
-    below, upto = np.take(_BELOW, at, axis=1), np.take(_BELOW, at + 1, axis=1)
-    moved = words << 8
-    moved[1:] |= words[:2] >> 56
-    words = (words & below) | (moved & ~upto) | ((upto ^ below) & 0x2E2E2E2E2E2E2E2E)
-    slots.view("<u8")[:, :3] = words.T
+    for j in range(3):  # a word at a time into its slot column
+        below, upto, moved = _BELOW[j, at], _BELOW[j, at + 1], words[j] << 8
+        moved |= words[j - 1] >> 56 if j else 0
+        slots.view("<u8")[:, j] = (words[j] & below) | (moved & ~upto) | ((upto ^ below) & 0x2E2E2E2E2E2E2E2E)
+    del words, below, upto, moved
     length = shift + np.maximum(digits, point) + dot + 1  # with the separator
     slots.reshape(-1)[np.arange(0, x.size * _SLOT, _SLOT) + length - 1] = _COMMA
     rows = np.flatnonzero(sci)
@@ -185,9 +193,9 @@ def _format_slots(x: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return length
 
 
-def _emit(encoded: bytearray, waiting: list, ncol: int):
+def _emit(sink, waiting: list, ncol: int):
     """Format the values of the chunks in ``waiting`` in one call, then
-    append each chunk to ``encoded`` by one gather of slot text, a row's last
+    hand each chunk to ``sink`` as one gather of slot text, a row's last
     separator turned into ``\n``.  A chunk is its cells' codes (a token, or
     len(_TOKENS) + the value's index in the batch) and its values."""
     values = np.concatenate([found for _, found in waiting])
@@ -200,11 +208,13 @@ def _emit(encoded: bytearray, waiting: list, ncol: int):
         index += np.arange(stop[-1], dtype=np.int32)
         out = np.take(slots.reshape(-1), index)
         out[stop[ncol - 1 :: ncol] - 1] = _NEWLINE
-        encoded += out.data
+        sink(out.data)
 
 
-def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=False, flags=None) -> str:
-    """CSV text ``header`` then rows ``t, v_1, ..., v_k[, flag]``.
+def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=False, flags=None, sink=None):
+    """CSV text ``header`` then rows ``t, v_1, ..., v_k[, flag]``, returned,
+    or with a ``sink`` handed to it in pieces (the header line, then each
+    chunk of rows as its batch is formatted) and never held whole.
 
     ``values`` has one leading axis over rows and is flattened row-major per
     row; complex entries become (re, im) column pairs.  With ``blank_nan`` a
@@ -216,6 +226,10 @@ def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=Fals
     cells get token codes; the others join a batch for :func:`_format_slots`
     of at most ``_BATCH_VALUES`` values (or one chunk's), for which at most
     ``_BATCH_CELLS`` cells wait."""
+    if sink is None:
+        encoded = bytearray()
+        _encode_table(header, t, values, blank_nan, flags, encoded.extend)
+        return encoded.decode("ascii")
     n = t.shape[0]
     flat = np.ascontiguousarray(values).reshape(n, -1)
     if np.iscomplexobj(flat):
@@ -224,8 +238,7 @@ def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=Fals
     step = max(1, _CHUNK_CELLS // ncol)
     # the flag column of the buffer stays +0.0: its cells never reach a batch
     buf = np.zeros((min(n, step), ncol))
-    # one growing buffer: per-chunk text objects would scatter over the heap
-    encoded = bytearray((header + "\n").encode("ascii"))
+    sink((header + "\n").encode("ascii"))
     waiting, count = [], 0
     for a in range(0, n, step):
         b = min(a + step, n)
@@ -237,7 +250,7 @@ def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=Fals
         take = (cells.view(np.int64) != 0) & ~nan
         found = cells[take]
         if waiting and (count + found.size > _BATCH_VALUES or len(waiting) * cells.size >= _BATCH_CELLS):
-            _emit(encoded, waiting, ncol)
+            _emit(sink, waiting, ncol)
             waiting, count = [], 0
         codes = np.full(cells.size, _ZERO, np.int32)
         codes[take] = np.arange(len(_TOKENS) + count, len(_TOKENS) + count + found.size)
@@ -247,33 +260,32 @@ def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=Fals
         waiting.append((codes, found))
         count += found.size
     if waiting:
-        _emit(encoded, waiting, ncol)
-    return encoded.decode("ascii")
+        _emit(sink, waiting, ncol)
 
 
-def trajectory_csv(traj: Trajectory) -> str:
+def trajectory_csv(traj: Trajectory, sink=None) -> str | None:
     d = traj.dim
     if traj.kind == "quantum":
         labels = [f"rho_{i}{j}_{part}" for i in range(d) for j in range(d) for part in ("re", "im")]
     else:
         labels = [f"p_{i}" for i in range(d)]
-    return _encode_table("t," + ",".join(labels), traj.grid.points, traj.states)
+    return _encode_table("t," + ",".join(labels), traj.grid.points, traj.states, sink=sink)
 
 
-def sampled_generator_csv(gen) -> str:
+def sampled_generator_csv(gen, sink=None) -> str | None:
     """Flattened generator samples; gap rows carry an in_gap marker."""
     dd, quantum = gen.matrix_dim, gen.kind == "quantum"
     entries = [f"_{i}_{j}" for i in range(dd) for j in range(dd)]
     labels = [f"g{e}_{part}" for e in entries for part in ("re", "im")] if quantum else [f"w{e}" for e in entries]
     header = "t," + ",".join(labels) + ",in_gap"
     values = gen.samples.astype(complex, copy=False) if quantum else np.real(gen.samples)
-    return _encode_table(header, gen.grid.points, values, flags=gen.gap_mask())
+    return _encode_table(header, gen.grid.points, values, flags=gen.gap_mask(), sink=sink)
 
 
-def rate_traces_csv(report) -> str:
+def rate_traces_csv(report, sink=None) -> str | None:
     header = "t," + ",".join(f"rate_{i}" for i in range(report.rate_traces.shape[1]))
     # a NaN rate (no rate at that point) prints as an empty cell
-    return _encode_table(header, report.grid.points, report.rate_traces, blank_nan=True)
+    return _encode_table(header, report.grid.points, report.rate_traces, blank_nan=True, sink=sink)
 
 
 def sweep_csv(result: SweepResult) -> str:

@@ -780,6 +780,14 @@ class TestGridFlags:
 
 
 class TestParameterValidation:
+    def test_overflowing_nbar_is_named(self, tmp_path, capsys):
+        """2 nbar + 1 overflows for nbar = 1e308: a config error naming nbar."""
+        config = write_config(tmp_path, {"model": {"name": "amplitude_damping_qubit", "params": {"nbar": 1e308}}})
+        assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "nbar" in err and "trace" in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_unknown_sweep_axis_exits_2_before_any_row(self, tmp_path, monkeypatch):
         import backflow_lab.phase_diagram as pd
 

@@ -16,7 +16,15 @@ from backflow_lab import (
     psd_sqrt,
     vectorize,
 )
-from backflow_lab.linalg import commutator_superop, dissipator_superop, hermitian_spectra, left_right_superop
+from backflow_lab.linalg import (
+    carrier_dim,
+    commutator_superop,
+    conservation_row,
+    conservation_sums,
+    dissipator_superop,
+    hermitian_spectra,
+    left_right_superop,
+)
 from backflow_lab.models import SIGMA_MINUS
 from _oracles import random_density_matrix
 
@@ -197,6 +205,30 @@ def kron_builds(op):
     commutator = -1j * (np.kron(eye, op) - np.kron(op.T, eye))
     dissipator = np.kron(op.conj(), op) - 0.5 * np.kron(eye, ldl) - 0.5 * np.kron(ldl.T, eye)
     return commutator, dissipator
+
+
+class TestConservationSums:
+    """The rows u selects, added in row order, keep the bits of the product
+    with u on real and complex stacks."""
+
+    @pytest.mark.parametrize("kind, dim", [("quantum", 2), ("quantum", 3), ("classical", 2), ("classical", 3)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bits_of_the_product_with_u(self, kind, dim, dtype):
+        dd = carrier_dim(kind, dim)
+        rng = np.random.default_rng(dd)
+        stack = rng.standard_normal((257, dd, dd)) * 10.0 ** rng.integers(-12, 12, (257, dd, dd))
+        if dtype is complex:
+            stack = stack + 1j * rng.standard_normal((257, dd, dd))
+        want = conservation_row(kind, dim) @ stack
+        got = conservation_sums(stack, kind, dim)
+        assert got.dtype == want.dtype and np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_fresh_array_from_a_read_only_stack(self):
+        stack = np.eye(4)[None].repeat(3, axis=0)
+        stack.setflags(write=False)
+        sums = conservation_sums(stack, "quantum", 2)
+        sums -= conservation_row("quantum", 2)
+        assert not sums.any() and not np.shares_memory(sums, stack)
 
 
 class TestSuperopBuilders:

@@ -21,7 +21,8 @@ from backflow_lab import (
     solve_tc,
     trace_distance,
 )
-from backflow_lab.models import MODEL_REGISTRY, amplitude_damping_qubit, model_schemas
+from backflow_lab import linalg
+from backflow_lab.models import MODEL_REGISTRY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, amplitude_damping_qubit, model_schemas
 
 
 class TestMarkovTwoState:
@@ -260,6 +261,34 @@ class TestAmplitudeDamping:
         model = amplitude_damping_qubit(gamma=1.0, nbar=0.2)
         traj = solve_tcl(model.tcl_generator, model.initial_state, TimeGrid.uniform(1e-3, 16.0))
         assert np.max(np.abs(traj.states[-1] - model.reference_state.entries)) < 1e-5
+
+
+class TestConstantDissipators:
+    """The models' dissipators are built once, read-only, with the bits of
+    a fresh build; building a model builds none."""
+
+    def test_read_only_fresh_builds(self):
+        import backflow_lab.models as models
+
+        builds = [(models._D_MINUS, SIGMA_MINUS), (models._D_PLUS, SIGMA_PLUS), (models._D_DEPHASING, SIGMA_Z / np.sqrt(2.0))]
+        for built, jump in builds:
+            assert not built.flags.writeable
+            assert np.array_equal(built.view(np.uint8), linalg.dissipator_superop(jump).view(np.uint8))
+
+    def test_models_build_no_dissipator(self, monkeypatch):
+        monkeypatch.setattr(linalg, "dissipator_superop", lambda jump: pytest.fail("a dissipator was built"))
+        for rate_kind in ("constant", "sinusoidal"):
+            build_model("dephasing_qubit", {"rate_kind": rate_kind}).tcl_generator.evaluate(np.array([0.0, 0.5]))
+        g = amplitude_damping_qubit(gamma=1.5, nbar=0.3).tcl_generator.evaluate(np.array([0.0]))[0]
+        monkeypatch.undo()
+        want = 1.5 * (0.3 + 1.0) * linalg.dissipator_superop(SIGMA_MINUS)
+        want = want + 1.5 * 0.3 * linalg.dissipator_superop(SIGMA_PLUS)
+        assert np.array_equal(g.view(np.uint8), want.view(np.uint8))
+
+    def test_overflowing_nbar_is_named(self):
+        with pytest.raises(InvalidStateError, match="nbar.*trace"):
+            build_model("amplitude_damping_qubit", {"nbar": 1e308})
+        build_model("amplitude_damping_qubit", {"nbar": 8e307})  # 2 nbar + 1 is still finite
 
 
 class TestRegistry:

@@ -1,12 +1,14 @@
 from types import SimpleNamespace
 
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from backflow_lab import InfoSeries, TimeGrid, Trajectory, serialize
+from backflow_lab import InfoSeries, TimeGrid, Trajectory, cli, serialize
 from backflow_lab.generator_analysis import SampledGenerator, extract_tcl_generator
 from backflow_lab.models import dephasing_qubit
 from backflow_lab.propagation import build_propagator
@@ -404,3 +406,111 @@ class TestAtomicWrites:
         write_text_atomic(str(target), "one\n")
         write_text_atomic(str(target), "two\n")
         assert target.read_text() == "two\n"
+
+
+class TestStreamedTables:
+    """A table handed to a sink is written in pieces as it is encoded; the
+    file holds exactly the bytes of the returned text."""
+
+    def stream(self, path, table, obj):
+        """Stream ``table(obj)`` to ``path``; return the file's bytes and
+        the sizes of the pieces the sink was handed."""
+        pieces = []
+
+        def writer(sink):
+            def recording(piece):
+                pieces.append(len(piece))
+                sink(piece)
+
+            assert table(obj, recording) is None
+
+        serialize.write_atomic(str(path), writer)
+        return path.read_bytes(), pieces
+
+    def check(self, tmp_path, table, obj):
+        text = table(obj)
+        data, pieces = self.stream(tmp_path / "table.csv", table, obj)
+        assert data == text.encode("ascii") and sum(pieces) == len(data)
+        assert [p.suffix for p in tmp_path.iterdir()] == [".csv"]
+        return text, pieces
+
+    def test_one_row(self, tmp_path):
+        report = SimpleNamespace(grid=SimpleNamespace(points=np.array([0.5])), rate_traces=np.array([[-0.0, np.nan, 1e300]]))
+        text, pieces = self.check(tmp_path, rate_traces_csv, report)
+        assert text == "t,rate_0,rate_1,rate_2\n0.5,-0,,1.0000000000000001e+300\n" and len(pieces) == 2
+
+    def test_shorter_than_a_chunk(self, tmp_path):
+        grid = TimeGrid.uniform(0.5, 5.0)
+        states = np.random.default_rng(9).dirichlet(np.ones(3), size=grid.n)
+        states[0] = [1.0, -0.0, 0.0]
+        text, pieces = self.check(tmp_path, trajectory_csv, Trajectory(grid, states, "classical"))
+        assert text.startswith("t,p_0,p_1,p_2\n0,1,-0,0\n") and len(pieces) == 2
+
+    def test_classical_trajectory_over_several_chunks(self, tmp_path):
+        n = _CHUNK_CELLS // 2 + 37
+        states = np.random.default_rng(10).dirichlet(np.ones(3), size=n)
+        traj = Trajectory(TimeGrid.uniform(0.25, 0.25 * (n - 1)), states, "classical")
+        text, pieces = self.check(tmp_path, trajectory_csv, traj)
+        assert text == trajectory_csv_reference(traj)
+        assert len(pieces) == 1 + -(-n // (_CHUNK_CELLS // 4)) and max(pieces) < len(text) / 2
+
+    def test_rates_over_several_batches_with_blank_cells(self, tmp_path):
+        # every cell but the blanks is a value: a batch holds one 8192-cell chunk
+        n = 3 * _BATCH_VALUES // 4 + 11
+        rates = np.random.default_rng(11).standard_normal((n, 3))
+        rates[40:90] = np.nan
+        rates[100, 1] = rates[-1, 0] = np.nan
+        report = SimpleNamespace(grid=TimeGrid.uniform(0.25, 0.25 * (n - 1)), rate_traces=rates)
+        text, pieces = self.check(tmp_path, rate_traces_csv, report)
+        assert text == rate_traces_csv_reference(report) and "\n10,,,\n" in text
+        assert len(pieces) == 1 + -(-n // (_CHUNK_CELLS // 4)) >= 4
+
+    def test_complex_generator_with_gap_flags(self, tmp_path):
+        n = _CHUNK_CELLS // 2 + 37
+        rng = np.random.default_rng(12)
+        samples = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+        samples.reshape(-1)[: SPECIAL.size] = SPECIAL
+        gen = SampledGenerator(TimeGrid.uniform(0.25, 0.25 * (n - 1)), samples, "quantum", 2, ((10.0, 20.5),))
+        text, pieces = self.check(tmp_path, sampled_generator_csv, gen)
+        assert text == sampled_generator_csv_reference(gen)
+        assert text.count(",true\n") == int(gen.gap_mask().sum()) > 0 and len(pieces) > 3
+
+    def test_failed_stream_leaves_the_old_file(self, tmp_path):
+        target = tmp_path / "table.csv"
+        write_text_atomic(str(target), "old\n")
+
+        def failing(sink):
+            sink(b"t,rate_0\n")
+            raise RuntimeError("stopped mid-table")
+
+        with pytest.raises(RuntimeError, match="mid-table"):
+            serialize.write_atomic(str(target), failing)
+        assert target.read_text() == "old\n" and [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+
+    def test_cli_generator_table_is_never_held_whole(self, tmp_path, monkeypatch):
+        """The cli-mixed extraction (sinusoidal dephasing, dt 1e-3, t_max
+        40): while generator.csv is written, traced memory rises at most
+        2 MiB above what is held when it starts (the sample table among
+        it), against more than 3.5 MiB of text."""
+        config = tmp_path / "dephasing.json"
+        params = {"rate_kind": "sinusoidal", "lam": 1.0, "amplitude": 1.5, "frequency": 1.0}
+        config.write_text(json.dumps({"model": {"name": "dephasing_qubit", "params": params}, "grid": {"dt": 1e-3, "t_max": 40.0}}))
+        seen = []
+        real = serialize.sampled_generator_csv
+
+        def traced(gen, *args, **kwargs):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = real(gen, *args, **kwargs)
+            seen.append((held, tracemalloc.get_traced_memory()[1] - held, gen.samples.nbytes))
+            return out
+
+        monkeypatch.setattr(serialize, "sampled_generator_csv", traced)
+        tracemalloc.start()
+        try:
+            assert cli.main(["extract", "--config", str(config), "--out", str(tmp_path)]) == 0
+        finally:
+            tracemalloc.stop()
+        [(held, rise, table)] = seen
+        assert held > table and (tmp_path / "generator.csv").stat().st_size > 3.5 * 2**20
+        assert rise <= 2 * 2**20, rise / 2**20
