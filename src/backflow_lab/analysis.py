@@ -32,7 +32,7 @@ from typing import Callable
 
 from .errors import ConfigError, ContractViolationError
 from .generator_analysis import DivisibilityReport, SampledGenerator, check_divisible, extract_tcl_generator
-from .information import REFERENCE_TAGS, InfoSeries, backflow_functional, series_from_trajectory
+from .information import REFERENCE_TAGS, InfoSeries, _backflow, backflow_functional, series_from_trajectory
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
 from .propagation import _finalize_trajectory, _initial_vector, apply_family, build_propagator, solve_tc, tcl_pass
@@ -134,13 +134,8 @@ def check_split_grid(grid: TimeGrid):
 
 
 def _half_grid_backflow(series: InfoSeries) -> float:
-    sub = InfoSeries(
-        TimeGrid(series.grid.points[::2]),
-        series.values[::2],
-        series.measure_tag,
-        series.skip_intervals,
-    )
-    return backflow_functional(sub)
+    # every other point's skip mask is the full mask's: each point is tested alone
+    return _backflow(series.values[::2], series.skipped()[::2], series.measure_tag)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import analysis, serialize
+from . import analysis, linalg, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
 from .generator_analysis import RATE_TOLERANCE, check_divisible
 from .information import check_measure_fit, check_measure_tags
@@ -181,7 +181,7 @@ def cmd_simulate(config: dict, args) -> int:
     serialize.write_atomic(os.path.join(out_dir, "trajectory.csv"), lambda sink: serialize.trajectory_csv(traj, sink))
     if traj.kind == "quantum":
         traces = np.einsum("nii->n", traj.states).real
-        herm = float(np.max(np.abs(traj.states - traj.states.conj().transpose(0, 2, 1)))) / 2
+        herm = float(np.max(linalg.hermiticity_defects(traj.states)))
         min_eig = float(np.min(traj.spectrum[:, 0]))
     else:
         traces = traj.states.sum(axis=1)

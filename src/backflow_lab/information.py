@@ -243,15 +243,18 @@ def backflow_functional(series: InfoSeries) -> float:
     adding a constant.  Pairs separated by a skip interval do not
     contribute.
     """
-    mask = series.skipped()
+    return _backflow(series.values, series.skipped(), series.measure_tag)
+
+
+def _backflow(values: np.ndarray, mask: np.ndarray, tag: str) -> float:
     if mask.size - np.count_nonzero(mask) < 2:
         raise ContractViolationError(
-            f"backflow of {series.measure_tag!r} needs two points outside the skip intervals (gaps or non-finite "
+            f"backflow of {tag!r} needs two points outside the skip intervals (gaps or non-finite "
             f"values), but {np.count_nonzero(mask)} of {mask.size} are skipped"
         )
     # skipped values may be +inf: zeroed, they leave the counted pairs'
     # increments as they are and raise no warning in the difference
-    vals = np.where(mask, 0.0, series.values)
+    vals = np.where(mask, 0.0, values)
     ok_pair = (~mask[:-1]) & (~mask[1:])
     inc = np.diff(vals)
     rises = np.where(ok_pair, np.clip(inc, 0.0, None), 0.0)

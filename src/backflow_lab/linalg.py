@@ -46,11 +46,17 @@ def hermitian_eig(m: np.ndarray):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-    defect = float(np.max(np.abs(m - m.conj().T))) / 2.0
+    defect = float(hermiticity_defects(m[None])[0])
     if not defect <= HERMITICITY_TOL:
         raise ContractViolationError(f"matrix is not Hermitian within {HERMITICITY_TOL:g} (defect {defect:.3e})")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def hermiticity_defects(stack: np.ndarray) -> np.ndarray:
+    """max|A - A^H|/2 per matrix of an (n, d, d) stack, read on and above the diagonal only."""
+    iu, ju = np.triu_indices(stack.shape[-1])
+    return np.abs(stack[:, iu, ju] - stack[:, ju, iu].conj()).max(axis=1) / 2.0
 
 
 _EPS = np.finfo(float).eps / 2  # LAPACK's dlamch('E')

@@ -36,10 +36,9 @@ from .propagation import (
     rk4_power_table,
 )
 from .special_functions import ml_envelope_grid
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _trusted
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _hermitian_trajectory, _trusted
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)  # |0><1|
 SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -75,7 +74,7 @@ def _two_state_trajectory(grid: TimeGrid, p: np.ndarray, c: np.ndarray) -> Traje
     states[:, 1, 1] = 1.0 - p
     states[:, 0, 1] = c
     states[:, 1, 0] = np.conj(c)
-    return Trajectory(grid, states, "quantum")
+    return _hermitian_trajectory(grid, states)
 
 
 def _envelope_model(
@@ -290,7 +289,7 @@ def dephasing_qubit(
         states[:, 1, 1] = rho0.entries[1, 1]
         states[:, 0, 1] = rho0.entries[0, 1] * fv
         states[:, 1, 0] = rho0.entries[1, 0] * np.conj(fv)
-        return Trajectory(grid, states, "quantum")
+        return _hermitian_trajectory(grid, states)
 
     reference = _constant(DensityMatrix, np.diag([rho0.entries[0, 0].real, rho0.entries[1, 1].real]).astype(complex))
     return ModelSpec(

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError, IntegrationDivergedError, InvalidStateError
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _numeric
+from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _hermitian_trajectory, _numeric
 
 TRACE_DRIFT_TOL = 1e-8
 TC_NORMALIZATION_TOL = 1e-6
@@ -342,7 +342,7 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
     # a state outside its state set (the simplex or the PSD cone) is a
     # numerical failure on every route, at the time of that state
     try:
-        return Trajectory(grid, states, kind)
+        return _hermitian_trajectory(grid, states) if kind == "quantum" else Trajectory(grid, states, kind)
     except InvalidStateError as exc:
         raise IntegrationDivergedError(str(exc), time=exc.time) from exc
 

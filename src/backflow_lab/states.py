@@ -1,9 +1,9 @@
 """Value types: states, time grids and trajectories.
 
 All types are immutable after construction (backing arrays are marked
-read-only) and validate their invariants eagerly, so anything downstream
-can trust a constructed instance; only package code skips the check, by
-:func:`_trusted`, for values it built from inputs it had checked.
+read-only) and validate their invariants eagerly; package code skips the
+check only by :func:`_trusted`, for values built from checked inputs, and
+by :func:`_hermitian_trajectory`, for quantum trajectories built Hermitian.
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ class Trajectory:
     quantum, (n, m) float for classical.  Construction is the one check of
     the state set, :func:`_check_states`, with trace (sum) within
     ``TRAJECTORY_TRACE_TOL`` and entries above ``TRAJECTORY_PROB_FLOOR``; a
-    state outside the set raises :class:`InvalidStateError` naming its time.
+    state outside the set raises :class:`InvalidStateError` naming its time
+    (package-built Hermitian ones come from :func:`_hermitian_trajectory`, same result).
 
     The eigenvalues of the check are kept as ``spectrum``, (n, d) float
     ascending (:func:`linalg.hermitian_spectra`), so the information
@@ -210,16 +211,42 @@ class Trajectory:
         return self.states.shape[1]
 
 
+_at = lambda ts, i: "" if ts is None else f" at t={ts[i]:g}"
+_time = lambda ts, i: None if ts is None else float(ts[i])
+
+
+def _require_finite(arr: np.ndarray, ts: np.ndarray | None):
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite.reshape(arr.shape[0], -1).all(axis=1)))
+        raise InvalidStateError(f"state{_at(ts, i)} has a non-finite entry", time=_time(ts, i))
+
+
+def _psd_spectra(arr: np.ndarray, ts: np.ndarray | None) -> np.ndarray:
+    spectrum = linalg.hermitian_spectra(arr)
+    i = np.argmin(spectrum[:, 0])
+    if spectrum[i, 0] < PSD_FLOOR:
+        raise InvalidStateError(f"state{_at(ts, i)} has eigenvalue {spectrum[i, 0]:.3e}", time=_time(ts, i))
+    return _freeze(spectrum)
+
+
+def _hermitian_trajectory(grid: TimeGrid, states: np.ndarray) -> Trajectory:
+    """Quantum :class:`Trajectory` of (n, d, d) ``states`` that finalize and the two-state and dephasing
+    closed forms build exactly Hermitian, trace 1 within rounding: checked for the finite and PSD rules only."""
+    _require_finite(states, grid.points)
+    spectrum = _psd_spectra(states, grid.points)
+    return _trusted(Trajectory, grid=grid, states=_freeze(states), kind="quantum", spectrum=spectrum)
+
+
 def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor: float):
     """The one check of a state set, batched over a stack of ``kind``
     states, (n, d, d) complex or (n, m) float: a rectangular numeric array
     (real, for classical states), the kind and the dimension cap
-    (:func:`linalg.carrier_dim`), the shape, finite entries (no later
-    check sees through a NaN: it compares false), Hermiticity within
-    ``HERMITICITY_TOL``, trace (sum) within ``trace_tol``, and eigenvalues
-    above ``PSD_FLOOR`` (entries above ``floor``).  Returns the read-only
-    states and, for quantum ones, their ascending spectra
-    (:func:`linalg.hermitian_spectra`), else None.
+    (:func:`linalg.carrier_dim`), the shape, finite entries (no later check
+    sees through a NaN), Hermiticity within ``HERMITICITY_TOL``, trace (sum)
+    within ``trace_tol``, and eigenvalues above ``PSD_FLOOR`` (entries above
+    ``floor``).  Returns the read-only states and, for quantum ones, their
+    ascending spectra (:func:`linalg.hermitian_spectra`), else None.
 
     The first state outside the set raises :class:`InvalidStateError`
     naming its time in ``ts``; a single state is a one-row stack with
@@ -233,33 +260,23 @@ def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor
     if arr.shape != (n,) + arr.shape[-1:] * (1 + quantum):
         form = "d, d) quantum" if quantum else "m) classical"
         raise ContractViolationError(f"expected ({n}, {form} states, got {arr.shape}")
-    at = lambda i: "" if ts is None else f" at t={ts[i]:g}"
-    time = lambda i: None if ts is None else float(ts[i])
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite.reshape(n, -1).all(axis=1)))
-        raise InvalidStateError(f"state{at(i)} has a non-finite entry", time=time(i))
+    _require_finite(arr, ts)
     if not quantum:
         if np.min(arr) < floor:
             i = np.unravel_index(np.argmin(arr), arr.shape)[0]
-            raise InvalidStateError(f"negative probability{at(i)}: {np.min(arr):.3e}", time=time(i))
+            raise InvalidStateError(f"negative probability{_at(ts, i)}: {np.min(arr):.3e}", time=_time(ts, i))
         sums = arr.sum(axis=1)
         i = np.argmax(np.abs(sums - 1.0))
         if abs(sums[i] - 1.0) > trace_tol:
-            raise InvalidStateError(f"state{at(i)} sums to {sums[i]}", time=time(i))
+            raise InvalidStateError(f"state{_at(ts, i)} sums to {sums[i]}", time=_time(ts, i))
         return _freeze(arr), None
-    skew = np.abs(arr - arr.conj().transpose(0, 2, 1))
-    defect = float(np.max(skew)) / 2.0
-    if defect > HERMITICITY_TOL:
-        i = np.unravel_index(np.argmax(skew), skew.shape)[0]
+    defects = linalg.hermiticity_defects(arr)
+    i = np.argmax(defects)
+    if defects[i] > HERMITICITY_TOL:
         where = "" if ts is None else " in trajectory"
-        raise InvalidStateError(f"non-Hermitian state{where} (defect {defect:.3e})", time=time(i))
+        raise InvalidStateError(f"non-Hermitian state{where} (defect {defects[i]:.3e})", time=_time(ts, i))
     traces = np.einsum("nii->n", arr)
     i = np.argmax(np.abs(traces - 1.0))
     if abs(traces[i] - 1.0) > trace_tol:
-        raise InvalidStateError(f"state{at(i)} has trace {traces[i]}", time=time(i))
-    spectrum = linalg.hermitian_spectra(arr)
-    i = np.argmin(spectrum[:, 0])
-    if spectrum[i, 0] < PSD_FLOOR:
-        raise InvalidStateError(f"state{at(i)} has eigenvalue {spectrum[i, 0]:.3e}", time=time(i))
-    return _freeze(arr), _freeze(spectrum)
+        raise InvalidStateError(f"state{_at(ts, i)} has trace {traces[i]}", time=_time(ts, i))
+    return _freeze(arr), _psd_spectra(arr, ts)

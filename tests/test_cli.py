@@ -289,11 +289,16 @@ class TestRoutes:
         ],
     )
     def test_extract_and_divisibility_build_no_trajectory(self, tmp_path, monkeypatch, model, route):
-        from backflow_lab.states import Trajectory
+        from backflow_lab import models, propagation
+        from backflow_lab.states import Trajectory, _hermitian_trajectory
 
         built = []
         validate = Trajectory.__post_init__
         monkeypatch.setattr(Trajectory, "__post_init__", lambda self: built.append(1) or validate(self))
+        # quantum trajectories the package builds Hermitian skip __post_init__
+        trusted = lambda grid, states: built.append(1) or _hermitian_trajectory(grid, states)
+        for module in (models, propagation):
+            monkeypatch.setattr(module, "_hermitian_trajectory", trusted)
         config = write_config(tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 2.0}, "route": route})
         for command in ("extract", "divisibility"):
             assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 0

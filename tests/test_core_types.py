@@ -23,9 +23,13 @@ from backflow_lab.linalg import (
     conservation_sums,
     dissipator_superop,
     hermitian_spectra,
+    hermiticity_defects,
     left_right_superop,
 )
-from backflow_lab.models import SIGMA_MINUS
+from backflow_lab import models, propagation
+from backflow_lab.errors import IntegrationDivergedError
+from backflow_lab.models import SIGMA_MINUS, build_model
+from backflow_lab.states import _hermitian_trajectory
 from _oracles import random_density_matrix
 
 
@@ -511,6 +515,113 @@ class TestTrajectory:
             assert not traj.spectrum.flags.writeable
             np.testing.assert_allclose(traj.spectrum, np.linalg.eigvalsh(states), rtol=0.0, atol=1e-15)
         assert Trajectory(grid, np.array([[0.5, 0.5]] * grid.n), "classical").spectrum is None
+
+
+def _spied(module, states_out, call):
+    """``call()``'s trajectory or numerical error, with ``module``'s
+    ``_hermitian_trajectory`` spied on: the states it was handed go to
+    ``states_out``."""
+
+    def spy(grid, states):
+        states_out.append(states.copy())
+        return _hermitian_trajectory(grid, states)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_hermitian_trajectory", spy)
+        try:
+            return call()
+        except (IntegrationDivergedError, InvalidStateError) as exc:
+            return exc
+
+
+def _assert_as_full_check(got, grid, states):
+    """``got``, from ``_hermitian_trajectory(grid, states)``, is the full
+    check's trajectory bit for bit, or its error: class, message and time
+    (through finalize, as the cause of an IntegrationDivergedError)."""
+    try:
+        full = Trajectory(grid, states, "quantum")
+    except InvalidStateError as exc:
+        err = got.__cause__ if isinstance(got, IntegrationDivergedError) else got
+        assert type(err) is InvalidStateError
+        assert (str(err), err.time) == (str(exc), exc.time)
+        assert (str(got), got.time) == (str(exc), exc.time)
+        return
+    assert isinstance(got, Trajectory) and got.kind == "quantum" and got.grid is grid
+    for a, b in ((got.states, full.states), (got.spectrum, full.spectrum)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    assert np.max(hermiticity_defects(got.states)) == 0.0
+    traces = np.einsum("nii->n", got.states)
+    assert np.max(np.abs(traces - 1.0)) <= 8 * np.finfo(float).eps
+
+
+class TestHermitianTrajectory:
+    """Quantum states the package built Hermitian skip the Hermiticity and
+    trace tests of the full check, and nothing else changes: finalize's
+    (S + S^H)/2 over its real trace, and the two-state and dephasing closed
+    forms, give the full check's trajectory, or its error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(2, 30),
+        st.integers(0, 2**31 - 1),
+        st.sampled_from(["none", "nan", "negative"]),
+        st.floats(1e-12, 0.5),
+    )
+    def test_finalize(self, d, n, seed, defect, size):
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid.uniform(0.1, 0.1 * (n - 1))
+        n = grid.n
+        w = rng.random((n, d)) ** 4  # some eigenvalues close to 0
+        w /= w.sum(axis=1, keepdims=True)
+        k = int(rng.integers(n))
+        if defect == "negative":
+            w[k] = np.eye(d)[0] * (1.0 + size) - np.eye(d)[1] * size
+        u = np.linalg.qr(rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))[0]
+        states = (u * w[:, None, :]) @ u.conj().transpose(0, 2, 1)
+        states += 1e-10 * size * (rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d)))
+        states *= 1.0 + 1e-9 * rng.uniform(-1.0, 1.0, (n, 1, 1))  # trace drift below TRACE_DRIFT_TOL
+        raw = states.transpose(0, 2, 1).reshape(n, d * d)  # column-stacked
+        if defect == "nan":
+            raw[k, rng.integers(d * d)] = np.nan
+        handed = []
+        got = _spied(propagation, handed, lambda: propagation._finalize_trajectory(raw, grid, "quantum", d))
+        assert len(handed) == 1
+        _assert_as_full_check(got, grid, handed[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["markov_two_state", "fractional_two_state", "dephasing_qubit"]),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(0.05, 1.0),
+        st.floats(0.1, 5.0),
+        st.sampled_from(["constant", "sinusoidal", "cosine_f"]),
+        st.floats(-20.0, 20.0),
+    )
+    def test_closed_forms(self, name, p0, p_eq, alpha, lam, rate_kind, amplitude):
+        if name == "dephasing_qubit":
+            model = build_model(name, dict(rate_kind=rate_kind, lam=lam, amplitude=amplitude))
+        else:
+            extra = {"alpha": alpha} if name == "fractional_two_state" else {}
+            model = build_model(name, dict(lam=lam, omega=3.0 * lam, p0=p0, p_eq=p_eq, **extra))
+        grid = TimeGrid.uniform(0.05, 4.0)
+        handed = []
+        got = _spied(models, handed, lambda: model.trajectory_fn(grid))
+        assert len(handed) == 1
+        _assert_as_full_check(got, grid, handed[0])
+
+    def test_hermiticity_defects_are_the_full_form(self):
+        """max|A - A^H|/2 per matrix, bit for bit, on finite stacks of
+        every size, Hermitian or not."""
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 5):
+            a = rng.standard_normal((64, d, d)) * 10.0 ** rng.integers(-300, 300, (64, 1, 1))
+            a = a + 1j * rng.standard_normal((64, d, d))
+            a[::2] = (a[::2] + a[::2].conj().transpose(0, 2, 1)) / 2.0
+            full = np.max(np.abs(a - a.conj().transpose(0, 2, 1)), axis=(1, 2)) / 2.0
+            assert hermiticity_defects(a).tobytes() == full.tobytes()
 
 
 class TestTimeGridWithin:
