@@ -110,16 +110,10 @@ def series_cache(traj: Trajectory, reference, gaps=()) -> Callable[[str], InfoSe
     def series(tag: str) -> InfoSeries:
         if tag not in cache:
             if tag in ("s_cl", "s_qe"):
-                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(
-                    traj, skip_intervals=gaps
-                )
+                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(traj, skip_intervals=gaps)
             else:
-                cache[tag] = series_from_trajectory(
-                    traj,
-                    tag,
-                    reference=reference if tag in REFERENCE_TAGS else None,
-                    skip_intervals=gaps,
-                )
+                ref = reference if tag in REFERENCE_TAGS else None
+                cache[tag] = series_from_trajectory(traj, tag, reference=ref, skip_intervals=gaps)
         return cache[tag]
 
     return series
@@ -144,6 +138,7 @@ class PointReport:
     half-grid error estimates |N(h) - N(2h)| of ``split.n_cl`` and
     ``split.n_qe``."""
 
+    trajectory: Trajectory
     divisibility: DivisibilityReport | None  # None without a propagator
     series: Callable[[str], InfoSeries]  # memoized, generator gaps skipped
     backflow: dict  # measure tag -> accumulated backflow
@@ -181,4 +176,4 @@ def analyze(model: ModelSpec, grid: TimeGrid, route, measures, epsilon_n: float,
         n_cl = backflow_functional(kl)
         split = DecomposedBackflow(n_cl, n_cl, 0.0, classify(n_cl, 0.0, epsilon_n))
         errors = (abs(n_cl - _half_grid_backflow(kl)), 0.0)
-    return PointReport(divisibility, series, backflow, split, errors)
+    return PointReport(traj, divisibility, series, backflow, split, errors)

@@ -5,9 +5,11 @@ Commands: ``simulate``, ``extract``, ``divisibility``, ``backflow``,
 applies dotted-path overrides (``--set a.b.c=value`` plus the ``--dt`` and
 ``--t-max`` shortcuts, and ``--threads`` on ``phase-diagram``), checks its
 keys against :data:`CONFIG_KEYS` (unknown keys are rejected), runs, and
-writes outputs atomically under ``--out``.  ``route`` is resolved by
-:func:`analysis.propagate` in every command that takes it; ``backflow``
-formats the :func:`analysis.analyze` report that a sweep row also formats.
+writes outputs atomically under ``--out`` (checked first: an ``--out`` that
+is not, and cannot be made, a directory is a config error).  ``route`` is
+resolved by :func:`analysis.propagate` in every command that takes it;
+``backflow`` formats the :func:`analysis.analyze` report that a sweep row
+also formats.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -169,6 +171,15 @@ def _generator(config: dict, model, grid: TimeGrid):
     if sampled is None:
         raise ConfigError(f"model {model.name} offers no propagator route")
     return sampled
+
+
+def _check_out(path: str):
+    """Raise :class:`ConfigError` unless ``--out`` is, or can be made, a directory."""
+    probe = os.path.abspath(path)
+    while not os.path.lexists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {path}: {probe} exists and is not a directory")
 
 
 # ---------------------------------------------------------------- commands
@@ -339,6 +350,7 @@ def main(argv=None) -> int:
         "phase-diagram": cmd_phase_diagram,
     }
     try:
+        _check_out(args.out)
         config = load_config(args.config, args.overrides)
         _validate_keys(config, CONFIG_KEYS[args.command])
         return handlers[args.command](config, args)

@@ -8,6 +8,7 @@ can keep going.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,10 +80,15 @@ class InfoSeries:
             raise ContractViolationError("non-finite value outside skip intervals")
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "skip_intervals", skips)
+        object.__setattr__(self, "_mask", _freeze(mask))
 
     def skipped(self) -> np.ndarray:
-        """Boolean mask of grid points inside skip intervals."""
-        return self.grid.within(self.skip_intervals)
+        """Read-only boolean mask of grid points inside skip intervals."""
+        return self._mask
+
+    @functools.cached_property
+    def _backflow_sum(self) -> float:  # summed once, on first read
+        return _backflow(self.values, self._mask, self.measure_tag)
 
     def has_infinite(self) -> bool:
         return bool(np.any(np.isinf(self.values)))
@@ -241,9 +247,9 @@ def backflow_functional(series: InfoSeries) -> float:
 
     Exactly zero for monotone non-increasing samples and invariant under
     adding a constant.  Pairs separated by a skip interval do not
-    contribute.
+    contribute.  Each series sums it once, on first read.
     """
-    return _backflow(series.values, series.skipped(), series.measure_tag)
+    return series._backflow_sum
 
 
 def _backflow(values: np.ndarray, mask: np.ndarray, tag: str) -> float:

@@ -1,7 +1,7 @@
 """Built-in analytically anchored minimal models.
 
 Every model is a :class:`ModelSpec` bundling its parameters with the
-capabilities it can provide (closed-form series, memory kernel, time-local
+capabilities it can provide (closed-form trajectory, memory kernel, time-local
 generator, exact propagator, higher-dimensional embedding), so the rest of
 the pipeline is capability-driven rather than model-aware.
 
@@ -49,7 +49,8 @@ _D_DEPHASING = _freeze(linalg.dissipator_superop(SIGMA_Z / np.sqrt(2.0)))
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named model instance plus everything it knows how to produce."""
+    """A named model instance plus everything it knows how to produce.  A
+    point's series (b_qe = |rho_01|^2 among them) are read off its trajectory."""
 
     name: str
     kind: str
@@ -60,21 +61,11 @@ class ModelSpec:
     reference_state: object = field(default=None, repr=False, compare=False)
     trajectory_fn: Callable | None = field(default=None, repr=False, compare=False)
     propagator_fn: Callable | None = field(default=None, repr=False, compare=False)
-    b_qe_fn: Callable | None = field(default=None, repr=False, compare=False)
 
 
 def _constant(cls, entries: np.ndarray):
     """``cls(entries)`` unchecked (:func:`states._trusted`), valid by construction from checked parameters."""
     return _trusted(cls, entries=_freeze(entries))
-
-
-def _two_state_trajectory(grid: TimeGrid, p: np.ndarray, c: np.ndarray) -> Trajectory:
-    states = np.empty((grid.n, 2, 2), dtype=complex)
-    states[:, 0, 0] = p
-    states[:, 1, 1] = 1.0 - p
-    states[:, 0, 1] = c
-    states[:, 1, 0] = np.conj(c)
-    return _hermitian_trajectory(grid, states)
 
 
 def _envelope_model(
@@ -89,12 +80,11 @@ def _envelope_model(
     def trajectory(grid: TimeGrid) -> Trajectory:
         env = env_fn(grid.points)
         p = p_eq + (p0 - p_eq) * env
-        c = 0.5 * env * np.sin(omega * grid.points)
-        return _two_state_trajectory(grid, p, c)
-
-    def b_qe(ts: np.ndarray) -> np.ndarray:
-        env = env_fn(np.asarray(ts, dtype=float))
-        return 0.25 * env**2 * np.sin(omega * np.asarray(ts)) ** 2
+        states = np.empty((grid.n, 2, 2), dtype=complex)
+        states[:, 0, 0] = p
+        states[:, 1, 1] = 1.0 - p
+        states[:, 0, 1] = states[:, 1, 0] = 0.5 * env * np.sin(omega * grid.points)  # c(t), real
+        return _hermitian_trajectory(grid, states)
 
     reference = _constant(DensityMatrix, np.diag([p_eq, 1.0 - p_eq]).astype(complex))
     initial = _constant(DensityMatrix, np.array([[p0, 0.0], [0.0, 1.0 - p0]], dtype=complex))
@@ -105,7 +95,6 @@ def _envelope_model(
         initial_state=initial,
         reference_state=reference,
         trajectory_fn=trajectory,
-        b_qe_fn=b_qe,
     )
 
 
@@ -301,7 +290,6 @@ def dephasing_qubit(
         reference_state=reference,
         trajectory_fn=trajectory,
         propagator_fn=exact_propagator,
-        b_qe_fn=lambda ts: np.abs(rho0.entries[0, 1] * f(ts)) ** 2,
     )
 
 

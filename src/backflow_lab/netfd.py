@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractViolationError
-from .information import InfoSeries, _backflow
+from .information import InfoSeries, _backflow, backflow_functional
 from .states import DensityMatrix, Trajectory, _freeze, _numeric
 
 ROUNDTRIP_TOL = 1e-10
@@ -175,10 +175,8 @@ def decomposed_backflow(
         raise ContractViolationError("series must share a grid")
     if tuple(s_cl_series.skip_intervals) != tuple(s_qe_series.skip_intervals):
         raise ContractViolationError("series must share skip intervals")
-    mask = s_cl_series.skipped()
-    n_cl = _backflow(s_cl_series.values, mask, s_cl_series.measure_tag)
-    n_qe = _backflow(s_qe_series.values, mask, s_qe_series.measure_tag)
-    n_total = _backflow(s_cl_series.values + s_qe_series.values, mask, "extended_entropy")
+    n_cl, n_qe = backflow_functional(s_cl_series), backflow_functional(s_qe_series)
+    n_total = _backflow(s_cl_series.values + s_qe_series.values, s_cl_series.skipped(), "extended_entropy")
     return DecomposedBackflow(
         n_total=n_total, n_cl=n_cl, n_qe=n_qe, regime=classify(n_cl, n_qe, epsilon_n)
     )

@@ -198,14 +198,14 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     row["marginal"] = bool(
         abs(split.n_cl - epsilon_n) <= 10.0 * err_cl or abs(split.n_qe - epsilon_n) <= 10.0 * err_qe
     )
-    # revival flag on the intrinsic-parameter series where the model has one,
-    # else on the primary measure series
-    if model.b_qe_fn is not None:
-        b_series = InfoSeries(grid, model.b_qe_fn(grid.points), "s_qe", report.gaps)
-        row["revival"], _ = revival_detector(b_series, epsilon_n)
+    # revival flag on the trajectory's own series, split as analyze splits the sectors:
+    # b_qe = |rho_01|^2 of a quantum (two-state) trajectory, 'kl' of a classical one
+    traj = report.trajectory
+    if traj.kind == "quantum":
+        series = InfoSeries(grid, np.abs(traj.states[:, 0, 1]) ** 2, "s_qe", report.gaps)
     else:
-        tag = measures[0] if measures else "kl" if model.kind == "classical" else "vn_entropy"
-        row["revival"], _ = revival_detector(report.series(tag), epsilon_n)
+        series = report.series("kl")
+    row["revival"], _ = revival_detector(series, epsilon_n)
     row["error"] = ""
     return row
 

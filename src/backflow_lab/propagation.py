@@ -334,8 +334,12 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
         sums, tol, what = np.einsum("nii->n", states).real, TRACE_DRIFT_TOL, "trace"
     else:
         states, sums, tol, what = raw, raw.sum(axis=1), TC_NORMALIZATION_TOL, "normalization"
-    i = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[i] - 1.0) > tol:
+    drift = np.abs(sums - 1.0)
+    finite = np.isfinite(drift)
+    if not finite.all():  # judged ahead of the first non-finite sum, whose state is named below
+        drift[int(np.argmin(finite)) :] = 0.0
+    i = int(np.argmax(drift))
+    if drift[i] > tol:
         raise IntegrationDivergedError(f"{what} drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i]))
     with np.errstate(invalid="ignore"):  # a non-finite state is named by the check below
         states = states / sums.reshape((-1,) + (1,) * (states.ndim - 1))
@@ -506,12 +510,8 @@ def solve_tc(kernel: MemoryKernel, initial, grid: TimeGrid) -> Trajectory:
     """Integrate the homogeneous memory-kernel equation
     d/dt x(t) = int_0^t K(t-s) x(s) ds by product-trapezoidal quadrature."""
     y0 = _initial_vector(initial, kernel.kind, kernel.dim)
-    raw = volterra_propagate(kernel, y0, grid)
-    if kernel.kind == "quantum":
-        raw = raw.astype(complex)
-    else:
-        raw = raw.real.astype(float)
-    return _finalize_trajectory(raw, grid, kernel.kind, kernel.dim)
+    # the solution is complex128 for a quantum kernel and float64 for a classical one: no cast
+    return _finalize_trajectory(volterra_propagate(kernel, y0, grid), grid, kernel.kind, kernel.dim)
 
 
 def build_propagator(source, grid: TimeGrid) -> PropagatorFamily:

@@ -170,7 +170,8 @@ def test_criterion_6_fractional_reduces_to_markov_at_alpha_one():
     frac = fractional_two_state(alpha=1.0, lam=1.0, omega=5.0)
     markov = markov_two_state(lam=1.0, omega=5.0)
     sup_state = float(np.max(np.abs(frac.trajectory_fn(grid).states - markov.trajectory_fn(grid).states)))
-    sup_b = float(np.max(np.abs(frac.b_qe_fn(grid.points) - markov.b_qe_fn(grid.points))))
+    b_frac, b_markov = (np.abs(m.trajectory_fn(grid).states[:, 0, 1]) ** 2 for m in (frac, markov))
+    sup_b = float(np.max(np.abs(b_frac - b_markov)))
     assert sup_state <= 1e-10
     assert sup_b <= 1e-10
     report(6, f"state sup={sup_state:.1e}, b sup={sup_b:.1e} <= 1e-10")

@@ -419,6 +419,10 @@ class TestBackflow:
         ],
     )
     def test_each_series_built_once(self, tmp_path, monkeypatch, model, measures, builder):
+        """Each series is built once and summed once: the pair case sums
+        s_cl and s_qe, their total, and both half grids (5); the kl case
+        sums kl and its half grid (2)."""
+        import backflow_lab.analysis as analysis
         import backflow_lab.information as information
         import backflow_lab.netfd as netfd
 
@@ -429,11 +433,15 @@ class TestBackflow:
 
         monkeypatch.setattr(netfd, "_sector_entropies", counting("pair", netfd._sector_entropies))
         monkeypatch.setattr(information, "kl_divergences", counting("kl", information.kl_divergences))
+        backflow_sum = counting("sum", information._backflow)
+        for module in (information, netfd, analysis):
+            monkeypatch.setattr(module, "_backflow", backflow_sum)
         config = write_config(
             tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 4.0}, "measures": measures}
         )
         assert main(["backflow", "--config", config, "--out", str(tmp_path)]) == 0
-        assert built == [builder]
+        assert [label for label in built if label != "sum"] == [builder]
+        assert built.count("sum") == {"pair": 5, "kl": 2}[builder]
         report = json.loads((tmp_path / "backflow.json").read_text())
         assert sorted(report["measures"]) == sorted(measures)
         assert report["n_total"] >= 0.0
@@ -684,6 +692,35 @@ class TestEntryPoint:
         proc = run_module("simulate", "--config", config, "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+
+class TestOutDirectory:
+    @pytest.mark.parametrize("command", ["simulate", "phase-diagram"])
+    @pytest.mark.parametrize("below_file", [False, True])
+    def test_unusable_out_exits_2_before_any_propagation(self, tmp_path, monkeypatch, capsys, command, below_file):
+        """An --out that is an existing file, or lies below one, cannot be a
+        directory: one config error line naming it, before any work."""
+        import backflow_lab.analysis as analysis
+        import backflow_lab.phase_diagram as pd
+
+        ran = lambda *args, **kwargs: pytest.fail("propagation ran")
+        monkeypatch.setattr(analysis, "propagate", ran)
+        monkeypatch.setattr(pd, "_sweep_point", ran)
+        payload = {"model": {"name": "dephasing_qubit"}, "grid": {"dt": 0.1, "t_max": 1.0}}
+        if command == "phase-diagram":
+            payload["axes"] = [{"param": "lam", "min": 0.5, "max": 1.0, "steps": 2}]
+        config = write_config(tmp_path, payload)
+        out = os.path.join(config, "run") if below_file else config
+        assert main([command, "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: {config} ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+    def test_missing_directories_are_made(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        config = write_config(tmp_path, {"model": {"name": "markov_two_state"}, "grid": {"dt": 0.1, "t_max": 1.0}})
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["trajectory.csv", "validation.json"]
 
 
 class TestParser:

@@ -24,23 +24,30 @@ from backflow_lab import (
 from backflow_lab import linalg
 from backflow_lab.models import MODEL_REGISTRY, SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, amplitude_damping_qubit, model_schemas
 
+QUARTER = TimeGrid(np.array([0.0, math.pi / 2]))  # holds t = 0 and t = pi/2
+
+
+def b_qe(model, grid):
+    """The intrinsic parameter |rho_01(t)|^2, read off the model's closed-form trajectory."""
+    return np.abs(model.trajectory_fn(grid).states[:, 0, 1]) ** 2
+
 
 class TestMarkovTwoState:
     def test_intrinsic_parameter_at_zero(self):
         model = markov_two_state(lam=1.0, omega=1.0)
-        assert model.b_qe_fn(np.array([0.0]))[0] == 0.0
+        assert b_qe(model, QUARTER)[0] == 0.0
 
     def test_intrinsic_parameter_bounded(self):
         model = markov_two_state(lam=0.3, omega=2.0)
         ts = np.linspace(0.0, 20.0, 2001)
-        b = model.b_qe_fn(ts)
+        b = b_qe(model, TimeGrid(ts))
         assert np.all(b >= 0.0) and np.all(b <= 0.25)
 
     def test_value_at_quarter_period(self):
         # squared-envelope convention: b(t) = (1/4) e^{-2 lam t} sin^2(omega t)
         model = markov_two_state(lam=1.0, omega=1.0)
         expected = 0.25 * math.exp(-math.pi)
-        assert model.b_qe_fn(np.array([math.pi / 2]))[0] == pytest.approx(expected, abs=1e-12)
+        assert b_qe(model, QUARTER)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_equilibrium_start_keeps_population_constant(self):
         model = markov_two_state(lam=1.0, omega=1.0, p0=0.4, p_eq=0.4)
@@ -70,19 +77,19 @@ class TestFractionalTwoState:
         markov = markov_two_state(lam=1.0, omega=5.0)
         sup = np.max(np.abs(frac.trajectory_fn(grid).states - markov.trajectory_fn(grid).states))
         assert sup <= 1e-10
-        sup_b = np.max(np.abs(frac.b_qe_fn(grid.points) - markov.b_qe_fn(grid.points)))
+        sup_b = np.max(np.abs(b_qe(frac, grid) - b_qe(markov, grid)))
         assert sup_b <= 1e-10
 
     def test_intrinsic_parameter_at_zero(self):
         model = fractional_two_state(alpha=0.6, lam=1.0, omega=1.0)
-        assert model.b_qe_fn(np.array([0.0]))[0] == 0.0
+        assert b_qe(model, QUARTER)[0] == 0.0
 
     def test_half_alpha_value(self):
         # oracle: E_{1/2}(-sqrt(pi/2)) via the scaled complementary error function
         model = fractional_two_state(alpha=0.5, lam=1.0, omega=1.0)
         env = float(erfcx(math.sqrt(math.pi / 2)))
         expected = 0.25 * env**2
-        got = model.b_qe_fn(np.array([math.pi / 2]))[0]
+        got = b_qe(model, QUARTER)[1]
         assert got == pytest.approx(expected, abs=1e-9)
 
     def test_alpha_boundary_continuity(self):

@@ -187,6 +187,44 @@ class TestRunSweep:
             assert row["regime"] == "intrinsic_revival"
             assert row["revival"] is False  # peaks decay under the envelope
 
+    @pytest.mark.parametrize(
+        "model, axis, fixed, measures, gapped",
+        [
+            ("markov_two_state", ("omega", 2.0, 6.0, 3), {}, (), False),
+            ("amplitude_damping_qubit", ("gamma", 0.5, 2.0, 3), {"p0": 0.5, "c0": 0.3}, ("vn_entropy",), False),
+            ("classical_exp_kernel", ("tau_m", 0.5, 2.0, 3), {}, (), False),
+            # the zeros of f = exp(-lam t/2) cos(mu t) lie on the grid: generator gaps
+            ("dephasing_qubit", ("mu", math.pi / 2, math.pi, 2), {"rate_kind": "cosine_f"}, (), True),
+        ],
+    )
+    def test_revival_reads_the_trajectory(self, monkeypatch, model, axis, fixed, measures, gapped):
+        """A row's revival flag is the detector on its checked trajectory's
+        own series: |rho_01|^2 of a quantum trajectory, with the point's gaps
+        as skips, and 'kl' of a classical one."""
+        import backflow_lab.phase_diagram as pd
+        from backflow_lab import build_model
+        from backflow_lab.analysis import analyze
+        from backflow_lab.information import series_from_trajectory
+
+        read = []
+        monkeypatch.setattr(pd, "revival_detector", lambda s, eps: read.append(s) or revival_detector(s, eps))
+        spec = SweepSpec(model=model, axes=(axis,), fixed=fixed, dt=2e-3, t_max=8.0, measures=measures)
+        rows = run_sweep(spec).rows
+        grid = TimeGrid.uniform(spec.dt, spec.t_max)
+        assert len(read) == len(rows) == len(spec.lattice())
+        for params, row, got in zip(spec.lattice(), rows, read):
+            m = build_model(model, params)
+            report = analyze(m, grid, "auto", measures, spec.epsilon_n, spec.rate_tolerance)
+            traj = report.trajectory
+            if traj.kind == "quantum":
+                want = InfoSeries(grid, np.abs(traj.states[:, 0, 1]) ** 2, "s_qe", report.gaps)
+            else:
+                want = series_from_trajectory(traj, "kl", m.reference_state, report.gaps)
+            assert bool(report.gaps) == gapped  # with gaps, they reach the skips
+            assert row["error"] == ""
+            assert np.array_equal(got.values, want.values) and got.skip_intervals == want.skip_intervals
+            assert row["revival"] == revival_detector(want, spec.epsilon_n)[0]
+
     def test_failures_recorded_not_raised(self):
         # a coherence beyond the PSD bound of p0 = 0.5 fits the schema (c0
         # has no range) but never builds, so every row carries an error

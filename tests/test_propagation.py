@@ -658,6 +658,32 @@ class TestVolterraBlockSolve:
         assert got.value.time == grid.points[6]
         assert isinstance(got.value.__cause__, InvalidStateError)
 
+    @pytest.mark.parametrize(
+        "kind, dim, width, drift, what",
+        [("quantum", 2, 4, 1e-6, "trace"), ("classical", 3, 3, 1e-5, "normalization")],
+    )
+    def test_non_finite_state_does_not_hide_an_earlier_drift(self, kind, dim, width, drift, what):
+        """The drift is judged over the states ahead of the first non-finite
+        sum: a drift there is named at its own time, while a non-finite state
+        ahead of every drift is still named by the trajectory check."""
+        from backflow_lab.errors import InvalidStateError
+        from backflow_lab.propagation import _finalize_trajectory
+
+        grid = TimeGrid.uniform(0.1, 1.0)
+        unit = conservation_row(kind, dim) / dim
+        raw = np.tile(unit, (grid.n, 1)).astype(complex if kind == "quantum" else float)
+        raw[3] *= 1.0 + drift
+        late_nan, early_nan = raw.copy(), raw.copy()
+        late_nan[7, width - 1] = np.nan
+        with pytest.raises(IntegrationDivergedError, match=f"{what} drifted to .* at t=0.3") as got:
+            _finalize_trajectory(late_nan, grid, kind, dim)
+        assert got.value.time == grid.points[3]
+        early_nan[2, width - 1] = np.nan
+        with pytest.raises(IntegrationDivergedError, match="non-finite") as got:
+            _finalize_trajectory(early_nan, grid, kind, dim)
+        assert got.value.time == grid.points[2]
+        assert isinstance(got.value.__cause__, InvalidStateError)
+
     @settings(max_examples=12, deadline=None)
     @given(
         n=st.sampled_from([2, 3]),
