@@ -29,7 +29,7 @@ from . import analysis, linalg, serialize
 from .errors import BackflowLabError, ConfigError, ContractViolationError
 from .generator_analysis import RATE_TOLERANCE, check_divisible
 from .information import check_measure_fit, check_measure_tags
-from .models import build_model, finite_number, model_schemas
+from .models import build_model, model_schemas
 from .netfd import EPSILON_N
 from .phase_diagram import SweepSpec, check_tolerance, run_sweep
 from .states import DEFAULT_DT, DEFAULT_T_MAX, TimeGrid
@@ -43,7 +43,7 @@ def _parse_scalar(text: str):
         return low == "true"
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of more digits than int() converts
         return text
 
 
@@ -53,7 +53,7 @@ def load_config(path: str | None, overrides) -> dict:
         try:
             with open(path) as handle:
                 config = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # json's errors, an integer too long for int() among them
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config root must be a JSON object")
@@ -105,26 +105,18 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
-def _grid_params(config: dict, args) -> tuple[float, float]:
-    """(dt, t_max) from the config's grid block; ``--dt``/``--t-max`` win."""
-    grid_cfg = dict(config.get("grid", {}))
-    if args.dt is not None:
-        grid_cfg["dt"] = args.dt
-    if args.t_max is not None:
-        grid_cfg["t_max"] = args.t_max
-    values = []
-    for key, default in (("dt", DEFAULT_DT), ("t_max", DEFAULT_T_MAX)):
-        with _config_errors():
-            value = finite_number(f"grid.{key}", grid_cfg.get(key, default))
-        if value <= 0:
-            raise ConfigError(f"grid.{key} must be positive, got {value}")
-        values.append(value)
-    return values[0], values[1]
+def _grid_params(config: dict, args) -> tuple:
+    """(dt, t_max) from the config's grid block, defaulted; ``--dt``/``--t-max``
+    win.  Unchecked: :meth:`TimeGrid.uniform` checks them."""
+    grid_cfg = config.get("grid", {})
+    dt = grid_cfg.get("dt", DEFAULT_DT) if args.dt is None else args.dt
+    t_max = grid_cfg.get("t_max", DEFAULT_T_MAX) if args.t_max is None else args.t_max
+    return dt, t_max
 
 
 def _grid(config: dict, args) -> TimeGrid:
-    """The uniform grid of :func:`_grid_params`; a grid that cannot be built
-    (a non-finite or unallocatable point count) is a config error."""
+    """The uniform grid of :func:`_grid_params`; a grid that cannot be built (a bad
+    dt or t_max, a non-finite or unallocatable point count) is a config error."""
     with _config_errors():
         return TimeGrid.uniform(*_grid_params(config, args))
 
@@ -285,8 +277,8 @@ def cmd_phase_diagram(config: dict, args) -> int:
             dt=dt,
             t_max=t_max,
             measures=config.get("measures", ()),
-            epsilon_n=_tolerance(config, "epsilon_n"),
-            rate_tolerance=_tolerance(config, "rate_tolerance"),
+            epsilon_n=config.get("epsilon_n", EPSILON_N),
+            rate_tolerance=config.get("rate_tolerance", RATE_TOLERANCE),
             threads=threads,
         )
     result = run_sweep(spec)

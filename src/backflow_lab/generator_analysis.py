@@ -367,11 +367,11 @@ def canonical_forms(samples: np.ndarray, dim: int, ts: np.ndarray | None = None,
     times max(1, max|G|) raises :class:`ContractViolationError` naming its
     index in the stack or, given the grid times ``ts`` and the samples'
     place ``at`` on that grid (a slice or an index array), its grid index
-    and time.  When every sample equals the first (a constant generator; a
-    broadcast stack, leading stride 0, is one without a compare) one
-    Kossakowski matrix is decomposed and broadcast to every row."""
+    and time.  A broadcast stack (leading stride 0: the one form
+    :func:`propagation.tcl_pass` gives a constant generator) has one
+    Kossakowski matrix decomposed and broadcast to every row."""
     samples = np.asarray(samples)
-    constant = samples.strides[0] == 0 or bool(np.all(samples == samples[:1]))
+    constant = samples.strides[0] == 0
     distinct = samples[:1] if constant else samples
     defect, bad = _sample_defects(distinct, "quantum", dim, EXTRACTION_TRACE_TOL)
     if bad.any():
@@ -420,16 +420,12 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
     """The report on the (n, m) rate traces: ``traces_of`` maps the non-gap
     samples of one row block (:func:`_block_rows`) at a time, and their
     place on the grid (a slice or an index array), to their rows, and gap
-    rows are NaN.  A constant stack without gaps is one block, so
-    :func:`canonical_forms` decomposes one sample of it."""
+    rows are NaN.  A broadcast stack (leading stride 0) without gaps is one
+    block, so :func:`canonical_forms` decomposes one sample of it."""
     samples = gen.samples
     n = len(samples)
     keep = ~gen.gap_mask() if gen.gaps else None
-    step = _block_rows(samples)
-    if keep is None and (
-        samples.strides[0] == 0 or all((samples[lo : lo + step] == samples[0]).all() for lo in range(0, n, step))
-    ):
-        step = max(n, 1)
+    step = max(n, 1) if keep is None and samples.strides[0] == 0 else _block_rows(samples)
     traces = None
     for lo in range(0, n, step):
         at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])

@@ -19,8 +19,8 @@ families coincide identically at alpha = 1.
 
 from __future__ import annotations
 
+import inspect
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +36,10 @@ from .propagation import (
     rk4_power_table,
 )
 from .special_functions import ml_envelope_grid
-from .states import DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, _freeze, _hermitian_trajectory, _trusted
+from .states import (
+    DensityMatrix, ProbabilityVector, TimeGrid, Trajectory, finite_number, integer,
+    _freeze, _hermitian_trajectory, _trusted,
+)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -321,75 +324,63 @@ def amplitude_damping_qubit(
     )
 
 
-# name -> (factory, JSON-schema-ish parameter description)
+# name -> (factory, JSON-schema-ish parameter description); the defaults are the factory's keyword defaults
 MODEL_REGISTRY = {
     "markov_two_state": (
         markov_two_state,
         {
-            "lam": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "omega": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "p0": {"type": "number", "min": 0, "max": 1, "default": 0.5},
-            "p_eq": {"type": "number", "min": 0, "max": 1, "default": 0.5},
+            "lam": {"type": "number", "min": 0, "exclusive_min": True},
+            "omega": {"type": "number", "min": 0, "exclusive_min": True},
+            "p0": {"type": "number", "min": 0, "max": 1},
+            "p_eq": {"type": "number", "min": 0, "max": 1},
         },
     ),
     "fractional_two_state": (
         fractional_two_state,
         {
-            "alpha": {"type": "number", "min": 0, "max": 1, "exclusive_min": True, "default": 0.7},
-            "lam": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "omega": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "p0": {"type": "number", "min": 0, "max": 1, "default": 0.5},
-            "p_eq": {"type": "number", "min": 0, "max": 1, "default": 0.5},
+            "alpha": {"type": "number", "min": 0, "max": 1, "exclusive_min": True},
+            "lam": {"type": "number", "min": 0, "exclusive_min": True},
+            "omega": {"type": "number", "min": 0, "exclusive_min": True},
+            "p0": {"type": "number", "min": 0, "max": 1},
+            "p_eq": {"type": "number", "min": 0, "max": 1},
         },
     ),
     "classical_exp_kernel": (
         classical_exp_kernel,
         {
-            "n": {"type": "integer", "min": 2, "max": 16, "default": 2},
-            "gamma": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "tau_m": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
+            "n": {"type": "integer", "min": 2, "max": 16},
+            "gamma": {"type": "number", "min": 0, "exclusive_min": True},
+            "tau_m": {"type": "number", "min": 0, "exclusive_min": True},
         },
     ),
     "classical_fractional": (
         classical_fractional,
         {
-            "gamma": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "alpha": {"type": "number", "min": 0, "max": 1, "exclusive_min": True, "default": 0.7},
-            "n": {"type": "integer", "min": 2, "max": 2, "default": 2},
+            "gamma": {"type": "number", "min": 0, "exclusive_min": True},
+            "alpha": {"type": "number", "min": 0, "max": 1, "exclusive_min": True},
+            "n": {"type": "integer", "min": 2, "max": 2},
         },
     ),
     "dephasing_qubit": (
         dephasing_qubit,
         {
-            "rate_kind": {"type": "string", "choices": ["constant", "sinusoidal", "cosine_f"], "default": "constant"},
-            "lam": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "amplitude": {"type": "number", "default": 0.5},
-            "frequency": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "mu": {"type": "number", "min": 0, "exclusive_min": True, "default": 2.0},
+            "rate_kind": {"type": "string", "choices": ["constant", "sinusoidal", "cosine_f"]},
+            "lam": {"type": "number", "min": 0, "exclusive_min": True},
+            "amplitude": {"type": "number"},
+            "frequency": {"type": "number", "min": 0, "exclusive_min": True},
+            "mu": {"type": "number", "min": 0, "exclusive_min": True},
         },
     ),
     "amplitude_damping_qubit": (
         amplitude_damping_qubit,
         {
-            "gamma": {"type": "number", "min": 0, "exclusive_min": True, "default": 1.0},
-            "nbar": {"type": "number", "min": 0, "default": 0.2},
-            "p0": {"type": "number", "min": 0, "max": 1, "default": 0.3},
-            "c0": {"type": "number", "default": 0.35},
+            "gamma": {"type": "number", "min": 0, "exclusive_min": True},
+            "nbar": {"type": "number", "min": 0},
+            "p0": {"type": "number", "min": 0, "max": 1},
+            "c0": {"type": "number"},
         },
     ),
 }
-
-
-def finite_number(where: str, value) -> float:
-    """``value`` as a float when it is a finite real number (not a bool),
-    else :class:`ContractViolationError` naming ``where``."""
-    if isinstance(value, bool):
-        raise ContractViolationError(f"{where} must be a number, not a boolean")
-    if not isinstance(value, numbers.Real):
-        raise ContractViolationError(f"{where} must be a number")
-    if not math.isfinite(value):
-        raise ContractViolationError(f"{where} must be finite, got {value}")
-    return float(value)
 
 
 def check_params(name: str, params: dict):
@@ -405,10 +396,8 @@ def check_params(name: str, params: dict):
         rule = schema[key]
         if rule["type"] == "number":
             finite_number(f"parameter {key}", value)
-        if rule["type"] == "integer" and isinstance(value, bool):
-            raise ContractViolationError(f"parameter {key} must be an integer, not a boolean")
-        if rule["type"] == "integer" and not isinstance(value, numbers.Integral):
-            raise ContractViolationError(f"parameter {key} must be an integer")
+        if rule["type"] == "integer":
+            integer(f"parameter {key}", value)
         if rule["type"] == "string":
             if not isinstance(value, str):
                 raise ContractViolationError(f"parameter {key} must be a string")
@@ -434,11 +423,13 @@ def build_model(name: str, params: dict | None = None) -> ModelSpec:
 
 
 def model_schemas() -> dict:
-    """Parameter schemas of the built-in models, for the CLI listing."""
+    """Parameter schemas of the built-in models, for the CLI listing; each
+    parameter's default is its factory's keyword default."""
     out = {}
     for name, (factory, schema) in sorted(MODEL_REGISTRY.items()):
+        defaults = inspect.signature(factory).parameters
         out[name] = {
             "description": factory.__doc__.split("\n")[0].strip() if factory.__doc__ else "",
-            "params": schema,
+            "params": {key: dict(rule, default=defaults[key].default) for key, rule in schema.items()},
         }
     return out

@@ -16,6 +16,7 @@ completion order, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -26,9 +27,9 @@ from .analysis import analyze, check_split_grid, resolve_route
 from .errors import BackflowLabError, ContractViolationError
 from .generator_analysis import RATE_TOLERANCE
 from .information import InfoSeries, check_measure_fit, check_measure_tags
-from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params, finite_number
+from .models import MODEL_REGISTRY, ModelSpec, build_model, check_params
 from .netfd import EPSILON_N
-from .states import DEFAULT_DT, DEFAULT_T_MAX, TimeGrid
+from .states import DEFAULT_DT, DEFAULT_T_MAX, TimeGrid, finite_number, integer
 
 SWEEP_COLUMNS_TAIL = (
     "divisible",
@@ -74,7 +75,9 @@ class SweepSpec:
     """Lattice description: 1 or 2 swept parameter axes over a registered
     model, remaining parameters fixed.  Each axis entry is checked here: a
     parameter name of the model's number parameters, finite bounds inside
-    its schema range with max > min, and an integer step count >= 2."""
+    its schema range with max > min, and an integer step count >= 2.  Each
+    axis's values and the rows' ``grid`` (:meth:`TimeGrid.uniform`, the one
+    check of dt and t_max) are built once, here."""
 
     model: str
     axes: tuple  # ((name, min, max, steps), ...) with 1 or 2 entries
@@ -85,16 +88,19 @@ class SweepSpec:
     epsilon_n: float = EPSILON_N
     rate_tolerance: float = RATE_TOLERANCE
     threads: int = 1
+    grid: TimeGrid = field(init=False, repr=False, compare=False)
+    _values: tuple = field(init=False, repr=False, compare=False)  # each axis's values, as floats
 
     def __post_init__(self):
         if not isinstance(self.model, str) or self.model not in MODEL_REGISTRY:
             raise ContractViolationError(f"unknown model {self.model!r}")
         if not 1 <= len(self.axes) <= 2:
             raise ContractViolationError("sweeps support 1 or 2 axes")
-        if isinstance(self.threads, bool) or not isinstance(self.threads, int) or self.threads < 1:
+        if integer("threads", self.threads) < 1:
             raise ContractViolationError(f"threads must be an integer >= 1, got {self.threads!r}")
         schema = MODEL_REGISTRY[self.model][1]
         check_params(self.model, self.fixed)
+        values = []
         for i, (name, lo, hi, steps) in enumerate(self.axes):
             if not isinstance(name, str):
                 raise ContractViolationError(f"axes[{i}].param must be a parameter name, got {name!r}")
@@ -103,46 +109,39 @@ class SweepSpec:
             if schema[name]["type"] != "number":
                 raise ContractViolationError(f"axes[{i}]: {name!r} is not a number parameter")
             lo, hi = finite_number(f"axes[{i}].min", lo), finite_number(f"axes[{i}].max", hi)
-            if isinstance(steps, bool) or not isinstance(steps, int):
-                raise ContractViolationError(f"axes[{i}].steps must be an integer, got {steps!r}")
-            if steps < 2:
+            if integer(f"axes[{i}].steps", steps) < 2:
                 raise ContractViolationError(f"axes[{i}] ({name!r}) needs at least 2 steps")
             if not hi > lo:
                 raise ContractViolationError(f"axes[{i}] ({name!r}) needs max > min")
             # the schema ranges are intervals, so both ends decide the lattice
             check_params(self.model, {name: lo})
             check_params(self.model, {name: hi})
+            try:
+                values.append(np.linspace(lo, hi, steps).tolist())
+            except (ValueError, MemoryError) as exc:
+                raise ContractViolationError(f"axes[{i}] ({name!r}) has too many steps to allocate: {exc}") from exc
+        object.__setattr__(self, "_values", tuple(values))
         check_measure_tags(self.measures)
         object.__setattr__(self, "measures", tuple(self.measures))
         for name in ("epsilon_n", "rate_tolerance"):
             object.__setattr__(self, name, check_tolerance(name, getattr(self, name)))
-        for name in ("dt", "t_max"):
-            value = finite_number(name, getattr(self, name))
-            if not value > 0:
-                raise ContractViolationError(f"{name} must be > 0, got {value}")
-            object.__setattr__(self, name, value)
-        grid = TimeGrid.uniform(self.dt, self.t_max)  # the rows' grid
-        check_split_grid(grid)
+        object.__setattr__(self, "grid", TimeGrid.uniform(self.dt, self.t_max))
+        check_split_grid(self.grid)
         # the measures must fit the model's trajectory and the grid its auto route, judged
         # at the first point; a model that does not build there records its error per row
+        first_point = dict(self.fixed, **{name: v[0] for (name, *_), v in zip(self.axes, values)})
         try:
-            first = build_model(self.model, self.lattice()[0])
+            first = build_model(self.model, first_point)
         except BackflowLabError:
             return
         for tag in self.measures:
             check_measure_fit(tag, first.kind, first.initial_state.dim)
-        resolve_route(first, "auto", grid)
+        resolve_route(first, "auto", self.grid)
 
     def lattice(self) -> list[dict]:
         """Parameter dicts in lattice order (last axis fastest)."""
-        named = [(name, np.linspace(lo, hi, steps)) for name, lo, hi, steps in self.axes]
-        points = []
-        for combo in itertools.product(*[vals for _, vals in named]):
-            p = dict(self.fixed)
-            for (name, _), v in zip(named, combo):
-                p[name] = float(v)
-            points.append(p)
-        return points
+        names = [name for name, *_ in self.axes]
+        return [dict(self.fixed, **dict(zip(names, combo))) for combo in itertools.product(*self._values)]
 
 
 @dataclass(frozen=True)
@@ -210,41 +209,35 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     return row
 
 
-def _sweep_point(args) -> dict:
-    model_name, params, dt, t_max, measures, epsilon_n, rate_tolerance = args
-    grid = TimeGrid.uniform(dt, t_max)
-    axis_part = dict(params)
+def _sweep_point(spec: SweepSpec, params: dict) -> dict:
+    """The row of the lattice point ``params`` of ``spec``, on the spec's grid."""
     try:
-        model = build_model(model_name, params)
-        row = _pipeline_one(model, grid, measures, epsilon_n, rate_tolerance)
+        model = build_model(spec.model, params)
+        row = _pipeline_one(model, spec.grid, spec.measures, spec.epsilon_n, spec.rate_tolerance)
     except (BackflowLabError, np.linalg.LinAlgError) as exc:  # recorded per row
         row = {col: None for col in SWEEP_COLUMNS_TAIL}
-        for m in measures:
+        for m in spec.measures:
             row[f"N_{m}"] = None
         row["error"] = f"{type(exc).__name__}: {exc}"
-    row.update(axis_part)
+    row.update(params)
     return row
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run the full pipeline at every lattice point.
+    """Run the full pipeline at every lattice point, every row on the spec's grid.
 
     Points are distributed over a process pool of ``threads`` workers,
     capped at the CPU count and the number of points; with one worker they
     run in this process.  Result rows are in lattice order either way.
     """
     points = spec.lattice()
-    work = [
-        (spec.model, p, spec.dt, spec.t_max, tuple(spec.measures), spec.epsilon_n, spec.rate_tolerance)
-        for p in points
-    ]
     workers = min(spec.threads, os.cpu_count() or 1, len(points))
     if workers > 1:
         # imported here: only a sweep with several workers needs the pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, work, chunksize=1))
+            rows = list(pool.map(functools.partial(_sweep_point, spec), points, chunksize=1))
     else:
-        rows = [_sweep_point(w) for w in work]
+        rows = [_sweep_point(spec, p) for p in points]
     return SweepResult(spec=spec, rows=tuple(rows))

@@ -299,13 +299,11 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
         raise ContractViolationError(f"generator sample at t={times[0]:g} has shape {samples.shape[1:]}")
     if shape_error is None and samples.shape[0] != times.size:
         raise ContractViolationError(f"{samples.shape[0]} generator samples for {times.size} times")
-    # rows that share their memory (leading stride 0) are bitwise equal
+    # rows sharing their memory (stride 0) are bitwise equal; a constant table returns as one row broadcast
     if shape_error is None and (samples.strides[0] == 0 or np.all(samples == samples[0])):
         _check_samples(samples[:1], times, gen.kind, gen.dim)
         out = None if y0 is None else rk4_power_table(samples[0], y0, grid)
-        if samples.strides[0] == 0:  # one row in memory stays one, copied off the generator's
-            return out, np.broadcast_to(samples[0].copy(), (grid.n, dd, dd))
-        return out, _freeze(samples[::2])
+        return out, np.broadcast_to(samples[0].copy(), (grid.n, dd, dd))
     # row r is fed by samples 0 .. 2r, so sample k feeds row ceil(k/2) (row 1
     # for k = 0) and later rows: the samples feeding rows up to the first
     # non-finite one are judged first, then that row; the rows fed by a

@@ -8,6 +8,8 @@ by :func:`_hermitian_trajectory`, for quantum trajectories built Hermitian.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 import numpy as np
 
@@ -39,6 +41,32 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def finite_number(where: str, value) -> float:
+    """The one rule for a number input: ``value`` as a float when it is a finite real
+    number, not a bool, else :class:`ContractViolationError` naming ``where``."""
+    if isinstance(value, bool):
+        raise ContractViolationError(f"{where} must be a number, not a boolean")
+    if not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer (or fraction) beyond the float range
+        raise ContractViolationError(f"{where} must be finite, got a value beyond the float range") from None
+    if not math.isfinite(number):
+        raise ContractViolationError(f"{where} must be finite, got {value}")
+    return number
+
+
+def integer(where: str, value) -> int:
+    """The one rule for an integer input: ``value`` as an int when it is a
+    ``numbers.Integral`` (numpy's too), not a bool, else :class:`ContractViolationError`."""
+    if isinstance(value, bool):
+        raise ContractViolationError(f"{where} must be an integer, not a boolean")
+    if not isinstance(value, numbers.Integral):
+        raise ContractViolationError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _numeric(a, what: str, real: bool = False) -> np.ndarray:
@@ -132,10 +160,12 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, dt: float, t_max: float) -> "TimeGrid":
-        if not (np.isfinite(dt) and np.isfinite(t_max)):
-            raise ContractViolationError("dt and t_max must be finite")
-        if dt <= 0 or t_max <= 0:
-            raise ContractViolationError("dt and t_max must be positive")
+        """The grid 0, dt, 2 dt, ... through t_max (or the first point past it): the
+        one check of ``grid.dt`` and ``grid.t_max``, each a finite number > 0."""
+        dt, t_max = finite_number("grid.dt", dt), finite_number("grid.t_max", t_max)
+        for where, value in (("grid.dt", dt), ("grid.t_max", t_max)):
+            if not value > 0:
+                raise ContractViolationError(f"{where} must be > 0, got {value}")
         ratio = t_max / dt
         if not np.isfinite(ratio):
             raise ContractViolationError(f"t_max/dt = {t_max:g}/{dt:g} is not a finite point count")

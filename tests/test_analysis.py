@@ -225,6 +225,22 @@ class TestTclGeneratorIsTheInput:
         want = propagation.tcl_pass(model.tcl_generator, GRID)[1]
         assert np.array_equal(gen.samples, want)
 
+    def test_equal_rows_come_back_as_one_broadcast_row(self, monkeypatch):
+        """A constant generator whose table is built row by row (constant
+        ``dephasing_qubit``) comes back as one row broadcast, as a broadcast
+        table does, so its divisibility decomposes one sample."""
+        import backflow_lab.generator_analysis as ga
+
+        model = build_model("dephasing_qubit", {"rate_kind": "constant", "lam": 1.3})
+        table = model.tcl_generator.evaluate(GRID.points)
+        assert table.strides[0] != 0
+        _, gen = analysis.propagate(model, GRID, "tcl", trajectory=False)
+        assert gen.samples.strides[0] == 0 and np.array_equal(gen.samples, table)
+        decomposed = []
+        kossakowski = ga._kossakowski
+        monkeypatch.setattr(ga, "_kossakowski", lambda s, d: decomposed.append(len(s)) or kossakowski(s, d))
+        assert check_divisible(gen).divisible and decomposed == [1]
+
 
 # every built-in model, with each decoherence choice of dephasing_qubit
 BUILT_IN = [(name, {}) for name in sorted(MODEL_REGISTRY) if name != "dephasing_qubit"] + [

@@ -822,6 +822,19 @@ class TestGridFlags:
 
 
 class TestParameterValidation:
+    @pytest.mark.parametrize("where", ["config", "set"])
+    def test_integer_too_long_to_read_exits_2(self, tmp_path, capsys, where):
+        """An integer of more digits than ``int()`` converts is a config
+        error, in the config file or in a ``--set`` value."""
+        digits = "1" + "0" * 5000
+        path = tmp_path / "config.json"
+        params = f'{{"lam": {digits}}}' if where == "config" else "{}"
+        path.write_text(f'{{"model": {{"name": "markov_two_state", "params": {params}}}}}')
+        flags = ["--set", f"model.params.lam={digits}"] if where == "set" else []
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_overflowing_nbar_is_named(self, tmp_path, capsys):
         """2 nbar + 1 overflows for nbar = 1e308: a config error naming nbar."""
         config = write_config(tmp_path, {"model": {"name": "amplitude_damping_qubit", "params": {"nbar": 1e308}}})
@@ -891,6 +904,20 @@ class TestParameterValidation:
         config = write_config(tmp_path, {"model": {"name": "amplitude_damping_qubit"}, "axes": [axis]})
         assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
         assert "config error: axes[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [2**62, 10**400], ids=["2**62", "10**400"])
+    def test_unallocatable_steps_exit_2_before_any_row(self, tmp_path, monkeypatch, capsys, steps):
+        """A step count numpy refuses before allocating is a config error
+        naming the axis."""
+        import backflow_lab.phase_diagram as pd
+
+        monkeypatch.setattr(pd, "_sweep_point", lambda *args: pytest.fail("a row ran"))
+        axis = {"param": "gamma", "min": 0.5, "max": 2.0, "steps": steps}
+        config = write_config(tmp_path, {"model": {"name": "amplitude_damping_qubit"}, "axes": [axis]})
+        assert main(["phase-diagram", "--config", config, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: axes[0] ('gamma')") and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
         "command, key, value",

@@ -36,8 +36,10 @@ BASES = {
         "threads": 1,
     },
 }
-# wrong types, empty containers, 0, -1, and the markers of the old schema
-VALUES = (None, True, "x", 0, -1, [], {}, [1], {"x": 1}, {"__nested__": True}, {"__nested__": True, "__open__": True})
+# wrong types, empty containers, 0, -1, an integer beyond the float range, and the markers of the old schema
+VALUES = (
+    None, True, "x", 0, -1, 10**400, [], {}, [1], {"x": 1}, {"__nested__": True}, {"__nested__": True, "__open__": True}
+)
 UNKNOWN_KEYS = ("x", "__nested__", "__open__")
 # nbar = 0 makes the reference state pure, so the relative entropy is +inf at
 # every point and no backflow exists: a numerical failure, not a config error

@@ -661,6 +661,19 @@ class TestTimeGridInputs:
         with pytest.raises(ContractViolationError):
             TimeGrid.uniform(dt, t_max)
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(True, "must be a number"), ("x", "must be a number"), (10**400, "must be finite")],
+        ids=["bool", "str", "10**400"],
+    )
+    @pytest.mark.parametrize("name", ["dt", "t_max"])
+    def test_non_number_rejected(self, name, value, message):
+        """A bool, a string or an integer beyond the float range is refused,
+        naming the value: the one check of dt and t_max."""
+        grid = {"dt": 0.1, "t_max": 1.0, name: value}
+        with pytest.raises(ContractViolationError, match=f"grid.{name} {message}"):
+            TimeGrid.uniform(**grid)
+
     @pytest.mark.parametrize("dt, t_max", [(5e-324, 1.0), (1e-300, 40.0)])
     def test_unbuildable_point_count_rejected(self, dt, t_max):
         """t_max/dt overflows to inf, or names more points than numpy can

@@ -28,6 +28,7 @@ from backflow_lab.models import (
     exp_kernel_zero_crossing,
 )
 from backflow_lab.propagation import PropagatorFamily
+from backflow_lab.states import _trusted
 
 
 def expm_family(g, grid):
@@ -661,10 +662,12 @@ class TestCanonicalDecomposition:
         decomposed = []
         kossakowski = ga._kossakowski
         monkeypatch.setattr(ga, "_kossakowski", lambda s, d: decomposed.append(len(s)) or kossakowski(s, d))
-        forms = canonical_forms(np.stack([g] * 4), 2)
+        forms = canonical_forms(np.broadcast_to(g, (4,) + g.shape), 2)
         assert decomposed == [1]
         assert np.array_equal(forms.rates, np.repeat(one.rates, 4, axis=0))
         assert np.max(np.abs(forms.reassemble() - g)) <= 1e-8
+        # equal rows that are not one broadcast row are decomposed row by row, to the same bits
+        assert np.array_equal(canonical_forms(np.stack([g] * 4), 2).rates, forms.rates)
 
     def test_non_generator_rejected(self):
         """The trace check names the first failing sample of the stack."""
@@ -707,13 +710,16 @@ class TestCpDivisibility:
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
     def test_constant_stack_decomposed_once(self, monkeypatch):
-        """A constant stack of several blocks is one block: one sample is
-        decomposed and its rates fill every row."""
+        """A constant stack of several blocks, broadcast from one row as the
+        ``tcl`` route gives it, is one block: one sample is decomposed and its
+        rates fill every row.  The same rows copied out are decomposed block
+        by block, to the same bits."""
         import backflow_lab.generator_analysis as ga
 
         grid = TimeGrid.uniform(1e-3, 3.0)
         g = dissipator_superop(SIGMA_MINUS)
-        gen = SampledGenerator(grid, np.repeat(g[None], grid.n, axis=0), "quantum", 2)
+        stack = np.broadcast_to(g, (grid.n,) + g.shape)
+        gen = _trusted(SampledGenerator, grid=grid, samples=stack, kind="quantum", dim=2, gaps=(), matrix_dim=4)
         assert grid.n > 2 * ga._block_rows(gen.samples)
         decomposed = []
         kossakowski = ga._kossakowski
@@ -721,6 +727,7 @@ class TestCpDivisibility:
         traces = check_cp_divisible(gen).rate_traces
         assert decomposed == [1]
         assert np.array_equal(traces, np.repeat(canonical_form(g).rates, grid.n, axis=0))
+        assert np.array_equal(check_cp_divisible(SampledGenerator(grid, stack, "quantum", 2)).rate_traces, traces)
 
     def test_peak_allocation_bounded(self):
         """Beyond the samples, the report holds the rate table and one

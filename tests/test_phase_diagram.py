@@ -395,6 +395,32 @@ class TestSweepHardening:
         with pytest.raises(ContractViolationError, match=f"{name} {message}"):
             run_sweep(SweepSpec(model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), **grid))
 
+    def test_numpy_integers_accepted(self):
+        """``steps`` and ``threads`` take the integer rule that model
+        parameters take: a numpy integer is an integer."""
+        spec = SweepSpec(
+            model="markov_two_state", axes=(("lam", 1.0, 2.0, np.int64(3)),), dt=0.1, t_max=1.0, threads=np.int64(2)
+        )
+        assert spec.threads == 2
+        assert [p["lam"] for p in spec.lattice()] == [1.0, 1.5, 2.0]
+
+    def test_grid_built_once_and_first_point_read_off_the_axes(self, monkeypatch):
+        """The spec builds the rows' grid once, every row runs on it, and its
+        check reads the first point off the axis values, not the lattice."""
+        import backflow_lab.phase_diagram as pd
+
+        uniform, lattice, pipeline = TimeGrid.uniform, SweepSpec.lattice, pd._pipeline_one
+        built, grids = [], []
+        monkeypatch.setattr(TimeGrid, "uniform", staticmethod(lambda *args: built.append(1) or uniform(*args)))
+        monkeypatch.setattr(SweepSpec, "lattice", lambda self: pytest.fail("the check listed the lattice"))
+        spec = SweepSpec(model="markov_two_state", axes=(("lam", 1.0, 2.0, 3),), dt=0.1, t_max=1.0)
+        monkeypatch.setattr(SweepSpec, "lattice", lattice)
+        recording = lambda model, grid, *args: grids.append(grid) or pipeline(model, grid, *args)
+        monkeypatch.setattr(pd, "_pipeline_one", recording)
+        rows = run_sweep(spec).rows
+        assert [row["error"] for row in rows] == [""] * 3
+        assert built == [1] and len(grids) == 3 and all(grid is spec.grid for grid in grids)
+
     def test_tolerances_stored_as_floats(self):
         spec = SweepSpec(
             model="markov_two_state", axes=(("lam", 1.0, 2.0, 2),), dt=0.1, t_max=1.0, epsilon_n=0, rate_tolerance=1
@@ -498,9 +524,7 @@ class TestSweepHardening:
         for params in spec.lattice():
             calls.clear()
             passes.clear()
-            row = pd._sweep_point(
-                (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
-            )
+            row = pd._sweep_point(spec, params)
             assert row["error"] == ""
             assert row["divisible"] is True
             assert len(calls) == 1
@@ -548,9 +572,7 @@ class TestSweepHardening:
             for params in spec.lattice():
                 calls.clear()
                 products.clear()
-                row = pd._sweep_point(
-                    (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
-                )
+                row = pd._sweep_point(spec, params)
                 assert row["error"] == "" and row["divisible"] is True
                 assert len(calls) == 1
                 assert 0 < len(products) <= 2 * math.ceil(math.log2(n)) + 2
@@ -609,9 +631,7 @@ class TestTclRowReadsItsGenerator:
         )
         for params in spec.lattice():
             decomposed.clear()
-            row = pd._sweep_point(
-                (spec.model, params, spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
-            )
+            row = pd._sweep_point(spec, params)
             assert row["error"] == "" and row["divisible"] is True
             assert abs(row["min_rate"]) <= 1e-15
             assert decomposed == [1]
@@ -639,9 +659,7 @@ class TestTclRowReadsItsGenerator:
             t_max=4.0,
             measures=("rel_entropy",),
         )
-        row = pd._sweep_point(
-            (spec.model, spec.lattice()[0], spec.dt, spec.t_max, spec.measures, spec.epsilon_n, spec.rate_tolerance)
-        )
+        row = pd._sweep_point(spec, spec.lattice()[0])
         assert row["error"] == ""
         assert [shape for shape in spectra if shape[0] == 4001] == [(4001, 2, 2)]
         assert lapack and not [shape for shape in lapack if shape[-2:] == (2, 2) and len(shape) == 3]
