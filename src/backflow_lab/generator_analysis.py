@@ -420,23 +420,30 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
     """The report on the (n, m) rate traces: ``traces_of`` maps the non-gap
     samples of one row block (:func:`_block_rows`) at a time, and their
     place on the grid (a slice or an index array), to their rows, and gap
-    rows are NaN.  A broadcast stack (leading stride 0) without gaps is one
-    block, so :func:`canonical_forms` decomposes one sample of it."""
+    rows are NaN.  A broadcast stack (leading stride 0, the form
+    :func:`propagation.tcl_pass` gives a constant generator) without gaps
+    has every row equal to its first: the report reads that one row, and
+    ``rate_traces`` is it broadcast read-only to all n rows."""
     samples = gen.samples
     n = len(samples)
     keep = ~gen.gap_mask() if gen.gaps else None
-    step = max(n, 1) if keep is None and samples.strides[0] == 0 else _block_rows(samples)
-    traces = None
-    for lo in range(0, n, step):
-        at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
-        block = samples[at]
-        if len(block):
-            rows = traces_of(block, at)
-            if traces is None:
-                traces = np.full((n,) + rows.shape[1:], np.nan)
-            traces[at] = rows
-    # fmin ignores NaN like nanmin; a row is all NaN (a gap) exactly when its minimum is
-    per_point = np.full(n, np.nan) if traces is None else np.fmin.reduce(traces, axis=1, initial=np.nan)
+    if keep is None and samples.strides[0] == 0:
+        rows = traces_of(samples[:1], slice(0, 1)).astype(float, copy=False)
+        traces = np.broadcast_to(rows, (n,) + rows.shape[1:])
+        per_point = np.fmin.reduce(rows, axis=1, initial=np.nan)
+    else:
+        traces = None
+        step = _block_rows(samples)
+        for lo in range(0, n, step):
+            at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
+            block = samples[at]
+            if len(block):
+                rows = traces_of(block, at)
+                if traces is None:
+                    traces = np.full((n,) + rows.shape[1:], np.nan)
+                traces[at] = rows
+        # fmin ignores NaN like nanmin; a row is all NaN (a gap) exactly when its minimum is
+        per_point = np.full(n, np.nan) if traces is None else np.fmin.reduce(traces, axis=1, initial=np.nan)
     valid = ~np.isnan(per_point)
     if not np.any(valid):
         raise GeneratorSingularityError("no usable grid points outside gaps")

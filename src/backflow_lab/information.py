@@ -76,7 +76,8 @@ class InfoSeries:
             raise ContractViolationError(f"expected {self.grid.n} values, got shape {vals.shape}")
         skips = tuple((float(a), float(b)) for a, b in self.skip_intervals)
         mask = self.grid.within(skips)
-        if not np.all(np.isfinite(vals[~mask])):
+        # one pass when every value is finite; else only the values outside the skips must be
+        if not np.isfinite(vals).all() and not np.isfinite(vals[~mask]).all():
             raise ContractViolationError("non-finite value outside skip intervals")
         object.__setattr__(self, "values", _freeze(vals))
         object.__setattr__(self, "skip_intervals", skips)
@@ -253,11 +254,14 @@ def backflow_functional(series: InfoSeries) -> float:
 
 
 def _backflow(values: np.ndarray, mask: np.ndarray, tag: str) -> float:
-    if mask.size - np.count_nonzero(mask) < 2:
+    skipped = np.count_nonzero(mask)
+    if mask.size - skipped < 2:
         raise ContractViolationError(
             f"backflow of {tag!r} needs two points outside the skip intervals (gaps or non-finite "
-            f"values), but {np.count_nonzero(mask)} of {mask.size} are skipped"
+            f"values), but {skipped} of {mask.size} are skipped"
         )
+    if not skipped:  # every pair counts: the masking below would change no value
+        return float(np.sum(np.clip(np.diff(values), 0.0, None)))
     # skipped values may be +inf: zeroed, they leave the counted pairs'
     # increments as they are and raise no warning in the difference
     vals = np.where(mask, 0.0, values)

@@ -27,11 +27,12 @@ def carrier_dim(kind: str, dim: int) -> int:
     """Side dd of the (dd, dd) maps on ``kind`` states of dimension ``dim``:
     d^2 for 'quantum' (superoperators on column-stacked matrices), d for
     'classical'.  An unknown kind, or a dimension outside 1..``MAX_QUANTUM_DIM``
-    (``MAX_CLASSICAL_DIM``), raises :class:`ContractViolationError`."""
+    (``MAX_CLASSICAL_DIM``), or one that is not an integer (a float or a
+    bool), raises :class:`ContractViolationError`."""
     if kind not in ("quantum", "classical"):
         raise ContractViolationError(f"unknown kind {kind!r}; known: 'quantum', 'classical'")
     cap = MAX_QUANTUM_DIM if kind == "quantum" else MAX_CLASSICAL_DIM
-    if not (isinstance(dim, (int, np.integer)) and 1 <= dim <= cap):
+    if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and 1 <= dim <= cap):
         raise ContractViolationError(f"dimension {dim} outside supported range 1..{cap}")
     return dim * dim if kind == "quantum" else dim
 

@@ -181,7 +181,8 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
     stored transposed, (N, c, dd), so each doubling, out[k:k+m] = S^k
     out[:m] with S^k by repeated squaring, is one 2-D product of the first
     m c rows with (S^k)^T; each block is checked for finiteness as it is
-    filled, and the earliest non-finite row's time is reported."""
+    filled, by one reduction, and only a block that fails is checked row by
+    row, so the earliest non-finite row's time is reported."""
     a = np.asarray(matrix)
     dd = a.shape[0]
     eye = np.eye(dd, dtype=a.dtype)
@@ -196,9 +197,9 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
     while k < grid.n:
         m = min(k, grid.n - k)
         np.matmul(flat[: m * c], power.T, out=flat[k * c : (k + m) * c])
-        finite = np.isfinite(out[k : k + m]).all(axis=(1, 2))
-        if not finite.all():
-            t = float(grid.points[k + int(np.argmin(finite))])
+        block = out[k : k + m]
+        if not np.isfinite(block).all():
+            t = float(grid.points[k + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))])
             raise IntegrationDivergedError(f"integration diverged at t={t:g}", time=t)
         k += m
         if k < grid.n:
@@ -326,9 +327,12 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
 def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -> Trajectory:
     ts = grid.points
     if kind == "quantum":
-        # column-stacked vectors: v.reshape(d, d, order='F') == v.reshape(d, d).T
-        states = raw.reshape(grid.n, dim, dim).transpose(0, 2, 1)
-        states = (states + states.conj().transpose(0, 2, 1)) / 2.0
+        # column-stacked vectors: v.reshape(d, d, order='F') == v.reshape(d, d).T, so with
+        # S = R^T the Hermitian part (S + S^H)/2 is (conj(R) + R^T) * 0.5, built in one buffer
+        rows = raw.reshape(grid.n, dim, dim)
+        states = np.conj(rows)
+        states += rows.transpose(0, 2, 1)
+        states *= 0.5
         sums, tol, what = np.einsum("nii->n", states).real, TRACE_DRIFT_TOL, "trace"
     else:
         states, sums, tol, what = raw, raw.sum(axis=1), TC_NORMALIZATION_TOL, "normalization"
@@ -340,7 +344,9 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
     if drift[i] > tol:
         raise IntegrationDivergedError(f"{what} drifted to {sums[i]:.12g} at t={ts[i]:g}", time=float(ts[i]))
     with np.errstate(invalid="ignore"):  # a non-finite state is named by the check below
-        states = states / sums.reshape((-1,) + (1,) * (states.ndim - 1))
+        # quantum states are this function's own buffer, divided in place
+        scale = sums.reshape((-1,) + (1,) * (states.ndim - 1))
+        states = np.divide(states, scale, out=states if kind == "quantum" else None)
     # a state outside its state set (the simplex or the PSD cone) is a
     # numerical failure on every route, at the time of that state
     try:

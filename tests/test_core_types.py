@@ -388,6 +388,10 @@ class TestCarrierDim:
             ("classical", 17, "dimension 17 outside supported range 1..16"),
             ("classical", 2.0, "dimension 2.0 outside"),
             ("classical", np.nan, "dimension nan outside"),
+            ("quantum", True, "dimension True outside supported range 1..8"),
+            ("classical", True, "dimension True outside supported range 1..16"),
+            ("classical", False, "dimension False outside"),
+            ("quantum", np.True_, "dimension True outside"),
         ],
     )
     def test_unknown_kind_or_dimension_is_rejected(self, kind, dim, message):
@@ -398,7 +402,7 @@ class TestCarrierDim:
 
     def test_map_types_check_their_kind(self):
         from backflow_lab.generator_analysis import SampledGenerator
-        from backflow_lab.propagation import PropagatorFamily
+        from backflow_lab.propagation import PropagatorFamily, TclGenerator
 
         grid = TimeGrid.uniform(0.5, 1.0)
         with pytest.raises(ContractViolationError, match="unknown kind 'Quantum'"):
@@ -407,6 +411,8 @@ class TestCarrierDim:
             SampledGenerator(grid, np.zeros((3, 7, 7)), "banana", 5)
         with pytest.raises(ContractViolationError, match="expected generator samples of shape"):
             SampledGenerator(grid, np.zeros((3, 7, 7)), "classical", 5)
+        with pytest.raises(ContractViolationError, match="dimension True outside"):
+            TclGenerator(dim=True, kind="classical", evaluate=lambda ts: np.zeros((len(ts), 1, 1)))
 
     def test_non_finite_map_is_rejected_before_extraction(self):
         from backflow_lab.propagation import PropagatorFamily

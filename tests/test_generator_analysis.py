@@ -852,6 +852,50 @@ class TestClassicalDivisibility:
         assert report.divisible and report.min_rate > 0.0
 
 
+def broadcast_generator(g, kind, dim, grid):
+    """The sampled generator the ``tcl`` route hands a constant generator on:
+    ``tcl_pass``'s read-only samples, one row broadcast (leading stride 0)."""
+    from backflow_lab.propagation import TclGenerator, tcl_pass
+
+    samples = tcl_pass(TclGenerator(dim, kind, lambda ts: np.broadcast_to(g, (len(ts),) + g.shape)), grid)[1]
+    assert samples.strides[0] == 0
+    return _trusted(SampledGenerator, grid=grid, samples=samples, kind=kind, dim=dim, gaps=(), matrix_dim=g.shape[0])
+
+
+class TestOneSampleReport:
+    """A broadcast, gap-free stack is reported from its one decomposed row;
+    the same rows materialized take the block path, to the same bits."""
+
+    @pytest.mark.parametrize(
+        "g, kind, dim, t_max, divisible",
+        [
+            (dissipator_superop(SIGMA_MINUS) + 0.4 * dissipator_superop(SIGMA_Z / np.sqrt(2)), "quantum", 2, 3.0, True),
+            (dissipator_superop(SIGMA_MINUS) - 0.4 * dissipator_superop(SIGMA_Z / np.sqrt(2)), "quantum", 2, 3.0, False),
+            (np.array([[-1.0, 0.5], [1.0, -0.5]]), "classical", 2, 20.0, True),
+            (np.array([[0.3, 0.5], [-0.3, -0.5]]), "classical", 2, 20.0, False),
+        ],
+        ids=["cp", "negative-canonical-rate", "classical", "classical-negative-rate"],
+    )
+    def test_matches_materialized_rows_bit_for_bit(self, g, kind, dim, t_max, divisible):
+        from backflow_lab.generator_analysis import _block_rows
+        from backflow_lab.serialize import rate_traces_csv
+
+        check = check_cp_divisible if kind == "quantum" else check_classical_divisible
+        grid = TimeGrid.uniform(1e-3, t_max)
+        broadcast = broadcast_generator(g, kind, dim, grid)
+        materialized = SampledGenerator(grid, np.ascontiguousarray(broadcast.samples), kind, dim)
+        assert materialized.samples.strides[0] != 0 and grid.n > 2 * _block_rows(materialized.samples)
+        got, want = check(broadcast), check(materialized)
+        assert got.divisible is want.divisible is divisible
+        assert np.float64(got.min_rate).tobytes() == np.float64(want.min_rate).tobytes()
+        assert got.first_violation_time == want.first_violation_time == (None if divisible else grid.points[0])
+        assert got.rate_traces.shape == want.rate_traces.shape and got.rate_traces.strides[0] == 0
+        assert np.array_equal(np.ascontiguousarray(got.rate_traces).view(np.uint8), want.rate_traces.view(np.uint8))
+        with pytest.raises(ValueError, match="read-only"):
+            got.rate_traces[0, 0] = 1.0
+        assert rate_traces_csv(got) == rate_traces_csv(want)
+
+
 class TestTcTclEquivalence:
     def test_overdamped_model_routes_agree(self):
         # memory-kernel trajectory vs time-local re-solve on the extracted

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow_lab import (
     ContractViolationError,
@@ -261,6 +263,36 @@ class TestBackflowFunctional:
         series = InfoSeries(grid, np.array([1.0, 2.0, 3.0]), "kl", skip_intervals=((0.4, 1.1),))
         with pytest.raises(ContractViolationError):
             backflow_functional(series)
+
+
+def masked_backflow(values, mask):
+    """The backflow sum with the skip mask applied: skipped values zeroed,
+    then only the rises of pairs with both ends unskipped added."""
+    vals = np.where(mask, 0.0, values)
+    ok_pair = (~mask[:-1]) & (~mask[1:])
+    return float(np.sum(np.where(ok_pair, np.clip(np.diff(vals), 0.0, None), 0.0)))
+
+
+EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308]),
+)
+
+
+class TestUnmaskedBackflowSum:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(EDGE_FLOATS, min_size=2, max_size=40))
+    def test_empty_mask_sum_equals_masked_formula_bit_for_bit(self, values):
+        """With no skipped point the mask changes no value, so the direct sum
+        of the clipped rises keeps the masked formula's bits, -0.0,
+        subnormals and increments that overflow to +inf included."""
+        from backflow_lab.information import _backflow
+
+        vals = np.array(values)
+        mask = np.zeros(vals.size, dtype=bool)
+        with np.errstate(over="ignore"):
+            got, want = _backflow(vals, mask, "kl"), masked_backflow(vals, mask)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestDataProcessingRegression:

@@ -933,6 +933,30 @@ def batched_doubling(matrix, y0, grid):
     return out
 
 
+def unchecked_doubling(matrix, y0, grid):
+    """The power table as :func:`propagation.rk4_power_table` fills it (each
+    doubling one 2-D product of the transposed rows with (S^k)^T), with no
+    finiteness check: every row is formed, finite or not."""
+    a = np.asarray(matrix)
+    dd = a.shape[0]
+    eye = np.eye(dd, dtype=a.dtype)
+    ha = grid.dt * a
+    power = eye + np.matmul(ha, eye + np.matmul(ha, eye / 2.0 + np.matmul(ha, eye / 6.0 + ha / 24.0)))
+    cols = y0.reshape(dd, -1)
+    c = cols.shape[1]
+    out = np.empty((grid.n, c, dd), dtype=np.result_type(a.dtype, y0.dtype, np.float64))
+    out[0] = cols.T
+    flat = out.reshape(grid.n * c, dd)
+    k = 1
+    while k < grid.n:
+        m = min(k, grid.n - k)
+        np.matmul(flat[: m * c], power.T, out=flat[k * c : (k + m) * c])
+        k += m
+        if k < grid.n:
+            power = np.matmul(power, power)
+    return out
+
+
 def exp_kernel_embedding(n, gamma, tau_m):
     """The Markovian embedding of ``classical_exp_kernel`` and the columns
     (2n, n) its propagator family starts from."""
@@ -1061,6 +1085,27 @@ class TestRk4PowerTable:
             run(gen)
         assert 50.0 < got.value.time < grid.t_max
         assert abs(got.value.time - t_ref) <= 3 * grid.dt
+
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("y0", [np.array([1.0, 0.0]), np.eye(2)], ids=["vector", "identity"])
+    def test_divergence_inside_a_doubling_block_names_its_first_row(self, y0):
+        """The table first goes non-finite inside a doubling block, not at its
+        first row: the time raised is that of the first non-finite row of the
+        same doubling run formed without any check."""
+        from backflow_lab.propagation import rk4_power_table
+
+        w = -6.0 * W_SYM  # the difference mode grows as exp(12 t) and overflows near t = 59
+        grid = TimeGrid.uniform(1e-2, 80.0)
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(unchecked_doubling(w, y0, grid)).all(axis=(1, 2))
+        row = int(np.argmin(finite))
+        assert not finite[row] and finite[:row].all()
+        block_start = 1 << (row.bit_length() - 1)  # doubling blocks start at powers of two
+        assert block_start < row
+        with pytest.raises(IntegrationDivergedError, match="integration diverged") as got:
+            rk4_power_table(w, y0, grid)
+        assert got.value.time == grid.points[row]
 
 
 class TestStateOnlyPass:
