@@ -20,19 +20,18 @@ generator, and computes each part it is asked for once:
   ``tc``; a closed form without ``propagator_fn`` has none.
 
 :func:`analyze` runs the rest of the chain on one point: the divisibility
-test where the route has a generator, the memoized information series
-(generator gaps as skip intervals), the backflow of each measure, and the
-classical/intrinsic sector split with its half-grid error estimates.
+test where the route has a generator, the table of information series, each
+built once (generator gaps as skip intervals), the backflow of each measure,
+and the classical/intrinsic sector split with its half-grid error estimates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import ConfigError, ContractViolationError
 from .generator_analysis import DivisibilityReport, SampledGenerator, check_divisible, extract_tcl_generator
-from .information import REFERENCE_TAGS, InfoSeries, _backflow, backflow_functional, series_from_trajectory
+from .information import backflow_functional, series_from_trajectory
 from .models import ModelSpec
 from .netfd import DecomposedBackflow, classify, decomposed_backflow, two_state_series_from_trajectory
 from .propagation import _finalize_trajectory, _initial_vector, apply_family, build_propagator, solve_tc, tcl_pass
@@ -99,26 +98,6 @@ def propagate(
     return traj, None if family is None else extract_tcl_generator(family)
 
 
-def series_cache(traj: Trajectory, reference, gaps=()) -> Callable[[str], InfoSeries]:
-    """Memoized information series of one trajectory, keyed by measure tag.
-
-    Each series is built at most once; 's_cl' and 's_qe' come from a single
-    two-state pass.  ``reference`` is passed only to the tags that need it.
-    """
-    cache: dict[str, InfoSeries] = {}
-
-    def series(tag: str) -> InfoSeries:
-        if tag not in cache:
-            if tag in ("s_cl", "s_qe"):
-                cache["s_cl"], cache["s_qe"] = two_state_series_from_trajectory(traj, skip_intervals=gaps)
-            else:
-                ref = reference if tag in REFERENCE_TAGS else None
-                cache[tag] = series_from_trajectory(traj, tag, reference=ref, skip_intervals=gaps)
-        return cache[tag]
-
-    return series
-
-
 def check_split_grid(grid: TimeGrid):
     """Raise :class:`ContractViolationError` unless ``grid`` has the 3
     points the sector split's half-grid error estimate needs: every other
@@ -127,20 +106,15 @@ def check_split_grid(grid: TimeGrid):
         raise ContractViolationError(f"the sector split needs a grid of at least 3 points, got {grid.n}")
 
 
-def _half_grid_backflow(series: InfoSeries) -> float:
-    # every other point's skip mask is the full mask's: each point is tested alone
-    return _backflow(series.values[::2], series.skipped()[::2], series.measure_tag)
-
-
 @dataclass(frozen=True)
 class PointReport:
-    """What :func:`analyze` finds at one point.  ``split_errors`` holds the
-    half-grid error estimates |N(h) - N(2h)| of ``split.n_cl`` and
-    ``split.n_qe``."""
+    """What :func:`analyze` finds at one point.  ``series`` holds the series of the
+    measures and of the split (``s_cl`` and ``s_qe``, or ``kl``), generator gaps skipped;
+    ``split_errors`` the :attr:`InfoSeries.half_grid_error` of ``n_cl`` and ``n_qe``."""
 
     trajectory: Trajectory
     divisibility: DivisibilityReport | None  # None without a propagator
-    series: Callable[[str], InfoSeries]  # memoized, generator gaps skipped
+    series: dict  # measure tag -> InfoSeries
     backflow: dict  # measure tag -> accumulated backflow
     split: DecomposedBackflow
     split_errors: tuple
@@ -162,18 +136,19 @@ def analyze(model: ModelSpec, grid: TimeGrid, route, measures, epsilon_n: float,
     traj, gen = propagate(model, grid, route)
     divisibility = None if gen is None else check_divisible(gen, rate_tolerance)
     gaps = () if divisibility is None else divisibility.gaps
-    series = series_cache(traj, model.reference_state, gaps)
-    backflow = {tag: backflow_functional(series(tag)) for tag in measures}
     if traj.kind == "quantum" and traj.dim == 2:
-        s_cl, s_qe = series("s_cl"), series("s_qe")
-        split = decomposed_backflow(s_cl, s_qe, epsilon_n)
-        errors = (
-            abs(split.n_cl - _half_grid_backflow(s_cl)),
-            abs(split.n_qe - _half_grid_backflow(s_qe)),
-        )
+        series = dict(zip(("s_cl", "s_qe"), two_state_series_from_trajectory(traj, skip_intervals=gaps)))
     else:
-        kl = series("kl")
-        n_cl = backflow_functional(kl)
+        series = {"kl": series_from_trajectory(traj, "kl", reference=model.reference_state, skip_intervals=gaps)}
+    for tag in measures:
+        if tag not in series:
+            series[tag] = series_from_trajectory(traj, tag, reference=model.reference_state, skip_intervals=gaps)
+    backflow = {tag: backflow_functional(series[tag]) for tag in measures}
+    if "s_cl" in series:
+        split = decomposed_backflow(series["s_cl"], series["s_qe"], epsilon_n)
+        errors = (series["s_cl"].half_grid_error, series["s_qe"].half_grid_error)
+    else:
+        n_cl = backflow_functional(series["kl"])
         split = DecomposedBackflow(n_cl, n_cl, 0.0, classify(n_cl, 0.0, epsilon_n))
-        errors = (abs(n_cl - _half_grid_backflow(kl)), 0.0)
+        errors = (series["kl"].half_grid_error, 0.0)
     return PointReport(traj, divisibility, series, backflow, split, errors)

@@ -248,7 +248,7 @@ def cmd_backflow(config: dict, args) -> int:
         "divisibility": None if report.divisibility is None else report.divisibility.to_json_dict(),
     }
     for tag, value in report.backflow.items():
-        s = report.series(tag)
+        s = report.series[tag]
         payload["measures"][tag] = {
             "backflow": value,
             "tail_residual": s.tail_residual(),

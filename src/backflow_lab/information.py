@@ -91,6 +91,11 @@ class InfoSeries:
     def _backflow_sum(self) -> float:  # summed once, on first read
         return _backflow(self.values, self._mask, self.measure_tag)
 
+    @functools.cached_property
+    def half_grid_error(self) -> float:
+        """|N(h) - N(2h)|, N(2h) the backflow of every other point with its own skip flag."""
+        return abs(self._backflow_sum - _backflow(self.values[::2], self._mask[::2], self.measure_tag))
+
     def has_infinite(self) -> bool:
         return bool(np.any(np.isinf(self.values)))
 

@@ -203,7 +203,7 @@ def _pipeline_one(model: ModelSpec, grid: TimeGrid, measures, epsilon_n, rate_to
     if traj.kind == "quantum":
         series = InfoSeries(grid, np.abs(traj.states[:, 0, 1]) ** 2, "s_qe", report.gaps)
     else:
-        series = report.series("kl")
+        series = report.series["kl"]
     row["revival"], _ = revival_detector(series, epsilon_n)
     row["error"] = ""
     return row

@@ -148,6 +148,13 @@ def check_map_table(table, grid: TimeGrid, kind: str, dim: int, what: str) -> np
     return _freeze(table)
 
 
+def _sample_table(table, kind: str, what: str) -> np.ndarray:
+    """A sampled ``table`` by :func:`states._numeric` (real for the classical kind) as
+    complex or float, uncopied when it is already: a broadcast table keeps stride 0."""
+    real = kind == "classical"
+    return _numeric(table, f"{kind} {what}", real=real).astype(float if real else complex, copy=False)
+
+
 def _initial_vector(initial, gen_kind: str, dim: int) -> np.ndarray:
     state_type = DensityMatrix if gen_kind == "quantum" else ProbabilityVector
     if not isinstance(initial, state_type):
@@ -186,24 +193,25 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
     a = np.asarray(matrix)
     dd = a.shape[0]
     eye = np.eye(dd, dtype=a.dtype)
-    ha = grid.dt * a
-    power = eye + np.matmul(ha, eye + np.matmul(ha, eye / 2.0 + np.matmul(ha, eye / 6.0 + ha / 24.0)))
     cols = y0.reshape(dd, -1)
     c = cols.shape[1]
     out = np.empty((grid.n, c, dd), dtype=np.result_type(a.dtype, y0.dtype, np.float64))
     out[0] = cols.T
     flat = out.reshape(grid.n * c, dd)
     k = 1
-    while k < grid.n:
-        m = min(k, grid.n - k)
-        np.matmul(flat[: m * c], power.T, out=flat[k * c : (k + m) * c])
-        block = out[k : k + m]
-        if not np.isfinite(block).all():
-            t = float(grid.points[k + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))])
-            raise IntegrationDivergedError(f"integration diverged at t={t:g}", time=t)
-        k += m
-        if k < grid.n:
-            power = np.matmul(power, power)
+    with np.errstate(over="ignore", invalid="ignore"):  # the first non-finite row is reported below
+        ha = grid.dt * a
+        power = eye + np.matmul(ha, eye + np.matmul(ha, eye / 2.0 + np.matmul(ha, eye / 6.0 + ha / 24.0)))
+        while k < grid.n:
+            m = min(k, grid.n - k)
+            np.matmul(flat[: m * c], power.T, out=flat[k * c : (k + m) * c])
+            block = out[k : k + m]
+            if not np.isfinite(block).all():
+                t = float(grid.points[k + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))])
+                raise IntegrationDivergedError(f"integration diverged at t={t:g}", time=t)
+            k += m
+            if k < grid.n:
+                power = np.matmul(power, power)
     return out.transpose(0, 2, 1).reshape((grid.n,) + y0.shape)
 
 
@@ -212,7 +220,7 @@ def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> 
     ``ts[:k]``, that is not finite (:class:`IntegrationDivergedError`) or
     fails trace preservation (:class:`ContractViolationError`)."""
     finite = np.isfinite(samples).all(axis=(1, 2))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # a sample too large to sum fails below
         defect, failing = _sample_defects(samples, kind, dim, SAMPLE_TRACE_TOL)
     bad = ~finite | failing
     if bad.any():
@@ -284,18 +292,18 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
     times = np.empty(2 * grid.n - 1)
     times[::2] = ts
     np.add(ts[:-1], 0.5 * h, out=times[1::2])
-    table = gen.evaluate(times)
-    dtype, shape_error = (complex if gen.kind == "quantum" else float), None
+    table, shape_error = gen.evaluate(times), None
     try:
-        samples = np.asarray(table, dtype=dtype)
-    except ValueError:
-        # samples of different shapes: those ahead of the first of another
-        # shape are judged as below, and its error comes after them
-        k = next((i for i, s in enumerate(table) if np.shape(s) != (dd, dd)), None)
-        if k is None:
-            raise ContractViolationError(f"generator samples do not form one (n, {dd}, {dd}) table") from None
-        samples = np.asarray(table[:k], dtype=dtype).reshape(k, dd, dd)
-        shape_error = ContractViolationError(f"generator sample at t={times[k]:g} has shape {np.shape(table[k])}")
+        samples = _sample_table(table, gen.kind, "generator samples")
+    except ContractViolationError:
+        # a list of samples of different shapes: those ahead of the first that
+        # is not (dd, dd) are judged as below, and its error comes after them
+        shapes = [np.shape(s) for s in table] if isinstance(table, (list, tuple)) else []
+        if len(set(shapes)) < 2:
+            raise
+        k = next(i for i, shape in enumerate(shapes) if shape != (dd, dd))
+        samples = _sample_table(table[:k], gen.kind, "generator samples").reshape(k, dd, dd)
+        shape_error = ContractViolationError(f"generator sample at t={times[k]:g} has shape {shapes[k]}")
     if samples.shape[1:] != (dd, dd):
         raise ContractViolationError(f"generator sample at t={times[0]:g} has shape {samples.shape[1:]}")
     if shape_error is None and samples.shape[0] != times.size:
@@ -367,8 +375,7 @@ def solve_tcl(gen: TclGenerator, initial, grid: TimeGrid) -> Trajectory:
 def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
     h = grid.dt
     dd = kernel.matrix_dim
-    dtype = complex if kernel.kind == "quantum" else float
-    table = np.asarray(kernel.evaluate(np.arange(grid.n) * h), dtype=dtype)  # lag m is m * h
+    table = _sample_table(kernel.evaluate(np.arange(grid.n) * h), kernel.kind, "kernel samples")  # lag m is m * h
     if table.shape != (grid.n, dd, dd):
         raise ContractViolationError(f"kernel samples have shape {table.shape}, expected {(grid.n, dd, dd)}")
     finite = np.isfinite(table).all(axis=(1, 2))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import backflow_lab.analysis as analysis
 import backflow_lab.propagation as propagation
 from backflow_lab import ConfigError, TimeGrid
 from backflow_lab.generator_analysis import SampledGenerator, check_divisible, extract_tcl_generator
+from backflow_lab.information import backflow_functional
 from backflow_lab.models import MODEL_REGISTRY, build_model
 
 GRID = TimeGrid.uniform(1e-2, 2.0)
@@ -201,6 +203,64 @@ class TestAnalyze:
         want = check_divisible(generator_of(model, GRID), 1e-7)
         assert np.array_equal(report.rate_traces, want.rate_traces, equal_nan=True)
         assert report.to_json_dict() == want.to_json_dict()
+
+
+def half_grid_reference(series):
+    """|N(h) - N(2h)| summed as the sector split once did: every other
+    point, each with its own skip flag."""
+    from backflow_lab.information import _backflow
+
+    half = _backflow(series.values[::2], series.skipped()[::2], series.measure_tag)
+    return abs(backflow_functional(series) - half)
+
+
+class TestPointSeries:
+    @pytest.mark.parametrize(
+        "name, params, measures, split_tags",
+        [
+            ("amplitude_damping_qubit", {}, ["rel_entropy", "vn_entropy"], {"s_cl", "s_qe"}),
+            ("fractional_two_state", {"alpha": 0.6}, ["s_cl", "s_qe"], {"s_cl", "s_qe"}),
+            ("markov_two_state", {}, [], {"s_cl", "s_qe"}),
+            ("classical_exp_kernel", {"tau_m": 0.5}, ["kl"], {"kl"}),
+            ("classical_exp_kernel", {"tau_m": 0.5}, [], {"kl"}),
+        ],
+    )
+    def test_one_table_of_the_measures_and_the_split_series(self, name, params, measures, split_tags):
+        report = analysis.analyze(build_model(name, params), GRID, "auto", measures, 1e-6, 1e-7)
+        assert type(report.series) is dict
+        assert set(report.series) == set(measures) | split_tags
+        assert list(report.backflow) == measures
+        for tag in measures:
+            assert report.backflow[tag] == backflow_functional(report.series[tag])
+        for tag, series in report.series.items():
+            assert series.measure_tag == tag and series.skip_intervals == tuple(report.gaps)
+
+    @pytest.mark.parametrize(
+        "name, params, measures, sectors",
+        [
+            ("fractional_two_state", {"alpha": 0.6}, ["s_cl", "s_qe"], ("s_cl", "s_qe")),
+            ("classical_exp_kernel", {"tau_m": 0.5}, ["kl"], ("kl",)),
+        ],
+    )
+    def test_split_errors_are_the_sectors_half_grid_errors(self, name, params, measures, sectors):
+        report = analysis.analyze(build_model(name, params), GRID, "auto", measures, 1e-6, 1e-7)
+        want = tuple(half_grid_reference(report.series[tag]) for tag in sectors) + (0.0,) * (2 - len(sectors))
+        assert report.split_errors == want
+
+    @pytest.mark.parametrize("dt, parity", [(1 / 128, 0), (1 / 126, 1)], ids=["even-gaps", "odd-gaps"])
+    def test_half_grid_error_keeps_each_points_skip_flag(self, dt, parity):
+        """cos(pi t) vanishes at t = 0.5, 1.5, 2.5: generator gaps at even
+        grid indices (kept by the half grid, still skipped) or at odd ones
+        (dropped from it)."""
+        model = build_model("dephasing_qubit", {"rate_kind": "cosine_f", "mu": math.pi})
+        grid = TimeGrid.uniform(dt, 3.0)
+        report = analysis.analyze(model, grid, "auto", ["vn_entropy", "rel_entropy"], 1e-6, 1e-7)
+        assert len(report.gaps) == 3
+        for tag, series in report.series.items():
+            skipped = np.flatnonzero(series.skipped())
+            assert skipped.size == 3 and np.all(skipped % 2 == parity)
+            assert series.half_grid_error == half_grid_reference(series)
+        assert report.split_errors == (report.series["s_cl"].half_grid_error, report.series["s_qe"].half_grid_error)
 
 
 class TestTclGeneratorIsTheInput:

@@ -422,7 +422,6 @@ class TestBackflow:
         """Each series is built once and summed once: the pair case sums
         s_cl and s_qe, their total, and both half grids (5); the kl case
         sums kl and its half grid (2)."""
-        import backflow_lab.analysis as analysis
         import backflow_lab.information as information
         import backflow_lab.netfd as netfd
 
@@ -434,7 +433,7 @@ class TestBackflow:
         monkeypatch.setattr(netfd, "_sector_entropies", counting("pair", netfd._sector_entropies))
         monkeypatch.setattr(information, "kl_divergences", counting("kl", information.kl_divergences))
         backflow_sum = counting("sum", information._backflow)
-        for module in (information, netfd, analysis):
+        for module in (information, netfd):
             monkeypatch.setattr(module, "_backflow", backflow_sum)
         config = write_config(
             tmp_path, {"model": model, "grid": {"dt": 1e-2, "t_max": 4.0}, "measures": measures}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -820,8 +821,6 @@ class TestFusedRk4:
 
         return TclGenerator(dim=2, kind="quantum", evaluate=pointwise(evaluate))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("route", ["solve_tcl", "build_propagator"])
     def test_trace_breaking_sample_names_its_time(self, route):
         grid = TimeGrid.uniform(1e-2, 3.0)
@@ -1087,7 +1086,6 @@ class TestRk4PowerTable:
         assert abs(got.value.time - t_ref) <= 3 * grid.dt
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("y0", [np.array([1.0, 0.0]), np.eye(2)], ids=["vector", "identity"])
     def test_divergence_inside_a_doubling_block_names_its_first_row(self, y0):
         """The table first goes non-finite inside a doubling block, not at its
@@ -1106,6 +1104,28 @@ class TestRk4PowerTable:
         with pytest.raises(IntegrationDivergedError, match="integration diverged") as got:
             rk4_power_table(w, y0, grid)
         assert got.value.time == grid.points[row]
+
+    @pytest.mark.parametrize("route", ["rk4_power_table", "solve_tcl", "build_propagator"])
+    def test_overflow_raises_no_warning(self, route):
+        """The squarings overflow ahead of the rows: numpy's overflow is not
+        warned of, and the divergence is named at the first non-finite row."""
+        from backflow_lab.propagation import rk4_power_table
+
+        w = -6.0 * W_SYM
+        grid = TimeGrid.uniform(1e-2, 80.0)
+        p0 = ProbabilityVector([1.0, 0.0])
+        y0, run = {
+            "rk4_power_table": (p0.entries, lambda: rk4_power_table(w, p0.entries, grid)),
+            "solve_tcl": (p0.entries, lambda: solve_tcl(constant_classical_generator(w), p0, grid)),
+            "build_propagator": (np.eye(2), lambda: build_propagator(constant_classical_generator(w), grid)),
+        }[route]
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(unchecked_doubling(w, y0, grid)).all(axis=(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationDivergedError, match="integration diverged") as got:
+                run()
+        assert got.value.time == grid.points[np.argmin(finite)]
 
 
 class TestStateOnlyPass:
@@ -1267,6 +1287,69 @@ class TestGeneratorSamples:
         with pytest.raises(IntegrationDivergedError, match="generator sample") as raised:
             tcl_pass(gen, grid, np.eye(4, dtype=complex))
         assert raised.value.time == t_last
+
+
+class TestSampleTablesAreNumericArrays:
+    """A generator's or kernel's sampled table is read by the one array rule
+    of the value types: rectangular, numeric, and real for a classical kind."""
+
+    GRID = TimeGrid.uniform(1e-2, 1.0)
+
+    @staticmethod
+    def run_generator(table_of, kind="classical"):
+        dd = 2 if kind == "classical" else 4
+        gen = TclGenerator(dim=2, kind=kind, evaluate=lambda ts: table_of(len(ts), dd))
+        initial = ProbabilityVector([1.0, 0.0]) if kind == "classical" else DensityMatrix(np.eye(2, dtype=complex) / 2)
+        return solve_tcl(gen, initial, TestSampleTablesAreNumericArrays.GRID)
+
+    @staticmethod
+    def run_kernel(table_of):
+        kernel = MemoryKernel(dim=2, kind="classical", evaluate=lambda taus: table_of(len(taus)))
+        return solve_tc(kernel, ProbabilityVector([1.0, 0.0]), TestSampleTablesAreNumericArrays.GRID)
+
+    def test_complex_classical_generator_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="^classical generator samples must be real$"):
+                self.run_generator(lambda n, dd: np.tile(W_SYM + 1e-3j, (n, 1, 1)))
+
+    def test_complex_classical_kernel_refused(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="^classical kernel samples must be real$"):
+                self.run_kernel(lambda n: np.tile(W_SYM + 1e-3j, (n, 1, 1)))
+
+    def test_zero_imaginary_part_is_dropped(self):
+        """Complex tables whose imaginary parts are zero give the bits of
+        their real parts, with no warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            real = self.run_generator(lambda n, dd: np.tile(W_SYM, (n, 1, 1)))
+            as_complex = self.run_generator(lambda n, dd: np.tile(W_SYM + 0j, (n, 1, 1)))
+            assert np.array_equal(real.states, as_complex.states)
+            real = self.run_kernel(lambda n: np.array([math.exp(-0.1 * m) * W_SYM for m in range(n)]))
+            as_complex = self.run_kernel(lambda n: np.array([math.exp(-0.1 * m) * W_SYM + 0j for m in range(n)]))
+            assert np.array_equal(real.states, as_complex.states)
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_generator_table_of_strings(self, kind):
+        with pytest.raises(ContractViolationError, match=f"^{kind} generator samples must be numeric, got dtype <U1$"):
+            self.run_generator(lambda n, dd: np.full((n, dd, dd), "x"), kind)
+
+    def test_kernel_table_of_strings(self):
+        with pytest.raises(ContractViolationError, match="^classical kernel samples must be numeric, got dtype <U1$"):
+            self.run_kernel(lambda n: np.full((n, 2, 2), "x"))
+
+    def test_ragged_kernel_table(self):
+        with pytest.raises(ContractViolationError, match="^classical kernel samples are not a rectangular array$"):
+            self.run_kernel(lambda n: [W_SYM] * (n - 1) + [W_SYM[:1]])
+
+    def test_kernel_table_is_not_copied(self):
+        import backflow_lab.propagation as propagation
+
+        table = np.array([math.exp(-0.1 * m) * W_SYM for m in range(self.GRID.n)])
+        kernel = MemoryKernel(dim=2, kind="classical", evaluate=lambda taus: table)
+        assert propagation._kernel_table(kernel, self.GRID) is table
 
 
 class TestPrefixProduct:
