@@ -187,7 +187,7 @@ def cmd_simulate(config: dict, args) -> int:
         herm = float(np.max(linalg.hermiticity_defects(traj.states)))
         min_eig = float(np.min(traj.spectrum[:, 0]))
     else:
-        traces = traj.states.sum(axis=1)
+        traces = linalg._row_reduce(np.add, traj.states)
         herm = 0.0
         min_eig = float(np.min(traj.states))
     validation = {
@@ -329,7 +329,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the status a shell gives a writer that SIGPIPE ends (128 + 13), as in ``yes | head -1``
+EXIT_STDOUT_CLOSED = 141
+
+
 def main(argv=None) -> int:
+    """Run one command; its exit code.  A standard output closed by its
+    reader (``| head -1``) ends the command quietly with
+    ``EXIT_STDOUT_CLOSED``."""
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+    except BrokenPipeError:
+        # nothing more can be written: send what is left (and that last flush) to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "model":

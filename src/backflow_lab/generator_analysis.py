@@ -28,8 +28,9 @@ samples and their eigenvalues, the canonical rates gamma_k(t) that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -99,7 +100,7 @@ class SampledGenerator:
         ratio = np.where(off, ts[:, None, None] - x[:, None, :], 1.0) / np.where(
             off, x[:, :, None] - x[:, None, :], 1.0
         )
-        return np.einsum("nk,nkab->nab", ratio.prod(axis=2), self.samples[nodes])
+        return np.einsum("nk,nkab->nab", linalg._row_reduce(np.multiply, ratio), self.samples[nodes])
 
     def as_tcl_generator(self) -> TclGenerator:
         return TclGenerator(dim=self.dim, kind=self.kind, evaluate=self.evaluate)
@@ -201,9 +202,9 @@ def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     upper_limit = CONDITION_LIMIT * (1 + GATE_MARGIN)
     lower_limit = CONDITION_LIMIT * (1 - GATE_MARGIN)
-    cols = _column_squares(maps).T  # (d, n): per-row stats are d - 1 elementwise steps
-    big = reduce(np.maximum, cols)
-    flagged = np.sqrt(big) > upper_limit * np.sqrt(reduce(np.minimum, cols))
+    squares = _column_squares(maps)
+    big = linalg._row_reduce(np.maximum, squares)
+    flagged = np.sqrt(big) > upper_limit * np.sqrt(linalg._row_reduce(np.minimum, squares))
     rest = np.flatnonzero(~flagged)
     try:
         inv = np.linalg.inv(maps if rest.size == flagged.size else maps[rest])
@@ -212,10 +213,10 @@ def _condition_gate(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flagged[zero] = _svd_gaps(maps[zero])
         rest = np.flatnonzero(~flagged)
         inv = np.linalg.inv(maps[rest])
-    inv_cols = _column_squares(inv).T
+    inv_squares = _column_squares(inv)
     with np.errstate(over="ignore", invalid="ignore"):
-        lower = np.sqrt(big[rest] * reduce(np.maximum, inv_cols))
-        upper = np.sqrt(reduce(np.add, cols[:, rest]) * reduce(np.add, inv_cols))
+        lower = np.sqrt(big[rest] * linalg._row_reduce(np.maximum, inv_squares))
+        upper = np.sqrt(linalg._row_reduce(np.add, squares[rest]) * linalg._row_reduce(np.add, inv_squares))
     gaps = lower > upper_limit
     unsure = np.flatnonzero(~gaps & ~(upper < lower_limit))
     if unsure.size:
@@ -254,7 +255,7 @@ def extract_tcl_generator(family: PropagatorFamily) -> SampledGenerator:
         deriv = _derivative_4th(maps, h, lo, lo + step)
         g = np.einsum("nab,nbc->nac", deriv[ok] if ok.size < gaps.size else deriv, inv)
         residual = linalg.conservation_sums(g, family.kind, family.dim)
-        bad = _trace_failures(np.max(np.abs(residual), axis=1), g, EXTRACTION_TRACE_TOL)
+        bad = _trace_failures(linalg._row_reduce(np.maximum, np.abs(residual)), g, EXTRACTION_TRACE_TOL)
         # project out the residual trace-row defect for downstream stability:
         # u holds only 0s and 1s, so only the rows it selects change
         g[:, u == 1] -= (residual / float(u @ u))[:, None]
@@ -303,26 +304,23 @@ def _full_basis(dim: int) -> np.ndarray:
     return np.concatenate([ident[None], gell_mann_basis(dim)], axis=0)
 
 
-_KOSSAKOWSKI = "Bca,Ade,tadce->tAB"
-
-
-@lru_cache(maxsize=8)
-def _kossakowski_path(dim: int) -> list:
-    """The contraction path ``optimize=True`` finds for :func:`_kossakowski`,
-    searched once per dimension (the number of samples does not change it)."""
-    basis = _full_basis(dim).conj()
-    return np.einsum_path(_KOSSAKOWSKI, basis, basis, np.zeros((1,) + (dim,) * 4, complex), optimize=True)[0]
-
-
 def _kossakowski(samples: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian parts of the expansion coefficients c[t] with
     A_t(rho) = sum_{ab} c[t,a,b] F_a rho F_b^dagger over the HS-orthonormal
     basis {F_0 = I/sqrt(d), Gell-Mann...}, for stacked (n, d^2, d^2)
-    superoperator matrices; c[t, 1:, 1:] is the Kossakowski matrix."""
+    superoperator matrices; c[t, 1:, 1:] is the Kossakowski matrix.
+
+    c[A,B] = sum conj(F[B][c,a]) conj(F[A][d,e]) M[a,d,c,e] is two matrix
+    products, over (a, c) and then over (d, e): the steps, operand layouts
+    and bits of ``np.einsum`` on its ``optimize=True`` path, without the
+    path's per-call parsing."""
     basis = _full_basis(dim).conj()
+    dd = dim * dim
     m4 = np.asarray(samples, dtype=complex).reshape(-1, dim, dim, dim, dim)
-    # c[A,B] = sum conj(F[B][c,a]) conj(F[A][d,e]) M[a,d,c,e]
-    c = np.einsum(_KOSSAKOWSKI, basis, basis, m4, optimize=_kossakowski_path(dim))
+    n = len(m4)
+    x = m4.transpose(0, 2, 4, 1, 3).reshape(n * dd, dd) @ basis.transpose(2, 1, 0).reshape(dd, dd)  # [t d e, B]
+    y = x.reshape(n, dim, dim, dd).transpose(0, 3, 1, 2).reshape(n * dd, dd) @ basis.transpose(1, 2, 0).reshape(dd, dd)
+    c = y.reshape(n, dd, dd).transpose(0, 2, 1)  # y is [t B, A]
     return (c + c.conj().transpose(0, 2, 1)) / 2.0
 
 
@@ -422,28 +420,39 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
     place on the grid (a slice or an index array), to their rows, and gap
     rows are NaN.  A broadcast stack (leading stride 0, the form
     :func:`propagation.tcl_pass` gives a constant generator) without gaps
-    has every row equal to its first: the report reads that one row, and
-    ``rate_traces`` is it broadcast read-only to all n rows."""
+    has every row equal to its first: the report is that one row's (a
+    violation is at t_0), and ``rate_traces`` is it broadcast read-only to
+    all n rows."""
     samples = gen.samples
     n = len(samples)
     keep = ~gen.gap_mask() if gen.gaps else None
+    context = dict(grid=gen.grid, kind=gen.kind, rate_tolerance=rate_tolerance, gaps=gen.gaps)
     if keep is None and samples.strides[0] == 0:
-        rows = traces_of(samples[:1], slice(0, 1)).astype(float, copy=False)
-        traces = np.broadcast_to(rows, (n,) + rows.shape[1:])
-        per_point = np.fmin.reduce(rows, axis=1, initial=np.nan)
-    else:
-        traces = None
-        step = _block_rows(samples)
-        for lo in range(0, n, step):
-            at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
-            block = samples[at]
-            if len(block):
-                rows = traces_of(block, at)
-                if traces is None:
-                    traces = np.full((n,) + rows.shape[1:], np.nan)
-                traces[at] = rows
-        # fmin ignores NaN like nanmin; a row is all NaN (a gap) exactly when its minimum is
-        per_point = np.full(n, np.nan) if traces is None else np.fmin.reduce(traces, axis=1, initial=np.nan)
+        row = traces_of(samples[:1], slice(0, 1)).astype(float, copy=False)
+        min_rate = float(np.fmin.reduce(row[0], initial=np.nan))
+        if math.isnan(min_rate):
+            raise GeneratorSingularityError("no usable grid points outside gaps")
+        violates = min_rate < -rate_tolerance
+        return DivisibilityReport(
+            divisible=not violates,
+            min_rate=min_rate,
+            first_violation_time=float(gen.grid.points[0]) if violates else None,
+            rate_traces=np.broadcast_to(row, (n,) + row.shape[1:]),
+            **context,
+        )
+    traces = None
+    step = _block_rows(samples)
+    for lo in range(0, n, step):
+        at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
+        block = samples[at]
+        if len(block):
+            rows = traces_of(block, at)
+            if traces is None:
+                traces = np.full((n,) + rows.shape[1:], np.nan)
+            traces[at] = rows
+    # fmin ignores NaN like nanmin; a row is all NaN (a gap) exactly when its minimum is
+    usable = traces is not None and traces.shape[1]
+    per_point = linalg._row_reduce(np.fmin, traces) if usable else np.full(n, np.nan)
     valid = ~np.isnan(per_point)
     if not np.any(valid):
         raise GeneratorSingularityError("no usable grid points outside gaps")
@@ -455,10 +464,7 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
         min_rate=min_rate,
         first_violation_time=first_violation,
         rate_traces=traces,
-        grid=gen.grid,
-        kind=gen.kind,
-        rate_tolerance=rate_tolerance,
-        gaps=gen.gaps,
+        **context,
     )
 
 

@@ -140,13 +140,13 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 def _sum_w_log_w(w: np.ndarray) -> np.ndarray:
     """Row sums of w log w for a nonnegative (n, k) array, 0 log 0 = 0."""
     pos = w > 0
-    return np.sum(np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0), axis=1)
+    return linalg._row_reduce(np.add, np.where(pos, w * np.log(np.where(pos, w, 1.0)), 0.0))
 
 
 def von_neumann_entropies(spectrum: np.ndarray) -> np.ndarray:
     """:func:`von_neumann_entropy` of each state from its (n, d) ascending
     spectrum (:attr:`Trajectory.spectrum`)."""
-    w = np.clip(spectrum[:, ::-1], 0.0, None)
+    w = np.maximum(spectrum[:, ::-1], 0.0)
     return np.maximum(-_sum_w_log_w(w), 0.0)
 
 
@@ -161,12 +161,12 @@ def relative_entropies(states: np.ndarray, spectrum: np.ndarray, sigma: DensityM
     is diagonalized.
     """
     ws, vs = np.linalg.eigh(sigma.entries)
-    ws = np.clip(ws, 0.0, None)
+    ws = np.maximum(ws, 0.0)
     small = ws < SUPPORT_EIGENVALUE
     keep = ~small
     log_sigma = (vs[:, keep] * np.log(ws[keep])) @ vs[:, keep].conj().T
     tr_rho_log_sigma = np.einsum("nij,ji->n", states, log_sigma).real
-    vals = np.maximum(_sum_w_log_w(np.clip(spectrum, 0.0, None)) - tr_rho_log_sigma, 0.0)
+    vals = np.maximum(_sum_w_log_w(np.maximum(spectrum, 0.0)) - tr_rho_log_sigma, 0.0)
     if np.any(small):  # the weight of each state outside sigma's support
         outside = vs[:, small]
         weight = np.einsum("ik,nij,jk->n", outside.conj(), states, outside).real
@@ -177,14 +177,14 @@ def relative_entropies(states: np.ndarray, spectrum: np.ndarray, sigma: DensityM
 def kl_divergences(ps: np.ndarray, q: ProbabilityVector) -> np.ndarray:
     """:func:`kl_divergence` D(p_k || q) of each row of a stacked (n, m)
     array against one reference."""
-    pv = np.clip(ps, 0.0, None)
-    qv = np.clip(q.entries, 0.0, None)
+    pv = np.maximum(ps, 0.0)
+    qv = np.maximum(q.entries, 0.0)
     small = qv < SUPPORT_EIGENVALUE
     keep = (pv > 0) & ~small
     log_ratio = np.log(np.where(keep, pv, 1.0)) - np.log(np.where(small, 1.0, qv))
-    vals = np.maximum(np.sum(np.where(keep, pv * log_ratio, 0.0), axis=1), 0.0)
+    vals = np.maximum(linalg._row_reduce(np.add, np.where(keep, pv * log_ratio, 0.0)), 0.0)
     if np.any(small):
-        vals[pv[:, small].sum(axis=1) > SUPPORT_WEIGHT] = np.inf
+        vals[linalg._row_reduce(np.add, pv[:, small]) > SUPPORT_WEIGHT] = np.inf
     return vals
 
 
@@ -192,7 +192,7 @@ def trace_distances(states: np.ndarray, sigma: DensityMatrix) -> np.ndarray:
     """:func:`trace_distance` of each of the stacked (n, d, d) states to one
     reference."""
     w = linalg.hermitian_spectra(states - sigma.entries)
-    return 0.5 * np.sum(np.abs(w), axis=1)
+    return 0.5 * linalg._row_reduce(np.add, np.abs(w))
 
 
 def series_from_trajectory(
@@ -265,12 +265,12 @@ def _backflow(values: np.ndarray, mask: np.ndarray, tag: str) -> float:
             f"backflow of {tag!r} needs two points outside the skip intervals (gaps or non-finite "
             f"values), but {skipped} of {mask.size} are skipped"
         )
+    # np.diff, np.clip(x, 0.0, None) and np.sum written as the ufuncs they call, less their wrappers' cost
     if not skipped:  # every pair counts: the masking below would change no value
-        return float(np.sum(np.clip(np.diff(values), 0.0, None)))
+        return float(np.add.reduce(np.maximum(values[1:] - values[:-1], 0.0)))
     # skipped values may be +inf: zeroed, they leave the counted pairs'
     # increments as they are and raise no warning in the difference
     vals = np.where(mask, 0.0, values)
     ok_pair = (~mask[:-1]) & (~mask[1:])
-    inc = np.diff(vals)
-    rises = np.where(ok_pair, np.clip(inc, 0.0, None), 0.0)
-    return float(np.sum(rises))
+    rises = np.where(ok_pair, np.maximum(vals[1:] - vals[:-1], 0.0), 0.0)
+    return float(np.add.reduce(rises))

@@ -12,6 +12,8 @@ matrix ``m`` maps to the length-d^2 vector ``(m[0,0], m[1,0], ..., m[0,1],
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolationError, NotPsdError
@@ -57,7 +59,7 @@ def hermitian_eig(m: np.ndarray):
 def hermiticity_defects(stack: np.ndarray) -> np.ndarray:
     """max|A - A^H|/2 per matrix of an (n, d, d) stack, read on and above the diagonal only."""
     iu, ju = np.triu_indices(stack.shape[-1])
-    return np.abs(stack[:, iu, ju] - stack[:, ju, iu].conj()).max(axis=1) / 2.0
+    return _row_reduce(np.maximum, np.abs(stack[:, iu, ju] - stack[:, ju, iu].conj())) / 2.0
 
 
 _EPS = np.finfo(float).eps / 2  # LAPACK's dlamch('E')
@@ -119,7 +121,8 @@ def hermitian_spectra(stack: np.ndarray) -> np.ndarray:
     w = np.empty((s.shape[0], 2))
     np.minimum(rt1, rt2, out=w[:, 0])
     np.maximum(rt1, rt2, out=w[:, 1])
-    w[split, 0], w[split, 1] = np.minimum(a, c)[split], np.maximum(a, c)[split]
+    if split.any():
+        w[split, 0], w[split, 1] = np.minimum(a, c)[split], np.maximum(a, c)[split]
     return np.ldexp(w, k[:, None]) if k.any() else w
 
 
@@ -133,7 +136,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     w, v = hermitian_eig(m)
     if w[-1] < -PSD_ERROR:
         raise NotPsdError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{PSD_ERROR:g}")
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
@@ -197,10 +200,36 @@ def conservation_row(kind: str, dim: int) -> np.ndarray:
 
 def conservation_sums(stack: np.ndarray, kind: str, dim: int) -> np.ndarray:
     """``conservation_row(kind, dim) @ stack`` for a stack (..., dd, m), as
-    the rows u selects added in row order (rows 0, d + 1, 2(d + 1), ... of
-    quantum maps, all rows of classical ones), with no product by u."""
-    rows = np.moveaxis(stack[..., :: dim + 1 if kind == "quantum" else 1, :], -2, 0)
-    out = rows[0].copy()
-    for row in rows[1:]:
-        out += row
+    the sum of the rows u selects (rows 0, d + 1, 2(d + 1), ... of quantum
+    maps, all rows of classical ones), with no product by u."""
+    return _row_reduce(np.add, np.swapaxes(stack[..., :: dim + 1 if kind == "quantum" else 1, :], -1, -2))
+
+
+def _row_reduce(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(table, axis=-1)`` bit for bit, a short last axis taken
+    as elementwise steps over its columns: numpy runs its loop once per
+    row, which on 4 001 rows of 2 to 4 entries costs 5-30x the steps.
+
+    The steps repeat numpy 2.4's loop over such a row.  That loop adds a
+    row of fewer than 8 real numbers (4 complex ones) left to right from
+    +0.0, so [-0, -0] sums to +0; it sums a longer row pairwise.  For the
+    other ufuncs, on x86-64 with AVX2 or AVX-512, it takes a row of fewer
+    than 5 entries one at a time (a longer one in vectors), and fmin and
+    fmax keep the earlier of two equal entries of a contiguous row, +0 and
+    -0 among them, which their elementwise loops need not.  Other rows,
+    empty ones among them, and tables of fewer than 64 rows, where the
+    steps' own call costs exceed the loop's, go to ``ufunc.reduce``."""
+    d = table.shape[-1]
+    limit = (4 if table.dtype.kind == "c" else 8) if ufunc is np.add else 5
+    if not 0 < d < limit or table.size < 64 * d:
+        return ufunc.reduce(table, axis=-1)
+    out = table[..., 0] + 0.0 if ufunc is np.add else table[..., 0].copy()
+    for j in range(1, d):
+        col = table[..., j]
+        ufunc(out, col, out=out, where=out != col if ufunc is np.fmin or ufunc is np.fmax else True)
     return out
+
+
+def _finite_rows(table: np.ndarray) -> np.ndarray:
+    """The mask of the rows of an (n, ...) table whose entries are all finite."""
+    return _row_reduce(np.logical_and, np.isfinite(table).reshape(len(table), math.prod(table.shape[1:])))

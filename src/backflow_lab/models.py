@@ -137,8 +137,8 @@ def classical_exp_kernel(n: int = 2, gamma: float = 1.0, tau_m: float = 1.0) -> 
     p0 = _constant(ProbabilityVector, np.eye(n)[0])
 
     def kernel_table(taus: np.ndarray) -> np.ndarray:
-        # math.exp per lag: np.exp differs from it in the last bit on some lags
-        decay = np.array([(gamma / tau_m) * math.exp(-tau / tau_m) for tau in taus.tolist()])
+        # math.exp per lag, in one map pass: np.exp differs from it in the last bit on some lags
+        decay = (gamma / tau_m) * np.fromiter(map(math.exp, (-taus / tau_m).tolist()), float, len(taus))
         return decay[:, None, None] * wb
 
     kernel = MemoryKernel(dim=n, kind="classical", evaluate=kernel_table, decay_scale=tau_m)

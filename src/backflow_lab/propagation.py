@@ -170,14 +170,16 @@ def _trace_failures(defect: np.ndarray, samples: np.ndarray, tol: float) -> np.n
     The scale is >= 1, so it is read only where the defect exceeds ``tol``."""
     bad = defect > tol
     if bad.any():
-        bad[bad] = defect[bad] > tol * np.maximum(1.0, np.max(np.abs(samples[bad]), axis=(1, 2)))
+        entries = np.abs(samples[bad])
+        scale = linalg._row_reduce(np.maximum, entries.reshape(len(entries), -1))
+        bad[bad] = defect[bad] > tol * np.maximum(1.0, scale)
     return bad
 
 
 def _sample_defects(samples: np.ndarray, kind: str, dim: int, tol: float):
     """Trace-preservation defect of stacked generator samples (k, dd, dd)
     and the mask of those that fail (:func:`_trace_failures`)."""
-    defect = np.max(np.abs(linalg.conservation_sums(samples, kind, dim)), axis=1)
+    defect = linalg._row_reduce(np.maximum, np.abs(linalg.conservation_sums(samples, kind, dim)))
     return defect, _trace_failures(defect, samples, tol)
 
 
@@ -207,7 +209,7 @@ def rk4_power_table(matrix: np.ndarray, y0: np.ndarray, grid: TimeGrid) -> np.nd
             np.matmul(flat[: m * c], power.T, out=flat[k * c : (k + m) * c])
             block = out[k : k + m]
             if not np.isfinite(block).all():
-                t = float(grid.points[k + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))])
+                t = float(grid.points[k + int(np.argmin(linalg._finite_rows(block)))])
                 raise IntegrationDivergedError(f"integration diverged at t={t:g}", time=t)
             k += m
             if k < grid.n:
@@ -219,7 +221,7 @@ def _check_samples(samples: np.ndarray, ts: np.ndarray, kind: str, dim: int) -> 
     """Raise for the earliest of stacked samples (k, dd, dd), taken at
     ``ts[:k]``, that is not finite (:class:`IntegrationDivergedError`) or
     fails trace preservation (:class:`ContractViolationError`)."""
-    finite = np.isfinite(samples).all(axis=(1, 2))
+    finite = linalg._finite_rows(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # a sample too large to sum fails below
         defect, failing = _sample_defects(samples, kind, dim, SAMPLE_TRACE_TOL)
     bad = ~finite | failing
@@ -322,7 +324,7 @@ def tcl_pass(gen: TclGenerator, grid: TimeGrid, y0: np.ndarray | None = None) ->
     if y0 is not None and rows > 1:
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row is reported below
             out = _prefix_product(_rk4_steps(samples[: 2 * rows - 1], h), y0)
-        finite = np.isfinite(out.reshape(rows, -1)).all(axis=1)
+        finite = linalg._finite_rows(out)
         row = None if finite.all() else int(np.argmin(finite))
     _check_samples(samples if row is None else samples[: 2 * row + 1], times, gen.kind, gen.dim)
     if row is not None:
@@ -343,7 +345,7 @@ def _finalize_trajectory(raw: np.ndarray, grid: TimeGrid, kind: str, dim: int) -
         states *= 0.5
         sums, tol, what = np.einsum("nii->n", states).real, TRACE_DRIFT_TOL, "trace"
     else:
-        states, sums, tol, what = raw, raw.sum(axis=1), TC_NORMALIZATION_TOL, "normalization"
+        states, sums, tol, what = raw, linalg._row_reduce(np.add, raw), TC_NORMALIZATION_TOL, "normalization"
     drift = np.abs(sums - 1.0)
     finite = np.isfinite(drift)
     if not finite.all():  # judged ahead of the first non-finite sum, whose state is named below
@@ -378,7 +380,7 @@ def _kernel_table(kernel: MemoryKernel, grid: TimeGrid) -> np.ndarray:
     table = _sample_table(kernel.evaluate(np.arange(grid.n) * h), kernel.kind, "kernel samples")  # lag m is m * h
     if table.shape != (grid.n, dd, dd):
         raise ContractViolationError(f"kernel samples have shape {table.shape}, expected {(grid.n, dd, dd)}")
-    finite = np.isfinite(table).all(axis=(1, 2))
+    finite = linalg._finite_rows(table)
     n_ok = grid.n if finite.all() else int(np.argmin(finite))
     # kernels act as generators under the time integral: trace-annihilated;
     # the samples ahead of the first non-finite one are judged first
@@ -406,6 +408,7 @@ def _toeplitz_inverse(lags: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(k * dd, k * dd)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the first non-finite state is reported by the block solve
 def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Product-trapezoidal solution of d/dt y = int_0^t K(t-s) y(s) ds.
 
@@ -455,7 +458,7 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
     b_lags[1:] = (-2.0 * c) * pair[:-1]
     b_lags[1:2] = (-2.0 * c) * (table[1] + 0.5 * table[0])
     # max |B_n| over lags 0..n, the scale of a merge over lags < n + 1
-    b_scale = np.maximum.accumulate(np.max(np.abs(b_lags), axis=(1, 2)))
+    b_scale = np.maximum.accumulate(linalg._row_reduce(np.maximum, np.abs(b_lags).reshape(m_tot, -1)))
     block = min(_volterra_block(dd), m_tot)
     lags = b_lags[:block].copy()
     lags[0] = eye - c * table[0]
@@ -476,9 +479,9 @@ def volterra_propagate(kernel: MemoryKernel, y0: np.ndarray, grid: TimeGrid) -> 
         if not np.all(np.isfinite(sol)):
             # the first non-finite state, solved causally: a non-finite
             # right-hand side row must not reach the rows ahead of it
-            rows = np.isfinite(seg.reshape(k, width)).all(axis=1)
+            rows = linalg._finite_rows(seg.reshape(k, width))
             r = k if rows.all() else int(np.argmin(rows))
-            lead = np.isfinite(tinv[: r * dd, : r * dd] @ seg[: r * dd]).reshape(r, width).all(axis=1)
+            lead = linalg._finite_rows((tinv[: r * dd, : r * dd] @ seg[: r * dd]).reshape(r, width))
             m = lo + (r if lead.all() else int(np.argmin(lead)))
             t = float(grid.points[m + 1])
             raise IntegrationDivergedError(f"integration diverged at t={t:g}", time=t)

@@ -246,9 +246,8 @@ _time = lambda ts, i: None if ts is None else float(ts[i])
 
 
 def _require_finite(arr: np.ndarray, ts: np.ndarray | None):
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite.reshape(arr.shape[0], -1).all(axis=1)))
+    if not np.isfinite(arr).all():
+        i = int(np.argmin(linalg._finite_rows(arr)))
         raise InvalidStateError(f"state{_at(ts, i)} has a non-finite entry", time=_time(ts, i))
 
 
@@ -295,7 +294,7 @@ def _check_states(arr, kind: str, ts: np.ndarray | None, trace_tol: float, floor
         if np.min(arr) < floor:
             i = np.unravel_index(np.argmin(arr), arr.shape)[0]
             raise InvalidStateError(f"negative probability{_at(ts, i)}: {np.min(arr):.3e}", time=_time(ts, i))
-        sums = arr.sum(axis=1)
+        sums = linalg._row_reduce(np.add, arr)
         i = np.argmax(np.abs(sums - 1.0))
         if abs(sums[i] - 1.0) > trace_tol:
             raise InvalidStateError(f"state{_at(ts, i)} sums to {sums[i]}", time=_time(ts, i))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import backflow_lab
-from backflow_lab.cli import main
+from backflow_lab.cli import EXIT_STDOUT_CLOSED, main
 from backflow_lab.models import exp_kernel_difference_mode
 
 
@@ -18,17 +18,16 @@ def write_config(tmp_path, payload, name="config.json"):
     return str(path)
 
 
-def run_module(*argv, module="backflow_lab.cli"):
-    """``python -m <module>`` in a child that imports this package (the
-    child does not inherit pytest's ``pythonpath`` setting)."""
+def child_env():
+    """The environment of a child that imports this package (the child does
+    not inherit pytest's ``pythonpath`` setting)."""
     src = os.path.dirname(os.path.dirname(backflow_lab.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def run_module(*argv, module="backflow_lab.cli"):
+    """``python -m <module>`` in a child that imports this package."""
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True, env=child_env())
 
 
 def read_csv(path):
@@ -202,10 +201,10 @@ class TestDivisibility:
         assert os.path.exists(report["rates_csv_path"])
 
 
-    def test_cached_contraction_path_keeps_rates_csv(self, tmp_path, monkeypatch):
-        """The canonical rates contract with a path searched once per
-        dimension; rates.csv of the sinusoidal dephasing run has the bytes
-        of the per-call ``optimize=True`` search."""
+    def test_two_product_contraction_keeps_rates_csv(self, tmp_path, monkeypatch):
+        """The canonical rates contract by two matrix products; rates.csv of
+        the sinusoidal dephasing run has the bytes of ``np.einsum`` on its
+        ``optimize=True`` path."""
         import backflow_lab.generator_analysis as generator_analysis
 
         def searched_per_call(samples, dim):
@@ -218,17 +217,11 @@ class TestDivisibility:
         config = write_config(
             tmp_path, {"model": {"name": "dephasing_qubit", "params": params}, "grid": {"dt": 1e-3, "t_max": 40.0}}
         )
-        searches = []
-        einsum_path = np.einsum_path
-        monkeypatch.setattr(np, "einsum_path", lambda *a, **k: searches.append(1) or einsum_path(*a, **k))
-        generator_analysis._kossakowski_path.cache_clear()
-        cached, per_call = tmp_path / "cached", tmp_path / "per_call"
-        for _ in range(2):
-            assert main(["divisibility", "--config", config, "--out", str(cached)]) == 0
-        assert len(searches) == 1
+        products, per_call = tmp_path / "products", tmp_path / "per_call"
+        assert main(["divisibility", "--config", config, "--out", str(products)]) == 0
         monkeypatch.setattr(generator_analysis, "_kossakowski", searched_per_call)
         assert main(["divisibility", "--config", config, "--out", str(per_call)]) == 0
-        assert (cached / "rates.csv").read_bytes() == (per_call / "rates.csv").read_bytes()
+        assert (products / "rates.csv").read_bytes() == (per_call / "rates.csv").read_bytes()
 
 
 class TestRoutes:
@@ -691,6 +684,33 @@ class TestEntryPoint:
         proc = run_module("simulate", "--config", config, "--out", str(tmp_path))
         assert proc.returncode == 2
         assert "config error" in proc.stderr
+
+    def test_reader_closing_after_one_line_leaves_no_traceback(self):
+        """``backflow-lab model list | head -1``: the reader takes one line and
+        closes the pipe.  The command ends quietly, with ``EXIT_STDOUT_CLOSED``
+        when a write met the closed pipe, or 0 when all was written first."""
+        argv = [sys.executable, "-m", "backflow_lab", "model", "list"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        assert proc.stdout.readline().strip() == b"{"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() in (0, EXIT_STDOUT_CLOSED)
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        assert stderr == ""
+
+    def test_stdout_closed_before_the_first_write(self):
+        """A pipe whose reader is gone before the command writes: every write
+        fails, and the command still ends quietly, with ``EXIT_STDOUT_CLOSED``."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            argv = [sys.executable, "-m", "backflow_lab", "model", "list"]
+            proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, env=child_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_STDOUT_CLOSED == 141
+        assert proc.stderr == ""
 
 
 class TestOutDirectory:

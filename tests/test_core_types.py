@@ -1,3 +1,6 @@
+import itertools
+import platform
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,8 @@ from backflow_lab import (
     vectorize,
 )
 from backflow_lab.linalg import (
+    _finite_rows,
+    _row_reduce,
     carrier_dim,
     commutator_superop,
     conservation_row,
@@ -233,6 +238,111 @@ class TestConservationSums:
         sums = conservation_sums(stack, "quantum", 2)
         sums -= conservation_row("quantum", 2)
         assert not sums.any() and not np.shares_memory(sums, stack)
+
+
+# special values for the reductions: signed zeros, NaN, infinities, subnormals
+SPECIAL = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, -3e-310, 1.0, -1.0, 2.5, 1e308])
+
+
+def same_bits(got, want):
+    """Equal int64 views (of each part of a complex value), except that any
+    NaN matches any NaN: which NaN a sum of two NaNs keeps (inf - inf gives
+    x86's negative default NaN) is left open by C and differs between
+    numpy's own loops."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    if got.dtype == bool:
+        return np.array_equal(got, want)
+    if got.dtype.kind == "c":
+        got, want = got.view(float), want.view(float)
+    return bool(np.all((got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="numpy's tie rules are read on x86-64")
+class TestRowReduce:
+    """``_row_reduce`` against numpy's own reduction, bit for bit: sums of
+    1-7 entries, maximum/minimum/fmin/logical_and of 1-16, with special
+    values, on contiguous rows, trailing axes flattened and strided rows."""
+
+    @pytest.mark.parametrize("width", range(1, 8))
+    def test_sums(self, width):
+        rng = np.random.default_rng(width)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for n in (1, 3, 64, 4001):
+                x = rng.choice(SPECIAL, (n, width))
+                assert same_bits(_row_reduce(np.add, x), np.add.reduce(x, axis=-1))
+                assert same_bits(_row_reduce(np.add, x), np.sum(x, axis=1))
+                z = x + 1j * rng.choice(SPECIAL, (n, width))
+                assert same_bits(_row_reduce(np.add, z), np.add.reduce(z, axis=-1))
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        got = _row_reduce(np.add, np.full((5, 3), -0.0))
+        assert not np.signbit(got).any() and not np.signbit(np.sum(np.full((5, 3), -0.0), axis=1)).any()
+        got = _row_reduce(np.add, np.full((5, 2), complex(-0.0, -0.0)))
+        assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum, np.fmin, np.multiply], ids=lambda u: u.__name__)
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_extremes(self, ufunc, width):
+        rng = np.random.default_rng(width)
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for n in (1, 3, 64, 4001):
+                x = rng.choice(SPECIAL, (n, width))
+                assert same_bits(_row_reduce(ufunc, x), ufunc.reduce(x, axis=-1))
+
+    @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum, np.fmin], ids=lambda u: u.__name__)
+    def test_ties_of_signed_zeros(self, ufunc):
+        """Rows of only +0 and -0: the result's sign is the one numpy's loop
+        keeps (the later zero for maximum and minimum, the earlier for fmin,
+        which elementwise fmin does not keep by itself)."""
+        for width in range(1, 5):
+            # every such row, at many places in the columns: elementwise loops
+            # treat the SIMD body and the scalar tail of a column differently
+            x = np.tile(np.array(list(itertools.product([0.0, -0.0], repeat=width))), (37, 1))
+            assert np.array_equal(np.signbit(_row_reduce(ufunc, x)), np.signbit(ufunc.reduce(x, axis=-1)))
+
+    @pytest.mark.parametrize("width", range(1, 17))
+    def test_logical_and(self, width):
+        x = np.random.default_rng(width).random((4001, width)) < 0.9
+        assert np.array_equal(_row_reduce(np.logical_and, x), np.logical_and.reduce(x, axis=-1))
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum, np.fmin], ids=lambda u: u.__name__)
+    def test_trailing_axes_flattened(self, ufunc):
+        rng = np.random.default_rng(3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for shape in ((257, 1, 3), (257, 2, 2), (257, 2, 3), (257, 4, 4)):
+                x = rng.choice(SPECIAL, shape)
+                assert same_bits(_row_reduce(ufunc, x.reshape(len(x), -1)), ufunc.reduce(x, axis=(1, 2)))
+
+    @pytest.mark.parametrize("ufunc", [np.add, np.maximum, np.minimum, np.logical_and], ids=lambda u: u.__name__)
+    def test_strided_rows(self, ufunc):
+        """A last axis that is not contiguous, as ``conservation_sums`` reads
+        the selected rows of a stack."""
+        rng = np.random.default_rng(4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k in range(1, 10):
+                x = np.swapaxes(rng.choice(SPECIAL, (129, k, 4)), -1, -2)
+                x = x < 1.0 if ufunc is np.logical_and else x
+                assert same_bits(_row_reduce(ufunc, x), ufunc.reduce(x, axis=-1))
+
+    def test_empty_rows(self):
+        assert np.array_equal(_row_reduce(np.add, np.ones((3, 0))), np.zeros(3))
+        assert _row_reduce(np.logical_and, np.ones((3, 0), bool)).all()
+        with pytest.raises(ValueError):
+            _row_reduce(np.fmin, np.ones((3, 0)))
+        assert _row_reduce(np.maximum, np.ones((0, 3))).shape == (0,)
+
+    def test_finite_rows(self):
+        x = np.ones((6, 2, 2))
+        x[1, 0, 1], x[4, 1, 1] = np.nan, -np.inf
+        assert _finite_rows(x).tolist() == [True, False, True, True, False, True]
+        assert _finite_rows(np.ones((0, 3))).shape == (0,)
+
+    def test_fresh_array_from_a_read_only_table(self):
+        table = np.arange(12.0).reshape(4, 3)
+        table.setflags(write=False)
+        out = _row_reduce(np.maximum, table)
+        assert out.flags.writeable and not np.shares_memory(out, table)
 
 
 class TestSuperopBuilders:

@@ -553,6 +553,26 @@ def canonical_form(g, dim=2):
     return canonical_forms(np.asarray(g)[None], dim)
 
 
+class TestKossakowskiContraction:
+    @pytest.mark.parametrize("dim", range(2, 9))
+    def test_bits_of_the_optimized_einsum(self, dim):
+        """The two matrix products give ``np.einsum``'s bits on its
+        ``optimize=True`` path, for one sample, a broadcast row and stacks."""
+        from backflow_lab.generator_analysis import _full_basis, _kossakowski
+
+        basis = _full_basis(dim).conj()
+        rng = np.random.default_rng(dim)
+        dd = dim * dim
+        stacks = [rng.standard_normal((n, dd, dd)) + 1j * rng.standard_normal((n, dd, dd)) for n in (1, 5, 300)]
+        stacks += [np.broadcast_to(stacks[0], (4, dd, dd)), rng.standard_normal((3, dd, dd))]
+        for samples in stacks:
+            m4 = np.asarray(samples, dtype=complex).reshape(-1, dim, dim, dim, dim)
+            c = np.einsum("Bca,Ade,tadce->tAB", basis, basis, m4, optimize=True)
+            want = (c + c.conj().transpose(0, 2, 1)) / 2.0
+            got = _kossakowski(samples, dim)
+            assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestCanonicalDecomposition:
     def test_amplitude_damping(self):
         g = assemble_gksl(np.zeros((2, 2)), [1.0], [SIGMA_MINUS])
@@ -894,6 +914,23 @@ class TestOneSampleReport:
         with pytest.raises(ValueError, match="read-only"):
             got.rate_traces[0, 0] = 1.0
         assert rate_traces_csv(got) == rate_traces_csv(want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["cp", "negative-canonical-rate"])
+    def test_reads_one_row(self, monkeypatch, sign):
+        """The broadcast report reduces no table of n rows and takes no
+        ``nanmin``: its fields come from the one rate row."""
+        import backflow_lab.linalg as linalg
+
+        g = dissipator_superop(SIGMA_MINUS) + sign * 0.4 * dissipator_superop(SIGMA_Z / np.sqrt(2))
+        grid = TimeGrid.uniform(1e-3, 3.0)
+        gen = broadcast_generator(g, "quantum", 2, grid)
+        rows, row_reduce = [], linalg._row_reduce
+        monkeypatch.setattr(linalg, "_row_reduce", lambda ufunc, table: rows.append(len(table)) or row_reduce(ufunc, table))
+        monkeypatch.setattr(np, "nanmin", lambda *args, **kwargs: pytest.fail("nanmin over the n rows"))
+        report = check_cp_divisible(gen)
+        assert report.divisible is (sign > 0)
+        assert report.first_violation_time == (None if sign > 0 else grid.points[0])
+        assert report.rate_traces.shape == (grid.n, 3) and rows and max(rows) == 1
 
 
 class TestTcTclEquivalence:

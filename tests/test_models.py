@@ -105,6 +105,16 @@ class TestFractionalTwoState:
 
 
 class TestClassicalExpKernel:
+    @pytest.mark.parametrize("n, gamma, tau_m", [(2, 1.0, 0.5), (2, 0.83, 0.4371), (3, 2.7, 0.6)])
+    def test_kernel_table_keeps_the_per_lag_bits(self, n, gamma, tau_m):
+        """The one ``math.exp`` pass over the scaled lags equals the per-lag
+        comprehension, bit for bit, on 16 001 lags."""
+        taus = np.arange(16001) * 1e-3
+        wb = np.ones((n, n)) - n * np.eye(n)
+        want = np.array([(gamma / tau_m) * math.exp(-tau / tau_m) for tau in taus.tolist()])[:, None, None] * wb
+        got = classical_exp_kernel(n=n, gamma=gamma, tau_m=tau_m).kernel.evaluate(taus)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_embedding_matches_kernel_route(self):
         model = classical_exp_kernel(gamma=1.0, tau_m=1.0)
         grid = TimeGrid.uniform(1e-3, 5.0)

@@ -495,8 +495,7 @@ class TestVolterraBlockSolve:
         assert t_ref <= got.value.time <= 1.03 * t_ref
         assert f"t={got.value.time:g}" in str(got.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_block_divergence_raises_before_any_convolution(self, monkeypatch):
         import backflow_lab.propagation as propagation
 
