@@ -336,16 +336,31 @@ EXIT_STDOUT_CLOSED = 141
 def main(argv=None) -> int:
     """Run one command; its exit code.  A standard output closed by its
     reader (``| head -1``) ends the command quietly with
-    ``EXIT_STDOUT_CLOSED``."""
+    ``EXIT_STDOUT_CLOSED``; the process's file descriptors are left as
+    they are (:func:`console_main` quiets the interpreter's last flush)."""
     try:
         try:
             return _run(argv)
         finally:
             sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
     except BrokenPipeError:
-        # nothing more can be written: send what is left (and that last flush) to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_STDOUT_CLOSED
+
+
+def console_main() -> int:
+    """The ``backflow-lab`` and ``python -m backflow_lab`` entry point:
+    :func:`main` on ``sys.argv``.  After a closed standard output, fd 1 is
+    pointed at devnull, so that what is still buffered goes nowhere when
+    the interpreter flushes it on exit, rather than printing a
+    ``BrokenPipeError``."""
+    code = main()
+    if code == EXIT_STDOUT_CLOSED:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+    return code
 
 
 def _run(argv) -> int:
@@ -374,4 +389,4 @@ def _run(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -420,51 +420,45 @@ def _report_from_traces(gen, traces_of, rate_tolerance: float) -> DivisibilityRe
     place on the grid (a slice or an index array), to their rows, and gap
     rows are NaN.  A broadcast stack (leading stride 0, the form
     :func:`propagation.tcl_pass` gives a constant generator) without gaps
-    has every row equal to its first: the report is that one row's (a
+    has every row equal to its first: the report reads that one row (a
     violation is at t_0), and ``rate_traces`` is it broadcast read-only to
     all n rows."""
     samples = gen.samples
     n = len(samples)
     keep = ~gen.gap_mask() if gen.gaps else None
-    context = dict(grid=gen.grid, kind=gen.kind, rate_tolerance=rate_tolerance, gaps=gen.gaps)
     if keep is None and samples.strides[0] == 0:
-        row = traces_of(samples[:1], slice(0, 1)).astype(float, copy=False)
-        min_rate = float(np.fmin.reduce(row[0], initial=np.nan))
-        if math.isnan(min_rate):
-            raise GeneratorSingularityError("no usable grid points outside gaps")
-        violates = min_rate < -rate_tolerance
-        return DivisibilityReport(
-            divisible=not violates,
-            min_rate=min_rate,
-            first_violation_time=float(gen.grid.points[0]) if violates else None,
-            rate_traces=np.broadcast_to(row, (n,) + row.shape[1:]),
-            **context,
-        )
-    traces = None
-    step = _block_rows(samples)
-    for lo in range(0, n, step):
-        at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
-        block = samples[at]
-        if len(block):
-            rows = traces_of(block, at)
-            if traces is None:
-                traces = np.full((n,) + rows.shape[1:], np.nan)
-            traces[at] = rows
-    # fmin ignores NaN like nanmin; a row is all NaN (a gap) exactly when its minimum is
-    usable = traces is not None and traces.shape[1]
-    per_point = linalg._row_reduce(np.fmin, traces) if usable else np.full(n, np.nan)
-    valid = ~np.isnan(per_point)
-    if not np.any(valid):
+        rows = traces_of(samples[:1], slice(0, 1)).astype(float, copy=False)
+        traces = np.broadcast_to(rows, (n,) + rows.shape[1:])
+    else:
+        traces = None
+        step = _block_rows(samples)
+        for lo in range(0, n, step):
+            at = slice(lo, lo + step) if keep is None else lo + np.flatnonzero(keep[lo : lo + step])
+            block = samples[at]
+            if len(block):
+                rows = traces_of(block, at)
+                if traces is None:
+                    traces = np.full((n,) + rows.shape[1:], np.nan)
+                traces[at] = rows
+        rows = traces
+    # fmin ignores NaN like nanmin (whose call np.fmin.reduce is); a row is
+    # all NaN (a gap) exactly when its minimum is
+    per_point = linalg._row_reduce(np.fmin, rows) if rows is not None and rows.shape[1] else np.full(n, np.nan)
+    min_rate = float(np.fmin.reduce(per_point)) if len(per_point) else math.nan
+    if math.isnan(min_rate):
         raise GeneratorSingularityError("no usable grid points outside gaps")
-    min_rate = float(np.nanmin(per_point))
-    violating = valid & (per_point < -rate_tolerance)
-    first_violation = float(gen.grid.points[np.argmax(violating)]) if np.any(violating) else None
+    violating = per_point < -rate_tolerance  # False on gap rows
+    first = int(np.argmax(violating))
+    divisible = not violating[first]
     return DivisibilityReport(
-        divisible=not np.any(violating),
+        divisible=divisible,
         min_rate=min_rate,
-        first_violation_time=first_violation,
+        first_violation_time=None if divisible else float(gen.grid.points[first]),
         rate_traces=traces,
-        **context,
+        grid=gen.grid,
+        kind=gen.kind,
+        rate_tolerance=rate_tolerance,
+        gaps=gen.gaps,
     )
 
 

@@ -216,12 +216,14 @@ def _row_reduce(ufunc: np.ufunc, table: np.ndarray) -> np.ndarray:
     other ufuncs, on x86-64 with AVX2 or AVX-512, it takes a row of fewer
     than 5 entries one at a time (a longer one in vectors), and fmin and
     fmax keep the earlier of two equal entries of a contiguous row, +0 and
-    -0 among them, which their elementwise loops need not.  Other rows,
-    empty ones among them, and tables of fewer than 64 rows, where the
-    steps' own call costs exceed the loop's, go to ``ufunc.reduce``."""
+    -0 among them, which their elementwise loops need not.  That is the
+    machine on which the bits of those ufuncs are checked against numpy's;
+    elsewhere the sign of a zero or a product's rounding may differ from
+    ``ufunc.reduce``.  Other rows, empty ones among them, go to
+    ``ufunc.reduce``."""
     d = table.shape[-1]
     limit = (4 if table.dtype.kind == "c" else 8) if ufunc is np.add else 5
-    if not 0 < d < limit or table.size < 64 * d:
+    if not 0 < d < limit:
         return ufunc.reduce(table, axis=-1)
     out = table[..., 0] + 0.0 if ufunc is np.add else table[..., 0].copy()
     for j in range(1, d):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -711,6 +712,24 @@ class TestEntryPoint:
             os.close(write_end)
         assert proc.returncode == EXIT_STDOUT_CLOSED == 141
         assert proc.stderr == ""
+
+    def test_in_process_closed_stdout_returns_the_code_and_leaves_fds(self, monkeypatch):
+        """Called as a library, ``main`` meets a closed standard output with
+        ``EXIT_STDOUT_CLOSED`` and touches no file descriptor, also when the
+        replaced ``sys.stdout`` has none."""
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError
+
+            def flush(self):
+                raise BrokenPipeError
+
+        before = os.fstat(1)
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["model", "list"]) == EXIT_STDOUT_CLOSED
+        after = os.fstat(1)
+        assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
 
 
 class TestOutDirectory:
