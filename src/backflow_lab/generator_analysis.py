@@ -367,7 +367,11 @@ def canonical_forms(samples: np.ndarray, dim: int, ts: np.ndarray | None = None,
     place ``at`` on that grid (a slice or an index array), its grid index
     and time.  A broadcast stack (leading stride 0: the one form
     :func:`propagation.tcl_pass` gives a constant generator) has one
-    Kossakowski matrix decomposed and broadcast to every row."""
+    Kossakowski matrix decomposed and broadcast to every row.  A dimension
+    below 2 has no traceless basis, so no rates: it raises
+    :class:`ContractViolationError`."""
+    if dim < 2:
+        raise ContractViolationError(f"canonical GKSL rates need a quantum dimension of at least 2, got {dim}")
     samples = np.asarray(samples)
     constant = samples.strides[0] == 0
     distinct = samples[:1] if constant else samples

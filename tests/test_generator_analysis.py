@@ -729,6 +729,13 @@ class TestCpDivisibility:
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
+    def test_dimension_one_is_a_contract_error(self):
+        # a 1x1 density matrix has no traceless basis, so no GKSL rates
+        gen = SampledGenerator(TimeGrid.uniform(0.1, 1.0), np.zeros((11, 1, 1)), "quantum", 1)
+        for call in (lambda: check_cp_divisible(gen), lambda: canonical_forms(gen.samples, 1)):
+            with pytest.raises(ContractViolationError, match="dimension of at least 2, got 1"):
+                call()
+
     def test_constant_stack_decomposed_once(self, monkeypatch):
         """A constant stack of several blocks, broadcast from one row as the
         ``tcl`` route gives it, is one block: one sample is decomposed and its

@@ -15,10 +15,12 @@ from backflow_lab.propagation import build_propagator
 from backflow_lab.serialize import (
     _BATCH_VALUES,
     _CHUNK_CELLS,
+    _SCAN_WORDS,
     _SLOT,
     _digits,
     _encode_table,
     _format_slots,
+    _zero_columns,
     fmt,
     rate_traces_csv,
     sampled_generator_csv,
@@ -38,6 +40,10 @@ class TestFormatting:
 
     def test_booleans(self):
         assert fmt(True) == "true" and fmt(False) == "false"
+
+    def test_numpy_booleans(self):
+        assert fmt(np.True_) == "true" and fmt(np.False_) == "false"
+        assert fmt(np.array([True, False])[0]) == "true"
 
 
 class TestCsv:
@@ -204,6 +210,15 @@ def edge_table(rng, rows, width, zero_frac=0.3):
     return table
 
 
+def gathered_codes(monkeypatch):
+    """A list that collects the size of each chunk's codes as it reaches
+    the gather in ``serialize._emit``."""
+    sizes, real = [], serialize._emit
+    counting = lambda sink, waiting, *rest: sizes.extend(c.size for c, _ in waiting) or real(sink, waiting, *rest)
+    monkeypatch.setattr(serialize, "_emit", counting)
+    return sizes
+
+
 class TestTableEncoder:
     @pytest.mark.parametrize("width", [1, 2, 5, 33, _CHUNK_CELLS - 1, _CHUNK_CELLS + 7])
     @pytest.mark.parametrize("blank_nan", [False, True])
@@ -292,10 +307,14 @@ class TestTableEncoder:
 
     def test_work_on_dephasing_generator(self, monkeypatch):
         # the cli-mixed extraction: only the non-token cells reach the
-        # formatter, in batches that span chunks, and none falls back to %
+        # formatter, in batches that span chunks, and none falls back to %;
+        # 30 of the 32 value columns are +0.0 on every row, in three runs, so
+        # a row reaches the gather as 7 codes (t, a run, Re G[1,1], a run,
+        # Re G[2,2], a run, the flag), not 34
         model = dephasing_qubit(rate_kind="sinusoidal", lam=1.0, amplitude=1.5, frequency=1.0)
         grid = TimeGrid.uniform(1e-3, 40.0)
         gen = extract_tcl_generator(build_propagator(model.tcl_generator, grid))
+        codes = gathered_codes(monkeypatch)
         sizes, fallback = [], []
         real = _format_slots
         monkeypatch.setattr(serialize, "_format_slots", lambda x, slots: sizes.append(x.size) or real(x, slots))
@@ -310,7 +329,85 @@ class TestTableEncoder:
         chunks = -(-n // (_CHUNK_CELLS // ncol))
         assert len(sizes) < chunks / 8 and max(sizes) <= _BATCH_VALUES
         assert fallback == []
+        assert sum(codes) <= 7 * n
         assert gen.gaps  # gap rows are part of the table
+
+
+@pytest.mark.parametrize("blank_nan", [False, True])
+@pytest.mark.parametrize("flagged", [False, True])
+class TestZeroColumnFold:
+    """Each maximal run of value columns that are +0.0 on every row is one
+    token of ``0,`` text; the table's text is the per-cell reference's."""
+
+    def check(self, monkeypatch, values, blank_nan, flagged, codes_per_row):
+        n = len(values)
+        t = np.arange(n) * 0.25
+        flags = (np.arange(n) % 3 == 0) if flagged else None
+        sizes = gathered_codes(monkeypatch)
+        text = _encode_table("h", t, values, blank_nan, flags)
+        assert text == encode_reference("h", t, values, blank_nan, flags)
+        assert sum(sizes) == n * (codes_per_row + flagged)
+        return text
+
+    def table(self, rows, width=8, seed=0):
+        """Random values with NaN cells, a row count that crosses chunks and
+        leaves rows past the zero scan's whole lanes (width 8: 128 a lane)."""
+        values = np.random.default_rng(seed).standard_normal((rows, width))
+        values[5::97, 2 % width] = np.nan
+        values[7::50, 5 % width] = 0.0
+        return values
+
+    def rows(self, flagged, width=8):
+        step = _CHUNK_CELLS // (width + 1 + flagged)
+        rows = 2 * step + 37
+        assert rows % (_SCAN_WORDS // width) != 0
+        return step, rows
+
+    def test_runs_at_start_middle_and_end(self, monkeypatch, blank_nan, flagged):
+        _, rows = self.rows(flagged)
+        values = self.table(rows)
+        values[:, [0, 1, 3, 4, 7]] = 0.0
+        assert _zero_columns(values).tolist() == [True, True, False, True, True, False, False, True]
+        # t, 0-1, 2, 3-4, 5, 6, 7
+        text = self.check(monkeypatch, values, blank_nan, flagged, 7)
+        assert text.split("\n")[1].startswith("0,0,0,")
+
+    @pytest.mark.parametrize("where", ["last of a chunk", "first of a chunk", "last row"])
+    def test_one_nonzero_row_keeps_its_column(self, monkeypatch, blank_nan, flagged, where):
+        step, rows = self.rows(flagged)
+        at = {"last of a chunk": step - 1, "first of a chunk": step, "last row": rows - 1}[where]
+        values = self.table(rows, seed=at)
+        values[:, [0, 3, 4]] = 0.0
+        values[at, 3] = 2.5
+        assert _zero_columns(values).tolist() == [True, False, False, False, True, False, False, False]
+        self.check(monkeypatch, values, blank_nan, flagged, 9)
+
+    @pytest.mark.parametrize("at", [0, 1500])
+    def test_negative_zero_keeps_its_column(self, monkeypatch, blank_nan, flagged, at):
+        _, rows = self.rows(flagged)
+        values = self.table(rows, seed=3)
+        values[:, [1, 6]] = 0.0
+        values[at, 6] = -0.0
+        assert _zero_columns(values).tolist() == [False, True] + [False] * 6
+        text = self.check(monkeypatch, values, blank_nan, flagged, 9)
+        assert text.split("\n")[1 + at].split(",")[7] == "-0"
+
+    def test_every_value_column_zero(self, monkeypatch, blank_nan, flagged):
+        _, rows = self.rows(flagged)
+        values = np.zeros((rows, 8))
+        text = self.check(monkeypatch, values, blank_nan, flagged, 2)
+        assert text.split("\n")[2] == "0.25," + ",".join(["0"] * 8) + (",false" if flagged else "")
+
+    def test_one_row(self, monkeypatch, blank_nan, flagged):
+        values = np.array([[0.0, np.nan, 0.0, 0.0, -0.0, 1e-300]])
+        self.check(monkeypatch, values, blank_nan, flagged, 6)
+
+    def test_complex_table_with_zero_imaginary_parts(self, monkeypatch, blank_nan, flagged):
+        _, rows = self.rows(flagged, width=6)
+        values = self.table(rows, width=3, seed=5) + 0j
+        assert _zero_columns(values.view(np.float64)).tolist() == [False, True] * 3
+        # each imaginary column is a run of one: the same count of codes
+        self.check(monkeypatch, values, blank_nan, flagged, 7)
 
 
 def slot_text(x):
