@@ -34,9 +34,9 @@ import numpy as np
 from .phase_diagram import SweepResult
 from .states import Trajectory
 
-# cells encoded by one gather; values formatted by one call, and cells whose
-# codes may wait for it (a batch spans chunks: a generator chunk holds a few
-# hundred values).  No temporary grows with the table.
+# cells of a table encoded by one gather; values formatted by one call, and
+# coded cells that may wait for it (a batch spans chunks: a generator chunk
+# holds a few hundred values).  No temporary grows with the table.
 _CHUNK_CELLS, _BATCH_VALUES, _BATCH_CELLS = 8192, 8192, 16 * 8192
 # fixed tokens ahead of a batch's values: +0.0, an empty (NaN) cell, the
 # flags; a table adds one for each width of its runs of all-+0.0 columns
@@ -265,10 +265,11 @@ def _encode_table(header: str, t: np.ndarray, values: np.ndarray, blank_nan=Fals
     (:func:`_zero_columns`) is one cell of fixed text ``0,0,...,0``, a token
     for its width, so only t, the other value columns and the flag are
     copied and coded.  Rows are read in chunks of at most ``_CHUNK_CELLS``
-    such cells (one row if wider).  +0.0 cells (by their bits, so -0.0 stays
-    apart), blank and flag cells get token codes; the others join a batch
-    for :func:`_format_slots` of at most ``_BATCH_VALUES`` values (or one
-    chunk's), for which at most ``_BATCH_CELLS`` cells wait."""
+    cells of the table, folded ones counted (one row if wider).  +0.0 cells
+    (by their bits, so -0.0 stays apart), blank and flag cells get token
+    codes; the others join a batch for :func:`_format_slots` of at most
+    ``_BATCH_VALUES`` values (or one chunk's), for which at most
+    ``_BATCH_CELLS`` coded cells wait."""
     if sink is None:
         encoded = bytearray()
         _encode_table(header, t, values, blank_nan, flags, encoded.extend)
